@@ -20,6 +20,7 @@ from .bounds import (
 from .errors import DomainError, ResourceLimitError
 from .events import (
     EventSystem,
+    ProductSystem,
     alpha_prime,
     atom_prob,
     bernoulli_product,
@@ -64,6 +65,7 @@ from .reliability import (
     BRIDGE_PATH_ORDER,
     Network,
     bound_polynomials,
+    bound_values,
     bridge_network,
     build_network,
     enumerate_st_paths,

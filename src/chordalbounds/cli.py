@@ -8,6 +8,7 @@ output for a given input is byte-stable.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -28,19 +29,11 @@ from .graphs import (
     counterexample_graph,
     independence_number,
     is_chordal,
-    path_graph,
     truncated_euler_sum,
 )
 from .optimize import best_path, best_tree, pairwise_weights, path_weight, tree_weight
 from .poly import Polynomial
-from .reliability import (
-    DEFAULT_BOUND_KINDS,
-    bound_polynomials,
-    build_network,
-    exact_reliability,
-    path_event_system,
-    sweep,
-)
+from .reliability import DEFAULT_BOUND_KINDS, bound_values, build_network, sweep
 from .values import RATIONAL, REAL
 
 __all__ = ["main"]
@@ -53,6 +46,18 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
+
+
+@contextlib.contextmanager
+def _parse_errors():
+    """Report malformed user input as a usage error; domain violations
+    keep their own exit code."""
+    try:
+        yield
+    except DomainError:
+        raise
+    except (KeyError, ValueError, TypeError) as exc:
+        raise _UsageError(str(exc)) from exc
 
 
 def _fmt(value) -> str:
@@ -90,6 +95,7 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+@_parse_errors()
 def _load_graph(path: str) -> Graph:
     text = _read_text(path).strip()
     if text.startswith("{"):
@@ -118,6 +124,7 @@ def _parse_values(raw_values):
     return REAL, [float(v) for v in raw_values]
 
 
+@_parse_errors()
 def _load_events(path: str):
     data = json.loads(_read_text(path))
     if "weights" in data:
@@ -131,6 +138,7 @@ def _load_events(path: str):
     raise _UsageError("events file needs either 'weights' or 'coords'")
 
 
+@_parse_errors()
 def _load_network(path: str):
     data = json.loads(_read_text(path))
     return build_network(
@@ -159,6 +167,7 @@ def _cmd_graph_check(args) -> int:
     return 0
 
 
+@_parse_errors()
 def _parse_order(raw: str | None, n: int):
     if raw is None:
         return tuple(range(n))
@@ -267,6 +276,7 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+@_parse_errors()
 def _parse_sweep(raw: str):
     parts = raw.split(":")
     if len(parts) != 3:
@@ -296,22 +306,14 @@ def _cmd_reliability(args) -> int:
         for row in rows:
             print(",".join(format(float(cell), ".12g") for cell in row))
         return 0
-    if net.symbolic:
-        polys = bound_polynomials(net)
-        for kind in ("exact", *kinds):
-            poly = polys[kind]
-            print(f"{kind}: {poly}")
-            print(f"{kind} coeffs: {poly.coefficient_string()}")
-        return 0
-    sys_ = path_event_system(net)
-    values = {
-        "exact": exact_reliability(net),
-        "hunter-lower": bnd.hunter_lower_tree(sys_, path_graph(sys_.event_count)).value,
-        "kwerel-lower": bnd.kwerel_lower(sys_).value,
-        "bonferroni-lower": bnd.classical_bonferroni(sys_, 1, "lower").value,
-    }
+    values = bound_values(net)
     for kind in ("exact", *kinds):
-        print(f"{kind}: {_fmt(values[kind])}")
+        value = values[kind]
+        if net.symbolic:
+            print(f"{kind}: {value}")
+            print(f"{kind} coeffs: {value.coefficient_string()}")
+        else:
+            print(f"{kind}: {_fmt(value)}")
     return 0
 
 
@@ -347,12 +349,6 @@ def _cmd_demo(args) -> int:
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="chordalbounds", description=__doc__)
-    parser.add_argument(
-        "--seed",
-        type=int,
-        default=None,
-        help="seed for randomized subcommands (reserved; current subcommands are deterministic)",
-    )
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     graph = sub.add_parser("graph", help="graph inspection")
@@ -431,7 +427,7 @@ def main(argv=None) -> int:
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (OSError, json.JSONDecodeError, KeyError, ValueError, TypeError) as exc:
+    except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,11 +1,22 @@
 """Finite probability spaces carrying one event per graph vertex.
 
-An EventSystem is a weighted outcome space plus a bitmask per event.  All
-probability queries reduce to summing outcome weights under a mask, which
-keeps the same code path exact for rational and polynomial weights.
+Two representations answer the same queries (`intersection_prob`,
+`union_prob_exact`, `atom_prob`, `alpha_prime`):
+
+* EventSystem -- explicit outcome weights plus a bitmask of outcomes per
+  event; every probability is a sum of outcome weights under a mask.
+* ProductSystem -- independent on/off coordinates plus a bitmask of
+  required coordinates per event (built by `bernoulli_product`).  An
+  intersection is a product of coordinate probabilities and the union is
+  computed by Shannon expansion over coordinates, so the 2**m outcome
+  space is built only for `atom_prob` and `alpha_prime`.
+
+Both stay exact for rational and polynomial values.
 """
 
 from __future__ import annotations
+
+import math
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import Graph, connected_components
@@ -13,6 +24,7 @@ from .values import Backend, REAL
 
 __all__ = [
     "EventSystem",
+    "ProductSystem",
     "MAX_PRODUCT_COORDS",
     "from_outcomes",
     "bernoulli_product",
@@ -22,7 +34,8 @@ __all__ = [
     "alpha_prime",
 ]
 
-# Hard cap for the product-space constructor: the outcome space is 2**m.
+# Hard cap for the product-space constructor: `atom_prob` and `alpha_prime`
+# materialize all 2**m outcomes.
 MAX_PRODUCT_COORDS = 24
 
 
@@ -46,9 +59,14 @@ class EventSystem:
         for mask in events:
             if mask & ~full:
                 raise DomainError("event refers to outcomes outside the space")
-        total = backend.zero
-        for w in weights:
-            total = total + w
+        if backend.exact:
+            total = backend.zero
+            for w in weights:
+                total = total + w
+        else:
+            # Naive float summation drifts past the tolerance on valid
+            # product spaces from about 19 coordinates.
+            total = math.fsum(weights)
         if not backend.sum_is_one(total):
             raise DomainError(f"outcome weights must sum to one, got {total}")
         if backend.ordered:
@@ -86,6 +104,156 @@ class EventSystem:
         self._mass_cache[mask] = total
         return total
 
+    def _combined_mask(self, index_set) -> int:
+        """Outcomes at which every event in `index_set` occurs."""
+        indices = set(index_set)
+        if not indices:
+            raise DomainError("index set must be non-empty")
+        mask = self.full_mask
+        for i in indices:
+            if not 0 <= i < self.event_count:
+                raise DomainError(f"event index {i} out of range")
+            mask &= self.events[i]
+        return mask
+
+    def _union(self):
+        union = 0
+        for mask in self.events:
+            union |= mask
+        return self.mass(union)
+
+    def _outcomes(self) -> EventSystem:
+        return self
+
+
+class ProductSystem:
+    """Independent on/off coordinates plus per-event required-coordinate
+    masks over one backend.
+
+    `probs[c]` is the probability that coordinate c is on; event j occurs
+    when every coordinate in the mask `requires[j]` is on.  `mass`
+    memoizes coordinate-mask products.
+    """
+
+    __slots__ = ("backend", "probs", "requires", "_offs", "_mass_cache")
+
+    def __init__(self, backend: Backend, probs, requires):
+        probs = tuple(probs)
+        requires = tuple(requires)
+        if len(probs) > MAX_PRODUCT_COORDS:
+            raise ResourceLimitError(
+                f"product space over {len(probs)} coordinates exceeds the cap of {MAX_PRODUCT_COORDS}"
+            )
+        if backend.ordered:
+            for p in probs:
+                if not backend.zero <= p <= backend.one:
+                    raise DomainError(f"coordinate probability {p} outside [0, 1]")
+        if not requires:
+            raise DomainError("an event system needs at least one event")
+        for mask in requires:
+            if mask >> len(probs):
+                raise DomainError("event refers to coordinates outside the space")
+        self.backend = backend
+        self.probs = probs
+        self.requires = requires
+        self._offs = tuple(backend.one - p for p in probs)
+        self._mass_cache: dict[int, object] = {}
+
+    @property
+    def event_count(self) -> int:
+        return len(self.requires)
+
+    def mass(self, mask: int):
+        """Probability that every coordinate in `mask` is on."""
+        cached = self._mass_cache.get(mask)
+        if cached is not None:
+            return cached
+        total = self.backend.one
+        m = mask
+        while m:
+            low = m & -m
+            total = total * self.probs[low.bit_length() - 1]
+            m ^= low
+        self._mass_cache[mask] = total
+        return total
+
+    def _combined_mask(self, index_set) -> int:
+        """Coordinates required by some event in `index_set`."""
+        indices = set(index_set)
+        if not indices:
+            raise DomainError("index set must be non-empty")
+        mask = 0
+        for i in indices:
+            if not 0 <= i < len(self.requires):
+                raise DomainError(f"event index {i} out of range")
+            mask |= self.requires[i]
+        return mask
+
+    def _union(self):
+        """Shannon expansion on coordinate c (arc factoring):
+        U(F) = p_c U(F with c on) + (1 - p_c) U(F with c off), where F is
+        the family of residual required-coordinate masks."""
+        one = self.backend.one
+        probs, offs = self.probs, self._offs
+        memo: dict[tuple[int, ...], object] = {}
+
+        def union(family):
+            # `family`: sorted, non-empty, pairwise incomparable, no empty mask.
+            if len(family) == 1:
+                return self.mass(family[0])
+            value = memo.get(family)
+            if value is not None:
+                return value
+            bit = _most_required(family)
+            c = bit.bit_length() - 1
+            on = _minimal([m & ~bit for m in family])
+            value = probs[c] * (one if on[0] == 0 else union(on))
+            off = tuple(m for m in family if not m & bit)
+            if off:
+                value = value + offs[c] * union(off)
+            memo[family] = value
+            return value
+
+        family = _minimal(self.requires)
+        return one if family[0] == 0 else union(family)
+
+    def _outcomes(self) -> EventSystem:
+        """The explicit 2**m outcome space; outcome s has bit i set iff
+        coordinate i is on."""
+        weights = [self.backend.one]
+        for p, off in zip(self.probs, self._offs):
+            weights = [w * off for w in weights] + [w * p for w in weights]
+        masks = []
+        for required in self.requires:
+            indicator = 1
+            for i in range(len(self.probs)):
+                if (required >> i) & 1:
+                    indicator <<= 1 << i
+                else:
+                    indicator |= indicator << (1 << i)
+            masks.append(indicator)
+        return EventSystem(self.backend, weights, masks)
+
+
+def _minimal(masks) -> tuple[int, ...]:
+    """Sorted masks of the family that contain no other mask of it."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
+def _most_required(family) -> int:
+    """Bit of the coordinate the most masks need; the lowest on ties."""
+    counts: dict[int, int] = {}
+    for m in family:
+        while m:
+            low = m & -m
+            counts[low] = counts.get(low, 0) + 1
+            m ^= low
+    return max(counts, key=lambda b: (counts[b], -b))
+
 
 def from_outcomes(weights, events, backend: Backend = REAL) -> EventSystem:
     """Build a system from explicit outcome weights and events given as
@@ -102,75 +270,50 @@ def from_outcomes(weights, events, backend: Backend = REAL) -> EventSystem:
     return EventSystem(backend, weights, masks)
 
 
-def bernoulli_product(probs, event_defs, backend: Backend = REAL) -> EventSystem:
-    """Product space of independent on/off coordinates.
+def bernoulli_product(probs, event_defs, backend: Backend = REAL) -> ProductSystem:
+    """Product space of independent on/off coordinates, in product form.
 
     `probs[i]` is the probability that coordinate i is on; event j occurs
-    when every coordinate in `event_defs[j]` is on.  Outcome s has bit i
-    set iff coordinate i is on.
+    when every coordinate in `event_defs[j]` is on.  No outcome is built
+    here: queries multiply coordinate probabilities, and only `atom_prob`
+    and `alpha_prime` materialize the 2**m outcomes, which is why m is
+    capped at MAX_PRODUCT_COORDS.
     """
     probs = tuple(probs)
     m = len(probs)
-    if m > MAX_PRODUCT_COORDS:
-        raise ResourceLimitError(
-            f"product space over {m} coordinates exceeds the cap of {MAX_PRODUCT_COORDS}"
-        )
-    if backend.ordered:
-        for p in probs:
-            if p < backend.zero or p > backend.one:
-                raise DomainError(f"coordinate probability {p} outside [0, 1]")
-    weights = [backend.one]
-    for p in probs:
-        off = backend.one - p
-        weights = [w * off for w in weights] + [w * p for w in weights]
-    masks = []
+    requires = []
     for required in event_defs:
         required = set(required)
         for c in required:
             if not 0 <= c < m:
                 raise DomainError(f"coordinate id {c} out of range")
-        indicator = 1
+        mask = 0
         for i in range(m):
             if i in required:
-                indicator <<= 1 << i
-            else:
-                indicator |= indicator << (1 << i)
-        masks.append(indicator)
-    return EventSystem(backend, weights, masks)
+                mask |= 1 << i
+        requires.append(mask)
+    return ProductSystem(backend, probs, requires)
 
 
-def _combined_mask(sys: EventSystem, index_set) -> int:
-    indices = set(index_set)
-    if not indices:
-        raise DomainError("index set must be non-empty")
-    mask = sys.full_mask
-    for i in indices:
-        if not 0 <= i < sys.event_count:
-            raise DomainError(f"event index {i} out of range")
-        mask &= sys.events[i]
-    return mask
-
-
-def intersection_prob(sys: EventSystem, index_set):
+def intersection_prob(sys, index_set):
     """Exact probability that every event in `index_set` occurs."""
-    return sys.mass(_combined_mask(sys, index_set))
+    return sys.mass(sys._combined_mask(index_set))
 
 
-def union_prob_exact(sys: EventSystem):
-    """Exact probability of the union, by direct outcome summation.
+def union_prob_exact(sys):
+    """Exact probability of the union: outcome summation for explicit
+    systems, Shannon expansion over coordinates for product systems.
 
     This is the independent oracle every bound is compared against; it
     never goes through inclusion-exclusion.
     """
-    union = 0
-    for mask in sys.events:
-        union |= mask
-    return sys.mass(union)
+    return sys._union()
 
 
-def atom_prob(sys: EventSystem, signature):
+def atom_prob(sys, signature):
     """Probability that exactly the events in `signature` occur."""
-    inter = _combined_mask(sys, signature)
+    sys = sys._outcomes()
+    inter = sys._combined_mask(signature)
     others = 0
     sig = set(signature)
     for i, mask in enumerate(sys.events):
@@ -179,7 +322,7 @@ def atom_prob(sys: EventSystem, signature):
     return sys.mass(inter & ~others & sys.full_mask)
 
 
-def alpha_prime(sys: EventSystem, g: Graph) -> int:
+def alpha_prime(sys, g: Graph) -> int:
     """Sharpened denominator for the lower bounds.
 
     Maximum number of connected components of the induced subgraph g[J]
@@ -195,6 +338,7 @@ def alpha_prime(sys: EventSystem, g: Graph) -> int:
         raise DomainError(
             f"system has {sys.event_count} events but graph has {g.vertex_count} vertices"
         )
+    sys = sys._outcomes()
     signatures = set()
     for o in range(sys.outcome_count):
         if sys.backend.is_zero(sys.weights[o]):

@@ -3,9 +3,10 @@ failures.
 
 Source-to-terminal reliability is the probability that some directed path
 of operating arcs joins the source to the terminal.  Events are built from
-simple-path enumeration, one event per path, and all probability work is
-delegated to the event-system machinery, so the same code runs with
-numeric arc reliabilities and with a shared symbolic parameter p.
+simple-path enumeration, one event per path, over a product-form system of
+independent arc states; all probability work is delegated to the
+event-system machinery, so the same code runs with numeric arc
+reliabilities and with a shared symbolic parameter p.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 
 from .bounds import classical_bonferroni, hunter_lower_tree, kwerel_lower
 from .errors import DomainError
-from .events import EventSystem, bernoulli_product, union_prob_exact
+from .events import ProductSystem, bernoulli_product, union_prob_exact
 from .graphs import path_graph
 from .poly import P, Polynomial
 from .values import POLYNOMIAL, REAL
@@ -28,6 +29,7 @@ __all__ = [
     "enumerate_st_paths",
     "path_event_system",
     "exact_reliability",
+    "bound_values",
     "bound_polynomials",
     "DEFAULT_BOUND_KINDS",
     "sweep",
@@ -139,8 +141,8 @@ def enumerate_st_paths(net: Network) -> tuple[frozenset[int], ...]:
     return tuple(found)
 
 
-def path_event_system(net: Network, paths=None) -> EventSystem:
-    """Bernoulli product system over arc states, one event per path.
+def path_event_system(net: Network, paths=None) -> ProductSystem:
+    """Product-form system over arc states, one event per path.
 
     Pass `paths` to fix the event order explicitly; by default the
     canonical enumeration order is used.
@@ -160,7 +162,8 @@ def path_event_system(net: Network, paths=None) -> EventSystem:
 
 
 def exact_reliability(net: Network, paths=None):
-    """Exact source-to-terminal reliability by outcome enumeration.
+    """Exact source-to-terminal reliability, by Shannon expansion over arc
+    states (arc factoring) on the path events.
 
     Returns a Polynomial for symbolic networks, a float otherwise; a
     network with no path has reliability zero.
@@ -172,26 +175,20 @@ def exact_reliability(net: Network, paths=None):
     return union_prob_exact(path_event_system(net, paths))
 
 
-def bound_polynomials(net: Network, paths=None) -> dict[str, Polynomial]:
-    """Exact reliability and the lower bounds as polynomials in p.
+def bound_values(net: Network, paths=None) -> dict:
+    """Exact reliability and the lower bounds, from one path event system.
 
     Keys: "exact", "hunter-lower" (path graph over the event order),
-    "kwerel-lower", and "bonferroni-lower" (depth 1).  Requires a symbolic
-    network.
+    "kwerel-lower", and "bonferroni-lower" (depth 1).  Values are
+    Polynomials in p for a symbolic network and floats otherwise.  A
+    symbolic network with no path gets zero polynomials; a numeric one
+    raises DomainError.
     """
-    if not net.symbolic:
-        raise DomainError("polynomial bounds require a symbolic network")
     if paths is None:
         paths = enumerate_st_paths(net)
     paths = tuple(paths)
-    if not paths:
-        zero = Polynomial()
-        return {
-            "exact": zero,
-            "hunter-lower": zero,
-            "kwerel-lower": zero,
-            "bonferroni-lower": zero,
-        }
+    if not paths and net.symbolic:
+        return dict.fromkeys(("exact", *DEFAULT_BOUND_KINDS), POLYNOMIAL.zero)
     sys = path_event_system(net, paths)
     return {
         "exact": union_prob_exact(sys),
@@ -199,6 +196,13 @@ def bound_polynomials(net: Network, paths=None) -> dict[str, Polynomial]:
         "kwerel-lower": kwerel_lower(sys).value,
         "bonferroni-lower": classical_bonferroni(sys, 1, "lower").value,
     }
+
+
+def bound_polynomials(net: Network, paths=None) -> dict[str, Polynomial]:
+    """`bound_values` as polynomials in p; requires a symbolic network."""
+    if not net.symbolic:
+        raise DomainError("polynomial bounds require a symbolic network")
+    return bound_values(net, paths)
 
 
 def sweep(net: Network, p_values, kinds=None):

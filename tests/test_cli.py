@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from chordalbounds import bounds
 from chordalbounds.cli import main
 
 
@@ -283,6 +284,19 @@ class TestReliability:
         code, _, _ = run(capsys, "reliability", network_json, "--sweep", "0-1")
         assert code == 1
 
+    def test_twenty_arc_numeric_network(self, capsys, tmp_path):
+        # five stages in series, each two parallel two-arc routes
+        arcs = []
+        for stage in range(5):
+            a, b, upper, lower = 3 * stage, 3 * stage + 3, 3 * stage + 1, 3 * stage + 2
+            arcs += [[a, upper], [upper, b], [a, lower], [lower, b]]
+        path = tmp_path / "series.json"
+        path.write_text(json.dumps({"nodes": 16, "arcs": arcs, "s": 0, "t": 15, "p": 0.9}))
+        code, out, _ = run(capsys, "reliability", str(path))
+        assert code == 0
+        exact = float(out.splitlines()[0].removeprefix("exact: "))
+        assert exact == pytest.approx((1 - (1 - 0.9**2) ** 2) ** 5, rel=1e-11)
+
 
 class TestDemo:
     def test_counterexample_output(self, capsys):
@@ -311,6 +325,25 @@ class TestPlumbing:
 
     def test_help_exits_zero(self, capsys):
         assert run(capsys, "--help")[0] == 0
+
+    def test_malformed_input_exit_1(self, capsys, tmp_path, events_json, network_json):
+        missing = tmp_path / "missing.json"
+        missing.write_text(json.dumps({"weights": [1.0]}))
+        for argv in (
+            ("bounds", "compute", str(missing), "--kind", "kwerel-lower"),
+            ("bounds", "compute", events_json, "--kind", "path-lower", "--order", "0,x,2,3"),
+            ("reliability", network_json, "--sweep", "0:1:a"),
+        ):
+            code, _, err = run(capsys, *argv)
+            assert code == 1 and err
+
+    def test_internal_error_is_not_a_usage_error(self, capsys, monkeypatch, events_json):
+        def broken(sys_):
+            raise ValueError("internal bug")
+
+        monkeypatch.setattr(bounds, "kwerel_lower", broken)
+        with pytest.raises(ValueError, match="internal bug"):
+            main(["bounds", "compute", events_json, "--kind", "kwerel-lower"])
 
     def test_byte_identical_reruns(self, capsys, network_json, events_json, graph_text):
         for argv in (

@@ -8,6 +8,7 @@ import pytest
 
 from chordalbounds import (
     DomainError,
+    ProductSystem,
     ResourceLimitError,
     alpha_prime,
     atom_prob,
@@ -81,36 +82,75 @@ class TestBernoulliProduct:
             assert intersection_prob(sys_, {i}) == 1.0
 
     def test_probability_out_of_range(self):
-        with pytest.raises(DomainError):
-            bernoulli_product([1.2], [[0]])
+        for p in (1.2, -0.1, float("nan")):
+            with pytest.raises(DomainError):
+                bernoulli_product([p], [[0]])
+
+    def test_empty_event_list(self):
+        with pytest.raises(DomainError, match="at least one event"):
+            bernoulli_product([0.5], [])
 
     def test_coordinate_cap(self):
         with pytest.raises(ResourceLimitError):
             bernoulli_product([0.5] * 25, [[0]])
 
+    def test_constructor_rejects_mask_outside_space(self):
+        with pytest.raises(DomainError, match="outside the space"):
+            ProductSystem(REAL, [0.5], [0b10])
+
     def test_rational_matches_explicit_enumeration(self):
         rng = random.Random(3)
-        for _ in range(20):
-            m = rng.randint(1, 5)
-            probs = [Fraction(rng.randint(0, 4), 4) for _ in range(m)]
-            defs = [
-                [c for c in range(m) if rng.random() < 0.5]
-                for _ in range(rng.randint(1, 4))
-            ]
-            built = bernoulli_product(probs, defs, backend=RATIONAL)
-            weights = []
-            for s in range(1 << m):
-                w = Fraction(1)
-                for i in range(m):
-                    w *= probs[i] if (s >> i) & 1 else 1 - probs[i]
-                weights.append(w)
-            events = [
-                [s for s in range(1 << m) if all((s >> c) & 1 for c in d)]
-                for d in defs
-            ]
-            explicit = from_outcomes(weights, events, backend=RATIONAL)
-            assert built.weights == explicit.weights
-            assert built.events == explicit.events
+        for _ in range(60):
+            probs = [Fraction(rng.randint(0, 4), 4) for _ in range(rng.randint(1, 6))]
+            assert_matches_enumeration(rng, probs, RATIONAL, exact=True)
+
+    def test_real_and_polynomial_match_explicit_enumeration(self):
+        rng = random.Random(4)
+        shapes = (P, P**2, 1 - P, (1 + P) / 2, Polynomial((Fraction(1, 3),)))
+        for _ in range(30):
+            m = rng.randint(1, 6)
+            probs = [rng.choice((0.0, 1.0, rng.random())) for _ in range(m)]
+            assert_matches_enumeration(rng, probs, REAL, exact=False)
+            probs = [rng.choice(shapes) for _ in range(m)]
+            assert_matches_enumeration(rng, probs, POLYNOMIAL, exact=True)
+
+    def test_real_weights_sum_to_one_near_the_cap(self):
+        # atom_prob materializes all 2**19 outcomes; a naive float sum of
+        # their weights misses one by 2.5e-12
+        sys_ = bernoulli_product([0.37] * 19, [list(range(19))])
+        assert atom_prob(sys_, {0}) == pytest.approx(0.37**19, rel=1e-12)
+
+    def test_real_union_over_twenty_coordinates(self):
+        assert union_prob_exact(bernoulli_product([0.9] * 20, [[0]])) == 0.9
+
+
+def assert_matches_enumeration(rng, probs, backend, exact):
+    """Every intersection, every atom and the union of `bernoulli_product`
+    agree with a system built by enumerating all 2**m outcomes."""
+    m = len(probs)
+    defs = [
+        [c for c in range(m) if rng.random() < 0.5] for _ in range(rng.randint(1, 5))
+    ]
+    weights = []
+    for s in range(1 << m):
+        w = backend.one
+        for i in range(m):
+            w = w * (probs[i] if (s >> i) & 1 else backend.one - probs[i])
+        weights.append(w)
+    events = [[s for s in range(1 << m) if all((s >> c) & 1 for c in d)] for d in defs]
+    explicit = from_outcomes(weights, events, backend=backend)
+    built = bernoulli_product(probs, defs, backend=backend)
+
+    def same(got, want):
+        return got == want if exact else abs(got - want) <= 1e-12
+
+    n = len(defs)
+    assert built.event_count == n
+    for size in range(1, n + 1):
+        for index_set in combinations(range(n), size):
+            assert same(intersection_prob(built, index_set), intersection_prob(explicit, index_set))
+            assert same(atom_prob(built, index_set), atom_prob(explicit, index_set))
+    assert same(union_prob_exact(built), union_prob_exact(explicit))
 
 
 class TestIntersectionAndUnion:
