@@ -2,9 +2,17 @@
 
 Each bound sums signed intersection probabilities over an index family:
 either all non-empty subsets up to a size cap (the classical alternating
-bounds) or the clique complex of a graph on the event indices.  Lower
-bounds divide the clique-complex sum by the graph's independence number
-(or by the sharpened support-aware denominator).
+bounds) or the clique complex of a graph on the event indices (the
+chordal bounds; the tree and path bounds are the same sum on a tree or a
+path, whose cliques are vertices and edges).  Lower bounds divide the sum
+by the graph's independence number (or by the sharpened support-aware
+denominator).
+
+Sums over all index sets of one size k are the symmetric sums S_k, and
+the classical and averaged bounds use nothing else.  An explicit system
+computes every S_k in one pass over its outcomes, as the binomial moment
+sum_c W_c * C(c, k), where W_c is the weight of the outcomes lying in
+exactly c events; a product system enumerates the C(n, k) index sets.
 
 All formulas are generic over the value backend; division by the integer
 denominator happens last.
@@ -14,17 +22,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import comb
 
 from .errors import DomainError
 from .events import EventSystem, alpha_prime, intersection_prob
 from .graphs import (
     Graph,
+    build_graph,
     clique_complex,
-    connected_components,
     independence_number,
     is_chordal,
+    require_tree,
 )
 
 __all__ = [
@@ -80,11 +88,6 @@ def _require_chordal(g: Graph, unchecked: bool) -> None:
         )
 
 
-def _require_tree(g: Graph) -> None:
-    if g.vertex_count == 0 or g.edge_count != g.vertex_count - 1 or connected_components(g) != 1:
-        raise DomainError("graph is not a tree")
-
-
 def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     """Signed sum of intersection probabilities over the clique complex,
     restricted to cliques of size <= size_cap (all cliques if None).
@@ -100,36 +103,28 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     return total
 
 
-def _subset_sieve_sum(sys: EventSystem, size_cap: int):
-    n = sys.event_count
-    total = sys.backend.zero
-    for k in range(1, min(size_cap, n) + 1):
-        for index_set in combinations(range(n), k):
-            p = intersection_prob(sys, index_set)
-            total = total + p if k % 2 == 1 else total - p
-    return total
-
-
 def _symmetric_sum(sys: EventSystem, k: int):
-    """Sum of intersection probabilities over all index sets of size k."""
-    total = sys.backend.zero
-    for index_set in combinations(range(sys.event_count), k):
-        total = total + intersection_prob(sys, index_set)
-    return total
+    """Sum of intersection probabilities over all index sets of size k,
+    1 <= k <= n, from the system's own cached computation."""
+    return sys._symmetric_sum(k)
 
 
 def classical_bonferroni(sys: EventSystem, r: int, direction: str) -> BoundReport:
     """Alternating subset bound of depth r over all non-empty index sets.
 
     The upper bound keeps sets of size <= 2r - 1, the lower bound sets of
-    size <= 2r.
+    size <= 2r; the value is the alternating sum of the symmetric sums
+    S_1 - S_2 + S_3 - ... up to that size.
     """
     if direction not in ("upper", "lower"):
         raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
     if r is None or r < 1:
         raise DomainError(f"truncation depth must be >= 1, got {r}")
     cap = 2 * r - 1 if direction == "upper" else 2 * r
-    value = _subset_sieve_sum(sys, cap)
+    value = sys.backend.zero
+    for k in range(1, min(cap, sys.event_count) + 1):
+        s = _symmetric_sum(sys, k)
+        value = value + s if k % 2 == 1 else value - s
     return BoundReport(
         kind=f"bonferroni-{direction}",
         direction=direction,
@@ -188,38 +183,30 @@ def chordal_lower(
     )
 
 
-def _tree_bracket(sys: EventSystem, tree: Graph):
-    total = sys.backend.zero
-    for v in range(tree.vertex_count):
-        total = total + intersection_prob(sys, (v,))
-    for u, v in tree.edges:
-        total = total - intersection_prob(sys, (u, v))
-    return total
-
-
 def hunter_upper_tree(sys: EventSystem, tree: Graph) -> BoundReport:
-    """Tree upper bound: singleton sum minus the sum over tree edges."""
+    """Tree upper bound: singleton sum minus the sum over tree edges, the
+    clique-complex sum of the tree."""
     _check_pairing(sys, tree)
-    _require_tree(tree)
+    require_tree(tree)
     return BoundReport(
         kind="hunter-upper",
         direction="upper",
-        value=_tree_bracket(sys, tree),
+        value=clique_sieve_sum(sys, tree),
         n=sys.event_count,
         edge_count=tree.edge_count,
     )
 
 
 def hunter_lower_tree(sys: EventSystem, tree: Graph) -> BoundReport:
-    """Tree lower bound: the tree bracket divided by the tree's
+    """Tree lower bound: the tree's clique-complex sum divided by its
     independence number."""
     _check_pairing(sys, tree)
-    _require_tree(tree)
+    require_tree(tree)
     alpha = independence_number(tree)
     return BoundReport(
         kind="hunter-lower",
         direction="lower",
-        value=_tree_bracket(sys, tree) / alpha,
+        value=clique_sieve_sum(sys, tree) / alpha,
         n=sys.event_count,
         edge_count=tree.edge_count,
         alpha_used=alpha,
@@ -227,17 +214,14 @@ def hunter_lower_tree(sys: EventSystem, tree: Graph) -> BoundReport:
 
 
 def path_lower(sys: EventSystem, order) -> BoundReport:
-    """Lower bound along a path visiting the events in `order`; the
-    denominator is ceil(n / 2), the independence number of a path."""
+    """Lower bound along a path visiting the events in `order`: the
+    clique-complex sum of that path divided by ceil(n / 2), the
+    independence number of a path."""
     order = tuple(order)
     n = sys.event_count
     if sorted(order) != list(range(n)):
         raise DomainError("order is not a permutation of the event indices")
-    total = sys.backend.zero
-    for v in range(n):
-        total = total + intersection_prob(sys, (v,))
-    for a, b in zip(order, order[1:]):
-        total = total - intersection_prob(sys, (a, b))
+    total = clique_sieve_sum(sys, build_graph(n, zip(order, order[1:])))
     alpha = (n + 1) // 2
     return BoundReport(
         kind="path-lower",

@@ -29,6 +29,7 @@ from .graphs import (
     counterexample_graph,
     independence_number,
     is_chordal,
+    is_tree,
     truncated_euler_sum,
 )
 from .optimize import best_path, best_tree, pairwise_weights, path_weight, tree_weight
@@ -233,7 +234,7 @@ def _cmd_bounds_all(args) -> int:
     ]
     if sys_.backend.ordered:
         rows.append(bnd.chordal_lower(sys_, g, sharpened=True, unchecked=args.unchecked))
-    if g.edge_count == n - 1 and connected_components(g) == 1:
+    if is_tree(g):
         rows.append(bnd.hunter_upper_tree(sys_, g))
         rows.append(bnd.hunter_lower_tree(sys_, g))
     rows.append(bnd.path_lower(sys_, tuple(range(n))))

@@ -1,10 +1,13 @@
 """Finite probability spaces carrying one event per graph vertex.
 
 Two representations answer the same queries (`intersection_prob`,
-`union_prob_exact`, `atom_prob`, `alpha_prime`):
+`union_prob_exact`, `atom_prob`, `alpha_prime`, and the symmetric sums
+behind the averaged bounds):
 
 * EventSystem -- explicit outcome weights plus a bitmask of outcomes per
-  event; every probability is a sum of outcome weights under a mask.
+  event; every probability is a sum of outcome weights under a mask, and
+  the symmetric sums are binomial moments of the number of events that
+  occur, all taken in one pass over the outcomes.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
   required coordinates per event (built by `bernoulli_product`).  An
   intersection is a product of coordinate probabilities and the union is
@@ -17,6 +20,7 @@ Both stay exact for rational and polynomial values.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import Graph, connected_components
@@ -42,11 +46,12 @@ MAX_PRODUCT_COORDS = 24
 class EventSystem:
     """Outcome weights plus per-event outcome masks over one backend.
 
-    Instances are immutable once built; `mass` memoizes mask sums so that
-    repeated bound evaluations over the same system stay cheap.
+    Instances are immutable once built; `mass` memoizes mask sums and
+    `_symmetric_sum` computes every symmetric sum once, so that repeated
+    bound evaluations over the same system stay cheap.
     """
 
-    __slots__ = ("backend", "weights", "events", "_mass_cache")
+    __slots__ = ("backend", "weights", "events", "_mass_cache", "_moments")
 
     def __init__(self, backend: Backend, weights, events):
         weights = tuple(weights)
@@ -59,14 +64,7 @@ class EventSystem:
         for mask in events:
             if mask & ~full:
                 raise DomainError("event refers to outcomes outside the space")
-        if backend.exact:
-            total = backend.zero
-            for w in weights:
-                total = total + w
-        else:
-            # Naive float summation drifts past the tolerance on valid
-            # product spaces from about 19 coordinates.
-            total = math.fsum(weights)
+        total = _total(backend, weights)
         if not backend.sum_is_one(total):
             raise DomainError(f"outcome weights must sum to one, got {total}")
         if backend.ordered:
@@ -77,6 +75,7 @@ class EventSystem:
         self.weights = weights
         self.events = events
         self._mass_cache: dict[int, object] = {}
+        self._moments: tuple | None = None
 
     @property
     def outcome_count(self) -> int:
@@ -125,6 +124,26 @@ class EventSystem:
     def _outcomes(self) -> EventSystem:
         return self
 
+    def _symmetric_sum(self, k: int):
+        """S_k = sum of P(every event in I occurs) over all |I| = k, for
+        0 <= k <= n.
+
+        With W_c the weight of the outcomes that lie in exactly c events,
+        S_k is the binomial moment sum_c W_c * C(c, k).  One pass over the
+        outcomes gives every W_c, and the moments are cached.
+        """
+        if self._moments is None:
+            backend, n = self.backend, self.event_count
+            by_count = [
+                _total(backend, _selected(self.weights, mask))
+                for mask in _count_masks(self.events, self.full_mask)
+            ]
+            self._moments = tuple(
+                _total(backend, [by_count[c] * math.comb(c, k) for c in range(k, n + 1)])
+                for k in range(n + 1)
+            )
+        return self._moments[k]
+
 
 class ProductSystem:
     """Independent on/off coordinates plus per-event required-coordinate
@@ -132,10 +151,10 @@ class ProductSystem:
 
     `probs[c]` is the probability that coordinate c is on; event j occurs
     when every coordinate in the mask `requires[j]` is on.  `mass`
-    memoizes coordinate-mask products.
+    memoizes coordinate-mask products and `_symmetric_sum` its sums.
     """
 
-    __slots__ = ("backend", "probs", "requires", "_offs", "_mass_cache")
+    __slots__ = ("backend", "probs", "requires", "_offs", "_mass_cache", "_sums")
 
     def __init__(self, backend: Backend, probs, requires):
         probs = tuple(probs)
@@ -158,6 +177,7 @@ class ProductSystem:
         self.requires = requires
         self._offs = tuple(backend.one - p for p in probs)
         self._mass_cache: dict[int, object] = {}
+        self._sums: dict[int, object] = {}
 
     @property
     def event_count(self) -> int:
@@ -217,6 +237,22 @@ class ProductSystem:
         family = _minimal(self.requires)
         return one if family[0] == 0 else union(family)
 
+    def _symmetric_sum(self, k: int):
+        """S_k = sum of P(every event in I occurs) over all |I| = k, by
+        enumerating the C(n, k) index sets.  The binomial moments would
+        need the 2**m outcomes, and the reliability bounds ask for
+        k <= 2 only."""
+        value = self._sums.get(k)
+        if value is None:
+            value = self.backend.zero
+            for index_set in combinations(self.requires, k):
+                mask = 0
+                for required in index_set:
+                    mask |= required
+                value = value + self.mass(mask)
+            self._sums[k] = value
+        return value
+
     def _outcomes(self) -> EventSystem:
         """The explicit 2**m outcome space; outcome s has bit i set iff
         coordinate i is on."""
@@ -233,6 +269,50 @@ class ProductSystem:
                     indicator |= indicator << (1 << i)
             masks.append(indicator)
         return EventSystem(self.backend, weights, masks)
+
+
+def _total(backend: Backend, values):
+    """Sum in the backend's arithmetic; floats go through `math.fsum`,
+    since naive summation drifts past the weight tolerance on valid
+    product spaces from about 19 coordinates."""
+    if not backend.exact:
+        return math.fsum(values)
+    total = backend.zero
+    for value in values:
+        total = total + value
+    return total
+
+
+def _selected(weights, mask: int):
+    """The weights at the set bits of `mask`, lowest bit first."""
+    while mask:
+        low = mask & -mask
+        yield weights[low.bit_length() - 1]
+        mask ^= low
+
+
+def _count_masks(masks, full: int) -> list[int]:
+    """`result[c]` selects the outcomes of `full` that lie in exactly c of
+    the n `masks`, for c = 0..n.
+
+    Each outcome's count is kept in binary across bit planes (plane i
+    holds bit i of every count), and each mask is added by a ripple carry,
+    so the cost is a few big-integer operations per mask and count.
+    """
+    planes: list[int] = []
+    for carry in masks:
+        for i, plane in enumerate(planes):
+            planes[i] = plane ^ carry
+            carry &= plane
+        if carry:
+            planes.append(carry)
+    result = []
+    for c in range(len(masks) + 1):
+        select = 0 if c >> len(planes) else full
+        for i, plane in enumerate(planes):
+            select &= plane if (c >> i) & 1 else ~plane
+        result.append(select)
+    return result
 
 
 def _minimal(masks) -> tuple[int, ...]:

@@ -22,6 +22,8 @@ __all__ = [
     "complete_graph",
     "edgeless_graph",
     "tree_graph",
+    "is_tree",
+    "require_tree",
     "join_graphs",
     "complete_join_edgeless",
     "counterexample_graph",
@@ -119,9 +121,20 @@ def edgeless_graph(n: int) -> Graph:
 
 
 def tree_graph(vertex_count: int, edges) -> Graph:
-    g = build_graph(vertex_count, edges)
-    if vertex_count == 0 or g.edge_count != vertex_count - 1 or connected_components(g) != 1:
-        raise DomainError("edge list does not describe a tree")
+    return require_tree(build_graph(vertex_count, edges))
+
+
+def is_tree(g: Graph) -> bool:
+    """Connected with one edge fewer than vertices; the empty graph is not
+    a tree."""
+    n = g.vertex_count
+    return n > 0 and g.edge_count == n - 1 and connected_components(g) == 1
+
+
+def require_tree(g: Graph) -> Graph:
+    """Return g, or raise DomainError if it is not a tree."""
+    if not is_tree(g):
+        raise DomainError("graph is not a tree")
     return g
 
 

@@ -10,6 +10,8 @@ import pytest
 
 from chordalbounds import (
     DomainError,
+    EventSystem,
+    bernoulli_product,
     build_graph,
     chordal_lower,
     chordal_upper,
@@ -36,6 +38,7 @@ from chordalbounds import (
     tree_graph,
     union_prob_exact,
 )
+from chordalbounds.bounds import _symmetric_sum
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.reliability import BRIDGE_PATH_ORDER, bridge_network
 from chordalbounds.values import RATIONAL
@@ -75,6 +78,87 @@ def join_set_graph(n, members):
     others = [i for i in range(n) if i not in set(members)]
     edges += [(min(i, m), max(i, m)) for i in others for m in members]
     return build_graph(n, sorted(set(edges)))
+
+
+def brute_symmetric_sum(sys_, k):
+    total = sys_.backend.zero
+    for index_set in combinations(range(sys_.event_count), k):
+        total = total + intersection_prob(sys_, index_set)
+    return total
+
+
+def brute_bonferroni(sys_, cap):
+    total = sys_.backend.zero
+    for k in range(1, min(cap, sys_.event_count) + 1):
+        for index_set in combinations(range(sys_.event_count), k):
+            p = intersection_prob(sys_, index_set)
+            total = total + p if k % 2 == 1 else total - p
+    return total
+
+
+class TestSymmetricSums:
+    """Binomial moments and product-form enumeration against the sum of
+    intersection probabilities over every index set of one size."""
+
+    def test_rational_explicit_matches_brute_force(self):
+        rng = random.Random(131)
+        for _ in range(30):
+            sys_ = random_rational_system(rng, rng.randint(1, 7))
+            for k in range(1, sys_.event_count + 1):
+                assert _symmetric_sum(sys_, k) == brute_symmetric_sum(sys_, k)
+
+    def test_real_explicit_matches_brute_force(self):
+        rng = random.Random(137)
+        for _ in range(30):
+            sys_ = random_real_system(rng, rng.randint(1, 7))
+            for k in range(1, sys_.event_count + 1):
+                assert _symmetric_sum(sys_, k) == pytest.approx(
+                    brute_symmetric_sum(sys_, k), abs=1e-12
+                )
+
+    def test_product_matches_its_outcomes(self):
+        rng = random.Random(139)
+        for _ in range(15):
+            m = rng.randint(1, 8)
+            probs = [Fraction(rng.randint(0, 8), 8) for _ in range(m)]
+            event_defs = [
+                [c for c in range(m) if rng.random() < 0.4] for _ in range(rng.randint(1, 6))
+            ]
+            sys_ = bernoulli_product(probs, event_defs, backend=RATIONAL)
+            explicit = sys_._outcomes()
+            for k in range(1, sys_.event_count + 1):
+                assert _symmetric_sum(sys_, k) == _symmetric_sum(explicit, k)
+
+    def test_bonferroni_is_alternating_subset_sum(self):
+        rng = random.Random(149)
+        for _ in range(20):
+            n = rng.randint(1, 7)
+            for sys_ in (random_rational_system(rng, n), random_real_system(rng, n)):
+                for r in range(1, 4):
+                    upper = classical_bonferroni(sys_, r, "upper").value
+                    lower = classical_bonferroni(sys_, r, "lower").value
+                    assert upper == pytest.approx(brute_bonferroni(sys_, 2 * r - 1), abs=1e-12)
+                    assert lower == pytest.approx(brute_bonferroni(sys_, 2 * r), abs=1e-12)
+
+    def test_twenty_two_events(self):
+        # About 4 million index sets for the brute-force sums; outcome 0
+        # lies in every event, so the 22-fold intersection has mass.
+        rng = random.Random(151)
+        n, m = 22, 64
+        raw = [rng.randint(1, 9) for _ in range(m)]
+        weights = [Fraction(x, sum(raw)) for x in raw]
+        events = [rng.getrandbits(m) | 1 for _ in range(n)]
+        sys_ = EventSystem(RATIONAL, weights, events)
+        exact = union_prob_exact(sys_)
+        everything = intersection_prob(sys_, range(n))
+        assert classical_bonferroni(sys_, 11, "lower").value == exact
+        assert classical_bonferroni(sys_, 12, "upper").value == exact
+        assert classical_bonferroni(sys_, 11, "upper").value == exact + everything
+        for m_order in range(n):
+            assert generalized_lower(sys_, m_order).value <= exact
+        assert generalized_lower(sys_, n - 1).value == exact
+        assert kwerel_lower(sys_).value <= exact
+        assert kwerel2_lower(sys_).value <= exact
 
 
 class TestClassicalBonferroni:

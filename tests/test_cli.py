@@ -1,11 +1,17 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from chordalbounds import bounds
 from chordalbounds.cli import main
+
+
+DATA = Path(__file__).parent / "data"
 
 
 def run(capsys, *argv):
@@ -116,6 +122,13 @@ class TestBoundsCompute:
         code, _, err = run(capsys, "bounds", "compute", events_json, "--kind", "chordal-upper")
         assert code == 1 and "--graph" in err
 
+    def test_hunter_on_non_tree_exit_2(self, capsys, events_json, graph_json):
+        code, _, err = run(
+            capsys, "bounds", "compute", events_json, "--graph", graph_json,
+            "--kind", "hunter-lower",
+        )
+        assert code == 2 and "not a tree" in err
+
     def test_non_chordal_graph_exit_2(self, capsys, events_json, graph_json):
         code, _, err = run(
             capsys,
@@ -196,6 +209,45 @@ class TestBoundsAll:
             capsys, "bounds", "all", events_json, "--graph", graph_json, "--unchecked"
         )
         assert code == 0 and "hunter-" not in out
+
+    @pytest.mark.parametrize("graph", ["chordal", "tree"])
+    def test_golden_rational_output(self, capsys, graph):
+        # The expected tables were written by the C(n, k) enumeration of
+        # intersection queries that the binomial moments replaced.
+        code, out, _ = run(
+            capsys,
+            "bounds",
+            "all",
+            str(DATA / "golden_events.json"),
+            "--graph",
+            str(DATA / f"golden_{graph}.json"),
+        )
+        assert code == 0
+        assert out == (DATA / f"golden_{graph}.out").read_text()
+
+    def test_real_rows_match_rational_oracle(self, capsys, tmp_path):
+        # Weights are multiples of 2**-30, so the floats read as Fractions
+        # still sum to exactly one.  This seed puts S_1 - S_2 (the
+        # bonferroni-lower row) near zero, about 3500 times below S_1.
+        rng = random.Random(80)
+        cuts = sorted(rng.sample(range(1, 1 << 30), 199))
+        weights = [Fraction(b - a, 1 << 30) for a, b in zip([0, *cuts], [*cuts, 1 << 30])]
+        events = [[o for o in range(200) if rng.random() < 2 / 9] for _ in range(10)]
+        graph = str(DATA / "golden_chordal.json")
+        tables = []
+        for label, values in (("real", map(float, weights)), ("rational", map(str, weights))):
+            path = tmp_path / f"{label}.json"
+            path.write_text(json.dumps({"weights": list(values), "events": events}))
+            code, out, _ = run(capsys, "bounds", "all", str(path), "--graph", graph)
+            assert code == 0
+            tables.append([line.rsplit(None, 1) for line in out.splitlines()[1:]])
+        real, exact = tables
+        assert [label for label, _ in real] == [label for label, _ in exact]
+        bonferroni_lower = next(v for label, v in exact if label.startswith("bonferroni-lower"))
+        assert abs(Fraction(bonferroni_lower)) < Fraction(1, 1000)
+        for (label, got), (_, want) in zip(real, exact):
+            want = Fraction(want)
+            assert abs(Fraction(got) - want) <= Fraction(1, 10**10) * max(1, abs(want)), label
 
 
 class TestOptimize:

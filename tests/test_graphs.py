@@ -28,7 +28,7 @@ from chordalbounds import (
     tree_graph,
     truncated_euler_sum,
 )
-from chordalbounds.graphs import _cliques_chordal, _cliques_general
+from chordalbounds.graphs import _cliques_chordal, _cliques_general, is_tree, require_tree
 
 from helpers import (
     brute_force_alpha,
@@ -116,6 +116,15 @@ class TestSpecialGraphs:
             tree_graph(4, [(0, 1), (1, 2)])
         with pytest.raises(DomainError):
             tree_graph(3, [(0, 1), (1, 2), (0, 2)])
+
+    def test_is_tree(self):
+        assert is_tree(path_graph(1)) and is_tree(path_graph(5))
+        assert not is_tree(edgeless_graph(0))
+        assert not is_tree(edgeless_graph(2))
+        assert not is_tree(cycle_graph(3))
+        assert not is_tree(build_graph(4, [(0, 1), (1, 2), (0, 2)]))
+        with pytest.raises(DomainError, match="not a tree"):
+            require_tree(cycle_graph(4))
 
 
 class TestMcsAndChordality:
