@@ -4,9 +4,10 @@ Each bound sums signed intersection probabilities over an index family:
 either all non-empty subsets up to a size cap (the classical alternating
 bounds) or the clique complex of a graph on the event indices (the
 chordal bounds; the tree and path bounds are the same sum on a tree or a
-path, whose cliques are vertices and edges).  Lower bounds divide the sum
-by the graph's independence number (or by the sharpened support-aware
-denominator).
+path, whose cliques are vertices and edges, and the Seneta bounds are the
+sum on the graph joining two chosen indices to every other index).  Lower
+bounds divide the sum by the graph's independence number (or by the
+sharpened support-aware denominator).
 
 Sums over all index sets of one size k are the symmetric sums S_k, and
 the classical and averaged bounds use nothing else.  An explicit system
@@ -260,18 +261,10 @@ def kwerel_lower(sys: EventSystem) -> BoundReport:
 
 
 def _seneta_bracket(sys: EventSystem, j: int, k: int):
+    # The clique sieve on the graph joining j and k to every other index.
     n = sys.event_count
-    total = sys.backend.zero
-    for i in range(n):
-        total = total + intersection_prob(sys, (i,))
-    for i in range(n):
-        if i != j:
-            total = total - intersection_prob(sys, (i, j))
-    for i in range(n):
-        if i != j and i != k:
-            total = total - intersection_prob(sys, (i, k))
-            total = total + intersection_prob(sys, {i, j, k})
-    return total
+    edges = {(min(i, c), max(i, c)) for c in (j, k) for i in range(n) if i != c}
+    return clique_sieve_sum(sys, build_graph(n, edges))
 
 
 def _check_seneta_args(sys: EventSystem, j: int, k: int) -> int:
@@ -285,7 +278,8 @@ def _check_seneta_args(sys: EventSystem, j: int, k: int) -> int:
 
 
 def seneta_upper(sys: EventSystem, j: int, k: int) -> BoundReport:
-    """Upper bound built from two distinguished indices j and k."""
+    """Upper bound built from two distinguished indices j and k: the
+    clique-complex sum on the graph joining j and k to every other index."""
     _check_seneta_args(sys, j, k)
     return BoundReport(
         kind="seneta-upper",

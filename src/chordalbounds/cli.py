@@ -182,9 +182,9 @@ def _compute_report(args, sys_) -> bnd.BoundReport:
     if needs_graph and g is None:
         raise _UsageError(f"--kind {kind} requires --graph")
     if kind == "bonferroni-upper":
-        return bnd.classical_bonferroni(sys_, args.r or 1, "upper")
+        return bnd.classical_bonferroni(sys_, 1 if args.r is None else args.r, "upper")
     if kind == "bonferroni-lower":
-        return bnd.classical_bonferroni(sys_, args.r or 1, "lower")
+        return bnd.classical_bonferroni(sys_, 1 if args.r is None else args.r, "lower")
     if kind == "chordal-upper":
         return bnd.chordal_upper(sys_, g, r=args.r, unchecked=args.unchecked)
     if kind in ("chordal-lower", "chordal-lower-sharpened"):

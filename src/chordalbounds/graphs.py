@@ -230,11 +230,17 @@ def is_perfect_elimination_order(g: Graph, order) -> bool:
     return True
 
 
+def _elimination_order(g: Graph) -> tuple[int, ...] | None:
+    """The reversed MCS order if it is a perfect elimination order, else
+    None; it is one exactly when g is chordal."""
+    order = mcs_order(g)[::-1]
+    return order if is_perfect_elimination_order(g, order) else None
+
+
 def is_chordal(g: Graph) -> bool:
-    """Chordality check: the reversed MCS order must eliminate perfectly."""
-    if g.vertex_count <= 1:
-        return True
-    return is_perfect_elimination_order(g, mcs_order(g)[::-1])
+    """Chordality check: one MCS run, whose reversed order must eliminate
+    perfectly."""
+    return _elimination_order(g) is not None
 
 
 def connected_components(g: Graph, within=None) -> int:
@@ -313,13 +319,14 @@ def _exact_independent_set(adj: tuple[int, ...], mask: int) -> int:
 def independence_number(g: Graph) -> int:
     """Exact independence number.
 
-    Chordal graphs use the greedy scan along a perfect elimination order;
-    everything else falls back to exact branch-and-bound search.
+    One MCS run decides chordality; a chordal graph then uses the greedy
+    scan along that perfect elimination order, and everything else falls
+    back to exact branch-and-bound search.
     """
     if g.vertex_count == 0:
         return 0
-    if is_chordal(g):
-        order = mcs_order(g)[::-1]
+    order = _elimination_order(g)
+    if order is not None:
         covered = 0
         count = 0
         for v in order:
@@ -348,50 +355,26 @@ class CliqueComplex:
         return len(self.cliques)
 
 
-def _cliques_general(g: Graph, cap: int) -> list[tuple[int, ...]]:
-    out: list[tuple[int, ...]] = []
+def clique_complex(g: Graph, max_size: int | None = None) -> CliqueComplex:
+    """Enumerate all cliques of cardinality <= max_size (all sizes if None).
+
+    Depth-first search over neighbor bitmasks: each clique grows only by
+    common neighbors above its largest vertex, so it is found exactly once.
+    """
+    if max_size is not None and max_size < 1:
+        raise DomainError(f"max_size must be >= 1, got {max_size}")
+    cap = g.vertex_count if max_size is None else min(max_size, g.vertex_count)
+    cliques: list[tuple[int, ...]] = []
 
     def grow(base: tuple[int, ...], candidates: int):
         for v in _bits(candidates):
             clique = base + (v,)
-            out.append(clique)
+            cliques.append(clique)
             if len(clique) < cap:
                 above = ~((1 << (v + 1)) - 1)
                 grow(clique, candidates & g.adj[v] & above)
 
-    if cap >= 1:
-        grow((), (1 << g.vertex_count) - 1)
-    return out
-
-
-def _cliques_chordal(g: Graph, cap: int) -> list[tuple[int, ...]]:
-    # Charge each clique to its earliest vertex in a perfect elimination
-    # order; the rest of the clique sits inside that vertex's later
-    # neighborhood, which is itself a clique.
-    peo = mcs_order(g)[::-1]
-    position = [0] * g.vertex_count
-    for i, v in enumerate(peo):
-        position[v] = i
-    out: list[tuple[int, ...]] = []
-    for v in peo:
-        later = [u for u in _bits(g.adj[v]) if position[u] > position[v]]
-        for size in range(min(len(later), cap - 1) + 1):
-            for sub in combinations(later, size):
-                out.append(tuple(sorted((v,) + sub)))
-    return out
-
-
-def clique_complex(g: Graph, max_size: int | None = None) -> CliqueComplex:
-    """Enumerate all cliques of cardinality <= max_size (all sizes if None)."""
-    if max_size is not None and max_size < 1:
-        raise DomainError(f"max_size must be >= 1, got {max_size}")
-    cap = g.vertex_count if max_size is None else min(max_size, g.vertex_count)
-    if g.vertex_count == 0:
-        return CliqueComplex(())
-    if is_chordal(g):
-        cliques = _cliques_chordal(g, cap)
-    else:
-        cliques = _cliques_general(g, cap)
+    grow((), (1 << g.vertex_count) - 1)
     cliques.sort(key=lambda c: (len(c), c))
     return CliqueComplex(tuple(cliques))
 

@@ -33,19 +33,10 @@ class Polynomial:
             cs.pop()
         self.coeffs: tuple[Fraction, ...] = tuple(cs)
 
-    @classmethod
-    def constant(cls, c) -> "Polynomial":
-        return cls((c,))
-
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
         return len(self.coeffs) - 1
-
-    def coefficient(self, exponent: int) -> Fraction:
-        if 0 <= exponent < len(self.coeffs):
-            return self.coeffs[exponent]
-        return Fraction(0)
 
     def __bool__(self) -> bool:
         return bool(self.coeffs)

@@ -80,6 +80,10 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
             raise DomainError(f"duplicate arc ({tail}, {head})")
         seen.add((tail, head))
     if reliability != SYMBOLIC:
+        if isinstance(reliability, str):
+            raise DomainError(
+                f"arc reliability must be {SYMBOLIC!r} or numeric, got {reliability!r}"
+            )
         if isinstance(reliability, (int, float)):
             reliability = (float(reliability),) * len(arcs)
         else:

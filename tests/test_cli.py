@@ -173,6 +173,13 @@ class TestBoundsCompute:
         assert code == 0
         assert json.loads(out)["alpha_used"] == 2
 
+    def test_bonferroni_depth_zero_exit_2(self, capsys, events_json):
+        for kind in ("bonferroni-upper", "bonferroni-lower"):
+            code, out, err = run(
+                capsys, "bounds", "compute", events_json, "--kind", kind, "-r", "0"
+            )
+            assert code == 2 and not out and "truncation depth" in err
+
     def test_unknown_kind(self, capsys, events_json):
         code, _, err = run(capsys, "bounds", "compute", events_json, "--kind", "mystery")
         assert code == 1 and "unknown bound kind" in err
@@ -331,6 +338,12 @@ class TestReliability:
         code, out, _ = run(capsys, "reliability", str(path))
         assert code == 0
         assert "exact: 1" in out
+
+    def test_string_reliability_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "quoted.json"
+        path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "p": "0.5"}))
+        code, out, err = run(capsys, "reliability", str(path))
+        assert code == 2 and not out and "'0.5'" in err
 
     def test_bad_sweep_spec(self, capsys, network_json):
         code, _, _ = run(capsys, "reliability", network_json, "--sweep", "0-1")

@@ -28,7 +28,7 @@ from chordalbounds import (
     tree_graph,
     truncated_euler_sum,
 )
-from chordalbounds.graphs import _cliques_chordal, _cliques_general, is_tree, require_tree
+from chordalbounds.graphs import is_tree, require_tree
 
 from helpers import (
     brute_force_alpha,
@@ -263,14 +263,21 @@ class TestCliqueComplex:
                     for sub in combinations(clique, size):
                         assert sub in members
 
-    def test_fast_path_matches_general(self):
+    def test_matches_brute_force(self):
         rng = random.Random(19)
-        for _ in range(60):
-            g = random_chordal_graph(rng, rng.randint(1, 8))
-            cap = g.vertex_count
-            fast = sorted(_cliques_chordal(g, cap))
-            general = sorted(_cliques_general(g, cap))
-            assert fast == general
+        graphs = [random_chordal_graph(rng, rng.randint(1, 8)) for _ in range(30)]
+        graphs += [random_graph(rng, rng.randint(1, 8), rng.random()) for _ in range(30)]
+        for g in graphs:
+            n = g.vertex_count
+            subsets = [
+                sub
+                for size in range(1, n + 1)
+                for sub in combinations(range(n), size)
+                if all(g.has_edge(u, v) for u, v in combinations(sub, 2))
+            ]
+            for cap in [*range(1, n + 1), None]:
+                expected = tuple(s for s in subsets if cap is None or len(s) <= cap)
+                assert clique_complex(g, max_size=cap).cliques == expected
 
     def test_family_clique_counts_formula(self):
         for k in (3, 5):

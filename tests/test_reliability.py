@@ -56,6 +56,11 @@ class TestNetworkConstruction:
         with pytest.raises(DomainError):
             build_network(2, [(0, 1)], 0, 1, reliability=[0.5, 0.5])
 
+    def test_string_other_than_symbolic_rejected(self):
+        for value in ("0.5", "1", ""):
+            with pytest.raises(DomainError, match=repr(value)):
+                build_network(2, [(0, 1)], 0, 1, reliability=value)
+
     def test_scalar_reliability_broadcasts(self):
         net = bridge_network(reliability=0.8)
         assert net.arc_reliability == (0.8,) * 6
