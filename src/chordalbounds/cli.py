@@ -120,6 +120,9 @@ def _load_graph(path: str) -> Graph:
 
 def _parse_values(raw_values):
     """Return (backend, values); strings select the exact rational backend."""
+    for v in raw_values:
+        if isinstance(v, bool):
+            raise DomainError(f"probability values must be numbers or strings, got {json.dumps(v)}")
     if any(isinstance(v, str) for v in raw_values):
         return RATIONAL, [Fraction(str(v)) for v in raw_values]
     return REAL, [float(v) for v in raw_values]

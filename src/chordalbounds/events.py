@@ -5,22 +5,28 @@ Two representations answer the same queries (`intersection_prob`,
 behind the averaged bounds):
 
 * EventSystem -- explicit outcome weights plus a bitmask of outcomes per
-  event; every probability is a sum of outcome weights under a mask, and
-  the symmetric sums are binomial moments of the number of events that
-  occur, all taken in one pass over the outcomes.
+  event; every probability, the sum-to-one check included, is one `mass`
+  query: a sum of outcome weights under a mask, taken in C (`math.fsum`
+  over floats, an integer sum over numerators on a common denominator
+  for exact values).  The symmetric sums are binomial moments of the
+  number of events that occur, from one mass query per count, and
+  `alpha_prime` splits the supported outcomes by event instead of
+  testing each outcome.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
   required coordinates per event (built by `bernoulli_product`).  An
   intersection is a product of coordinate probabilities and the union is
   computed by Shannon expansion over coordinates, so the 2**m outcome
   space is built only for `atom_prob` and `alpha_prime`.
 
-Both stay exact for rational and polynomial values.
+Both stay exact for rational and polynomial values; an explicit system's
+float masses are correctly rounded.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, compress, zip_longest
 
 from .errors import DomainError, ResourceLimitError
 from .graphs import Graph, connected_components
@@ -46,12 +52,19 @@ MAX_PRODUCT_COORDS = 24
 class EventSystem:
     """Outcome weights plus per-event outcome masks over one backend.
 
+    Every probability is `mass(mask)`, the total weight of the outcomes a
+    mask selects, and `mass` sums without a Python loop over outcomes:
+    float weights go through `math.fsum` (each mass correctly rounded), and
+    exact weights are kept as integer numerators over one common
+    denominator per rational component, so that a query is one C-level
+    integer sum per component.
+
     Instances are immutable once built; `mass` memoizes mask sums and
     `_symmetric_sum` computes every symmetric sum once, so that repeated
     bound evaluations over the same system stay cheap.
     """
 
-    __slots__ = ("backend", "weights", "events", "_mass_cache", "_moments")
+    __slots__ = ("backend", "weights", "events", "_columns", "_mass_cache", "_moments")
 
     def __init__(self, backend: Backend, weights, events):
         weights = tuple(weights)
@@ -64,18 +77,25 @@ class EventSystem:
         for mask in events:
             if mask & ~full:
                 raise DomainError("event refers to outcomes outside the space")
-        total = _total(backend, weights)
-        if not backend.sum_is_one(total):
-            raise DomainError(f"outcome weights must sum to one, got {total}")
-        if backend.ordered:
+        if not backend.exact:
             for w in weights:
-                if w < backend.zero:
-                    raise DomainError(f"negative outcome weight {w}")
+                if not math.isfinite(w):
+                    raise DomainError(f"non-finite outcome weight {w}")
         self.backend = backend
         self.weights = weights
         self.events = events
+        self._columns = _integer_columns(backend, weights) if backend.exact else None
         self._mass_cache: dict[int, object] = {}
         self._moments: tuple | None = None
+        total = self.mass(full)
+        if not backend.sum_is_one(total):
+            raise DomainError(f"outcome weights must sum to one, got {total}")
+        if backend.ordered:
+            # An exact weight has the sign of its numerator.
+            signs = weights if self._columns is None else self._columns[0][0]
+            lowest = min(signs)
+            if lowest < 0:
+                raise DomainError(f"negative outcome weight {weights[signs.index(lowest)]}")
 
     @property
     def outcome_count(self) -> int:
@@ -90,18 +110,32 @@ class EventSystem:
         return (1 << len(self.weights)) - 1
 
     def mass(self, mask: int):
-        """Total weight of the outcomes selected by `mask`."""
+        """Total weight of the outcomes selected by `mask`.
+
+        The mask becomes one 0/1 byte per outcome (lowest bit first), and
+        `itertools.compress` picks the summands in C.
+        """
         cached = self._mass_cache.get(mask)
         if cached is not None:
             return cached
-        total = self.backend.zero
-        m = mask
-        while m:
-            low = m & -m
-            total = total + self.weights[low.bit_length() - 1]
-            m ^= low
+        select = format(mask, "b")[::-1].encode("ascii").translate(_BIT_BYTES)
+        if self._columns is None:
+            total = math.fsum(compress(self.weights, select))
+        else:
+            total = self.backend.from_rationals(tuple(
+                Fraction(sum(compress(numerators, select)), denominator)
+                for numerators, denominator in self._columns
+            ))
         self._mass_cache[mask] = total
         return total
+
+    def _support(self) -> int:
+        """Mask of the outcomes with non-zero weight (exact zero test)."""
+        if self._columns is None:
+            flags = bytes(map(bool, self.weights))
+        else:
+            flags = bytes(map(any, zip(*(numerators for numerators, _ in self._columns))))
+        return int(flags[::-1].translate(_BYTE_DIGITS), 2)
 
     def _combined_mask(self, index_set) -> int:
         """Outcomes at which every event in `index_set` occurs."""
@@ -129,15 +163,13 @@ class EventSystem:
         0 <= k <= n.
 
         With W_c the weight of the outcomes that lie in exactly c events,
-        S_k is the binomial moment sum_c W_c * C(c, k).  One pass over the
-        outcomes gives every W_c, and the moments are cached.
+        S_k is the binomial moment sum_c W_c * C(c, k).  `_count_masks`
+        selects the outcomes of each count in a few big-integer operations
+        per event, each W_c is one mass query, and the moments are cached.
         """
         if self._moments is None:
             backend, n = self.backend, self.event_count
-            by_count = [
-                _total(backend, _selected(self.weights, mask))
-                for mask in _count_masks(self.events, self.full_mask)
-            ]
+            by_count = [self.mass(mask) for mask in _count_masks(self.events, self.full_mask)]
             self._moments = tuple(
                 _total(backend, [by_count[c] * math.comb(c, k) for c in range(k, n + 1)])
                 for k in range(n + 1)
@@ -271,24 +303,31 @@ class ProductSystem:
         return EventSystem(self.backend, weights, masks)
 
 
+# '0'/'1' characters to 0/1 bytes, and back.
+_BIT_BYTES = bytes.maketrans(b"01", b"\x00\x01")
+_BYTE_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+
+
+def _integer_columns(backend: Backend, weights) -> tuple[tuple[list[int], int], ...]:
+    """Exact weights as (numerators, denominator) per rational component:
+    component j of outcome o's weight is numerators[o] / denominator, with
+    the least common denominator of that component over all outcomes."""
+    columns = []
+    for component in zip_longest(*map(backend.to_rationals, weights), fillvalue=0):
+        denominator = math.lcm(*(c.denominator for c in component))
+        columns.append(([c.numerator * (denominator // c.denominator) for c in component], denominator))
+    return tuple(columns)
+
+
 def _total(backend: Backend, values):
-    """Sum in the backend's arithmetic; floats go through `math.fsum`,
-    since naive summation drifts past the weight tolerance on valid
-    product spaces from about 19 coordinates."""
+    """Sum of a few values in the backend's arithmetic; floats go through
+    `math.fsum`, so that the sum is correctly rounded."""
     if not backend.exact:
         return math.fsum(values)
     total = backend.zero
     for value in values:
         total = total + value
     return total
-
-
-def _selected(weights, mask: int):
-    """The weights at the set bits of `mask`, lowest bit first."""
-    while mask:
-        low = mask & -mask
-        yield weights[low.bit_length() - 1]
-        mask ^= low
 
 
 def _count_masks(masks, full: int) -> list[int]:
@@ -419,18 +458,22 @@ def alpha_prime(sys, g: Graph) -> int:
             f"system has {sys.event_count} events but graph has {g.vertex_count} vertices"
         )
     sys = sys._outcomes()
-    signatures = set()
-    for o in range(sys.outcome_count):
-        if sys.backend.is_zero(sys.weights[o]):
-            continue
-        sig = 0
-        for i, mask in enumerate(sys.events):
-            if (mask >> o) & 1:
-                sig |= 1 << i
-        if sig:
-            signatures.add(sig)
+    # Split the supported outcomes by each event in turn; each part left
+    # is the non-empty set of outcomes of one signature.
+    parts = [(0, sys._support())]
+    for i, event in enumerate(sys.events):
+        split = []
+        for sig, mask in parts:
+            inside = mask & event
+            if inside:
+                split.append((sig | 1 << i, inside))
+            if inside != mask:
+                split.append((sig, mask ^ inside))
+        parts = split
     best = 1
-    for sig in signatures:
-        vertices = [v for v in range(g.vertex_count) if (sig >> v) & 1]
-        best = max(best, connected_components(g, within=vertices))
+    for sig, _ in parts:
+        # g[J] has at most |J| components
+        if sig.bit_count() > best:
+            vertices = [v for v in range(g.vertex_count) if (sig >> v) & 1]
+            best = max(best, connected_components(g, within=vertices))
     return best

@@ -63,7 +63,8 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
     """Validate a network description.
 
     `reliability` may be "symbolic", a single number applied to every arc,
-    or a sequence with one value per arc.
+    or a sequence with one number per arc; booleans and other strings are
+    rejected.
     """
     arcs = tuple((int(t), int(h)) for t, h in arcs)
     if not 0 <= source < node_count or not 0 <= terminal < node_count:
@@ -80,14 +81,14 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
             raise DomainError(f"duplicate arc ({tail}, {head})")
         seen.add((tail, head))
     if reliability != SYMBOLIC:
-        if isinstance(reliability, str):
-            raise DomainError(
-                f"arc reliability must be {SYMBOLIC!r} or numeric, got {reliability!r}"
-            )
-        if isinstance(reliability, (int, float)):
-            reliability = (float(reliability),) * len(arcs)
-        else:
-            reliability = tuple(float(p) for p in reliability)
+        scalar = isinstance(reliability, (str, int, float))
+        values = (reliability,) if scalar else tuple(reliability)
+        for p in values:
+            # bool is an int, and float() would read a string
+            if isinstance(p, (bool, str)):
+                raise DomainError(f"arc reliability must be {SYMBOLIC!r} or numeric, got {p!r}")
+        values = tuple(float(p) for p in values)
+        reliability = values * len(arcs) if scalar else values
         if len(reliability) != len(arcs):
             raise DomainError("need one reliability value per arc")
         for p in reliability:

@@ -2,8 +2,9 @@
 
 Everything here is deliberately independent of the library's fast paths:
 chordality is decided by scanning for induced cycles, independence numbers
-by full subset enumeration, and random chordal graphs are built directly
-by simplicial-vertex addition.
+by full subset enumeration, masses by adding one weight at a time in exact
+arithmetic, and random chordal graphs are built directly by
+simplicial-vertex addition.
 """
 
 from __future__ import annotations
@@ -60,6 +61,44 @@ def brute_force_alpha(g: Graph) -> int:
     for mask in range(1 << g.vertex_count):
         if all(mask & em != em for em in edge_masks):
             best = max(best, mask.bit_count())
+    return best
+
+
+def brute_force_components(g: Graph, subset) -> int:
+    """Connected components of the induced subgraph g[subset], by flooding."""
+    remaining = set(subset)
+    count = 0
+    while remaining:
+        count += 1
+        stack = [remaining.pop()]
+        while stack:
+            v = stack.pop()
+            reached = {u for u in remaining if (g.adj[v] >> u) & 1}
+            remaining -= reached
+            stack.extend(reached)
+    return count
+
+
+def exact_mass(weights, mask: int):
+    """Sum of the weights at the set bits of `mask`, added one at a time in
+    exact arithmetic; floats are read as the binary fractions they are, so
+    `float()` of the result is the correctly rounded sum."""
+    total = Fraction(0)
+    for o in bits(mask):
+        w = weights[o]
+        total = total + (Fraction(w) if isinstance(w, float) else w)
+    return total
+
+
+def brute_force_alpha_prime(weights, events, g: Graph) -> int:
+    """The sharpened denominator by its definition: the most components of
+    g[J] over the event signatures J of the outcomes with non-zero weight
+    (at least 1)."""
+    best = 1
+    for o, w in enumerate(weights):
+        signature = [i for i, event in enumerate(events) if (event >> o) & 1]
+        if w != 0 and signature:
+            best = max(best, brute_force_components(g, signature))
     return best
 
 

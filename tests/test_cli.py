@@ -257,6 +257,25 @@ class TestBoundsAll:
             assert abs(Fraction(got) - want) <= Fraction(1, 10**10) * max(1, abs(want)), label
 
 
+    def test_non_finite_weights_exit_2(self, capsys, tmp_path, graph_text):
+        path = tmp_path / "infinite.json"
+        path.write_text('{"weights": [Infinity, -Infinity, 1.0], "events": [[0], [1], [2], [0, 1]]}')
+        code, out, err = run(capsys, "bounds", "all", str(path), "--graph", graph_text)
+        assert code == 2 and not out and "non-finite" in err
+
+    def test_boolean_weights_exit_2(self, capsys, tmp_path, graph_text):
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps({"weights": [True, False], "events": [[0], [1], [0], [1]]}))
+        code, out, err = run(capsys, "bounds", "all", str(path), "--graph", graph_text)
+        assert code == 2 and not out and "true" in err
+
+    def test_boolean_probs_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "boolean-coords.json"
+        path.write_text(json.dumps({"coords": 2, "probs": [0.5, True], "events": [[0], [1]]}))
+        code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
+        assert code == 2 and not out and "true" in err
+
+
 class TestOptimize:
     def test_tree_json(self, capsys, events_json):
         code, out, _ = run(capsys, "optimize", "tree", events_json)
@@ -342,6 +361,18 @@ class TestReliability:
     def test_string_reliability_exit_2(self, capsys, tmp_path):
         path = tmp_path / "quoted.json"
         path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "p": "0.5"}))
+        code, out, err = run(capsys, "reliability", str(path))
+        assert code == 2 and not out and "'0.5'" in err
+
+    def test_boolean_reliability_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "boolean.json"
+        path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "p": True}))
+        code, out, err = run(capsys, "reliability", str(path))
+        assert code == 2 and not out and "True" in err
+
+    def test_string_arc_reliability_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "quoted-list.json"
+        path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "p": ["0.5"]}))
         code, out, err = run(capsys, "reliability", str(path))
         assert code == 2 and not out and "'0.5'" in err
 

@@ -1,5 +1,6 @@
 """Event systems: construction, probabilities, atoms, sharpened denominator."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -8,6 +9,7 @@ import pytest
 
 from chordalbounds import (
     DomainError,
+    EventSystem,
     ProductSystem,
     ResourceLimitError,
     alpha_prime,
@@ -27,7 +29,13 @@ from chordalbounds.poly import P, Polynomial
 from chordalbounds.reliability import BRIDGE_PATH_ORDER
 from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL
 
-from helpers import random_chordal_graph, random_real_system
+from helpers import (
+    brute_force_alpha_prime,
+    exact_mass,
+    random_chordal_graph,
+    random_graph,
+    random_real_system,
+)
 
 
 def bridge_system():
@@ -55,6 +63,12 @@ class TestFromOutcomes:
     def test_negative_weight(self):
         with pytest.raises(DomainError, match="negative"):
             from_outcomes([1.5, -0.5], [[0]])
+
+    def test_non_finite_real_weight(self):
+        inf = float("inf")
+        for weights in ([inf, -inf, 1.0], [float("nan"), 1.0], [inf]):
+            with pytest.raises(DomainError, match="non-finite"):
+                from_outcomes(weights, [[0]])
 
     def test_rational_weights_exact(self):
         sys_ = from_outcomes(
@@ -255,3 +269,66 @@ class TestAlphaPrime:
         sys_ = from_outcomes([1.0, 0.0], [[0, 1], [1]], backend=REAL)
         g = edgeless_graph(2)
         assert alpha_prime(sys_, g) == 1
+
+
+# Outcome counts around the byte boundaries of the mask-to-selector step,
+# plus one benchmark-sized space.
+OUTCOME_COUNTS = (1, 7, 8, 9, 200)
+
+
+def real_weights(rng, m):
+    # magnitudes from 1 down to 1e-20, where summing left to right and
+    # rounding once differ; about one weight in five is zero
+    raw = [0.0 if rng.random() < 0.2 else rng.random() * 10.0 ** -rng.randint(0, 20) for _ in range(m)]
+    raw[rng.randrange(m)] = 1.0
+    total = math.fsum(raw)
+    return [x / total for x in raw]
+
+
+def rational_weights(rng, m):
+    raw = [
+        Fraction(0) if rng.random() < 0.2 else Fraction(rng.randint(1, 5), rng.randint(1, 9))
+        for _ in range(m)
+    ]
+    raw[rng.randrange(m)] = Fraction(1, 7)
+    total = sum(raw)
+    return [x / total for x in raw]
+
+
+def polynomial_weights(rng, m):
+    # w = a P + b (1 - P): the linear coefficient a - b is often negative
+    a, b = rational_weights(rng, m), rational_weights(rng, m)
+    return [x * P + y * (1 - P) for x, y in zip(a, b)]
+
+
+class TestMassAgainstBruteForce:
+    @pytest.mark.parametrize("m", OUTCOME_COUNTS)
+    @pytest.mark.parametrize(
+        "backend, make",
+        [(REAL, real_weights), (RATIONAL, rational_weights), (POLYNOMIAL, polynomial_weights)],
+        ids=["real", "rational", "polynomial"],
+    )
+    def test_mass(self, m, backend, make):
+        rng = random.Random(m)
+        for _ in range(5):
+            weights = make(rng, m)
+            sys_ = EventSystem(backend, weights, [rng.getrandbits(m) for _ in range(3)])
+            masks = [0, (1 << m) - 1, 1, 1 << (m - 1), 1 << rng.randrange(m)]
+            masks += [rng.getrandbits(m) for _ in range(8)]
+            for mask in masks:
+                got, want = sys_.mass(mask), exact_mass(weights, mask)
+                assert isinstance(got, type(backend.one))
+                # REAL: exactly the correctly rounded sum
+                assert got == (float(want) if backend is REAL else want)
+
+    @pytest.mark.parametrize("m", OUTCOME_COUNTS)
+    def test_alpha_prime(self, m):
+        rng = random.Random(100 + m)
+        for trial in range(12):
+            n = rng.randint(1, 7)
+            g = random_chordal_graph(rng, n) if trial % 2 else random_graph(rng, n, density=0.3)
+            backend, make = (REAL, real_weights) if trial % 3 else (RATIONAL, rational_weights)
+            weights = make(rng, m)
+            events = [rng.getrandbits(m) for _ in range(n)]
+            sys_ = EventSystem(backend, weights, events)
+            assert alpha_prime(sys_, g) == brute_force_alpha_prime(weights, events, g)

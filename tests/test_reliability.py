@@ -61,6 +61,15 @@ class TestNetworkConstruction:
             with pytest.raises(DomainError, match=repr(value)):
                 build_network(2, [(0, 1)], 0, 1, reliability=value)
 
+    def test_boolean_reliability_rejected(self):
+        for value in (True, False, [0.5, True]):
+            with pytest.raises(DomainError, match="True|False"):
+                build_network(3, [(0, 1), (1, 2)], 0, 2, reliability=value)
+
+    def test_string_arc_reliability_rejected(self):
+        with pytest.raises(DomainError, match="'0.5'"):
+            build_network(2, [(0, 1)], 0, 1, reliability=["0.5"])
+
     def test_scalar_reliability_broadcasts(self):
         net = bridge_network(reliability=0.8)
         assert net.arc_reliability == (0.8,) * 6
