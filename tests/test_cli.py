@@ -14,6 +14,36 @@ from chordalbounds.cli import main
 DATA = Path(__file__).parent / "data"
 
 
+def _golden_compute_cases():
+    """`bounds compute` arguments after the events file, by case name."""
+    chordal, tree = str(DATA / "golden_chordal.json"), str(DATA / "golden_tree.json")
+    cases = {}
+    for direction in ("upper", "lower"):
+        for r in (1, 2, 3):
+            cases[f"bonferroni-{direction}-r{r}"] = ["--kind", f"bonferroni-{direction}", "-r", str(r)]
+    for kind in ("chordal-upper", "chordal-lower"):
+        cases[kind] = ["--kind", kind, "--graph", chordal]
+        for r in (1, 2):
+            cases[f"{kind}-r{r}"] = ["--kind", kind, "--graph", chordal, "-r", str(r)]
+    cases["chordal-lower-sharpened"] = ["--kind", "chordal-lower-sharpened", "--graph", chordal]
+    for kind in ("hunter-upper", "hunter-lower"):
+        cases[kind] = ["--kind", kind, "--graph", tree]
+    cases["path-lower"] = ["--kind", "path-lower"]
+    cases["path-lower-shuffled"] = ["--kind", "path-lower", "--order", "3,7,0,9,1,5,2,8,6,4"]
+    for kind in ("kwerel-upper", "kwerel-lower", "kwerel2-lower"):
+        cases[kind] = ["--kind", kind]
+    for kind in ("seneta-upper", "seneta-lower"):
+        for j, k in ((0, 1), (2, 2), (9, 3)):
+            cases[f"{kind}-{j}-{k}"] = ["--kind", kind, "--j", str(j), "--k", str(k)]
+    for m in range(10):
+        cases[f"generalized-lower-m{m}"] = ["--kind", "generalized-lower", "--m", str(m)]
+    return cases
+
+
+GOLDEN_COMPUTE_CASES = _golden_compute_cases()
+GOLDEN_EVENTS = {"rational": "golden_events.json", "real": "golden_events_real.json"}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -183,6 +213,15 @@ class TestBoundsCompute:
     def test_unknown_kind(self, capsys, events_json):
         code, _, err = run(capsys, "bounds", "compute", events_json, "--kind", "mystery")
         assert code == 1 and "unknown bound kind" in err
+
+    @pytest.mark.parametrize("case", GOLDEN_COMPUTE_CASES)
+    @pytest.mark.parametrize("weights", GOLDEN_EVENTS)
+    def test_golden_output(self, capsys, weights, case):
+        events = str(DATA / GOLDEN_EVENTS[weights])
+        code, out, _ = run(capsys, "bounds", "compute", events, *GOLDEN_COMPUTE_CASES[case])
+        assert code == 0
+        golden = json.loads((DATA / "golden_compute.json").read_text())
+        assert out == golden[weights][case]
 
 
 class TestBoundsAll:
