@@ -1,19 +1,24 @@
 """Upper and lower bounds on the probability of a union of events.
 
-Each bound sums signed intersection probabilities over an index family:
-either all non-empty subsets up to a size cap (the classical alternating
-bounds) or the clique complex of a graph on the event indices (the
-chordal bounds; the tree and path bounds are the same sum on a tree or a
-path, whose cliques are vertices and edges, and the Seneta bounds are the
-sum on the graph joining two chosen indices to every other index).  Lower
-bounds divide the sum by the graph's independence number (or by the
-sharpened support-aware denominator).
+Every bound is a bracket divided by a denominator.  The bracket is a
+signed sum of intersection probabilities over an index family; the
+denominator is a positive integer, and upper bounds and the classical
+lower bounds have none.  The bracket takes one of two forms:
 
-Sums over all index sets of one size k are the symmetric sums S_k, and
-the classical and averaged bounds use nothing else.  An explicit system
-computes every S_k in one pass over its outcomes, as the binomial moment
-sum_c W_c * C(c, k), where W_c is the weight of the outcomes lying in
-exactly c events; a product system enumerates the C(n, k) index sets.
+* the clique bracket, `clique_sieve_sum`: the signed sum over the clique
+  complex of a graph on the event indices, optionally truncated at a
+  clique size.  The chordal bounds use the given graph, the tree and path
+  bounds a tree or a path (whose cliques are vertices and edges), and the
+  Seneta bounds the graph joining two chosen indices to every other
+  index.  Lower bounds divide it by the graph's independence number (or
+  by the sharpened support-aware denominator).
+* the moment bracket: sum_k c_k * S_k over the symmetric sums S_k, the
+  sums of P(every event in I occurs) over all index sets I of size k,
+  with signed rational coefficients c_k.  The classical, Kwerel and
+  averaged bounds use nothing else.  An explicit system computes every S_k
+  in one pass over its outcomes, as the binomial moment
+  sum_c W_c * C(c, k), where W_c is the weight of the outcomes lying in
+  exactly c events; a product system enumerates the C(n, k) index sets.
 
 All formulas are generic over the value backend; division by the integer
 denominator happens last.
@@ -21,7 +26,7 @@ denominator happens last.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
@@ -68,18 +73,26 @@ class BoundReport:
     alpha_used: int | None = None
 
 
-def _check_r(r: int | None) -> None:
-    if r is not None and r < 1:
+def _report(kind, sys, bracket, denominator=None, truncation=None, graph=None) -> BoundReport:
+    """Report of the bound `kind` (which names its direction): the bracket
+    divided by the denominator, or the bracket itself if there is none."""
+    return BoundReport(
+        kind=kind,
+        direction="upper" if "-upper" in kind else "lower",
+        value=bracket if denominator is None else bracket / denominator,
+        truncation=truncation,
+        n=sys.event_count,
+        edge_count=None if graph is None else graph.edge_count,
+        alpha_used=denominator,
+    )
+
+
+def _size_cap(r: int | None, direction: str) -> int:
+    """Largest index set a bound of depth r keeps: 2r - 1 for an upper
+    bound, 2r for a lower one."""
+    if r is None or r < 1:
         raise DomainError(f"truncation depth must be >= 1, got {r}")
-
-
-def _check_pairing(sys: EventSystem, g: Graph) -> None:
-    if sys.event_count != g.vertex_count:
-        raise DomainError(
-            f"system has {sys.event_count} events but graph has {g.vertex_count} vertices"
-        )
-    if g.vertex_count == 0:
-        raise DomainError("graph must have at least one vertex")
+    return 2 * r - 1 if direction == "upper" else 2 * r
 
 
 def _require_chordal(g: Graph, unchecked: bool) -> None:
@@ -96,7 +109,12 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     This is the raw sum, before any division by a denominator; it makes no
     chordality assumption.
     """
-    _check_pairing(sys, g)
+    if sys.event_count != g.vertex_count:
+        raise DomainError(
+            f"system has {sys.event_count} events but graph has {g.vertex_count} vertices"
+        )
+    if g.vertex_count == 0:
+        raise DomainError("graph must have at least one vertex")
     total = sys.backend.zero
     for clique in clique_complex(g, max_size=size_cap).cliques:
         p = intersection_prob(sys, clique)
@@ -104,10 +122,17 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     return total
 
 
-def _symmetric_sum(sys: EventSystem, k: int):
-    """Sum of intersection probabilities over all index sets of size k,
-    1 <= k <= n, from the system's own cached computation."""
-    return sys._symmetric_sum(k)
+def _moment_bracket(sys: EventSystem, coefficients):
+    """Sum of c_k * S_k over the signed coefficients c_1, c_2, ... given.
+
+    Adding S_k times a negative coefficient gives the same float as
+    subtracting S_k times its magnitude, since a Fraction converts to a
+    float symmetrically and multiplying by 1 is exact.
+    """
+    total = sys.backend.zero
+    for k, c in enumerate(coefficients, 1):
+        total = total + sys._symmetric_sum(k) * c
+    return total
 
 
 def classical_bonferroni(sys: EventSystem, r: int, direction: str) -> BoundReport:
@@ -119,20 +144,9 @@ def classical_bonferroni(sys: EventSystem, r: int, direction: str) -> BoundRepor
     """
     if direction not in ("upper", "lower"):
         raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
-    if r is None or r < 1:
-        raise DomainError(f"truncation depth must be >= 1, got {r}")
-    cap = 2 * r - 1 if direction == "upper" else 2 * r
-    value = sys.backend.zero
-    for k in range(1, min(cap, sys.event_count) + 1):
-        s = _symmetric_sum(sys, k)
-        value = value + s if k % 2 == 1 else value - s
-    return BoundReport(
-        kind=f"bonferroni-{direction}",
-        direction=direction,
-        value=value,
-        truncation=r,
-        n=sys.event_count,
-    )
+    cap = min(_size_cap(r, direction), sys.event_count)
+    signs = [(-1) ** (k - 1) for k in range(1, cap + 1)]
+    return _report(f"bonferroni-{direction}", sys, _moment_bracket(sys, signs), truncation=r)
 
 
 def chordal_upper(
@@ -143,19 +157,10 @@ def chordal_upper(
     Valid for chordal g; interpolates between the union bound (edgeless g)
     and the full sieve formula (complete g).
     """
-    _check_r(r)
-    _check_pairing(sys, g)
+    cap = None if r is None else _size_cap(r, "upper")
     _require_chordal(g, unchecked)
-    cap = None if r is None else 2 * r - 1
-    value = clique_sieve_sum(sys, g, size_cap=cap)
-    return BoundReport(
-        kind="chordal-upper",
-        direction="upper",
-        value=value,
-        truncation=r,
-        n=sys.event_count,
-        edge_count=g.edge_count,
-    )
+    bracket = clique_sieve_sum(sys, g, size_cap=cap)
+    return _report("chordal-upper", sys, bracket, truncation=r, graph=g)
 
 
 def chordal_lower(
@@ -167,51 +172,27 @@ def chordal_lower(
 ) -> BoundReport:
     """Lower bound: signed clique-complex sum truncated at size 2r,
     divided by the independence number (or the sharpened denominator)."""
-    _check_r(r)
-    _check_pairing(sys, g)
+    cap = None if r is None else _size_cap(r, "lower")
     _require_chordal(g, unchecked)
-    cap = None if r is None else 2 * r
-    raw = clique_sieve_sum(sys, g, size_cap=cap)
+    bracket = clique_sieve_sum(sys, g, size_cap=cap)
     denominator = alpha_prime(sys, g) if sharpened else independence_number(g)
-    return BoundReport(
-        kind="chordal-lower-sharpened" if sharpened else "chordal-lower",
-        direction="lower",
-        value=raw / denominator,
-        truncation=r,
-        n=sys.event_count,
-        edge_count=g.edge_count,
-        alpha_used=denominator,
-    )
+    kind = "chordal-lower-sharpened" if sharpened else "chordal-lower"
+    return _report(kind, sys, bracket, denominator, truncation=r, graph=g)
 
 
 def hunter_upper_tree(sys: EventSystem, tree: Graph) -> BoundReport:
     """Tree upper bound: singleton sum minus the sum over tree edges, the
     clique-complex sum of the tree."""
-    _check_pairing(sys, tree)
     require_tree(tree)
-    return BoundReport(
-        kind="hunter-upper",
-        direction="upper",
-        value=clique_sieve_sum(sys, tree),
-        n=sys.event_count,
-        edge_count=tree.edge_count,
-    )
+    return _report("hunter-upper", sys, clique_sieve_sum(sys, tree), graph=tree)
 
 
 def hunter_lower_tree(sys: EventSystem, tree: Graph) -> BoundReport:
     """Tree lower bound: the tree's clique-complex sum divided by its
     independence number."""
-    _check_pairing(sys, tree)
     require_tree(tree)
-    alpha = independence_number(tree)
-    return BoundReport(
-        kind="hunter-lower",
-        direction="lower",
-        value=clique_sieve_sum(sys, tree) / alpha,
-        n=sys.event_count,
-        edge_count=tree.edge_count,
-        alpha_used=alpha,
-    )
+    bracket = clique_sieve_sum(sys, tree)
+    return _report("hunter-lower", sys, bracket, independence_number(tree), graph=tree)
 
 
 def path_lower(sys: EventSystem, order) -> BoundReport:
@@ -222,71 +203,43 @@ def path_lower(sys: EventSystem, order) -> BoundReport:
     n = sys.event_count
     if sorted(order) != list(range(n)):
         raise DomainError("order is not a permutation of the event indices")
-    total = clique_sieve_sum(sys, build_graph(n, zip(order, order[1:])))
-    alpha = (n + 1) // 2
-    return BoundReport(
-        kind="path-lower",
-        direction="lower",
-        value=total / alpha,
-        n=n,
-        edge_count=n - 1,
-        alpha_used=alpha,
-    )
+    path = build_graph(n, zip(order, order[1:]))
+    return _report("path-lower", sys, clique_sieve_sum(sys, path), (n + 1) // 2, graph=path)
+
+
+def _kwerel_bracket(sys: EventSystem):
+    """S_1 - (2/n) S_2, or S_1 alone for a single event."""
+    n = sys.event_count
+    return _moment_bracket(sys, [1, Fraction(-2, n)][:n])
 
 
 def kwerel_upper(sys: EventSystem) -> BoundReport:
     """Degree-two upper bound using only the average pairwise weight."""
-    n = sys.event_count
-    value = _symmetric_sum(sys, 1)
-    if n >= 2:
-        value = value - _symmetric_sum(sys, 2) * Fraction(2, n)
-    return BoundReport(kind="kwerel-upper", direction="upper", value=value, n=n)
+    return _report("kwerel-upper", sys, _kwerel_bracket(sys))
 
 
 def kwerel_lower(sys: EventSystem) -> BoundReport:
     """Closed form of the average of `path_lower` over all paths; uses the
     singleton sum and the mean pairwise intersection only."""
-    n = sys.event_count
-    bracket = _symmetric_sum(sys, 1)
-    if n >= 2:
-        bracket = bracket - _symmetric_sum(sys, 2) * Fraction(2, n)
-    alpha = (n + 1) // 2
-    return BoundReport(
-        kind="kwerel-lower",
-        direction="lower",
-        value=bracket / alpha,
-        n=n,
-        alpha_used=alpha,
-    )
+    return _report("kwerel-lower", sys, _kwerel_bracket(sys), (sys.event_count + 1) // 2)
 
 
 def _seneta_bracket(sys: EventSystem, j: int, k: int):
-    # The clique sieve on the graph joining j and k to every other index.
+    """The clique sieve on the graph joining j and k to every other index."""
     n = sys.event_count
-    edges = {(min(i, c), max(i, c)) for c in (j, k) for i in range(n) if i != c}
-    return clique_sieve_sum(sys, build_graph(n, edges))
-
-
-def _check_seneta_args(sys: EventSystem, j: int, k: int) -> int:
-    n = sys.event_count
-    delta = 1 if j == k else 0
+    distinguished = len({j, k})
     if not (0 <= j < n and 0 <= k < n):
         raise DomainError("distinguished indices out of range")
-    if n <= 2 - delta:
-        raise DomainError(f"need more than {2 - delta} events, got {n}")
-    return delta
+    if n <= distinguished:
+        raise DomainError(f"need more than {distinguished} events, got {n}")
+    edges = {(min(i, c), max(i, c)) for c in (j, k) for i in range(n) if i != c}
+    return clique_sieve_sum(sys, build_graph(n, edges))
 
 
 def seneta_upper(sys: EventSystem, j: int, k: int) -> BoundReport:
     """Upper bound built from two distinguished indices j and k: the
     clique-complex sum on the graph joining j and k to every other index."""
-    _check_seneta_args(sys, j, k)
-    return BoundReport(
-        kind="seneta-upper",
-        direction="upper",
-        value=_seneta_bracket(sys, j, k),
-        n=sys.event_count,
-    )
+    return _report("seneta-upper", sys, _seneta_bracket(sys, j, k))
 
 
 def seneta_lower(sys: EventSystem, j: int, k: int) -> BoundReport:
@@ -296,15 +249,8 @@ def seneta_lower(sys: EventSystem, j: int, k: int) -> BoundReport:
     on {j, k} with isolated vertices elsewhere; the denominator is that
     join graph's independence number n - 2 + delta(j, k).
     """
-    delta = _check_seneta_args(sys, j, k)
-    alpha = sys.event_count - 2 + delta
-    return BoundReport(
-        kind="seneta-lower",
-        direction="lower",
-        value=_seneta_bracket(sys, j, k) / alpha,
-        n=sys.event_count,
-        alpha_used=alpha,
-    )
+    bracket = _seneta_bracket(sys, j, k)
+    return _report("seneta-lower", sys, bracket, sys.event_count - len({j, k}))
 
 
 def kwerel2_lower(sys: EventSystem) -> BoundReport:
@@ -313,19 +259,7 @@ def kwerel2_lower(sys: EventSystem) -> BoundReport:
     n = sys.event_count
     if n < 3:
         raise DomainError(f"need at least 3 events, got {n}")
-    pairs = comb(n, 2)
-    bracket = (
-        _symmetric_sum(sys, 1)
-        - _symmetric_sum(sys, 2) * Fraction(2 * n - 3, pairs)
-        + _symmetric_sum(sys, 3) * Fraction(3, pairs)
-    )
-    return BoundReport(
-        kind="kwerel2-lower",
-        direction="lower",
-        value=bracket / (n - 2),
-        n=n,
-        alpha_used=n - 2,
-    )
+    return replace(generalized_lower(sys, 2), kind="kwerel2-lower")
 
 
 def generalized_lower(sys: EventSystem, m: int) -> BoundReport:
@@ -339,20 +273,10 @@ def generalized_lower(sys: EventSystem, m: int) -> BoundReport:
     n = sys.event_count
     if not 0 <= m <= n - 1:
         raise DomainError(f"order m must satisfy 0 <= m <= {n - 1}, got {m}")
-    bracket = sys.backend.zero
-    for k in range(1, m + 1):
-        coefficient = Fraction(
-            comb(m, k) * (n * k - (m + 1) * (k - 1)),
-            comb(n, k) * (m - k + 1),
-        )
-        term = _symmetric_sum(sys, k) * coefficient
-        bracket = bracket + term if k % 2 == 1 else bracket - term
-    last = _symmetric_sum(sys, m + 1) * Fraction(m + 1, comb(n, m))
-    bracket = bracket + last if m % 2 == 0 else bracket - last
-    return BoundReport(
-        kind="generalized-lower",
-        direction="lower",
-        value=bracket / (n - m),
-        n=n,
-        alpha_used=n - m,
-    )
+    coefficients = [
+        (-1) ** (k - 1)
+        * Fraction(comb(m, k) * (n * k - (m + 1) * (k - 1)), comb(n, k) * (m - k + 1))
+        for k in range(1, m + 1)
+    ]
+    coefficients.append((-1) ** m * Fraction(m + 1, comb(n, m)))
+    return _report("generalized-lower", sys, _moment_bracket(sys, coefficients), n - m)

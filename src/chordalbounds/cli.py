@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bnd
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _require_int
 from .events import (
     bernoulli_product,
     from_outcomes,
@@ -101,7 +101,12 @@ def _load_graph(path: str) -> Graph:
     text = _read_text(path).strip()
     if text.startswith("{"):
         data = json.loads(text)
-        return build_graph(int(data["vertices"]), [tuple(e) for e in data["edges"]])
+        edges = [tuple(e) for e in data["edges"]]
+        _require_int(data["vertices"], "vertex count")
+        for edge in edges:
+            for endpoint in edge:
+                _require_int(endpoint, "edge endpoint")
+        return build_graph(data["vertices"], edges)
     lines = [line for line in text.splitlines() if line.strip()]
     if not lines:
         raise _UsageError(f"graph file {path} is empty")
@@ -136,7 +141,8 @@ def _load_events(path: str):
         return from_outcomes(weights, data["events"], backend=backend)
     if "coords" in data:
         backend, probs = _parse_values(data["probs"])
-        if len(probs) != int(data["coords"]):
+        _require_int(data["coords"], "coordinate count")
+        if len(probs) != data["coords"]:
             raise _UsageError("'probs' must list one value per coordinate")
         return bernoulli_product(probs, data["events"], backend=backend)
     raise _UsageError("events file needs either 'weights' or 'coords'")
@@ -146,10 +152,10 @@ def _load_events(path: str):
 def _load_network(path: str):
     data = json.loads(_read_text(path))
     return build_network(
-        int(data["nodes"]),
+        data["nodes"],
         [tuple(a) for a in data["arcs"]],
-        int(data["s"]),
-        int(data["t"]),
+        data["s"],
+        data["t"],
         reliability=data.get("p", "symbolic"),
     )
 
@@ -158,16 +164,20 @@ def _load_network(path: str):
 # subcommand handlers
 
 
+def _clique_sizes(g: Graph) -> str:
+    """Clique counts by size, e.g. "1:4 2:3"."""
+    counts = clique_complex(g).size_counts
+    return " ".join(f"{size}:{counts[size]}" for size in sorted(counts))
+
+
 def _cmd_graph_check(args) -> int:
     g = _load_graph(args.file)
-    counts = clique_complex(g).size_counts
-    sizes = " ".join(f"{size}:{counts[size]}" for size in sorted(counts))
     print(f"vertices: {g.vertex_count}")
     print(f"edges: {g.edge_count}")
     print(f"chordal: {'yes' if is_chordal(g) else 'no'}")
     print(f"components: {connected_components(g)}")
     print(f"independence_number: {independence_number(g)}")
-    print(f"clique_sizes: {sizes}")
+    print(f"clique_sizes: {_clique_sizes(g)}")
     return 0
 
 
@@ -184,10 +194,9 @@ def _compute_report(args, sys_) -> bnd.BoundReport:
     g = _load_graph(args.graph) if args.graph else None
     if needs_graph and g is None:
         raise _UsageError(f"--kind {kind} requires --graph")
-    if kind == "bonferroni-upper":
-        return bnd.classical_bonferroni(sys_, 1 if args.r is None else args.r, "upper")
-    if kind == "bonferroni-lower":
-        return bnd.classical_bonferroni(sys_, 1 if args.r is None else args.r, "lower")
+    if kind in ("bonferroni-upper", "bonferroni-lower"):
+        direction = kind.removeprefix("bonferroni-")
+        return bnd.classical_bonferroni(sys_, 1 if args.r is None else args.r, direction)
     if kind == "chordal-upper":
         return bnd.chordal_upper(sys_, g, r=args.r, unchecked=args.unchecked)
     if kind in ("chordal-lower", "chordal-lower-sharpened"):
@@ -326,8 +335,6 @@ def _all_certain_system(n: int):
 
 
 def _print_counterexample(g, label: str) -> None:
-    counts = clique_complex(g).size_counts
-    sizes = " ".join(f"{size}:{counts[size]}" for size in sorted(counts))
     euler = truncated_euler_sum(g)
     sys_ = _all_certain_system(g.vertex_count)
     value = bnd.chordal_lower(sys_, g, unchecked=True).value
@@ -335,7 +342,7 @@ def _print_counterexample(g, label: str) -> None:
     print(f"{label}: {g.vertex_count} vertices, {g.edge_count} edges")
     print(f"chordal: {'yes' if is_chordal(g) else 'no'}")
     print(f"independence_number: {independence_number(g)}")
-    print(f"clique_sizes: {sizes}")
+    print(f"clique_sizes: {_clique_sizes(g)}")
     print(f"alternating clique sum: {euler}")
     print(f"with all events certain the lower-bound formula gives bound {value} {verdict}")
 

@@ -28,7 +28,7 @@ import math
 from fractions import Fraction
 from itertools import combinations, compress, zip_longest
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _require_int
 from .graphs import Graph, connected_components
 from .values import Backend, REAL
 
@@ -319,6 +319,23 @@ def _integer_columns(backend: Backend, weights) -> tuple[tuple[list[int], int], 
     return tuple(columns)
 
 
+def _id_mask(ids, count: int, name: str) -> int:
+    """Mask with bit i set for each id i, where every id must be an int in
+    0..count - 1.  The type and range checks are C-level passes over the
+    ids, and the mask is built from one byte per bit."""
+    ids = tuple(ids)
+    for kind in set(map(type, ids)):
+        if kind is bool or not issubclass(kind, int):
+            _require_int(next(i for i in ids if type(i) is kind), f"{name} id")
+    if ids and not (0 <= min(ids) and max(ids) < count):
+        raise DomainError(f"{name} id {next(i for i in ids if not 0 <= i < count)} out of range")
+    flags = bytearray(count)
+    for i in ids:
+        flags[i] = 1
+    # The leading 0 keeps the digit string non-empty when count is 0.
+    return int(b"0" + flags[::-1].translate(_BYTE_DIGITS), 2)
+
+
 def _total(backend: Backend, values):
     """Sum of a few values in the backend's arithmetic; floats go through
     `math.fsum`, so that the sum is correctly rounded."""
@@ -378,14 +395,7 @@ def from_outcomes(weights, events, backend: Backend = REAL) -> EventSystem:
     """Build a system from explicit outcome weights and events given as
     iterables of outcome ids."""
     weights = tuple(weights)
-    masks = []
-    for event in events:
-        mask = 0
-        for o in event:
-            if not 0 <= o < len(weights):
-                raise DomainError(f"outcome id {o} out of range")
-            mask |= 1 << o
-        masks.append(mask)
+    masks = [_id_mask(event, len(weights), "outcome") for event in events]
     return EventSystem(backend, weights, masks)
 
 
@@ -399,18 +409,7 @@ def bernoulli_product(probs, event_defs, backend: Backend = REAL) -> ProductSyst
     capped at MAX_PRODUCT_COORDS.
     """
     probs = tuple(probs)
-    m = len(probs)
-    requires = []
-    for required in event_defs:
-        required = set(required)
-        for c in required:
-            if not 0 <= c < m:
-                raise DomainError(f"coordinate id {c} out of range")
-        mask = 0
-        for i in range(m):
-            if i in required:
-                mask |= 1 << i
-        requires.append(mask)
+    requires = [_id_mask(required, len(probs), "coordinate") for required in event_defs]
     return ProductSystem(backend, probs, requires)
 
 

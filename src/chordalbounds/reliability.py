@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import classical_bonferroni, hunter_lower_tree, kwerel_lower
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .events import ProductSystem, bernoulli_product, union_prob_exact
 from .graphs import path_graph
 from .poly import P, Polynomial
@@ -64,9 +64,16 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
 
     `reliability` may be "symbolic", a single number applied to every arc,
     or a sequence with one number per arc; booleans and other strings are
-    rejected.
+    rejected.  The node count, the source, the terminal and every arc
+    endpoint must be ints.
     """
-    arcs = tuple((int(t), int(h)) for t, h in arcs)
+    arcs = tuple((t, h) for t, h in arcs)
+    _require_int(node_count, "node count")
+    _require_int(source, "source")
+    _require_int(terminal, "terminal")
+    for arc in arcs:
+        for endpoint in arc:
+            _require_int(endpoint, "arc endpoint")
     if not 0 <= source < node_count or not 0 <= terminal < node_count:
         raise DomainError("source or terminal out of range")
     if source == terminal:

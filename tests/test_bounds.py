@@ -38,7 +38,6 @@ from chordalbounds import (
     tree_graph,
     union_prob_exact,
 )
-from chordalbounds.bounds import _symmetric_sum
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.reliability import BRIDGE_PATH_ORDER, bridge_network
 from chordalbounds.values import RATIONAL
@@ -105,14 +104,14 @@ class TestSymmetricSums:
         for _ in range(30):
             sys_ = random_rational_system(rng, rng.randint(1, 7))
             for k in range(1, sys_.event_count + 1):
-                assert _symmetric_sum(sys_, k) == brute_symmetric_sum(sys_, k)
+                assert sys_._symmetric_sum(k) == brute_symmetric_sum(sys_, k)
 
     def test_real_explicit_matches_brute_force(self):
         rng = random.Random(137)
         for _ in range(30):
             sys_ = random_real_system(rng, rng.randint(1, 7))
             for k in range(1, sys_.event_count + 1):
-                assert _symmetric_sum(sys_, k) == pytest.approx(
+                assert sys_._symmetric_sum(k) == pytest.approx(
                     brute_symmetric_sum(sys_, k), abs=1e-12
                 )
 
@@ -127,7 +126,7 @@ class TestSymmetricSums:
             sys_ = bernoulli_product(probs, event_defs, backend=RATIONAL)
             explicit = sys_._outcomes()
             for k in range(1, sys_.event_count + 1):
-                assert _symmetric_sum(sys_, k) == _symmetric_sum(explicit, k)
+                assert sys_._symmetric_sum(k) == explicit._symmetric_sum(k)
 
     def test_bonferroni_is_alternating_subset_sum(self):
         rng = random.Random(149)

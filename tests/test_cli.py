@@ -125,6 +125,17 @@ class TestGraphCheck:
         assert code == 0
         assert "chordal: no" in out
 
+    @pytest.mark.parametrize(
+        "graph, named",
+        [({"vertices": 2, "edges": [[False, True]]}, "False"), ({"vertices": 2.5, "edges": []}, "2.5")],
+        ids=["bool-endpoints", "float-vertices"],
+    )
+    def test_non_integer_ids_exit_2(self, capsys, tmp_path, graph, named):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps(graph))
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert code == 2 and not out and f"got {named}" in err
+
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "graph", "check", "no-such-file.txt")
         assert code == 1 and err
@@ -314,6 +325,25 @@ class TestBoundsAll:
         code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
         assert code == 2 and not out and "true" in err
 
+    @pytest.mark.parametrize(
+        "events, named",
+        [
+            ({"coords": 2, "probs": [0.5, 0.5], "events": [[0.5], [1]]}, "0.5"),
+            ({"coords": 2, "probs": [0.5, 0.5], "events": [[True], [1]]}, "True"),
+            ({"weights": [0.5, 0.5], "events": [[True], [0]]}, "True"),
+            ({"weights": [0.5, 0.5], "events": [[1.5], [0]]}, "1.5"),
+            ({"coords": True, "probs": [0.5], "events": [[0], [0]]}, "True"),
+        ],
+        ids=["float-coordinate", "bool-coordinate", "bool-outcome", "float-outcome", "bool-coords"],
+    )
+    def test_non_integer_ids_exit_2(self, capsys, tmp_path, events, named):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(events))
+        graph = tmp_path / "edgeless.json"
+        graph.write_text(json.dumps({"vertices": 2, "edges": []}))
+        code, out, err = run(capsys, "bounds", "all", str(path), "--graph", str(graph))
+        assert code == 2 and not out and f"got {named}" in err
+
 
 class TestOptimize:
     def test_tree_json(self, capsys, events_json):
@@ -414,6 +444,17 @@ class TestReliability:
         path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "p": ["0.5"]}))
         code, out, err = run(capsys, "reliability", str(path))
         assert code == 2 and not out and "'0.5'" in err
+
+    @pytest.mark.parametrize(
+        "change, named",
+        [({"arcs": [[0, 1.5], [1, 2]]}, "1.5"), ({"nodes": 3.5}, "3.5"), ({"s": False}, "False"), ({"t": 2.0}, "2.0")],
+        ids=["float-endpoint", "float-nodes", "bool-source", "float-terminal"],
+    )
+    def test_non_integer_ids_exit_2(self, capsys, tmp_path, change, named):
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps({"nodes": 3, "arcs": [[0, 1], [1, 2]], "s": 0, "t": 2, "p": 0.9, **change}))
+        code, out, err = run(capsys, "reliability", str(path))
+        assert code == 2 and not out and f"got {named}" in err
 
     def test_bad_sweep_spec(self, capsys, network_json):
         code, _, _ = run(capsys, "reliability", network_json, "--sweep", "0-1")
