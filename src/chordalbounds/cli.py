@@ -14,7 +14,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bnd
-from .errors import DomainError, ResourceLimitError, _require_int
+from .errors import DomainError, ResourceLimitError, _require_int, _to_float
 from .events import (
     bernoulli_product,
     from_outcomes,
@@ -35,7 +35,7 @@ from .graphs import (
 from .optimize import best_path, best_tree, pairwise_weights, path_weight, tree_weight
 from .poly import Polynomial
 from .reliability import DEFAULT_BOUND_KINDS, bound_values, build_network, sweep
-from .values import RATIONAL, REAL
+from .values import RATIONAL, REAL, _read_rational
 
 __all__ = ["main"]
 
@@ -124,13 +124,18 @@ def _load_graph(path: str) -> Graph:
 
 
 def _parse_values(raw_values):
-    """Return (backend, values); strings select the exact rational backend."""
-    for v in raw_values:
-        if isinstance(v, bool):
-            raise DomainError(f"probability values must be numbers or strings, got {json.dumps(v)}")
-    if any(isinstance(v, str) for v in raw_values):
-        return RATIONAL, [Fraction(str(v)) for v in raw_values]
-    return REAL, [float(v) for v in raw_values]
+    """Return (backend, values).  Strings select the exact rational
+    backend, and the values are left as written for `_read_rational`, a
+    float as its JSON text; otherwise every value is read as a float."""
+    kinds = set(map(type, raw_values))
+    if bool in kinds:
+        flag = next(v for v in raw_values if isinstance(v, bool))
+        raise DomainError(f"probability values must be numbers or strings, got {json.dumps(flag)}")
+    if str not in kinds:
+        return REAL, [_to_float(v, "probability value") for v in raw_values]
+    if float in kinds:
+        return RATIONAL, [str(v) if isinstance(v, float) else v for v in raw_values]
+    return RATIONAL, raw_values
 
 
 @_parse_errors()
@@ -141,6 +146,8 @@ def _load_events(path: str):
         return from_outcomes(weights, data["events"], backend=backend)
     if "coords" in data:
         backend, probs = _parse_values(data["probs"])
+        if backend is RATIONAL:
+            probs = [Fraction(*_read_rational(p)) for p in probs]
         _require_int(data["coords"], "coordinate count")
         if len(probs) != data["coords"]:
             raise _UsageError("'probs' must list one value per coordinate")
@@ -294,7 +301,7 @@ def _parse_sweep(raw: str):
     parts = raw.split(":")
     if len(parts) != 3:
         raise _UsageError("--sweep expects start:stop:step")
-    start, stop, step = (Fraction(part) for part in parts)
+    start, stop, step = (Fraction(*_read_rational(part)) for part in parts)
     if step <= 0:
         raise _UsageError("sweep step must be positive")
     values = []

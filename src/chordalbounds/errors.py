@@ -1,5 +1,5 @@
-"""Exception types shared across the package, and the integer check
-every loader applies to ids and counts."""
+"""Exception types shared across the package, and the integer and float
+checks every loader applies to ids, counts and probabilities."""
 
 
 class DomainError(ValueError):
@@ -15,3 +15,12 @@ def _require_int(value, what: str) -> None:
     Python counts it as an int, but JSON `true` is no id or count."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise DomainError(f"{what} must be an integer, got {value!r}")
+
+
+def _to_float(value, what: str) -> float:
+    """`float(value)`; an int too large for a float is a DomainError naming
+    it, as a non-finite float is."""
+    try:
+        return float(value)
+    except OverflowError:
+        raise DomainError(f"{what} {value} is too large for a float") from None

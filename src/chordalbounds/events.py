@@ -8,7 +8,8 @@ behind the averaged bounds):
   event; every probability, the sum-to-one check included, is one `mass`
   query: a sum of outcome weights under a mask, taken in C (`math.fsum`
   over floats, an integer sum over numerators on a common denominator
-  for exact values).  The symmetric sums are binomial moments of the
+  for exact values, which are read into those integers without a
+  Fraction per outcome).  The symmetric sums are binomial moments of the
   number of events that occur, from one mass query per count, and
   `alpha_prime` splits the supported outcomes by event instead of
   testing each outcome.
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from itertools import combinations, compress, zip_longest
+from itertools import combinations, compress
 
 from .errors import DomainError, ResourceLimitError, _require_int
 from .graphs import Graph, connected_components
@@ -57,7 +58,10 @@ class EventSystem:
     float weights go through `math.fsum` (each mass correctly rounded), and
     exact weights are kept as integer numerators over one common
     denominator per rational component, so that a query is one C-level
-    integer sum per component.
+    integer sum per component.  A RATIONAL weight may be an int, a
+    Fraction or a rational string such as "7/873"; it is read straight
+    into a numerator and a denominator (`values._read_rational`), and
+    `weights` keeps the values as given.
 
     Instances are immutable once built; `mass` memoizes mask sums and
     `_symmetric_sum` computes every symmetric sum once, so that repeated
@@ -91,11 +95,13 @@ class EventSystem:
         if not backend.sum_is_one(total):
             raise DomainError(f"outcome weights must sum to one, got {total}")
         if backend.ordered:
-            # An exact weight has the sign of its numerator.
-            signs = weights if self._columns is None else self._columns[0][0]
-            lowest = min(signs)
+            if self._columns is None:
+                lowest = min(weights)
+            else:
+                numerators, denominator = self._columns[0]
+                lowest = Fraction(min(numerators), denominator)
             if lowest < 0:
-                raise DomainError(f"negative outcome weight {weights[signs.index(lowest)]}")
+                raise DomainError(f"negative outcome weight {lowest}")
 
     @property
     def outcome_count(self) -> int:
@@ -311,11 +317,13 @@ _BYTE_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
 def _integer_columns(backend: Backend, weights) -> tuple[tuple[list[int], int], ...]:
     """Exact weights as (numerators, denominator) per rational component:
     component j of outcome o's weight is numerators[o] / denominator, with
-    the least common denominator of that component over all outcomes."""
+    the least common denominator of that component over all outcomes.
+    The weights are read as integer pairs, so no Fraction is built per
+    outcome."""
     columns = []
-    for component in zip_longest(*map(backend.to_rationals, weights), fillvalue=0):
-        denominator = math.lcm(*(c.denominator for c in component))
-        columns.append(([c.numerator * (denominator // c.denominator) for c in component], denominator))
+    for component in backend.pair_columns(weights):
+        denominator = math.lcm(*(d for _, d in component))
+        columns.append(([n * (denominator // d) for n, d in component], denominator))
     return tuple(columns)
 
 
@@ -393,7 +401,8 @@ def _most_required(family) -> int:
 
 def from_outcomes(weights, events, backend: Backend = REAL) -> EventSystem:
     """Build a system from explicit outcome weights and events given as
-    iterables of outcome ids."""
+    iterables of outcome ids.  RATIONAL weights may be ints, Fractions or
+    rational strings ("7/873", "0.5", ...)."""
     weights = tuple(weights)
     masks = [_id_mask(event, len(weights), "outcome") for event in events]
     return EventSystem(backend, weights, masks)

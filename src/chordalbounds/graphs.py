@@ -7,11 +7,12 @@ counts inside a vertex subset) stay cheap at desk scale.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from itertools import combinations
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "Graph",
@@ -81,10 +82,13 @@ def build_graph(vertex_count: int, edges) -> Graph:
     """Validate and normalize an edge list into a Graph.
 
     Rejects out-of-range endpoints, self-loops and duplicate edges, naming
-    the offending pair.
+    the offending pair, and a vertex count no list can index
+    (ResourceLimitError).
     """
     if vertex_count < 0:
         raise DomainError(f"vertex count must be non-negative, got {vertex_count}")
+    if vertex_count > sys.maxsize:
+        raise ResourceLimitError(f"vertex count {vertex_count} exceeds the largest list size, {sys.maxsize}")
     seen = set()
     normalized = []
     for u, v in edges:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .bounds import classical_bonferroni, hunter_lower_tree, kwerel_lower
-from .errors import DomainError, _require_int
+from .errors import DomainError, _require_int, _to_float
 from .events import ProductSystem, bernoulli_product, union_prob_exact
 from .graphs import path_graph
 from .poly import P, Polynomial
@@ -94,7 +94,7 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
             # bool is an int, and float() would read a string
             if isinstance(p, (bool, str)):
                 raise DomainError(f"arc reliability must be {SYMBOLIC!r} or numeric, got {p!r}")
-        values = tuple(float(p) for p in values)
+        values = tuple(_to_float(p, "arc reliability") for p in values)
         reliability = values * len(arcs) if scalar else values
         if len(reliability) != len(arcs):
             raise DomainError("need one reliability value per arc")
@@ -133,16 +133,17 @@ BRIDGE_PATH_ORDER = (
 def enumerate_st_paths(net: Network) -> tuple[frozenset[int], ...]:
     """All simple directed source-to-terminal paths as arc-id sets,
     canonically ordered by length, then lexicographic arc ids."""
-    outgoing: list[list[int]] = [[] for _ in range(net.node_count)]
+    # Keyed by tail node, so that nodes no arc leaves cost nothing.
+    outgoing: dict[int, list[int]] = {}
     for arc_id, (tail, _head) in enumerate(net.arcs):
-        outgoing[tail].append(arc_id)
+        outgoing.setdefault(tail, []).append(arc_id)
     found: list[frozenset[int]] = []
 
     def walk(node: int, visited: int, used: tuple[int, ...]):
         if node == net.terminal:
             found.append(frozenset(used))
             return
-        for arc_id in outgoing[node]:
+        for arc_id in outgoing.get(node, ()):
             head = net.arcs[arc_id][1]
             if (visited >> head) & 1:
                 continue

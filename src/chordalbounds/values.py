@@ -9,15 +9,21 @@ floating point and the exact domains:
 * RATIONAL    -- fractions.Fraction; everything exact, used as test oracle.
 * POLYNOMIAL  -- Polynomial values in a shared parameter p; exact, unordered.
 
-An exact backend also maps each value to and from a tuple of rationals
-(the value itself, or the coefficients), so that sums of many values can
-be taken over integer numerators.
+An exact backend also maps a sequence of values to its rational
+components (the values themselves, or their coefficients), each one
+(numerator, denominator) integer pair per value, and a tuple of rationals
+back to a value, so that sums of many values can be taken over integer
+numerators.  `_read_rational` is the one reader of exact rationals: a
+RATIONAL value may be an int, a Fraction or a string, and a plain string
+of decimal digits "a" or "a/b" is split into integers without building a
+Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable
 
 from .poly import Polynomial
@@ -33,8 +39,9 @@ class Backend:
     exact: bool
     ordered: bool
     weight_tol: float = 0.0
-    # Exact backends only: value -> tuple of rationals, and back.
-    to_rationals: Callable | None = None
+    # Exact backends only: values -> rational components, each one
+    # (numerator, denominator) pair per value; tuple of rationals -> value.
+    pair_columns: Callable | None = None
     from_rationals: Callable | None = None
 
     def sum_is_one(self, total) -> bool:
@@ -43,26 +50,46 @@ class Backend:
         return abs(total - self.one) <= self.weight_tol
 
 
-def _rational_parts(value) -> tuple[Fraction]:
-    if isinstance(value, Fraction):
-        return (value,)
-    if isinstance(value, int):
-        return (Fraction(value),)
-    raise TypeError(f"rational values must be int or Fraction, got {type(value).__name__}")
+def _read_rational(value) -> tuple[int, int]:
+    """(numerator, denominator) of an int, a Fraction or a rational string;
+    the denominator is positive, the pair not necessarily reduced.
+
+    A string of decimal digits "a" or "a/b" (`str.isdecimal` on both
+    sides) is split with `int`; every other string is read by `Fraction`,
+    so signs, decimals, exponents, underscores, surrounding whitespace and
+    its errors mean what they mean there.  A zero denominator raises
+    ValueError on both branches.
+    """
+    if isinstance(value, str):
+        top, slash, bottom = value.partition("/")
+        if top.isdecimal() and (bottom.isdecimal() or not slash):
+            denominator = int(bottom) if slash else 1
+            if denominator:
+                return int(top), denominator
+            raise ValueError(f"zero denominator in {value!r}")
+        try:
+            value = Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
+    elif not isinstance(value, (int, Fraction)):
+        raise TypeError(f"rational values must be int, Fraction or str, got {type(value).__name__}")
+    return value.numerator, value.denominator
 
 
-def _polynomial_parts(value) -> tuple[Fraction, ...]:
+def _coefficient_pairs(value) -> tuple[tuple[int, int], ...]:
     if not isinstance(value, Polynomial):
         value = Polynomial((value,))
-    return value.coeffs
+    return tuple(map(_read_rational, value.coeffs))
 
 
 REAL = Backend("real", 0.0, 1.0, exact=False, ordered=True, weight_tol=1e-12)
 RATIONAL = Backend(
     "rational", Fraction(0), Fraction(1), exact=True, ordered=True,
-    to_rationals=_rational_parts, from_rationals=lambda parts: parts[0],
+    pair_columns=lambda values: (list(map(_read_rational, values)),),
+    from_rationals=lambda parts: parts[0],
 )
 POLYNOMIAL = Backend(
     "polynomial", Polynomial(), Polynomial((1,)), exact=True, ordered=False,
-    to_rationals=_polynomial_parts, from_rationals=Polynomial,
+    pair_columns=lambda values: zip_longest(*map(_coefficient_pairs, values), fillvalue=(0, 1)),
+    from_rationals=Polynomial,
 )

@@ -2,13 +2,14 @@
 
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from chordalbounds import bounds
-from chordalbounds.cli import main
+from chordalbounds.cli import _load_events, main
 
 
 DATA = Path(__file__).parent / "data"
@@ -139,6 +140,12 @@ class TestGraphCheck:
     def test_missing_file(self, capsys):
         code, _, err = run(capsys, "graph", "check", "no-such-file.txt")
         assert code == 1 and err
+
+    def test_vertex_count_past_the_list_size_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": 10**400, "edges": [[0, 1]]}))
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert code == 3 and not out and "exceeds the largest list size" in err
 
 
 class TestBoundsCompute:
@@ -326,6 +333,78 @@ class TestBoundsAll:
         assert code == 2 and not out and "true" in err
 
     @pytest.mark.parametrize(
+        "events",
+        [
+            {"weights": ["1/0", "1/2"], "events": [[0], [1]]},
+            {"weights": ["+1/0", "1/2"], "events": [[0], [1]]},
+            {"coords": 1, "probs": ["1/0"], "events": [[0], [0]]},
+        ],
+        ids=["weights", "weights-read-by-fraction", "probs"],
+    )
+    def test_zero_denominator_exit_1(self, capsys, tmp_path, events):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(events))
+        graph = tmp_path / "edgeless.json"
+        graph.write_text(json.dumps({"vertices": 2, "edges": []}))
+        code, out, err = run(capsys, "bounds", "all", str(path), "--graph", str(graph))
+        assert code == 1 and not out and err.startswith("error: zero denominator")
+
+    @pytest.mark.parametrize(
+        "events",
+        [
+            {"weights": [10**400, 1], "events": [[0], [1]]},
+            {"coords": 1, "probs": [10**400], "events": [[0], [0]]},
+        ],
+        ids=["weights", "probs"],
+    )
+    def test_integer_too_large_for_a_float_exit_2(self, capsys, tmp_path, events):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(events))
+        graph = tmp_path / "edgeless.json"
+        graph.write_text(json.dumps({"vertices": 2, "edges": []}))
+        code, out, err = run(capsys, "bounds", "all", str(path), "--graph", str(graph))
+        assert code == 2 and not out and f"{10**400} is too large for a float" in err
+
+    def test_rational_syntax_matches_fraction(self, tmp_path):
+        # Read by `int` on plain digits, by `Fraction` otherwise; JSON
+        # numbers in a list with strings are read as their text.
+        weights = [
+            " 7/873 ", "+7/873", "14/1746", "0.05", "5e-2", "٣/٤٠", "0", 0, 0.125,
+            *(["7_0/8730"] if sys.version_info >= (3, 11) else []),
+        ]
+        rest = 1 - sum(Fraction(str(w)) for w in weights)
+        # two weights on one common, unreduced denominator
+        weights += [f"{rest.numerator}/{2 * rest.denominator}"] * 2
+        path = tmp_path / "syntax.json"
+        path.write_text(json.dumps({"weights": weights, "events": [[0], [1]]}))
+        sys_ = _load_events(str(path))
+        for o, w in enumerate(json.loads(path.read_text())["weights"]):
+            assert sys_.mass(1 << o) == Fraction(str(w)), w
+
+    @pytest.mark.parametrize("text", ["3/", "/4", "3 /4", "1/-2"])
+    def test_malformed_rational_exit_1(self, capsys, tmp_path, text):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({"weights": [text, "1/2"], "events": [[0], [1]]}))
+        graph = tmp_path / "edgeless.json"
+        graph.write_text(json.dumps({"vertices": 2, "edges": []}))
+        code, out, err = run(capsys, "bounds", "all", str(path), "--graph", str(graph))
+        assert code == 1 and not out and repr(text) in err
+
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            (["-2/4", "3/4", "3/4"], "negative outcome weight -1/2"),
+            (["1/4", "2/8"], "outcome weights must sum to one, got 1/2"),
+        ],
+        ids=["negative", "sum"],
+    )
+    def test_rational_weight_messages(self, capsys, tmp_path, weights, message):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({"weights": weights, "events": [[0], [1]]}))
+        code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
         "events, named",
         [
             ({"coords": 2, "probs": [0.5, 0.5], "events": [[0.5], [1]]}, "0.5"),
@@ -460,6 +539,26 @@ class TestReliability:
         code, _, _ = run(capsys, "reliability", network_json, "--sweep", "0-1")
         assert code == 1
 
+    def test_zero_denominator_sweep_exit_1(self, capsys, network_json):
+        code, out, err = run(capsys, "reliability", network_json, "--sweep", "0:1:1/0")
+        assert code == 1 and not out and err.startswith("error: zero denominator")
+
+    def test_integer_too_large_for_a_float_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "p": 10**400}))
+        code, out, err = run(capsys, "reliability", str(path))
+        assert code == 2 and not out and f"{10**400} is too large for a float" in err
+
+    def test_isolated_nodes_cost_nothing(self, capsys, tmp_path):
+        reports = []
+        for nodes in (3, 10**400):
+            path = tmp_path / "network.json"
+            path.write_text(json.dumps({"nodes": nodes, "arcs": [[0, 1], [1, 2]], "s": 0, "t": 2}))
+            code, out, _ = run(capsys, "reliability", str(path))
+            assert code == 0
+            reports.append(out)
+        assert reports[0] == reports[1]
+
     def test_twenty_arc_numeric_network(self, capsys, tmp_path):
         # five stages in series, each two parallel two-arc routes
         arcs = []
@@ -512,6 +611,79 @@ class TestPlumbing:
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1 and err
+
+    def test_malformed_values_never_escape(self, capsys, tmp_path):
+        # Every JSON scalar of a valid input, one at a time, is swapped for
+        # each malformed value: the file is then rejected with exit 1, 2 or
+        # 3 and nothing on stdout, or (a huge node count leaves a network
+        # valid) printed exactly as before.
+        rng = random.Random(7)
+        cuts = sorted(rng.sample(range(1, 16), 3))
+        counts = [b - a for a, b in zip([0, *cuts], [*cuts, 16])]
+        events = [sorted(rng.sample(range(4), 2)) for _ in range(3)]
+        graph = {"vertices": 3, "edges": [[0, 1], [1, 2]]}
+        arcs = [[0, 1], [0, 2], [1, 2], [2, 3], [1, 3]]
+        events_path, graph_path = tmp_path / "events.json", tmp_path / "graph.json"
+        rational = {"weights": [f"{c}/16" for c in counts], "events": events}
+        events_path.write_text(json.dumps(rational))
+        graph_path.write_text(json.dumps(graph))
+        on_events = [["bounds", "all", "{}", "--graph", str(graph_path)]]
+        reliability = [["reliability", "{}"]]
+        inputs = {  # name: (valid input, commands reading it in place of "{}")
+            "real": ({"weights": [c / 16 for c in counts], "events": events}, on_events),
+            "rational": (rational, on_events),
+            "coords": ({"coords": 2, "probs": [rng.random(), "1/3"], "events": [[0], [1], [0, 1]]}, on_events),
+            "graph": (graph, [["bounds", "all", str(events_path), "--graph", "{}"], ["graph", "check", "{}"]]),
+            "numeric": ({"nodes": 4, "arcs": arcs, "s": 0, "t": 3, "p": rng.random()}, reliability),
+            "symbolic": (
+                {"nodes": 4, "arcs": arcs, "s": 0, "t": 3, "p": "symbolic"},
+                [*reliability, ["reliability", "{}", "--sweep", "0:1:1/2"]],
+            ),
+        }
+        huge_float = "1e400"  # JSON text only: Python's json writes no such literal
+        malformed = ["1/0", 10**400, "", None, [], {}, -1, True, "nan", huge_float]
+
+        def leaves(value, path=()):
+            if isinstance(value, dict):
+                for key, item in value.items():
+                    yield from leaves(item, (*path, key))
+            elif isinstance(value, list):
+                for index, item in enumerate(value):
+                    yield from leaves(item, (*path, index))
+            else:
+                yield path
+
+        def swapped(data, path, new):
+            data = json.loads(json.dumps(data))
+            *parents, last = path
+            target = data
+            for key in parents:
+                target = target[key]
+            target[last] = new
+            return json.dumps(data).replace(json.dumps(huge_float), huge_float)
+
+        def cli(argv, label):
+            try:
+                return run(capsys, *argv)
+            except Exception as exc:
+                pytest.fail(f"{label}: {type(exc).__name__} escaped: {exc}")
+
+        mutated = tmp_path / "mutated.json"
+        for name, (data, commands) in inputs.items():
+            mutated.write_text(json.dumps(data))
+            argvs = [[str(mutated) if a == "{}" else a for a in argv] for argv in commands]
+            valid = [cli(argv, name) for argv in argvs]
+            assert all(code == 0 for code, _, _ in valid), name
+            for path in leaves(data):
+                for new in malformed:
+                    mutated.write_text(swapped(data, path, new), encoding="utf-8")
+                    for argv, (_, before, _) in zip(argvs, valid):
+                        label = f"{name} {list(path)} = {str(new)[:12]}: {argv[:2]}"
+                        code, out, err = cli(argv, label)
+                        if code == 0:
+                            assert out == before, label
+                        else:
+                            assert code in (1, 2, 3) and not out and err.startswith("error: "), label
 
     def test_internal_error_is_not_a_usage_error(self, capsys, monkeypatch, events_json):
         def broken(sys_):

@@ -27,7 +27,7 @@ from chordalbounds import (
 )
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.reliability import BRIDGE_PATH_ORDER
-from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL
+from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL, _read_rational
 
 from helpers import (
     brute_force_alpha_prime,
@@ -76,6 +76,50 @@ class TestFromOutcomes:
         )
         assert intersection_prob(sys_, {0}) == Fraction(1, 3)
         assert union_prob_exact(sys_) == 1
+
+
+class TestReadRational:
+    @staticmethod
+    def _outcome(read, text):
+        """The value read, or the kind of error."""
+        try:
+            value = read(text)
+        except ZeroDivisionError:
+            return "zero denominator"
+        except ValueError as exc:
+            return "zero denominator" if "zero denominator" in str(exc) else "invalid"
+        return value
+
+    def _read(self, text):
+        numerator, denominator = _read_rational(text)
+        assert denominator > 0
+        return Fraction(numerator, denominator)
+
+    def test_agrees_with_fraction_on_strings(self):
+        rng = random.Random(11)
+        alphabet = "0123456789/+-._e \t٣²"
+        texts = ["", "0", "00/07", "1/0", "0/0", "+1/0", "٣/٤", "²/3", "3/", "/4", "3 /4", "1/-2"]
+        texts += ["".join(rng.choices(alphabet, k=rng.randint(1, 7))) for _ in range(4000)]
+        texts += [f"{rng.randint(0, 999)}/{rng.randint(0, 99)}" for _ in range(500)]
+        for text in texts:
+            assert self._outcome(self._read, text) == self._outcome(Fraction, text), repr(text)
+
+    def test_numbers(self):
+        assert _read_rational(3) == (3, 1)
+        assert _read_rational(Fraction(-2, 4)) == (-1, 2)
+        with pytest.raises(TypeError, match="float"):
+            _read_rational(0.5)
+
+    def test_string_weights_build_the_same_system(self):
+        texts = ["14/1746", "0", "+1/3", " 0.5 "]
+        rest = 1 - sum(map(Fraction, texts))
+        texts.append(f"{rest.numerator}/{rest.denominator}")
+        events = [[0, 1], [1, 2, 4], [3]]
+        from_text = from_outcomes(texts, events, backend=RATIONAL)
+        from_fractions = from_outcomes(map(Fraction, texts), events, backend=RATIONAL)
+        for index_set in ({0}, {1}, {2}, {0, 1}, {1, 2}):
+            assert intersection_prob(from_text, index_set) == intersection_prob(from_fractions, index_set)
+        assert union_prob_exact(from_text) == union_prob_exact(from_fractions)
 
 
 class TestBernoulliProduct:
