@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from fractions import Fraction
 
@@ -96,13 +97,23 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _require_vertex_count(n: int, event_count: int | None) -> None:
+    """A graph on the events has one vertex per event; checked before the
+    graph is built, whose size follows the vertex count."""
+    if event_count is not None and n != event_count:
+        raise DomainError(f"system has {event_count} events but graph has {n} vertices")
+
+
 @_parse_errors()
-def _load_graph(path: str) -> Graph:
+def _load_graph(path: str, event_count: int | None = None) -> Graph:
+    """The graph in `path`; with `event_count`, its vertex count must
+    equal it."""
     text = _read_text(path).strip()
     if text.startswith("{"):
         data = json.loads(text)
         edges = [tuple(e) for e in data["edges"]]
         _require_int(data["vertices"], "vertex count")
+        _require_vertex_count(data["vertices"], event_count)
         for edge in edges:
             for endpoint in edge:
                 _require_int(endpoint, "edge endpoint")
@@ -114,6 +125,7 @@ def _load_graph(path: str) -> Graph:
     if len(first) != 2:
         raise _UsageError("graph text format starts with a line 'n m'")
     n, m = int(first[0]), int(first[1])
+    _require_vertex_count(n, event_count)
     if len(lines) - 1 != m:
         raise _UsageError(f"expected {m} edge lines, found {len(lines) - 1}")
     edges = []
@@ -198,7 +210,7 @@ def _parse_order(raw: str | None, n: int):
 def _compute_report(args, sys_) -> bnd.BoundReport:
     kind = args.kind
     needs_graph = kind.startswith("chordal") or kind.startswith("hunter")
-    g = _load_graph(args.graph) if args.graph else None
+    g = _load_graph(args.graph, sys_.event_count) if args.graph else None
     if needs_graph and g is None:
         raise _UsageError(f"--kind {kind} requires --graph")
     if kind in ("bonferroni-upper", "bonferroni-lower"):
@@ -241,8 +253,8 @@ def _cmd_bounds_compute(args) -> int:
 
 def _cmd_bounds_all(args) -> int:
     sys_ = _load_events(args.events)
-    g = _load_graph(args.graph)
     n = sys_.event_count
+    g = _load_graph(args.graph, n)
     rows = [
         bnd.classical_bonferroni(sys_, 1, "upper"),
         bnd.classical_bonferroni(sys_, 1, "lower"),
@@ -296,20 +308,24 @@ def _cmd_optimize(args) -> int:
     return 0
 
 
+# Most grid points a --sweep may ask for; each point is one row of output.
+MAX_SWEEP_POINTS = 100_000
+
+
 @_parse_errors()
 def _parse_sweep(raw: str):
+    """The grid start, start + step, ... up to stop, as Fractions; its
+    length is checked against MAX_SWEEP_POINTS before any point is built."""
     parts = raw.split(":")
     if len(parts) != 3:
         raise _UsageError("--sweep expects start:stop:step")
     start, stop, step = (Fraction(*_read_rational(part)) for part in parts)
     if step <= 0:
         raise _UsageError("sweep step must be positive")
-    values = []
-    p = start
-    while p <= stop:
-        values.append(p)
-        p += step
-    return values
+    count = max(0, math.floor((stop - start) / step) + 1)
+    if count > MAX_SWEEP_POINTS:
+        raise ResourceLimitError(f"sweep grid exceeds the cap of {MAX_SWEEP_POINTS} points")
+    return [start + i * step for i in range(count)]
 
 
 def _cmd_reliability(args) -> int:

@@ -15,9 +15,10 @@ behind the averaged bounds):
   testing each outcome.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
   required coordinates per event (built by `bernoulli_product`).  An
-  intersection is a product of coordinate probabilities and the union is
-  computed by Shannon expansion over coordinates, so the 2**m outcome
-  space is built only for `atom_prob` and `alpha_prime`.
+  intersection is a product of coordinate probabilities (p**k, memoized
+  by k, when every coordinate has the same exact probability p) and the
+  union is computed by Shannon expansion over coordinates, so the 2**m
+  outcome space is built only for `atom_prob` and `alpha_prime`.
 
 Both stay exact for rational and polynomial values; an explicit system's
 float masses are correctly rounded.
@@ -129,7 +130,7 @@ class EventSystem:
             total = math.fsum(compress(self.weights, select))
         else:
             total = self.backend.from_rationals(tuple(
-                Fraction(sum(compress(numerators, select)), denominator)
+                (sum(compress(numerators, select)), denominator)
                 for numerators, denominator in self._columns
             ))
         self._mass_cache[mask] = total
@@ -189,10 +190,14 @@ class ProductSystem:
 
     `probs[c]` is the probability that coordinate c is on; event j occurs
     when every coordinate in the mask `requires[j]` is on.  `mass`
-    memoizes coordinate-mask products and `_symmetric_sum` its sums.
+    memoizes coordinate-mask products and `_symmetric_sum` its sums.  On an
+    exact backend whose coordinates all share one probability p (every
+    symbolic network), the mass of a mask is p**k for its k coordinates,
+    memoized by k; floats keep the product over the mask, so that their
+    rounding does not depend on the probabilities being equal.
     """
 
-    __slots__ = ("backend", "probs", "requires", "_offs", "_mass_cache", "_sums")
+    __slots__ = ("backend", "probs", "requires", "_offs", "_shared", "_mass_cache", "_sums")
 
     def __init__(self, backend: Backend, probs, requires):
         probs = tuple(probs)
@@ -214,6 +219,7 @@ class ProductSystem:
         self.probs = probs
         self.requires = requires
         self._offs = tuple(backend.one - p for p in probs)
+        self._shared = backend.exact and len(set(probs)) == 1
         self._mass_cache: dict[int, object] = {}
         self._sums: dict[int, object] = {}
 
@@ -223,6 +229,12 @@ class ProductSystem:
 
     def mass(self, mask: int):
         """Probability that every coordinate in `mask` is on."""
+        if self._shared:
+            k = mask.bit_count()
+            total = self._mass_cache.get(k)
+            if total is None:
+                total = self._mass_cache[k] = self.backend.one * self.probs[0] ** k
+            return total
         cached = self._mass_cache.get(mask)
         if cached is not None:
             return cached

@@ -3,69 +3,122 @@
 Values of this type stand in for probabilities that are polynomial in a
 shared reliability parameter p, so every operation must stay exact; float
 coefficients are rejected outright.
+
+A polynomial is stored as a tuple of integer numerators over one positive
+common denominator, normalised so that the numerators and the denominator
+share no factor and the last numerator is non-zero (the zero polynomial
+has no numerators and denominator 1); so equal polynomials have equal
+storage.  Sums and products are integer list operations (a product is an
+integer convolution over the product of the denominators), and
+evaluation at a rational a/b is homogeneous integer Horner,
+sum_i n_i * a**i * b**(d - i), with one Fraction built per point.  The
+`Fraction` coefficients (`coeffs`) are built only on request.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 __all__ = ["Polynomial", "P"]
 
 
-def _coerce(c) -> Fraction:
-    if isinstance(c, Fraction):
-        return c
-    if isinstance(c, int):
-        return Fraction(c)
+def _pair(c) -> tuple[int, int]:
+    """(numerator, denominator) of an int or Fraction coefficient."""
+    if isinstance(c, (int, Fraction)):
+        return c.numerator, c.denominator
     raise TypeError(
         f"polynomial coefficients must be int or Fraction, got {type(c).__name__}"
     )
 
 
+def _over_common_denominator(pairs) -> tuple[list[int], int]:
+    """(numerators, denominator) of rationals given as (numerator, positive
+    denominator) pairs, over their least common denominator."""
+    denominator = math.lcm(*(d for _, d in pairs))
+    return [n * (denominator // d) for n, d in pairs], denominator
+
+
 class Polynomial:
     """Immutable polynomial; coefficient i is the weight of p**i."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs=()):
-        cs = [_coerce(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs: tuple[Fraction, ...] = tuple(cs)
+        self._set(*_over_common_denominator([_pair(c) for c in coeffs]))
+
+    def _set(self, numerators: list[int], denominator: int) -> None:
+        """Store numerators over a positive denominator, normalised."""
+        while numerators and not numerators[-1]:
+            numerators.pop()
+        if denominator != 1:
+            g = math.gcd(denominator, *numerators) if numerators else denominator
+            if g != 1:
+                numerators = [n // g for n in numerators]
+                denominator //= g
+        self.numerators: tuple[int, ...] = tuple(numerators)
+        self.denominator: int = denominator
+
+    @classmethod
+    def _make(cls, numerators: list[int], denominator: int) -> "Polynomial":
+        poly = cls.__new__(cls)
+        poly._set(numerators, denominator)
+        return poly
+
+    @classmethod
+    def _from_pairs(cls, pairs) -> "Polynomial":
+        """Polynomial whose coefficient i is the rational pairs[i], given as
+        a (numerator, positive denominator) pair."""
+        return cls._make(*_over_common_denominator(pairs))
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """Coefficients by ascending degree, as reduced Fractions."""
+        d = self.denominator
+        return tuple(Fraction(n, d) for n in self.numerators)
 
     @property
     def degree(self) -> int:
         """Degree, with -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.numerators) - 1
 
     def __bool__(self) -> bool:
-        return bool(self.coeffs)
+        return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
         if isinstance(other, (int, Fraction)):
-            return self.coeffs == Polynomial((other,)).coeffs
+            other = Polynomial((other,))
+        if isinstance(other, Polynomial):
+            return (self.numerators, self.denominator) == (other.numerators, other.denominator)
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        # A constant equals its int or Fraction, so it hashes like it.
+        if len(self.numerators) <= 1:
+            return hash(Fraction(sum(self.numerators), self.denominator))
+        return hash((self.numerators, self.denominator))
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(tuple(-c for c in self.coeffs))
+        return Polynomial._make([-n for n in self.numerators], self.denominator)
 
     def __add__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
+        elif not isinstance(other, Polynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        a, b = self.numerators, other.numerators
+        da, db = self.denominator, other.denominator
+        if da != db:
+            denominator = math.lcm(da, db)
+            a = [n * (denominator // da) for n in a]
+            b = [n * (denominator // db) for n in b]
+            da = denominator
         if len(a) < len(b):
             a, b = b, a
         out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        for i, n in enumerate(b):
+            out[i] += n
+        return Polynomial._make(out, da)
 
     __radd__ = __add__
 
@@ -81,16 +134,23 @@ class Polynomial:
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
-            return Polynomial(tuple(c * other for c in self.coeffs))
+            a, b = other.numerator, other.denominator
+            return Polynomial._make([n * a for n in self.numerators], self.denominator * b)
         if not isinstance(other, Polynomial):
             return NotImplemented
-        if not self.coeffs or not other.coeffs:
+        a, b = self.numerators, other.numerators
+        if not a or not b:
             return Polynomial()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
-        return Polynomial(out)
+        if len(a) < len(b):
+            a, b = b, a
+        # Integer convolution: one shifted, scaled copy of the longer
+        # factor per coefficient of the shorter one.
+        out = [0] * (len(a) + len(b) - 1)
+        for j, m in enumerate(b):
+            if m:
+                for i, n in enumerate(a, j):
+                    out[i] += n * m
+        return Polynomial._make(out, self.denominator * other.denominator)
 
     __rmul__ = __mul__
 
@@ -99,7 +159,10 @@ class Polynomial:
             return NotImplemented
         if other == 0:
             raise ZeroDivisionError("division of a polynomial by zero")
-        return Polynomial(tuple(c / other for c in self.coeffs))
+        a, b = other.numerator, other.denominator
+        if a < 0:
+            a, b = -a, -b
+        return Polynomial._make([n * b for n in self.numerators], self.denominator * a)
 
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
@@ -114,7 +177,29 @@ class Polynomial:
         return result
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; the result type follows x."""
+        """Evaluate at x; the result type follows x.
+
+        At an int or Fraction x = a/b the value is the Fraction
+        (sum_i n_i a**i b**(d - i)) / (denominator * b**d), summed by
+        homogeneous integer Horner.  At a float it is Horner's rule in
+        floats over each coefficient rounded to a float.
+        """
+        numerators = self.numerators
+        if not numerators:
+            return x * 0
+        if isinstance(x, (int, Fraction)):
+            a, b = x.numerator, x.denominator
+            total, scale = 0, 1
+            for n in reversed(numerators):
+                total = total * a + n * scale
+                scale *= b
+            return Fraction(total, self.denominator * (scale // b))
+        if isinstance(x, float):
+            d = self.denominator
+            result = x * 0
+            for n in reversed(numerators):
+                result = result * x + n / d
+            return result
         result = x * 0
         for c in reversed(self.coeffs):
             result = result * x + c
@@ -122,12 +207,12 @@ class Polynomial:
 
     def coefficient_string(self) -> str:
         """Space-separated coefficients by ascending degree, e.g. "0 0 2 2 -5 2"."""
-        if not self.coeffs:
+        if not self.numerators:
             return "0"
         return " ".join(str(c) for c in self.coeffs)
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.numerators:
             return "0"
         parts = []
         for exp, c in enumerate(self.coeffs):

@@ -11,19 +11,21 @@ floating point and the exact domains:
 
 An exact backend also maps a sequence of values to its rational
 components (the values themselves, or their coefficients), each one
-(numerator, denominator) integer pair per value, and a tuple of rationals
-back to a value, so that sums of many values can be taken over integer
-numerators.  `_read_rational` is the one reader of exact rationals: a
-RATIONAL value may be an int, a Fraction or a string, and a plain string
-of decimal digits "a" or "a/b" is split into integers without building a
-Fraction.
+(numerator, denominator) integer pair per value, and one such pair per
+component back to a value, so that sums of many values can be taken over
+integer numerators.  A Polynomial already stores integer numerators over
+one denominator, so its pairs are read off and put back without a
+Fraction per coefficient.  `_read_rational` is the one reader of exact
+rationals: a RATIONAL value may be an int, a Fraction or a string, and a
+plain string of decimal digits "a" or "a/b" is split into integers
+without building a Fraction.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import zip_longest
+from itertools import repeat, zip_longest
 from typing import Callable
 
 from .poly import Polynomial
@@ -40,7 +42,8 @@ class Backend:
     ordered: bool
     weight_tol: float = 0.0
     # Exact backends only: values -> rational components, each one
-    # (numerator, denominator) pair per value; tuple of rationals -> value.
+    # (numerator, denominator) pair per value; one (numerator, positive
+    # denominator) pair per component -> value.
     pair_columns: Callable | None = None
     from_rationals: Callable | None = None
 
@@ -76,20 +79,20 @@ def _read_rational(value) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _coefficient_pairs(value) -> tuple[tuple[int, int], ...]:
+def _coefficient_pairs(value) -> zip:
     if not isinstance(value, Polynomial):
         value = Polynomial((value,))
-    return tuple(map(_read_rational, value.coeffs))
+    return zip(value.numerators, repeat(value.denominator))
 
 
 REAL = Backend("real", 0.0, 1.0, exact=False, ordered=True, weight_tol=1e-12)
 RATIONAL = Backend(
     "rational", Fraction(0), Fraction(1), exact=True, ordered=True,
     pair_columns=lambda values: (list(map(_read_rational, values)),),
-    from_rationals=lambda parts: parts[0],
+    from_rationals=lambda parts: Fraction(*parts[0]),
 )
 POLYNOMIAL = Backend(
     "polynomial", Polynomial(), Polynomial((1,)), exact=True, ordered=False,
     pair_columns=lambda values: zip_longest(*map(_coefficient_pairs, values), fillvalue=(0, 1)),
-    from_rationals=Polynomial,
+    from_rationals=Polynomial._from_pairs,
 )

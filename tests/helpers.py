@@ -3,8 +3,9 @@
 Everything here is deliberately independent of the library's fast paths:
 chordality is decided by scanning for induced cycles, independence numbers
 by full subset enumeration, masses by adding one weight at a time in exact
-arithmetic, and random chordal graphs are built directly by
-simplicial-vertex addition.
+arithmetic, random chordal graphs are built directly by
+simplicial-vertex addition, and polynomials keep one Fraction per
+coefficient.
 """
 
 from __future__ import annotations
@@ -151,3 +152,77 @@ def random_rational_system(rng, n_events: int, max_outcomes: int = 12) -> EventS
     weights = [Fraction(x, total) for x in raw]
     events = [rng.getrandbits(m) for _ in range(n_events)]
     return EventSystem(RATIONAL, weights, events)
+
+
+class FractionPolynomial:
+    """Reference polynomial: a tuple of Fraction coefficients by ascending
+    degree, trailing zeros dropped, with schoolbook arithmetic."""
+
+    def __init__(self, coeffs=()):
+        cs = [Fraction(c) for c in coeffs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        self.coeffs = tuple(cs)
+
+    def __add__(self, other):
+        a, b = self.coeffs, other.coeffs
+        return FractionPolynomial(
+            (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
+            for i in range(max(len(a), len(b)))
+        )
+
+    def __neg__(self):
+        return FractionPolynomial(-c for c in self.coeffs)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not isinstance(other, FractionPolynomial):
+            return FractionPolynomial(c * other for c in self.coeffs)
+        out = [Fraction(0)] * max(0, len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            for j, b in enumerate(other.coeffs):
+                out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def __truediv__(self, scalar):
+        return FractionPolynomial(c / scalar for c in self.coeffs)
+
+    def __pow__(self, exponent: int):
+        result = FractionPolynomial((1,))
+        for _ in range(exponent):
+            result = result * self
+        return result
+
+    def __call__(self, x):
+        """Horner's rule in the arithmetic of x: a Fraction coefficient
+        meets a float as float(c)."""
+        result = x * 0
+        for c in reversed(self.coeffs):
+            result = result * x + c
+        return result
+
+    def coefficient_string(self) -> str:
+        return " ".join(map(str, self.coeffs)) or "0"
+
+    def __str__(self) -> str:
+        terms = []
+        for exp, c in enumerate(self.coeffs):
+            if c == 0:
+                continue
+            mag = abs(c)
+            var = "" if exp == 0 else "p" if exp == 1 else f"p^{exp}"
+            if not var:
+                body = str(mag)
+            elif mag == 1:
+                body = var
+            elif mag.denominator == 1:
+                body = f"{mag}{var}"
+            else:
+                body = f"({mag}){var}"
+            if terms:
+                terms.append(f"{'-' if c < 0 else '+'} {body}")
+            else:
+                terms.append(f"-{body}" if c < 0 else body)
+        return " ".join(terms) or "0"

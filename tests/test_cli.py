@@ -3,6 +3,7 @@
 import json
 import random
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -43,6 +44,13 @@ def _golden_compute_cases():
 
 GOLDEN_COMPUTE_CASES = _golden_compute_cases()
 GOLDEN_EVENTS = {"rational": "golden_events.json", "real": "golden_events_real.json"}
+# `reliability` arguments after the network file, by case name; the grid
+# 1/7 is not decimal.
+GOLDEN_RELIABILITY_CASES = {
+    "plain": [],
+    "sweep": ["--sweep", "0:1:0.01"],
+    "kwerel-sevenths": ["--bounds", "kwerel-lower", "--sweep", "0:1:1/7"],
+}
 
 
 def run(capsys, *argv):
@@ -289,6 +297,42 @@ class TestBoundsAll:
         assert code == 0
         assert out == (DATA / f"golden_{graph}.out").read_text()
 
+    def test_golden_equal_probability_coords(self, capsys):
+        # Every coordinate has probability 2/5, in several spellings, so
+        # every intersection is (2/5)**k for k required coordinates.
+        code, out, _ = run(
+            capsys,
+            "bounds",
+            "all",
+            str(DATA / "golden_coords.json"),
+            "--graph",
+            str(DATA / "golden_coords_graph.json"),
+        )
+        assert code == 0
+        assert out == (DATA / "golden_coords.out").read_text()
+
+    @pytest.mark.parametrize(
+        "command",
+        [["all"], ["compute", "--kind", "chordal-upper"], ["compute", "--kind", "kwerel-upper"]],
+        ids=["all", "compute-chordal", "compute-kwerel"],
+    )
+    @pytest.mark.parametrize("text", [False, True], ids=["json", "text"])
+    def test_vertex_count_checked_before_the_graph_is_built(
+        self, capsys, tmp_path, monkeypatch, events_json, command, text
+    ):
+        # A graph's size follows its vertex count: a billion vertices
+        # would allocate gigabytes before the mismatch showed.
+        def build_graph(n, edges):
+            raise AssertionError(f"graph on {n} vertices built")
+
+        monkeypatch.setattr("chordalbounds.cli.build_graph", build_graph)
+        path = tmp_path / "huge.txt"
+        path.write_text("1000000000 0\n" if text else json.dumps({"vertices": 10**9, "edges": []}))
+        action, *rest = command
+        code, out, err = run(capsys, "bounds", action, events_json, "--graph", str(path), *rest)
+        assert code == 2 and not out
+        assert err == "error: system has 4 events but graph has 1000000000 vertices\n"
+
     def test_real_rows_match_rational_oracle(self, capsys, tmp_path):
         # Weights are multiples of 2**-30, so the floats read as Fractions
         # still sum to exactly one.  This seed puts S_1 - S_2 (the
@@ -463,6 +507,15 @@ class TestReliability:
         assert "kwerel-lower: p^2 + p^3 - (5/4)p^4 - (1/4)p^6" in out
         assert "bonferroni-lower: 2p^2 + 2p^3 - 5p^4 - p^6" in out
 
+    @pytest.mark.parametrize("case", GOLDEN_RELIABILITY_CASES)
+    @pytest.mark.parametrize("network", ["bridge", "ladder3"])
+    def test_golden_output(self, capsys, network, case):
+        path = str(DATA / f"network_{network}.json")
+        code, out, _ = run(capsys, "reliability", path, *GOLDEN_RELIABILITY_CASES[case])
+        assert code == 0
+        golden = json.loads((DATA / "golden_reliability.json").read_text())
+        assert out == golden[network][case]
+
     def test_sweep_csv(self, capsys, network_json):
         code, out, _ = run(capsys, "reliability", network_json, "--sweep", "0:1:0.01")
         assert code == 0
@@ -538,6 +591,25 @@ class TestReliability:
     def test_bad_sweep_spec(self, capsys, network_json):
         code, _, _ = run(capsys, "reliability", network_json, "--sweep", "0-1")
         assert code == 1
+
+    def test_sweep_cap_exit_3(self, capsys, network_json):
+        # 10**8 + 1 points; the count is checked before any is built.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reliability", network_json, "--sweep", "0:1:1/100000000")
+        assert time.perf_counter() - start < 5
+        assert code == 3 and not out and "exceeds the cap of 100000 points" in err
+
+    @pytest.mark.parametrize(
+        "grid, points",
+        [("0:1:1/10", 11), ("0:1:1/11", 12), ("0:0.95:1/10", 10), ("1/2:1/2:1", 1), ("1:0:1/10", 0)],
+    )
+    def test_sweep_point_count(self, capsys, monkeypatch, network_json, grid, points):
+        monkeypatch.setattr("chordalbounds.cli.MAX_SWEEP_POINTS", 11)
+        code, out, err = run(capsys, "reliability", network_json, "--sweep", grid)
+        if points > 11:
+            assert code == 3 and not out and "exceeds the cap of 11 points" in err
+        else:
+            assert code == 0 and len(out.splitlines()) == points + 1
 
     def test_zero_denominator_sweep_exit_1(self, capsys, network_json):
         code, out, err = run(capsys, "reliability", network_json, "--sweep", "0:1:1/0")

@@ -172,6 +172,21 @@ class TestBernoulliProduct:
             probs = [rng.choice(shapes) for _ in range(m)]
             assert_matches_enumeration(rng, probs, POLYNOMIAL, exact=True)
 
+    def test_shared_probability_matches_explicit_enumeration(self):
+        # Every coordinate has one probability, so exact masses are p**k.
+        rng = random.Random(5)
+        for p in (Fraction(2, 5), Fraction(0), Fraction(1)):
+            for m in range(1, 7):
+                assert_matches_enumeration(rng, [p] * m, RATIONAL, exact=True)
+        for shape in (P, 1 - P, (1 + P) / 2):
+            for m in range(1, 6):
+                assert_matches_enumeration(rng, [shape] * m, POLYNOMIAL, exact=True)
+
+    def test_real_masses_keep_the_coordinate_product(self):
+        # 0.9 * 0.9 * 0.9 * 0.9 * 0.9 and 0.9 ** 5 are different floats
+        sys_ = bernoulli_product([0.9] * 6, [[0, 1, 2, 3, 4], [5]])
+        assert intersection_prob(sys_, {0}) == 0.9 * 0.9 * 0.9 * 0.9 * 0.9 != 0.9**5
+
     def test_real_weights_sum_to_one_near_the_cap(self):
         # atom_prob materializes all 2**19 outcomes; a naive float sum of
         # their weights misses one by 2.5e-12

@@ -1,10 +1,13 @@
 """Unit tests for the exact-rational polynomial type."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from chordalbounds.poly import P, Polynomial
+
+from helpers import FractionPolynomial
 
 
 def test_trailing_zeros_are_trimmed():
@@ -64,3 +67,100 @@ def test_string_forms():
 def test_division_by_zero_rejected():
     with pytest.raises(ZeroDivisionError):
         Polynomial((1,)) / 0
+
+
+def _random_coeffs(rng):
+    """Zero, negative and fractional coefficients, some denominators
+    sharing factors and one past a machine word; sometimes trailing
+    zeros."""
+    coeffs = []
+    for _ in range(rng.randint(0, 7)):
+        kind = rng.random()
+        if kind < 0.2:
+            coeffs.append(rng.choice((0, Fraction(0))))
+        elif kind < 0.5:
+            coeffs.append(rng.randint(-30, 30))
+        else:
+            denominator = rng.choice((1, 2, 3, 4, 6, 7, 12, 10**20 + 39))
+            coeffs.append(Fraction(rng.randint(-40, 40), denominator))
+    if coeffs and rng.random() < 0.3:
+        coeffs += [0] * rng.randint(1, 3)
+    return coeffs
+
+
+def _respelled(coeffs):
+    """The same coefficients with ints as Fractions and whole Fractions as ints."""
+    return [Fraction(c) if isinstance(c, int) else int(c) if c.denominator == 1 else c for c in coeffs]
+
+
+EVAL_POINTS = [
+    0, 1, -2, 3,
+    Fraction(0), Fraction(1), Fraction(1, 7), Fraction(-3, 2), Fraction(99, 100), Fraction(5, 10**20 + 39),
+    0.0, -0.0, 1.0, 0.01, 0.1, 0.37, -0.7, 2.5, 1e-3,
+]
+
+
+def assert_same(got: Polynomial, want: FractionPolynomial):
+    assert isinstance(got, Polynomial)
+    assert got.coeffs == want.coeffs
+    assert all(type(c) is Fraction for c in got.coeffs)
+    assert got.degree == len(want.coeffs) - 1
+    assert str(got) == str(want)
+    assert got.coefficient_string() == want.coefficient_string()
+    for x in EVAL_POINTS:
+        value, expected = got(x), want(x)
+        assert type(value) is type(expected)
+        if isinstance(expected, float):
+            assert value.hex() == expected.hex()
+        else:
+            assert value == expected
+
+
+class TestAgainstFractionReference:
+    def test_arithmetic_evaluation_and_printing(self):
+        rng = random.Random(20100416)
+        for _ in range(200):
+            a, b = _random_coeffs(rng), _random_coeffs(rng)
+            pa, pb = Polynomial(a), Polynomial(b)
+            ra, rb = FractionPolynomial(a), FractionPolynomial(b)
+            assert_same(pa, ra)
+            assert_same(pa + pb, ra + rb)
+            assert_same(pa - pb, ra - rb)
+            assert_same(pa * pb, ra * rb)
+            assert_same(-pa, -ra)
+            exponent = rng.randint(0, 3)
+            assert_same(pa**exponent, ra**exponent)
+            scalar = rng.choice((rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 9))))
+            constant = FractionPolynomial((scalar,))
+            assert_same(pa * scalar, ra * scalar)
+            assert_same(scalar * pa, ra * scalar)
+            assert_same(pa + scalar, ra + constant)
+            assert_same(scalar + pa, ra + constant)
+            assert_same(pa - scalar, ra - constant)
+            assert_same(scalar - pa, constant - ra)
+            if scalar:
+                assert_same(pa / scalar, ra / scalar)
+
+    def test_equality_and_hash_across_spellings(self):
+        rng = random.Random(20100417)
+        for _ in range(200):
+            a, b = _random_coeffs(rng), _random_coeffs(rng)
+            pa = Polynomial(a)
+            for other in (Polynomial(_respelled(a)), (pa + Polynomial(b)) - Polynomial(b), pa * 3 / 3):
+                assert other == pa and hash(other) == hash(pa)
+            assert (pa == Polynomial(b)) == (FractionPolynomial(a).coeffs == FractionPolynomial(b).coeffs)
+            assert pa != pa + 1
+            if pa.degree <= 0:
+                constant = pa.coeffs[0] if pa else 0
+                assert pa == constant and pa == Fraction(constant)
+                assert hash(pa) == hash(constant) == hash(Fraction(constant))
+
+    def test_unreduced_pairs(self):
+        # Explicit polynomial event systems hand back one (numerator,
+        # denominator) pair per coefficient, over no common denominator.
+        rng = random.Random(20100418)
+        for _ in range(200):
+            coeffs = _random_coeffs(rng)
+            scales = [rng.randint(1, 6) for _ in coeffs]
+            pairs = [(c.numerator * k, c.denominator * k) for c, k in zip(map(Fraction, coeffs), scales)]
+            assert_same(Polynomial._from_pairs(pairs), FractionPolynomial(coeffs))
