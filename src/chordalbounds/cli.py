@@ -210,7 +210,8 @@ def _parse_order(raw: str | None, n: int):
 def _compute_report(args, sys_) -> bnd.BoundReport:
     kind = args.kind
     needs_graph = kind.startswith("chordal") or kind.startswith("hunter")
-    g = _load_graph(args.graph, sys_.event_count) if args.graph else None
+    expected = sys_.event_count if needs_graph else None
+    g = _load_graph(args.graph, expected) if args.graph else None
     if needs_graph and g is None:
         raise _UsageError(f"--kind {kind} requires --graph")
     if kind in ("bonferroni-upper", "bonferroni-lower"):

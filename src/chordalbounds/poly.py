@@ -181,8 +181,9 @@ class Polynomial:
 
         At an int or Fraction x = a/b the value is the Fraction
         (sum_i n_i a**i b**(d - i)) / (denominator * b**d), summed by
-        homogeneous integer Horner.  At a float it is Horner's rule in
-        floats over each coefficient rounded to a float.
+        homogeneous integer Horner.  At any other x (a float, say) it is
+        Horner's rule over the Fraction coefficients, which a float rounds
+        correctly one by one.
         """
         numerators = self.numerators
         if not numerators:
@@ -194,12 +195,6 @@ class Polynomial:
                 total = total * a + n * scale
                 scale *= b
             return Fraction(total, self.denominator * (scale // b))
-        if isinstance(x, float):
-            d = self.denominator
-            result = x * 0
-            for n in reversed(numerators):
-                result = result * x + n / d
-            return result
         result = x * 0
         for c in reversed(self.coeffs):
             result = result * x + c
