@@ -1,7 +1,9 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
 import json
+import os
 import random
+import subprocess
 import sys
 import time
 from fractions import Fraction
@@ -154,6 +156,21 @@ class TestGraphCheck:
         path.write_text(json.dumps({"vertices": 10**400, "edges": [[0, 1]]}))
         code, out, err = run(capsys, "graph", "check", str(path))
         assert code == 3 and not out and "exceeds the largest list size" in err
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("\n  \n", "is empty"),
+            ("3\n0 1\n", "starts with a line 'n m'"),
+            ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
+        ],
+        ids=["empty", "bad-first-line", "edge-count"],
+    )
+    def test_malformed_text_exit_1(self, capsys, tmp_path, text, message):
+        path = tmp_path / "graph.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert code == 1 and not out and message in err
 
 
 class TestBoundsCompute:
@@ -605,6 +622,33 @@ class TestReliability:
         code, _, _ = run(capsys, "reliability", network_json, "--sweep", "0-1")
         assert code == 1
 
+    def test_zero_sweep_step_exit_1(self, capsys, network_json):
+        code, out, err = run(capsys, "reliability", network_json, "--sweep", "0:1:0")
+        assert code == 1 and not out and "sweep step must be positive" in err
+
+    def test_unknown_bound_kind_exit_1(self, capsys, network_json):
+        code, out, err = run(capsys, "reliability", network_json, "--bounds", "nosuch")
+        assert (code, out, err) == (1, "", "error: unknown bound kinds: nosuch\n")
+
+    def test_symbolic_network_without_path_prints_zeros(self, capsys, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps({"nodes": 4, "arcs": [[0, 1], [2, 3]], "s": 0, "t": 3}))
+        code, out, err = run(capsys, "reliability", str(path))
+        assert code == 0 and not err
+        kinds = ("exact", "hunter-lower", "kwerel-lower", "bonferroni-lower")
+        assert out == "".join(f"{kind}: 0\n{kind} coeffs: 0\n" for kind in kinds)
+        code, out, err = run(capsys, "reliability", str(path), "--sweep", "0:1:1/2")
+        assert code == 0 and not err
+        assert out == "p,exact,hunter-lower,kwerel-lower,bonferroni-lower\n" + "".join(
+            f"{p},0,0,0,0\n" for p in ("0", "0.5", "1")
+        )
+
+    def test_numeric_network_without_path_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps({"nodes": 4, "arcs": [[0, 1], [2, 3]], "s": 0, "t": 3, "p": 0.9}))
+        code, out, err = run(capsys, "reliability", str(path))
+        assert code == 2 and not out and "no source-to-terminal path" in err
+
     def test_sweep_cap_exit_3(self, capsys, network_json):
         # 10**8 + 1 points; the count is checked before any is built.
         start = time.perf_counter()
@@ -677,6 +721,17 @@ class TestDemo:
         code, _, _ = run(capsys, "demo", "counterexample", "--k", "4")
         assert code == 2
 
+    def test_module_entry_point(self, capsys):
+        code, want, _ = run(capsys, "demo", "counterexample")
+        assert code == 0
+        src = str(Path(__file__).parent.parent / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run(
+            [sys.executable, "-m", "chordalbounds", "demo", "counterexample"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert (done.returncode, done.stdout, done.stderr) == (0, want, "")
+
 
 class TestPlumbing:
     def test_usage_error(self, capsys):
@@ -696,6 +751,12 @@ class TestPlumbing:
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1 and err
+
+    def test_events_file_without_weights_or_coords_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({"events": [[0], [1]]}))
+        code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
+        assert (code, out, err) == (1, "", "error: events file needs either 'weights' or 'coords'\n")
 
     def test_malformed_values_never_escape(self, capsys, tmp_path):
         # Every JSON scalar of a valid input, one at a time, is swapped for

@@ -241,6 +241,21 @@ class TestIntersectionAndUnion:
         with pytest.raises(DomainError):
             intersection_prob(sys_, set())
 
+    def test_empty_index_set_rejected_on_product_system(self):
+        sys_ = bernoulli_product([0.5, 0.5], [[0], [1]])
+        with pytest.raises(DomainError, match="index set must be non-empty"):
+            intersection_prob(sys_, set())
+
+    @pytest.mark.parametrize(
+        "sys_",
+        [from_outcomes([0.5, 0.5], [[0], [1]]), bernoulli_product([0.5, 0.5], [[0], [1]])],
+        ids=["explicit", "product"],
+    )
+    @pytest.mark.parametrize("index", [2, -1])
+    def test_out_of_range_index_rejected(self, sys_, index):
+        with pytest.raises(DomainError, match=f"event index {index} out of range"):
+            intersection_prob(sys_, {0, index})
+
     def test_bridge_union_polynomial(self):
         assert union_prob_exact(bridge_system()) == Polynomial((0, 0, 2, 2, -5, 2))
 
