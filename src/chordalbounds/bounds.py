@@ -21,7 +21,9 @@ lower bounds have none.  The bracket takes one of two forms:
   exactly c events; a product system enumerates the C(n, k) index sets.
 
 All formulas are generic over the value backend; division by the integer
-denominator happens last.
+denominator happens last.  The checks the bounds share live with the data
+they check: the truncation depth in `graphs._size_cap`, the pairing of
+events with graph vertices in `events._require_one_vertex_per_event`.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from fractions import Fraction
 from math import comb
 
 from .errors import DomainError
-from .events import EventSystem, alpha_prime, intersection_prob
+from .events import EventSystem, _require_one_vertex_per_event, alpha_prime, intersection_prob
 from .graphs import (
     Graph,
+    _size_cap,
     build_graph,
     clique_complex,
     independence_number,
@@ -87,14 +90,6 @@ def _report(kind, sys, bracket, denominator=None, truncation=None, graph=None) -
     )
 
 
-def _size_cap(r: int | None, direction: str) -> int:
-    """Largest index set a bound of depth r keeps: 2r - 1 for an upper
-    bound, 2r for a lower one."""
-    if r is None or r < 1:
-        raise DomainError(f"truncation depth must be >= 1, got {r}")
-    return 2 * r - 1 if direction == "upper" else 2 * r
-
-
 def _require_chordal(g: Graph, unchecked: bool) -> None:
     if not unchecked and not is_chordal(g):
         raise DomainError(
@@ -109,12 +104,7 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     This is the raw sum, before any division by a denominator; it makes no
     chordality assumption.
     """
-    if sys.event_count != g.vertex_count:
-        raise DomainError(
-            f"system has {sys.event_count} events but graph has {g.vertex_count} vertices"
-        )
-    if g.vertex_count == 0:
-        raise DomainError("graph must have at least one vertex")
+    _require_one_vertex_per_event(sys.event_count, g.vertex_count)
     total = sys.backend.zero
     for clique in clique_complex(g, max_size=size_cap).cliques:
         p = intersection_prob(sys, clique)

@@ -21,7 +21,9 @@ behind the averaged bounds):
   outcome space is built only for `atom_prob` and `alpha_prime`.
 
 Both stay exact for rational and polynomial values; an explicit system's
-float masses are correctly rounded.
+float masses are correctly rounded.  Both check index sets with
+`_event_indices`, and `_require_one_vertex_per_event` pairs the events
+with the vertices of a graph for every caller.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from fractions import Fraction
 from itertools import combinations, compress
 
 from .errors import DomainError, ResourceLimitError, _require_int
-from .graphs import Graph, connected_components
+from .graphs import Graph, _component_count
 from .values import Backend, REAL
 
 __all__ = [
@@ -146,13 +148,8 @@ class EventSystem:
 
     def _combined_mask(self, index_set) -> int:
         """Outcomes at which every event in `index_set` occurs."""
-        indices = set(index_set)
-        if not indices:
-            raise DomainError("index set must be non-empty")
         mask = self.full_mask
-        for i in indices:
-            if not 0 <= i < self.event_count:
-                raise DomainError(f"event index {i} out of range")
+        for i in _event_indices(index_set, self.event_count):
             mask &= self.events[i]
         return mask
 
@@ -177,9 +174,9 @@ class EventSystem:
         if self._moments is None:
             backend, n = self.backend, self.event_count
             by_count = [self.mass(mask) for mask in _count_masks(self.events, self.full_mask)]
+            terms = [[by_count[c] * math.comb(c, k) for c in range(k, n + 1)] for k in range(n + 1)]
             self._moments = tuple(
-                _total(backend, [by_count[c] * math.comb(c, k) for c in range(k, n + 1)])
-                for k in range(n + 1)
+                sum(t, backend.zero) if backend.exact else math.fsum(t) for t in terms
             )
         return self._moments[k]
 
@@ -249,13 +246,8 @@ class ProductSystem:
 
     def _combined_mask(self, index_set) -> int:
         """Coordinates required by some event in `index_set`."""
-        indices = set(index_set)
-        if not indices:
-            raise DomainError("index set must be non-empty")
         mask = 0
-        for i in indices:
-            if not 0 <= i < len(self.requires):
-                raise DomainError(f"event index {i} out of range")
+        for i in _event_indices(index_set, self.event_count):
             mask |= self.requires[i]
         return mask
 
@@ -356,15 +348,22 @@ def _id_mask(ids, count: int, name: str) -> int:
     return int(b"0" + flags[::-1].translate(_BYTE_DIGITS), 2)
 
 
-def _total(backend: Backend, values):
-    """Sum of a few values in the backend's arithmetic; floats go through
-    `math.fsum`, so that the sum is correctly rounded."""
-    if not backend.exact:
-        return math.fsum(values)
-    total = backend.zero
-    for value in values:
-        total = total + value
-    return total
+def _event_indices(index_set, event_count: int) -> set:
+    """The distinct indices of `index_set`, which must be non-empty and lie
+    in 0..event_count - 1."""
+    indices = set(index_set)
+    if not indices:
+        raise DomainError("index set must be non-empty")
+    for i in indices:
+        if not 0 <= i < event_count:
+            raise DomainError(f"event index {i} out of range")
+    return indices
+
+
+def _require_one_vertex_per_event(event_count: int, vertex_count: int) -> None:
+    """A graph on the events of a system has one vertex per event."""
+    if event_count != vertex_count:
+        raise DomainError(f"system has {event_count} events but graph has {vertex_count} vertices")
 
 
 def _count_masks(masks, full: int) -> list[int]:
@@ -473,10 +472,7 @@ def alpha_prime(sys, g: Graph) -> int:
         raise DomainError(
             "sharpened denominator needs a backend with decidable support emptiness"
         )
-    if sys.event_count != g.vertex_count:
-        raise DomainError(
-            f"system has {sys.event_count} events but graph has {g.vertex_count} vertices"
-        )
+    _require_one_vertex_per_event(sys.event_count, g.vertex_count)
     sys = sys._outcomes()
     # Split the supported outcomes by each event in turn; each part left
     # is the non-empty set of outcomes of one signature.
@@ -494,6 +490,5 @@ def alpha_prime(sys, g: Graph) -> int:
     for sig, _ in parts:
         # g[J] has at most |J| components
         if sig.bit_count() > best:
-            vertices = [v for v in range(g.vertex_count) if (sig >> v) & 1]
-            best = max(best, connected_components(g, within=vertices))
+            best = max(best, _component_count(g, sig))
     return best

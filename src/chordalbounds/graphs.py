@@ -3,12 +3,17 @@
 Vertices are dense integers 0..n-1 and neighborhoods are bitmasks, so the
 subset-heavy routines (clique enumeration, independent sets, component
 counts inside a vertex subset) stay cheap at desk scale.
+
+`_size_cap` is the one truncation-depth check: it turns a depth r into
+the largest clique a truncated sum keeps, for `truncated_euler_sum` here
+and for every truncated bound in `bounds`.
 """
 
 from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
+from functools import reduce
 from itertools import combinations
 from math import comb
 
@@ -183,13 +188,7 @@ def counterexample_family(k: int) -> Graph:
     """
     if k < 3 or k % 2 == 0:
         raise DomainError(f"family parameter must be odd and >= 3, got {k}")
-    edges = []
-    for gi in range(k):
-        for gj in range(gi + 1, k):
-            for u in range(3 * gi, 3 * gi + 3):
-                for v in range(3 * gj, 3 * gj + 3):
-                    edges.append((u, v))
-    return build_graph(3 * k, edges)
+    return reduce(join_graphs, [edgeless_graph(3)] * k)
 
 
 def mcs_order(g: Graph) -> tuple[int, ...]:
@@ -251,13 +250,18 @@ def connected_components(g: Graph, within=None) -> int:
     """Number of connected components, optionally of the subgraph induced
     by the vertex set `within`.  The empty graph has 0 components."""
     if within is None:
-        remaining = (1 << g.vertex_count) - 1
-    else:
-        remaining = 0
-        for v in within:
-            if not 0 <= v < g.vertex_count:
-                raise DomainError(f"vertex {v} out of range")
-            remaining |= 1 << v
+        return _component_count(g, (1 << g.vertex_count) - 1)
+    remaining = 0
+    for v in within:
+        if not 0 <= v < g.vertex_count:
+            raise DomainError(f"vertex {v} out of range")
+        remaining |= 1 << v
+    return _component_count(g, remaining)
+
+
+def _component_count(g: Graph, remaining: int) -> int:
+    """Number of connected components of the subgraph induced by the
+    vertex mask `remaining`, whose bits must be vertices of g."""
     count = 0
     while remaining:
         count += 1
@@ -383,6 +387,14 @@ def clique_complex(g: Graph, max_size: int | None = None) -> CliqueComplex:
     return CliqueComplex(tuple(cliques))
 
 
+def _size_cap(r: int | None, direction: str) -> int:
+    """Largest clique or index set a sum of depth r keeps: 2r - 1 for an
+    upper bound, 2r for a lower one."""
+    if r is None or r < 1:
+        raise DomainError(f"truncation depth must be >= 1, got {r}")
+    return 2 * r - 1 if direction == "upper" else 2 * r
+
+
 def truncated_euler_sum(g: Graph, r: int | None = None) -> int:
     """Alternating clique-count sum over cliques of size <= 2r.
 
@@ -390,9 +402,7 @@ def truncated_euler_sum(g: Graph, r: int | None = None) -> int:
     is at most the number of connected components, with equality once
     2r >= vertex_count.
     """
-    if r is not None and r < 1:
-        raise DomainError(f"truncation depth must be >= 1, got {r}")
-    cap = None if r is None else 2 * r
+    cap = None if r is None else _size_cap(r, "lower")
     counts = clique_complex(g, max_size=cap).size_counts
     return sum(count if size % 2 == 1 else -count for size, count in counts.items())
 

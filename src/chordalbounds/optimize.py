@@ -14,7 +14,7 @@ from itertools import product
 
 from .errors import DomainError, ResourceLimitError
 from .events import EventSystem, intersection_prob
-from .graphs import Graph, build_graph, independence_number
+from .graphs import Graph, _bits, build_graph, independence_number
 
 __all__ = [
     "WeightMatrix",
@@ -57,24 +57,6 @@ def pairwise_weights(sys: EventSystem) -> WeightMatrix:
     return WeightMatrix(n, tuple(rows))
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def best_tree(wm: WeightMatrix, objective: str = "minimize-weight") -> Graph:
     """Kruskal spanning tree of the complete weighted graph.
 
@@ -84,16 +66,20 @@ def best_tree(wm: WeightMatrix, objective: str = "minimize-weight") -> Graph:
     """
     if objective not in ("minimize-weight", "maximize-weight"):
         raise DomainError(f"unknown objective {objective!r}")
-    n = wm.n
+    n, w = wm.n, wm.w
     sign = 1.0 if objective == "minimize-weight" else -1.0
     edges = sorted(
         ((u, v) for u in range(n) for v in range(u + 1, n)),
-        key=lambda e: (sign * wm.weight(*e), e),
+        key=lambda e: (sign * w[e[0]][e[1]], e),
     )
-    uf = _UnionFind(n)
+    # component[v]: bitmask of the vertices joined to v so far
+    component = [1 << v for v in range(n)]
     chosen = []
     for u, v in edges:
-        if uf.union(u, v):
+        if not (component[u] >> v) & 1:
+            merged = component[u] | component[v]
+            for x in _bits(merged):
+                component[x] = merged
             chosen.append((u, v))
             if len(chosen) == n - 1:
                 break
@@ -101,12 +87,12 @@ def best_tree(wm: WeightMatrix, objective: str = "minimize-weight") -> Graph:
 
 
 def tree_weight(wm: WeightMatrix, tree: Graph) -> float:
-    return sum(wm.weight(u, v) for u, v in tree.edges)
+    return sum(wm.w[u][v] for u, v in tree.edges)
 
 
 def path_weight(wm: WeightMatrix, order) -> float:
     order = tuple(order)
-    return sum(wm.weight(a, b) for a, b in zip(order, order[1:]))
+    return sum(wm.w[a][b] for a, b in zip(order, order[1:]))
 
 
 def _normalize_direction(order: tuple[int, ...]) -> tuple[int, ...]:
@@ -115,7 +101,7 @@ def _normalize_direction(order: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _held_karp_path(wm: WeightMatrix) -> tuple[int, ...]:
-    n = wm.n
+    n, w = wm.n, wm.w
     if n == 1:
         return (0,)
     # cost[mask][v]: minimum weight of a path visiting exactly `mask`,
@@ -131,13 +117,14 @@ def _held_karp_path(wm: WeightMatrix) -> tuple[int, ...]:
             v = low.bit_length() - 1
             rest_bits ^= low
             others = mask ^ (1 << v)
+            row, rest_cost = w[v], cost[others]
             best = None
             ob = others
             while ob:
                 lw = ob & -ob
-                w = lw.bit_length() - 1
+                u = lw.bit_length() - 1
                 ob ^= lw
-                candidate = wm.weight(v, w) + cost[others][w]
+                candidate = row[u] + rest_cost[u]
                 if best is None or candidate < best:
                     best = candidate
             cost[mask][v] = best
@@ -153,14 +140,15 @@ def _held_karp_path(wm: WeightMatrix) -> tuple[int, ...]:
     while mask != (1 << current):
         others = mask ^ (1 << current)
         target = cost[mask][current]
+        row, rest_cost = w[current], cost[others]
         best_next = None
         ob = others
         while ob:
             lw = ob & -ob
-            w = lw.bit_length() - 1
+            u = lw.bit_length() - 1
             ob ^= lw
-            if wm.weight(current, w) + cost[others][w] <= target + slack:
-                best_next = w
+            if row[u] + rest_cost[u] <= target + slack:
+                best_next = u
                 break
         order.append(best_next)
         mask = others
@@ -173,14 +161,15 @@ def _nearest_neighbor(wm: WeightMatrix, start: int) -> tuple[int, ...]:
     order = [start]
     remaining = set(range(n)) - {start}
     while remaining:
-        here = order[-1]
-        order.append(min(remaining, key=lambda v: (wm.weight(here, v), v)))
+        row = wm.w[order[-1]]
+        order.append(min(remaining, key=lambda v: (row[v], v)))
         remaining.discard(order[-1])
     return tuple(order)
 
 
 def _two_opt(wm: WeightMatrix, order: tuple[int, ...]) -> tuple[int, ...]:
     n = len(order)
+    w = wm.w
     path = list(order)
     improved = True
     while improved:
@@ -189,9 +178,9 @@ def _two_opt(wm: WeightMatrix, order: tuple[int, ...]) -> tuple[int, ...]:
             for j in range(i + 1, n):
                 delta = 0.0
                 if i > 0:
-                    delta += wm.weight(path[i - 1], path[j]) - wm.weight(path[i - 1], path[i])
+                    delta += w[path[i - 1]][path[j]] - w[path[i - 1]][path[i]]
                 if j < n - 1:
-                    delta += wm.weight(path[i], path[j + 1]) - wm.weight(path[j], path[j + 1])
+                    delta += w[path[i]][path[j + 1]] - w[path[j]][path[j + 1]]
                 if delta < -1e-12:
                     path[i : j + 1] = reversed(path[i : j + 1])
                     improved = True
@@ -268,12 +257,12 @@ def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
         raise ResourceLimitError(
             f"exhaustive tree search caps at {EXHAUSTIVE_TREE_MAX_VERTICES} vertices, got {n}"
         )
-    wm = pairwise_weights(sys)
+    w = pairwise_weights(sys).w
     singles = sum(intersection_prob(sys, (v,)) for v in range(n))
     best_key = None
     best_edges = None
     for edges in _all_tree_edge_sets(n):
-        bracket = singles - sum(wm.weight(u, v) for u, v in edges)
+        bracket = singles - sum(w[u][v] for u, v in edges)
         if criterion == "max-lower-bound":
             tree = build_graph(n, edges)
             value = bracket / independence_number(tree)

@@ -4,14 +4,17 @@ Everything here is deliberately independent of the library's fast paths:
 chordality is decided by scanning for induced cycles, independence numbers
 by full subset enumeration, masses by adding one weight at a time in exact
 arithmetic, random chordal graphs are built directly by
-simplicial-vertex addition, and polynomials keep one Fraction per
-coefficient.
+simplicial-vertex addition, polynomials keep one Fraction per
+coefficient, and the sharpest bounds from the symmetric sums alone come
+from an exact linear program solved by enumerating its bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from chordalbounds import EventSystem, Graph, build_graph
 from chordalbounds.values import RATIONAL, REAL
@@ -89,6 +92,64 @@ def exact_mass(weights, mask: int):
         w = weights[o]
         total = total + (Fraction(w) if isinstance(w, float) else w)
     return total
+
+
+def brute_force_symmetric_sums(sys_: EventSystem, m: int) -> list[Fraction]:
+    """[S_1, ..., S_m] of an explicit system: S_k adds the exact mass of
+    every intersection of k of its events."""
+    sums = []
+    for k in range(1, m + 1):
+        total = Fraction(0)
+        for index_set in combinations(sys_.events, k):
+            mask = sys_.full_mask
+            for event in index_set:
+                mask &= event
+            total += exact_mass(sys_.weights, mask)
+        sums.append(total)
+    return sums
+
+
+@lru_cache(maxsize=None)
+def _basis_inverse(basis: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
+    """Inverse of the square matrix with entry C(c, k) in row k and the
+    column of count c, for k = 0..len(basis) - 1, by Gauss-Jordan
+    elimination in Fractions.  Row k is a polynomial of degree k in c, so
+    the matrix is a Vandermonde matrix times a triangular one and is never
+    singular for distinct counts."""
+    size = len(basis)
+    a = [
+        [Fraction(comb(c, k)) for c in basis] + [Fraction(int(r == k)) for r in range(size)]
+        for k in range(size)
+    ]
+    for col in range(size):
+        pivot = next(r for r in range(col, size) if a[r][col] != 0)
+        a[col], a[pivot] = a[pivot], a[col]
+        a[col] = [x / a[col][col] for x in a[col]]
+        for r in range(size):
+            if r != col and a[r][col] != 0:
+                factor = a[r][col]
+                a[r] = [x - factor * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(row[size:]) for row in a)
+
+
+def moment_lp(n: int, sums) -> tuple[Fraction, Fraction]:
+    """(lowest, highest) P(at least one of n events occurs) given only the
+    symmetric sums S_1..S_m in `sums`, for m <= n.
+
+    The unknowns are x_0..x_n, the probability that exactly c events occur;
+    the constraints are sum_c C(c, k) x_c = S_k for k = 0..m (S_0 = 1) and
+    x >= 0, and the objective is 1 - x_0.  The feasible set is a bounded
+    polytope, so both optima lie at a basic feasible solution: every basis
+    of m + 1 of the n + 1 counts is solved exactly and the feasible ones
+    are kept.
+    """
+    rhs = [1, *sums]
+    values = []
+    for basis in combinations(range(n + 1), len(rhs)):
+        x = [sum(a * b for a, b in zip(row, rhs)) for row in _basis_inverse(basis)]
+        if min(x) >= 0:
+            values.append(1 - (x[0] if basis[0] == 0 else 0))
+    return min(values), max(values)
 
 
 def brute_force_alpha_prime(weights, events, g: Graph) -> int:

@@ -42,7 +42,13 @@ from chordalbounds.poly import P, Polynomial
 from chordalbounds.reliability import BRIDGE_PATH_ORDER, bridge_network
 from chordalbounds.values import RATIONAL
 
-from helpers import random_chordal_graph, random_rational_system, random_real_system
+from helpers import (
+    brute_force_symmetric_sums,
+    moment_lp,
+    random_chordal_graph,
+    random_rational_system,
+    random_real_system,
+)
 
 EQ_EXACT = Polynomial((0, 0, 2, 2, -5, 2))
 EQ_TREE = Polynomial((0, 0, 1, 1, -1, 0, Fraction(-1, 2)))
@@ -462,6 +468,45 @@ class TestGeneralizedLower:
             generalized_lower(sys_, 3)
         with pytest.raises(DomainError):
             generalized_lower(sys_, -1)
+
+
+class TestMomentLP:
+    """Bounds that read only S_1..S_m never beat the exact optimum of the
+    moment linear program over the distribution of the number of events
+    that occur."""
+
+    @staticmethod
+    def systems():
+        rng = random.Random(113)
+        for n in range(3, 10):
+            for _ in range(6):
+                yield random_rational_system(rng, n)
+
+    def test_no_moment_bound_beats_its_lp_optimum(self):
+        for sys_ in self.systems():
+            n = sys_.event_count
+            sums = brute_force_symmetric_sums(sys_, min(n, 4))
+            reports = [
+                (1, classical_bonferroni(sys_, 1, "upper")),
+                (2, classical_bonferroni(sys_, 1, "lower")),
+                (2, kwerel_upper(sys_)),
+                (2, kwerel_lower(sys_)),
+                (3, kwerel2_lower(sys_)),
+                *((m + 1, generalized_lower(sys_, m)) for m in range(min(n, 4))),
+            ]
+            optima = {m: moment_lp(n, sums[:m]) for m, _ in reports}
+            for m, report in reports:
+                lowest, highest = optima[m]
+                if report.direction == "upper":
+                    assert report.value >= highest, (n, report.kind)
+                else:
+                    assert report.value <= lowest, (n, report.kind)
+
+    def test_kwerel_upper_is_the_lp_optimum(self):
+        for sys_ in self.systems():
+            n = sys_.event_count
+            _, highest = moment_lp(n, brute_force_symmetric_sums(sys_, 2))
+            assert min(1, kwerel_upper(sys_).value) == highest
 
 
 class TestOrderingInvariants:

@@ -157,6 +157,27 @@ class TestGraphCheck:
         code, out, err = run(capsys, "graph", "check", str(path))
         assert code == 3 and not out and "exceeds the largest list size" in err
 
+    def test_vertex_cap_exit_3(self, capsys, tmp_path):
+        # A billion vertices would allocate gigabytes before any check ran;
+        # the count is compared with the cap first.
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vertices": 10**9, "edges": []}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (3, "")
+        assert err == "error: graph check caps at 2000 vertices, got 1000000000\n"
+
+    @pytest.mark.parametrize("vertices, code", [(3, 0), (4, 3)])
+    @pytest.mark.parametrize("text", [False, True], ids=["json", "text"])
+    def test_vertex_cap_boundary(self, capsys, tmp_path, monkeypatch, vertices, code, text):
+        monkeypatch.setattr("chordalbounds.cli.MAX_CHECK_VERTICES", 3)
+        path = tmp_path / "graph.txt"
+        path.write_text(f"{vertices} 0\n" if text else json.dumps({"vertices": vertices, "edges": []}))
+        got, out, err = run(capsys, "graph", "check", str(path))
+        assert got == code
+        assert (f"vertices: {vertices}" in out) if code == 0 else (not out and "caps at 3" in err)
+
     @pytest.mark.parametrize(
         "text, message",
         [

@@ -91,6 +91,11 @@ class TestSpecialGraphs:
         }
         assert set(g.edges) == expected
 
+    @pytest.mark.parametrize("k", [3, 5, 7])
+    def test_family_equals_cross_group_graph(self, k):
+        cross = [(u, v) for u in range(3 * k) for v in range(u + 1, 3 * k) if u // 3 != v // 3]
+        assert counterexample_family(k) == build_graph(3 * k, cross)
+
     def test_family_rejects_bad_k(self):
         with pytest.raises(DomainError):
             counterexample_family(4)
