@@ -331,9 +331,11 @@ def independence_number(g: Graph) -> int:
     scan along that perfect elimination order, and everything else falls
     back to exact branch-and-bound search.
     """
-    if g.vertex_count == 0:
-        return 0
-    order = _elimination_order(g)
+    return _independence_number(g, _elimination_order(g))
+
+
+def _independence_number(g: Graph, order: tuple[int, ...] | None) -> int:
+    """Independence number of g given `order`, its `_elimination_order`."""
     if order is not None:
         covered = 0
         count = 0
@@ -363,21 +365,28 @@ class CliqueComplex:
         return len(self.cliques)
 
 
-def clique_complex(g: Graph, max_size: int | None = None) -> CliqueComplex:
+def clique_complex(
+    g: Graph, max_size: int | None = None, max_cliques: int | None = None
+) -> CliqueComplex:
     """Enumerate all cliques of cardinality <= max_size (all sizes if None).
 
     Depth-first search over neighbor bitmasks: each clique grows only by
     common neighbors above its largest vertex, so it is found exactly once.
+    With `max_cliques`, the search stops with ResourceLimitError at the
+    first clique past that many.
     """
     if max_size is not None and max_size < 1:
         raise DomainError(f"max_size must be >= 1, got {max_size}")
     cap = g.vertex_count if max_size is None else min(max_size, g.vertex_count)
+    limit = sys.maxsize if max_cliques is None else max_cliques
     cliques: list[tuple[int, ...]] = []
 
     def grow(base: tuple[int, ...], candidates: int):
         for v in _bits(candidates):
             clique = base + (v,)
             cliques.append(clique)
+            if len(cliques) > limit:
+                raise ResourceLimitError(f"graph has more than {limit} cliques")
             if len(clique) < cap:
                 above = ~((1 << (v + 1)) - 1)
                 grow(clique, candidates & g.adj[v] & above)
@@ -385,6 +394,33 @@ def clique_complex(g: Graph, max_size: int | None = None) -> CliqueComplex:
     grow((), (1 << g.vertex_count) - 1)
     cliques.sort(key=lambda c: (len(c), c))
     return CliqueComplex(tuple(cliques))
+
+
+def _clique_counts(
+    g: Graph, order: tuple[int, ...] | None, max_cliques: int | None = None
+) -> dict[int, int]:
+    """Number of cliques of g by size, given `order`, its
+    `_elimination_order`.
+
+    Along a perfect elimination order every clique is its first vertex v
+    plus a subset of L(v), the neighbours of v later in the order, so the
+    counts are the coefficients of the sum over v of x(1 + x)^|L(v)| and
+    no clique is listed.  A graph without one has its cliques enumerated,
+    at most `max_cliques` of them.
+    """
+    if order is None:
+        return clique_complex(g, max_cliques=max_cliques).size_counts
+    later_sizes: dict[int, int] = {}
+    later = 0
+    for v in reversed(order):
+        size = (g.adj[v] & later).bit_count()
+        later_sizes[size] = later_sizes.get(size, 0) + 1
+        later |= 1 << v
+    counts = [0] * (max(later_sizes, default=-1) + 2)
+    for size, vertices in later_sizes.items():
+        for k in range(size + 1):
+            counts[k + 1] += vertices * comb(size, k)
+    return {size: count for size, count in enumerate(counts) if count}
 
 
 def _size_cap(r: int | None, direction: str) -> int:

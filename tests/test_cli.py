@@ -7,11 +7,13 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from itertools import combinations
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from chordalbounds import bounds
+from chordalbounds import bounds, cli, graphs
 from chordalbounds.cli import _load_events, main
 
 
@@ -177,6 +179,62 @@ class TestGraphCheck:
         got, out, err = run(capsys, "graph", "check", str(path))
         assert got == code
         assert (f"vertices: {vertices}" in out) if code == 0 else (not out and "caps at 3" in err)
+
+    @pytest.mark.parametrize("graph, chordal", [("graph_text", "yes"), ("graph_json", "no")])
+    def test_one_maximum_cardinality_search(self, capsys, monkeypatch, request, graph, chordal):
+        runs = []
+        original = graphs.mcs_order
+
+        def mcs_order(g):
+            runs.append(g)
+            return original(g)
+
+        monkeypatch.setattr(graphs, "mcs_order", mcs_order)
+        code, out, _ = run(capsys, "graph", "check", request.getfixturevalue(graph))
+        assert code == 0 and f"chordal: {chordal}" in out
+        assert len(runs) == 1
+
+    def test_complete_graph_cliques_are_counted(self, capsys, tmp_path):
+        # K30 has 2**30 - 1 cliques: listing them would take hours.
+        path = tmp_path / "k30.json"
+        path.write_text(json.dumps({"vertices": 30, "edges": list(combinations(range(30), 2))}))
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert (code, err) == (0, "")
+        sizes = " ".join(f"{size}:{comb(30, size)}" for size in range(1, 31))
+        assert out.endswith(f"independence_number: 1\nclique_sizes: {sizes}\n")
+
+    def test_empty_graph(self, capsys, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("0 0\n")
+        assert run(capsys, "graph", "check", str(path)) == (
+            0,
+            "vertices: 0\nedges: 0\nchordal: yes\ncomponents: 0\n"
+            "independence_number: 0\nclique_sizes: \n",
+            "",
+        )
+
+    @staticmethod
+    def _cocktail_party(tmp_path, pairs):
+        """K_{pairs x 2}, not chordal for pairs >= 2, with 3**pairs - 1 cliques."""
+        n = 2 * pairs
+        edges = [(u, v) for u, v in combinations(range(n), 2) if v != u + pairs]
+        path = tmp_path / "cocktail.json"
+        path.write_text(json.dumps({"vertices": n, "edges": edges}))
+        return str(path)
+
+    def test_clique_budget_exit_3(self, capsys, tmp_path):
+        path = self._cocktail_party(tmp_path, 12)
+        assert 3**12 - 1 > cli.MAX_CHECK_CLIQUES
+        code, out, err = run(capsys, "graph", "check", path)
+        assert (code, out) == (3, "")
+        assert err == f"error: graph has more than {cli.MAX_CHECK_CLIQUES} cliques\n"
+
+    @pytest.mark.parametrize("budget, code", [(26, 0), (25, 3)])
+    def test_clique_budget_boundary(self, capsys, tmp_path, monkeypatch, budget, code):
+        monkeypatch.setattr("chordalbounds.cli.MAX_CHECK_CLIQUES", budget)
+        got, out, _ = run(capsys, "graph", "check", self._cocktail_party(tmp_path, 3))
+        assert got == code
+        assert ("clique_sizes: 1:6 2:12 3:8" in out) if code == 0 else not out
 
     @pytest.mark.parametrize(
         "text, message",
@@ -383,6 +441,19 @@ class TestBoundsAll:
         )
         assert code == 0 and not err
         assert got == want
+
+    @pytest.mark.parametrize("kind", ["kwerel-upper", "path-lower", "bonferroni-lower"])
+    def test_graph_free_kind_reads_no_graph(self, capsys, tmp_path, monkeypatch, events_json, kind):
+        # A billion vertices would allocate gigabytes if the graph were built.
+        def build_graph(n, edges):
+            raise AssertionError(f"graph on {n} vertices built")
+
+        monkeypatch.setattr("chordalbounds.cli.build_graph", build_graph)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps({"vertices": 10**9, "edges": []}))
+        want = run(capsys, "bounds", "compute", events_json, "--kind", kind)
+        assert want[0] == 0
+        assert run(capsys, "bounds", "compute", events_json, "--kind", kind, "--graph", str(path)) == want
 
     def test_real_rows_match_rational_oracle(self, capsys, tmp_path):
         # Weights are multiples of 2**-30, so the floats read as Fractions
@@ -859,6 +930,44 @@ class TestPlumbing:
         monkeypatch.setattr(bounds, "kwerel_lower", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["bounds", "compute", events_json, "--kind", "kwerel-lower"])
+
+    def test_parser_is_built_once(self):
+        assert cli._build_parser() is cli._build_parser()
+
+    def test_shared_parser_keeps_no_state(
+        self, capsys, tmp_path, events_json, graph_text, graph_json, network_json
+    ):
+        # Every argv gives the same result whichever argvs ran before it on
+        # the one parser; option defaults come back after a call set them.
+        huge = tmp_path / "huge.json"
+        huge.write_text(json.dumps({"vertices": 10**9, "edges": []}))
+        argvs = [
+            ["graph", "check", graph_text],
+            ["bounds", "compute", events_json, "--kind", "bonferroni-upper", "-r", "2"],
+            ["bounds", "compute", events_json, "--kind", "bonferroni-upper"],
+            ["bounds", "compute", events_json, "--kind", "chordal-lower", "--graph", graph_json,
+             "--unchecked"],
+            ["bounds", "all", events_json, "--graph", graph_text],
+            ["optimize", "path", events_json, "--heuristic"],
+            ["optimize", "path", events_json],
+            ["optimize", "tree", events_json, "--objective", "maximize-weight"],
+            ["reliability", network_json, "--sweep", "0:1:0.25"],
+            ["reliability", network_json],
+            ["demo", "counterexample", "--k", "5"],
+            ["demo", "counterexample"],
+            ["bounds", "compute", events_json],
+            ["optimize", "path", events_json, "--exact", "--heuristic"],
+            ["bounds", "compute", events_json, "--kind", "chordal-lower", "--graph", graph_json],
+            ["graph", "check", str(huge)],
+            ["--help"],
+            ["bounds", "compute", "--help"],
+        ]
+        forward = [run(capsys, *argv) for argv in argvs]
+        backward = [run(capsys, *argv) for argv in reversed(argvs)][::-1]
+        assert forward == backward
+        codes = [code for code, _, _ in forward]
+        assert codes == [0] * 12 + [1, 1, 2, 3, 0, 0]
+        assert forward[1] != forward[2] and forward[6] != forward[7]
 
     def test_byte_identical_reruns(self, capsys, network_json, events_json, graph_text):
         for argv in (

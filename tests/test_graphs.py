@@ -28,7 +28,8 @@ from chordalbounds import (
     tree_graph,
     truncated_euler_sum,
 )
-from chordalbounds.graphs import is_tree, require_tree
+from chordalbounds.errors import ResourceLimitError
+from chordalbounds.graphs import _clique_counts, _elimination_order, is_tree, require_tree
 
 from helpers import (
     brute_force_alpha,
@@ -289,6 +290,27 @@ class TestCliqueComplex:
             counts = clique_complex(counterexample_family(k)).size_counts
             for j in range(1, k + 1):
                 assert counts.get(j, 0) == comb(k, j) * 3**j
+
+    def test_clique_budget(self):
+        assert len(clique_complex(complete_graph(3), max_cliques=7)) == 7
+        with pytest.raises(ResourceLimitError, match="more than 6 cliques"):
+            clique_complex(complete_graph(3), max_cliques=6)
+        assert len(clique_complex(complete_graph(4), max_size=2, max_cliques=10)) == 10
+
+    def test_counts_along_elimination_order_match_enumeration(self):
+        # On a chordal graph the counts come from the later-neighbour
+        # sizes, with no clique listed; elsewhere from the enumeration.
+        rng = random.Random(29)
+        graphs = [random_chordal_graph(rng, rng.randint(0, 12)) for _ in range(500)]
+        graphs += [random_graph(rng, rng.randint(0, 9), rng.random()) for _ in range(100)]
+        graphs += [complete_graph(12), edgeless_graph(0), counterexample_graph()]
+        for g in graphs:
+            order = _elimination_order(g)
+            assert _clique_counts(g, order) == clique_complex(g).size_counts
+
+    def test_counts_on_a_complete_graph_list_no_clique(self):
+        counts = _clique_counts(complete_graph(40), _elimination_order(complete_graph(40)))
+        assert counts == {size: comb(40, size) for size in range(1, 41)}
 
 
 class TestEulerSums:
