@@ -308,10 +308,6 @@ class TestCliqueComplex:
             order = _elimination_order(g)
             assert _clique_counts(g, order) == clique_complex(g).size_counts
 
-    def test_counts_on_a_complete_graph_list_no_clique(self):
-        counts = _clique_counts(complete_graph(40), _elimination_order(complete_graph(40)))
-        assert counts == {size: comb(40, size) for size in range(1, 41)}
-
 
 class TestEulerSums:
     def test_counterexample_value(self):
