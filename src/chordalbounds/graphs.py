@@ -4,6 +4,12 @@ Vertices are dense integers 0..n-1 and neighborhoods are bitmasks, so the
 subset-heavy routines (clique enumeration, independent sets, component
 counts inside a vertex subset) stay cheap at desk scale.
 
+Each graph computes its elimination order once, on first use, with one
+maximum cardinality search, and keeps it: the reversed search order if it
+is a perfect elimination order, else None.  `is_chordal`,
+`independence_number`, `_clique_counts` and so `truncated_euler_sum` all
+read that one order, however many bounds ask.
+
 `_size_cap` is the one truncation-depth check: it turns a depth r into
 the largest clique a truncated sum keeps, for `truncated_euler_sum` here
 and for every truncated bound in `bounds`.
@@ -13,7 +19,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from math import comb
 
@@ -58,7 +64,9 @@ class Graph:
     """Immutable simple graph on vertices 0..vertex_count-1.
 
     `edges` is canonically sorted with each pair as (min, max); `adj` holds
-    one neighbor bitmask per vertex and is derived, never compared.
+    one neighbor bitmask per vertex and `_elimination_order` the graph's
+    elimination order.  Both are derived, never compared, hashed or shown
+    in the repr.
     """
 
     vertex_count: int
@@ -81,6 +89,14 @@ class Graph:
 
     def degree(self, v: int) -> int:
         return self.adj[v].bit_count()
+
+    @cached_property
+    def _elimination_order(self) -> tuple[int, ...] | None:
+        """The reversed MCS order if it is a perfect elimination order, else
+        None; it is one exactly when the graph is chordal.  Computed on
+        first use and kept."""
+        order = mcs_order(self)[::-1]
+        return order if is_perfect_elimination_order(self, order) else None
 
 
 def build_graph(vertex_count: int, edges) -> Graph:
@@ -233,17 +249,10 @@ def is_perfect_elimination_order(g: Graph, order) -> bool:
     return True
 
 
-def _elimination_order(g: Graph) -> tuple[int, ...] | None:
-    """The reversed MCS order if it is a perfect elimination order, else
-    None; it is one exactly when g is chordal."""
-    order = mcs_order(g)[::-1]
-    return order if is_perfect_elimination_order(g, order) else None
-
-
 def is_chordal(g: Graph) -> bool:
-    """Chordality check: one MCS run, whose reversed order must eliminate
-    perfectly."""
-    return _elimination_order(g) is not None
+    """Chordality check: the reversed order of g's one MCS run, kept on g,
+    must eliminate perfectly."""
+    return g._elimination_order is not None
 
 
 def connected_components(g: Graph, within=None) -> int:
@@ -297,9 +306,21 @@ def induced_subgraph(g: Graph, vertices) -> Graph:
     return build_graph(len(vs), edges)
 
 
-def _exact_independent_set(adj: tuple[int, ...], mask: int) -> int:
+# Most search nodes the exact independent-set search visits before it stops
+# with ResourceLimitError, about 1.5 s at some 7 us a node.  `graph check`
+# took 1.0 s on the 40-vertex cycle (131,313 nodes) and stopped at this
+# budget after 1.4 s on the 60-vertex one; a G(60, 0.1) graph needed
+# 173,011 nodes (1.7 s) and the counterexample family at k = 9 needs 49
+# (Python 3.11, one Xeon core).
+MAX_INDEPENDENT_SET_NODES = 200_000
+
+
+def _exact_independent_set(adj: tuple[int, ...], mask: int, budget) -> int:
     """Exact maximum independent set size within `mask` by branching on a
-    max-degree vertex; intended for graphs up to roughly 30 vertices."""
+    max-degree vertex.  Each search node takes one item from the iterator
+    `budget`; when it runs out the search stops with ResourceLimitError."""
+    if next(budget, None) is None:
+        raise ResourceLimitError(f"independence number search exceeds {MAX_INDEPENDENT_SET_NODES} nodes")
     if mask == 0:
         return 0
     best_v, best_deg = -1, -1
@@ -319,32 +340,29 @@ def _exact_independent_set(adj: tuple[int, ...], mask: int) -> int:
             m &= ~adj[u]
         return count
     v = best_v
-    with_v = 1 + _exact_independent_set(adj, mask & ~((1 << v) | adj[v]))
-    without_v = _exact_independent_set(adj, mask & ~(1 << v))
+    with_v = 1 + _exact_independent_set(adj, mask & ~((1 << v) | adj[v]), budget)
+    without_v = _exact_independent_set(adj, mask & ~(1 << v), budget)
     return max(with_v, without_v)
 
 
 def independence_number(g: Graph) -> int:
     """Exact independence number.
 
-    One MCS run decides chordality; a chordal graph then uses the greedy
-    scan along that perfect elimination order, and everything else falls
-    back to exact branch-and-bound search.
+    A chordal graph uses the greedy scan along its elimination order;
+    everything else falls back to exact branch-and-bound search, which
+    stops with ResourceLimitError past MAX_INDEPENDENT_SET_NODES nodes.
     """
-    return _independence_number(g, _elimination_order(g))
-
-
-def _independence_number(g: Graph, order: tuple[int, ...] | None) -> int:
-    """Independence number of g given `order`, its `_elimination_order`."""
-    if order is not None:
-        covered = 0
-        count = 0
-        for v in order:
-            if not (covered >> v) & 1:
-                count += 1
-                covered |= (1 << v) | g.adj[v]
-        return count
-    return _exact_independent_set(g.adj, (1 << g.vertex_count) - 1)
+    order = g._elimination_order
+    if order is None:
+        budget = iter(range(MAX_INDEPENDENT_SET_NODES))
+        return _exact_independent_set(g.adj, (1 << g.vertex_count) - 1, budget)
+    covered = 0
+    count = 0
+    for v in order:
+        if not (covered >> v) & 1:
+            count += 1
+            covered |= (1 << v) | g.adj[v]
+    return count
 
 
 @dataclass(frozen=True)
@@ -397,19 +415,20 @@ def clique_complex(
 
 
 def _clique_counts(
-    g: Graph, order: tuple[int, ...] | None, max_cliques: int | None = None
+    g: Graph, max_size: int | None = None, max_cliques: int | None = None
 ) -> dict[int, int]:
-    """Number of cliques of g by size, given `order`, its
-    `_elimination_order`.
+    """Number of cliques of g of each size <= max_size (all sizes if None).
 
-    Along a perfect elimination order every clique is its first vertex v
-    plus a subset of L(v), the neighbours of v later in the order, so the
-    counts are the coefficients of the sum over v of x(1 + x)^|L(v)| and
-    no clique is listed.  A graph without one has its cliques enumerated,
-    at most `max_cliques` of them.
+    Along g's elimination order every clique is its first vertex v plus a
+    subset of L(v), the neighbours of v later in the order, so the counts
+    are the coefficients of the sum over v of x(1 + x)^|L(v)| and no
+    clique is listed.  A graph without one has its cliques enumerated, at
+    most `max_cliques` of them.
     """
+    order = g._elimination_order
     if order is None:
-        return clique_complex(g, max_cliques=max_cliques).size_counts
+        return clique_complex(g, max_size, max_cliques).size_counts
+    cap = g.vertex_count if max_size is None else max_size
     later_sizes: dict[int, int] = {}
     later = 0
     for v in reversed(order):
@@ -418,7 +437,7 @@ def _clique_counts(
         later |= 1 << v
     counts = [0] * (max(later_sizes, default=-1) + 2)
     for size, vertices in later_sizes.items():
-        for k in range(size + 1):
+        for k in range(min(size, cap - 1) + 1):
             counts[k + 1] += vertices * comb(size, k)
     return {size: count for size, count in enumerate(counts) if count}
 
@@ -436,10 +455,11 @@ def truncated_euler_sum(g: Graph, r: int | None = None) -> int:
 
     With r=None the whole complex is summed.  For a chordal graph the value
     is at most the number of connected components, with equality once
-    2r >= vertex_count.
+    2r >= vertex_count; its cliques are counted along its elimination
+    order, not listed.
     """
     cap = None if r is None else _size_cap(r, "lower")
-    counts = clique_complex(g, max_size=cap).size_counts
+    counts = _clique_counts(g, cap)
     return sum(count if size % 2 == 1 else -count for size, count in counts.items())
 
 

@@ -64,6 +64,15 @@ def run(capsys, *argv):
 
 
 @pytest.fixture
+def mcs_runs(monkeypatch):
+    """The graphs `graphs.mcs_order` runs on, one entry per run."""
+    runs = []
+    original = graphs.mcs_order
+    monkeypatch.setattr(graphs, "mcs_order", lambda g: runs.append(g) or original(g))
+    return runs
+
+
+@pytest.fixture
 def graph_text(tmp_path):
     path = tmp_path / "path4.txt"
     path.write_text("4 3\n0 1\n1 2\n2 3\n")
@@ -181,18 +190,10 @@ class TestGraphCheck:
         assert (f"vertices: {vertices}" in out) if code == 0 else (not out and "caps at 3" in err)
 
     @pytest.mark.parametrize("graph, chordal", [("graph_text", "yes"), ("graph_json", "no")])
-    def test_one_maximum_cardinality_search(self, capsys, monkeypatch, request, graph, chordal):
-        runs = []
-        original = graphs.mcs_order
-
-        def mcs_order(g):
-            runs.append(g)
-            return original(g)
-
-        monkeypatch.setattr(graphs, "mcs_order", mcs_order)
+    def test_one_maximum_cardinality_search(self, capsys, mcs_runs, request, graph, chordal):
         code, out, _ = run(capsys, "graph", "check", request.getfixturevalue(graph))
         assert code == 0 and f"chordal: {chordal}" in out
-        assert len(runs) == 1
+        assert len(mcs_runs) == 1
 
     def test_complete_graph_cliques_are_counted(self, capsys, tmp_path):
         # K30 has 2**30 - 1 cliques: listing them would take hours.
@@ -228,6 +229,25 @@ class TestGraphCheck:
         code, out, err = run(capsys, "graph", "check", path)
         assert (code, out) == (3, "")
         assert err == f"error: graph has more than {cli.MAX_CHECK_CLIQUES} cliques\n"
+
+    def test_independence_budget_exit_3(self, capsys, tmp_path):
+        # The 60-vertex cycle has 120 cliques, but its exact independent-set
+        # search needs far more nodes than the budget.
+        path = tmp_path / "c60.json"
+        path.write_text(json.dumps({"vertices": 60, "edges": [[i, (i + 1) % 60] for i in range(60)]}))
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert (code, out) == (3, "")
+        assert err == f"error: independence number search exceeds {graphs.MAX_INDEPENDENT_SET_NODES} nodes\n"
+
+    @pytest.mark.parametrize("budget, code", [(11, 0), (10, 3)])
+    def test_independence_budget_boundary(self, capsys, tmp_path, monkeypatch, budget, code):
+        # The seven-cycle's search visits 11 nodes.
+        monkeypatch.setattr(graphs, "MAX_INDEPENDENT_SET_NODES", budget)
+        path = tmp_path / "c7.txt"
+        path.write_text("7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7)))
+        got, out, _ = run(capsys, "graph", "check", str(path))
+        assert got == code
+        assert ("independence_number: 3\n" in out) if code == 0 else not out
 
     @pytest.mark.parametrize("budget, code", [(26, 0), (25, 3)])
     def test_clique_budget_boundary(self, capsys, tmp_path, monkeypatch, budget, code):
@@ -379,9 +399,10 @@ class TestBoundsAll:
         assert code == 0 and "hunter-" not in out
 
     @pytest.mark.parametrize("graph", ["chordal", "tree"])
-    def test_golden_rational_output(self, capsys, graph):
+    def test_golden_rational_output(self, capsys, mcs_runs, graph):
         # The expected tables were written by the C(n, k) enumeration of
-        # intersection queries that the binomial moments replaced.
+        # intersection queries that the binomial moments replaced.  Every
+        # bound reads the graph's one elimination order.
         code, out, _ = run(
             capsys,
             "bounds",
@@ -392,6 +413,7 @@ class TestBoundsAll:
         )
         assert code == 0
         assert out == (DATA / f"golden_{graph}.out").read_text()
+        assert len(mcs_runs) == 1
 
     def test_golden_equal_probability_coords(self, capsys):
         # Every coordinate has probability 2/5, in several spellings, so
@@ -795,13 +817,14 @@ class TestReliability:
 
 
 class TestDemo:
-    def test_counterexample_output(self, capsys):
+    def test_counterexample_output(self, capsys, mcs_runs):
         code, out, _ = run(capsys, "demo", "counterexample")
         assert code == 0
         assert "bound 4/3 exceeds 1" in out
         assert "chordal: no" in out
         assert "counterexample family k=3" in out
         assert "bound 3 exceeds 1" in out
+        assert len(mcs_runs) == 2
 
     def test_family_parameter(self, capsys):
         code, out, _ = run(capsys, "demo", "counterexample", "--k", "5")
@@ -810,8 +833,23 @@ class TestDemo:
         assert "bound 11 exceeds 1" in out
 
     def test_bad_family_parameter(self, capsys):
-        code, _, _ = run(capsys, "demo", "counterexample", "--k", "4")
-        assert code == 2
+        code, out, _ = run(capsys, "demo", "counterexample", "--k", "4")
+        assert (code, out) == (2, "")
+
+    def test_family_cap_exit_3(self, capsys):
+        # The k = 11 family has 4**11 - 1 cliques; the cap stops it first.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "demo", "counterexample", "--k", "11")
+        assert time.perf_counter() - start < 5
+        assert (code, out) == (3, "")
+        assert err == f"error: demo counterexample caps --k at {cli.MAX_DEMO_K}, got 11\n"
+
+    @pytest.mark.parametrize("k, code", [(5, 0), (7, 3)])
+    def test_family_cap_boundary(self, capsys, monkeypatch, k, code):
+        monkeypatch.setattr(cli, "MAX_DEMO_K", 5)
+        got, out, _ = run(capsys, "demo", "counterexample", "--k", str(k))
+        assert got == code
+        assert (f"counterexample family k={k}" in out) if code == 0 else not out
 
     def test_module_entry_point(self, capsys):
         code, want, _ = run(capsys, "demo", "counterexample")

@@ -1,5 +1,6 @@
 """Graph core: construction, chordality, cliques, special families."""
 
+import dataclasses
 import random
 from itertools import combinations
 from math import comb
@@ -8,6 +9,7 @@ import pytest
 
 from chordalbounds import (
     DomainError,
+    Graph,
     binomial_alternating_sum,
     build_graph,
     clique_complex,
@@ -28,8 +30,9 @@ from chordalbounds import (
     tree_graph,
     truncated_euler_sum,
 )
+from chordalbounds import graphs
 from chordalbounds.errors import ResourceLimitError
-from chordalbounds.graphs import _clique_counts, _elimination_order, is_tree, require_tree
+from chordalbounds.graphs import _clique_counts, is_tree, require_tree
 
 from helpers import (
     brute_force_alpha,
@@ -172,6 +175,20 @@ class TestMcsAndChordality:
             g = random_graph(rng, rng.randint(5, 7), rng.random())
             assert is_chordal(g) == brute_force_is_chordal(g)
 
+    @pytest.mark.parametrize("make", [path_graph, cycle_graph], ids=["chordal", "not-chordal"])
+    def test_one_search_per_graph_kept_out_of_identity(self, monkeypatch, make):
+        runs = []
+        original = graphs.mcs_order
+        monkeypatch.setattr(graphs, "mcs_order", lambda g: runs.append(g) or original(g))
+        fresh, used = make(6), make(6)
+        is_chordal(used)
+        independence_number(used)
+        truncated_euler_sum(used, r=1)
+        _clique_counts(used)
+        assert runs == [used]
+        assert fresh == used and hash(fresh) == hash(used) and repr(fresh) == repr(used)
+        assert [f.name for f in dataclasses.fields(Graph)] == ["vertex_count", "edges", "adj"]
+
 
 class TestComponentsAndSubgraphs:
     def test_component_counts(self):
@@ -235,6 +252,14 @@ class TestIndependenceNumber:
             g = random_chordal_graph(rng, rng.randint(1, 8))
             assert is_chordal(g)
             assert independence_number(g) == brute_force_alpha(g)
+
+    def test_search_budget_boundary(self, monkeypatch):
+        # The seven-cycle's search visits 11 nodes.
+        monkeypatch.setattr(graphs, "MAX_INDEPENDENT_SET_NODES", 11)
+        assert independence_number(cycle_graph(7)) == 3
+        monkeypatch.setattr(graphs, "MAX_INDEPENDENT_SET_NODES", 10)
+        with pytest.raises(ResourceLimitError, match="exceeds 10 nodes"):
+            independence_number(cycle_graph(7))
 
 
 class TestCliqueComplex:
@@ -301,12 +326,12 @@ class TestCliqueComplex:
         # On a chordal graph the counts come from the later-neighbour
         # sizes, with no clique listed; elsewhere from the enumeration.
         rng = random.Random(29)
-        graphs = [random_chordal_graph(rng, rng.randint(0, 12)) for _ in range(500)]
-        graphs += [random_graph(rng, rng.randint(0, 9), rng.random()) for _ in range(100)]
-        graphs += [complete_graph(12), edgeless_graph(0), counterexample_graph()]
-        for g in graphs:
-            order = _elimination_order(g)
-            assert _clique_counts(g, order) == clique_complex(g).size_counts
+        cases = [random_chordal_graph(rng, rng.randint(0, 12)) for _ in range(500)]
+        cases += [random_graph(rng, rng.randint(0, 9), rng.random()) for _ in range(100)]
+        cases += [complete_graph(12), edgeless_graph(0), counterexample_graph()]
+        for g in cases:
+            cap = rng.choice([None, rng.randint(1, 13)])
+            assert _clique_counts(g, cap) == clique_complex(g, max_size=cap).size_counts
 
 
 class TestEulerSums:
@@ -335,6 +360,17 @@ class TestEulerSums:
     def test_invalid_r(self):
         with pytest.raises(DomainError):
             truncated_euler_sum(path_graph(3), r=0)
+
+    @pytest.mark.parametrize("r", [None, 1, 2])
+    def test_chordal_sums_list_no_clique(self, monkeypatch, r):
+        # K30 has 2**30 - 1 cliques; they are counted along its order.
+        def clique_complex(*args, **kwargs):
+            raise AssertionError("cliques listed")
+
+        monkeypatch.setattr(graphs, "clique_complex", clique_complex)
+        cap = 30 if r is None else 2 * r
+        want = sum((-1) ** (s - 1) * comb(30, s) for s in range(1, cap + 1))
+        assert truncated_euler_sum(complete_graph(30), r=r) == want
 
 
 class TestBinomialAlternatingSum:
