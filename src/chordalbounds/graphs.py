@@ -459,7 +459,11 @@ def truncated_euler_sum(g: Graph, r: int | None = None) -> int:
     order, not listed.
     """
     cap = None if r is None else _size_cap(r, "lower")
-    counts = _clique_counts(g, cap)
+    return _alternating_count(_clique_counts(g, cap))
+
+
+def _alternating_count(counts: dict[int, int]) -> int:
+    """Clique counts by size summed with sign + for odd sizes, - for even."""
     return sum(count if size % 2 == 1 else -count for size, count in counts.items())
 
 

@@ -18,7 +18,9 @@ one denominator, so its pairs are read off and put back without a
 Fraction per coefficient.  `_read_rational` is the one reader of exact
 rationals: a RATIONAL value may be an int, a Fraction or a string, and a
 plain string of decimal digits "a" or "a/b" is split into integers
-without building a Fraction.
+without building a Fraction.  `_read_rational_column` reads a whole
+RATIONAL column: one of plain "a/b" strings in a few C-level passes, any
+other value by value through `_read_rational`.
 """
 
 from __future__ import annotations
@@ -79,6 +81,33 @@ def _read_rational(value) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
+def _read_rational_column(values) -> list[tuple[int, int]]:
+    """`_read_rational` of every value, in order.
+
+    A column made only of plain "a/b" strings (ASCII digits on both sides
+    of exactly one slash, no zero denominator) is read by C-level passes
+    over the column joined into one byte string, and each distinct
+    denominator is converted once.  Any other column is read value by
+    value, so its values and its errors are those of `_read_rational`.
+    """
+    values = tuple(values)
+    try:
+        data = ",".join(values).encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        data = b""
+    # Without its digits the joined column reads "/,/,...,/" exactly when
+    # each value holds one slash and only digits besides: a value without
+    # a slash next to one with two fails here, as a total count would not.
+    if data.translate(None, b"0123456789") == b"/," * (len(values) - 1) + b"/":
+        parts = data.replace(b",", b"/").split(b"/")
+        if all(parts):
+            bottoms = parts[1::2]
+            denominators = {text: int(text) for text in set(bottoms)}
+            if all(denominators.values()):
+                return list(zip(map(int, parts[0::2]), map(denominators.__getitem__, bottoms)))
+    return list(map(_read_rational, values))
+
+
 def _coefficient_pairs(value) -> zip:
     if not isinstance(value, Polynomial):
         value = Polynomial((value,))
@@ -88,7 +117,7 @@ def _coefficient_pairs(value) -> zip:
 REAL = Backend("real", 0.0, 1.0, exact=False, ordered=True, weight_tol=1e-12)
 RATIONAL = Backend(
     "rational", Fraction(0), Fraction(1), exact=True, ordered=True,
-    pair_columns=lambda values: (list(map(_read_rational, values)),),
+    pair_columns=lambda values: (_read_rational_column(values),),
     from_rationals=lambda parts: Fraction(*parts[0]),
 )
 POLYNOMIAL = Backend(

@@ -86,11 +86,12 @@ def brute_force_components(g: Graph, subset) -> int:
 def exact_mass(weights, mask: int):
     """Sum of the weights at the set bits of `mask`, added one at a time in
     exact arithmetic; floats are read as the binary fractions they are, so
-    `float()` of the result is the correctly rounded sum."""
+    `float()` of the result is the correctly rounded sum, and strings as
+    `Fraction` reads them."""
     total = Fraction(0)
     for o in bits(mask):
         w = weights[o]
-        total = total + (Fraction(w) if isinstance(w, float) else w)
+        total = total + (Fraction(w) if isinstance(w, (float, str)) else w)
     return total
 
 

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import pytest
 
-from chordalbounds import bounds, cli, graphs
+from chordalbounds import bounds, cli, from_outcomes, graphs
 from chordalbounds.cli import _load_events, main
+from chordalbounds.values import RATIONAL
 
 
 DATA = Path(__file__).parent / "data"
@@ -402,18 +403,22 @@ class TestBoundsAll:
     def test_golden_rational_output(self, capsys, mcs_runs, graph):
         # The expected tables were written by the C(n, k) enumeration of
         # intersection queries that the binomial moments replaced.  Every
-        # bound reads the graph's one elimination order.
-        code, out, _ = run(
-            capsys,
-            "bounds",
-            "all",
-            str(DATA / "golden_events.json"),
-            "--graph",
-            str(DATA / f"golden_{graph}.json"),
-        )
-        assert code == 0
-        assert out == (DATA / f"golden_{graph}.out").read_text()
-        assert len(mcs_runs) == 1
+        # bound reads the graph's one elimination order.  The plain file
+        # spells the same weights as "a/873" only, which the column reader
+        # splits without reading each value on its own.
+        for events in ("golden_events.json", "golden_events_plain.json"):
+            mcs_runs.clear()
+            code, out, _ = run(
+                capsys,
+                "bounds",
+                "all",
+                str(DATA / events),
+                "--graph",
+                str(DATA / f"golden_{graph}.json"),
+            )
+            assert code == 0
+            assert out == (DATA / f"golden_{graph}.out").read_text(), events
+            assert len(mcs_runs) == 1
 
     def test_golden_equal_probability_coords(self, capsys):
         # Every coordinate has probability 2/5, in several spellings, so
@@ -825,6 +830,25 @@ class TestDemo:
         assert "counterexample family k=3" in out
         assert "bound 3 exceeds 1" in out
         assert len(mcs_runs) == 2
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_bound_is_the_all_certain_chordal_lower(self, capsys, monkeypatch, k):
+        # One clique listing per graph shown, and its alternating count over
+        # the independence number is the chordal lower bound itself.
+        listed = []
+        original = graphs.clique_complex
+        monkeypatch.setattr(
+            graphs, "clique_complex", lambda g, *a: listed.append(g.vertex_count) or original(g, *a)
+        )
+        code, out, _ = run(capsys, "demo", "counterexample", "--k", str(k))
+        assert code == 0
+        monkeypatch.undo()
+        values = [line.split(" bound ")[1].split()[0] for line in out.splitlines() if " bound " in line]
+        shown = [graphs.counterexample_graph(), graphs.counterexample_family(k)]
+        assert listed == [g.vertex_count for g in shown]
+        for text, g in zip(values, shown, strict=True):
+            certain = from_outcomes([Fraction(1)], [[0]] * g.vertex_count, backend=RATIONAL)
+            assert Fraction(text) == bounds.chordal_lower(certain, g, unchecked=True).value
 
     def test_family_parameter(self, capsys):
         code, out, _ = run(capsys, "demo", "counterexample", "--k", "5")

@@ -25,9 +25,10 @@ from chordalbounds import (
     path_graph,
     union_prob_exact,
 )
+from chordalbounds import values
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.reliability import BRIDGE_PATH_ORDER
-from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL, _read_rational
+from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL, _read_rational, _read_rational_column
 
 from helpers import (
     brute_force_alpha_prime,
@@ -109,6 +110,39 @@ class TestReadRational:
         assert _read_rational(Fraction(-2, 4)) == (-1, 2)
         with pytest.raises(TypeError, match="float"):
             _read_rational(0.5)
+
+    def test_plain_column_is_read_whole(self, monkeypatch):
+        rng = random.Random(12)
+        column = ["007/0100", "0/1", "5/5"]
+        column += [f"{rng.randrange(10 ** rng.randint(1, 30))}/{rng.randint(1, 10 ** 30)}" for _ in range(500)]
+        want = list(map(_read_rational, column))
+        monkeypatch.setattr(values, "_read_rational", None)
+        assert _read_rational_column(column) == want
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            ["3", "1/2/4"],
+            ["1/2", "1/0"],
+            ["1/2", "٣/٤"],
+            [" 1/2", "1/2"],
+            ["1/2", "3/"],
+            ["1/2", 3, Fraction(1, 4)],
+            ["1,2/3"],
+            [],
+        ],
+    )
+    def test_other_columns_read_value_by_value(self, column):
+        def outcome(read):
+            try:
+                return read()
+            except (TypeError, ValueError) as exc:
+                return type(exc), str(exc)
+
+        got = outcome(lambda: _read_rational_column(column))
+        assert got == outcome(lambda: list(map(_read_rational, column)))
+        if "1/0" in column:
+            assert "'1/0'" in got[1]
 
     def test_string_weights_build_the_same_system(self):
         texts = ["14/1746", "0", "+1/3", " 0.5 "]
@@ -375,12 +409,43 @@ def polynomial_weights(rng, m):
     return [x * P + y * (1 - P) for x, y in zip(a, b)]
 
 
+def equal_weights(rng, m):
+    # a zero-width column: every numerator is the column minimum
+    return [Fraction(1, m)] * m
+
+
+def coprime_weights(rng, m):
+    # denominators drawn from the primes below 1000: the common denominator
+    # and so the numerators are hundreds of bits wide, past the bit-plane
+    # width rule at every outcome count
+    primes = [p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1))]
+    raw = [Fraction(rng.randint(1, 9), rng.choice(primes)) for _ in range(m)]
+    total = sum(raw)
+    return [x / total for x in raw]
+
+
+def count_string_weights(rng, m):
+    # the spelling of the benchmark's rational spaces: "c/T" for counts
+    # c in 0..101 over their total T, seven bits wide
+    counts = [0 if rng.random() < 0.1 else rng.randint(1, 100) for _ in range(m)]
+    counts[rng.randrange(m)] += 1
+    total = sum(counts)
+    return [f"{c}/{total}" for c in counts]
+
+
 class TestMassAgainstBruteForce:
     @pytest.mark.parametrize("m", OUTCOME_COUNTS)
     @pytest.mark.parametrize(
         "backend, make",
-        [(REAL, real_weights), (RATIONAL, rational_weights), (POLYNOMIAL, polynomial_weights)],
-        ids=["real", "rational", "polynomial"],
+        [
+            (REAL, real_weights),
+            (RATIONAL, rational_weights),
+            (POLYNOMIAL, polynomial_weights),
+            (RATIONAL, equal_weights),
+            (RATIONAL, coprime_weights),
+            (RATIONAL, count_string_weights),
+        ],
+        ids=["real", "rational", "polynomial", "rational-equal", "rational-coprime", "rational-strings"],
     )
     def test_mass(self, m, backend, make):
         rng = random.Random(m)
@@ -394,6 +459,19 @@ class TestMassAgainstBruteForce:
                 assert isinstance(got, type(backend.one))
                 # REAL: exactly the correctly rounded sum
                 assert got == (float(want) if backend is REAL else want)
+
+    @pytest.mark.parametrize(
+        "make, sliced",
+        [(equal_weights, True), (count_string_weights, True), (coprime_weights, False)],
+        ids=["equal", "strings", "coprime"],
+    )
+    def test_width_rule_sides(self, make, sliced):
+        # At 200 outcomes a column up to 12 bits wide is bit-sliced, so
+        # `test_mass` runs both sides of the width rule.
+        weights = make(random.Random(7), 200)
+        sys_ = EventSystem(RATIONAL, weights, [1])
+        sys_.mass(0b101)
+        assert (sys_._planes != (None,)) == sliced
 
     @pytest.mark.parametrize("m", OUTCOME_COUNTS)
     def test_alpha_prime(self, m):
