@@ -198,11 +198,11 @@ def _clique_sizes(counts: dict[int, int]) -> str:
 # 1000 vertices, 0.85 s at 2000 and 4.6 s at 4000 (Python 3.11, one Xeon
 # core).
 MAX_CHECK_VERTICES = 2000
-# Most cliques `graph check` lists on a non-chordal graph; a chordal one
-# has its cliques counted along its perfect elimination order, not listed.
-# Listing the 177,146 cliques of the 22-vertex cocktail-party graph took
-# 0.38 s, and stopping on the 24-vertex one at this budget 0.29 s (Python
-# 3.11, one Xeon core).
+# Most cliques `graph check` walks on a non-chordal graph, counting them by
+# size without keeping them; a chordal one has its cliques counted along
+# its perfect elimination order.  The whole command took 0.13 s on the
+# 177,146 cliques of the 22-vertex cocktail-party graph, and 0.15 s to stop
+# on the 24-vertex one at this budget (Python 3.11, one Xeon core).
 MAX_CHECK_CLIQUES = 250_000
 
 
@@ -393,10 +393,11 @@ def _print_counterexample(g, label: str) -> None:
 
 
 # Largest family parameter `demo counterexample --k` takes.  The family is
-# not chordal and has 4^K - 1 cliques, listed once: the whole command took
-# 0.16 s at a 19 MB peak for K = 7 and 0.7 s at 64 MB for K = 9 (Python
-# 3.11, one Xeon core).  Each step of 2 in K multiplies the listing by 16,
-# so K = 11 would hold 4 million cliques in memory at once.
+# not chordal and has 4^K - 1 cliques, counted by size in one walk that
+# keeps none of them: the whole command took 0.13 s at a 17 MB peak for
+# K = 9, and the count alone took 1.0 s for the 4 million cliques at
+# K = 11 (Python 3.11, one Xeon core).  Each step of 2 in K multiplies the
+# walk by 16, so the cap keeps the demo well under a second.
 MAX_DEMO_K = 9
 
 

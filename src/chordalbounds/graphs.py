@@ -383,6 +383,46 @@ class CliqueComplex:
         return len(self.cliques)
 
 
+def _clique_groups(g: Graph, cap: int, max_cliques: int | None):
+    """Walk the cliques of g of cardinality <= cap depth-first, one group
+    at a time.
+
+    A group is a pair (base, extensions): the cliques base + (v,) for v in
+    the bitmask `extensions`, whose vertices all lie above base's largest
+    one, so every clique is in exactly one group.  Groups come in
+    lexicographic order of their bases, so the cliques of each size come
+    in lexicographic order too.  Only the groups beside the current path
+    are held.  With `max_cliques`, the walk stops with ResourceLimitError
+    once it has seen more cliques than that.
+    """
+    limit = sys.maxsize if max_cliques is None else max_cliques
+    # up[v]: the neighbours of v above v
+    up = [mask >> (v + 1) << (v + 1) for v, mask in enumerate(g.adj)]
+    seen = 0
+    stack = [((), (1 << g.vertex_count) - 1)]
+    while stack:
+        base, extensions = stack.pop()
+        seen += extensions.bit_count()
+        if seen > limit:
+            raise ResourceLimitError(f"graph has more than {limit} cliques")
+        yield base, extensions
+        if len(base) + 1 < cap:
+            # Highest vertex first, so the stack hands back the lowest first.
+            rest = extensions
+            while rest:
+                v = rest.bit_length() - 1
+                rest ^= 1 << v
+                above = extensions & up[v]
+                if above:
+                    stack.append((base + (v,), above))
+
+
+def _clique_cap(g: Graph, max_size: int | None) -> int:
+    if max_size is not None and max_size < 1:
+        raise DomainError(f"max_size must be >= 1, got {max_size}")
+    return g.vertex_count if max_size is None else min(max_size, g.vertex_count)
+
+
 def clique_complex(
     g: Graph, max_size: int | None = None, max_cliques: int | None = None
 ) -> CliqueComplex:
@@ -390,27 +430,13 @@ def clique_complex(
 
     Depth-first search over neighbor bitmasks: each clique grows only by
     common neighbors above its largest vertex, so it is found exactly once.
-    With `max_cliques`, the search stops with ResourceLimitError at the
-    first clique past that many.
+    With `max_cliques`, the search stops with ResourceLimitError once it
+    has seen more cliques than that.
     """
-    if max_size is not None and max_size < 1:
-        raise DomainError(f"max_size must be >= 1, got {max_size}")
-    cap = g.vertex_count if max_size is None else min(max_size, g.vertex_count)
-    limit = sys.maxsize if max_cliques is None else max_cliques
-    cliques: list[tuple[int, ...]] = []
-
-    def grow(base: tuple[int, ...], candidates: int):
-        for v in _bits(candidates):
-            clique = base + (v,)
-            cliques.append(clique)
-            if len(cliques) > limit:
-                raise ResourceLimitError(f"graph has more than {limit} cliques")
-            if len(clique) < cap:
-                above = ~((1 << (v + 1)) - 1)
-                grow(clique, candidates & g.adj[v] & above)
-
-    grow((), (1 << g.vertex_count) - 1)
-    cliques.sort(key=lambda c: (len(c), c))
+    groups = _clique_groups(g, _clique_cap(g, max_size), max_cliques)
+    cliques = [base + (v,) for base, extensions in groups for v in _bits(extensions)]
+    # Each size is already in lexicographic order; the sort is stable.
+    cliques.sort(key=len)
     return CliqueComplex(tuple(cliques))
 
 
@@ -422,23 +448,26 @@ def _clique_counts(
     Along g's elimination order every clique is its first vertex v plus a
     subset of L(v), the neighbours of v later in the order, so the counts
     are the coefficients of the sum over v of x(1 + x)^|L(v)| and no
-    clique is listed.  A graph without one has its cliques enumerated, at
-    most `max_cliques` of them.
+    clique is listed.  A graph without one has its cliques walked group by
+    group and counted, none kept, at most `max_cliques` of them.
     """
+    cap = _clique_cap(g, max_size)
     order = g._elimination_order
     if order is None:
-        return clique_complex(g, max_size, max_cliques).size_counts
-    cap = g.vertex_count if max_size is None else max_size
-    later_sizes: dict[int, int] = {}
-    later = 0
-    for v in reversed(order):
-        size = (g.adj[v] & later).bit_count()
-        later_sizes[size] = later_sizes.get(size, 0) + 1
-        later |= 1 << v
-    counts = [0] * (max(later_sizes, default=-1) + 2)
-    for size, vertices in later_sizes.items():
-        for k in range(min(size, cap - 1) + 1):
-            counts[k + 1] += vertices * comb(size, k)
+        counts = [0] * (cap + 1)
+        for base, extensions in _clique_groups(g, cap, max_cliques):
+            counts[len(base) + 1] += extensions.bit_count()
+    else:
+        later_sizes: dict[int, int] = {}
+        later = 0
+        for v in reversed(order):
+            size = (g.adj[v] & later).bit_count()
+            later_sizes[size] = later_sizes.get(size, 0) + 1
+            later |= 1 << v
+        counts = [0] * (max(later_sizes, default=-1) + 2)
+        for size, vertices in later_sizes.items():
+            for k in range(min(size, cap - 1) + 1):
+                counts[k + 1] += vertices * comb(size, k)
     return {size: count for size, count in enumerate(counts) if count}
 
 

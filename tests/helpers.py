@@ -5,8 +5,9 @@ chordality is decided by scanning for induced cycles, independence numbers
 by full subset enumeration, masses by adding one weight at a time in exact
 arithmetic, random chordal graphs are built directly by
 simplicial-vertex addition, polynomials keep one Fraction per
-coefficient, and the sharpest bounds from the symmetric sums alone come
-from an exact linear program solved by enumerating its bases.
+coefficient, the best tree comes from every connected edge subset, and
+the sharpest bounds from the symmetric sums alone come from an exact
+linear program solved by enumerating its bases.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from chordalbounds import EventSystem, Graph, build_graph
+from chordalbounds import EventSystem, Graph, build_graph, intersection_prob
 from chordalbounds.values import RATIONAL, REAL
 
 
@@ -163,6 +164,31 @@ def brute_force_alpha_prime(weights, events, g: Graph) -> int:
         if w != 0 and signature:
             best = max(best, brute_force_components(g, signature))
     return best
+
+
+def brute_force_tree_oracle(sys_: EventSystem, criterion: str) -> Graph:
+    """The best tree for `exhaustive_tree_oracle`'s criterion, with no
+    Prüfer code: every n - 1 of the sorted edges of K_n that span a
+    connected graph, each tree's own independence number by subset
+    enumeration, and the library's float sums over sorted edges with the
+    same (key, edges) tie-break."""
+    n = sys_.event_count
+    pairs = list(combinations(range(n), 2))
+    w = {pair: intersection_prob(sys_, pair) for pair in pairs}
+    singles = sum(intersection_prob(sys_, (v,)) for v in range(n))
+    best = None
+    for edges in combinations(pairs, n - 1):
+        tree = build_graph(n, edges)
+        if brute_force_components(tree, range(n)) != 1:
+            continue
+        bracket = singles - sum(w[edge] for edge in edges)
+        if criterion == "max-lower-bound":
+            key = (-(bracket / brute_force_alpha(tree)), edges)
+        else:
+            key = (bracket, edges)
+        if best is None or key < best[0]:
+            best = (key, tree)
+    return best[1]
 
 
 def random_graph(rng, n: int, density: float = 0.5) -> Graph:

@@ -833,19 +833,24 @@ class TestDemo:
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_bound_is_the_all_certain_chordal_lower(self, capsys, monkeypatch, k):
-        # One clique listing per graph shown, and its alternating count over
-        # the independence number is the chordal lower bound itself.
-        listed = []
-        original = graphs.clique_complex
+        # One clique walk per graph shown, no clique list kept, and its
+        # alternating count over the independence number is the chordal
+        # lower bound itself.
+        def clique_complex(*args, **kwargs):
+            raise AssertionError("cliques listed")
+
+        walked = []
+        original = graphs._clique_groups
         monkeypatch.setattr(
-            graphs, "clique_complex", lambda g, *a: listed.append(g.vertex_count) or original(g, *a)
+            graphs, "_clique_groups", lambda g, *a: walked.append(g.vertex_count) or original(g, *a)
         )
+        monkeypatch.setattr(graphs, "clique_complex", clique_complex)
         code, out, _ = run(capsys, "demo", "counterexample", "--k", str(k))
         assert code == 0
         monkeypatch.undo()
         values = [line.split(" bound ")[1].split()[0] for line in out.splitlines() if " bound " in line]
         shown = [graphs.counterexample_graph(), graphs.counterexample_family(k)]
-        assert listed == [g.vertex_count for g in shown]
+        assert walked == [g.vertex_count for g in shown]
         for text, g in zip(values, shown, strict=True):
             certain = from_outcomes([Fraction(1)], [[0]] * g.vertex_count, backend=RATIONAL)
             assert Fraction(text) == bounds.chordal_lower(certain, g, unchecked=True).value

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import tracemalloc
 from itertools import combinations
 from math import comb
 
@@ -277,6 +278,9 @@ class TestCliqueComplex:
         assert cc.size_counts == {1: 4, 2: 6}
         with pytest.raises(DomainError):
             clique_complex(complete_graph(3), max_size=0)
+        for g in (complete_graph(3), cycle_graph(4)):
+            with pytest.raises(DomainError, match="max_size must be >= 1"):
+                _clique_counts(g, 0)
 
     def test_canonical_order(self):
         cc = clique_complex(complete_graph(3))
@@ -321,6 +325,19 @@ class TestCliqueComplex:
         with pytest.raises(ResourceLimitError, match="more than 6 cliques"):
             clique_complex(complete_graph(3), max_cliques=6)
         assert len(clique_complex(complete_graph(4), max_size=2, max_cliques=10)) == 10
+
+    def test_non_chordal_counts_keep_no_list(self):
+        # The K = 7 family has 16,383 cliques; listing them to count them
+        # peaked above 2 MB.
+        g = counterexample_family(7)
+        tracemalloc.start()
+        try:
+            counts = _clique_counts(g)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts == {j: comb(7, j) * 3**j for j in range(1, 8)}
+        assert peak < 1_000_000
 
     def test_counts_along_elimination_order_match_enumeration(self):
         # On a chordal graph the counts come from the later-neighbour

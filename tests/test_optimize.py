@@ -22,11 +22,13 @@ from chordalbounds import (
     path_weight,
     tree_weight,
 )
-from chordalbounds.optimize import WeightMatrix
+from chordalbounds import graphs
+from chordalbounds.graphs import is_tree
+from chordalbounds.optimize import WeightMatrix, _labeled_trees
 from chordalbounds.reliability import BRIDGE_PATH_ORDER
 from chordalbounds.values import RATIONAL
 
-from helpers import random_real_system
+from helpers import brute_force_tree_oracle, random_real_system
 
 # Arc sets of the four bridge events, in the demo order; pairwise arc-union
 # sizes are the oracle for the expected weights.
@@ -187,6 +189,38 @@ class TestExhaustiveTreeOracle:
             oracle = exhaustive_tree_oracle(sys_, "max-lower-bound")
             proxy = best_tree(wm, "minimize-weight")
             assert lower_value(oracle) >= lower_value(proxy) - 1e-12
+
+    @pytest.mark.parametrize("criterion", ["max-lower-bound", "min-upper-bound"])
+    def test_matches_brute_force_over_edge_subsets(self, criterion):
+        rng = random.Random(157)
+        systems = [random_real_system(rng, n, max_outcomes=32) for n in range(1, 7) for _ in range(3)]
+        # Equal weights everywhere: every tree ties but for its edges and,
+        # for the lower bound, its own independence number.
+        systems += [from_outcomes([0.3, 0.7], [[0]] * n) for n in range(1, 7)]
+        for sys_ in systems:
+            assert exhaustive_tree_oracle(sys_, criterion) == brute_force_tree_oracle(sys_, criterion)
+
+    def test_leaf_matching_gives_independence_number(self):
+        # Trees are bipartite, so alpha = n - (maximum matching size) by
+        # Konig's theorem; the decode yields each of Cayley's n**(n - 2)
+        # labeled trees once.
+        for n in range(1, 7):
+            trees = list(_labeled_trees(n))
+            assert len({edges for edges, _ in trees}) == len(trees) == (n ** (n - 2) if n > 1 else 1)
+            for edges, pairs in trees:
+                tree = build_graph(n, edges)
+                assert tree.edges == edges and is_tree(tree)
+                assert n - pairs == independence_number(tree)
+
+    def test_no_search_per_tree(self, monkeypatch):
+        # All 16,807 trees at n = 7 are scored without one maximum
+        # cardinality search.
+        runs = []
+        original = graphs.mcs_order
+        monkeypatch.setattr(graphs, "mcs_order", lambda g: runs.append(g) or original(g))
+        sys_ = random_real_system(random.Random(163), 7, max_outcomes=32)
+        assert is_tree(exhaustive_tree_oracle(sys_, "max-lower-bound"))
+        assert runs == []
 
     def test_two_events(self):
         sys_ = from_outcomes([0.5, 0.5], [[0], [1]])
