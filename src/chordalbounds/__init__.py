@@ -31,18 +31,15 @@ from .events import (
 from .graphs import (
     CliqueComplex,
     Graph,
-    binomial_alternating_sum,
     build_graph,
     clique_complex,
     complete_graph,
-    complete_join_edgeless,
     connected_components,
     counterexample_family,
     counterexample_graph,
     cycle_graph,
     edgeless_graph,
     independence_number,
-    induced_subgraph,
     is_chordal,
     is_perfect_elimination_order,
     join_graphs,

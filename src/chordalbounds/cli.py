@@ -241,10 +241,8 @@ def _compute_report(args, sys_) -> bnd.BoundReport:
     if kind == "chordal-upper":
         return bnd.chordal_upper(sys_, g, r=args.r, unchecked=args.unchecked)
     if kind in ("chordal-lower", "chordal-lower-sharpened"):
-        sharpened = args.sharpened or kind == "chordal-lower-sharpened"
-        return bnd.chordal_lower(
-            sys_, g, r=args.r, sharpened=sharpened, unchecked=args.unchecked
-        )
+        sharpened = kind == "chordal-lower-sharpened"
+        return bnd.chordal_lower(sys_, g, r=args.r, sharpened=sharpened, unchecked=args.unchecked)
     if kind == "hunter-upper":
         return bnd.hunter_upper_tree(sys_, g)
     if kind == "hunter-lower":
@@ -439,7 +437,6 @@ def _build_parser() -> _Parser:
     compute.add_argument("--graph", default=None)
     compute.add_argument("--kind", required=True)
     compute.add_argument("-r", type=int, default=None)
-    compute.add_argument("--sharpened", action="store_true")
     compute.add_argument("--unchecked", action="store_true")
     compute.add_argument("--order", default=None, help="event order for path-lower, e.g. 0,2,1")
     compute.add_argument("--j", type=int, default=0)

@@ -126,10 +126,6 @@ class EventSystem:
                 raise DomainError(f"negative outcome weight {lowest}")
 
     @property
-    def outcome_count(self) -> int:
-        return len(self.weights)
-
-    @property
     def event_count(self) -> int:
         return len(self.events)
 

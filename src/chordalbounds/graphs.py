@@ -37,18 +37,15 @@ __all__ = [
     "is_tree",
     "require_tree",
     "join_graphs",
-    "complete_join_edgeless",
     "counterexample_graph",
     "counterexample_family",
     "mcs_order",
     "is_perfect_elimination_order",
     "is_chordal",
     "connected_components",
-    "induced_subgraph",
     "independence_number",
     "clique_complex",
     "truncated_euler_sum",
-    "binomial_alternating_sum",
 ]
 
 
@@ -86,9 +83,6 @@ class Graph:
 
     def has_edge(self, u: int, v: int) -> bool:
         return u != v and (self.adj[u] >> v) & 1 == 1
-
-    def degree(self, v: int) -> int:
-        return self.adj[v].bit_count()
 
     @cached_property
     def _elimination_order(self) -> tuple[int, ...] | None:
@@ -172,11 +166,6 @@ def join_graphs(g: Graph, h: Graph) -> Graph:
     return build_graph(g.vertex_count + h.vertex_count, edges)
 
 
-def complete_join_edgeless(a: int, b: int) -> Graph:
-    """Join of a complete graph on a vertices with b isolated vertices."""
-    return join_graphs(complete_graph(a), edgeless_graph(b))
-
-
 # 8-vertex non-chordal graph whose clique-complex alternating sum exceeds
 # its component count; the invalid-lower-bound demo is built on it.  The
 # vertex groups {0,5,6}, {1,4,7}, {2,3} are pairwise fully joined except
@@ -255,17 +244,9 @@ def is_chordal(g: Graph) -> bool:
     return g._elimination_order is not None
 
 
-def connected_components(g: Graph, within=None) -> int:
-    """Number of connected components, optionally of the subgraph induced
-    by the vertex set `within`.  The empty graph has 0 components."""
-    if within is None:
-        return _component_count(g, (1 << g.vertex_count) - 1)
-    remaining = 0
-    for v in within:
-        if not 0 <= v < g.vertex_count:
-            raise DomainError(f"vertex {v} out of range")
-        remaining |= 1 << v
-    return _component_count(g, remaining)
+def connected_components(g: Graph) -> int:
+    """Number of connected components; the empty graph has 0."""
+    return _component_count(g, (1 << g.vertex_count) - 1)
 
 
 def _component_count(g: Graph, remaining: int) -> int:
@@ -285,25 +266,6 @@ def _component_count(g: Graph, remaining: int) -> int:
             frontier = reached & remaining & ~component
         remaining &= ~component
     return count
-
-
-def induced_subgraph(g: Graph, vertices) -> Graph:
-    """Induced subgraph on `vertices`, relabeled densely.
-
-    New vertex i corresponds to sorted(vertices)[i]; that sorted list is
-    the relabeling map.
-    """
-    vs = sorted(set(vertices))
-    if not vs:
-        raise DomainError("induced subgraph needs a non-empty vertex set")
-    for v in vs:
-        if not 0 <= v < g.vertex_count:
-            raise DomainError(f"vertex {v} out of range")
-    index = {v: i for i, v in enumerate(vs)}
-    edges = [
-        (index[u], index[v]) for u, v in g.edges if u in index and v in index
-    ]
-    return build_graph(len(vs), edges)
 
 
 # Most search nodes the exact independent-set search visits before it stops
@@ -383,7 +345,7 @@ class CliqueComplex:
         return len(self.cliques)
 
 
-def _clique_groups(g: Graph, cap: int, max_cliques: int | None):
+def _clique_groups(g: Graph, cap: int, max_cliques: int | None = None):
     """Walk the cliques of g of cardinality <= cap depth-first, one group
     at a time.
 
@@ -423,17 +385,13 @@ def _clique_cap(g: Graph, max_size: int | None) -> int:
     return g.vertex_count if max_size is None else min(max_size, g.vertex_count)
 
 
-def clique_complex(
-    g: Graph, max_size: int | None = None, max_cliques: int | None = None
-) -> CliqueComplex:
+def clique_complex(g: Graph, max_size: int | None = None) -> CliqueComplex:
     """Enumerate all cliques of cardinality <= max_size (all sizes if None).
 
     Depth-first search over neighbor bitmasks: each clique grows only by
     common neighbors above its largest vertex, so it is found exactly once.
-    With `max_cliques`, the search stops with ResourceLimitError once it
-    has seen more cliques than that.
     """
-    groups = _clique_groups(g, _clique_cap(g, max_size), max_cliques)
+    groups = _clique_groups(g, _clique_cap(g, max_size))
     cliques = [base + (v,) for base, extensions in groups for v in _bits(extensions)]
     # Each size is already in lexicographic order; the sort is stable.
     cliques.sort(key=len)
@@ -494,15 +452,3 @@ def truncated_euler_sum(g: Graph, r: int | None = None) -> int:
 def _alternating_count(counts: dict[int, int]) -> int:
     """Clique counts by size summed with sign + for odd sizes, - for even."""
     return sum(count if size % 2 == 1 else -count for size, count in counts.items())
-
-
-def binomial_alternating_sum(n: int, m: int) -> int:
-    """Partial alternating binomial sum over k = 0..m for a fixed n >= 1.
-
-    Equals (-1)**m * comb(n - 1, m); computed by direct summation.
-    """
-    if n < 1:
-        raise DomainError(f"n must be >= 1, got {n}")
-    if m < 0:
-        raise DomainError(f"m must be >= 0, got {m}")
-    return sum((-1) ** k * comb(n, k) for k in range(m + 1))

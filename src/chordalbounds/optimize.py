@@ -105,8 +105,6 @@ def _normalize_direction(order: tuple[int, ...]) -> tuple[int, ...]:
 
 def _held_karp_path(wm: WeightMatrix) -> tuple[int, ...]:
     n, w = wm.n, wm.w
-    if n == 1:
-        return (0,)
     # cost[mask][v]: minimum weight of a path visiting exactly `mask`,
     # starting at v (v must be in mask).
     size = 1 << n
@@ -229,9 +227,6 @@ def _labeled_trees(n: int):
     """
     if n == 1:
         yield (), 0
-        return
-    if n == 2:
-        yield ((0, 1),), 1
         return
     for seq in product(range(n), repeat=n - 2):
         degree = [1] * n

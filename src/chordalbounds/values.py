@@ -34,6 +34,9 @@ from .poly import Polynomial
 
 __all__ = ["Backend", "REAL", "RATIONAL", "POLYNOMIAL"]
 
+# How far the float weights of a system may sum from one.
+_REAL_WEIGHT_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class Backend:
@@ -42,7 +45,6 @@ class Backend:
     one: object
     exact: bool
     ordered: bool
-    weight_tol: float = 0.0
     # Exact backends only: values -> rational components, each one
     # (numerator, denominator) pair per value; one (numerator, positive
     # denominator) pair per component -> value.
@@ -52,7 +54,7 @@ class Backend:
     def sum_is_one(self, total) -> bool:
         if self.exact:
             return total == self.one
-        return abs(total - self.one) <= self.weight_tol
+        return abs(total - self.one) <= _REAL_WEIGHT_TOL
 
 
 def _read_rational(value) -> tuple[int, int]:
@@ -114,7 +116,7 @@ def _coefficient_pairs(value) -> zip:
     return zip(value.numerators, repeat(value.denominator))
 
 
-REAL = Backend("real", 0.0, 1.0, exact=False, ordered=True, weight_tol=1e-12)
+REAL = Backend("real", 0.0, 1.0, exact=False, ordered=True)
 RATIONAL = Backend(
     "rational", Fraction(0), Fraction(1), exact=True, ordered=True,
     pair_columns=lambda values: (_read_rational_column(values),),

@@ -403,6 +403,13 @@ class TestSeneta:
             seneta_lower(sys_, 0, 1)
         seneta_lower(sys_, 0, 0)  # delta = 1 only needs n > 1
 
+    @pytest.mark.parametrize("j, k", [(0, 3), (3, 0), (-1, 1), (1, -1)])
+    def test_indices_out_of_range(self, j, k):
+        sys_ = from_outcomes([1.0], [[0]] * 3)
+        for bound in (seneta_lower, seneta_upper):
+            with pytest.raises(DomainError, match="distinguished indices out of range"):
+                bound(sys_, j, k)
+
     def test_upper_is_bracket(self):
         rng = random.Random(83)
         n = 4

@@ -291,6 +291,16 @@ class TestBoundsCompute:
         assert code == 0
         assert json.loads(out)["value"] == "1"
 
+    def test_sharpened_flag_is_a_usage_error(self, capsys, events_json, graph_text):
+        # The sharpened bound is spelt --kind chordal-lower-sharpened.
+        for depth in ([], ["-r", "1"]):
+            code, out, err = run(
+                capsys, "bounds", "compute", events_json, "--graph", graph_text,
+                "--kind", "chordal-lower", "--sharpened", *depth,
+            )
+            assert (code, out) == (1, "")
+            assert "unrecognized arguments: --sharpened" in err
+
     def test_chordal_requires_graph(self, capsys, events_json):
         code, _, err = run(capsys, "bounds", "compute", events_json, "--kind", "chordal-upper")
         assert code == 1 and "--graph" in err

@@ -61,6 +61,12 @@ class TestFromOutcomes:
         with pytest.raises(DomainError, match="out of range"):
             from_outcomes([1.0], [[3]])
 
+    def test_constructor_checks(self):
+        with pytest.raises(DomainError, match="an event system needs at least one outcome"):
+            EventSystem(REAL, (), (0,))
+        with pytest.raises(DomainError, match="event refers to outcomes outside the space"):
+            EventSystem(REAL, (0.5, 0.5), (0b1, 0b100))
+
     def test_negative_weight(self):
         with pytest.raises(DomainError, match="negative"):
             from_outcomes([1.5, -0.5], [[0]])
@@ -77,6 +83,13 @@ class TestFromOutcomes:
         )
         assert intersection_prob(sys_, {0}) == Fraction(1, 3)
         assert union_prob_exact(sys_) == 1
+
+    def test_polynomial_system_with_constant_weights(self):
+        # Plain ints and Fractions are constant polynomials.
+        sys_ = from_outcomes([Fraction(1, 3), 0, Fraction(2, 3)], [[0, 1], [1, 2]], backend=POLYNOMIAL)
+        assert intersection_prob(sys_, {0}) == Polynomial((Fraction(1, 3),))
+        assert intersection_prob(sys_, {0, 1}) == Polynomial()
+        assert union_prob_exact(from_outcomes([1], [[0]], backend=POLYNOMIAL)) == Polynomial((1,))
 
 
 class TestReadRational:

@@ -11,18 +11,15 @@ import pytest
 from chordalbounds import (
     DomainError,
     Graph,
-    binomial_alternating_sum,
     build_graph,
     clique_complex,
     complete_graph,
-    complete_join_edgeless,
     connected_components,
     counterexample_family,
     counterexample_graph,
     cycle_graph,
     edgeless_graph,
     independence_number,
-    induced_subgraph,
     is_chordal,
     is_perfect_elimination_order,
     join_graphs,
@@ -107,11 +104,15 @@ class TestSpecialGraphs:
         with pytest.raises(DomainError):
             counterexample_family(1)
 
+    def test_cycle_needs_three_vertices(self):
+        with pytest.raises(DomainError, match="a cycle needs at least 3 vertices"):
+            cycle_graph(2)
+
     def test_complete_join_edgeless_is_star(self):
-        g = complete_join_edgeless(1, 2)
+        g = join_graphs(complete_graph(1), edgeless_graph(2))
         assert g.vertex_count == 3
         assert g.edge_count == 2
-        degrees = sorted(g.degree(v) for v in range(3))
+        degrees = sorted(mask.bit_count() for mask in g.adj)
         assert degrees == [1, 1, 2]
         assert connected_components(g) == 1
 
@@ -155,6 +156,13 @@ class TestMcsAndChordality:
         g = edgeless_graph(5)
         assert is_perfect_elimination_order(g, (4, 2, 0, 1, 3))
 
+    @pytest.mark.parametrize(
+        "order", [(0, 1), (0, 1, 1), (0, 1, 3)], ids=["short", "repeated", "out-of-range"]
+    )
+    def test_order_must_be_a_permutation(self, order):
+        with pytest.raises(DomainError, match="order is not a permutation of the vertices"):
+            is_perfect_elimination_order(path_graph(3), order)
+
     def test_four_cycle_not_chordal(self):
         assert not is_chordal(cycle_graph(4))
 
@@ -172,8 +180,18 @@ class TestMcsAndChordality:
 
     def test_against_brute_force_random(self):
         rng = random.Random(7)
-        for _ in range(300):
-            g = random_graph(rng, rng.randint(5, 7), rng.random())
+        cases = [random_graph(rng, rng.randint(5, 7), rng.random()) for _ in range(300)]
+        # Induced subgraphs of the counterexample, relabelled in sorted
+        # order of their vertices.
+        rng = random.Random(11)
+        for _ in range(60):
+            keep = sorted({v for v in range(8) if rng.random() < 0.6} or {0})
+            index = {v: i for i, v in enumerate(keep)}
+            edges = [
+                (index[u], index[v]) for u, v in counterexample_graph().edges if u in index and v in index
+            ]
+            cases.append(build_graph(len(keep), edges))
+        for g in cases:
             assert is_chordal(g) == brute_force_is_chordal(g)
 
     @pytest.mark.parametrize("make", [path_graph, cycle_graph], ids=["chordal", "not-chordal"])
@@ -200,34 +218,10 @@ class TestComponentsAndSubgraphs:
         assert connected_components(edgeless_graph(0)) == 0
 
     def test_components_within_subset(self):
+        # `alpha_prime` counts the components inside a vertex mask.
         g = path_graph(5)
-        assert connected_components(g, within=[0, 2, 4]) == 3
-        assert connected_components(g, within=[1, 2]) == 1
-
-    def test_induced_subgraph(self):
-        assert induced_subgraph(path_graph(4), {0, 2}).edges == ()
-        sub = induced_subgraph(complete_graph(4), {1, 2, 3})
-        assert sub.vertex_count == 3 and sub.edge_count == 3
-
-    def test_induced_subgraph_relabels_sorted(self):
-        g = build_graph(5, [(1, 3), (3, 4)])
-        sub = induced_subgraph(g, {4, 1, 3})
-        # map is sorted({1,3,4}) = [1, 3, 4]
-        assert sub.edges == ((0, 1), (1, 2))
-
-    def test_induced_subgraph_errors(self):
-        with pytest.raises(DomainError):
-            induced_subgraph(path_graph(3), set())
-        with pytest.raises(DomainError):
-            induced_subgraph(path_graph(3), {5})
-
-    def test_induced_chordality_matches_oracle(self):
-        rng = random.Random(11)
-        g = counterexample_graph()
-        for _ in range(60):
-            subset = {v for v in range(8) if rng.random() < 0.6} or {0}
-            sub = induced_subgraph(g, subset)
-            assert is_chordal(sub) == brute_force_is_chordal(sub)
+        assert graphs._component_count(g, 0b10101) == 3
+        assert graphs._component_count(g, 0b00110) == 1
 
 
 class TestIndependenceNumber:
@@ -321,10 +315,14 @@ class TestCliqueComplex:
                 assert counts.get(j, 0) == comb(k, j) * 3**j
 
     def test_clique_budget(self):
-        assert len(clique_complex(complete_graph(3), max_cliques=7)) == 7
-        with pytest.raises(ResourceLimitError, match="more than 6 cliques"):
-            clique_complex(complete_graph(3), max_cliques=6)
-        assert len(clique_complex(complete_graph(4), max_size=2, max_cliques=10)) == 10
+        # Only a graph with no elimination order has its cliques walked.
+        assert _clique_counts(cycle_graph(4), max_cliques=8) == {1: 4, 2: 4}
+        with pytest.raises(ResourceLimitError, match="more than 7 cliques"):
+            _clique_counts(cycle_graph(4), max_cliques=7)
+        g = counterexample_graph()
+        assert _clique_counts(g, max_size=2, max_cliques=28) == {1: 8, 2: 20}
+        with pytest.raises(ResourceLimitError, match="more than 27 cliques"):
+            _clique_counts(g, max_size=2, max_cliques=27)
 
     def test_non_chordal_counts_keep_no_list(self):
         # The K = 7 family has 16,383 cliques; listing them to count them
@@ -389,20 +387,3 @@ class TestEulerSums:
         want = sum((-1) ** (s - 1) * comb(30, s) for s in range(1, cap + 1))
         assert truncated_euler_sum(complete_graph(30), r=r) == want
 
-
-class TestBinomialAlternatingSum:
-    def test_examples(self):
-        assert binomial_alternating_sum(4, 2) == 3
-        assert binomial_alternating_sum(1, 5) == 0
-        assert binomial_alternating_sum(6, 3) == -10
-
-    def test_identity_over_grid(self):
-        for n in range(1, 21):
-            for m in range(21):
-                assert binomial_alternating_sum(n, m) == (-1) ** m * comb(n - 1, m)
-
-    def test_invalid_arguments(self):
-        with pytest.raises(DomainError):
-            binomial_alternating_sum(0, 1)
-        with pytest.raises(DomainError):
-            binomial_alternating_sum(3, -1)

@@ -143,6 +143,9 @@ class TestBestPath:
         wm2 = WeightMatrix(2, ((0.0, 0.3), (0.3, 0.0)))
         assert best_path(wm2, "exact") == (0, 1)
         assert best_path(wm2, "heuristic") == (0, 1)
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(DomainError, match="weight matrix is empty"):
+                best_path(WeightMatrix(0, ()), mode)
 
     def test_exact_cap(self):
         n = 16

@@ -32,12 +32,21 @@ def test_arithmetic():
     assert a * Fraction(1, 2) == Polynomial((Fraction(1, 2), 1))
     assert a / 2 == Polynomial((Fraction(1, 2), 1))
     assert (1 - P) * (1 + P) == Polynomial((1, 0, -1))
+    for apply in (
+        lambda: a + "x", lambda: "x" + a, lambda: a - "x", lambda: "x" - a,
+        lambda: a * "x", lambda: "x" * a, lambda: a / "x",
+    ):
+        with pytest.raises(TypeError):
+            apply()
 
 
 def test_powers():
     assert P**0 == 1
     assert P**3 == Polynomial((0, 0, 0, 1))
     assert (1 + P) ** 2 == Polynomial((1, 2, 1))
+    for exponent in (-1, 1.5):
+        with pytest.raises(ValueError, match="polynomial powers must be non-negative integers"):
+            P**exponent
 
 
 def test_evaluation_follows_argument_type():
@@ -62,6 +71,9 @@ def test_string_forms():
     assert str(Polynomial((-1, 1))) == "-1 + p"
     assert Polynomial((0, 0, 2, 2, -5, 2)).coefficient_string() == "0 0 2 2 -5 2"
     assert Polynomial().coefficient_string() == "0"
+    assert repr(P) == "Polynomial((Fraction(0, 1), Fraction(1, 1)))"
+    assert repr(Polynomial()) == "Polynomial(())"
+    assert repr(Polynomial((Fraction(2, 4),))) == "Polynomial((Fraction(1, 2),))"
 
 
 def test_division_by_zero_rejected():
