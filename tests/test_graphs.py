@@ -180,18 +180,8 @@ class TestMcsAndChordality:
 
     def test_against_brute_force_random(self):
         rng = random.Random(7)
-        cases = [random_graph(rng, rng.randint(5, 7), rng.random()) for _ in range(300)]
-        # Induced subgraphs of the counterexample, relabelled in sorted
-        # order of their vertices.
-        rng = random.Random(11)
-        for _ in range(60):
-            keep = sorted({v for v in range(8) if rng.random() < 0.6} or {0})
-            index = {v: i for i, v in enumerate(keep)}
-            edges = [
-                (index[u], index[v]) for u, v in counterexample_graph().edges if u in index and v in index
-            ]
-            cases.append(build_graph(len(keep), edges))
-        for g in cases:
+        for _ in range(300):
+            g = random_graph(rng, rng.randint(5, 7), rng.random())
             assert is_chordal(g) == brute_force_is_chordal(g)
 
     @pytest.mark.parametrize("make", [path_graph, cycle_graph], ids=["chordal", "not-chordal"])
@@ -222,6 +212,18 @@ class TestComponentsAndSubgraphs:
         g = path_graph(5)
         assert graphs._component_count(g, 0b10101) == 3
         assert graphs._component_count(g, 0b00110) == 1
+
+    def test_induced_chordality_matches_oracle(self):
+        # Induced subgraphs of the counterexample, relabelled in sorted
+        # order of their vertices.
+        rng = random.Random(11)
+        g = counterexample_graph()
+        for _ in range(60):
+            keep = sorted({v for v in range(8) if rng.random() < 0.6} or {0})
+            index = {v: i for i, v in enumerate(keep)}
+            edges = [(index[u], index[v]) for u, v in g.edges if u in index and v in index]
+            sub = build_graph(len(keep), edges)
+            assert is_chordal(sub) == brute_force_is_chordal(sub)
 
 
 class TestIndependenceNumber:
