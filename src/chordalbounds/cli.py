@@ -450,17 +450,22 @@ def _build_parser() -> _Parser:
     all_p.set_defaults(handler=_cmd_bounds_all)
 
     optimize_p = sub.add_parser("optimize", help="pick a bound-optimizing tree or path")
-    optimize_p.add_argument("structure", choices=("tree", "path"))
-    optimize_p.add_argument("events")
-    optimize_p.add_argument(
+    optimize_sub = optimize_p.add_subparsers(dest="structure", required=True, parser_class=_Parser)
+    tree_p = optimize_sub.add_parser("tree", help="Kruskal spanning tree")
+    tree_p.add_argument("events")
+    tree_p.add_argument(
         "--objective",
         choices=("minimize-weight", "maximize-weight"),
         default="minimize-weight",
     )
-    mode = optimize_p.add_mutually_exclusive_group()
+    tree_p.set_defaults(handler=_cmd_optimize)
+    path_p = optimize_sub.add_parser("path", help="minimum-weight visiting order")
+    path_p.add_argument("events")
+    # --exact is the default mode, kept as a flag for scripts that pass it.
+    mode = path_p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
-    optimize_p.set_defaults(handler=_cmd_optimize)
+    path_p.set_defaults(handler=_cmd_optimize)
 
     reliability_p = sub.add_parser("reliability", help="network reliability report")
     reliability_p.add_argument("network")

@@ -6,17 +6,17 @@ behind the averaged bounds):
 
 * EventSystem -- explicit outcome weights plus a bitmask of outcomes per
   event; every probability is one `mass` query, the sum of the outcome
-  weights under a mask.  Float weights are summed in C by `math.fsum`.
-  Exact weights are read into integer numerators on a common denominator
-  per rational component, without a Fraction per outcome; a narrow
-  column of them is also kept bit-sliced, so that a query costs a few
-  big-integer operations per numerator bit instead of a step per
-  outcome, and a column too wide for that is summed in C.  The total
-  weight for the sum-to-one check is summed once, straight from the
-  weights.  The symmetric sums are binomial moments of the number of
-  events that occur, from one mass query per count, and `alpha_prime`
-  splits the supported outcomes by event instead of testing each
-  outcome.
+  weights under a mask.  Rational weights are read into one column of
+  integer numerators on a common denominator, without a Fraction per
+  outcome; a narrow column is also kept bit-sliced, so that a query costs
+  a few big-integer operations per numerator bit instead of a step per
+  outcome, and a column too wide for that is summed in C.  Float and
+  polynomial weights are summed as they are: floats in C by `math.fsum`,
+  polynomials with `+`.  The total weight for the sum-to-one check is
+  summed once, straight from the weights.  The symmetric sums are
+  binomial moments of the number of events that occur, from one mass
+  query per count, and `alpha_prime` splits the supported outcomes by
+  event instead of testing each outcome.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
   required coordinates per event (built by `bernoulli_product`).  An
   intersection is a product of coordinate probabilities (p**k, memoized
@@ -39,7 +39,7 @@ from itertools import combinations, compress, repeat
 
 from .errors import DomainError, ResourceLimitError, _require_int
 from .graphs import Graph, _component_count
-from .values import Backend, REAL
+from .values import RATIONAL, REAL, Backend, _read_rational_column
 
 __all__ = [
     "EventSystem",
@@ -62,17 +62,16 @@ class EventSystem:
     """Outcome weights plus per-event outcome masks over one backend.
 
     Every probability is `mass(mask)`, the total weight of the outcomes a
-    mask selects, and `mass` sums without a Python loop over outcomes.
-    Float weights go through `math.fsum`, so each mass is correctly
-    rounded.  Exact weights are kept as integer numerators over one common
-    denominator per rational component.  A component whose numerators span
-    at most one bit per 16 outcomes (`_OUTCOMES_PER_PLANE`) is also kept
-    as bit planes, built on the first query, and a query sums popcounts
-    per plane; a wider one is summed outcome by outcome in C.  A RATIONAL
-    weight may be an int, a Fraction or a rational string such as
-    "7/873"; a column of them is read straight into numerators and
-    denominators (`values._read_rational_column`), and `weights` keeps
-    the values as given.
+    mask selects.  RATIONAL weights are kept as one column of integer
+    numerators over one common denominator.  A column whose numerators
+    span at most one bit per 16 outcomes (`_OUTCOMES_PER_PLANE`) is also
+    kept as bit planes, built on the first query, and a query sums
+    popcounts per plane; a wider one is summed outcome by outcome in C.  A
+    RATIONAL weight may be an int, a Fraction or a rational string such as
+    "7/873"; the column is read straight into numerators and denominators
+    (`values._read_rational_column`), and `weights` keeps the values as
+    given.  REAL and POLYNOMIAL weights are summed as selected, REAL
+    through `math.fsum`, so each mass is correctly rounded.
 
     Instances are immutable once built; `mass` memoizes mask sums, seeded
     with the total weight, and `_symmetric_sum` computes every symmetric
@@ -81,7 +80,7 @@ class EventSystem:
     """
 
     __slots__ = (
-        "backend", "weights", "events", "_columns", "_planes", "_mass_cache", "_moments",
+        "backend", "weights", "events", "_column", "_planes", "_mass_cache", "_moments",
     )
 
     def __init__(self, backend: Backend, weights, events):
@@ -102,28 +101,25 @@ class EventSystem:
         self.backend = backend
         self.weights = weights
         self.events = events
-        self._columns = _integer_columns(backend, weights) if backend.exact else None
-        self._planes: tuple | None = None
-        if self._columns is None:
-            total = math.fsum(weights)
+        self._column: tuple[list[int], int] | None = None
+        if backend is RATIONAL:
+            numerators, denominator = self._column = _integer_column(weights)
+            total = Fraction(sum(numerators), denominator)
+            lowest = Fraction(min(numerators), denominator)
         else:
-            total = backend.from_rationals(tuple(
-                (sum(numerators), denominator) for numerators, denominator in self._columns
-            ))
+            total = _sum(backend, weights)
+            lowest = min(weights) if backend.ordered else None
+        # The column's (low, planes), or () for a column too wide for them;
+        # None until the first query.
+        self._planes: tuple | None = None
         # Seeded with the full mass, so that a system that is only checked,
         # or only asked for its support, never builds bit planes.
         self._mass_cache: dict[int, object] = {full: total}
         self._moments: tuple | None = None
         if not backend.sum_is_one(total):
             raise DomainError(f"outcome weights must sum to one, got {total}")
-        if backend.ordered:
-            if self._columns is None:
-                lowest = min(weights)
-            else:
-                numerators, denominator = self._columns[0]
-                lowest = Fraction(min(numerators), denominator)
-            if lowest < 0:
-                raise DomainError(f"negative outcome weight {lowest}")
+        if backend.ordered and lowest < 0:
+            raise DomainError(f"negative outcome weight {lowest}")
 
     @property
     def event_count(self) -> int:
@@ -136,43 +132,37 @@ class EventSystem:
     def mass(self, mask: int):
         """Total weight of the outcomes selected by `mask`.
 
-        Float weights: the mask becomes one 0/1 byte per outcome (lowest
-        bit first), `itertools.compress` picks the summands in C and
-        `math.fsum` adds them.  Exact weights: each bit-sliced column (see
-        `_bit_planes`, built on the first query) sums to
-        low * popcount(mask) + sum_j popcount(mask & planes[j]) << j, and
+        REAL and POLYNOMIAL weights: the mask becomes one 0/1 byte per
+        outcome (lowest bit first), `itertools.compress` picks the summands
+        in C, and `math.fsum` or `sum` adds them.  RATIONAL weights: a
+        bit-sliced column (see `_bit_planes`, built on the first query) sums
+        to low * popcount(mask) + sum_j popcount(mask & planes[j]) << j, and
         a column too wide for planes is summed like the floats, over its
         integer numerators.
         """
         cached = self._mass_cache.get(mask)
         if cached is not None:
             return cached
-        if self._columns is None:
-            total = math.fsum(compress(self.weights, _selector(mask)))
+        if self._column is None:
+            total = _sum(self.backend, compress(self.weights, _selector(mask)))
         else:
+            numerators, denominator = self._column
             if self._planes is None:
-                self._planes = tuple(_bit_planes(numerators) for numerators, _ in self._columns)
-            select = None if all(self._planes) else _selector(mask)
-            parts = []
-            for (numerators, denominator), sliced in zip(self._columns, self._planes):
-                if sliced is None:
-                    numerator = sum(compress(numerators, select))
-                else:
-                    low, planes = sliced
-                    numerator = low * mask.bit_count()
-                    for j, plane in enumerate(planes):
-                        numerator += (mask & plane).bit_count() << j
-                parts.append((numerator, denominator))
-            total = self.backend.from_rationals(tuple(parts))
+                self._planes = _bit_planes(numerators)
+            if self._planes:
+                low, planes = self._planes
+                numerator = low * mask.bit_count()
+                for j, plane in enumerate(planes):
+                    numerator += (mask & plane).bit_count() << j
+            else:
+                numerator = sum(compress(numerators, _selector(mask)))
+            total = Fraction(numerator, denominator)
         self._mass_cache[mask] = total
         return total
 
     def _support(self) -> int:
         """Mask of the outcomes with non-zero weight (exact zero test)."""
-        if self._columns is None:
-            flags = bytes(map(bool, self.weights))
-        else:
-            flags = bytes(map(any, zip(*(numerators for numerators, _ in self._columns))))
+        flags = bytes(map(bool, self.weights if self._column is None else self._column[0]))
         return int(flags[::-1].translate(_BYTE_DIGITS), 2)
 
     def _combined_mask(self, index_set) -> int:
@@ -201,12 +191,10 @@ class EventSystem:
         per event, each W_c is one mass query, and the moments are cached.
         """
         if self._moments is None:
-            backend, n = self.backend, self.event_count
+            n = self.event_count
             by_count = [self.mass(mask) for mask in _count_masks(self.events, self.full_mask)]
             terms = [[by_count[c] * math.comb(c, k) for c in range(k, n + 1)] for k in range(n + 1)]
-            self._moments = tuple(
-                sum(t, backend.zero) if backend.exact else math.fsum(t) for t in terms
-            )
+            self._moments = tuple(_sum(self.backend, t) for t in terms)
         return self._moments[k]
 
 
@@ -228,10 +216,7 @@ class ProductSystem:
     def __init__(self, backend: Backend, probs, requires):
         probs = tuple(probs)
         requires = tuple(requires)
-        if len(probs) > MAX_PRODUCT_COORDS:
-            raise ResourceLimitError(
-                f"product space over {len(probs)} coordinates exceeds the cap of {MAX_PRODUCT_COORDS}"
-            )
+        _require_coordinate_cap(len(probs))
         if backend.ordered:
             for p in probs:
                 if not backend.zero <= p <= backend.one:
@@ -362,26 +347,28 @@ def _selector(mask: int) -> bytes:
     return format(mask, "b")[::-1].encode("ascii").translate(_BIT_BYTES)
 
 
-def _integer_columns(backend: Backend, weights) -> tuple[tuple[list[int], int], ...]:
-    """Exact weights as (numerators, denominator) per rational component:
-    component j of outcome o's weight is numerators[o] / denominator, with
-    the least common denominator of that component over all outcomes.
-    The weights are read as integer pairs, so no Fraction is built per
+def _sum(backend: Backend, values):
+    """Sum of backend values; floats through `math.fsum`, correctly
+    rounded."""
+    return sum(values, backend.zero) if backend.exact else math.fsum(values)
+
+
+def _integer_column(weights) -> tuple[list[int], int]:
+    """Rational weights as (numerators, denominator): outcome o weighs
+    numerators[o] / denominator, over the least common denominator.  The
+    weights are read as integer pairs, so no Fraction is built per
     outcome."""
-    columns = []
-    for component in backend.pair_columns(weights):
-        numerators, denominators = zip(*component)
-        denominator = math.lcm(*set(denominators))
-        scales = map(denominator.__floordiv__, denominators)
-        columns.append((list(map(operator.mul, numerators, scales)), denominator))
-    return tuple(columns)
+    numerators, denominators = zip(*_read_rational_column(weights))
+    denominator = math.lcm(*set(denominators))
+    scales = map(denominator.__floordiv__, denominators)
+    return list(map(operator.mul, numerators, scales)), denominator
 
 
-def _bit_planes(numerators) -> tuple[int, tuple[int, ...]] | None:
+def _bit_planes(numerators) -> tuple[int, tuple[int, ...]] | tuple[()]:
     """Bit-sliced form of an integer column: (low, planes), where low is
     the least numerator and planes[j] the mask of the outcomes whose
     numerator less low has bit j set (no planes when all are equal).
-    None for a column wider than one bit per `_OUTCOMES_PER_PLANE`
+    () for a column wider than one bit per `_OUTCOMES_PER_PLANE`
     outcomes, which is summed outcome by outcome instead.
 
     The transpose is C-level: the numerators less low, last outcome
@@ -392,7 +379,7 @@ def _bit_planes(numerators) -> tuple[int, tuple[int, ...]] | None:
     low = min(numerators)
     width = (max(numerators) - low).bit_length()
     if width * _OUTCOMES_PER_PLANE > len(numerators):
-        return None
+        return ()
     size = (width + 7) // 8
     offsets = map(operator.sub, reversed(numerators), repeat(low))
     data = b"".join(map(int.to_bytes, offsets, repeat(size), repeat("little")))
@@ -427,6 +414,14 @@ def _event_indices(index_set, event_count: int) -> set:
         if not 0 <= i < event_count:
             raise DomainError(f"event index {i} out of range")
     return indices
+
+
+def _require_coordinate_cap(count: int) -> None:
+    """A product space has at most MAX_PRODUCT_COORDS coordinates."""
+    if count > MAX_PRODUCT_COORDS:
+        raise ResourceLimitError(
+            f"product space over {count} coordinates exceeds the cap of {MAX_PRODUCT_COORDS}"
+        )
 
 
 def _require_one_vertex_per_event(event_count: int, vertex_count: int) -> None:

@@ -32,20 +32,15 @@ def _pair(c) -> tuple[int, int]:
     )
 
 
-def _over_common_denominator(pairs) -> tuple[list[int], int]:
-    """(numerators, denominator) of rationals given as (numerator, positive
-    denominator) pairs, over their least common denominator."""
-    denominator = math.lcm(*(d for _, d in pairs))
-    return [n * (denominator // d) for n, d in pairs], denominator
-
-
 class Polynomial:
     """Immutable polynomial; coefficient i is the weight of p**i."""
 
     __slots__ = ("numerators", "denominator")
 
     def __init__(self, coeffs=()):
-        self._set(*_over_common_denominator([_pair(c) for c in coeffs]))
+        pairs = [_pair(c) for c in coeffs]
+        denominator = math.lcm(*(d for _, d in pairs))
+        self._set([n * (denominator // d) for n, d in pairs], denominator)
 
     def _set(self, numerators: list[int], denominator: int) -> None:
         """Store numerators over a positive denominator, normalised."""
@@ -64,12 +59,6 @@ class Polynomial:
         poly = cls.__new__(cls)
         poly._set(numerators, denominator)
         return poly
-
-    @classmethod
-    def _from_pairs(cls, pairs) -> "Polynomial":
-        """Polynomial whose coefficient i is the rational pairs[i], given as
-        a (numerator, positive denominator) pair."""
-        return cls._make(*_over_common_denominator(pairs))
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:

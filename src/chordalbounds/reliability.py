@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .bounds import classical_bonferroni, hunter_lower_tree, kwerel_lower
 from .errors import DomainError, _require_int, _to_float
-from .events import ProductSystem, bernoulli_product, union_prob_exact
+from .events import ProductSystem, _require_coordinate_cap, bernoulli_product, union_prob_exact
 from .graphs import path_graph
 from .poly import P, Polynomial
 from .values import POLYNOMIAL, REAL
@@ -154,15 +154,36 @@ def enumerate_st_paths(net: Network) -> tuple[frozenset[int], ...]:
     return tuple(found)
 
 
+def _st_paths(net: Network, paths):
+    """`paths` when given; else no paths when the terminal is unreachable
+    (one search over the arcs), else every s-t path.  A reachable network
+    is checked against the product-space cap before the enumeration,
+    which grows exponentially with the arcs, since every arc becomes a
+    coordinate of the path events."""
+    if paths is not None:
+        return paths
+    heads: dict[int, list[int]] = {}
+    for tail, head in net.arcs:
+        heads.setdefault(tail, []).append(head)
+    reached, frontier = {net.source}, [net.source]
+    while frontier:
+        for head in heads.get(frontier.pop(), ()):
+            if head not in reached:
+                reached.add(head)
+                frontier.append(head)
+    if net.terminal not in reached:
+        return ()
+    _require_coordinate_cap(len(net.arcs))
+    return enumerate_st_paths(net)
+
+
 def path_event_system(net: Network, paths=None) -> ProductSystem:
     """Product-form system over arc states, one event per path.
 
     Pass `paths` to fix the event order explicitly; by default the
     canonical enumeration order is used.
     """
-    if paths is None:
-        paths = enumerate_st_paths(net)
-    paths = tuple(frozenset(p) for p in paths)
+    paths = tuple(frozenset(p) for p in _st_paths(net, paths))
     if not paths:
         raise DomainError("network has no source-to-terminal path")
     if net.symbolic:
@@ -181,8 +202,7 @@ def exact_reliability(net: Network, paths=None):
     Returns a Polynomial for symbolic networks, a float otherwise; a
     network with no path has reliability zero.
     """
-    if paths is None:
-        paths = enumerate_st_paths(net)
+    paths = _st_paths(net, paths)
     if not paths:
         return POLYNOMIAL.zero if net.symbolic else 0.0
     return union_prob_exact(path_event_system(net, paths))
@@ -197,9 +217,7 @@ def bound_values(net: Network, paths=None) -> dict:
     symbolic network with no path gets zero polynomials; a numeric one
     raises DomainError.
     """
-    if paths is None:
-        paths = enumerate_st_paths(net)
-    paths = tuple(paths)
+    paths = tuple(_st_paths(net, paths))
     if not paths and net.symbolic:
         return dict.fromkeys(("exact", *DEFAULT_BOUND_KINDS), POLYNOMIAL.zero)
     sys = path_event_system(net, paths)

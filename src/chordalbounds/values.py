@@ -2,33 +2,26 @@
 
 Each bound is written once against plain arithmetic operators (+, -, *,
 division by a positive integer, multiplication by a Fraction).  A Backend
-supplies the ring constants and the equality semantics that differ between
-floating point and the exact domains:
+holds constants and flags only: the ring's zero and one, whether it is
+exact and whether it is ordered, and with them the sum-to-one test that
+differs between floating point and the exact domains:
 
 * REAL        -- 64-bit floats; weight sums checked within 1e-12.
 * RATIONAL    -- fractions.Fraction; everything exact, used as test oracle.
 * POLYNOMIAL  -- Polynomial values in a shared parameter p; exact, unordered.
 
-An exact backend also maps a sequence of values to its rational
-components (the values themselves, or their coefficients), each one
-(numerator, denominator) integer pair per value, and one such pair per
-component back to a value, so that sums of many values can be taken over
-integer numerators.  A Polynomial already stores integer numerators over
-one denominator, so its pairs are read off and put back without a
-Fraction per coefficient.  `_read_rational` is the one reader of exact
-rationals: a RATIONAL value may be an int, a Fraction or a string, and a
-plain string of decimal digits "a" or "a/b" is split into integers
-without building a Fraction.  `_read_rational_column` reads a whole
-RATIONAL column: one of plain "a/b" strings in a few C-level passes, any
-other value by value through `_read_rational`.
+`_read_rational` is the one reader of exact rationals: a RATIONAL value
+may be an int, a Fraction or a string, and a plain string of decimal
+digits "a" or "a/b" is split into integers without building a Fraction.
+`_read_rational_column` reads a whole RATIONAL column: one of plain "a/b"
+strings in a few C-level passes, any other value by value through
+`_read_rational`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat, zip_longest
-from typing import Callable
 
 from .poly import Polynomial
 
@@ -45,11 +38,6 @@ class Backend:
     one: object
     exact: bool
     ordered: bool
-    # Exact backends only: values -> rational components, each one
-    # (numerator, denominator) pair per value; one (numerator, positive
-    # denominator) pair per component -> value.
-    pair_columns: Callable | None = None
-    from_rationals: Callable | None = None
 
     def sum_is_one(self, total) -> bool:
         if self.exact:
@@ -110,20 +98,6 @@ def _read_rational_column(values) -> list[tuple[int, int]]:
     return list(map(_read_rational, values))
 
 
-def _coefficient_pairs(value) -> zip:
-    if not isinstance(value, Polynomial):
-        value = Polynomial((value,))
-    return zip(value.numerators, repeat(value.denominator))
-
-
 REAL = Backend("real", 0.0, 1.0, exact=False, ordered=True)
-RATIONAL = Backend(
-    "rational", Fraction(0), Fraction(1), exact=True, ordered=True,
-    pair_columns=lambda values: (_read_rational_column(values),),
-    from_rationals=lambda parts: Fraction(*parts[0]),
-)
-POLYNOMIAL = Backend(
-    "polynomial", Polynomial(), Polynomial((1,)), exact=True, ordered=False,
-    pair_columns=lambda values: zip_longest(*map(_coefficient_pairs, values), fillvalue=(0, 1)),
-    from_rationals=Polynomial._from_pairs,
-)
+RATIONAL = Backend("rational", Fraction(0), Fraction(1), exact=True, ordered=True)
+POLYNOMIAL = Backend("polynomial", Polynomial(), Polynomial((1,)), exact=True, ordered=False)

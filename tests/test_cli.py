@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from chordalbounds import bounds, cli, from_outcomes, graphs
+from chordalbounds import bounds, cli, from_outcomes, graphs, reliability
 from chordalbounds.cli import _load_events, main
 from chordalbounds.values import RATIONAL
 
@@ -655,6 +655,25 @@ class TestOptimize:
         code, _, err = run(capsys, "optimize", "path", str(path), "--exact")
         assert code == 3 and "caps at" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "--exact"],
+            ["tree", "--heuristic"],
+            ["tree", "--objective", "maximize-weight", "--heuristic"],
+            ["path", "--objective", "maximize-weight"],
+            ["path", "--objective", "minimize-weight"],
+            ["path", "--heuristic", "--objective", "maximize-weight"],
+            ["path", "--exact", "--objective", "minimize-weight"],
+        ],
+    )
+    def test_cross_flag_exit_1(self, capsys, events_json, argv):
+        # Each structure takes only its own flags: a tree has an
+        # objective, a path a mode.
+        structure, *flags = argv
+        code, out, err = run(capsys, "optimize", structure, events_json, *flags)
+        assert code == 1 and not out and "unrecognized arguments" in err
+
 
 class TestReliability:
     def test_polynomial_report(self, capsys, network_json):
@@ -771,6 +790,33 @@ class TestReliability:
         assert out == "p,exact,hunter-lower,kwerel-lower,bonferroni-lower\n" + "".join(
             f"{p},0,0,0,0\n" for p in ("0", "0.5", "1")
         )
+
+    def test_many_arcs_without_path_prints_zeros(self, capsys, tmp_path):
+        # 26 arcs among nodes 0..6; the terminal 7 has none
+        arcs = [[u, v] for u in range(7) for v in range(7) if u != v][:26]
+        path = tmp_path / "cut.json"
+        path.write_text(json.dumps({"nodes": 8, "arcs": arcs, "s": 0, "t": 7}))
+        code, out, err = run(capsys, "reliability", str(path))
+        kinds = ("exact", "hunter-lower", "kwerel-lower", "bonferroni-lower")
+        zeros = "".join(f"{kind}: 0\n{kind} coeffs: 0\n" for kind in kinds)
+        assert (code, out, err) == (0, zeros, "")
+
+    @pytest.mark.parametrize("p", [0.5, "symbolic"])
+    def test_arc_cap_checked_before_paths_are_enumerated(self, capsys, monkeypatch, tmp_path, p):
+        # The complete digraph on 11 nodes has 110 arcs and about a million
+        # s-t paths; the cap on product coordinates rejects it first.
+        def enumerate_st_paths(net):
+            raise AssertionError("paths enumerated")
+
+        monkeypatch.setattr(reliability, "enumerate_st_paths", enumerate_st_paths)
+        arcs = [[u, v] for u in range(11) for v in range(11) if u != v]
+        path = tmp_path / "k11.json"
+        path.write_text(json.dumps({"nodes": 11, "arcs": arcs, "s": 0, "t": 10, "p": p}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reliability", str(path))
+        assert time.perf_counter() - start < 1
+        message = "error: product space over 110 coordinates exceeds the cap of 24\n"
+        assert (code, out, err) == (3, "", message)
 
     def test_numeric_network_without_path_exit_2(self, capsys, tmp_path):
         path = tmp_path / "cut.json"

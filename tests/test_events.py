@@ -31,6 +31,8 @@ from chordalbounds.reliability import BRIDGE_PATH_ORDER
 from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL, _read_rational, _read_rational_column
 
 from helpers import (
+    FractionPolynomial,
+    bits,
     brute_force_alpha_prime,
     exact_mass,
     random_chordal_graph,
@@ -90,6 +92,12 @@ class TestFromOutcomes:
         assert intersection_prob(sys_, {0}) == Polynomial((Fraction(1, 3),))
         assert intersection_prob(sys_, {0, 1}) == Polynomial()
         assert union_prob_exact(from_outcomes([1], [[0]], backend=POLYNOMIAL)) == Polynomial((1,))
+
+    @pytest.mark.parametrize("bad", [0.5, "1/2", None], ids=["float", "str", "none"])
+    def test_polynomial_system_rejects_other_weight_types(self, bad):
+        for weights in ([bad, Fraction(1, 2)], [Fraction(1, 2), bad]):
+            with pytest.raises(TypeError, match=type(bad).__name__):
+                from_outcomes(weights, [[0]], backend=POLYNOMIAL)
 
 
 class TestReadRational:
@@ -484,7 +492,7 @@ class TestMassAgainstBruteForce:
         weights = make(random.Random(7), 200)
         sys_ = EventSystem(RATIONAL, weights, [1])
         sys_.mass(0b101)
-        assert (sys_._planes != (None,)) == sliced
+        assert bool(sys_._planes) == sliced
 
     @pytest.mark.parametrize("m", OUTCOME_COUNTS)
     def test_alpha_prime(self, m):
@@ -497,3 +505,88 @@ class TestMassAgainstBruteForce:
             events = [rng.getrandbits(m) for _ in range(n)]
             sys_ = EventSystem(backend, weights, events)
             assert alpha_prime(sys_, g) == brute_force_alpha_prime(weights, events, g)
+
+
+def reference(value):
+    """A Polynomial, or a constant, as the Fraction-coefficient reference."""
+    return FractionPolynomial(value.coeffs if isinstance(value, Polynomial) else (value,))
+
+
+def reference_mass(weights, mask):
+    """Coefficients of the sum of the reference weights under `mask`."""
+    total = FractionPolynomial()
+    for o in bits(mask):
+        total = total + weights[o]
+    return total.coeffs
+
+
+def coeffs(value):
+    return reference(value).coeffs
+
+
+class TestPolynomialAgainstReference:
+    """Explicit POLYNOMIAL weights are summed as they are; every mass, S_k,
+    union and atom equals the same sum over Fraction-coefficient reference
+    polynomials, added one outcome at a time."""
+
+    @staticmethod
+    def weights(rng, m):
+        # w_o = a_o + (x_o - y_o) P^d sums to one when y is x shuffled;
+        # where x_o = y_o the weight is a plain Fraction or 0
+        d = rng.randint(1, 4)
+        a, x = rational_weights(rng, m), rational_weights(rng, m)
+        y = rng.sample(x, m)
+        weights = [c + (u - v) * P**d for c, u, v in zip(a, x, y)]
+        return [w if w.degree > 0 else sum(w.coeffs, 0) for w in weights]
+
+    @pytest.mark.parametrize("m", OUTCOME_COUNTS)
+    def test_explicit_system(self, m):
+        rng = random.Random(300 + m)
+        for _ in range(3):
+            weights = self.weights(rng, m)
+            n = rng.randint(1, 5)
+            events = [rng.getrandbits(m) for _ in range(n)]
+            sys_ = EventSystem(POLYNOMIAL, weights, events)
+            ref = [reference(w) for w in weights]
+            for mask in [0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(6))]:
+                got = sys_.mass(mask)
+                assert isinstance(got, Polynomial) and coeffs(got) == reference_mass(ref, mask)
+            union = 0
+            for mask in events:
+                union |= mask
+            assert coeffs(union_prob_exact(sys_)) == reference_mass(ref, union)
+            for k in range(1, n + 1):
+                want = FractionPolynomial()
+                for index_set in combinations(range(n), k):
+                    inter = (1 << m) - 1
+                    for i in index_set:
+                        inter &= events[i]
+                    want = want + FractionPolynomial(reference_mass(ref, inter))
+                assert coeffs(sys_._symmetric_sum(k)) == want.coeffs
+            signature = set(rng.sample(range(n), rng.randint(1, n)))
+            inside = (1 << m) - 1
+            for i in range(n):
+                inside &= events[i] if i in signature else ~events[i]
+            assert coeffs(atom_prob(sys_, signature)) == reference_mass(ref, inside)
+
+    @pytest.mark.parametrize("m", [1, 4, 7, 10])
+    def test_symbolic_product_atoms(self, m):
+        rng = random.Random(400 + m)
+        shapes = (P, 1 - P, (1 + P) / 2, P**2)
+        probs = [rng.choice(shapes) for _ in range(m)]
+        defs = [[c for c in range(m) if rng.random() < 0.4] for _ in range(rng.randint(1, 4))]
+        sys_ = bernoulli_product(probs, defs, backend=POLYNOMIAL)
+        # outcome s has coordinate c on iff bit c of s is set
+        one = FractionPolynomial((1,))
+        outcome = [one]
+        for p in map(reference, probs):
+            outcome = [w * (one - p) for w in outcome] + [w * p for w in outcome]
+        n = len(defs)
+        for size in range(1, n + 1):
+            for signature in combinations(range(n), size):
+                want = FractionPolynomial()
+                for s, w in enumerate(outcome):
+                    occurs = [all(s >> c & 1 for c in d) for d in defs]
+                    if all(occurs[i] == (i in signature) for i in range(n)):
+                        want = want + w
+                assert coeffs(atom_prob(sys_, signature)) == want.coeffs

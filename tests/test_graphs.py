@@ -308,7 +308,8 @@ class TestCliqueComplex:
             ]
             for cap in [*range(1, n + 1), None]:
                 expected = tuple(s for s in subsets if cap is None or len(s) <= cap)
-                assert clique_complex(g, max_size=cap).cliques == expected
+                cc = clique_complex(g, max_size=cap)
+                assert cc.cliques == expected and len(cc) == len(expected)
 
     def test_family_clique_counts_formula(self):
         for k in (3, 5):

@@ -166,13 +166,3 @@ class TestAgainstFractionReference:
                 constant = pa.coeffs[0] if pa else 0
                 assert pa == constant and pa == Fraction(constant)
                 assert hash(pa) == hash(constant) == hash(Fraction(constant))
-
-    def test_unreduced_pairs(self):
-        # Explicit polynomial event systems hand back one (numerator,
-        # denominator) pair per coefficient, over no common denominator.
-        rng = random.Random(20100418)
-        for _ in range(200):
-            coeffs = _random_coeffs(rng)
-            scales = [rng.randint(1, 6) for _ in coeffs]
-            pairs = [(c.numerator * k, c.denominator * k) for c, k in zip(map(Fraction, coeffs), scales)]
-            assert_same(Polynomial._from_pairs(pairs), FractionPolynomial(coeffs))
