@@ -2,7 +2,8 @@
 
 Two representations answer the same queries (`intersection_prob`,
 `union_prob_exact`, `atom_prob`, `alpha_prime`, and the symmetric sums
-behind the averaged bounds):
+behind the averaged bounds), each through its own private methods
+(`mass`, `_union`, `_atom`, `_signatures`, `_symmetric_sum`):
 
 * EventSystem -- explicit outcome weights plus a bitmask of outcomes per
   event; every probability is one `mass` query, the sum of the outcome
@@ -16,13 +17,16 @@ behind the averaged bounds):
   summed once, straight from the weights.  The symmetric sums are
   binomial moments of the number of events that occur, from one mass
   query per count, and `alpha_prime` splits the supported outcomes by
-  event instead of testing each outcome.
+  event instead of testing each outcome.  An atom is one mass query.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
   required coordinates per event (built by `bernoulli_product`).  An
   intersection is a product of coordinate probabilities (p**k, memoized
   by k, when every coordinate has the same exact probability p) and the
-  union is computed by Shannon expansion over coordinates, so the 2**m
-  outcome space is built only for `atom_prob` and `alpha_prime`.
+  union is computed by Shannon expansion over coordinates.  An atom is
+  the mass of the coordinates its events require times one minus the
+  Shannon union of the other events' residual masks, and `alpha_prime`
+  splits the coordinate assignments by event, keeping each part as its
+  least on-set, so no outcome is ever built.
 
 Both stay exact for rational and polynomial values; an explicit system's
 float masses are correctly rounded.  Both check index sets with
@@ -53,8 +57,10 @@ __all__ = [
     "alpha_prime",
 ]
 
-# Hard cap for the product-space constructor: `atom_prob` and `alpha_prime`
-# materialize all 2**m outcomes.
+# Hard cap for the product-space constructor, and for the arcs of a
+# reliability network (one coordinate per arc) before its s-t paths are
+# enumerated.  No query builds the 2**m outcomes, but a union's Shannon
+# expansion can still take time exponential in m.
 MAX_PRODUCT_COORDS = 24
 
 
@@ -178,8 +184,34 @@ class EventSystem:
             union |= mask
         return self.mass(union)
 
-    def _outcomes(self) -> EventSystem:
-        return self
+    def _atom(self, signature):
+        """Weight of the outcomes in every event of the set `signature`
+        and in no other event."""
+        inter = self._combined_mask(signature)
+        others = 0
+        for i, mask in enumerate(self.events):
+            if i not in signature:
+                others |= mask
+        return self.mass(inter & ~others & self.full_mask)
+
+    def _signatures(self):
+        """(signature, outcomes) pairs: each signature (event mask) of the
+        outcomes with non-zero weight, with the mask of those outcomes.
+
+        The supported outcomes are split by each event in turn; each part
+        left is the non-empty set of outcomes of one signature.
+        """
+        parts = [(0, self._support())]
+        for i, event in enumerate(self.events):
+            split = []
+            for sig, mask in parts:
+                inside = mask & event
+                if inside:
+                    split.append((sig | 1 << i, inside))
+                if inside != mask:
+                    split.append((sig, mask ^ inside))
+            parts = split
+        return parts
 
     def _symmetric_sum(self, k: int):
         """S_k = sum of P(every event in I occurs) over all |I| = k, for
@@ -265,10 +297,11 @@ class ProductSystem:
             mask |= self.requires[i]
         return mask
 
-    def _union(self):
+    def _union(self, requires=None):
         """Shannon expansion on coordinate c (arc factoring):
         U(F) = p_c U(F with c on) + (1 - p_c) U(F with c off), where F is
-        the family of residual required-coordinate masks."""
+        the family of residual required-coordinate masks, at first
+        `requires` (by default the events' own masks)."""
         one = self.backend.one
         probs, offs = self.probs, self._offs
         memo: dict[tuple[int, ...], object] = {}
@@ -290,8 +323,47 @@ class ProductSystem:
             memo[family] = value
             return value
 
-        family = _minimal(self.requires)
+        family = _minimal(self.requires if requires is None else requires)
         return one if family[0] == 0 else union(family)
+
+    def _atom(self, signature):
+        """P(every coordinate of U on) * (1 - P(some residual is all on)):
+        U is the union of the coordinates the events of the set
+        `signature` require, and the residuals are the other events'
+        masks less U, so they are independent of U.  An empty residual
+        makes the atom 0."""
+        inside = self._combined_mask(signature)
+        residuals = [r & ~inside for i, r in enumerate(self.requires) if i not in signature]
+        value = self.mass(inside)
+        return value * (self.backend.one - self._union(residuals)) if residuals else value
+
+    def _signatures(self):
+        """(signature, on) pairs: each signature (event mask) of the
+        coordinate assignments with non-zero probability, with the least
+        such assignment's on-set; split by each event in turn, depth first.
+
+        A part (i, sig, on, masks) holds the assignments with every
+        coordinate of `on` on, no coordinate of probability 0 on, and no
+        mask of `masks` all on; of the events before i, exactly those in
+        `sig` occur.  It starts with `on` the coordinates of probability 1.
+        Such a part is non-empty exactly when `on` itself is one of its
+        assignments, so a split keeps a part only then, and each part
+        that reaches the last event is one supported signature.
+        """
+        impossible = sum(1 << c for c, p in enumerate(self.probs) if p == self.backend.zero)
+        certain = sum(1 << c for c, p in enumerate(self.probs) if p == self.backend.one)
+        stack = [(0, 0, certain, ())]
+        while stack:
+            i, sig, on, masks = stack.pop()
+            if i == self.event_count:
+                yield sig, on
+                continue
+            required = self.requires[i]
+            inside = on | required
+            if not inside & impossible and all(m & ~inside for m in masks):
+                stack.append((i + 1, sig | 1 << i, inside, masks))
+            if required & ~on:
+                stack.append((i + 1, sig, on, (*masks, required)))
 
     def _symmetric_sum(self, k: int):
         """S_k = sum of P(every event in I occurs) over all |I| = k, by
@@ -308,23 +380,6 @@ class ProductSystem:
                 value = value + self.mass(mask)
             self._sums[k] = value
         return value
-
-    def _outcomes(self) -> EventSystem:
-        """The explicit 2**m outcome space; outcome s has bit i set iff
-        coordinate i is on."""
-        weights = [self.backend.one]
-        for p, off in zip(self.probs, self._offs):
-            weights = [w * off for w in weights] + [w * p for w in weights]
-        masks = []
-        for required in self.requires:
-            indicator = 1
-            for i in range(len(self.probs)):
-                if (required >> i) & 1:
-                    indicator <<= 1 << i
-                else:
-                    indicator |= indicator << (1 << i)
-            masks.append(indicator)
-        return EventSystem(self.backend, weights, masks)
 
 
 # '0'/'1' characters to 0/1 bytes, and back.
@@ -487,10 +542,10 @@ def bernoulli_product(probs, event_defs, backend: Backend = REAL) -> ProductSyst
     """Product space of independent on/off coordinates, in product form.
 
     `probs[i]` is the probability that coordinate i is on; event j occurs
-    when every coordinate in `event_defs[j]` is on.  No outcome is built
-    here: queries multiply coordinate probabilities, and only `atom_prob`
-    and `alpha_prime` materialize the 2**m outcomes, which is why m is
-    capped at MAX_PRODUCT_COORDS.
+    when every coordinate in `event_defs[j]` is on.  No outcome is ever
+    built: intersections multiply coordinate probabilities, unions and
+    atoms expand over coordinates, and `alpha_prime` splits coordinate
+    assignments by event.  m is capped at MAX_PRODUCT_COORDS.
     """
     probs = tuple(probs)
     requires = [_id_mask(required, len(probs), "coordinate") for required in event_defs]
@@ -514,14 +569,7 @@ def union_prob_exact(sys):
 
 def atom_prob(sys, signature):
     """Probability that exactly the events in `signature` occur."""
-    sys = sys._outcomes()
-    inter = sys._combined_mask(signature)
-    others = 0
-    sig = set(signature)
-    for i, mask in enumerate(sys.events):
-        if i not in sig:
-            others |= mask
-    return sys.mass(inter & ~others & sys.full_mask)
+    return sys._atom(set(signature))
 
 
 def alpha_prime(sys, g: Graph) -> int:
@@ -537,21 +585,8 @@ def alpha_prime(sys, g: Graph) -> int:
             "sharpened denominator needs a backend with decidable support emptiness"
         )
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
-    sys = sys._outcomes()
-    # Split the supported outcomes by each event in turn; each part left
-    # is the non-empty set of outcomes of one signature.
-    parts = [(0, sys._support())]
-    for i, event in enumerate(sys.events):
-        split = []
-        for sig, mask in parts:
-            inside = mask & event
-            if inside:
-                split.append((sig | 1 << i, inside))
-            if inside != mask:
-                split.append((sig, mask ^ inside))
-        parts = split
     best = 1
-    for sig, _ in parts:
+    for sig, _ in sys._signatures():
         # g[J] has at most |J| components
         if sig.bit_count() > best:
             best = max(best, _component_count(g, sig))

@@ -3,11 +3,12 @@
 Everything here is deliberately independent of the library's fast paths:
 chordality is decided by scanning for induced cycles, independence numbers
 by full subset enumeration, masses by adding one weight at a time in exact
-arithmetic, random chordal graphs are built directly by
-simplicial-vertex addition, polynomials keep one Fraction per
-coefficient, the best tree comes from every connected edge subset, and
-the sharpest bounds from the symmetric sums alone come from an exact
-linear program solved by enumerating its bases.
+arithmetic, product spaces are listed as their 2**m explicit outcomes,
+random chordal graphs are built directly by simplicial-vertex addition,
+polynomials keep one Fraction per coefficient, the best tree comes from
+every connected edge subset, and the sharpest bounds from the symmetric
+sums alone come from an exact linear program solved by enumerating its
+bases.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from chordalbounds import EventSystem, Graph, build_graph, intersection_prob
+from chordalbounds import EventSystem, Graph, ProductSystem, build_graph, intersection_prob
 from chordalbounds.values import RATIONAL, REAL
 
 
@@ -164,6 +165,26 @@ def brute_force_alpha_prime(weights, events, g: Graph) -> int:
         if w != 0 and signature:
             best = max(best, brute_force_components(g, signature))
     return best
+
+
+def product_outcomes(sys_: ProductSystem) -> EventSystem:
+    """The explicit 2**m outcome space of a product system; outcome s has
+    bit i set iff coordinate i is on."""
+    one = sys_.backend.one
+    weights = [one]
+    for p in sys_.probs:
+        off = one - p
+        weights = [w * off for w in weights] + [w * p for w in weights]
+    masks = []
+    for required in sys_.requires:
+        indicator = 1
+        for i in range(len(sys_.probs)):
+            if (required >> i) & 1:
+                indicator <<= 1 << i
+            else:
+                indicator |= indicator << (1 << i)
+        masks.append(indicator)
+    return EventSystem(sys_.backend, weights, masks)
 
 
 def brute_force_tree_oracle(sys_: EventSystem, criterion: str) -> Graph:

@@ -45,6 +45,7 @@ from chordalbounds.values import RATIONAL
 from helpers import (
     brute_force_symmetric_sums,
     moment_lp,
+    product_outcomes,
     random_chordal_graph,
     random_rational_system,
     random_real_system,
@@ -130,7 +131,7 @@ class TestSymmetricSums:
                 [c for c in range(m) if rng.random() < 0.4] for _ in range(rng.randint(1, 6))
             ]
             sys_ = bernoulli_product(probs, event_defs, backend=RATIONAL)
-            explicit = sys_._outcomes()
+            explicit = product_outcomes(sys_)
             for k in range(1, sys_.event_count + 1):
                 assert sys_._symmetric_sum(k) == explicit._symmetric_sum(k)
 

@@ -444,6 +444,21 @@ class TestBoundsAll:
         assert code == 0
         assert out == (DATA / "golden_coords.out").read_text()
 
+    def test_golden_certain_and_impossible_coords(self, capsys):
+        # Coordinates of probability 1 and 0 decide which atoms have
+        # support: α′ is 3 here, against 5 with the impossible coordinate
+        # at 1/2, 4 with the certain ones at 1/2, and α = 6.
+        code, out, _ = run(
+            capsys,
+            "bounds",
+            "all",
+            str(DATA / "golden_coords_certain.json"),
+            "--graph",
+            str(DATA / "golden_coords_certain_graph.json"),
+        )
+        assert code == 0
+        assert out == (DATA / "golden_coords_certain.out").read_text()
+
     @pytest.mark.parametrize(
         "command",
         [["all"], ["compute", "--kind", "chordal-upper"]],

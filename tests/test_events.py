@@ -2,6 +2,8 @@
 
 import math
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations
 
@@ -25,7 +27,7 @@ from chordalbounds import (
     path_graph,
     union_prob_exact,
 )
-from chordalbounds import values
+from chordalbounds import events, values
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.reliability import BRIDGE_PATH_ORDER
 from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL, _read_rational, _read_rational_column
@@ -35,6 +37,7 @@ from helpers import (
     bits,
     brute_force_alpha_prime,
     exact_mass,
+    product_outcomes,
     random_chordal_graph,
     random_graph,
     random_real_system,
@@ -243,8 +246,9 @@ class TestBernoulliProduct:
         assert intersection_prob(sys_, {0}) == 0.9 * 0.9 * 0.9 * 0.9 * 0.9 != 0.9**5
 
     def test_real_weights_sum_to_one_near_the_cap(self):
-        # atom_prob materializes all 2**19 outcomes; a naive float sum of
-        # their weights misses one by 2.5e-12
+        # The atom of every event is the product of its 19 coordinate
+        # probabilities; summed over the 2**19 outcomes instead, a naive
+        # float sum of their weights misses one by 2.5e-12
         sys_ = bernoulli_product([0.37] * 19, [list(range(19))])
         assert atom_prob(sys_, {0}) == pytest.approx(0.37**19, rel=1e-12)
 
@@ -279,6 +283,82 @@ def assert_matches_enumeration(rng, probs, backend, exact):
             assert same(intersection_prob(built, index_set), intersection_prob(explicit, index_set))
             assert same(atom_prob(built, index_set), atom_prob(explicit, index_set))
     assert same(union_prob_exact(built), union_prob_exact(explicit))
+
+
+def random_product_system(rng, backend):
+    """Up to 10 coordinates with probabilities 0, 1, 1/2, 1/3 or 3/4 (REAL
+    as floats) and up to 7 events, each requiring each coordinate with
+    probability 0.4."""
+    m = rng.randint(1, 10)
+    probs = [rng.choice((0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(3, 4))) for _ in range(m)]
+    if backend is REAL:
+        probs = list(map(float, probs))
+    defs = [[c for c in range(m) if rng.random() < 0.4] for _ in range(rng.randint(1, 7))]
+    return bernoulli_product(probs, defs, backend=backend)
+
+
+class TestProductForm:
+    """Atoms and α′ of a product system are computed from its coordinates;
+    they equal those of its explicit outcome space."""
+
+    def test_atoms_and_alpha_prime_match_the_outcome_space(self):
+        rng = random.Random(16)
+        for trial in range(600):
+            backend = (RATIONAL, REAL)[trial % 2]
+            sys_ = random_product_system(rng, backend)
+            explicit = product_outcomes(sys_)
+            n = sys_.event_count
+            g = random_graph(rng, n, density=rng.choice((0.2, 0.5)))
+            assert alpha_prime(sys_, g) == alpha_prime(explicit, g)
+            for size in range(1, n + 1):
+                for signature in combinations(range(n), size):
+                    got, want = atom_prob(sys_, signature), atom_prob(explicit, signature)
+                    if backend is RATIONAL:
+                        assert got == want
+                    else:
+                        assert abs(got - want) <= 1e-12
+
+    def test_no_outcome_space_is_built(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("explicit outcome space built")
+
+        monkeypatch.setattr(events.EventSystem, "__init__", refuse)
+        rng = random.Random(17)
+        for trial in range(40):
+            sys_ = random_product_system(rng, (RATIONAL, REAL)[trial % 2])
+            n = sys_.event_count
+            intersection_prob(sys_, range(n))
+            union_prob_exact(sys_)
+            for k in range(1, n + 1):
+                sys_._symmetric_sum(k)
+                for signature in combinations(range(n), k):
+                    atom_prob(sys_, signature)
+            alpha_prime(sys_, random_graph(rng, n))
+
+    def test_large_real_system_in_small_memory(self):
+        # Built as outcomes, 2**20 float weights alone take over 25 MB.
+        rng = random.Random(18)
+        probs = [rng.random() for _ in range(20)]
+        defs = [[c for c in range(20) if rng.random() < 0.2] for _ in range(16)]
+        sys_ = bernoulli_product(probs, defs)
+        tracemalloc.start()
+        try:
+            assert 1 <= alpha_prime(sys_, path_graph(16)) <= 8
+            for i in range(16):
+                assert 0 <= atom_prob(sys_, {i}) <= intersection_prob(sys_, {i})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 5 * 2**20
+
+    def test_symbolic_atom_at_eighteen_coordinates(self):
+        defs = [[c, c + 1] for c in range(0, 18, 2)] + [list(range(18))]
+        sys_ = bernoulli_product([P] * 18, defs, backend=POLYNOMIAL)
+        start = time.perf_counter()
+        atom = atom_prob(sys_, {0})
+        assert time.perf_counter() - start < 1
+        # event 0 occurs, and none of the other 8 pairs is all on
+        assert atom == P**2 * (1 - P**2) ** 8
 
 
 class TestIntersectionAndUnion:
@@ -346,6 +426,15 @@ class TestAtoms:
         assert atom_prob(sys_, {0}) == pytest.approx(0.25)
         assert atom_prob(sys_, {1}) == pytest.approx(0.35)
         assert atom_prob(sys_, {0, 1}) == 0.0
+
+    @pytest.mark.parametrize(
+        "sys_",
+        [from_outcomes([0.25, 0.35, 0.4], [[0], [1]]), bernoulli_product([0.5, 0.5], [[0], [1]])],
+        ids=["explicit", "product"],
+    )
+    def test_signature_read_once(self, sys_):
+        # A signature given as an iterator is read once, like an index set.
+        assert atom_prob(sys_, iter([0])) == atom_prob(sys_, [0]) == 0.25
 
     def test_partition_identity(self):
         rng = random.Random(9)
