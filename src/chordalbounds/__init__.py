@@ -29,7 +29,6 @@ from .events import (
     union_prob_exact,
 )
 from .graphs import (
-    CliqueComplex,
     Graph,
     build_graph,
     clique_complex,
@@ -49,7 +48,6 @@ from .graphs import (
     truncated_euler_sum,
 )
 from .optimize import (
-    WeightMatrix,
     best_path,
     best_tree,
     exhaustive_tree_oracle,

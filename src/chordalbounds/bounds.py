@@ -106,7 +106,7 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     """
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
     total = sys.backend.zero
-    for clique in clique_complex(g, max_size=size_cap).cliques:
+    for clique in clique_complex(g, max_size=size_cap):
         p = intersection_prob(sys, clique)
         total = total + p if len(clique) % 2 == 1 else total - p
     return total

@@ -113,7 +113,8 @@ def _load_graph(
 ) -> Graph:
     """The graph in `path`; with `event_count`, its vertex count must
     equal it, and with `max_vertices`, stay within it."""
-    text = _read_text(path).strip()
+    raw = _read_text(path)
+    text = raw.strip()
     if text.startswith("{"):
         data = json.loads(text)
         edges = [tuple(e) for e in data["edges"]]
@@ -123,21 +124,24 @@ def _load_graph(
             for endpoint in edge:
                 _require_int(endpoint, "edge endpoint")
         return build_graph(data["vertices"], edges)
-    lines = [line for line in text.splitlines() if line.strip()]
+    lines = [(number, line) for number, line in enumerate(raw.splitlines(), 1) if line.strip()]
     if not lines:
         raise _UsageError(f"graph file {path} is empty")
-    first = lines[0].split()
-    if len(first) != 2:
-        raise _UsageError("graph text format starts with a line 'n m'")
-    n, m = int(first[0]), int(first[1])
+    n, m = _int_pair(*lines[0], "graph text format starts with a line 'n m'")
     _require_size(n, event_count, max_vertices)
     if len(lines) - 1 != m:
         raise _UsageError(f"expected {m} edge lines, found {len(lines) - 1}")
-    edges = []
-    for line in lines[1:]:
-        u, v = line.split()
-        edges.append((int(u), int(v)))
+    edges = [_int_pair(*line, "an edge line holds two vertices 'u v'") for line in lines[1:]]
     return build_graph(n, edges)
+
+
+def _int_pair(number: int, line: str, expected: str) -> tuple[int, int]:
+    """The two integers on text graph line `number`, or a usage error."""
+    try:
+        a, b = map(int, line.split())
+    except ValueError:
+        raise _UsageError(f"{expected}, got line {number}: {line.strip()!r}") from None
+    return a, b
 
 
 def _parse_values(raw_values):
@@ -306,21 +310,21 @@ def _cmd_bounds_all(args) -> int:
 
 def _cmd_optimize(args) -> int:
     sys_ = _load_events(args.events)
-    wm = pairwise_weights(sys_)
+    w = pairwise_weights(sys_)
     if args.structure == "tree":
-        tree = best_tree(wm, args.objective)
+        tree = best_tree(w, args.objective)
         result = {
             "tree_edges": [list(e) for e in tree.edges],
-            "objective_value": tree_weight(wm, tree),
+            "objective_value": tree_weight(w, tree),
             "mode": "exact",
             "optimal": True,
         }
     else:
         mode = "heuristic" if args.heuristic else "exact"
-        order = best_path(wm, mode)
+        order = best_path(w, mode)
         result = {
             "path_order": list(order),
-            "objective_value": path_weight(wm, order),
+            "objective_value": path_weight(w, order),
             "mode": mode,
             "optimal": mode == "exact",
         }

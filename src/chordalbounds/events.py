@@ -63,6 +63,10 @@ __all__ = [
 # expansion can still take time exponential in m.
 MAX_PRODUCT_COORDS = 24
 
+# Most nodes (parts) of a product system's signature walk; `bounds all`
+# stops at it after 1.6 to 2.0 s (README "Caps"; Python 3.11, one Xeon core).
+MAX_SIGNATURE_NODES = 500_000
+
 
 class EventSystem:
     """Outcome weights plus per-event outcome masks over one backend.
@@ -219,8 +223,8 @@ class EventSystem:
 
         With W_c the weight of the outcomes that lie in exactly c events,
         S_k is the binomial moment sum_c W_c * C(c, k).  `_count_masks`
-        selects the outcomes of each count in a few big-integer operations
-        per event, each W_c is one mass query, and the moments are cached.
+        selects the outcomes of each count in O(n**2) big-integer operations,
+        each W_c is one mass query, and the moments are cached.
         """
         if self._moments is None:
             n = self.event_count
@@ -348,12 +352,16 @@ class ProductSystem:
         `sig` occur.  It starts with `on` the coordinates of probability 1.
         Such a part is non-empty exactly when `on` itself is one of its
         assignments, so a split keeps a part only then, and each part
-        that reaches the last event is one supported signature.
+        that reaches the last event is one supported signature.  The walk
+        stops with ResourceLimitError past MAX_SIGNATURE_NODES parts (nodes).
         """
         impossible = sum(1 << c for c, p in enumerate(self.probs) if p == self.backend.zero)
         certain = sum(1 << c for c, p in enumerate(self.probs) if p == self.backend.one)
         stack = [(0, 0, certain, ())]
+        budget = iter(range(MAX_SIGNATURE_NODES))
         while stack:
+            if next(budget, None) is None:
+                raise ResourceLimitError(f"signature search exceeds {MAX_SIGNATURE_NODES} nodes")
             i, sig, on, masks = stack.pop()
             if i == self.event_count:
                 yield sig, on
@@ -486,26 +494,15 @@ def _require_one_vertex_per_event(event_count: int, vertex_count: int) -> None:
 
 
 def _count_masks(masks, full: int) -> list[int]:
-    """`result[c]` selects the outcomes of `full` that lie in exactly c of
-    the n `masks`, for c = 0..n.
-
-    Each outcome's count is kept in binary across bit planes (plane i
-    holds bit i of every count), and each mask is added by a ripple carry,
-    so the cost is a few big-integer operations per mask and count.
-    """
-    planes: list[int] = []
-    for carry in masks:
-        for i, plane in enumerate(planes):
-            planes[i] = plane ^ carry
-            carry &= plane
-        if carry:
-            planes.append(carry)
-    result = []
-    for c in range(len(masks) + 1):
-        select = 0 if c >> len(planes) else full
-        for i, plane in enumerate(planes):
-            select &= plane if (c >> i) & 1 else ~plane
-        result.append(select)
+    """`result[c]` selects the outcomes of `full` in exactly c of the n
+    `masks`: each mask in turn moves the outcomes it holds from count c to
+    c + 1, highest count first, in O(n**2) big-integer operations."""
+    result = [full]
+    for mask in masks:
+        result.append(0)
+        for c in range(len(result) - 1, 0, -1):
+            result[c] |= result[c - 1] & mask
+            result[c - 1] &= ~mask
     return result
 
 

@@ -27,7 +27,6 @@ from .errors import DomainError, ResourceLimitError
 
 __all__ = [
     "Graph",
-    "CliqueComplex",
     "build_graph",
     "path_graph",
     "cycle_graph",
@@ -80,9 +79,6 @@ class Graph:
     @property
     def edge_count(self) -> int:
         return len(self.edges)
-
-    def has_edge(self, u: int, v: int) -> bool:
-        return u != v and (self.adj[u] >> v) & 1 == 1
 
     @cached_property
     def _elimination_order(self) -> tuple[int, ...] | None:
@@ -327,24 +323,6 @@ def independence_number(g: Graph) -> int:
     return count
 
 
-@dataclass(frozen=True)
-class CliqueComplex:
-    """All non-empty cliques of a graph, canonically ordered
-    (by size, then lexicographically)."""
-
-    cliques: tuple[tuple[int, ...], ...]
-
-    @property
-    def size_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for c in self.cliques:
-            counts[len(c)] = counts.get(len(c), 0) + 1
-        return counts
-
-    def __len__(self) -> int:
-        return len(self.cliques)
-
-
 def _clique_groups(g: Graph, cap: int, max_cliques: int | None = None):
     """Walk the cliques of g of cardinality <= cap depth-first, one group
     at a time.
@@ -385,8 +363,9 @@ def _clique_cap(g: Graph, max_size: int | None) -> int:
     return g.vertex_count if max_size is None else min(max_size, g.vertex_count)
 
 
-def clique_complex(g: Graph, max_size: int | None = None) -> CliqueComplex:
-    """Enumerate all cliques of cardinality <= max_size (all sizes if None).
+def clique_complex(g: Graph, max_size: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """The cliques of cardinality <= max_size (all sizes if None), as sorted
+    vertex tuples ordered by size and then lexicographically.
 
     Depth-first search over neighbor bitmasks: each clique grows only by
     common neighbors above its largest vertex, so it is found exactly once.
@@ -394,8 +373,7 @@ def clique_complex(g: Graph, max_size: int | None = None) -> CliqueComplex:
     groups = _clique_groups(g, _clique_cap(g, max_size))
     cliques = [base + (v,) for base, extensions in groups for v in _bits(extensions)]
     # Each size is already in lexicographic order; the sort is stable.
-    cliques.sort(key=len)
-    return CliqueComplex(tuple(cliques))
+    return tuple(sorted(cliques, key=len))
 
 
 def _clique_counts(

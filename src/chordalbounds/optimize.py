@@ -12,7 +12,6 @@ theorem a tree's independence number is n minus that matching's size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import product
 
 from .errors import DomainError, ResourceLimitError
@@ -20,7 +19,6 @@ from .events import EventSystem, intersection_prob
 from .graphs import Graph, _bits, build_graph
 
 __all__ = [
-    "WeightMatrix",
     "HELD_KARP_MAX_VERTICES",
     "EXHAUSTIVE_TREE_MAX_VERTICES",
     "pairwise_weights",
@@ -35,19 +33,9 @@ HELD_KARP_MAX_VERTICES = 15
 EXHAUSTIVE_TREE_MAX_VERTICES = 7
 
 
-@dataclass(frozen=True)
-class WeightMatrix:
-    """Symmetric pairwise intersection probabilities; the diagonal is unused."""
-
-    n: int
-    w: tuple[tuple[float, ...], ...]
-
-    def weight(self, u: int, v: int) -> float:
-        return self.w[u][v]
-
-
-def pairwise_weights(sys: EventSystem) -> WeightMatrix:
-    """Matrix of two-event intersection probabilities (real backend only)."""
+def pairwise_weights(sys: EventSystem) -> tuple[tuple[float, ...], ...]:
+    """Rows w of two-event intersection probabilities, w[u][v] = P(A_u and
+    A_v), with 0.0 on the diagonal (real backend only)."""
     if sys.backend.name != "real":
         raise DomainError("pairwise weights require the real backend")
     n = sys.event_count
@@ -57,11 +45,11 @@ def pairwise_weights(sys: EventSystem) -> WeightMatrix:
         for v in range(n):
             row.append(0.0 if u == v else intersection_prob(sys, (u, v)))
         rows.append(tuple(row))
-    return WeightMatrix(n, tuple(rows))
+    return tuple(rows)
 
 
-def best_tree(wm: WeightMatrix, objective: str = "minimize-weight") -> Graph:
-    """Kruskal spanning tree of the complete weighted graph.
+def best_tree(w: tuple[tuple[float, ...], ...], objective: str = "minimize-weight") -> Graph:
+    """Kruskal spanning tree of the complete graph weighted by the rows w.
 
     "minimize-weight" maximizes the fixed-denominator tree lower bound;
     "maximize-weight" minimizes the tree upper bound.  Ties break on
@@ -69,7 +57,7 @@ def best_tree(wm: WeightMatrix, objective: str = "minimize-weight") -> Graph:
     """
     if objective not in ("minimize-weight", "maximize-weight"):
         raise DomainError(f"unknown objective {objective!r}")
-    n, w = wm.n, wm.w
+    n = len(w)
     sign = 1.0 if objective == "minimize-weight" else -1.0
     edges = sorted(
         ((u, v) for u in range(n) for v in range(u + 1, n)),
@@ -89,13 +77,13 @@ def best_tree(wm: WeightMatrix, objective: str = "minimize-weight") -> Graph:
     return build_graph(n, chosen)
 
 
-def tree_weight(wm: WeightMatrix, tree: Graph) -> float:
-    return sum(wm.w[u][v] for u, v in tree.edges)
+def tree_weight(w: tuple[tuple[float, ...], ...], tree: Graph) -> float:
+    return sum(w[u][v] for u, v in tree.edges)
 
 
-def path_weight(wm: WeightMatrix, order) -> float:
+def path_weight(w: tuple[tuple[float, ...], ...], order) -> float:
     order = tuple(order)
-    return sum(wm.w[a][b] for a, b in zip(order, order[1:]))
+    return sum(w[a][b] for a, b in zip(order, order[1:]))
 
 
 def _normalize_direction(order: tuple[int, ...]) -> tuple[int, ...]:
@@ -103,8 +91,8 @@ def _normalize_direction(order: tuple[int, ...]) -> tuple[int, ...]:
     return order if order <= reverse else reverse
 
 
-def _held_karp_path(wm: WeightMatrix) -> tuple[int, ...]:
-    n, w = wm.n, wm.w
+def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
+    n = len(w)
     # cost[mask][v]: minimum weight of a path visiting exactly `mask`,
     # starting at v (v must be in mask).
     size = 1 << n
@@ -157,20 +145,18 @@ def _held_karp_path(wm: WeightMatrix) -> tuple[int, ...]:
     return _normalize_direction(tuple(order))
 
 
-def _nearest_neighbor(wm: WeightMatrix, start: int) -> tuple[int, ...]:
-    n = wm.n
+def _nearest_neighbor(w: tuple[tuple[float, ...], ...], start: int) -> tuple[int, ...]:
     order = [start]
-    remaining = set(range(n)) - {start}
+    remaining = set(range(len(w))) - {start}
     while remaining:
-        row = wm.w[order[-1]]
+        row = w[order[-1]]
         order.append(min(remaining, key=lambda v: (row[v], v)))
         remaining.discard(order[-1])
     return tuple(order)
 
 
-def _two_opt(wm: WeightMatrix, order: tuple[int, ...]) -> tuple[int, ...]:
+def _two_opt(w: tuple[tuple[float, ...], ...], order: tuple[int, ...]) -> tuple[int, ...]:
     n = len(order)
-    w = wm.w
     path = list(order)
     improved = True
     while improved:
@@ -188,8 +174,8 @@ def _two_opt(wm: WeightMatrix, order: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(path)
 
 
-def best_path(wm: WeightMatrix, mode: str = "exact") -> tuple[int, ...]:
-    """Minimum-total-weight visiting order of all events.
+def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[int, ...]:
+    """Minimum-total-weight visiting order of all events under the rows w.
 
     Exact mode runs subset dynamic programming (n <= 15) and returns the
     lexicographically least optimal order.  Heuristic mode runs nearest
@@ -198,7 +184,7 @@ def best_path(wm: WeightMatrix, mode: str = "exact") -> tuple[int, ...]:
     """
     if mode not in ("exact", "heuristic"):
         raise DomainError(f"unknown mode {mode!r}")
-    n = wm.n
+    n = len(w)
     if n == 0:
         raise DomainError("weight matrix is empty")
     if mode == "exact":
@@ -206,11 +192,11 @@ def best_path(wm: WeightMatrix, mode: str = "exact") -> tuple[int, ...]:
             raise ResourceLimitError(
                 f"exact path search caps at {HELD_KARP_MAX_VERTICES} vertices, got {n}"
             )
-        return _held_karp_path(wm)
+        return _held_karp_path(w)
     best = None
     for start in range(n):
-        candidate = _normalize_direction(_two_opt(wm, _nearest_neighbor(wm, start)))
-        key = (path_weight(wm, candidate), candidate)
+        candidate = _normalize_direction(_two_opt(w, _nearest_neighbor(w, start)))
+        key = (path_weight(w, candidate), candidate)
         if best is None or key < best:
             best = key
     return best[1]
@@ -270,7 +256,7 @@ def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
         raise ResourceLimitError(
             f"exhaustive tree search caps at {EXHAUSTIVE_TREE_MAX_VERTICES} vertices, got {n}"
         )
-    w = pairwise_weights(sys).w
+    w = pairwise_weights(sys)
     singles = sum(intersection_prob(sys, (v,)) for v in range(n))
     best_key = None
     best_edges = None

@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -15,6 +16,7 @@ import pytest
 
 from chordalbounds import bounds, cli, from_outcomes, graphs, reliability
 from chordalbounds.cli import _load_events, main
+from chordalbounds.events import MAX_SIGNATURE_NODES
 from chordalbounds.values import RATIONAL
 
 
@@ -263,8 +265,13 @@ class TestGraphCheck:
             ("\n  \n", "is empty"),
             ("3\n0 1\n", "starts with a line 'n m'"),
             ("3 2\n0 1\n", "expected 2 edge lines, found 1"),
+            ("3 1\n0 1 extra\n", "holds two vertices 'u v', got line 2: '0 1 extra'"),
+            ("3 1\n\n0\n", "holds two vertices 'u v', got line 3: '0'"),
+            ("3 1\na b\n", "holds two vertices 'u v', got line 2: 'a b'"),
+            ("n m\n0 1\n", "starts with a line 'n m', got line 1: 'n m'"),
         ],
-        ids=["empty", "bad-first-line", "edge-count"],
+        ids=["empty", "bad-first-line", "edge-count", "edge-too-long", "edge-too-short", "edge-not-int",
+             "first-line-not-int"],
     )
     def test_malformed_text_exit_1(self, capsys, tmp_path, text, message):
         path = tmp_path / "graph.txt"
@@ -408,6 +415,20 @@ class TestBoundsAll:
             capsys, "bounds", "all", events_json, "--graph", graph_json, "--unchecked"
         )
         assert code == 0 and "hunter-" not in out
+
+    def test_signature_budget_stops_sharpened_denominator(self, capsys, tmp_path):
+        # 22 independent single-coordinate events have 2**22 supported
+        # signatures, whose whole walk took 30 s.
+        n = 22
+        path = tmp_path / "independent.json"
+        path.write_text(json.dumps({"coords": n, "probs": [0.5] * n, "events": [[c] for c in range(n)]}))
+        graph = tmp_path / "path.json"
+        graph.write_text(json.dumps({"vertices": n, "edges": [[v, v + 1] for v in range(n - 1)]}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "all", str(path), "--graph", str(graph))
+        assert time.perf_counter() - start < 10
+        assert (code, out) == (3, "")
+        assert err == f"error: signature search exceeds {MAX_SIGNATURE_NODES} nodes\n"
 
     @pytest.mark.parametrize("graph", ["chordal", "tree"])
     def test_golden_rational_output(self, capsys, mcs_runs, graph):
@@ -964,6 +985,12 @@ class TestDemo:
 
 
 class TestPlumbing:
+    def test_readme_quick_start(self, capsys):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        [block] = re.findall(r"^```python\n(.*?)^```", readme, re.MULTILINE | re.DOTALL)
+        exec(block, {})
+        assert capsys.readouterr().out == "2p^2 + 2p^3 - 5p^4 + 2p^5\n5/8 1 5/4\n"
+
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "nonsense")
         assert code == 1 and err

@@ -40,6 +40,7 @@ from helpers import (
     product_outcomes,
     random_chordal_graph,
     random_graph,
+    random_rational_system,
     random_real_system,
 )
 
@@ -351,6 +352,18 @@ class TestProductForm:
             tracemalloc.stop()
         assert peak < 5 * 2**20
 
+    @pytest.mark.parametrize("budget, fails", [(15, False), (14, True)])
+    def test_signature_budget_boundary(self, monkeypatch, budget, fails):
+        # Three independent single-coordinate events: 8 signatures, and 15
+        # parts in the walk that splits by each event in turn.
+        monkeypatch.setattr(events, "MAX_SIGNATURE_NODES", budget)
+        sys_ = bernoulli_product([0.5] * 3, [[0], [1], [2]])
+        if fails:
+            with pytest.raises(ResourceLimitError, match="signature search exceeds 14 nodes"):
+                alpha_prime(sys_, path_graph(3))
+        else:
+            assert alpha_prime(sys_, path_graph(3)) == 2
+
     def test_symbolic_atom_at_eighteen_coordinates(self):
         defs = [[c, c + 1] for c in range(0, 18, 2)] + [list(range(18))]
         sys_ = bernoulli_product([P] * 18, defs, backend=POLYNOMIAL)
@@ -487,6 +500,40 @@ class TestAlphaPrime:
         sys_ = from_outcomes([1.0, 0.0], [[0, 1], [1]], backend=REAL)
         g = edgeless_graph(2)
         assert alpha_prime(sys_, g) == 1
+
+
+class TestCountMasks:
+    """Each mask of `_count_masks` against per-outcome counts.  A wrong
+    count on a zero-weight outcome changes no S_k, so only a direct check
+    shows it."""
+
+    @staticmethod
+    def per_outcome(masks, m):
+        result = [0] * (len(masks) + 1)
+        for outcome in range(m):
+            result[sum(mask >> outcome & 1 for mask in masks)] |= 1 << outcome
+        return result
+
+    def test_seeded_systems(self):
+        rng = random.Random(43)
+        for _ in range(300):
+            sys_ = random_rational_system(rng, rng.randint(1, 12), max_outcomes=80)
+            want = self.per_outcome(sys_.events, len(sys_.weights))
+            assert events._count_masks(sys_.events, sys_.full_mask) == want
+
+    @pytest.mark.parametrize(
+        "masks, m",
+        [
+            ([0b1011], 4),
+            ([0b0110, 0], 4),
+            ([0b0110, 0b0110], 4),
+            ([0b111, 0b101, 0b011], 3),
+            ([0b00011, 0b00001], 5),
+        ],
+        ids=["one-event", "empty-event", "identical-events", "outcome-in-every-event", "outcomes-in-none"],
+    )
+    def test_edge_shapes(self, masks, m):
+        assert events._count_masks(masks, (1 << m) - 1) == self.per_outcome(masks, m)
 
 
 # Outcome counts around the byte boundaries of the mask-to-selector step,

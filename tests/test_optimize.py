@@ -24,7 +24,7 @@ from chordalbounds import (
 )
 from chordalbounds import graphs
 from chordalbounds.graphs import is_tree
-from chordalbounds.optimize import WeightMatrix, _labeled_trees
+from chordalbounds.optimize import _labeled_trees
 from chordalbounds.reliability import BRIDGE_PATH_ORDER
 from chordalbounds.values import RATIONAL
 
@@ -53,20 +53,20 @@ class TestPairwiseWeights:
         for u in range(4):
             for v in range(u + 1, 4):
                 expected = 0.9 ** len(BRIDGE_ARC_SETS[u] | BRIDGE_ARC_SETS[v])
-                assert wm.weight(u, v) == pytest.approx(expected, abs=1e-12)
-                assert wm.weight(v, u) == wm.weight(u, v)
-        assert wm.weight(1, 2) == pytest.approx(0.9**6, abs=1e-12)
+                assert wm[u][v] == pytest.approx(expected, abs=1e-12)
+                assert wm[v][u] == wm[u][v]
+        assert wm[1][2] == pytest.approx(0.9**6, abs=1e-12)
 
     def test_disjoint_events_zero(self):
         sys_ = from_outcomes([0.5, 0.5], [[0], [1]])
         wm = pairwise_weights(sys_)
-        assert wm.weight(0, 1) == 0.0
+        assert wm[0][1] == 0.0
 
     def test_identical_events(self):
         sys_ = from_outcomes([0.3, 0.7], [[0], [0], [0]])
         wm = pairwise_weights(sys_)
         assert all(
-            wm.weight(u, v) == pytest.approx(0.3)
+            wm[u][v] == pytest.approx(0.3)
             for u in range(3)
             for v in range(3)
             if u != v
@@ -91,7 +91,7 @@ class TestBestTree:
         wm = pairwise_weights(bridge_system(p))
         trees = list(all_spanning_trees(4))
         assert len(trees) == 16
-        best_total = min(sum(wm.weight(u, v) for u, v in t) for t in trees)
+        best_total = min(sum(wm[u][v] for u, v in t) for t in trees)
         tree = best_tree(wm, "minimize-weight")
         assert tree_weight(wm, tree) == pytest.approx(best_total, abs=1e-15)
 
@@ -103,15 +103,15 @@ class TestBestTree:
             wm = pairwise_weights(sys_)
             total = tree_weight(wm, best_tree(wm, "minimize-weight"))
             for t in all_spanning_trees(n):
-                assert total <= sum(wm.weight(u, v) for u, v in t) + 1e-12
+                assert total <= sum(wm[u][v] for u, v in t) + 1e-12
 
     def test_single_vertex(self):
-        wm = WeightMatrix(1, ((0.0,),))
+        wm = ((0.0,),)
         tree = best_tree(wm)
         assert tree.vertex_count == 1 and tree.edges == ()
 
     def test_equal_weights_lexicographic_tie_break(self):
-        wm = WeightMatrix(4, tuple(tuple(0.5 if u != v else 0.0 for v in range(4)) for u in range(4)))
+        wm = tuple(tuple(0.5 if u != v else 0.0 for v in range(4)) for u in range(4))
         tree = best_tree(wm, "minimize-weight")
         assert tree.edges == ((0, 1), (0, 2), (0, 3))
 
@@ -139,17 +139,17 @@ class TestBestPath:
         assert path_weight(wm, best_path(wm, "exact")) == pytest.approx(best_total, abs=1e-12)
 
     def test_tiny_instances(self):
-        assert best_path(WeightMatrix(1, ((0.0,),)), "exact") == (0,)
-        wm2 = WeightMatrix(2, ((0.0, 0.3), (0.3, 0.0)))
+        assert best_path(((0.0,),), "exact") == (0,)
+        wm2 = ((0.0, 0.3), (0.3, 0.0))
         assert best_path(wm2, "exact") == (0, 1)
         assert best_path(wm2, "heuristic") == (0, 1)
         for mode in ("exact", "heuristic"):
             with pytest.raises(DomainError, match="weight matrix is empty"):
-                best_path(WeightMatrix(0, ()), mode)
+                best_path((), mode)
 
     def test_exact_cap(self):
         n = 16
-        wm = WeightMatrix(n, tuple(tuple(0.0 for _ in range(n)) for _ in range(n)))
+        wm = tuple(tuple(0.0 for _ in range(n)) for _ in range(n))
         with pytest.raises(ResourceLimitError):
             best_path(wm, "exact")
         with pytest.raises(DomainError):
