@@ -7,11 +7,16 @@ lower bounds have none.  The bracket takes one of two forms:
 
 * the clique bracket, `clique_sieve_sum`: the signed sum over the clique
   complex of a graph on the event indices, optionally truncated at a
-  clique size.  The chordal bounds use the given graph, the tree and path
+  clique size t.  The chordal bounds use the given graph, the tree and path
   bounds a tree or a path (whose cliques are vertices and edges), and the
   Seneta bounds the graph joining two chosen indices to every other
   index.  Lower bounds divide it by the graph's independence number (or
-  by the sharpened support-aware denominator).
+  by the sharpened support-aware denominator).  A chordal graph is
+  summed along a perfect elimination order, one cone sum per vertex, and
+  no clique is listed (see `clique_sieve_sum`); the path and Seneta
+  graphs come with their orders, every other graph keeps the one its
+  maximum cardinality search gave.  Only a non-chordal graph passed
+  unchecked has its cliques listed, one intersection query each.
 * the moment bracket: sum_k c_k * S_k over the symmetric sums S_k, the
   sums of P(every event in I occurs) over all index sets I of size k,
   with signed rational coefficients c_k.  The classical, Kwerel and
@@ -36,6 +41,8 @@ from .errors import DomainError
 from .events import EventSystem, _require_one_vertex_per_event, alpha_prime, intersection_prob
 from .graphs import (
     Graph,
+    _clique_cap,
+    _later_neighbours,
     _size_cap,
     build_graph,
     clique_complex,
@@ -102,13 +109,38 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     restricted to cliques of size <= size_cap (all cliques if None).
 
     This is the raw sum, before any division by a denominator; it makes no
-    chordality assumption.
+    chordality assumption.  Along a perfect elimination order every clique
+    is its first vertex v plus a subset S of L(v), the neighbours of v
+    later in the order, so a chordal graph's sum is, over its vertices v,
+    the cone sum of (-1)**|S| * P(A_v and every A_u, u in S) over the S
+    with |S| < t = size_cap.  A cone with |L(v)| < t is P(A_v less the
+    union of the A_u), one mass query on an explicit space.  A truncated
+    cone weighs the outcomes of A_v in exactly c of the A_u by
+    (-1)**(t - 1) * C(c - 1, t - 1), and those in none by 1, one mass
+    query per count.  At t = 1 the sum is sum_v P(A_v).  A product space
+    enumerates the subsets S.  Any other graph has its cliques listed, one
+    intersection query per clique.
     """
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
+    order = g._elimination_order
+    if order is not None:
+        return _elimination_sieve(sys, g, order, size_cap)
     total = sys.backend.zero
     for clique in clique_complex(g, max_size=size_cap):
         p = intersection_prob(sys, clique)
         total = total + p if len(clique) % 2 == 1 else total - p
+    return total
+
+
+def _elimination_sieve(sys: EventSystem, g: Graph, order, size_cap: int | None):
+    """`clique_sieve_sum` along `order`, a perfect elimination order of
+    g: one `_cone_sum` per vertex, over its later neighbours, or over none
+    at size_cap 1, where the cliques are the vertices."""
+    cap = _clique_cap(g, size_cap)
+    later = _later_neighbours(g, order) if cap > 1 else [0] * g.vertex_count
+    total = sys.backend.zero
+    for v, mask in enumerate(later):
+        total = total + sys._cone_sum(v, mask, cap)
     return total
 
 
@@ -194,7 +226,8 @@ def path_lower(sys: EventSystem, order) -> BoundReport:
     if sorted(order) != list(range(n)):
         raise DomainError("order is not a permutation of the event indices")
     path = build_graph(n, zip(order, order[1:]))
-    return _report("path-lower", sys, clique_sieve_sum(sys, path), (n + 1) // 2, graph=path)
+    bracket = _elimination_sieve(sys, path, order, None)
+    return _report("path-lower", sys, bracket, (n + 1) // 2, graph=path)
 
 
 def _kwerel_bracket(sys: EventSystem):
@@ -215,7 +248,8 @@ def kwerel_lower(sys: EventSystem) -> BoundReport:
 
 
 def _seneta_bracket(sys: EventSystem, j: int, k: int):
-    """The clique sieve on the graph joining j and k to every other index."""
+    """The clique sieve on the graph joining j and k to every other index,
+    along the perfect elimination order that ends with j, then k."""
     n = sys.event_count
     distinguished = len({j, k})
     if not (0 <= j < n and 0 <= k < n):
@@ -223,7 +257,8 @@ def _seneta_bracket(sys: EventSystem, j: int, k: int):
     if n <= distinguished:
         raise DomainError(f"need more than {distinguished} events, got {n}")
     edges = {(min(i, c), max(i, c)) for c in (j, k) for i in range(n) if i != c}
-    return clique_sieve_sum(sys, build_graph(n, edges))
+    order = [i for i in range(n) if i not in (j, k)] + list(dict.fromkeys((j, k)))
+    return _elimination_sieve(sys, build_graph(n, edges), order, None)
 
 
 def seneta_upper(sys: EventSystem, j: int, k: int) -> BoundReport:

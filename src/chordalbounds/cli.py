@@ -117,7 +117,14 @@ def _load_graph(
     text = raw.strip()
     if text.startswith("{"):
         data = json.loads(text)
-        edges = [tuple(e) for e in data["edges"]]
+        edges = data["edges"]
+        if not isinstance(edges, list):
+            raise _UsageError(f"'edges' must be a list of [u, v] pairs, got {json.dumps(edges)}")
+        for number, edge in enumerate(edges):
+            if not (isinstance(edge, list) and len(edge) == 2):
+                raise _UsageError(
+                    f"an edge holds two vertices [u, v], got edges[{number}]: {json.dumps(edge)}"
+                )
         _require_int(data["vertices"], "vertex count")
         _require_size(data["vertices"], event_count, max_vertices)
         for edge in edges:

@@ -1,9 +1,10 @@
 """Finite probability spaces carrying one event per graph vertex.
 
 Two representations answer the same queries (`intersection_prob`,
-`union_prob_exact`, `atom_prob`, `alpha_prime`, and the symmetric sums
-behind the averaged bounds), each through its own private methods
-(`mass`, `_union`, `_atom`, `_signatures`, `_symmetric_sum`):
+`union_prob_exact`, `atom_prob`, `alpha_prime`, the symmetric sums
+behind the averaged bounds and the cone sums behind the clique brackets),
+each through its own private methods (`mass`, `_union`, `_atom`,
+`_signatures`, `_symmetric_sum`, `_cone_sum`):
 
 * EventSystem -- explicit outcome weights plus a bitmask of outcomes per
   event; every probability is one `mass` query, the sum of the outcome
@@ -17,7 +18,9 @@ behind the averaged bounds), each through its own private methods
   summed once, straight from the weights.  The symmetric sums are
   binomial moments of the number of events that occur, from one mass
   query per count, and `alpha_prime` splits the supported outcomes by
-  event instead of testing each outcome.  An atom is one mass query.
+  event instead of testing each outcome.  An atom is one mass query, and
+  so is an untruncated cone; a truncated one is one per count of later
+  events.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
   required coordinates per event (built by `bernoulli_product`).  An
   intersection is a product of coordinate probabilities (p**k, memoized
@@ -26,7 +29,8 @@ behind the averaged bounds), each through its own private methods
   the mass of the coordinates its events require times one minus the
   Shannon union of the other events' residual masks, and `alpha_prime`
   splits the coordinate assignments by event, keeping each part as its
-  least on-set, so no outcome is ever built.
+  least on-set, so no outcome is ever built.  A cone sum enumerates its
+  subsets.
 
 Both stay exact for rational and polynomial values; an explicit system's
 float masses are correctly rounded.  Both check index sets with
@@ -39,10 +43,11 @@ from __future__ import annotations
 import math
 import operator
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations, compress, repeat
 
 from .errors import DomainError, ResourceLimitError, _require_int
-from .graphs import Graph, _component_count
+from .graphs import Graph, _bits, _component_count
 from .values import RATIONAL, REAL, Backend, _read_rational_column
 
 __all__ = [
@@ -78,10 +83,10 @@ class EventSystem:
     kept as bit planes, built on the first query, and a query sums
     popcounts per plane; a wider one is summed outcome by outcome in C.  A
     RATIONAL weight may be an int, a Fraction or a rational string such as
-    "7/873"; the column is read straight into numerators and denominators
-    (`values._read_rational_column`), and `weights` keeps the values as
-    given.  REAL and POLYNOMIAL weights are summed as selected, REAL
-    through `math.fsum`, so each mass is correctly rounded.
+    "7/873"; the column is read straight into numerators over one
+    denominator (`values._read_rational_column`), and `weights` keeps the
+    values as given.  REAL and POLYNOMIAL weights are summed as selected,
+    REAL through `math.fsum`, so each mass is correctly rounded.
 
     Instances are immutable once built; `mass` memoizes mask sums, seeded
     with the total weight, and `_symmetric_sum` computes every symmetric
@@ -113,7 +118,7 @@ class EventSystem:
         self.events = events
         self._column: tuple[list[int], int] | None = None
         if backend is RATIONAL:
-            numerators, denominator = self._column = _integer_column(weights)
+            numerators, denominator = self._column = _read_rational_column(weights)
             total = Fraction(sum(numerators), denominator)
             lowest = Fraction(min(numerators), denominator)
         else:
@@ -216,6 +221,30 @@ class EventSystem:
                     split.append((sig, mask ^ inside))
             parts = split
         return parts
+
+    def _cone_sum(self, v: int, later: int, cap: int):
+        """Sum of (-1)**|S| * P(A_v and every A_u, u in S) over the sets S
+        of the events in the mask `later` with |S| < cap.
+
+        An outcome of A_v in exactly c of those events adds its weight
+        times sum_{s < cap} (-1)**s * C(c, s), which is 1 for c = 0 and
+        (-1)**(cap - 1) * C(c - 1, cap - 1) otherwise, 0 for 0 < c < cap.
+        So with fewer than cap later events the sum is one mass query,
+        P(A_v less their union), and otherwise one per count c = 0 and
+        c >= cap, the outcomes of A_v split by count with `_count_masks`.
+        """
+        event = self.events[v]
+        others = [self.events[u] for u in _bits(later)]
+        if len(others) < cap:
+            return self.mass(event & ~reduce(operator.or_, others, 0))
+        by_count = _count_masks(others, event)
+        sign = 1 if cap % 2 else -1
+        terms = [self.mass(by_count[0])]
+        terms += [
+            self.mass(by_count[c]) * (sign * math.comb(c - 1, cap - 1))
+            for c in range(cap, len(by_count))
+        ]
+        return _sum(self.backend, terms)
 
     def _symmetric_sum(self, k: int):
         """S_k = sum of P(every event in I occurs) over all |I| = k, for
@@ -373,6 +402,20 @@ class ProductSystem:
             if required & ~on:
                 stack.append((i + 1, sig, on, (*masks, required)))
 
+    def _cone_sum(self, v: int, later: int, cap: int):
+        """Sum of (-1)**|S| * P(A_v and every A_u, u in S) over the sets S
+        of the events in the mask `later` with |S| < cap: one mass query
+        per set, smallest sets first.
+        """
+        required = self.requires[v]
+        others = [self.requires[u] for u in _bits(later)]
+        total = self.mass(required)
+        for size in range(1, min(len(others), cap - 1) + 1):
+            for subset in combinations(others, size):
+                p = self.mass(reduce(operator.or_, subset, required))
+                total = total - p if size % 2 else total + p
+        return total
+
     def _symmetric_sum(self, k: int):
         """S_k = sum of P(every event in I occurs) over all |I| = k, by
         enumerating the C(n, k) index sets.  The binomial moments would
@@ -414,17 +457,6 @@ def _sum(backend: Backend, values):
     """Sum of backend values; floats through `math.fsum`, correctly
     rounded."""
     return sum(values, backend.zero) if backend.exact else math.fsum(values)
-
-
-def _integer_column(weights) -> tuple[list[int], int]:
-    """Rational weights as (numerators, denominator): outcome o weighs
-    numerators[o] / denominator, over the least common denominator.  The
-    weights are read as integer pairs, so no Fraction is built per
-    outcome."""
-    numerators, denominators = zip(*_read_rational_column(weights))
-    denominator = math.lcm(*set(denominators))
-    scales = map(denominator.__floordiv__, denominators)
-    return list(map(operator.mul, numerators, scales)), denominator
 
 
 def _bit_planes(numerators) -> tuple[int, tuple[int, ...]] | tuple[()]:

@@ -7,8 +7,10 @@ counts inside a vertex subset) stay cheap at desk scale.
 Each graph computes its elimination order once, on first use, with one
 maximum cardinality search, and keeps it: the reversed search order if it
 is a perfect elimination order, else None.  `is_chordal`,
-`independence_number`, `_clique_counts` and so `truncated_euler_sum` all
-read that one order, however many bounds ask.
+`independence_number`, `_clique_counts` and so `truncated_euler_sum`, and
+the clique brackets of `bounds`, all read that one order, however many
+bounds ask; `_later_neighbours` gives each vertex's later neighbours along
+it, the cliques through that vertex.
 
 `_size_cap` is the one truncation-depth check: it turns a depth r into
 the largest clique a truncated sum keeps, for `truncated_euler_sum` here
@@ -18,6 +20,7 @@ and for every truncated bound in `bounds`.
 from __future__ import annotations
 
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
 from itertools import combinations
@@ -215,19 +218,25 @@ def mcs_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
+def _later_neighbours(g: Graph, order) -> list[int]:
+    """`later[v]`: the mask of the neighbours of v that come after v in
+    `order`.  Along a perfect elimination order each is a clique, so the
+    cliques of g whose first vertex is v are v plus the subsets of
+    later[v], each clique once."""
+    later = [0] * g.vertex_count
+    seen = 0
+    for v in reversed(order):
+        later[v] = g.adj[v] & seen
+        seen |= 1 << v
+    return later
+
+
 def is_perfect_elimination_order(g: Graph, order) -> bool:
     """True iff each vertex's later neighbors along `order` form a clique."""
     order = tuple(order)
     if sorted(order) != list(range(g.vertex_count)):
         raise DomainError("order is not a permutation of the vertices")
-    position = [0] * g.vertex_count
-    for i, v in enumerate(order):
-        position[v] = i
-    for v in order:
-        later = 0
-        for u in _bits(g.adj[v]):
-            if position[u] > position[v]:
-                later |= 1 << u
+    for later in _later_neighbours(g, order):
         for u in _bits(later):
             if (g.adj[u] & later) != later ^ (1 << u):
                 return False
@@ -394,12 +403,7 @@ def _clique_counts(
         for base, extensions in _clique_groups(g, cap, max_cliques):
             counts[len(base) + 1] += extensions.bit_count()
     else:
-        later_sizes: dict[int, int] = {}
-        later = 0
-        for v in reversed(order):
-            size = (g.adj[v] & later).bit_count()
-            later_sizes[size] = later_sizes.get(size, 0) + 1
-            later |= 1 << v
+        later_sizes = Counter(mask.bit_count() for mask in _later_neighbours(g, order))
         counts = [0] * (max(later_sizes, default=-1) + 2)
         for size, vertices in later_sizes.items():
             for k in range(min(size, cap - 1) + 1):

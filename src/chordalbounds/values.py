@@ -13,13 +13,15 @@ differs between floating point and the exact domains:
 `_read_rational` is the one reader of exact rationals: a RATIONAL value
 may be an int, a Fraction or a string, and a plain string of decimal
 digits "a" or "a/b" is split into integers without building a Fraction.
-`_read_rational_column` reads a whole RATIONAL column: one of plain "a/b"
-strings in a few C-level passes, any other value by value through
-`_read_rational`.
+`_read_rational_column` reads a whole RATIONAL column into integer
+numerators over one common denominator: one of plain "a/b" strings in a
+few C-level passes, any other value by value through `_read_rational`.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -71,8 +73,10 @@ def _read_rational(value) -> tuple[int, int]:
     return value.numerator, value.denominator
 
 
-def _read_rational_column(values) -> list[tuple[int, int]]:
-    """`_read_rational` of every value, in order.
+def _read_rational_column(values) -> tuple[list[int], int]:
+    """The values as (numerators, denominator): value i is numerators[i] /
+    denominator, over the least common denominator of `_read_rational`'s
+    pairs, so no Fraction is built per value.
 
     A column made only of plain "a/b" strings (ASCII digits on both sides
     of exactly one slash, no zero denominator) is read by C-level passes
@@ -91,11 +95,16 @@ def _read_rational_column(values) -> list[tuple[int, int]]:
     if data.translate(None, b"0123456789") == b"/," * (len(values) - 1) + b"/":
         parts = data.replace(b",", b"/").split(b"/")
         if all(parts):
-            bottoms = parts[1::2]
+            tops, bottoms = parts[0::2], parts[1::2]
             denominators = {text: int(text) for text in set(bottoms)}
             if all(denominators.values()):
-                return list(zip(map(int, parts[0::2]), map(denominators.__getitem__, bottoms)))
-    return list(map(_read_rational, values))
+                denominator = math.lcm(*denominators.values())
+                scale = {text: denominator // d for text, d in denominators.items()}
+                scaled = map(operator.mul, map(int, tops), map(scale.__getitem__, bottoms))
+                return list(scaled), denominator
+    pairs = list(map(_read_rational, values))
+    denominator = math.lcm(*{d for _, d in pairs})
+    return [n * (denominator // d) for n, d in pairs], denominator
 
 
 REAL = Backend("real", 0.0, 1.0, exact=False, ordered=True)

@@ -97,6 +97,55 @@ def exact_mass(weights, mask: int):
     return total
 
 
+@lru_cache(maxsize=None)
+def _subset_cliques(g: Graph) -> tuple[int, ...]:
+    """Every vertex subset of g, as a mask, whose vertices are pairwise
+    adjacent."""
+    return tuple(
+        subset
+        for subset in range(1, 1 << g.vertex_count)
+        if all(g.adj[v] & subset == subset ^ (1 << v) for v in bits(subset))
+    )
+
+
+def brute_force_clique_terms(sys_, g: Graph) -> dict:
+    """{k: sum of P(every event of C occurs) over the cliques C of g of
+    size k}, over every vertex subset of g that is a clique.
+
+    Explicit systems add `exact_mass` of the intersection, product systems
+    the product of the probabilities of the coordinates it requires, read
+    exactly (floats as the binary fractions they are); so each sum is a
+    Fraction, or a Polynomial for polynomial weights, with no rounding.
+    """
+    terms = {}
+    for subset in _subset_cliques(g):
+        if isinstance(sys_, ProductSystem):
+            required = 0
+            for v in bits(subset):
+                required |= sys_.requires[v]
+            term = Fraction(1)
+            for c in bits(required):
+                term = term * Fraction(sys_.probs[c])
+        else:
+            mask = sys_.full_mask
+            for v in bits(subset):
+                mask &= sys_.events[v]
+            term = exact_mass(sys_.weights, mask)
+        size = subset.bit_count()
+        terms[size] = terms.get(size, Fraction(0)) + term
+    return terms
+
+
+def brute_force_clique_sum(terms: dict, size_cap: int | None = None):
+    """The clique sieve by its definition, from `brute_force_clique_terms`:
+    plus the odd sizes, minus the even ones, up to size_cap if given."""
+    total = Fraction(0)
+    for size, term in sorted(terms.items()):
+        if size_cap is None or size <= size_cap:
+            total = total + term if size % 2 else total - term
+    return total
+
+
 def brute_force_symmetric_sums(sys_: EventSystem, m: int) -> list[Fraction]:
     """[S_1, ..., S_m] of an explicit system: S_k adds the exact mass of
     every intersection of k of its events."""

@@ -38,11 +38,14 @@ from chordalbounds import (
     tree_graph,
     union_prob_exact,
 )
+from chordalbounds import graphs
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.reliability import BRIDGE_PATH_ORDER, bridge_network
-from chordalbounds.values import RATIONAL
+from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL
 
 from helpers import (
+    brute_force_clique_sum,
+    brute_force_clique_terms,
     brute_force_symmetric_sums,
     moment_lp,
     product_outcomes,
@@ -165,6 +168,81 @@ class TestSymmetricSums:
         assert generalized_lower(sys_, n - 1).value == exact
         assert kwerel_lower(sys_).value <= exact
         assert kwerel2_lower(sys_).value <= exact
+
+
+def _product_system(rng, n_events: int, backend):
+    """A random product system over at most 8 coordinates: exact
+    probabilities k/7 for RATIONAL, floats for REAL."""
+    m = rng.randint(1, 8)
+    if backend is RATIONAL:
+        probs = [Fraction(rng.randint(0, 7), 7) for _ in range(m)]
+    else:
+        probs = [rng.random() for _ in range(m)]
+    events = [rng.sample(range(m), rng.randint(1, min(m, 3))) for _ in range(n_events)]
+    return bernoulli_product(probs, events, backend=backend)
+
+
+def _polynomial_system(rng, n_events: int) -> EventSystem:
+    """Explicit outcomes weighing p * x + (1 - p) * y for two random
+    distributions x and y."""
+    x = random_rational_system(rng, n_events, max_outcomes=8)
+    y = random_rational_system(rng, n_events, max_outcomes=len(x.weights))
+    y_weights = list(y.weights) + [0] * (len(x.weights) - len(y.weights))
+    weights = [P * a + (1 - P) * b for a, b in zip(x.weights, y_weights)]
+    return EventSystem(POLYNOMIAL, weights, x.events)
+
+
+class TestCliqueSieveSum:
+    CAPS = (None, 1, 2, 3, 4, 5)
+
+    def test_matches_the_clique_definition(self):
+        # Chordal graphs are summed along their elimination order; each
+        # system kind against the sum over every clique, disconnected
+        # graphs included.
+        rng = random.Random(1801)
+        disconnected = 0
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            g = random_chordal_graph(rng, n)
+            disconnected += graphs.connected_components(g) > 1
+            systems = [
+                random_rational_system(rng, n),
+                random_real_system(rng, n, max_outcomes=16),
+                _polynomial_system(rng, n),
+                _product_system(rng, n, RATIONAL),
+                _product_system(rng, n, REAL),
+            ]
+            for sys_ in systems:
+                terms = brute_force_clique_terms(sys_, g)
+                for cap in self.CAPS:
+                    got = clique_sieve_sum(sys_, g, size_cap=cap)
+                    want = brute_force_clique_sum(terms, cap)
+                    if sys_.backend is REAL:
+                        assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(got)), (g, cap)
+                    else:
+                        assert got == want, (g, cap, sys_.backend.name)
+        assert disconnected >= 50
+
+    @pytest.mark.parametrize("cap", CAPS)
+    def test_chordal_graphs_walk_no_clique(self, monkeypatch, cap):
+        # K12 and a random chordal graph are summed with no clique walked;
+        # a cycle, which is not chordal, still walks its cliques.
+        def walk(*args, **kwargs):
+            raise AssertionError("cliques walked")
+
+        rng = random.Random(1802)
+        chordal = [complete_graph(12), random_chordal_graph(rng, 12)]
+        systems = [random_rational_system(rng, 12), _product_system(rng, 12, RATIONAL)]
+        cases = [(sys_, g) for sys_ in systems for g in chordal]
+        want = [brute_force_clique_sum(brute_force_clique_terms(sys_, g), cap) for sys_, g in cases]
+        monkeypatch.setattr(graphs, "_clique_groups", walk)
+        assert [clique_sieve_sum(sys_, g, size_cap=cap) for sys_, g in cases] == want
+        for sys_ in systems:
+            path_lower(sys_, range(12))
+            seneta_upper(sys_, 3, 7)
+            hunter_upper_tree(sys_, path_graph(12))
+            with pytest.raises(AssertionError, match="cliques walked"):
+                clique_sieve_sum(sys_, cycle_graph(12), size_cap=cap)
 
 
 class TestClassicalBonferroni:

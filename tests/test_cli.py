@@ -279,6 +279,28 @@ class TestGraphCheck:
         code, out, err = run(capsys, "graph", "check", str(path))
         assert code == 1 and not out and message in err
 
+    @pytest.mark.parametrize(
+        "edges, named",
+        [
+            ([[0, 1, 2]], "edges[0]: [0, 1, 2]"),
+            ([[0, 1], [0]], "edges[1]: [0]"),
+            ([5], "edges[0]: 5"),
+        ],
+        ids=["edge-too-long", "edge-too-short", "edge-not-a-list"],
+    )
+    def test_malformed_json_edge_exit_1(self, capsys, tmp_path, edges, named):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": 3, "edges": edges}))
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: an edge holds two vertices [u, v], got {named}\n"
+
+    def test_json_edges_not_a_list_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": 3, "edges": 5}))
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert (code, out, err) == (1, "", "error: 'edges' must be a list of [u, v] pairs, got 5\n")
+
 
 class TestBoundsCompute:
     def test_kwerel_lower_json(self, capsys, events_json):

@@ -136,13 +136,57 @@ class TestReadRational:
         with pytest.raises(TypeError, match="float"):
             _read_rational(0.5)
 
+    @staticmethod
+    def _value_by_value(column):
+        """The column read one value at a time, as numerators over the
+        least common denominator; or the kind and text of its error."""
+        try:
+            pairs = [_read_rational(value) for value in column]
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+        denominator = math.lcm(*(d for _, d in pairs))
+        return [n * denominator // d for n, d in pairs], denominator
+
+    @staticmethod
+    def _column_outcome(column):
+        try:
+            return _read_rational_column(column)
+        except (TypeError, ValueError) as exc:
+            return type(exc), str(exc)
+
     def test_plain_column_is_read_whole(self, monkeypatch):
         rng = random.Random(12)
         column = ["007/0100", "0/1", "5/5"]
         column += [f"{rng.randrange(10 ** rng.randint(1, 30))}/{rng.randint(1, 10 ** 30)}" for _ in range(500)]
-        want = list(map(_read_rational, column))
+        want = self._value_by_value(column)
         monkeypatch.setattr(values, "_read_rational", None)
         assert _read_rational_column(column) == want
+
+    @pytest.mark.parametrize(
+        "column",
+        [
+            ["2/4", "0/4", "1/4", "1/4"],
+            ["0/7"],
+            ["000/0012", "12/0012"],
+            [f"{c}/873" for c in range(200)],
+            ["1/0", "1/0"],
+            ["0/0"],
+            ["1/4", "3/"],
+        ],
+    )
+    def test_one_denominator_column(self, monkeypatch, column):
+        # One distinct denominator: the numerators are read as written,
+        # unreduced, over it, with the values and errors of reading the
+        # column value by value.
+        want = self._value_by_value(column)
+        got = self._column_outcome(column)
+        assert got == want
+        if isinstance(want[1], str):
+            assert repr(column[0]) in want[1] or repr(column[-1]) in want[1]
+        else:
+            monkeypatch.setattr(values, "_read_rational", None)
+            assert _read_rational_column(column) == want
+            assert got[1] == int(column[0].partition("/")[2])
 
     @pytest.mark.parametrize(
         "column",
@@ -158,14 +202,8 @@ class TestReadRational:
         ],
     )
     def test_other_columns_read_value_by_value(self, column):
-        def outcome(read):
-            try:
-                return read()
-            except (TypeError, ValueError) as exc:
-                return type(exc), str(exc)
-
-        got = outcome(lambda: _read_rational_column(column))
-        assert got == outcome(lambda: list(map(_read_rational, column)))
+        got = self._column_outcome(column)
+        assert got == self._value_by_value(column)
         if "1/0" in column:
             assert "'1/0'" in got[1]
 
