@@ -96,6 +96,13 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _key(data: dict, key: str, kind: str):
+    """`data[key]` of a JSON `kind` file, or a usage error naming the key."""
+    if key not in data:
+        raise _UsageError(f"{kind} file has no {key!r} key")
+    return data[key]
+
+
 def _require_size(n: int, event_count: int | None, max_vertices: int | None) -> None:
     """The vertex count must equal `event_count` and stay within
     `max_vertices`, each where given; checked before the graph is built,
@@ -117,7 +124,7 @@ def _load_graph(
     text = raw.strip()
     if text.startswith("{"):
         data = json.loads(text)
-        edges = data["edges"]
+        edges = _key(data, "edges", "graph")
         if not isinstance(edges, list):
             raise _UsageError(f"'edges' must be a list of [u, v] pairs, got {json.dumps(edges)}")
         for number, edge in enumerate(edges):
@@ -125,12 +132,13 @@ def _load_graph(
                 raise _UsageError(
                     f"an edge holds two vertices [u, v], got edges[{number}]: {json.dumps(edge)}"
                 )
-        _require_int(data["vertices"], "vertex count")
-        _require_size(data["vertices"], event_count, max_vertices)
+        n = _key(data, "vertices", "graph")
+        _require_int(n, "vertex count")
+        _require_size(n, event_count, max_vertices)
         for edge in edges:
             for endpoint in edge:
                 _require_int(endpoint, "edge endpoint")
-        return build_graph(data["vertices"], edges)
+        return build_graph(n, edges)
     lines = [(number, line) for number, line in enumerate(raw.splitlines(), 1) if line.strip()]
     if not lines:
         raise _UsageError(f"graph file {path} is empty")
@@ -166,20 +174,31 @@ def _parse_values(raw_values):
     return RATIONAL, raw_values
 
 
+def _event_lists(data: dict, ids: str) -> list:
+    """The 'events' entry of an events file: a list of lists of `ids`."""
+    events = _key(data, "events", "events")
+    if not isinstance(events, list):
+        raise _UsageError(f"'events' must be a list of events, got {json.dumps(events)}")
+    for number, event in enumerate(events):
+        if not isinstance(event, list):
+            raise _UsageError(f"an event lists {ids}, got events[{number}]: {json.dumps(event)}")
+    return events
+
+
 @_parse_errors()
 def _load_events(path: str):
     data = json.loads(_read_text(path))
     if "weights" in data:
         backend, weights = _parse_values(data["weights"])
-        return from_outcomes(weights, data["events"], backend=backend)
+        return from_outcomes(weights, _event_lists(data, "outcome ids"), backend=backend)
     if "coords" in data:
-        backend, probs = _parse_values(data["probs"])
+        backend, probs = _parse_values(_key(data, "probs", "events"))
         if backend is RATIONAL:
             probs = [Fraction(*_read_rational(p)) for p in probs]
         _require_int(data["coords"], "coordinate count")
         if len(probs) != data["coords"]:
             raise _UsageError("'probs' must list one value per coordinate")
-        return bernoulli_product(probs, data["events"], backend=backend)
+        return bernoulli_product(probs, _event_lists(data, "coordinate ids"), backend=backend)
     raise _UsageError("events file needs either 'weights' or 'coords'")
 
 
@@ -187,10 +206,10 @@ def _load_events(path: str):
 def _load_network(path: str):
     data = json.loads(_read_text(path))
     return build_network(
-        data["nodes"],
-        [tuple(a) for a in data["arcs"]],
-        data["s"],
-        data["t"],
+        _key(data, "nodes", "network"),
+        [tuple(a) for a in _key(data, "arcs", "network")],
+        _key(data, "s", "network"),
+        _key(data, "t", "network"),
         reliability=data.get("p", "symbolic"),
     )
 

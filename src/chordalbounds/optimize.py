@@ -12,7 +12,8 @@ theorem a tree's independence number is n minus that matching's size.
 
 from __future__ import annotations
 
-from itertools import product
+import math
+from itertools import chain, product
 
 from .errors import DomainError, ResourceLimitError
 from .events import EventSystem, intersection_prob
@@ -39,13 +40,12 @@ def pairwise_weights(sys: EventSystem) -> tuple[tuple[float, ...], ...]:
     if sys.backend.name != "real":
         raise DomainError("pairwise weights require the real backend")
     n = sys.event_count
-    rows = []
+    rows = [[0.0] * n for _ in range(n)]
     for u in range(n):
-        row = []
-        for v in range(n):
-            row.append(0.0 if u == v else intersection_prob(sys, (u, v)))
-        rows.append(tuple(row))
-    return tuple(rows)
+        for v in range(u + 1, n):
+            # One query per unordered pair: (u, v) and (v, u) name one mask.
+            rows[u][v] = rows[v][u] = intersection_prob(sys, (u, v))
+    return tuple(map(tuple, rows))
 
 
 def best_tree(w: tuple[tuple[float, ...], ...], objective: str = "minimize-weight") -> Graph:
@@ -94,29 +94,36 @@ def _normalize_direction(order: tuple[int, ...]) -> tuple[int, ...]:
 def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
     n = len(w)
     # cost[mask][v]: minimum weight of a path visiting exactly `mask`,
-    # starting at v (v must be in mask).
+    # starting at v (v must be in mask).  The loops walk member tuples, not
+    # bits: a mask's members, ascending, are low[mask & low_bits] +
+    # high[mask >> half], from two tables of at most 2**ceil(n/2) tuples.  For
+    # each member v, u runs over the same tuple; rows[v] is w[v] with +inf
+    # on the diagonal, so u == v adds inf + 0.0 and never wins over the
+    # candidate u != v that every state of two or more members has.
+    rows = []
+    for v in range(n):
+        row = list(w[v])
+        row[v] = math.inf
+        rows.append(row)
+    half = n // 2
+    low_bits = (1 << half) - 1
+    low = [tuple(_bits(m)) for m in range(1 << half)]
+    high = [tuple(v + half for v in _bits(m)) for m in range(1 << (n - half))]
     size = 1 << n
     cost = [[0.0] * n for _ in range(size)]
     for mask in range(1, size):
         if mask & (mask - 1) == 0:
             continue
-        rest_bits = mask
-        while rest_bits:
-            low = rest_bits & -rest_bits
-            v = low.bit_length() - 1
-            rest_bits ^= low
-            others = mask ^ (1 << v)
-            row, rest_cost = w[v], cost[others]
-            best = None
-            ob = others
-            while ob:
-                lw = ob & -ob
-                u = lw.bit_length() - 1
-                ob ^= lw
+        members = low[mask & low_bits] + high[mask >> half]
+        cost_mask = cost[mask]
+        for v in members:
+            row, rest_cost = rows[v], cost[mask ^ (1 << v)]
+            best = math.inf
+            for u in members:
                 candidate = row[u] + rest_cost[u]
-                if best is None or candidate < best:
+                if candidate < best:
                     best = candidate
-            cost[mask][v] = best
+            cost_mask[v] = best
     full = size - 1
     # Ties are resolved lexicographically; the slack absorbs float noise
     # from differing addition orders between equal-weight paths.
@@ -177,16 +184,20 @@ def _two_opt(w: tuple[tuple[float, ...], ...], order: tuple[int, ...]) -> tuple[
 def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[int, ...]:
     """Minimum-total-weight visiting order of all events under the rows w.
 
-    Exact mode runs subset dynamic programming (n <= 15) and returns the
-    lexicographically least optimal order.  Heuristic mode runs nearest
-    neighbor from every start plus 2-opt and carries no optimality
-    guarantee.
+    Exact mode runs Held-Karp subset dynamic programming (n <= 15) and
+    returns the lexicographically least optimal order.  Its inner loops
+    walk each subset's members as a tuple, joined from two tables of
+    half-width member tuples, instead of extracting bits one at a time.
+    Heuristic mode runs nearest neighbor from every start plus 2-opt and
+    carries no optimality guarantee.  Every weight must be finite.
     """
     if mode not in ("exact", "heuristic"):
         raise DomainError(f"unknown mode {mode!r}")
     n = len(w)
     if n == 0:
         raise DomainError("weight matrix is empty")
+    if not all(map(math.isfinite, chain.from_iterable(w))):
+        raise DomainError("path weights must be finite")
     if mode == "exact":
         if n > HELD_KARP_MAX_VERTICES:
             raise ResourceLimitError(

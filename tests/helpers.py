@@ -6,16 +6,16 @@ by full subset enumeration, masses by adding one weight at a time in exact
 arithmetic, product spaces are listed as their 2**m explicit outcomes,
 random chordal graphs are built directly by simplicial-vertex addition,
 polynomials keep one Fraction per coefficient, the best tree comes from
-every connected edge subset, and the sharpest bounds from the symmetric
-sums alone come from an exact linear program solved by enumerating its
-bases.
+every connected edge subset, the best path from every visiting order, and
+the sharpest bounds from the symmetric sums alone come from an exact
+linear program solved by enumerating its bases.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 from chordalbounds import EventSystem, Graph, ProductSystem, build_graph, intersection_prob
@@ -259,6 +259,16 @@ def brute_force_tree_oracle(sys_: EventSystem, criterion: str) -> Graph:
         if best is None or key < best[0]:
             best = (key, tree)
     return best[1]
+
+
+def brute_force_best_path(w) -> tuple[float, tuple[int, ...]]:
+    """The least (total weight, order) over all n! visiting orders of the
+    rows w.  On dyadic weights every sum is exact, so its order is the
+    lexicographically least optimal one."""
+    return min(
+        (sum(w[a][b] for a, b in zip(order, order[1:])), order)
+        for order in permutations(range(len(w)))
+    )
 
 
 def random_graph(rng, n: int, density: float = 0.5) -> Graph:

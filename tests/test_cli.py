@@ -301,6 +301,12 @@ class TestGraphCheck:
         code, out, err = run(capsys, "graph", "check", str(path))
         assert (code, out, err) == (1, "", "error: 'edges' must be a list of [u, v] pairs, got 5\n")
 
+    def test_json_graph_without_edges_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "graph.json"
+        path.write_text(json.dumps({"vertices": 3}))
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert (code, out, err) == (1, "", "error: graph file has no 'edges' key\n")
+
 
 class TestBoundsCompute:
     def test_kwerel_lower_json(self, capsys, events_json):
@@ -1030,6 +1036,30 @@ class TestPlumbing:
         ):
             code, _, err = run(capsys, *argv)
             assert code == 1 and err
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"weights": ["1/2", "1/2"], "events": [5]}, "an event lists outcome ids, got events[0]: 5"),
+            (
+                {"coords": 2, "probs": [0.5, 0.5], "events": [3]},
+                "an event lists coordinate ids, got events[0]: 3",
+            ),
+            ({"weights": ["1/2", "1/2"]}, "events file has no 'events' key"),
+        ],
+        ids=["outcome-event-not-a-list", "coordinate-event-not-a-list", "no-events-key"],
+    )
+    def test_malformed_events_named_exit_1(self, capsys, tmp_path, data, message):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_network_without_key_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0}))
+        code, out, err = run(capsys, "reliability", str(path))
+        assert (code, out, err) == (1, "", "error: network file has no 't' key\n")
 
     def test_events_file_without_weights_or_coords_exit_1(self, capsys, tmp_path):
         path = tmp_path / "events.json"

@@ -1,13 +1,17 @@
 """Optimizers: MST, exact and heuristic minimum-weight paths, tree oracle."""
 
+import json
+import math
 import random
 from itertools import combinations, permutations
+from pathlib import Path
 
 import pytest
 
 from chordalbounds import (
     DomainError,
     ResourceLimitError,
+    bernoulli_product,
     best_path,
     best_tree,
     bridge_network,
@@ -22,13 +26,15 @@ from chordalbounds import (
     path_weight,
     tree_weight,
 )
-from chordalbounds import graphs
+from chordalbounds import graphs, optimize
 from chordalbounds.graphs import is_tree
 from chordalbounds.optimize import _labeled_trees
 from chordalbounds.reliability import BRIDGE_PATH_ORDER
 from chordalbounds.values import RATIONAL
 
-from helpers import brute_force_tree_oracle, random_real_system
+from helpers import brute_force_best_path, brute_force_tree_oracle, random_real_system
+
+DATA = Path(__file__).parent / "data"
 
 # Arc sets of the four bridge events, in the demo order; pairwise arc-union
 # sizes are the oracle for the expected weights.
@@ -71,6 +77,18 @@ class TestPairwiseWeights:
             for v in range(3)
             if u != v
         )
+
+    def test_one_query_per_unordered_pair(self, monkeypatch):
+        queries = []
+        monkeypatch.setattr(
+            optimize, "intersection_prob", lambda sys_, pair: queries.append(pair) or intersection_prob(sys_, pair)
+        )
+        sys_ = random_real_system(random.Random(173), 7, max_outcomes=32)
+        wm = pairwise_weights(sys_)
+        assert sorted(queries) == list(combinations(range(7), 2))
+        for u, v in permutations(range(7), 2):
+            assert wm[u][v] == intersection_prob(sys_, (u, v))
+        assert all(wm[v][v] == 0.0 for v in range(7))
 
     def test_requires_real_backend(self):
         from fractions import Fraction
@@ -154,6 +172,37 @@ class TestBestPath:
             best_path(wm, "exact")
         with pytest.raises(DomainError):
             best_path(wm, "magic")
+
+    def test_exact_matches_brute_force_on_dyadic_weights(self):
+        # Dyadic weights add exactly, so the least (weight, order) over all
+        # n! orders is the lexicographically least optimal order, ties
+        # included.
+        rng = random.Random(167)
+        for trial in range(300):
+            n = rng.randint(1, 7)
+            values = (0.0, 0.25, 0.5, 0.75, 1.0) if trial % 2 else (0.0, 1.0, 2.0)
+            rows = [[0.0] * n for _ in range(n)]
+            for u, v in combinations(range(n), 2):
+                rows[u][v] = rows[v][u] = rng.choice(values)
+            wm = tuple(map(tuple, rows))
+            assert best_path(wm, "exact") == brute_force_best_path(wm)[1]
+
+    def test_golden_exact_orders(self):
+        # Coords systems of 10-15 events with two of 6, 8 or 12 coordinates
+        # each, many of them equal; the orders were written by the
+        # bit-extracting Held-Karp loop.
+        cases = json.loads((DATA / "golden_paths.json").read_text())
+        assert len(cases) == 12
+        for case in cases:
+            wm = pairwise_weights(bernoulli_product(case["probs"], case["events"]))
+            assert list(best_path(wm, "exact")) == case["path_order"]
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        wm = ((0.0, bad, 0.5), (bad, 0.0, 0.25), (0.5, 0.25, 0.0))
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(DomainError, match="finite"):
+                best_path(wm, mode)
 
     def test_heuristic_never_beats_exact(self):
         rng = random.Random(137)
