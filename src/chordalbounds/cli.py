@@ -36,7 +36,13 @@ from .graphs import (
     is_tree,
 )
 from .optimize import best_path, best_tree, pairwise_weights, path_weight, tree_weight
-from .reliability import DEFAULT_BOUND_KINDS, bound_values, build_network, sweep
+from .reliability import (
+    DEFAULT_BOUND_KINDS,
+    _grid_values,
+    _sweep_columns,
+    bound_values,
+    build_network,
+)
 from .values import RATIONAL, REAL, _read_rational
 
 __all__ = ["main"]
@@ -363,9 +369,11 @@ MAX_SWEEP_POINTS = 100_000
 
 
 @_parse_errors()
-def _parse_sweep(raw: str):
-    """The grid start, start + step, ... up to stop, as Fractions; its
-    length is checked against MAX_SWEEP_POINTS before any point is built."""
+def _parse_sweep(raw: str) -> tuple[range, int]:
+    """The grid start, start + step, ... up to stop, as integer numerators
+    over one denominator L = lcm(den(start), den(step)): a range and L,
+    with no Fraction per point.  Its length is checked against
+    MAX_SWEEP_POINTS before the range is built."""
     parts = raw.split(":")
     if len(parts) != 3:
         raise _UsageError("--sweep expects start:stop:step")
@@ -375,7 +383,10 @@ def _parse_sweep(raw: str):
     count = max(0, math.floor((stop - start) / step) + 1)
     if count > MAX_SWEEP_POINTS:
         raise ResourceLimitError(f"sweep grid exceeds the cap of {MAX_SWEEP_POINTS} points")
-    return [start + i * step for i in range(count)]
+    denominator = math.lcm(start.denominator, step.denominator)
+    first = start.numerator * (denominator // start.denominator)
+    stride = step.numerator * (denominator // step.denominator)
+    return range(first, first + count * stride, stride), denominator
 
 
 def _cmd_reliability(args) -> int:
@@ -387,10 +398,13 @@ def _cmd_reliability(args) -> int:
         if unknown:
             raise _UsageError(f"unknown bound kinds: {', '.join(unknown)}")
     if args.sweep:
-        header, rows = sweep(net, _parse_sweep(args.sweep), kinds)
-        print(",".join(header))
-        for row in rows:
-            print(",".join(format(float(cell), ".12g") for cell in row))
+        tops, denominator = _parse_sweep(args.sweep)
+        header, columns = _sweep_columns(net, kinds)
+        # int / int is correctly rounded, as float(Fraction(n, d)) is.
+        cells = [[format(a / denominator, ".12g") for a in tops]]
+        for values, d in _grid_values(columns, tops, denominator):
+            cells.append([format(n / d, ".12g") for n in values])
+        print("\n".join([",".join(header), *map(",".join, zip(*cells))]))
         return 0
     values = bound_values(net)
     for kind in ("exact", *kinds):

@@ -312,15 +312,28 @@ class ProductSystem:
                 total = self._mass_cache[k] = self.backend.one * self.probs[0] ** k
             return total
         cached = self._mass_cache.get(mask)
-        if cached is not None:
-            return cached
+        if cached is None:
+            cached = self._mass_cache[mask] = self._product(mask)
+        return cached
+
+    def _read_mass(self, mask: int):
+        """`mass` read from the cache but not written to it; a
+        shared-probability system keeps its cache, which is keyed by
+        coordinate count, not by mask."""
+        if self._shared:
+            return self.mass(mask)
+        cached = self._mass_cache.get(mask)
+        return self._product(mask) if cached is None else cached
+
+    def _product(self, mask: int):
+        """Product of the probabilities of the coordinates in `mask`,
+        lowest coordinate first; not memoized."""
         total = self.backend.one
         m = mask
         while m:
             low = m & -m
             total = total * self.probs[low.bit_length() - 1]
             m ^= low
-        self._mass_cache[mask] = total
         return total
 
     def _combined_mask(self, index_set) -> int:
@@ -420,7 +433,8 @@ class ProductSystem:
         """S_k = sum of P(every event in I occurs) over all |I| = k, by
         enumerating the C(n, k) index sets.  The binomial moments would
         need the 2**m outcomes, and the reliability bounds ask for
-        k <= 2 only."""
+        k <= 2 only.  The masses go through `_read_mass`, so the mass
+        cache does not grow by one entry per index set."""
         value = self._sums.get(k)
         if value is None:
             value = self.backend.zero
@@ -428,7 +442,7 @@ class ProductSystem:
                 mask = 0
                 for required in index_set:
                     mask |= required
-                value = value + self.mass(mask)
+                value = value + self._read_mass(mask)
             self._sums[k] = value
         return value
 

@@ -282,30 +282,50 @@ def _component_count(g: Graph, remaining: int) -> int:
 MAX_INDEPENDENT_SET_NODES = 200_000
 
 
+def _paths_and_cycles_alpha(adj: tuple[int, ...], mask: int) -> int:
+    """Independence number within `mask` when every vertex there has at
+    most two neighbours there, so that its components are paths and
+    cycles: ceil(k/2) for a path of k vertices, floor(k/2) for a cycle.
+    Each component is walked from its lowest vertex, along each of its
+    neighbours in turn, one bit at a time."""
+    count = 0
+    while mask:
+        start = mask & -mask
+        component, cycle = start, False
+        for first in _bits(adj[start.bit_length() - 1] & mask):
+            prev, step = start, 1 << first
+            while step and not step & component:
+                component |= step
+                prev, step = step, adj[step.bit_length() - 1] & mask & ~prev
+            # The walk stops at a path's end (no step) or back at start.
+            cycle = cycle or step != 0
+        mask &= ~component
+        k = component.bit_count()
+        count += k // 2 if cycle else (k + 1) // 2
+    return count
+
+
 def _exact_independent_set(adj: tuple[int, ...], mask: int, budget) -> int:
     """Exact maximum independent set size within `mask` by branching on a
-    max-degree vertex.  Each search node takes one item from the iterator
-    `budget`; when it runs out the search stops with ResourceLimitError."""
+    max-degree vertex, down to masks of maximum degree 2, whose paths and
+    cycles are counted directly.  Each search node takes one item from
+    the iterator `budget`; when it runs out the search stops with
+    ResourceLimitError."""
     if next(budget, None) is None:
         raise ResourceLimitError(f"independence number search exceeds {MAX_INDEPENDENT_SET_NODES} nodes")
     if mask == 0:
         return 0
     best_v, best_deg = -1, -1
-    for v in _bits(mask):
+    m = mask
+    while m:
+        low = m & -m
+        v = low.bit_length() - 1
+        m ^= low
         d = (adj[v] & mask).bit_count()
         if d > best_deg:
             best_v, best_deg = v, d
-    if best_deg <= 1:
-        # All degrees <= 1: a matching plus isolated vertices.
-        count = 0
-        m = mask
-        while m:
-            low = m & -m
-            u = low.bit_length() - 1
-            m ^= low
-            count += 1
-            m &= ~adj[u]
-        return count
+    if best_deg <= 2:
+        return _paths_and_cycles_alpha(adj, mask)
     v = best_v
     with_v = 1 + _exact_independent_set(adj, mask & ~((1 << v) | adj[v]), budget)
     without_v = _exact_independent_set(adj, mask & ~(1 << v), budget)

@@ -11,8 +11,11 @@ has no numerators and denominator 1); so equal polynomials have equal
 storage.  Sums and products are integer list operations (a product is an
 integer convolution over the product of the denominators), and
 evaluation at a rational a/b is homogeneous integer Horner,
-sum_i n_i * a**i * b**(d - i), with one Fraction built per point.  The
-`Fraction` coefficients (`coeffs`) are built only on request.
+sum_i n_i * a**i * b**(d - i), over the unreduced denominator
+denominator * b**d (`_horner`, which takes a whole grid over one b); a
+call wraps that pair in one Fraction, a CLI sweep divides it straight
+to a float.  The `Fraction` coefficients (`coeffs`) are built only on
+request.
 """
 
 from __future__ import annotations
@@ -165,6 +168,28 @@ class Polynomial:
             exponent >>= 1
         return result
 
+    def _horner(self, tops, b: int) -> tuple[list[int], int]:
+        """Numerators over one denominator D, unreduced, of the values at
+        the points a/b for each int a in the sequence `tops` (b > 0): the
+        value at a/b is N_a / D with N_a = sum_i n_i a**i b**(d - i),
+        summed by homogeneous integer Horner, and D = denominator * b**d.
+        The terms n_i b**(d - i) are scaled once for all the points, so a
+        point costs one multiply and one add per degree."""
+        numerators = self.numerators
+        if not numerators:
+            return [0] * len(tops), 1
+        scaled, scale = [], 1
+        for n in reversed(numerators):
+            scaled.append(n * scale)
+            scale *= b
+        values = []
+        for a in tops:
+            total = 0
+            for c in scaled:
+                total = total * a + c
+            values.append(total)
+        return values, self.denominator * (scale // b)
+
     def __call__(self, x):
         """Evaluate at x; the result type follows x.
 
@@ -174,16 +199,11 @@ class Polynomial:
         Horner's rule over the Fraction coefficients, which a float rounds
         correctly one by one.
         """
-        numerators = self.numerators
-        if not numerators:
+        if not self.numerators:
             return x * 0
         if isinstance(x, (int, Fraction)):
-            a, b = x.numerator, x.denominator
-            total, scale = 0, 1
-            for n in reversed(numerators):
-                total = total * a + n * scale
-                scale *= b
-            return Fraction(total, self.denominator * (scale // b))
+            (value,), denominator = self._horner((x.numerator,), x.denominator)
+            return Fraction(value, denominator)
         result = x * 0
         for c in reversed(self.coeffs):
             result = result * x + c

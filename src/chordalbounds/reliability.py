@@ -236,30 +236,41 @@ def bound_polynomials(net: Network, paths=None) -> dict[str, Polynomial]:
     return bound_values(net, paths)
 
 
+def _sweep_columns(net: Network, kinds):
+    """The sweep header and the polynomial of each value column, the exact
+    reliability first; the kinds are checked once the polynomials are
+    built."""
+    kinds = DEFAULT_BOUND_KINDS if kinds is None else tuple(kinds)
+    polys = bound_polynomials(net)
+    for kind in kinds:
+        if kind not in polys or kind == "exact":
+            raise DomainError(f"unknown bound kind {kind!r}")
+    return ["p", "exact", *kinds], [polys["exact"], *(polys[kind] for kind in kinds)]
+
+
+def _grid_values(columns, tops, b: int) -> list[tuple[list[int], int]]:
+    """Each column's values at the points a/b for a in the sequence `tops`
+    (b > 0), as `Polynomial._horner` gives them: unreduced numerators over
+    one denominator.  Every point is checked first, so a point outside
+    [0, 1] raises DomainError before anything is evaluated."""
+    for a in tops:
+        if not 0 <= a <= b:
+            raise DomainError(f"p value {Fraction(a, b)} outside [0, 1]")
+    return [q._horner(tops, b) for q in columns]
+
+
 def sweep(net: Network, p_values, kinds=None):
     """Evaluate the exact reliability and the requested bounds on a grid.
 
     Returns (header, rows); each row holds exact Fractions, evaluated from
     the exact polynomials at the given p.  p values may be Fractions, ints
-    or floats (floats are read via their shortest decimal literal).
+    or floats (floats are read via their shortest decimal literal); each
+    keeps its own denominator.
     """
-    if kinds is None:
-        kinds = DEFAULT_BOUND_KINDS
-    kinds = tuple(kinds)
-    polys = bound_polynomials(net)
-    for kind in kinds:
-        if kind not in polys or kind == "exact":
-            raise DomainError(f"unknown bound kind {kind!r}")
-    header = ["p", "exact", *kinds]
+    header, columns = _sweep_columns(net, kinds)
     rows = []
     for p in p_values:
-        if isinstance(p, float):
-            p = Fraction(str(p))
-        else:
-            p = Fraction(p)
-        if not 0 <= p <= 1:
-            raise DomainError(f"p value {p} outside [0, 1]")
-        row = [p, polys["exact"](p)]
-        row.extend(polys[kind](p) for kind in kinds)
-        rows.append(tuple(row))
+        p = Fraction(str(p)) if isinstance(p, float) else Fraction(p)
+        values = _grid_values(columns, (p.numerator,), p.denominator)
+        rows.append((p, *(Fraction(value, d) for (value,), d in values)))
     return header, rows

@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .errors import ResourceLimitError
 from .poly import Polynomial
 
 __all__ = ["Backend", "REAL", "RATIONAL", "POLYNOMIAL"]
@@ -47,6 +49,40 @@ class Backend:
         return abs(total - self.one) <= _REAL_WEIGHT_TOL
 
 
+# Largest |exponent| a decimal rational string may have, CPython's
+# default limit on the digits of an int read from a string.  `Fraction`
+# expands "1e-10000000" to an integer of ten million digits, which took
+# about 12 s (Python 3.11, one Xeon core); an exponent of a hundred
+# million would take hours.
+MAX_DECIMAL_EXPONENT = 4300
+
+# A trailing exponent as `Fraction` reads it: "e" or "E", an optional
+# sign, digits with single underscores between them, optional whitespace.
+_EXPONENT = re.compile(r"[eE]([-+]?\d+(?:_\d+)*)\s*\Z")
+
+
+def _require_exponent_cap(text: str) -> None:
+    """Raise ResourceLimitError if `Fraction` would read `text` as a
+    decimal whose exponent has absolute value above MAX_DECIMAL_EXPONENT.
+    A malformed text is left to `Fraction`, which rejects it before
+    expanding anything."""
+    match = _EXPONENT.search(text)
+    if match:
+        exponent = match.group(1)
+        if len(exponent) > MAX_DECIMAL_EXPONENT or abs(int(exponent)) > MAX_DECIMAL_EXPONENT:
+            # The same text with every exponent digit 0 is well formed
+            # exactly when it is (underscores too, which Fraction reads
+            # from Python 3.11 on).
+            zeros = re.sub(r"\d", "0", exponent)
+            try:
+                Fraction(text[: match.start(1)] + zeros + text[match.end(1) :])
+            except ValueError:
+                return
+            raise ResourceLimitError(
+                f"decimal exponent exceeds the cap of {MAX_DECIMAL_EXPONENT} in a rational value"
+            )
+
+
 def _read_rational(value) -> tuple[int, int]:
     """(numerator, denominator) of an int, a Fraction or a rational string;
     the denominator is positive, the pair not necessarily reduced.
@@ -54,8 +90,9 @@ def _read_rational(value) -> tuple[int, int]:
     A string of decimal digits "a" or "a/b" (`str.isdecimal` on both
     sides) is split with `int`; every other string is read by `Fraction`,
     so signs, decimals, exponents, underscores, surrounding whitespace and
-    its errors mean what they mean there.  A zero denominator raises
-    ValueError on both branches.
+    its errors mean what they mean there, except that an exponent past
+    MAX_DECIMAL_EXPONENT raises ResourceLimitError before `Fraction`
+    expands it.  A zero denominator raises ValueError on both branches.
     """
     if isinstance(value, str):
         top, slash, bottom = value.partition("/")
@@ -64,6 +101,7 @@ def _read_rational(value) -> tuple[int, int]:
             if denominator:
                 return int(top), denominator
             raise ValueError(f"zero denominator in {value!r}")
+        _require_exponent_cap(value)
         try:
             value = Fraction(value)
         except ZeroDivisionError:

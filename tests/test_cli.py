@@ -14,9 +14,10 @@ from pathlib import Path
 
 import pytest
 
-from chordalbounds import bounds, cli, from_outcomes, graphs, reliability
+from chordalbounds import bounds, cli, from_outcomes, graphs, reliability, values
 from chordalbounds.cli import _load_events, main
 from chordalbounds.events import MAX_SIGNATURE_NODES
+from chordalbounds.poly import Polynomial
 from chordalbounds.values import RATIONAL
 
 
@@ -234,23 +235,33 @@ class TestGraphCheck:
         assert err == f"error: graph has more than {cli.MAX_CHECK_CLIQUES} cliques\n"
 
     def test_independence_budget_exit_3(self, capsys, tmp_path):
-        # The 60-vertex cycle has 120 cliques, but its exact independent-set
-        # search needs far more nodes than the budget.
-        path = tmp_path / "c60.json"
-        path.write_text(json.dumps({"vertices": 60, "edges": [[i, (i + 1) % 60] for i in range(60)]}))
+        # The 8x8 grid has 176 cliques, but its exact independent-set
+        # search needs 272 879 nodes, past the budget.
+        edges = [[v, v + 1] for v in range(64) if v % 8 < 7] + [[v, v + 8] for v in range(56)]
+        path = tmp_path / "grid8.json"
+        path.write_text(json.dumps({"vertices": 64, "edges": edges}))
         code, out, err = run(capsys, "graph", "check", str(path))
         assert (code, out) == (3, "")
         assert err == f"error: independence number search exceeds {graphs.MAX_INDEPENDENT_SET_NODES} nodes\n"
 
     @pytest.mark.parametrize("budget, code", [(11, 0), (10, 3)])
     def test_independence_budget_boundary(self, capsys, tmp_path, monkeypatch, budget, code):
-        # The seven-cycle's search visits 11 nodes.
+        # The 3-cube's search visits 11 nodes.
         monkeypatch.setattr(graphs, "MAX_INDEPENDENT_SET_NODES", budget)
-        path = tmp_path / "c7.txt"
-        path.write_text("7 7\n" + "".join(f"{i} {(i + 1) % 7}\n" for i in range(7)))
+        path = tmp_path / "cube.txt"
+        edges = [(v, v | 1 << k) for v in range(8) for k in range(3) if not v >> k & 1]
+        path.write_text("8 12\n" + "".join(f"{u} {v}\n" for u, v in edges))
         got, out, _ = run(capsys, "graph", "check", str(path))
         assert got == code
-        assert ("independence_number: 3\n" in out) if code == 0 else not out
+        assert ("independence_number: 4\n" in out) if code == 0 else not out
+
+    def test_cycle_alpha_without_search(self, capsys, tmp_path):
+        # Maximum degree 2: the cycle is counted, not searched.
+        path = tmp_path / "c60.json"
+        path.write_text(json.dumps({"vertices": 60, "edges": [[i, (i + 1) % 60] for i in range(60)]}))
+        code, out, err = run(capsys, "graph", "check", str(path))
+        assert (code, err) == (0, "")
+        assert "chordal: no\n" in out and "independence_number: 30\n" in out
 
     @pytest.mark.parametrize("budget, code", [(26, 0), (25, 3)])
     def test_clique_budget_boundary(self, capsys, tmp_path, monkeypatch, budget, code):
@@ -672,6 +683,34 @@ class TestBoundsAll:
         assert (code, out, err) == (2, "", f"error: {message}\n")
 
     @pytest.mark.parametrize(
+        "data",
+        [
+            {"weights": ["1e-100000000", "1"], "events": [[0], [1]]},
+            {"weights": ["1/2", "5E+4301", "1/2"], "events": [[0], [1]]},
+            {"coords": 2, "probs": ["1/2", "1e-100000000"], "events": [[0], [1]]},
+        ],
+        ids=["weight", "weight-positive", "coords-probability"],
+    )
+    def test_decimal_exponent_cap_exit_3(self, capsys, tmp_path, data):
+        # Fraction would expand the exponent into an integer of that many
+        # digits; the cap rejects it first.
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(data))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
+        assert time.perf_counter() - start < 1
+        message = f"error: decimal exponent exceeds the cap of {values.MAX_DECIMAL_EXPONENT} in a rational value\n"
+        assert (code, out, err) == (3, "", message)
+
+    def test_decimal_exponent_at_the_cap_is_read(self, capsys, tmp_path):
+        weights = ["1E-4300", "0." + "9" * 4300]
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({"weights": weights, "events": [[0], [1]]}))
+        code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "bonferroni-upper")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["value"] == "1"
+
+    @pytest.mark.parametrize(
         "events, named",
         [
             ({"coords": 2, "probs": [0.5, 0.5], "events": [[0.5], [1]]}, "0.5"),
@@ -906,6 +945,68 @@ class TestReliability:
             assert code == 3 and not out and "exceeds the cap of 11 points" in err
         else:
             assert code == 0 and len(out.splitlines()) == points + 1
+
+    @pytest.mark.parametrize(
+        "grid, points",
+        [
+            ("0:1:0.01", [Fraction(i, 100) for i in range(101)]),
+            ("0:1:1/7", [Fraction(i, 7) for i in range(8)]),
+            ("0:1:0.125", [Fraction(i, 8) for i in range(9)]),
+            ("0.3:0.95:1/6", [Fraction(3, 10) + Fraction(i, 6) for i in range(4)]),
+            ("1/3:1/3:1", [Fraction(1, 3)]),
+            ("1:0:0.1", []),
+        ],
+        ids=["hundredths", "sevenths", "eighths", "start-above-zero", "start-is-stop", "empty"],
+    )
+    def test_sweep_cells_are_rounded_fractions(self, capsys, monkeypatch, network_json, grid, points):
+        # Random polynomials in place of the network's: zero, constants,
+        # negative numerators and denominators above 1.  Every printed cell
+        # is the exact value at the point, rounded once to a float.
+        rng = random.Random(grid)
+        polys = [Polynomial(), Polynomial((Fraction(-3, 7),)), Polynomial((0, 1))]
+        for _ in range(5):
+            polys.append(Polynomial(
+                Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 3, 8, 10**20 + 39)))
+                for _ in range(rng.randint(1, 16))
+            ))
+        header = ["p", *(f"q{i}" for i in range(len(polys)))]
+        monkeypatch.setattr(cli, "_sweep_columns", lambda net, kinds: (header, polys))
+        code, out, err = run(capsys, "reliability", network_json, "--sweep", grid)
+        assert (code, err) == (0, "")
+        want = [",".join(header)]
+        for p in points:
+            want.append(",".join(format(float(x), ".12g") for x in (p, *(q(p) for q in polys))))
+        assert out == "\n".join(want) + "\n"
+
+    @pytest.mark.parametrize(
+        "args, code, message",
+        [
+            (["--sweep", "0:2:0.5"], 2, "p value 3/2 outside [0, 1]"),
+            (["--sweep=-1/2:1:1/2"], 2, "p value -1/2 outside [0, 1]"),
+            (["--sweep", "0:1:0"], 1, "sweep step must be positive"),
+            (["--sweep", "0:1:1/100001"], 3, "sweep grid exceeds the cap of 100000 points"),
+            (["--bounds", "nosuch", "--sweep", "0:1:0.5"], 1, "unknown bound kinds: nosuch"),
+            (["--bounds", "exact", "--sweep", "0:1:0.5"], 1, "unknown bound kinds: exact"),
+        ],
+        ids=["above-one", "below-zero", "zero-step", "cap", "unknown-kind", "exact-kind"],
+    )
+    def test_sweep_error_messages(self, capsys, network_json, args, code, message):
+        assert run(capsys, "reliability", network_json, *args) == (code, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("grid", ["0:1:0.5", "0:2:0.5"])
+    def test_sweep_on_numeric_network_exit_2(self, capsys, tmp_path, grid):
+        # The network is checked before the points.
+        path = tmp_path / "numeric.json"
+        path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "p": 0.9}))
+        message = "error: polynomial bounds require a symbolic network\n"
+        assert run(capsys, "reliability", str(path), "--sweep", grid) == (2, "", message)
+
+    def test_sweep_exponent_cap_exit_3(self, capsys, network_json):
+        # 1e-10000000 would be a ten-million-digit denominator.
+        start = time.perf_counter()
+        code, out, err = run(capsys, "reliability", network_json, "--sweep", "0:1:1e-10000000")
+        assert time.perf_counter() - start < 1
+        assert (code, out) == (3, "") and "decimal exponent exceeds the cap of 4300" in err
 
     def test_zero_denominator_sweep_exit_1(self, capsys, network_json):
         code, out, err = run(capsys, "reliability", network_json, "--sweep", "0:1:1/0")

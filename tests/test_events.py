@@ -30,7 +30,14 @@ from chordalbounds import (
 from chordalbounds import events, values
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.reliability import BRIDGE_PATH_ORDER
-from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL, _read_rational, _read_rational_column
+from chordalbounds.values import (
+    MAX_DECIMAL_EXPONENT,
+    POLYNOMIAL,
+    RATIONAL,
+    REAL,
+    _read_rational,
+    _read_rational_column,
+)
 
 from helpers import (
     FractionPolynomial,
@@ -127,8 +134,17 @@ class TestReadRational:
         texts = ["", "0", "00/07", "1/0", "0/0", "+1/0", "٣/٤", "²/3", "3/", "/4", "3 /4", "1/-2"]
         texts += ["".join(rng.choices(alphabet, k=rng.randint(1, 7))) for _ in range(4000)]
         texts += [f"{rng.randint(0, 999)}/{rng.randint(0, 99)}" for _ in range(500)]
+        texts += ["1e4301", "-2.5E-4_301", "٣e22255", "1e4300", "._e4444", "1 e9999", "1/2e9999", "1e9999 "]
         for text in texts:
-            assert self._outcome(self._read, text) == self._outcome(Fraction, text), repr(text)
+            try:
+                outcome = self._outcome(self._read, text)
+            except ResourceLimitError:
+                # The one difference: Fraction would expand the exponent.
+                exponent = int(text.lower().rpartition("e")[2])
+                assert abs(exponent) > MAX_DECIMAL_EXPONENT, repr(text)
+                assert isinstance(Fraction(text), Fraction)
+                continue
+            assert outcome == self._outcome(Fraction, text), repr(text)
 
     def test_numbers(self):
         assert _read_rational(3) == (3, 1)
@@ -389,6 +405,29 @@ class TestProductForm:
         finally:
             tracemalloc.stop()
         assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("backend", [REAL, RATIONAL])
+    def test_symmetric_sums_read_the_mass_cache_without_filling_it(self, backend):
+        # S_k over C(12, k) index sets, each its own mask: none is kept.
+        # A cached mass is read as it is.
+        probs = [backend.one * Fraction(i + 3, 20) for i in range(12)]
+        sys_ = bernoulli_product(probs, [[i] for i in range(12)], backend=backend)
+        explicit = product_outcomes(sys_)
+        sys_._mass_cache[0b11] = backend.one * 7
+        cache = dict(sys_._mass_cache)
+        for k in range(1, 13):
+            want = sum(intersection_prob(explicit, s) for s in combinations(range(12), k))
+            got = sys_._symmetric_sum(k)
+            if k == 2:
+                got -= 7 - probs[0] * probs[1]
+            assert got == want if backend is RATIONAL else abs(got - want) <= 1e-12
+            assert sys_._mass_cache == cache
+
+    def test_shared_probability_symmetric_sums_use_the_count_cache(self):
+        sys_ = bernoulli_product([P] * 6, [[i, i + 1] for i in range(5)], backend=POLYNOMIAL)
+        # 4 adjacent pairs need 3 coordinates, the other 6 pairs need 4.
+        assert sys_._symmetric_sum(2) == 4 * P**3 + 6 * P**4
+        assert set(sys_._mass_cache) == {3, 4}
 
     @pytest.mark.parametrize("budget, fails", [(15, False), (14, True)])
     def test_signature_budget_boundary(self, monkeypatch, budget, fails):

@@ -251,13 +251,36 @@ class TestIndependenceNumber:
             assert is_chordal(g)
             assert independence_number(g) == brute_force_alpha(g)
 
+    def test_paths_and_cycles_against_brute_force(self):
+        # Disjoint unions of paths and cycles, relabeled at random: the
+        # search counts them without branching.
+        rng = random.Random(29)
+        for _ in range(150):
+            edges, n = [], 0
+            for _ in range(rng.randint(1, 4)):
+                k = rng.randint(1, 5)
+                edges += [(n + i, n + i + 1) for i in range(k - 1)]
+                if k >= 3 and rng.random() < 0.5:
+                    edges.append((n + k - 1, n))
+                n += k
+            label = rng.sample(range(n), n)
+            g = build_graph(n, [(label[u], label[v]) for u, v in edges])
+            assert independence_number(g) == brute_force_alpha(g)
+
+    def test_random_graphs_against_brute_force(self):
+        rng = random.Random(31)
+        for _ in range(150):
+            g = random_graph(rng, rng.randint(1, 12), rng.choice((0.15, 0.3, 0.5)))
+            assert independence_number(g) == brute_force_alpha(g)
+
     def test_search_budget_boundary(self, monkeypatch):
-        # The seven-cycle's search visits 11 nodes.
+        # The 3-cube's search visits 11 nodes.
+        cube = build_graph(8, [(v, v | 1 << k) for v in range(8) for k in range(3) if not v >> k & 1])
         monkeypatch.setattr(graphs, "MAX_INDEPENDENT_SET_NODES", 11)
-        assert independence_number(cycle_graph(7)) == 3
+        assert independence_number(cube) == 4
         monkeypatch.setattr(graphs, "MAX_INDEPENDENT_SET_NODES", 10)
         with pytest.raises(ResourceLimitError, match="exceeds 10 nodes"):
-            independence_number(cycle_graph(7))
+            independence_number(cube)
 
 
 class TestCliqueComplex:

@@ -166,3 +166,26 @@ class TestAgainstFractionReference:
                 constant = pa.coeffs[0] if pa else 0
                 assert pa == constant and pa == Fraction(constant)
                 assert hash(pa) == hash(constant) == hash(Fraction(constant))
+
+
+class TestGridHorner:
+    def test_grid_values_against_fraction_reference(self):
+        # Points a/b over one denominator b; the numerators share the
+        # unreduced denominator, and their quotient rounds as a Fraction's.
+        rng = random.Random(20100418)
+        for _ in range(200):
+            coeffs = _random_coeffs(rng)
+            q, reference = Polynomial(coeffs), FractionPolynomial(coeffs)
+            b = rng.choice((1, 2, 7, 8, 100, 3**7, 10**20 + 39))
+            tops = [rng.randint(-2 * b, 2 * b) for _ in range(rng.randint(0, 6))]
+            values, denominator = q._horner(tops, b)
+            assert denominator > 0 and len(values) == len(tops)
+            for a, value in zip(tops, values):
+                x = Fraction(a, b)
+                assert Fraction(value, denominator) == reference(x) == q(x)
+                assert (value / denominator).hex() == float(reference(x)).hex()
+
+    def test_zero_polynomial(self):
+        assert Polynomial()._horner(range(3), 7) == ([0, 0, 0], 1)
+        assert Polynomial()._horner((), 7) == ([], 1)
+        assert Polynomial()(Fraction(1, 3)) == 0

@@ -191,6 +191,37 @@ class TestSweep:
             exact = row[1]
             assert all(value <= exact for value in row[2:])
 
+    @pytest.mark.parametrize("spelling", [int, float, Fraction])
+    def test_rows_match_per_point_fractions(self, spelling):
+        # Each point keeps its own denominator; every cell equals the
+        # polynomial evaluated at that point as a Fraction.
+        net = build_network(5, [(0, 1), (1, 2), (0, 3), (3, 2), (1, 3), (2, 4), (3, 4)], 0, 4)
+        polys = bound_polynomials(net)
+        kinds = ("kwerel-lower", "hunter-lower")
+        if spelling is int:
+            points = [0, 1, 1, 0]
+        elif spelling is float:
+            points = [0.0, 0.01, 0.37, 1 / 3, 0.125, 1.0]
+        else:
+            points = [Fraction(1, 7), Fraction(3, 10**20 + 39), Fraction(2, 4), Fraction(99, 100)]
+        header, rows = sweep(net, points, kinds)
+        assert header == ["p", "exact", *kinds]
+        for point, row in zip(points, rows):
+            p = Fraction(str(point)) if isinstance(point, float) else Fraction(point)
+            want = (p, *(sum(c * p**i for i, c in enumerate(polys[k].coeffs)) for k in ("exact", *kinds)))
+            assert row == want
+            assert all(type(cell) is Fraction for cell in row)
+        assert len(rows) == len(points)
+
+    def test_point_errors_in_order(self):
+        # Points are read and checked one by one: the first bad one decides.
+        with pytest.raises(DomainError, match=r"p value 3/2 outside \[0, 1\]"):
+            sweep(bridge_network(), [Fraction(1, 2), Fraction(3, 2), "x"])
+        with pytest.raises(ValueError, match="Invalid literal"):
+            sweep(bridge_network(), [Fraction(1, 2), "x", Fraction(3, 2)])
+        with pytest.raises(DomainError, match="p value -1/4 outside"):
+            sweep(bridge_network(), [-0.25])
+
     def test_large_p_ordering(self):
         # near p = 1 the depth-one alternating bound falls below the others
         _, rows = sweep(bridge_network(), [Fraction(9, 10)])
