@@ -29,6 +29,10 @@ All formulas are generic over the value backend; division by the integer
 denominator happens last.  The checks the bounds share live with the data
 they check: the truncation depth in `graphs._size_cap`, the pairing of
 events with graph vertices in `events._require_one_vertex_per_event`.
+
+`KINDS` is the one place that maps kind names to these functions and to
+the inputs each reads; `bound` evaluates a kind by name, and the command
+line and the reliability report name kinds only through it.
 """
 
 from __future__ import annotations
@@ -53,6 +57,8 @@ from .graphs import (
 
 __all__ = [
     "BoundReport",
+    "KINDS",
+    "bound",
     "clique_sieve_sum",
     "classical_bonferroni",
     "chordal_upper",
@@ -157,12 +163,13 @@ def _moment_bracket(sys: EventSystem, coefficients):
     return total
 
 
-def classical_bonferroni(sys: EventSystem, r: int, direction: str) -> BoundReport:
+def classical_bonferroni(sys: EventSystem, r: int = 1, direction: str = "upper") -> BoundReport:
     """Alternating subset bound of depth r over all non-empty index sets.
 
     The upper bound keeps sets of size <= 2r - 1, the lower bound sets of
     size <= 2r; the value is the alternating sum of the symmetric sums
-    S_1 - S_2 + S_3 - ... up to that size.
+    S_1 - S_2 + S_3 - ... up to that size.  The defaults give the union
+    bound S_1.
     """
     if direction not in ("upper", "lower"):
         raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
@@ -202,27 +209,27 @@ def chordal_lower(
     return _report(kind, sys, bracket, denominator, truncation=r, graph=g)
 
 
-def hunter_upper_tree(sys: EventSystem, tree: Graph) -> BoundReport:
-    """Tree upper bound: singleton sum minus the sum over tree edges, the
-    clique-complex sum of the tree."""
-    require_tree(tree)
-    return _report("hunter-upper", sys, clique_sieve_sum(sys, tree), graph=tree)
+def hunter_upper_tree(sys: EventSystem, g: Graph) -> BoundReport:
+    """Tree upper bound: singleton sum minus the sum over the edges of the
+    tree g, the clique-complex sum of the tree."""
+    require_tree(g)
+    return _report("hunter-upper", sys, clique_sieve_sum(sys, g), graph=g)
 
 
-def hunter_lower_tree(sys: EventSystem, tree: Graph) -> BoundReport:
-    """Tree lower bound: the tree's clique-complex sum divided by its
-    independence number."""
-    require_tree(tree)
-    bracket = clique_sieve_sum(sys, tree)
-    return _report("hunter-lower", sys, bracket, independence_number(tree), graph=tree)
+def hunter_lower_tree(sys: EventSystem, g: Graph) -> BoundReport:
+    """Tree lower bound: the clique-complex sum of the tree g divided by
+    its independence number."""
+    require_tree(g)
+    bracket = clique_sieve_sum(sys, g)
+    return _report("hunter-lower", sys, bracket, independence_number(g), graph=g)
 
 
-def path_lower(sys: EventSystem, order) -> BoundReport:
-    """Lower bound along a path visiting the events in `order`: the
-    clique-complex sum of that path divided by ceil(n / 2), the
-    independence number of a path."""
-    order = tuple(order)
+def path_lower(sys: EventSystem, order=None) -> BoundReport:
+    """Lower bound along a path visiting the events in `order` (index
+    order by default): the clique-complex sum of that path divided by
+    ceil(n / 2), the independence number of a path."""
     n = sys.event_count
+    order = tuple(range(n) if order is None else order)
     if sorted(order) != list(range(n)):
         raise DomainError("order is not a permutation of the event indices")
     path = build_graph(n, zip(order, order[1:]))
@@ -305,3 +312,34 @@ def generalized_lower(sys: EventSystem, m: int) -> BoundReport:
     ]
     coefficients.append((-1) ** m * Fraction(m + 1, comb(n, m)))
     return _report("generalized-lower", sys, _moment_bracket(sys, coefficients), n - m)
+
+
+# Each kind's function by name, the inputs it reads after the event system
+# (g, the graph; r; unchecked; order; j and k; m) and its fixed arguments.
+# `bound` looks the name up per call, so a wrapper set on the module sees it.
+KINDS = {
+    "bonferroni-upper": ("classical_bonferroni", ("r",), {"direction": "upper"}),
+    "bonferroni-lower": ("classical_bonferroni", ("r",), {"direction": "lower"}),
+    "chordal-upper": ("chordal_upper", ("g", "r", "unchecked"), {}),
+    "chordal-lower": ("chordal_lower", ("g", "r", "unchecked"), {}),
+    "chordal-lower-sharpened": ("chordal_lower", ("g", "r", "unchecked"), {"sharpened": True}),
+    "hunter-upper": ("hunter_upper_tree", ("g",), {}),
+    "hunter-lower": ("hunter_lower_tree", ("g",), {}),
+    "path-lower": ("path_lower", ("order",), {}),
+    "kwerel-upper": ("kwerel_upper", (), {}),
+    "kwerel-lower": ("kwerel_lower", (), {}),
+    "seneta-upper": ("seneta_upper", ("j", "k"), {}),
+    "seneta-lower": ("seneta_lower", ("j", "k"), {}),
+    "kwerel2-lower": ("kwerel2_lower", (), {}),
+    "generalized-lower": ("generalized_lower", ("m",), {}),
+}
+
+
+def bound(kind: str, sys: EventSystem, **inputs) -> BoundReport:
+    """The bound `kind` of `sys`, given the `inputs` it reads (see KINDS);
+    one left out or None keeps the function's default."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown bound kind {kind!r}")
+    name, reads, fixed = KINDS[kind]
+    given = {key: inputs[key] for key in reads if inputs.get(key) is not None}
+    return globals()[name](sys, **given, **fixed)

@@ -40,6 +40,7 @@ from .reliability import (
     DEFAULT_BOUND_KINDS,
     _grid_values,
     _sweep_columns,
+    _unknown_kinds,
     bound_values,
     build_network,
 )
@@ -75,18 +76,12 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _json_value(value):
-    if isinstance(value, Fraction):
-        return str(value)
-    return value
-
-
 def _report_dict(report: bnd.BoundReport) -> dict:
     return {
         "kind": report.kind,
         "direction": report.direction,
         "r": report.truncation,
-        "value": _json_value(report.value),
+        "value": str(report.value) if isinstance(report.value, Fraction) else report.value,
         "alpha_used": report.alpha_used,
         "n": report.n,
         "edges": report.edge_count,
@@ -257,53 +252,23 @@ def _cmd_graph_check(args) -> int:
     return 0
 
 
-@_parse_errors()
-def _parse_order(raw: str | None, n: int):
-    if raw is None:
-        return tuple(range(n))
-    return tuple(int(part) for part in raw.split(","))
-
-
-def _compute_report(args, sys_) -> bnd.BoundReport:
+def _cmd_bounds_compute(args) -> int:
+    """One bound as JSON.  The kind is looked up before any file is read;
+    the graph and the order are read only for a kind that reads them."""
     kind = args.kind
-    g = None
-    if kind.startswith("chordal") or kind.startswith("hunter"):
+    if kind not in bnd.KINDS:
+        raise _UsageError(f"unknown bound kind {kind!r}")
+    reads = bnd.KINDS[kind][1]
+    sys_ = _load_events(args.events)
+    inputs = {"r": args.r, "unchecked": args.unchecked, "j": args.j, "k": args.k, "m": args.m}
+    if "g" in reads:
         if not args.graph:
             raise _UsageError(f"--kind {kind} requires --graph")
-        g = _load_graph(args.graph, sys_.event_count)
-    if kind in ("bonferroni-upper", "bonferroni-lower"):
-        direction = kind.removeprefix("bonferroni-")
-        return bnd.classical_bonferroni(sys_, 1 if args.r is None else args.r, direction)
-    if kind == "chordal-upper":
-        return bnd.chordal_upper(sys_, g, r=args.r, unchecked=args.unchecked)
-    if kind in ("chordal-lower", "chordal-lower-sharpened"):
-        sharpened = kind == "chordal-lower-sharpened"
-        return bnd.chordal_lower(sys_, g, r=args.r, sharpened=sharpened, unchecked=args.unchecked)
-    if kind == "hunter-upper":
-        return bnd.hunter_upper_tree(sys_, g)
-    if kind == "hunter-lower":
-        return bnd.hunter_lower_tree(sys_, g)
-    if kind == "path-lower":
-        return bnd.path_lower(sys_, _parse_order(args.order, sys_.event_count))
-    if kind == "kwerel-upper":
-        return bnd.kwerel_upper(sys_)
-    if kind == "kwerel-lower":
-        return bnd.kwerel_lower(sys_)
-    if kind == "seneta-upper":
-        return bnd.seneta_upper(sys_, args.j, args.k)
-    if kind == "seneta-lower":
-        return bnd.seneta_lower(sys_, args.j, args.k)
-    if kind == "kwerel2-lower":
-        return bnd.kwerel2_lower(sys_)
-    if kind == "generalized-lower":
-        return bnd.generalized_lower(sys_, args.m)
-    raise _UsageError(f"unknown bound kind {kind!r}")
-
-
-def _cmd_bounds_compute(args) -> int:
-    sys_ = _load_events(args.events)
-    report = _compute_report(args, sys_)
-    print(json.dumps(_report_dict(report), indent=2))
+        inputs["g"] = _load_graph(args.graph, sys_.event_count)
+    if "order" in reads and args.order is not None:
+        with _parse_errors():
+            inputs["order"] = tuple(int(part) for part in args.order.split(","))
+    print(json.dumps(_report_dict(bnd.bound(kind, sys_, **inputs)), indent=2))
     return 0
 
 
@@ -311,30 +276,23 @@ def _cmd_bounds_all(args) -> int:
     sys_ = _load_events(args.events)
     n = sys_.event_count
     g = _load_graph(args.graph, n)
-    rows = [
-        bnd.classical_bonferroni(sys_, 1, "upper"),
-        bnd.classical_bonferroni(sys_, 1, "lower"),
-        bnd.chordal_upper(sys_, g, unchecked=args.unchecked),
-        bnd.chordal_upper(sys_, g, r=1, unchecked=args.unchecked),
-        bnd.chordal_lower(sys_, g, unchecked=args.unchecked),
-        bnd.chordal_lower(sys_, g, r=1, unchecked=args.unchecked),
-    ]
-    if sys_.backend.ordered:
-        rows.append(bnd.chordal_lower(sys_, g, sharpened=True, unchecked=args.unchecked))
+    rows = [("bonferroni-upper", {}), ("bonferroni-lower", {})]
+    for kind in ("chordal-upper", "chordal-lower"):
+        rows += [(kind, {}), (kind, {"r": 1})]
+    rows.append(("chordal-lower-sharpened", {}))
     if is_tree(g):
-        rows.append(bnd.hunter_upper_tree(sys_, g))
-        rows.append(bnd.hunter_lower_tree(sys_, g))
-    rows.append(bnd.path_lower(sys_, tuple(range(n))))
-    rows.append(bnd.kwerel_upper(sys_))
-    rows.append(bnd.kwerel_lower(sys_))
+        rows += [("hunter-upper", {}), ("hunter-lower", {})]
+    rows += [("path-lower", {}), ("kwerel-upper", {}), ("kwerel-lower", {})]
     if n >= 3:
-        rows.append(bnd.kwerel2_lower(sys_))
-    labeled = [(report.kind, report) for report in rows]
-    for m in range(n):
-        labeled.append((f"generalized-lower m={m}", bnd.generalized_lower(sys_, m)))
+        rows.append(("kwerel2-lower", {}))
+    rows += [("generalized-lower", {"m": m}) for m in range(n)]
+    # Every bound is computed before any output, so an error prints nothing.
+    shared = {"g": g, "unchecked": args.unchecked}
+    reports = [bnd.bound(kind, sys_, **shared, **inputs) for kind, inputs in rows]
     print(f"{'kind':<26} {'dir':<5} {'r':>3}  value")
     print(f"{'exact-union':<26} {'-':<5} {'-':>3}  {_fmt(union_prob_exact(sys_))}")
-    for label, report in labeled:
+    for (kind, inputs), report in zip(rows, reports):
+        label = f"{kind} m={inputs['m']}" if "m" in inputs else kind
         r_str = "-" if report.truncation is None else str(report.truncation)
         print(f"{label:<26} {report.direction:<5} {r_str:>3}  {_fmt(report.value)}")
     return 0
@@ -394,7 +352,7 @@ def _cmd_reliability(args) -> int:
     kinds = DEFAULT_BOUND_KINDS
     if args.bounds:
         kinds = tuple(part.strip() for part in args.bounds.split(",") if part.strip())
-        unknown = [kind for kind in kinds if kind not in DEFAULT_BOUND_KINDS]
+        unknown = _unknown_kinds(kinds)
         if unknown:
             raise _UsageError(f"unknown bound kinds: {', '.join(unknown)}")
     if args.sweep:
@@ -463,7 +421,7 @@ def _build_parser() -> _Parser:
     """The argparse tree, built on the first call and shared by every
     later `main` call in the process; parsing it keeps no state, each
     call gets a fresh Namespace.  The subcommand handlers are bound when
-    the parser is built; the names they use (`build_graph`, `bnd.*`,
+    the parser is built; the names they use (`build_graph`, `bnd.bound`,
     `bound_values`, ...) are still looked up when they run."""
     parser = _Parser(prog="chordalbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .bounds import classical_bonferroni, hunter_lower_tree, kwerel_lower
+from .bounds import bound
 from .errors import DomainError, _require_int, _to_float
 from .events import ProductSystem, _require_coordinate_cap, bernoulli_product, union_prob_exact
 from .graphs import path_graph
@@ -211,22 +211,20 @@ def exact_reliability(net: Network, paths=None):
 def bound_values(net: Network, paths=None) -> dict:
     """Exact reliability and the lower bounds, from one path event system.
 
-    Keys: "exact", "hunter-lower" (path graph over the event order),
-    "kwerel-lower", and "bonferroni-lower" (depth 1).  Values are
-    Polynomials in p for a symbolic network and floats otherwise.  A
-    symbolic network with no path gets zero polynomials; a numeric one
-    raises DomainError.
+    Keys: "exact", then DEFAULT_BOUND_KINDS by `bounds.bound`, with the
+    path graph over the event order: "hunter-lower", "kwerel-lower" and
+    "bonferroni-lower" (depth 1).  Values are Polynomials in p for a
+    symbolic network and floats otherwise.  A symbolic network with no
+    path gets zero polynomials; a numeric one raises DomainError.
     """
     paths = tuple(_st_paths(net, paths))
     if not paths and net.symbolic:
         return dict.fromkeys(("exact", *DEFAULT_BOUND_KINDS), POLYNOMIAL.zero)
     sys = path_event_system(net, paths)
-    return {
-        "exact": union_prob_exact(sys),
-        "hunter-lower": hunter_lower_tree(sys, path_graph(len(paths))).value,
-        "kwerel-lower": kwerel_lower(sys).value,
-        "bonferroni-lower": classical_bonferroni(sys, 1, "lower").value,
-    }
+    g = path_graph(len(paths))
+    values = {"exact": union_prob_exact(sys)}
+    values.update((kind, bound(kind, sys, g=g).value) for kind in DEFAULT_BOUND_KINDS)
+    return values
 
 
 def bound_polynomials(net: Network, paths=None) -> dict[str, Polynomial]:
@@ -236,15 +234,20 @@ def bound_polynomials(net: Network, paths=None) -> dict[str, Polynomial]:
     return bound_values(net, paths)
 
 
+def _unknown_kinds(kinds) -> list:
+    """The names in `kinds` that are not reliability bound kinds, in order."""
+    return [kind for kind in kinds if kind not in DEFAULT_BOUND_KINDS]
+
+
 def _sweep_columns(net: Network, kinds):
     """The sweep header and the polynomial of each value column, the exact
     reliability first; the kinds are checked once the polynomials are
     built."""
     kinds = DEFAULT_BOUND_KINDS if kinds is None else tuple(kinds)
     polys = bound_polynomials(net)
-    for kind in kinds:
-        if kind not in polys or kind == "exact":
-            raise DomainError(f"unknown bound kind {kind!r}")
+    unknown = _unknown_kinds(kinds)
+    if unknown:
+        raise DomainError(f"unknown bound kind {unknown[0]!r}")
     return ["p", "exact", *kinds], [polys["exact"], *(polys[kind] for kind in kinds)]
 
 

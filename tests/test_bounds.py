@@ -38,9 +38,9 @@ from chordalbounds import (
     tree_graph,
     union_prob_exact,
 )
-from chordalbounds import graphs
+from chordalbounds import bounds, graphs
 from chordalbounds.poly import P, Polynomial
-from chordalbounds.reliability import BRIDGE_PATH_ORDER, bridge_network
+from chordalbounds.reliability import BRIDGE_PATH_ORDER, DEFAULT_BOUND_KINDS, bridge_network
 from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL
 
 from helpers import (
@@ -646,3 +646,58 @@ class TestOrderingInvariants:
             for r in range(1, (n + 1) // 2 + 1):
                 assert chordal_lower(sys_, g, r=r).value <= lower_full + 1e-9
                 assert upper_full <= chordal_upper(sys_, g, r=r).value + 1e-9
+
+
+class TestKindTable:
+    @pytest.mark.parametrize("r", [None, 1, 2])
+    @pytest.mark.parametrize("kind", bounds.KINDS)
+    def test_every_kind_reports_its_name(self, kind, r):
+        # A row wired to the wrong function or argument reports another kind.
+        sys_ = random_rational_system(random.Random(131), 5)
+        report = bounds.bound(kind, sys_, g=path_graph(5), r=r, unchecked=False, j=0, k=1, m=2)
+        assert report.kind == kind
+        if kind.startswith("bonferroni"):
+            assert report.truncation == (1 if r is None else r)
+        elif kind.startswith("chordal"):
+            assert report.truncation == r
+
+    def test_rows_name_public_functions(self):
+        assert {name for name, _, _ in bounds.KINDS.values()} <= set(bounds.__all__)
+
+    def test_reliability_kinds_are_kinds(self):
+        assert set(DEFAULT_BOUND_KINDS) <= set(bounds.KINDS)
+
+    def test_rows_match_the_functions(self):
+        rng = random.Random(137)
+        n = 6
+        sys_ = random_rational_system(rng, n)
+        g = random_chordal_graph(rng, n)
+        tree = path_graph(n)
+        order = rng.sample(range(n), n)
+        cases = [
+            ("bonferroni-upper", {}, classical_bonferroni(sys_, 1, "upper")),
+            ("bonferroni-lower", {"r": 2}, classical_bonferroni(sys_, 2, "lower")),
+            ("chordal-upper", {"g": g, "r": 1}, chordal_upper(sys_, g, r=1)),
+            ("chordal-lower", {"g": g}, chordal_lower(sys_, g)),
+            ("chordal-lower-sharpened", {"g": g, "r": 1}, chordal_lower(sys_, g, r=1, sharpened=True)),
+            ("hunter-upper", {"g": tree}, hunter_upper_tree(sys_, tree)),
+            ("hunter-lower", {"g": tree}, hunter_lower_tree(sys_, tree)),
+            ("path-lower", {}, path_lower(sys_, range(n))),
+            ("path-lower", {"order": order}, path_lower(sys_, order)),
+            ("kwerel-upper", {}, kwerel_upper(sys_)),
+            ("kwerel-lower", {}, kwerel_lower(sys_)),
+            ("seneta-upper", {"j": 4, "k": 1}, seneta_upper(sys_, 4, 1)),
+            ("seneta-lower", {"j": 2, "k": 2}, seneta_lower(sys_, 2, 2)),
+            ("kwerel2-lower", {}, kwerel2_lower(sys_)),
+            ("generalized-lower", {"m": 3}, generalized_lower(sys_, 3)),
+        ]
+        assert {kind for kind, _, _ in cases} == set(bounds.KINDS)
+        for kind, inputs, want in cases:
+            # Inputs a kind does not read, and inputs set to None, change nothing.
+            unread = {name: None for name in ("g", "r", "order", "j", "k", "m") if name not in inputs}
+            assert bounds.bound(kind, sys_, **inputs, **unread) == want, kind
+            assert bounds.bound(kind, sys_, **{"unchecked": True, "m": 1, **inputs}).value == want.value
+
+    def test_unknown_kind_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="unknown bound kind 'chordal-foo'"):
+            bounds.bound("chordal-foo", identical_events_system(2))

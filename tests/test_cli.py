@@ -53,11 +53,12 @@ def _golden_compute_cases():
 GOLDEN_COMPUTE_CASES = _golden_compute_cases()
 GOLDEN_EVENTS = {"rational": "golden_events.json", "real": "golden_events_real.json"}
 # `reliability` arguments after the network file, by case name; the grid
-# 1/7 is not decimal.
+# 1/7 is not decimal, and subset-plain lists two default kinds out of order.
 GOLDEN_RELIABILITY_CASES = {
     "plain": [],
     "sweep": ["--sweep", "0:1:0.01"],
     "kwerel-sevenths": ["--bounds", "kwerel-lower", "--sweep", "0:1:1/7"],
+    "subset-plain": ["--bounds", "bonferroni-lower,hunter-lower"],
 }
 
 
@@ -412,6 +413,26 @@ class TestBoundsCompute:
     def test_unknown_kind(self, capsys, events_json):
         code, _, err = run(capsys, "bounds", "compute", events_json, "--kind", "mystery")
         assert code == 1 and "unknown bound kind" in err
+
+    @pytest.mark.parametrize("graph", [None, '{"vertices": 2, "edges": []}', "not a graph\n"],
+                             ids=["no-graph", "mismatched-graph", "not-a-graph"])
+    @pytest.mark.parametrize("kind", ["chordal-foo", "chordal", "hunterx", "hunter-lower-tree"])
+    def test_unknown_kind_named_like_a_graph_kind(self, capsys, tmp_path, events_json, kind, graph):
+        # The kind is looked up before any file is read, whatever its prefix.
+        args = []
+        if graph is not None:
+            (tmp_path / "graph.json").write_text(graph)
+            args = ["--graph", str(tmp_path / "graph.json")]
+        got = run(capsys, "bounds", "compute", events_json, "--kind", kind, *args)
+        assert got == (1, "", f"error: unknown bound kind {kind!r}\n")
+
+    def test_unknown_kind_reads_no_events_file(self, capsys, tmp_path):
+        got = run(capsys, "bounds", "compute", str(tmp_path / "missing.json"), "--kind", "mystery")
+        assert got == (1, "", "error: unknown bound kind 'mystery'\n")
+
+    def test_golden_cases_cover_the_kind_table(self):
+        named = {args[args.index("--kind") + 1] for args in GOLDEN_COMPUTE_CASES.values()}
+        assert named == set(bounds.KINDS)
 
     @pytest.mark.parametrize("case", GOLDEN_COMPUTE_CASES)
     @pytest.mark.parametrize("weights", GOLDEN_EVENTS)
@@ -1120,6 +1141,10 @@ class TestPlumbing:
         exec(block, {})
         assert capsys.readouterr().out == "2p^2 + 2p^3 - 5p^4 + 2p^5\n5/8 1 5/4\n"
 
+    def test_readme_names_every_kind(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+        assert [kind for kind in bounds.KINDS if f"`{kind}`" not in readme] == []
+
     def test_usage_error(self, capsys):
         code, _, err = run(capsys, "nonsense")
         assert code == 1 and err
@@ -1245,6 +1270,7 @@ class TestPlumbing:
         def broken(sys_):
             raise ValueError("internal bug")
 
+        # `bounds.bound` looks the function up when it runs, so the CLI calls the patched one.
         monkeypatch.setattr(bounds, "kwerel_lower", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["bounds", "compute", events_json, "--kind", "kwerel-lower"])
