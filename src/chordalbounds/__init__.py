@@ -57,7 +57,6 @@ from .optimize import (
 )
 from .poly import P, Polynomial
 from .reliability import (
-    BRIDGE_PATH_ORDER,
     Network,
     bound_polynomials,
     bound_values,

@@ -7,8 +7,8 @@ lower bounds have none.  The bracket takes one of two forms:
 
 * the clique bracket, `clique_sieve_sum`: the signed sum over the clique
   complex of a graph on the event indices, optionally truncated at a
-  clique size t.  The chordal bounds use the given graph, the tree and path
-  bounds a tree or a path (whose cliques are vertices and edges), and the
+  clique size t.  The chordal bounds use the given graph (Hunter's are
+  the untruncated ones of a tree, renamed), the path bound a path, and the
   Seneta bounds the graph joining two chosen indices to every other
   index.  Lower bounds divide it by the graph's independence number (or
   by the sharpened support-aware denominator).  A chordal graph is
@@ -210,18 +210,15 @@ def chordal_lower(
 
 
 def hunter_upper_tree(sys: EventSystem, g: Graph) -> BoundReport:
-    """Tree upper bound: singleton sum minus the sum over the edges of the
-    tree g, the clique-complex sum of the tree."""
-    require_tree(g)
-    return _report("hunter-upper", sys, clique_sieve_sum(sys, g), graph=g)
+    """Hunter's tree upper bound: singleton sum minus the sum over the
+    edges of the tree g, which is `chordal_upper` on the tree."""
+    return replace(chordal_upper(sys, require_tree(g)), kind="hunter-upper")
 
 
 def hunter_lower_tree(sys: EventSystem, g: Graph) -> BoundReport:
-    """Tree lower bound: the clique-complex sum of the tree g divided by
-    its independence number."""
-    require_tree(g)
-    bracket = clique_sieve_sum(sys, g)
-    return _report("hunter-lower", sys, bracket, independence_number(g), graph=g)
+    """Hunter's tree lower bound, `chordal_lower` on the tree g: its
+    clique-complex sum divided by its independence number."""
+    return replace(chordal_lower(sys, require_tree(g)), kind="hunter-lower")
 
 
 def path_lower(sys: EventSystem, order=None) -> BoundReport:
@@ -268,13 +265,13 @@ def _seneta_bracket(sys: EventSystem, j: int, k: int):
     return _elimination_sieve(sys, build_graph(n, edges), order, None)
 
 
-def seneta_upper(sys: EventSystem, j: int, k: int) -> BoundReport:
+def seneta_upper(sys: EventSystem, j: int = 0, k: int = 1) -> BoundReport:
     """Upper bound built from two distinguished indices j and k: the
     clique-complex sum on the graph joining j and k to every other index."""
     return _report("seneta-upper", sys, _seneta_bracket(sys, j, k))
 
 
-def seneta_lower(sys: EventSystem, j: int, k: int) -> BoundReport:
+def seneta_lower(sys: EventSystem, j: int = 0, k: int = 1) -> BoundReport:
     """Lower bound from two distinguished indices j and k.
 
     Equals the clique-complex lower bound on the join of a complete graph
@@ -294,7 +291,7 @@ def kwerel2_lower(sys: EventSystem) -> BoundReport:
     return replace(generalized_lower(sys, 2), kind="kwerel2-lower")
 
 
-def generalized_lower(sys: EventSystem, m: int) -> BoundReport:
+def generalized_lower(sys: EventSystem, m: int = 0) -> BoundReport:
     """Averaged lower bound of order m, for 0 <= m <= n - 1.
 
     Closed form of the mean of the clique-complex lower bound over every
@@ -337,9 +334,11 @@ KINDS = {
 
 def bound(kind: str, sys: EventSystem, **inputs) -> BoundReport:
     """The bound `kind` of `sys`, given the `inputs` it reads (see KINDS);
-    one left out or None keeps the function's default."""
+    one left out or None keeps the function's default, but g is required."""
     if kind not in KINDS:
         raise DomainError(f"unknown bound kind {kind!r}")
     name, reads, fixed = KINDS[kind]
+    if "g" in reads and inputs.get("g") is None:
+        raise DomainError(f"bound kind {kind!r} needs a graph g")
     given = {key: inputs[key] for key in reads if inputs.get(key) is not None}
     return globals()[name](sys, **given, **fixed)

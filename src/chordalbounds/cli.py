@@ -14,6 +14,7 @@ import json
 import math
 import sys
 from fractions import Fraction
+from itertools import repeat
 
 from . import bounds as bnd
 from .errors import DomainError, ResourceLimitError, _require_int, _to_float
@@ -97,11 +98,32 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
+def _load_json(path: str) -> dict:
+    """The JSON object in `path`; any other value reads as one with no keys."""
+    data = json.loads(_read_text(path))
+    return data if isinstance(data, dict) else {}
+
+
 def _key(data: dict, key: str, kind: str):
     """`data[key]` of a JSON `kind` file, or a usage error naming the key."""
     if key not in data:
         raise _UsageError(f"{kind} file has no {key!r} key")
     return data[key]
+
+
+def _json_list(data: dict, key: str, kind: str, shape: str, rule: str, types=(int, float, str), size=None):
+    """`data[key]` of a JSON `kind` file, a list of `types` (by default
+    numbers and strings, booleans too), each of length `size` if given;
+    else a usage error naming the key, or the first bad item by index."""
+    value = _key(data, key, kind)
+    if not isinstance(value, list):
+        raise _UsageError(f"{key!r} must be {shape}, got {json.dumps(value)}")
+    if size is None and all(map(isinstance, value, repeat(types))):
+        return value  # checked in C: a list of weights may be long
+    for number, item in enumerate(value):
+        if not isinstance(item, types) or (size is not None and len(item) != size):
+            raise _UsageError(f"{rule}, got {key}[{number}]: {json.dumps(item)}")
+    return value
 
 
 def _require_size(n: int, event_count: int | None, max_vertices: int | None) -> None:
@@ -125,20 +147,11 @@ def _load_graph(
     text = raw.strip()
     if text.startswith("{"):
         data = json.loads(text)
-        edges = _key(data, "edges", "graph")
-        if not isinstance(edges, list):
-            raise _UsageError(f"'edges' must be a list of [u, v] pairs, got {json.dumps(edges)}")
-        for number, edge in enumerate(edges):
-            if not (isinstance(edge, list) and len(edge) == 2):
-                raise _UsageError(
-                    f"an edge holds two vertices [u, v], got edges[{number}]: {json.dumps(edge)}"
-                )
+        rule = "an edge holds two vertices [u, v]"
+        edges = _json_list(data, "edges", "graph", "a list of [u, v] pairs", rule, list, 2)
         n = _key(data, "vertices", "graph")
         _require_int(n, "vertex count")
         _require_size(n, event_count, max_vertices)
-        for edge in edges:
-            for endpoint in edge:
-                _require_int(endpoint, "edge endpoint")
         return build_graph(n, edges)
     lines = [(number, line) for number, line in enumerate(raw.splitlines(), 1) if line.strip()]
     if not lines:
@@ -160,10 +173,13 @@ def _int_pair(number: int, line: str, expected: str) -> tuple[int, int]:
     return a, b
 
 
-def _parse_values(raw_values):
-    """Return (backend, values).  Strings select the exact rational
-    backend, and the values are left as written for `_read_rational`, a
-    float as its JSON text; otherwise every value is read as a float."""
+def _parse_values(data: dict, key: str):
+    """Return (backend, values) of the probabilities `data[key]`.  Strings
+    select the exact rational backend, and the values are left as written
+    for `_read_rational`, a float as its JSON text; otherwise every value
+    is read as a float."""
+    rule = "a probability value is a number or a string"
+    raw_values = _json_list(data, key, "events", "a list of probability values", rule)
     kinds = set(map(type, raw_values))
     if bool in kinds:
         flag = next(v for v in raw_values if isinstance(v, bool))
@@ -175,44 +191,36 @@ def _parse_values(raw_values):
     return RATIONAL, raw_values
 
 
-def _event_lists(data: dict, ids: str) -> list:
-    """The 'events' entry of an events file: a list of lists of `ids`."""
-    events = _key(data, "events", "events")
-    if not isinstance(events, list):
-        raise _UsageError(f"'events' must be a list of events, got {json.dumps(events)}")
-    for number, event in enumerate(events):
-        if not isinstance(event, list):
-            raise _UsageError(f"an event lists {ids}, got events[{number}]: {json.dumps(event)}")
-    return events
-
-
 @_parse_errors()
 def _load_events(path: str):
-    data = json.loads(_read_text(path))
+    data = _load_json(path)
     if "weights" in data:
-        backend, weights = _parse_values(data["weights"])
-        return from_outcomes(weights, _event_lists(data, "outcome ids"), backend=backend)
+        backend, weights = _parse_values(data, "weights")
+        events = _json_list(data, "events", "events", "a list of events", "an event lists outcome ids", list)
+        return from_outcomes(weights, events, backend=backend)
     if "coords" in data:
-        backend, probs = _parse_values(_key(data, "probs", "events"))
+        backend, probs = _parse_values(data, "probs")
         if backend is RATIONAL:
             probs = [Fraction(*_read_rational(p)) for p in probs]
         _require_int(data["coords"], "coordinate count")
         if len(probs) != data["coords"]:
             raise _UsageError("'probs' must list one value per coordinate")
-        return bernoulli_product(probs, _event_lists(data, "coordinate ids"), backend=backend)
+        events = _json_list(data, "events", "events", "a list of events", "an event lists coordinate ids", list)
+        return bernoulli_product(probs, events, backend=backend)
     raise _UsageError("events file needs either 'weights' or 'coords'")
 
 
 @_parse_errors()
 def _load_network(path: str):
-    data = json.loads(_read_text(path))
-    return build_network(
-        _key(data, "nodes", "network"),
-        [tuple(a) for a in _key(data, "arcs", "network")],
-        _key(data, "s", "network"),
-        _key(data, "t", "network"),
-        reliability=data.get("p", "symbolic"),
-    )
+    data = _load_json(path)
+    nodes = _key(data, "nodes", "network")
+    rule = "an arc holds two nodes [tail, head]"
+    arcs = _json_list(data, "arcs", "network", "a list of [tail, head] pairs", rule, list, 2)
+    source, terminal = _key(data, "s", "network"), _key(data, "t", "network")
+    p = data.get("p", "symbolic")
+    if p is None or isinstance(p, list):
+        p = _json_list(data, "p", "network", "'symbolic', a number or a list", "an arc reliability is a number")
+    return build_network(nodes, arcs, source, terminal, p)
 
 
 # ---------------------------------------------------------------------------
@@ -266,8 +274,12 @@ def _cmd_bounds_compute(args) -> int:
             raise _UsageError(f"--kind {kind} requires --graph")
         inputs["g"] = _load_graph(args.graph, sys_.event_count)
     if "order" in reads and args.order is not None:
-        with _parse_errors():
-            inputs["order"] = tuple(int(part) for part in args.order.split(","))
+        inputs["order"] = []
+        for number, item in enumerate(args.order.split(","), 1):
+            try:
+                inputs["order"].append(int(item))
+            except ValueError:
+                raise _UsageError(f"--order lists event indices, got item {number}: {item!r}") from None
     print(json.dumps(_report_dict(bnd.bound(kind, sys_, **inputs)), indent=2))
     return 0
 
@@ -441,9 +453,9 @@ def _build_parser() -> _Parser:
     compute.add_argument("-r", type=int, default=None)
     compute.add_argument("--unchecked", action="store_true")
     compute.add_argument("--order", default=None, help="event order for path-lower, e.g. 0,2,1")
-    compute.add_argument("--j", type=int, default=0)
-    compute.add_argument("--k", type=int, default=1)
-    compute.add_argument("--m", type=int, default=0)
+    compute.add_argument("--j", type=int, default=None)
+    compute.add_argument("--k", type=int, default=None)
+    compute.add_argument("--m", type=int, default=None)
     compute.set_defaults(handler=_cmd_bounds_compute)
     all_p = bounds_sub.add_parser("all", help="every applicable bound plus the exact value")
     all_p.add_argument("events")

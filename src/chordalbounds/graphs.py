@@ -23,10 +23,10 @@ import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
-from itertools import combinations
+from itertools import chain, combinations
 from math import comb
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _require_int
 
 __all__ = [
     "Graph",
@@ -95,10 +95,14 @@ class Graph:
 def build_graph(vertex_count: int, edges) -> Graph:
     """Validate and normalize an edge list into a Graph.
 
-    Rejects out-of-range endpoints, self-loops and duplicate edges, naming
-    the offending pair, and a vertex count no list can index
-    (ResourceLimitError).
+    Rejects a vertex count or endpoint that is no int (or is a bool),
+    out-of-range endpoints, self-loops and duplicate edges, naming each,
+    and a vertex count no list can index (ResourceLimitError).
     """
+    _require_int(vertex_count, "vertex count")
+    edges = tuple(edges)
+    for endpoint in chain.from_iterable(edges):
+        _require_int(endpoint, "edge endpoint")
     if vertex_count < 0:
         raise DomainError(f"vertex count must be non-negative, got {vertex_count}")
     if vertex_count > sys.maxsize:
@@ -313,8 +317,6 @@ def _exact_independent_set(adj: tuple[int, ...], mask: int, budget) -> int:
     ResourceLimitError."""
     if next(budget, None) is None:
         raise ResourceLimitError(f"independence number search exceeds {MAX_INDEPENDENT_SET_NODES} nodes")
-    if mask == 0:
-        return 0
     best_v, best_deg = -1, -1
     m = mask
     while m:

@@ -6,7 +6,8 @@ of operating arcs joins the source to the terminal.  Events are built from
 simple-path enumeration, one event per path, over a product-form system of
 independent arc states; all probability work is delegated to the
 event-system machinery, so the same code runs with numeric arc
-reliabilities and with a shared symbolic parameter p.
+reliabilities and with a shared symbolic parameter p.  The reports take
+the canonical path order; `path_event_system(net, paths)` fixes any other.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ __all__ = [
     "Network",
     "build_network",
     "bridge_network",
-    "BRIDGE_PATH_ORDER",
     "enumerate_st_paths",
     "path_event_system",
     "exact_reliability",
@@ -120,16 +120,6 @@ def bridge_network(reliability=SYMBOLIC) -> Network:
     )
 
 
-# Path-event order used by the bridge demo reports: arcs {1,5}, {1,3,6},
-# {2,4,5}, {2,6} in 1-based arc labels.
-BRIDGE_PATH_ORDER = (
-    frozenset({0, 4}),
-    frozenset({0, 2, 5}),
-    frozenset({1, 3, 4}),
-    frozenset({1, 5}),
-)
-
-
 def enumerate_st_paths(net: Network) -> tuple[frozenset[int], ...]:
     """All simple directed source-to-terminal paths as arc-id sets,
     canonically ordered by length, then lexicographic arc ids."""
@@ -154,14 +144,12 @@ def enumerate_st_paths(net: Network) -> tuple[frozenset[int], ...]:
     return tuple(found)
 
 
-def _st_paths(net: Network, paths):
-    """`paths` when given; else no paths when the terminal is unreachable
-    (one search over the arcs), else every s-t path.  A reachable network
-    is checked against the product-space cap before the enumeration,
-    which grows exponentially with the arcs, since every arc becomes a
-    coordinate of the path events."""
-    if paths is not None:
-        return paths
+def _st_paths(net: Network):
+    """No paths when the terminal is unreachable (one search over the
+    arcs), else every s-t path.  A reachable network is checked against
+    the product-space cap before the enumeration, which grows
+    exponentially with the arcs, since every arc becomes a coordinate of
+    the path events."""
     heads: dict[int, list[int]] = {}
     for tail, head in net.arcs:
         heads.setdefault(tail, []).append(head)
@@ -183,7 +171,7 @@ def path_event_system(net: Network, paths=None) -> ProductSystem:
     Pass `paths` to fix the event order explicitly; by default the
     canonical enumeration order is used.
     """
-    paths = tuple(frozenset(p) for p in _st_paths(net, paths))
+    paths = tuple(frozenset(p) for p in (_st_paths(net) if paths is None else paths))
     if not paths:
         raise DomainError("network has no source-to-terminal path")
     if net.symbolic:
@@ -195,20 +183,20 @@ def path_event_system(net: Network, paths=None) -> ProductSystem:
     return bernoulli_product(probs, paths, backend=backend)
 
 
-def exact_reliability(net: Network, paths=None):
+def exact_reliability(net: Network):
     """Exact source-to-terminal reliability, by Shannon expansion over arc
     states (arc factoring) on the path events.
 
     Returns a Polynomial for symbolic networks, a float otherwise; a
     network with no path has reliability zero.
     """
-    paths = _st_paths(net, paths)
+    paths = _st_paths(net)
     if not paths:
         return POLYNOMIAL.zero if net.symbolic else 0.0
     return union_prob_exact(path_event_system(net, paths))
 
 
-def bound_values(net: Network, paths=None) -> dict:
+def bound_values(net: Network) -> dict:
     """Exact reliability and the lower bounds, from one path event system.
 
     Keys: "exact", then DEFAULT_BOUND_KINDS by `bounds.bound`, with the
@@ -217,7 +205,7 @@ def bound_values(net: Network, paths=None) -> dict:
     symbolic network and floats otherwise.  A symbolic network with no
     path gets zero polynomials; a numeric one raises DomainError.
     """
-    paths = tuple(_st_paths(net, paths))
+    paths = _st_paths(net)
     if not paths and net.symbolic:
         return dict.fromkeys(("exact", *DEFAULT_BOUND_KINDS), POLYNOMIAL.zero)
     sys = path_event_system(net, paths)
@@ -227,11 +215,11 @@ def bound_values(net: Network, paths=None) -> dict:
     return values
 
 
-def bound_polynomials(net: Network, paths=None) -> dict[str, Polynomial]:
+def bound_polynomials(net: Network) -> dict[str, Polynomial]:
     """`bound_values` as polynomials in p; requires a symbolic network."""
     if not net.symbolic:
         raise DomainError("polynomial bounds require a symbolic network")
-    return bound_values(net, paths)
+    return bound_values(net)
 
 
 def _unknown_kinds(kinds) -> list:

@@ -8,7 +8,9 @@ random chordal graphs are built directly by simplicial-vertex addition,
 polynomials keep one Fraction per coefficient, the best tree comes from
 every connected edge subset, the best path from every visiting order, and
 the sharpest bounds from the symmetric sums alone come from an exact
-linear program solved by enumerating its bases.
+linear program solved by enumerating its bases.  `BRIDGE_PATH_ORDER`
+fixes the bridge network's path events in the order the paper's bridge
+example numbers them.
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ from math import comb
 
 from chordalbounds import EventSystem, Graph, ProductSystem, build_graph, intersection_prob
 from chordalbounds.values import RATIONAL, REAL
+
+# Path-event order of the bridge example, passed to `path_event_system`:
+# arcs {1,5}, {1,3,6}, {2,4,5}, {2,6} in 1-based arc labels.
+BRIDGE_PATH_ORDER = (
+    frozenset({0, 4}),
+    frozenset({0, 2, 5}),
+    frozenset({1, 3, 4}),
+    frozenset({1, 5}),
+)
 
 
 def bits(mask: int):

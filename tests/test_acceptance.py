@@ -40,10 +40,10 @@ from chordalbounds import (
 )
 from chordalbounds.graphs import build_graph
 from chordalbounds.poly import Polynomial
-from chordalbounds.reliability import BRIDGE_PATH_ORDER
 from chordalbounds.values import RATIONAL
 
 from helpers import (
+    BRIDGE_PATH_ORDER,
     brute_force_alpha,
     brute_force_is_chordal,
     random_chordal_graph,
@@ -90,7 +90,7 @@ def sandwich_corpus():
 def test_criterion_1_bridge_polynomials_exact():
     start = time.perf_counter()
     sys_ = path_event_system(bridge_network(), paths=BRIDGE_PATH_ORDER)
-    polys = bound_polynomials(bridge_network(), paths=BRIDGE_PATH_ORDER)
+    polys = bound_polynomials(bridge_network())
     checks = (
         union_prob_exact(sys_) == EQ_EXACT,
         polys["exact"] == EQ_EXACT,

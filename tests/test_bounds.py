@@ -2,6 +2,7 @@
 constructions, ordering invariants."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb
@@ -40,10 +41,11 @@ from chordalbounds import (
 )
 from chordalbounds import bounds, graphs
 from chordalbounds.poly import P, Polynomial
-from chordalbounds.reliability import BRIDGE_PATH_ORDER, DEFAULT_BOUND_KINDS, bridge_network
+from chordalbounds.reliability import DEFAULT_BOUND_KINDS, bridge_network
 from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL
 
 from helpers import (
+    BRIDGE_PATH_ORDER,
     brute_force_clique_sum,
     brute_force_clique_terms,
     brute_force_symmetric_sums,
@@ -382,15 +384,25 @@ class TestHunterTree:
         assert report.value == pytest.approx(bracket / (n - 1))
 
     def test_matches_chordal_lower_on_random_trees(self):
+        # Each Hunter report is the untruncated chordal report of its tree,
+        # equal in every field but the kind, on explicit REAL and RATIONAL
+        # systems and on product systems, down to a single event.
         rng = random.Random(67)
-        for _ in range(40):
-            n = rng.randint(1, 8)
-            edges = [(rng.randrange(v), v) for v in range(1, n)]
-            tree = tree_graph(n, edges)
-            sys_ = random_real_system(rng, n, max_outcomes=32)
-            assert hunter_lower_tree(sys_, tree).value == pytest.approx(
-                chordal_lower(sys_, tree).value, abs=1e-12
-            )
+        makers = [
+            lambda n: random_real_system(rng, n, max_outcomes=32),
+            lambda n: random_rational_system(rng, n),
+            lambda n: _product_system(rng, n, REAL),
+            lambda n: _product_system(rng, n, RATIONAL),
+        ]
+        for trial in range(60):
+            n = 1 if trial < len(makers) else rng.randint(1, 8)
+            tree = tree_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+            sys_ = makers[trial % len(makers)](n)
+            for hunter, chordal in ((hunter_upper_tree, chordal_upper), (hunter_lower_tree, chordal_lower)):
+                want = chordal(sys_, tree)
+                report = hunter(sys_, tree)
+                assert report.kind == want.kind.replace("chordal", "hunter")
+                assert replace(report, kind=want.kind) == want
 
     def test_rejects_non_tree(self):
         sys_ = from_outcomes([1.0], [[0]] * 3)
@@ -398,6 +410,12 @@ class TestHunterTree:
             hunter_lower_tree(sys_, cycle_graph(3))
         with pytest.raises(DomainError, match="not a tree"):
             hunter_upper_tree(sys_, edgeless_graph(3))
+        # chordal, with one edge fewer than vertices, but not connected
+        triangle_and_vertex = build_graph(4, [(0, 1), (1, 2), (0, 2)])
+        sys_ = from_outcomes([1.0], [[0]] * 4)
+        for hunter in (hunter_upper_tree, hunter_lower_tree):
+            with pytest.raises(DomainError, match="^graph is not a tree$"):
+                hunter(sys_, triangle_and_vertex)
 
 
 class TestPathLower:
@@ -697,6 +715,35 @@ class TestKindTable:
             unread = {name: None for name in ("g", "r", "order", "j", "k", "m") if name not in inputs}
             assert bounds.bound(kind, sys_, **inputs, **unread) == want, kind
             assert bounds.bound(kind, sys_, **{"unchecked": True, "m": 1, **inputs}).value == want.value
+
+    def test_left_out_inputs_keep_the_defaults(self):
+        # Every kind that reads no graph is defined by the event system alone.
+        sys_ = random_rational_system(random.Random(139), 5)
+        want = {
+            "bonferroni-upper": classical_bonferroni(sys_, 1, "upper"),
+            "bonferroni-lower": classical_bonferroni(sys_, 1, "lower"),
+            "path-lower": path_lower(sys_, range(5)),
+            "kwerel-upper": kwerel_upper(sys_),
+            "kwerel-lower": kwerel_lower(sys_),
+            "seneta-upper": seneta_upper(sys_, 0, 1),
+            "seneta-lower": seneta_lower(sys_, 0, 1),
+            "kwerel2-lower": kwerel2_lower(sys_),
+            "generalized-lower": generalized_lower(sys_, 0),
+        }
+        assert set(want) == {kind for kind, (_, reads, _) in bounds.KINDS.items() if "g" not in reads}
+        for kind, report in want.items():
+            assert bounds.bound(kind, sys_) == report, kind
+        assert seneta_upper(sys_) == want["seneta-upper"]
+        assert seneta_lower(sys_) == want["seneta-lower"]
+        assert generalized_lower(sys_) == want["generalized-lower"]
+
+    @pytest.mark.parametrize("kind", [kind for kind, (_, reads, _) in bounds.KINDS.items() if "g" in reads])
+    def test_graph_kind_without_graph_is_a_domain_error(self, kind):
+        sys_ = identical_events_system(3)
+        for inputs in ({}, {"g": None}):
+            with pytest.raises(DomainError) as raised:
+                bounds.bound(kind, sys_, **inputs)
+            assert str(raised.value) == f"bound kind {kind!r} needs a graph g"
 
     def test_unknown_kind_is_a_domain_error(self):
         with pytest.raises(DomainError, match="unknown bound kind 'chordal-foo'"):

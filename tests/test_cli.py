@@ -403,6 +403,24 @@ class TestBoundsCompute:
         assert code == 0
         assert json.loads(out)["alpha_used"] == 2
 
+    @pytest.mark.parametrize("kind, flags", [("seneta-upper", ["--j", "0", "--k", "1"]),
+                                             ("seneta-lower", ["--j", "0", "--k", "1"]),
+                                             ("generalized-lower", ["--m", "0"])])
+    def test_left_out_indices_keep_the_defaults(self, capsys, events_json, kind, flags):
+        given = run(capsys, "bounds", "compute", events_json, "--kind", kind, *flags)
+        assert given[0] == 0
+        assert run(capsys, "bounds", "compute", events_json, "--kind", kind) == given
+
+    @pytest.mark.parametrize(
+        "order, named",
+        [("a,b", "item 1: 'a'"), ("", "item 1: ''"), ("0,x,2,3", "item 2: 'x'"), ("0,1,2,3,", "item 5: ''"),
+         ("1.5,0,2,3", "item 1: '1.5'")],
+        ids=["letters", "empty", "second", "trailing-comma", "decimal"],
+    )
+    def test_malformed_order_named_exit_1(self, capsys, events_json, order, named):
+        code, out, err = run(capsys, "bounds", "compute", events_json, "--kind", "path-lower", "--order", order)
+        assert (code, out, err) == (1, "", f"error: --order lists event indices, got {named}\n")
+
     def test_bonferroni_depth_zero_exit_2(self, capsys, events_json):
         for kind in ("bonferroni-upper", "bonferroni-lower"):
             code, out, err = run(
@@ -1180,6 +1198,57 @@ class TestPlumbing:
         path.write_text(json.dumps(data))
         code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"arcs": [[0, 1, 2]]}, "an arc holds two nodes [tail, head], got arcs[0]: [0, 1, 2]"),
+            ({"arcs": [[0, 1], [0]]}, "an arc holds two nodes [tail, head], got arcs[1]: [0]"),
+            ({"arcs": 5}, "'arcs' must be a list of [tail, head] pairs, got 5"),
+            ({"arcs": [5]}, "an arc holds two nodes [tail, head], got arcs[0]: 5"),
+            ({"p": [[0.5], [0.5]]}, "an arc reliability is a number, got p[0]: [0.5]"),
+            ({"p": [0.5, None]}, "an arc reliability is a number, got p[1]: null"),
+            ({"p": None}, "'p' must be 'symbolic', a number or a list, got null"),
+        ],
+        ids=["arc-too-long", "arc-too-short", "arcs-not-a-list", "arc-not-a-list", "p-nested", "p-null-item",
+             "p-null"],
+    )
+    def test_malformed_network_named_exit_1(self, capsys, tmp_path, change, message):
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps({"nodes": 3, "arcs": [[0, 1], [1, 2]], "s": 0, "t": 2, "p": 0.5, **change}))
+        for argv in (["reliability", str(path)], ["reliability", str(path), "--sweep", "0:1:1/2"]):
+            code, out, err = run(capsys, *argv)
+            assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize(
+        "data, message",
+        [
+            ({"weights": 5, "events": [[0]]}, "'weights' must be a list of probability values, got 5"),
+            ({"coords": 1, "probs": 5, "events": [[0]]}, "'probs' must be a list of probability values, got 5"),
+            ({"weights": [None], "events": [[0]]}, "a probability value is a number or a string, got weights[0]: null"),
+            (
+                {"coords": 2, "probs": ["1/2", [1]], "events": [[0]]},
+                "a probability value is a number or a string, got probs[1]: [1]",
+            ),
+            ("weights", "events file needs either 'weights' or 'coords'"),
+            (["coords"], "events file needs either 'weights' or 'coords'"),
+            (5, "events file needs either 'weights' or 'coords'"),
+        ],
+        ids=["weights-not-a-list", "probs-not-a-list", "weight-null", "prob-list", "string-file", "list-file",
+             "number-file"],
+    )
+    def test_malformed_values_named_exit_1(self, capsys, tmp_path, data, message):
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps(data))
+        code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_network_file_that_is_no_object_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "network.json"
+        for data in ("nodes", ["nodes"], None):
+            path.write_text(json.dumps(data))
+            code, out, err = run(capsys, "reliability", str(path))
+            assert (code, out, err) == (1, "", "error: network file has no 'nodes' key\n")
 
     def test_network_without_key_exit_1(self, capsys, tmp_path):
         path = tmp_path / "network.json"

@@ -29,7 +29,6 @@ from chordalbounds import (
 )
 from chordalbounds import events, values
 from chordalbounds.poly import P, Polynomial
-from chordalbounds.reliability import BRIDGE_PATH_ORDER
 from chordalbounds.values import (
     MAX_DECIMAL_EXPONENT,
     POLYNOMIAL,
@@ -40,6 +39,7 @@ from chordalbounds.values import (
 )
 
 from helpers import (
+    BRIDGE_PATH_ORDER,
     FractionPolynomial,
     bits,
     brute_force_alpha_prime,

@@ -74,6 +74,29 @@ class TestBuildGraph:
         g = build_graph(3, [(2, 0), (1, 0)])
         assert g.edges == ((0, 1), (0, 2))
 
+    @pytest.mark.parametrize(
+        "vertex_count, edges, message",
+        [
+            (2.0, [], "vertex count must be an integer, got 2.0"),
+            (True, [], "vertex count must be an integer, got True"),
+            (3, [(0, True)], "edge endpoint must be an integer, got True"),
+            (3, [(0, 1.5)], "edge endpoint must be an integer, got 1.5"),
+            (3, [(0, "1")], "edge endpoint must be an integer, got '1'"),
+            # every endpoint is checked before any range, loop or duplicate check
+            (3, [(0, 5), (1, 1), (0, 1.5)], "edge endpoint must be an integer, got 1.5"),
+            ("3", [(0, 1.5)], "vertex count must be an integer, got '3'"),
+        ],
+        ids=["float-count", "bool-count", "bool-endpoint", "float-endpoint", "str-endpoint",
+             "types-before-ranges", "count-before-endpoints"],
+    )
+    def test_non_integer_rejected(self, vertex_count, edges, message):
+        with pytest.raises(DomainError) as raised:
+            build_graph(vertex_count, edges)
+        assert str(raised.value) == message
+
+    def test_edges_may_be_an_iterator(self):
+        assert build_graph(3, iter([(0, 1), (2, 1)])).edges == ((0, 1), (1, 2))
+
 
 class TestSpecialGraphs:
     def test_counterexample_graph_shape(self):

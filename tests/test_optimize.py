@@ -29,10 +29,9 @@ from chordalbounds import (
 from chordalbounds import graphs, optimize
 from chordalbounds.graphs import is_tree
 from chordalbounds.optimize import _labeled_trees
-from chordalbounds.reliability import BRIDGE_PATH_ORDER
 from chordalbounds.values import RATIONAL
 
-from helpers import brute_force_best_path, brute_force_tree_oracle, random_real_system
+from helpers import BRIDGE_PATH_ORDER, brute_force_best_path, brute_force_tree_oracle, random_real_system
 
 DATA = Path(__file__).parent / "data"
 

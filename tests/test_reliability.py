@@ -14,11 +14,14 @@ from chordalbounds import (
     exact_reliability,
     intersection_prob,
     path_event_system,
+    path_graph,
     sweep,
     union_prob_exact,
 )
+from chordalbounds.bounds import bound
 from chordalbounds.poly import Polynomial
-from chordalbounds.reliability import BRIDGE_PATH_ORDER
+
+from helpers import BRIDGE_PATH_ORDER
 
 EQ_EXACT = Polynomial((0, 0, 2, 2, -5, 2))
 EQ_TREE = Polynomial((0, 0, 1, 1, -1, 0, Fraction(-1, 2)))
@@ -145,13 +148,18 @@ class TestExactReliability:
 
 class TestBoundPolynomials:
     def test_all_four_polynomials(self):
-        polys = bound_polynomials(bridge_network(), paths=BRIDGE_PATH_ORDER)
-        assert polys["exact"] == EQ_EXACT
-        assert polys["hunter-lower"] == EQ_TREE
-        assert polys["kwerel-lower"] == EQ_PATH_AVG
-        assert polys["bonferroni-lower"] == EQ_DEPTH1
+        # The bridge example's own path order, with the path graph over it,
+        # gives the example's four polynomials.
+        sys_ = path_event_system(bridge_network(), paths=BRIDGE_PATH_ORDER)
+        g = path_graph(len(BRIDGE_PATH_ORDER))
+        assert union_prob_exact(sys_) == EQ_EXACT
+        assert bound("hunter-lower", sys_, g=g).value == EQ_TREE
+        assert bound("kwerel-lower", sys_, g=g).value == EQ_PATH_AVG
+        assert bound("bonferroni-lower", sys_, g=g).value == EQ_DEPTH1
 
     def test_canonical_event_order_gives_same_values(self):
+        # The report numbers the paths canonically, not in the bridge
+        # example's order, and gets the example's four polynomials.
         polys = bound_polynomials(bridge_network())
         assert polys["exact"] == EQ_EXACT
         assert polys["hunter-lower"] == EQ_TREE
