@@ -8,7 +8,6 @@ output for a given input is byte-stable.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import functools
 import json
 import math
@@ -17,7 +16,7 @@ from fractions import Fraction
 from itertools import repeat
 
 from . import bounds as bnd
-from .errors import DomainError, ResourceLimitError, _require_int, _to_float
+from .errors import DomainError, ParseError, ResourceLimitError, _require_int, _to_float
 from .events import (
     _require_one_vertex_per_event,
     bernoulli_product,
@@ -40,8 +39,7 @@ from .optimize import best_path, best_tree, pairwise_weights, path_weight, tree_
 from .reliability import (
     DEFAULT_BOUND_KINDS,
     _grid_values,
-    _sweep_columns,
-    _unknown_kinds,
+    bound_polynomials,
     bound_values,
     build_network,
 )
@@ -57,18 +55,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-@contextlib.contextmanager
-def _parse_errors():
-    """Report malformed user input as a usage error; domain violations
-    keep their own exit code."""
-    try:
-        yield
-    except DomainError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise _UsageError(str(exc)) from exc
 
 
 def _fmt(value) -> str:
@@ -98,9 +84,12 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _load_json(path: str) -> dict:
-    """The JSON object in `path`; any other value reads as one with no keys."""
-    data = json.loads(_read_text(path))
+def _load_json(text: str) -> dict:
+    """The JSON object in `text`, or {} for any other value; bad JSON is a usage error."""
+    try:
+        data = json.loads(text)
+    except ValueError as exc:
+        raise _UsageError(str(exc)) from None
     return data if isinstance(data, dict) else {}
 
 
@@ -137,7 +126,6 @@ def _require_size(n: int, event_count: int | None, max_vertices: int | None) -> 
         raise ResourceLimitError(f"graph check caps at {max_vertices} vertices, got {n}")
 
 
-@_parse_errors()
 def _load_graph(
     path: str, event_count: int | None = None, max_vertices: int | None = None
 ) -> Graph:
@@ -146,7 +134,7 @@ def _load_graph(
     raw = _read_text(path)
     text = raw.strip()
     if text.startswith("{"):
-        data = json.loads(text)
+        data = _load_json(text)
         rule = "an edge holds two vertices [u, v]"
         edges = _json_list(data, "edges", "graph", "a list of [u, v] pairs", rule, list, 2)
         n = _key(data, "vertices", "graph")
@@ -191,9 +179,8 @@ def _parse_values(data: dict, key: str):
     return RATIONAL, raw_values
 
 
-@_parse_errors()
 def _load_events(path: str):
-    data = _load_json(path)
+    data = _load_json(_read_text(path))
     if "weights" in data:
         backend, weights = _parse_values(data, "weights")
         events = _json_list(data, "events", "events", "a list of events", "an event lists outcome ids", list)
@@ -210,14 +197,15 @@ def _load_events(path: str):
     raise _UsageError("events file needs either 'weights' or 'coords'")
 
 
-@_parse_errors()
 def _load_network(path: str):
-    data = _load_json(path)
+    data = _load_json(_read_text(path))
     nodes = _key(data, "nodes", "network")
     rule = "an arc holds two nodes [tail, head]"
     arcs = _json_list(data, "arcs", "network", "a list of [tail, head] pairs", rule, list, 2)
     source, terminal = _key(data, "s", "network"), _key(data, "t", "network")
     p = data.get("p", "symbolic")
+    # A list is checked here, so that a bad item is named by its index;
+    # any other value is left to `build_network`, which names it.
     if p is None or isinstance(p, list):
         p = _json_list(data, "p", "network", "'symbolic', a number or a list", "an arc reliability is a number")
     return build_network(nodes, arcs, source, terminal, p)
@@ -338,7 +326,6 @@ def _cmd_optimize(args) -> int:
 MAX_SWEEP_POINTS = 100_000
 
 
-@_parse_errors()
 def _parse_sweep(raw: str) -> tuple[range, int]:
     """The grid start, start + step, ... up to stop, as integer numerators
     over one denominator L = lcm(den(start), den(step)): a range and L,
@@ -361,23 +348,23 @@ def _parse_sweep(raw: str) -> tuple[range, int]:
 
 def _cmd_reliability(args) -> int:
     net = _load_network(args.network)
-    kinds = DEFAULT_BOUND_KINDS
+    columns = ("exact", *DEFAULT_BOUND_KINDS)
     if args.bounds:
-        kinds = tuple(part.strip() for part in args.bounds.split(",") if part.strip())
-        unknown = _unknown_kinds(kinds)
+        columns = ("exact", *(part.strip() for part in args.bounds.split(",") if part.strip()))
+        unknown = [kind for kind in columns[1:] if kind not in DEFAULT_BOUND_KINDS]
         if unknown:
             raise _UsageError(f"unknown bound kinds: {', '.join(unknown)}")
     if args.sweep:
         tops, denominator = _parse_sweep(args.sweep)
-        header, columns = _sweep_columns(net, kinds)
+        polys = bound_polynomials(net)
         # int / int is correctly rounded, as float(Fraction(n, d)) is.
         cells = [[format(a / denominator, ".12g") for a in tops]]
-        for values, d in _grid_values(columns, tops, denominator):
+        for values, d in _grid_values([polys[kind] for kind in columns], tops, denominator):
             cells.append([format(n / d, ".12g") for n in values])
-        print("\n".join([",".join(header), *map(",".join, zip(*cells))]))
+        print("\n".join([",".join(("p", *columns)), *map(",".join, zip(*cells))]))
         return 0
     values = bound_values(net)
-    for kind in ("exact", *kinds):
+    for kind in columns:
         value = values[kind]
         if net.symbolic:
             print(f"{kind}: {value}")
@@ -498,9 +485,9 @@ def _build_parser() -> _Parser:
     return parser
 
 
-# Exit code of each error `main` reports, tested in this order.
+# Exit code of each error `main` reports, tested in this order; others propagate.
 _EXIT_CODES = {
-    _UsageError: 1, ResourceLimitError: 3, DomainError: 2, OSError: 1, json.JSONDecodeError: 1,
+    _UsageError: 1, ResourceLimitError: 3, DomainError: 2, OSError: 1, ParseError: 1, UnicodeDecodeError: 1,
 }
 
 

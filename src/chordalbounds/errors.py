@@ -6,6 +6,10 @@ class DomainError(ValueError):
     """Invalid input: a violated precondition or malformed domain object."""
 
 
+class ParseError(ValueError):
+    """Malformed rational text, such as "3/", "1/0" or an over-long integer."""
+
+
 class ResourceLimitError(RuntimeError):
     """Input exceeds a documented size cap for exact computation."""
 

@@ -8,6 +8,8 @@ independence number, at tiny n.  It decodes every Prüfer code once; the
 decode removes leaves bottom-up, so matching each removed leaf with its
 neighbour when both are free gives a maximum matching, and by König's
 theorem a tree's independence number is n minus that matching's size.
+`best_tree` and `best_path` take the weights of `pairwise_weights`, which
+needs a system on the real (float) backend.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from numbers import Real
 
 from .bounds import bound
 from .errors import DomainError, _require_int, _to_float
@@ -62,12 +63,16 @@ class Network:
 def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> Network:
     """Validate a network description.
 
-    `reliability` may be "symbolic", a single number applied to every arc,
-    or a sequence with one number per arc; booleans and other strings are
-    rejected.  The node count, the source, the terminal and every arc
-    endpoint must be ints.
+    `arcs` is a list or tuple of (tail, head) lists or tuples.
+    `reliability` may be "symbolic", a real number applied to every arc,
+    or a list or tuple with one real number per arc; booleans and every
+    other value are rejected.  The node count, the source, the terminal
+    and every arc endpoint must be ints.
     """
-    arcs = tuple((t, h) for t, h in arcs)
+    sequences = (list, tuple)
+    if not isinstance(arcs, sequences) or not all(isinstance(a, sequences) and len(a) == 2 for a in arcs):
+        raise DomainError(f"arcs must be a list of (tail, head) pairs, got {arcs!r}")
+    arcs = tuple(map(tuple, arcs))
     _require_int(node_count, "node count")
     _require_int(source, "source")
     _require_int(terminal, "terminal")
@@ -88,11 +93,11 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
             raise DomainError(f"duplicate arc ({tail}, {head})")
         seen.add((tail, head))
     if reliability != SYMBOLIC:
-        scalar = isinstance(reliability, (str, int, float))
-        values = (reliability,) if scalar else tuple(reliability)
+        scalar = not isinstance(reliability, sequences)
+        values = (reliability,) if scalar else reliability
         for p in values:
-            # bool is an int, and float() would read a string
-            if isinstance(p, (bool, str)):
+            # bool is an int, so a Real too
+            if isinstance(p, bool) or not isinstance(p, Real):
                 raise DomainError(f"arc reliability must be {SYMBOLIC!r} or numeric, got {p!r}")
         values = tuple(_to_float(p, "arc reliability") for p in values)
         reliability = values * len(arcs) if scalar else values
@@ -222,23 +227,6 @@ def bound_polynomials(net: Network) -> dict[str, Polynomial]:
     return bound_values(net)
 
 
-def _unknown_kinds(kinds) -> list:
-    """The names in `kinds` that are not reliability bound kinds, in order."""
-    return [kind for kind in kinds if kind not in DEFAULT_BOUND_KINDS]
-
-
-def _sweep_columns(net: Network, kinds):
-    """The sweep header and the polynomial of each value column, the exact
-    reliability first; the kinds are checked once the polynomials are
-    built."""
-    kinds = DEFAULT_BOUND_KINDS if kinds is None else tuple(kinds)
-    polys = bound_polynomials(net)
-    unknown = _unknown_kinds(kinds)
-    if unknown:
-        raise DomainError(f"unknown bound kind {unknown[0]!r}")
-    return ["p", "exact", *kinds], [polys["exact"], *(polys[kind] for kind in kinds)]
-
-
 def _grid_values(columns, tops, b: int) -> list[tuple[list[int], int]]:
     """Each column's values at the points a/b for a in the sequence `tops`
     (b > 0), as `Polynomial._horner` gives them: unreduced numerators over
@@ -254,11 +242,16 @@ def sweep(net: Network, p_values, kinds=None):
     """Evaluate the exact reliability and the requested bounds on a grid.
 
     Returns (header, rows); each row holds exact Fractions, evaluated from
-    the exact polynomials at the given p.  p values may be Fractions, ints
-    or floats (floats are read via their shortest decimal literal); each
-    keeps its own denominator.
+    the `bound_polynomials` columns at the given p.  p values may be
+    Fractions, ints or floats (floats are read via their shortest decimal
+    literal).  A kind outside DEFAULT_BOUND_KINDS raises DomainError.
     """
-    header, columns = _sweep_columns(net, kinds)
+    header = ["p", "exact", *(DEFAULT_BOUND_KINDS if kinds is None else kinds)]
+    polys = bound_polynomials(net)
+    for kind in header[2:]:
+        if kind not in DEFAULT_BOUND_KINDS:
+            raise DomainError(f"unknown bound kind {kind!r}")
+    columns = [polys[kind] for kind in header[1:]]
     rows = []
     for p in p_values:
         p = Fraction(str(p)) if isinstance(p, float) else Fraction(p)

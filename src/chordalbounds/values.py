@@ -16,6 +16,7 @@ digits "a" or "a/b" is split into integers without building a Fraction.
 `_read_rational_column` reads a whole RATIONAL column into integer
 numerators over one common denominator: one of plain "a/b" strings in a
 few C-level passes, any other value by value through `_read_rational`.
+Malformed rational text raises `errors.ParseError`, a ValueError.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ResourceLimitError
+from .errors import ParseError, ResourceLimitError
 from .poly import Polynomial
 
 __all__ = ["Backend", "REAL", "RATIONAL", "POLYNOMIAL"]
@@ -92,20 +93,22 @@ def _read_rational(value) -> tuple[int, int]:
     so signs, decimals, exponents, underscores, surrounding whitespace and
     its errors mean what they mean there, except that an exponent past
     MAX_DECIMAL_EXPONENT raises ResourceLimitError before `Fraction`
-    expands it.  A zero denominator raises ValueError on both branches.
+    expands it.  Malformed text or a zero denominator raises ParseError.
     """
     if isinstance(value, str):
         top, slash, bottom = value.partition("/")
-        if top.isdecimal() and (bottom.isdecimal() or not slash):
-            denominator = int(bottom) if slash else 1
-            if denominator:
-                return int(top), denominator
-            raise ValueError(f"zero denominator in {value!r}")
-        _require_exponent_cap(value)
         try:
+            if top.isdecimal() and (bottom.isdecimal() or not slash):
+                denominator = int(bottom) if slash else 1
+                if denominator:
+                    return int(top), denominator
+                raise ZeroDivisionError
+            _require_exponent_cap(value)
             value = Fraction(value)
         except ZeroDivisionError:
-            raise ValueError(f"zero denominator in {value!r}") from None
+            raise ParseError(f"zero denominator in {value!r}") from None
+        except ValueError as exc:
+            raise ParseError(str(exc)) from None
     elif not isinstance(value, (int, Fraction)):
         raise TypeError(f"rational values must be int, Fraction or str, got {type(value).__name__}")
     return value.numerator, value.denominator
@@ -119,8 +122,8 @@ def _read_rational_column(values) -> tuple[list[int], int]:
     A column made only of plain "a/b" strings (ASCII digits on both sides
     of exactly one slash, no zero denominator) is read by C-level passes
     over the column joined into one byte string, and each distinct
-    denominator is converted once.  Any other column is read value by
-    value, so its values and its errors are those of `_read_rational`.
+    denominator is converted once.  Any other column, or an over-long
+    integer, is read value by value, with `_read_rational`'s errors.
     """
     values = tuple(values)
     try:
@@ -134,12 +137,15 @@ def _read_rational_column(values) -> tuple[list[int], int]:
         parts = data.replace(b",", b"/").split(b"/")
         if all(parts):
             tops, bottoms = parts[0::2], parts[1::2]
-            denominators = {text: int(text) for text in set(bottoms)}
-            if all(denominators.values()):
-                denominator = math.lcm(*denominators.values())
-                scale = {text: denominator // d for text, d in denominators.items()}
-                scaled = map(operator.mul, map(int, tops), map(scale.__getitem__, bottoms))
-                return list(scaled), denominator
+            try:
+                denominators = {text: int(text) for text in set(bottoms)}
+                if all(denominators.values()):
+                    denominator = math.lcm(*denominators.values())
+                    scale = {text: denominator // d for text, d in denominators.items()}
+                    scaled = map(operator.mul, map(int, tops), map(scale.__getitem__, bottoms))
+                    return list(scaled), denominator
+            except ValueError:
+                pass  # an integer past the digits `int` reads, named value by value below
     pairs = list(map(_read_rational, values))
     denominator = math.lcm(*{d for _, d in pairs})
     return [n * (denominator // d) for n, d in pairs], denominator

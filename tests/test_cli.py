@@ -891,6 +891,14 @@ class TestReliability:
         code, out, err = run(capsys, "reliability", str(path))
         assert code == 2 and not out and "True" in err
 
+    @pytest.mark.parametrize("p, named", [({"a": 1}, "{'a': 1}"), ({}, "{}")], ids=["object", "empty-object"])
+    def test_object_reliability_named_exit_2(self, capsys, tmp_path, p, named):
+        path = tmp_path / "network.json"
+        path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "p": p}))
+        message = f"error: arc reliability must be 'symbolic' or numeric, got {named}\n"
+        for argv in (["reliability", str(path)], ["reliability", str(path), "--sweep", "0:1:1/2"]):
+            assert run(capsys, *argv) == (2, "", message)
+
     def test_string_arc_reliability_exit_2(self, capsys, tmp_path):
         path = tmp_path / "quoted-list.json"
         path.write_text(json.dumps({"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1, "p": ["0.5"]}))
@@ -998,9 +1006,10 @@ class TestReliability:
         ids=["hundredths", "sevenths", "eighths", "start-above-zero", "start-is-stop", "empty"],
     )
     def test_sweep_cells_are_rounded_fractions(self, capsys, monkeypatch, network_json, grid, points):
-        # Random polynomials in place of the network's: zero, constants,
-        # negative numerators and denominators above 1.  Every printed cell
-        # is the exact value at the point, rounded once to a float.
+        # Random polynomials in place of the network's, four columns at a
+        # time: zero, constants, negative numerators and denominators above
+        # 1.  Every printed cell is the exact value at the point, rounded
+        # once to a float.
         rng = random.Random(grid)
         polys = [Polynomial(), Polynomial((Fraction(-3, 7),)), Polynomial((0, 1))]
         for _ in range(5):
@@ -1008,14 +1017,15 @@ class TestReliability:
                 Fraction(rng.randint(-10**6, 10**6), rng.choice((1, 3, 8, 10**20 + 39)))
                 for _ in range(rng.randint(1, 16))
             ))
-        header = ["p", *(f"q{i}" for i in range(len(polys)))]
-        monkeypatch.setattr(cli, "_sweep_columns", lambda net, kinds: (header, polys))
-        code, out, err = run(capsys, "reliability", network_json, "--sweep", grid)
-        assert (code, err) == (0, "")
-        want = [",".join(header)]
-        for p in points:
-            want.append(",".join(format(float(x), ".12g") for x in (p, *(q(p) for q in polys))))
-        assert out == "\n".join(want) + "\n"
+        header = ["p", "exact", *reliability.DEFAULT_BOUND_KINDS]
+        for columns in (polys[:4], polys[4:]):
+            monkeypatch.setattr(cli, "bound_polynomials", lambda net: dict(zip(header[1:], columns)))
+            code, out, err = run(capsys, "reliability", network_json, "--sweep", grid)
+            assert (code, err) == (0, "")
+            want = [",".join(header)]
+            for p in points:
+                want.append(",".join(format(float(x), ".12g") for x in (p, *(q(p) for q in columns))))
+            assert out == "\n".join(want) + "\n"
 
     @pytest.mark.parametrize(
         "args, code, message",
@@ -1343,6 +1353,52 @@ class TestPlumbing:
         monkeypatch.setattr(bounds, "kwerel_lower", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["bounds", "compute", events_json, "--kind", "kwerel-lower"])
+
+    def test_library_error_under_a_loader_propagates(self, capsys, monkeypatch, events_json):
+        # Only named user errors get an exit code: a KeyError from a
+        # library constructor is a bug, not a usage error.
+        def broken(weights, events, backend):
+            raise KeyError("internal bug")
+
+        monkeypatch.setattr(cli, "from_outcomes", broken)
+        with pytest.raises(KeyError, match="internal bug"):
+            main(["bounds", "compute", events_json, "--kind", "kwerel-lower"])
+
+    @pytest.mark.parametrize("defect", ["undecodable", "long-integer"])
+    @pytest.mark.parametrize("loader", ["graph", "events", "network"])
+    def test_undecodable_file_or_long_json_integer_exit_1(self, capsys, tmp_path, events_json, loader, defect):
+        # The message is the decoder's, or that of `json.loads`, as written.
+        path = tmp_path / "bad.json"
+        text = {
+            "graph": '{"vertices": 1, "edges": []}',
+            "events": '{"weights": [1], "events": [[0]]}',
+            "network": '{"nodes": 2, "arcs": [[0, 1]], "s": 0, "t": 1}',
+        }[loader]
+        commands = {  # each reads the file in place of "{}"
+            "graph": [["graph", "check", "{}"], ["bounds", "all", events_json, "--graph", "{}"]],
+            "events": [["bounds", "compute", "{}", "--kind", "kwerel-lower"], ["optimize", "tree", "{}"]],
+            "network": [["reliability", "{}"], ["reliability", "{}", "--sweep", "0:1:1/2"]],
+        }[loader]
+        data = text.encode() + b"\xff" if defect == "undecodable" else text.replace("1", "1" * 5000, 1).encode()
+        try:
+            json.loads(data.decode("utf-8"))
+        except ValueError as exc:
+            message = str(exc)
+        path.write_bytes(data)
+        for command in commands:
+            argv = [str(path) if a == "{}" else a for a in command]
+            assert run(capsys, *argv) == (1, "", f"error: {message}\n"), argv
+
+    @pytest.mark.parametrize(
+        "weights", [["1" * 5000 + "/3", "1/3"], ["1/2", "0." + "1" * 5000]], ids=["plain-column", "decimal"]
+    )
+    def test_long_integer_in_rational_text_exit_1(self, capsys, tmp_path, weights):
+        # The plain "a/b" column reader and `Fraction` both stop at the
+        # digits `int` reads from a string: malformed rational text.
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({"weights": weights, "events": [[0], [1]]}))
+        code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
+        assert (code, out) == (1, "") and err.startswith("error: Exceeds the limit (4300")
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -28,6 +29,7 @@ from chordalbounds import (
     union_prob_exact,
 )
 from chordalbounds import events, values
+from chordalbounds.errors import ParseError
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.values import (
     MAX_DECIMAL_EXPONENT,
@@ -145,6 +147,24 @@ class TestReadRational:
                 assert isinstance(Fraction(text), Fraction)
                 continue
             assert outcome == self._outcome(Fraction, text), repr(text)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("1/0", "zero denominator in '1/0'"),
+            ("-1/0", "zero denominator in '-1/0'"),
+            ("3/", "Invalid literal for Fraction: '3/'"),
+            ("1" * 5000, "Exceeds the limit (4300"),
+        ],
+        ids=["zero-denominator", "signed-zero-denominator", "malformed", "long-integer"],
+    )
+    def test_malformed_text_is_a_parse_error(self, text, message):
+        with pytest.raises(ParseError) as info:
+            _read_rational(text)
+        assert isinstance(info.value, ValueError) and str(info.value).startswith(message)
+        # The column reader gives the same error, on its fast path's input too.
+        with pytest.raises(ParseError, match=re.escape(str(info.value))):
+            _read_rational_column(["1/2", f"{text}/1" if text.isdecimal() else text])
 
     def test_numbers(self):
         assert _read_rational(3) == (3, 1)

@@ -1,5 +1,6 @@
 """Network reliability: path enumeration, exact polynomials, bound sweeps."""
 
+import re
 from fractions import Fraction
 from itertools import combinations
 
@@ -72,6 +73,34 @@ class TestNetworkConstruction:
     def test_string_arc_reliability_rejected(self):
         with pytest.raises(DomainError, match="'0.5'"):
             build_network(2, [(0, 1)], 0, 1, reliability=["0.5"])
+
+    @pytest.mark.parametrize(
+        "value, named",
+        [({"a": 1}, "{'a': 1}"), ({}, "{}"), (None, "None"), ([0.5, None], "None"), (b"1", "b'1'"), (1j, "1j")],
+        ids=["object", "empty-object", "none", "none-item", "bytes", "complex"],
+    )
+    def test_other_reliability_values_named(self, value, named):
+        with pytest.raises(DomainError, match=re.escape(f"got {named}")):
+            build_network(3, [(0, 1), (1, 2)], 0, 2, reliability=value)
+
+    def test_rational_reliability_is_a_real_number(self):
+        net = build_network(3, [(0, 1), (1, 2)], 0, 2, reliability=Fraction(9, 10))
+        assert net.arc_reliability == (0.9, 0.9)
+        net = build_network(3, [(0, 1), (1, 2)], 0, 2, reliability=(Fraction(1, 2), 1))
+        assert net.arc_reliability == (0.5, 1.0)
+
+    @pytest.mark.parametrize(
+        "arcs",
+        [["ab"], {(0, 1): 1, (1, 2): 1}, [(0, 1, 2)], [(0,)], ((0, 1), {1: 2}), iter([(0, 1)]), "01", None],
+        ids=["string-arc", "dict", "triple", "single", "dict-arc", "iterator", "string", "none"],
+    )
+    def test_arcs_must_be_a_list_of_pairs(self, arcs):
+        with pytest.raises(DomainError, match="arcs must be a list of"):
+            build_network(3, arcs, 0, 2)
+
+    def test_arcs_may_be_lists_or_tuples(self):
+        for arcs in ([[0, 1], [1, 2]], ((0, 1), (1, 2)), [(0, 1), [1, 2]]):
+            assert build_network(3, arcs, 0, 2).arcs == ((0, 1), (1, 2))
 
     def test_scalar_reliability_broadcasts(self):
         net = bridge_network(reliability=0.8)
