@@ -43,7 +43,7 @@ from .reliability import (
     bound_values,
     build_network,
 )
-from .values import RATIONAL, REAL, _read_rational
+from .values import RATIONAL, REAL, _exact_str, _read_rational
 
 __all__ = ["main"]
 
@@ -58,9 +58,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _fmt(value) -> str:
-    if isinstance(value, float):
-        return format(value, ".12g")
-    return str(value)
+    return format(value, ".12g") if isinstance(value, float) else _exact_str(value)
 
 
 def _report_dict(report: bnd.BoundReport) -> dict:
@@ -68,7 +66,7 @@ def _report_dict(report: bnd.BoundReport) -> dict:
         "kind": report.kind,
         "direction": report.direction,
         "r": report.truncation,
-        "value": str(report.value) if isinstance(report.value, Fraction) else report.value,
+        "value": _exact_str(report.value) if isinstance(report.value, Fraction) else report.value,
         "alpha_used": report.alpha_used,
         "n": report.n,
         "edges": report.edge_count,
@@ -187,8 +185,6 @@ def _load_events(path: str):
         return from_outcomes(weights, events, backend=backend)
     if "coords" in data:
         backend, probs = _parse_values(data, "probs")
-        if backend is RATIONAL:
-            probs = [Fraction(*_read_rational(p)) for p in probs]
         _require_int(data["coords"], "coordinate count")
         if len(probs) != data["coords"]:
             raise _UsageError("'probs' must list one value per coordinate")
@@ -502,6 +498,3 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
 
-
-if __name__ == "__main__":
-    raise SystemExit(main())

@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the integer and float
 checks every loader applies to ids, counts and probabilities."""
 
+__all__ = ["DomainError", "ResourceLimitError"]
+
 
 class DomainError(ValueError):
     """Invalid input: a violated precondition or malformed domain object."""

@@ -48,7 +48,7 @@ from itertools import combinations, compress, repeat
 
 from .errors import DomainError, ResourceLimitError, _require_int
 from .graphs import Graph, _bits, _component_count
-from .values import RATIONAL, REAL, Backend, _read_rational_column
+from .values import RATIONAL, REAL, Backend, _exact_str, _read_rational, _read_rational_column
 
 __all__ = [
     "EventSystem",
@@ -132,9 +132,9 @@ class EventSystem:
         self._mass_cache: dict[int, object] = {full: total}
         self._moments: tuple | None = None
         if not backend.sum_is_one(total):
-            raise DomainError(f"outcome weights must sum to one, got {total}")
+            raise DomainError(f"outcome weights must sum to one, got {_exact_str(total)}")
         if backend.ordered and lowest < 0:
-            raise DomainError(f"negative outcome weight {lowest}")
+            raise DomainError(f"negative outcome weight {_exact_str(lowest)}")
 
     @property
     def event_count(self) -> int:
@@ -282,6 +282,8 @@ class ProductSystem:
         probs = tuple(probs)
         requires = tuple(requires)
         _require_coordinate_cap(len(probs))
+        if backend is RATIONAL:
+            probs = tuple(Fraction(*_read_rational(p)) for p in probs)
         if backend.ordered:
             for p in probs:
                 if not backend.zero <= p <= backend.one:
@@ -588,7 +590,9 @@ def bernoulli_product(probs, event_defs, backend: Backend = REAL) -> ProductSyst
     when every coordinate in `event_defs[j]` is on.  No outcome is ever
     built: intersections multiply coordinate probabilities, unions and
     atoms expand over coordinates, and `alpha_prime` splits coordinate
-    assignments by event.  m is capped at MAX_PRODUCT_COORDS.
+    assignments by event.  m is capped at MAX_PRODUCT_COORDS.  RATIONAL
+    probabilities are read as `from_outcomes` reads weights: ints,
+    Fractions or rational strings.
     """
     probs = tuple(probs)
     requires = [_id_mask(required, len(probs), "coordinate") for required in event_defs]

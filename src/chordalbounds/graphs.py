@@ -278,11 +278,11 @@ def _component_count(g: Graph, remaining: int) -> int:
 
 
 # Most search nodes the exact independent-set search visits before it stops
-# with ResourceLimitError, about 1.5 s at some 7 us a node.  `graph check`
-# took 1.0 s on the 40-vertex cycle (131,313 nodes) and stopped at this
-# budget after 1.4 s on the 60-vertex one; a G(60, 0.1) graph needed
-# 173,011 nodes (1.7 s) and the counterexample family at k = 9 needs 49
-# (Python 3.11, one Xeon core).
+# with ResourceLimitError.  It bounds nodes, not time: each node scans every
+# vertex of its mask.  The 8x8 grid (272,879 nodes needed) stops here after
+# 1.9 s, but the prism C1000 x K2 (2,000 vertices, 3,000 edges) only after
+# 130 s; the counterexample family at k = 9 needs 49 nodes (Python 3.11,
+# one Xeon core, in-process).
 MAX_INDEPENDENT_SET_NODES = 200_000
 
 
@@ -394,14 +394,23 @@ def _clique_cap(g: Graph, max_size: int | None) -> int:
     return g.vertex_count if max_size is None else min(max_size, g.vertex_count)
 
 
+# Most cliques `clique_complex` lists before it stops with
+# ResourceLimitError.  The cocktail-party graph on 2k vertices has 3^k - 1
+# cliques: listing them took 0.5 s at an 88 MB peak for k = 12, and
+# stopping at this budget for k = 14 took 0.7 s at 142 MB (Python 3.11,
+# one Xeon core).
+MAX_LISTED_CLIQUES = 1_000_000
+
+
 def clique_complex(g: Graph, max_size: int | None = None) -> tuple[tuple[int, ...], ...]:
     """The cliques of cardinality <= max_size (all sizes if None), as sorted
     vertex tuples ordered by size and then lexicographically.
 
     Depth-first search over neighbor bitmasks: each clique grows only by
     common neighbors above its largest vertex, so it is found exactly once.
+    Past MAX_LISTED_CLIQUES cliques it stops with ResourceLimitError.
     """
-    groups = _clique_groups(g, _clique_cap(g, max_size))
+    groups = _clique_groups(g, _clique_cap(g, max_size), MAX_LISTED_CLIQUES)
     cliques = [base + (v,) for base, extensions in groups for v in _bits(extensions)]
     # Each size is already in lexicographic order; the sort is stable.
     return tuple(sorted(cliques, key=len))

@@ -137,20 +137,10 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
     current = start
     while mask != (1 << current):
         others = mask ^ (1 << current)
-        target = cost[mask][current]
-        row, rest_cost = w[current], cost[others]
-        best_next = None
-        ob = others
-        while ob:
-            lw = ob & -ob
-            u = lw.bit_length() - 1
-            ob ^= lw
-            if row[u] + rest_cost[u] <= target + slack:
-                best_next = u
-                break
-        order.append(best_next)
+        target = cost[mask][current] + slack
+        current = next(u for u in _bits(others) if w[current][u] + cost[others][u] <= target)
+        order.append(current)
         mask = others
-        current = best_next
     return _normalize_direction(tuple(order))
 
 

@@ -15,6 +15,7 @@ example numbers them.
 
 from __future__ import annotations
 
+from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, permutations
@@ -31,6 +32,12 @@ BRIDGE_PATH_ORDER = (
     frozenset({1, 3, 4}),
     frozenset({1, 5}),
 )
+
+
+def read_long(text: str) -> Fraction:
+    """The rational "a" or "a/b" at any length: `Decimal` reads digits past
+    the limit of `int`'s string conversion."""
+    return Fraction(*(int(Decimal(part)) for part in text.split("/")))
 
 
 def bits(mask: int):

@@ -20,6 +20,8 @@ from chordalbounds.events import MAX_SIGNATURE_NODES
 from chordalbounds.poly import Polynomial
 from chordalbounds.values import RATIONAL
 
+from helpers import read_long
+
 
 DATA = Path(__file__).parent / "data"
 
@@ -386,6 +388,18 @@ class TestBoundsCompute:
         )
         assert code == 0
         assert json.loads(out)["kind"] == "chordal-lower"
+
+    def test_unchecked_clique_listing_budget_exit_3(self, capsys, tmp_path):
+        # The cocktail-party graph on 2k = 28 vertices has 3^14 - 1 cliques;
+        # listing them stops at the budget, before any intersection query.
+        k = 14
+        edges = [[u, v] for u in range(2 * k) for v in range(u + 1, 2 * k) if v != u + k]
+        graph, events = tmp_path / "graph.json", tmp_path / "events.json"
+        graph.write_text(json.dumps({"vertices": 2 * k, "edges": edges}))
+        events.write_text(json.dumps({"weights": [1.0], "events": [[0]] * (2 * k)}))
+        argv = ["compute", str(events), "--graph", str(graph), "--kind", "chordal-upper", "--unchecked"]
+        code, out, err = run(capsys, "bounds", *argv)
+        assert (code, out, err) == (3, "", f"error: graph has more than {graphs.MAX_LISTED_CLIQUES} cliques\n")
 
     def test_seneta_with_indices(self, capsys, events_json):
         code, out, _ = run(
@@ -1399,6 +1413,42 @@ class TestPlumbing:
         path.write_text(json.dumps({"weights": weights, "events": [[0], [1]]}))
         code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
         assert (code, out) == (1, "") and err.startswith("error: Exceeds the limit (4300")
+
+    def test_unbalanced_long_weights_exit_2(self, capsys, tmp_path):
+        # Coprime denominators of 4 001 and 4 000 digits: the total named
+        # in the message has a denominator of 8 001 digits.
+        small, other = 10**4000, int("3" * 3999 + "7")
+        path = tmp_path / "events.json"
+        path.write_text(json.dumps({"weights": [f"1/{small}", f"1/{other}"], "events": [[0], [1]]}))
+        code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "bonferroni-upper")
+        prefix = "error: outcome weights must sum to one, got "
+        assert (code, out) == (2, "") and err.startswith(prefix) and err.endswith("\n")
+        assert read_long(err[len(prefix):-1]) == Fraction(1, small) + Fraction(1, other)
+
+    def test_exact_values_past_the_int_string_limit_print(self, capsys, tmp_path):
+        # Weights x/AB, y/AC, 1/BC, 1/BC with xC + yB + 2A = ABC sum to one,
+        # and no integer written has more than 4 000 digits; the masses
+        # printed have a denominator of about 6 000.
+        a, b, c = 3**4190, 5**2861, 7**2366
+        x = -2 * a * pow(c, -1, b) % b
+        y = (a * (b * c - 2) - x * c) // b
+        assert x * c + y * b + 2 * a == a * b * c and y > 0
+        weights = [f"{x}/{a * b}", f"{y}/{a * c}", f"1/{b * c}", f"1/{b * c}"]
+        assert max(len(part) for w in weights for part in w.split("/")) <= 4000
+        events, graph = tmp_path / "events.json", tmp_path / "graph.json"
+        events.write_text(json.dumps({"weights": weights, "events": [[0, 2], [0, 1]]}))
+        graph.write_text(json.dumps({"vertices": 2, "edges": [[0, 1]]}))
+        first = Fraction(x, a * b) + Fraction(1, b * c)
+        second = Fraction(x, a * b) + Fraction(y, a * c)
+        code, out, err = run(capsys, "bounds", "compute", str(events), "--kind", "bonferroni-upper")
+        assert (code, err) == (0, "")
+        value = json.loads(out)["value"]
+        assert len(value) > 6000 and read_long(value) == first + second
+        code, out, err = run(capsys, "bounds", "all", str(events), "--graph", str(graph))
+        assert (code, err) == (0, "")
+        rows = {line[:26].strip(): line.split()[-1] for line in out.splitlines()[1:]}
+        assert read_long(rows["exact-union"]) == first + second - Fraction(x, a * b)
+        assert read_long(rows["bonferroni-upper"]) == first + second
 
     def test_parser_is_built_once(self):
         assert cli._build_parser() is cli._build_parser()

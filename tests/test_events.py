@@ -36,6 +36,7 @@ from chordalbounds.values import (
     POLYNOMIAL,
     RATIONAL,
     REAL,
+    _exact_str,
     _read_rational,
     _read_rational_column,
 )
@@ -51,6 +52,7 @@ from helpers import (
     random_graph,
     random_rational_system,
     random_real_system,
+    read_long,
 )
 
 
@@ -91,6 +93,19 @@ class TestFromOutcomes:
         for weights in ([inf, -inf, 1.0], [float("nan"), 1.0], [inf]):
             with pytest.raises(DomainError, match="non-finite"):
                 from_outcomes(weights, [[0]])
+
+    def test_long_exact_values_in_messages(self):
+        # The sum of 1/A and 1/B over coprime A and B of 4 001 and 4 000
+        # digits has a denominator of 8 001, past the digits `str` writes
+        # of an int, and so has the weight -1/AB.
+        small, other = 10**4000, int("3" * 3999 + "7")
+        with pytest.raises(DomainError, match="^outcome weights must sum to one, got ") as info:
+            from_outcomes([f"1/{small}", f"1/{other}"], [[0], [1]], backend=RATIONAL)
+        assert read_long(str(info.value).rsplit(" ", 1)[1]) == Fraction(1, small) + Fraction(1, other)
+        lowest = Fraction(-1, small * other)
+        with pytest.raises(DomainError, match="^negative outcome weight ") as info:
+            from_outcomes([lowest, Fraction(1, other), 1 - lowest - Fraction(1, other)], [[0], [1]], backend=RATIONAL)
+        assert read_long(str(info.value).rsplit(" ", 1)[1]) == lowest
 
     def test_rational_weights_exact(self):
         sys_ = from_outcomes(
@@ -255,6 +270,23 @@ class TestReadRational:
         assert union_prob_exact(from_text) == union_prob_exact(from_fractions)
 
 
+class TestExactStr:
+    def test_str_below_the_limit(self):
+        rng = random.Random(43)
+        for _ in range(2000):
+            top = rng.randrange(-(10 ** rng.randint(1, 80)), 10 ** rng.randint(1, 80))
+            bottom = rng.randrange(1, 10 ** rng.randint(1, 80))
+            for value in (top, Fraction(top, bottom), Fraction(top)):
+                assert _exact_str(value) == str(value)
+        for value in (0.1, -2.5e300, P**2 - 1, "1/3"):
+            assert _exact_str(value) == str(value)
+
+    def test_any_length(self):
+        for value in (-(7**9000), Fraction(3**9000, 5**8000 * 2)):
+            text = _exact_str(value)
+            assert len(text) > 4300 and read_long(text) == value
+
+
 class TestBernoulliProduct:
     def test_single_coordinate(self):
         sys_ = bernoulli_product([0.3], [[0]])
@@ -280,6 +312,17 @@ class TestBernoulliProduct:
     def test_empty_event_list(self):
         with pytest.raises(DomainError, match="at least one event"):
             bernoulli_product([0.5], [])
+
+    def test_rational_probabilities_read_like_weights(self):
+        sys_ = bernoulli_product(["1/2", "2/6", 1, Fraction(1, 4)], [[0], [1, 2], [3]], backend=RATIONAL)
+        assert sys_.probs == (Fraction(1, 2), Fraction(1, 3), Fraction(1), Fraction(1, 4))
+        assert union_prob_exact(sys_) == Fraction(3, 4)
+        with pytest.raises(TypeError, match="must be int, Fraction or str, got float"):
+            bernoulli_product([0.5, 0.5], [[0], [1]], backend=RATIONAL)
+        with pytest.raises(ParseError, match="zero denominator"):
+            bernoulli_product(["1/0"], [[0]], backend=RATIONAL)
+        with pytest.raises(DomainError, match="coordinate probability 3/2 outside"):
+            bernoulli_product(["6/4"], [[0]], backend=RATIONAL)
 
     def test_coordinate_cap(self):
         with pytest.raises(ResourceLimitError):

@@ -374,6 +374,21 @@ class TestCliqueComplex:
         with pytest.raises(ResourceLimitError, match="more than 27 cliques"):
             _clique_counts(g, max_size=2, max_cliques=27)
 
+    def test_listing_budget_boundary(self, monkeypatch):
+        # The counterexample graph has 44 cliques, 28 of them of size <= 2;
+        # the budget counts the cliques of the sizes listed.
+        g = counterexample_graph()
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 44)
+        assert len(clique_complex(g)) == 44
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 43)
+        with pytest.raises(ResourceLimitError, match="more than 43 cliques"):
+            clique_complex(g)
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 28)
+        assert len(clique_complex(g, max_size=2)) == 28
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 27)
+        with pytest.raises(ResourceLimitError, match="more than 27 cliques"):
+            clique_complex(g, max_size=2)
+
     def test_non_chordal_counts_keep_no_list(self):
         # The K = 7 family has 16,383 cliques; listing them to count them
         # peaked above 2 MB.
