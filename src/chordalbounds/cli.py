@@ -221,19 +221,12 @@ def _clique_sizes(counts: dict[int, int]) -> str:
 # 1000 vertices, 0.85 s at 2000 and 4.6 s at 4000 (Python 3.11, one Xeon
 # core).
 MAX_CHECK_VERTICES = 2000
-# Most cliques `graph check` walks on a non-chordal graph, counting them by
-# size without keeping them; a chordal one has its cliques counted along
-# its perfect elimination order.  The whole command took 0.13 s on the
-# 177,146 cliques of the 22-vertex cocktail-party graph, and 0.15 s to stop
-# on the 24-vertex one at this budget (Python 3.11, one Xeon core).
-MAX_CHECK_CLIQUES = 250_000
-
 
 def _cmd_graph_check(args) -> int:
     g = _load_graph(args.file, max_vertices=MAX_CHECK_VERTICES)
     # Both searches run before any output, so a graph past either budget
     # prints nothing.
-    clique_sizes = _clique_sizes(_clique_counts(g, max_cliques=MAX_CHECK_CLIQUES))
+    clique_sizes = _clique_sizes(_clique_counts(g))
     alpha = independence_number(g)
     print(f"vertices: {g.vertex_count}")
     print(f"edges: {g.edge_count}")
@@ -370,7 +363,7 @@ def _cmd_reliability(args) -> int:
     return 0
 
 
-def _print_counterexample(g, label: str) -> None:
+def _counterexample_lines(g, label: str) -> list[str]:
     # With every event certain, every intersection in the clique sieve is
     # 1, so the lower-bound formula gives the alternating clique count
     # over the independence number, and one count serves every line.
@@ -379,31 +372,24 @@ def _print_counterexample(g, label: str) -> None:
     alpha = independence_number(g)
     value = Fraction(euler, alpha)
     verdict = "exceeds 1" if value > 1 else "does not exceed 1"
-    print(f"{label}: {g.vertex_count} vertices, {g.edge_count} edges")
-    print(f"chordal: {'yes' if is_chordal(g) else 'no'}")
-    print(f"independence_number: {alpha}")
-    print(f"clique_sizes: {_clique_sizes(counts)}")
-    print(f"alternating clique sum: {euler}")
-    print(f"with all events certain the lower-bound formula gives bound {value} {verdict}")
-
-
-# Largest family parameter `demo counterexample --k` takes.  The family is
-# not chordal and has 4^K - 1 cliques, counted by size in one walk that
-# keeps none of them: the whole command took 0.13 s at a 17 MB peak for
-# K = 9, and the count alone took 1.0 s for the 4 million cliques at
-# K = 11 (Python 3.11, one Xeon core).  Each step of 2 in K multiplies the
-# walk by 16, so the cap keeps the demo well under a second.
-MAX_DEMO_K = 9
+    return [
+        f"{label}: {g.vertex_count} vertices, {g.edge_count} edges",
+        f"chordal: {'yes' if is_chordal(g) else 'no'}",
+        f"independence_number: {alpha}",
+        f"clique_sizes: {_clique_sizes(counts)}",
+        f"alternating clique sum: {euler}",
+        f"with all events certain the lower-bound formula gives bound {value} {verdict}",
+    ]
 
 
 def _cmd_demo(args) -> int:
     k = args.k if args.k is not None else 3
-    if k > MAX_DEMO_K:
-        raise ResourceLimitError(f"demo counterexample caps --k at {MAX_DEMO_K}, got {k}")
-    # Built before any output, so an invalid k prints nothing.
+    # Both sections are computed before any output, so an invalid k or a
+    # graph past the clique budget prints nothing.
     family = counterexample_family(k)
-    _print_counterexample(counterexample_graph(), "counterexample graph")
-    _print_counterexample(family, f"counterexample family k={k}")
+    lines = _counterexample_lines(counterexample_graph(), "counterexample graph")
+    lines += _counterexample_lines(family, f"counterexample family k={k}")
+    print("\n".join(lines))
     return 0
 
 

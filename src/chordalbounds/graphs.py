@@ -192,10 +192,14 @@ def counterexample_family(k: int) -> Graph:
     """Join of k disjoint copies of the edgeless graph on three vertices.
 
     Defined for odd k >= 3; has 3k vertices, independence number 3, and a
-    clique-complex alternating sum of 1 + 2**k.
+    clique-complex alternating sum of 1 + 2**k over its 4**k - 1 cliques.
+    Past MAX_LISTED_CLIQUES cliques it raises ResourceLimitError before
+    it builds the joins, which take time cubic in k (5 s at k = 151).
     """
     if k < 3 or k % 2 == 0:
         raise DomainError(f"family parameter must be odd and >= 3, got {k}")
+    if k > MAX_LISTED_CLIQUES.bit_length() or 4**k - 1 > MAX_LISTED_CLIQUES:  # no 4**k of a huge k
+        raise ResourceLimitError(f"graph has more than {MAX_LISTED_CLIQUES} cliques")
     return reduce(join_graphs, [edgeless_graph(3)] * k)
 
 
@@ -354,7 +358,15 @@ def independence_number(g: Graph) -> int:
     return count
 
 
-def _clique_groups(g: Graph, cap: int, max_cliques: int | None = None):
+# Most cliques a walk lists (`clique_complex`) or counts (`_clique_counts`)
+# before it stops with ResourceLimitError.  The cocktail-party graph on 2k
+# vertices has 3^k - 1 cliques: at k = 12 listing took 0.5 s at an 88 MB
+# peak and counting 0.2 s; listing stopped here for k = 14 after 0.7 s at
+# 142 MB (Python 3.11, one Xeon core).
+MAX_LISTED_CLIQUES = 1_000_000
+
+
+def _clique_groups(g: Graph, cap: int):
     """Walk the cliques of g of cardinality <= cap depth-first, one group
     at a time.
 
@@ -363,10 +375,10 @@ def _clique_groups(g: Graph, cap: int, max_cliques: int | None = None):
     one, so every clique is in exactly one group.  Groups come in
     lexicographic order of their bases, so the cliques of each size come
     in lexicographic order too.  Only the groups beside the current path
-    are held.  With `max_cliques`, the walk stops with ResourceLimitError
-    once it has seen more cliques than that.
+    are held.  The walk stops with ResourceLimitError once it has seen
+    more than MAX_LISTED_CLIQUES cliques, read when the walk starts.
     """
-    limit = sys.maxsize if max_cliques is None else max_cliques
+    limit = MAX_LISTED_CLIQUES
     # up[v]: the neighbours of v above v
     up = [mask >> (v + 1) << (v + 1) for v, mask in enumerate(g.adj)]
     seen = 0
@@ -394,14 +406,6 @@ def _clique_cap(g: Graph, max_size: int | None) -> int:
     return g.vertex_count if max_size is None else min(max_size, g.vertex_count)
 
 
-# Most cliques `clique_complex` lists before it stops with
-# ResourceLimitError.  The cocktail-party graph on 2k vertices has 3^k - 1
-# cliques: listing them took 0.5 s at an 88 MB peak for k = 12, and
-# stopping at this budget for k = 14 took 0.7 s at 142 MB (Python 3.11,
-# one Xeon core).
-MAX_LISTED_CLIQUES = 1_000_000
-
-
 def clique_complex(g: Graph, max_size: int | None = None) -> tuple[tuple[int, ...], ...]:
     """The cliques of cardinality <= max_size (all sizes if None), as sorted
     vertex tuples ordered by size and then lexicographically.
@@ -410,28 +414,27 @@ def clique_complex(g: Graph, max_size: int | None = None) -> tuple[tuple[int, ..
     common neighbors above its largest vertex, so it is found exactly once.
     Past MAX_LISTED_CLIQUES cliques it stops with ResourceLimitError.
     """
-    groups = _clique_groups(g, _clique_cap(g, max_size), MAX_LISTED_CLIQUES)
+    groups = _clique_groups(g, _clique_cap(g, max_size))
     cliques = [base + (v,) for base, extensions in groups for v in _bits(extensions)]
     # Each size is already in lexicographic order; the sort is stable.
     return tuple(sorted(cliques, key=len))
 
 
-def _clique_counts(
-    g: Graph, max_size: int | None = None, max_cliques: int | None = None
-) -> dict[int, int]:
+def _clique_counts(g: Graph, max_size: int | None = None) -> dict[int, int]:
     """Number of cliques of g of each size <= max_size (all sizes if None).
 
     Along g's elimination order every clique is its first vertex v plus a
     subset of L(v), the neighbours of v later in the order, so the counts
     are the coefficients of the sum over v of x(1 + x)^|L(v)| and no
     clique is listed.  A graph without one has its cliques walked group by
-    group and counted, none kept, at most `max_cliques` of them.
+    group and counted, none kept; past MAX_LISTED_CLIQUES of them the walk
+    stops with ResourceLimitError.
     """
     cap = _clique_cap(g, max_size)
     order = g._elimination_order
     if order is None:
         counts = [0] * (cap + 1)
-        for base, extensions in _clique_groups(g, cap, max_cliques):
+        for base, extensions in _clique_groups(g, cap):
             counts[len(base) + 1] += extensions.bit_count()
     else:
         later_sizes = Counter(mask.bit_count() for mask in _later_neighbours(g, order))
@@ -456,7 +459,8 @@ def truncated_euler_sum(g: Graph, r: int | None = None) -> int:
     With r=None the whole complex is summed.  For a chordal graph the value
     is at most the number of connected components, with equality once
     2r >= vertex_count; its cliques are counted along its elimination
-    order, not listed.
+    order, not listed.  Any other graph has its cliques walked, and past
+    MAX_LISTED_CLIQUES of them the sum stops with ResourceLimitError.
     """
     cap = None if r is None else _size_cap(r, "lower")
     return _alternating_count(_clique_counts(g, cap))

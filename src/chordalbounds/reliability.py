@@ -21,7 +21,7 @@ from .errors import DomainError, _require_int, _to_float
 from .events import ProductSystem, _require_coordinate_cap, bernoulli_product, union_prob_exact
 from .graphs import path_graph
 from .poly import P, Polynomial
-from .values import POLYNOMIAL, REAL
+from .values import POLYNOMIAL, REAL, _read_rational
 
 __all__ = [
     "Network",
@@ -243,8 +243,9 @@ def sweep(net: Network, p_values, kinds=None):
 
     Returns (header, rows); each row holds exact Fractions, evaluated from
     the `bound_polynomials` columns at the given p.  p values may be
-    Fractions, ints or floats (floats are read via their shortest decimal
-    literal).  A kind outside DEFAULT_BOUND_KINDS raises DomainError.
+    Fractions, ints, or strings and floats (as their shortest decimal
+    literal) read by `_read_rational`, with its ParseError and exponent
+    cap.  A kind outside DEFAULT_BOUND_KINDS raises DomainError.
     """
     header = ["p", "exact", *(DEFAULT_BOUND_KINDS if kinds is None else kinds)]
     polys = bound_polynomials(net)
@@ -254,7 +255,7 @@ def sweep(net: Network, p_values, kinds=None):
     columns = [polys[kind] for kind in header[1:]]
     rows = []
     for p in p_values:
-        p = Fraction(str(p)) if isinstance(p, float) else Fraction(p)
+        p = Fraction(*_read_rational(str(p))) if isinstance(p, (float, str)) else Fraction(p)
         values = _grid_values(columns, (p.numerator,), p.denominator)
         rows.append((p, *(Fraction(value, d) for (value,), d in values)))
     return header, rows

@@ -93,9 +93,11 @@ def _read_rational(value) -> tuple[int, int]:
     A string of decimal digits "a" or "a/b" (`str.isdecimal` on both
     sides) is split with `int`; every other string is read by `Fraction`,
     so signs, decimals, exponents, underscores, surrounding whitespace and
-    its errors mean what they mean there, except that an exponent past
-    MAX_DECIMAL_EXPONENT raises ResourceLimitError before `Fraction`
-    expands it.  Malformed text or a zero denominator raises ParseError.
+    its errors mean what they mean there, except that whitespace next to
+    the slash is malformed on every Python version (3.12's `Fraction`
+    reads "3 /4") and an exponent past MAX_DECIMAL_EXPONENT raises
+    ResourceLimitError before `Fraction` expands it.  Malformed text or a
+    zero denominator raises ParseError.
     """
     if isinstance(value, str):
         top, slash, bottom = value.partition("/")
@@ -105,6 +107,8 @@ def _read_rational(value) -> tuple[int, int]:
                 if denominator:
                     return int(top), denominator
                 raise ZeroDivisionError
+            if re.search(r"\s/|/\s", value):
+                raise ValueError(f"Invalid literal for Fraction: {value!r}")
             _require_exponent_cap(value)
             value = Fraction(value)
         except ZeroDivisionError:

@@ -231,11 +231,21 @@ class TestGraphCheck:
         return str(path)
 
     def test_clique_budget_exit_3(self, capsys, tmp_path):
-        path = self._cocktail_party(tmp_path, 12)
-        assert 3**12 - 1 > cli.MAX_CHECK_CLIQUES
+        path = self._cocktail_party(tmp_path, 14)
+        assert 3**14 - 1 > graphs.MAX_LISTED_CLIQUES
         code, out, err = run(capsys, "graph", "check", path)
         assert (code, out) == (3, "")
-        assert err == f"error: graph has more than {cli.MAX_CHECK_CLIQUES} cliques\n"
+        assert err == f"error: graph has more than {graphs.MAX_LISTED_CLIQUES} cliques\n"
+
+    def test_cliques_within_the_budget_are_counted(self, capsys, tmp_path):
+        # 3**12 - 1 = 531 440 cliques, within the shared budget.
+        sizes = " ".join(f"{j}:{comb(12, j) * 2**j}" for j in range(1, 13))
+        assert run(capsys, "graph", "check", self._cocktail_party(tmp_path, 12)) == (
+            0,
+            "vertices: 24\nedges: 264\nchordal: no\ncomponents: 1\n"
+            f"independence_number: 2\nclique_sizes: {sizes}\n",
+            "",
+        )
 
     def test_independence_budget_exit_3(self, capsys, tmp_path):
         # The 8x8 grid has 176 cliques, but its exact independent-set
@@ -268,7 +278,7 @@ class TestGraphCheck:
 
     @pytest.mark.parametrize("budget, code", [(26, 0), (25, 3)])
     def test_clique_budget_boundary(self, capsys, tmp_path, monkeypatch, budget, code):
-        monkeypatch.setattr("chordalbounds.cli.MAX_CHECK_CLIQUES", budget)
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", budget)
         got, out, _ = run(capsys, "graph", "check", self._cocktail_party(tmp_path, 3))
         assert got == code
         assert ("clique_sizes: 1:6 2:12 3:8" in out) if code == 0 else not out
@@ -712,7 +722,7 @@ class TestBoundsAll:
         for o, w in enumerate(json.loads(path.read_text())["weights"]):
             assert sys_.mass(1 << o) == Fraction(str(w)), w
 
-    @pytest.mark.parametrize("text", ["3/", "/4", "3 /4", "1/-2"])
+    @pytest.mark.parametrize("text", ["3/", "/4", "3 /4", "3/ 4", "3\t/4", "1/-2"])
     def test_malformed_rational_exit_1(self, capsys, tmp_path, text):
         path = tmp_path / "events.json"
         path.write_text(json.dumps({"weights": [text, "1/2"], "events": [[0], [1]]}))
@@ -1150,16 +1160,17 @@ class TestDemo:
         assert (code, out) == (2, "")
 
     def test_family_cap_exit_3(self, capsys):
-        # The k = 11 family has 4**11 - 1 cliques; the cap stops it first.
+        # The k = 11 family has 4**11 - 1 cliques, past the clique budget.
         start = time.perf_counter()
         code, out, err = run(capsys, "demo", "counterexample", "--k", "11")
         assert time.perf_counter() - start < 5
         assert (code, out) == (3, "")
-        assert err == f"error: demo counterexample caps --k at {cli.MAX_DEMO_K}, got 11\n"
+        assert err == f"error: graph has more than {graphs.MAX_LISTED_CLIQUES} cliques\n"
 
     @pytest.mark.parametrize("k, code", [(5, 0), (7, 3)])
     def test_family_cap_boundary(self, capsys, monkeypatch, k, code):
-        monkeypatch.setattr(cli, "MAX_DEMO_K", 5)
+        # The k = 5 family has 4**5 - 1 cliques.
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 4**5 - 1)
         got, out, _ = run(capsys, "demo", "counterexample", "--k", str(k))
         assert got == code
         assert (f"counterexample family k={k}" in out) if code == 0 else not out

@@ -161,7 +161,15 @@ class TestReadRational:
                 assert abs(exponent) > MAX_DECIMAL_EXPONENT, repr(text)
                 assert isinstance(Fraction(text), Fraction)
                 continue
-            assert outcome == self._outcome(Fraction, text), repr(text)
+            assert outcome == self._outcome(self._fraction, text), repr(text)
+
+    @staticmethod
+    def _fraction(text):
+        """`Fraction(text)` as Python 3.11 reads it: from 3.12 on `Fraction`
+        also takes whitespace next to the slash."""
+        if re.search(r"\s/|/\s", text):
+            raise ValueError(f"Invalid literal for Fraction: {text!r}")
+        return Fraction(text)
 
     @pytest.mark.parametrize(
         "text, message",
@@ -170,8 +178,13 @@ class TestReadRational:
             ("-1/0", "zero denominator in '-1/0'"),
             ("3/", "Invalid literal for Fraction: '3/'"),
             ("1" * 5000, "Exceeds the limit (4300"),
+            # Python 3.12's `Fraction` reads these; every version rejects them here.
+            ("3 /4", "Invalid literal for Fraction: '3 /4'"),
+            ("3/ 4", "Invalid literal for Fraction: '3/ 4'"),
+            ("3\t/\n4", "Invalid literal for Fraction: '3\\t/\\n4'"),
         ],
-        ids=["zero-denominator", "signed-zero-denominator", "malformed", "long-integer"],
+        ids=["zero-denominator", "signed-zero-denominator", "malformed", "long-integer",
+             "space-before-slash", "space-after-slash", "tab-and-newline"],
     )
     def test_malformed_text_is_a_parse_error(self, text, message):
         with pytest.raises(ParseError) as info:

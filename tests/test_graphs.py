@@ -128,6 +128,17 @@ class TestSpecialGraphs:
         with pytest.raises(DomainError):
             counterexample_family(1)
 
+    def test_family_past_the_clique_budget(self, monkeypatch):
+        # The family has 4**k - 1 cliques; past the budget it is not built,
+        # so a huge k is refused at once.
+        for k in (11, 10**18 + 1):
+            with pytest.raises(ResourceLimitError, match=f"more than {graphs.MAX_LISTED_CLIQUES} cliques"):
+                counterexample_family(k)
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 4**5 - 1)
+        assert counterexample_family(5).vertex_count == 15
+        with pytest.raises(ResourceLimitError, match="more than 1023 cliques"):
+            counterexample_family(7)
+
     def test_cycle_needs_three_vertices(self):
         with pytest.raises(DomainError, match="a cycle needs at least 3 vertices"):
             cycle_graph(2)
@@ -364,15 +375,21 @@ class TestCliqueComplex:
             for j in range(1, k + 1):
                 assert counts.get(j, 0) == comb(k, j) * 3**j
 
-    def test_clique_budget(self):
-        # Only a graph with no elimination order has its cliques walked.
-        assert _clique_counts(cycle_graph(4), max_cliques=8) == {1: 4, 2: 4}
+    def test_clique_budget(self, monkeypatch):
+        # Only a graph with no elimination order has its cliques walked:
+        # K4's 15 cliques are counted past a budget of 7.
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 8)
+        assert _clique_counts(cycle_graph(4)) == {1: 4, 2: 4}
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 7)
         with pytest.raises(ResourceLimitError, match="more than 7 cliques"):
-            _clique_counts(cycle_graph(4), max_cliques=7)
+            _clique_counts(cycle_graph(4))
+        assert _clique_counts(complete_graph(4)) == {1: 4, 2: 6, 3: 4, 4: 1}
         g = counterexample_graph()
-        assert _clique_counts(g, max_size=2, max_cliques=28) == {1: 8, 2: 20}
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 28)
+        assert _clique_counts(g, max_size=2) == {1: 8, 2: 20}
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 27)
         with pytest.raises(ResourceLimitError, match="more than 27 cliques"):
-            _clique_counts(g, max_size=2, max_cliques=27)
+            _clique_counts(g, max_size=2)
 
     def test_listing_budget_boundary(self, monkeypatch):
         # The counterexample graph has 44 cliques, 28 of them of size <= 2;
@@ -440,6 +457,14 @@ class TestEulerSums:
     def test_invalid_r(self):
         with pytest.raises(DomainError):
             truncated_euler_sum(path_graph(3), r=0)
+
+    def test_clique_budget(self, monkeypatch):
+        # The counterexample graph has 44 cliques, walked to be counted.
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 44)
+        assert truncated_euler_sum(counterexample_graph()) == 4
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 43)
+        with pytest.raises(ResourceLimitError, match="more than 43 cliques"):
+            truncated_euler_sum(counterexample_graph())
 
     @pytest.mark.parametrize("r", [None, 1, 2])
     def test_chordal_sums_list_no_clique(self, monkeypatch, r):

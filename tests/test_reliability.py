@@ -20,6 +20,7 @@ from chordalbounds import (
     union_prob_exact,
 )
 from chordalbounds.bounds import bound
+from chordalbounds.errors import ParseError, ResourceLimitError
 from chordalbounds.poly import Polynomial
 
 from helpers import BRIDGE_PATH_ORDER
@@ -258,6 +259,17 @@ class TestSweep:
             sweep(bridge_network(), [Fraction(1, 2), "x", Fraction(3, 2)])
         with pytest.raises(DomainError, match="p value -1/4 outside"):
             sweep(bridge_network(), [-0.25])
+
+    def test_string_points_read_as_rational_text(self):
+        # Strings go through the one rational reader, with its errors and
+        # its exponent cap, and read the same on every Python version.
+        _, rows = sweep(bridge_network(), ["1/2", " 0.25 ", "3/4"])
+        assert rows == sweep(bridge_network(), [Fraction(1, 2), Fraction(1, 4), Fraction(3, 4)])[1]
+        with pytest.raises(ResourceLimitError, match="decimal exponent exceeds the cap"):
+            sweep(bridge_network(), ["1e-5000"])
+        for text in ("3/", "3 /4"):
+            with pytest.raises(ParseError, match=re.escape(repr(text))):
+                sweep(bridge_network(), [text])
 
     def test_large_p_ordering(self):
         # near p = 1 the depth-one alternating bound falls below the others
