@@ -190,7 +190,8 @@ def path_event_system(net: Network, paths=None) -> ProductSystem:
 
 def exact_reliability(net: Network):
     """Exact source-to-terminal reliability, by Shannon expansion over arc
-    states (arc factoring) on the path events.
+    states (arc factoring) on the path events, branching on the lowest arc
+    of the shortest remaining path.
 
     Returns a Polynomial for symbolic networks, a float otherwise; a
     network with no path has reliability zero.

@@ -8,7 +8,8 @@ random chordal graphs are built directly by simplicial-vertex addition,
 polynomials keep one Fraction per coefficient, the best tree comes from
 every connected edge subset, the best path from every visiting order, and
 the sharpest bounds from the symmetric sums alone come from an exact
-linear program solved by enumerating its bases.  `BRIDGE_PATH_ORDER`
+linear program solved by enumerating its bases, and the probability of
+a success run from a Markov chain on the run length.  `BRIDGE_PATH_ORDER`
 fixes the bridge network's path events in the order the paper's bridge
 example numbers them.
 """
@@ -252,6 +253,21 @@ def product_outcomes(sys_: ProductSystem) -> EventSystem:
                 indicator |= indicator << (1 << i)
         masks.append(indicator)
     return EventSystem(sys_.backend, weights, masks)
+
+
+def runs_union(n: int, k: int, p) -> Fraction:
+    """Probability of a success run of length >= k in n independent trials
+    of success probability p, in exact arithmetic: a Markov chain on the
+    length of the current run (Feller, vol. 1, ch. XIII).  `state[r]` is
+    the probability that no run has reached k yet and the current one has
+    length r; a success at length k - 1 completes a run."""
+    p = Fraction(p)
+    state = [Fraction(1)] + [Fraction(0)] * (k - 1)
+    done = Fraction(0)
+    for _ in range(n):
+        done += state[-1] * p
+        state = [sum(state) * (1 - p)] + [w * p for w in state[:-1]]
+    return done
 
 
 def brute_force_tree_oracle(sys_: EventSystem, criterion: str) -> Graph:

@@ -19,8 +19,10 @@ from chordalbounds import (
     atom_prob,
     bernoulli_product,
     bridge_network,
+    build_network,
     complete_graph,
     edgeless_graph,
+    enumerate_st_paths,
     from_outcomes,
     independence_number,
     intersection_prob,
@@ -53,6 +55,7 @@ from helpers import (
     random_rational_system,
     random_real_system,
     read_long,
+    runs_union,
 )
 
 
@@ -525,6 +528,132 @@ class TestProductForm:
         assert time.perf_counter() - start < 1
         # event 0 occurs, and none of the other 8 pairs is all on
         assert atom == P**2 * (1 - P**2) ** 8
+
+
+def runs_system(n, k, p, backend=RATIONAL):
+    """n coordinates of probability p and one event per window of k
+    consecutive coordinates: the union is a success run of length k."""
+    return bernoulli_product([p] * n, [range(i, i + k) for i in range(n - k + 1)], backend=backend)
+
+
+def ladder_system(rng, k, probs, backend):
+    """The path events of the ladder network with k rungs (4k + 2 arcs,
+    2**(k + 1) s-t paths), with its arcs and its paths in shuffled order;
+    `probs(m)` gives the m arc probabilities."""
+    arcs = [(0, 2), (0, 3)]
+    for i in range(k):
+        u, l = 2 * i + 2, 2 * i + 3
+        arcs += [(u, l), (l, u)]
+        if i + 1 < k:
+            arcs += [(u, u + 2), (l, l + 2)]
+    arcs += [(2 * k, 1), (2 * k + 1, 1)]
+    rng.shuffle(arcs)
+    paths = list(enumerate_st_paths(build_network(2 * k + 2, arcs, 0, 1)))
+    rng.shuffle(paths)
+    return bernoulli_product(probs(len(arcs)), paths, backend=backend)
+
+
+def nested_product_system(rng, probs, backend):
+    """Up to 9 coordinates and up to 8 events, some of them duplicates of,
+    inside or around an earlier event; `probs(m)` gives the m coordinate
+    probabilities."""
+    m = rng.randint(1, 9)
+    defs = [{c for c in range(m) if rng.random() < 0.4} for _ in range(rng.randint(1, 4))]
+    for _ in range(rng.randint(0, 4)):
+        base = rng.choice(defs)
+        shape = rng.choice(("duplicate", "inside", "around"))
+        if shape == "duplicate":
+            defs.append(set(base))
+        elif shape == "inside":
+            defs.append({c for c in base if rng.random() < 0.6})
+        else:
+            defs.append(base | {c for c in range(m) if rng.random() < 0.3})
+    rng.shuffle(defs)
+    return bernoulli_product(probs(m), defs, backend=backend)
+
+
+class TestShannonExpansion:
+    """The union and atoms of a product system come from one Shannon
+    expansion over coordinates, branching on the lowest coordinate of the
+    smallest residual mask."""
+
+    @pytest.mark.parametrize("p", [0, Fraction(1, 10), Fraction(3, 10), Fraction(1, 2), 1])
+    def test_success_runs_match_the_markov_chain(self, p):
+        for k in range(1, 7):
+            for n in range(k, 25):
+                assert union_prob_exact(runs_system(n, k, p)) == runs_union(n, k, p)
+
+    @pytest.mark.parametrize("n", [100, 200])
+    def test_success_runs_past_the_coordinate_cap(self, monkeypatch, n):
+        # Runs of length 4 in 200 trials take about 0.5 s (Python 3.11).
+        monkeypatch.setattr(events, "MAX_PRODUCT_COORDS", n)
+        p = Fraction(3, 10)
+        assert union_prob_exact(runs_system(n, 4, p)) == runs_union(n, 4, p)
+
+    def test_expansion_steps_grow_linearly_on_runs(self, monkeypatch):
+        """Counts the calls of `events._minimal`: one for the events' own
+        masks, and one per expansion node that is neither a single mask
+        nor a memo hit.  For runs of length k it grows by k per trial."""
+        calls = []
+
+        def counted(masks):
+            calls.append(None)
+            return minimal(masks)
+
+        minimal = events._minimal
+        monkeypatch.setattr(events, "_minimal", counted)
+        for k in range(1, 7):
+            for n in range(k, 25):
+                calls.clear()
+                union_prob_exact(runs_system(n, k, Fraction(3, 10)))
+                assert len(calls) <= k * n, (n, k)
+        for k, count in ((2, 44), (4, 75)):
+            calls.clear()
+            union_prob_exact(runs_system(24, k, Fraction(3, 10)))
+            assert len(calls) == count
+
+    def test_branch_bit_is_the_lowest_coordinate_of_the_smallest_mask(self):
+        assert events._branch_bit((0b0110, 0b1001, 0b1110)) == 0b0010
+        assert events._branch_bit((0b0011, 0b1100)) == 0b0001
+        assert events._branch_bit((0b1000,)) == 0b1000
+
+    @pytest.mark.parametrize("backend", [RATIONAL, POLYNOMIAL])
+    def test_union_and_atoms_match_the_outcome_space(self, backend):
+        rng = random.Random(26)
+        if backend is RATIONAL:
+            choices = (0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7))
+        else:
+            choices = (POLYNOMIAL.zero, POLYNOMIAL.one, P, 1 - P, P**2, (1 + P) / 3)
+
+        def probs(m):
+            return [rng.choice(choices) for _ in range(m)]
+
+        systems = [nested_product_system(rng, probs, backend) for _ in range(40)]
+        systems += [ladder_system(rng, k, probs, backend) for k in (1, 2) for _ in range(2)]
+        systems += [ladder_system(rng, 2, lambda m: [rng.choice(choices)] * m, backend)]
+        for sys_ in systems:
+            explicit = product_outcomes(sys_)
+            assert union_prob_exact(sys_) == union_prob_exact(explicit)
+            n = sys_.event_count
+            for size in range(1, n + 1):
+                for signature in combinations(range(n), size):
+                    assert atom_prob(sys_, signature) == atom_prob(explicit, signature)
+
+    def test_real_union_matches_its_rational_twin(self):
+        # Every term of the expansion is a non-negative product, so the
+        # float union stays within a few ulps per coordinate.
+        rng = random.Random(27)
+
+        def probs(m):
+            return [rng.choice((0.0, 1.0, rng.random(), rng.random())) for _ in range(m)]
+
+        systems = [nested_product_system(rng, probs, REAL) for _ in range(60)]
+        systems += [ladder_system(rng, k, probs, REAL) for k in (1, 2, 3, 4) for _ in range(3)]
+        systems += [runs_system(24, k, rng.random(), REAL) for k in range(1, 7)]
+        for sys_ in systems:
+            twin = ProductSystem(RATIONAL, map(Fraction, sys_.probs), sys_.requires)
+            exact = union_prob_exact(twin)
+            assert abs(Fraction(union_prob_exact(sys_)) - exact) <= exact / 10**12
 
 
 class TestIntersectionAndUnion:
