@@ -41,7 +41,7 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, _require_int
 from .events import EventSystem, _require_one_vertex_per_event, alpha_prime, intersection_prob
 from .graphs import (
     Graph,
@@ -227,6 +227,8 @@ def path_lower(sys: EventSystem, order=None) -> BoundReport:
     ceil(n / 2), the independence number of a path."""
     n = sys.event_count
     order = tuple(range(n) if order is None else order)
+    for i in order:
+        _require_int(i, "order item")
     if sorted(order) != list(range(n)):
         raise DomainError("order is not a permutation of the event indices")
     path = build_graph(n, zip(order, order[1:]))
@@ -254,6 +256,8 @@ def kwerel_lower(sys: EventSystem) -> BoundReport:
 def _seneta_bracket(sys: EventSystem, j: int, k: int):
     """The clique sieve on the graph joining j and k to every other index,
     along the perfect elimination order that ends with j, then k."""
+    _require_int(j, "distinguished index j")
+    _require_int(k, "distinguished index k")
     n = sys.event_count
     distinguished = len({j, k})
     if not (0 <= j < n and 0 <= k < n):
@@ -299,6 +303,7 @@ def generalized_lower(sys: EventSystem, m: int = 0) -> BoundReport:
     its complement.  m = 0 gives the singleton average; m = 2 coincides
     with `kwerel2_lower`.
     """
+    _require_int(m, "order m")
     n = sys.event_count
     if not 0 <= m <= n - 1:
         raise DomainError(f"order m must satisfy 0 <= m <= {n - 1}, got {m}")

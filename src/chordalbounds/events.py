@@ -270,14 +270,15 @@ class ProductSystem:
 
     `probs[c]` is the probability that coordinate c is on; event j occurs
     when every coordinate in the mask `requires[j]` is on.  `mass`
-    memoizes coordinate-mask products and `_symmetric_sum` its sums.  On an
-    exact backend whose coordinates all share one probability p (every
-    symbolic network), the mass of a mask is p**k for its k coordinates,
-    memoized by k; floats keep the product over the mask, so that their
-    rounding does not depend on the probabilities being equal.
+    computes each product as it is asked for, and `_symmetric_sum`
+    memoizes its sums.  On an exact backend whose coordinates all share
+    one probability p (every symbolic network), the mass of a mask is
+    p**k for its k coordinates, the powers kept by k; floats keep the
+    product over the mask, so that their rounding does not depend on the
+    probabilities being equal.
     """
 
-    __slots__ = ("backend", "probs", "requires", "_offs", "_shared", "_mass_cache", "_sums")
+    __slots__ = ("backend", "probs", "requires", "_offs", "_powers", "_sums")
 
     def __init__(self, backend: Backend, probs, requires):
         probs = tuple(probs)
@@ -298,8 +299,9 @@ class ProductSystem:
         self.probs = probs
         self.requires = requires
         self._offs = tuple(backend.one - p for p in probs)
-        self._shared = backend.exact and len(set(probs)) == 1
-        self._mass_cache: dict[int, object] = {}
+        # p**0, p**1, ... while every coordinate has the same exact p, grown
+        # on demand; None otherwise.
+        self._powers = [backend.one] if backend.exact and len(set(probs)) == 1 else None
         self._sums: dict[int, object] = {}
 
     @property
@@ -307,36 +309,20 @@ class ProductSystem:
         return len(self.requires)
 
     def mass(self, mask: int):
-        """Probability that every coordinate in `mask` is on."""
-        if self._shared:
+        """Probability that every coordinate in `mask` is on: p**k for
+        its k coordinates when they all share the exact p, else the
+        product of their probabilities, lowest coordinate first."""
+        powers = self._powers
+        if powers is not None:
             k = mask.bit_count()
-            total = self._mass_cache.get(k)
-            if total is None:
-                total = self._mass_cache[k] = self.backend.one * self.probs[0] ** k
-            return total
-        cached = self._mass_cache.get(mask)
-        if cached is None:
-            cached = self._mass_cache[mask] = self._product(mask)
-        return cached
-
-    def _read_mass(self, mask: int):
-        """`mass` read from the cache but not written to it; a
-        shared-probability system keeps its cache, which is keyed by
-        coordinate count, not by mask."""
-        if self._shared:
-            return self.mass(mask)
-        cached = self._mass_cache.get(mask)
-        return self._product(mask) if cached is None else cached
-
-    def _product(self, mask: int):
-        """Product of the probabilities of the coordinates in `mask`,
-        lowest coordinate first; not memoized."""
+            while len(powers) <= k:
+                powers.append(powers[-1] * self.probs[0])
+            return powers[k]
         total = self.backend.one
-        m = mask
-        while m:
-            low = m & -m
+        while mask:
+            low = mask & -mask
             total = total * self.probs[low.bit_length() - 1]
-            m ^= low
+            mask ^= low
         return total
 
     def _combined_mask(self, index_set) -> int:
@@ -438,8 +424,7 @@ class ProductSystem:
         """S_k = sum of P(every event in I occurs) over all |I| = k, by
         enumerating the C(n, k) index sets.  The binomial moments would
         need the 2**m outcomes, and the reliability bounds ask for
-        k <= 2 only.  The masses go through `_read_mass`, so the mass
-        cache does not grow by one entry per index set."""
+        k <= 2 only."""
         value = self._sums.get(k)
         if value is None:
             value = self.backend.zero
@@ -447,7 +432,7 @@ class ProductSystem:
                 mask = 0
                 for required in index_set:
                     mask |= required
-                value = value + self._read_mass(mask)
+                value = value + self.mass(mask)
             self._sums[k] = value
         return value
 

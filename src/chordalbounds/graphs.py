@@ -448,7 +448,8 @@ def _clique_counts(g: Graph, max_size: int | None = None) -> dict[int, int]:
 def _size_cap(r: int | None, direction: str) -> int:
     """Largest clique or index set a sum of depth r keeps: 2r - 1 for an
     upper bound, 2r for a lower one."""
-    if r is None or r < 1:
+    _require_int(r, "truncation depth")
+    if r < 1:
         raise DomainError(f"truncation depth must be >= 1, got {r}")
     return 2 * r - 1 if direction == "upper" else 2 * r
 

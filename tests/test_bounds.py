@@ -2,6 +2,7 @@
 constructions, ordering invariants."""
 
 import random
+import re
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -748,3 +749,121 @@ class TestKindTable:
     def test_unknown_kind_is_a_domain_error(self):
         with pytest.raises(DomainError, match="unknown bound kind 'chordal-foo'"):
             bounds.bound("chordal-foo", identical_events_system(2))
+
+
+class TestIntegerArguments:
+    """Depths, orders and indices are ints, as the command line parses
+    them; a float or a bool is a DomainError naming the argument."""
+
+    @pytest.mark.parametrize("value", [2.0, True])
+    def test_truncation_depth(self, value):
+        sys_, g = identical_events_system(4), complete_graph(4)
+        message = re.escape(f"truncation depth must be an integer, got {value!r}")
+        for call in (
+            lambda: chordal_upper(sys_, g, r=value),
+            lambda: chordal_lower(sys_, g, r=value),
+            lambda: chordal_lower(sys_, g, r=value, sharpened=True),
+            lambda: classical_bonferroni(sys_, value, "lower"),
+            lambda: graphs.truncated_euler_sum(g, r=value),
+        ):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    @pytest.mark.parametrize("value", [1.0, True])
+    def test_order_m(self, value):
+        with pytest.raises(DomainError, match=re.escape(f"order m must be an integer, got {value!r}")):
+            generalized_lower(identical_events_system(4), value)
+
+    @pytest.mark.parametrize("j, k, named", [(1.0, 2, "j must be an integer, got 1.0"),
+                                             (0, True, "k must be an integer, got True")])
+    def test_distinguished_indices(self, j, k, named):
+        for bound in (seneta_lower, seneta_upper):
+            with pytest.raises(DomainError, match=re.escape(f"distinguished index {named}")):
+                bound(identical_events_system(4), j, k)
+
+    @pytest.mark.parametrize("order, item", [([0.0, 1, 2, 3], "0.0"), ([0, 1, 2, True], "True")])
+    def test_path_order_items(self, order, item):
+        with pytest.raises(DomainError, match=re.escape(f"order item must be an integer, got {item}")):
+            path_lower(identical_events_system(4), order)
+
+
+def indicator_system(n, members):
+    """One outcome of weight 1, lying in exactly the events of `members`."""
+    return from_outcomes([1], [[0] if i in members else [] for i in range(n)], backend=RATIONAL)
+
+
+def fixed_denominator_inputs(n, g=None):
+    """(kind, inputs) pairs of every kind whose denominator is fixed by n
+    and the graph: with g, the kinds that read a graph (but not
+    `chordal-lower-sharpened`, whose α′ depends on the system, and the
+    Hunter kinds only on a tree); without, every other kind."""
+    depths = (1, 2, 3, None)
+    if g is not None:
+        cases = [(kind, {"g": g, "r": r}) for kind in ("chordal-upper", "chordal-lower") for r in depths]
+        if graphs.is_tree(g):
+            cases += [("hunter-upper", {"g": g}), ("hunter-lower", {"g": g})]
+        return cases
+    cases = [(kind, {"r": r}) for kind in ("bonferroni-upper", "bonferroni-lower") for r in depths]
+    cases += [("kwerel-upper", {}), ("kwerel-lower", {})]
+    cases += [("path-lower", {"order": order}) for order in (range(n), range(n - 1, -1, -1))]
+    cases += [("generalized-lower", {"m": m}) for m in range(n)]
+    if n >= 3:
+        cases.append(("kwerel2-lower", {}))
+    pairs = [(j, k) for j in range(n) for k in range(j, n) if n > len({j, k})]
+    cases += [(kind, {"j": j, "k": k}) for kind in ("seneta-upper", "seneta-lower") for j, k in pairs]
+    return cases
+
+
+class TestValidityOracle:
+    """The method of indicators.  An outcome lying in exactly the events of
+    J adds its weight times w(J) to a bracket, so every system's bracket is
+    the atom-weighted sum of w(J) over its non-empty signatures, and its
+    union is the total weight of those atoms.  A kind whose denominator d
+    does not depend on the system is therefore valid on every system iff it
+    is valid on every indicator system, where the union is 1 and the value
+    is w(J) / d: at most 1 for a lower kind, at least 1 for an upper one."""
+
+    @staticmethod
+    def assert_valid(n, cases):
+        for size in range(1, n + 1):
+            for members in combinations(range(n), size):
+                sys_ = indicator_system(n, set(members))
+                for kind, inputs in cases:
+                    report = bounds.bound(kind, sys_, **inputs)
+                    if report.direction == "lower":
+                        assert report.value <= 1, (kind, inputs, members)
+                    else:
+                        assert report.value >= 1, (kind, inputs, members)
+
+    @staticmethod
+    def assert_sharpened_is_exact(g):
+        n = g.vertex_count
+        for size in range(1, n + 1):
+            for members in combinations(range(n), size):
+                report = chordal_lower(indicator_system(n, set(members)), g, sharpened=True)
+                assert report.value == 1, members
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_labelled_chordal_graph(self, n):
+        self.assert_valid(n, fixed_denominator_inputs(n))
+        pairs = list(combinations(range(n), 2))
+        for chosen in range(1 << len(pairs)):
+            g = build_graph(n, [e for i, e in enumerate(pairs) if chosen >> i & 1])
+            if graphs.is_chordal(g):
+                self.assert_valid(n, fixed_denominator_inputs(n, g))
+                self.assert_sharpened_is_exact(g)
+
+    @pytest.mark.parametrize("n", [5, 6, 7])
+    def test_random_chordal_graphs(self, n):
+        rng = random.Random(2700 + n)
+        self.assert_valid(n, fixed_denominator_inputs(n))
+        for _ in range(3):
+            g = random_chordal_graph(rng, n)
+            self.assert_valid(n, fixed_denominator_inputs(n, g))
+            self.assert_sharpened_is_exact(g)
+
+    def test_counterexample_graph_fails_the_oracle(self):
+        # α = 3, and the clique complex of all 8 vertices sums to 4.
+        g = counterexample_graph()
+        report = chordal_lower(indicator_system(8, set(range(8))), g, unchecked=True)
+        assert report.value == Fraction(4, 3) > 1

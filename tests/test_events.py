@@ -486,27 +486,67 @@ class TestProductForm:
         assert peak < 5 * 2**20
 
     @pytest.mark.parametrize("backend", [REAL, RATIONAL])
-    def test_symmetric_sums_read_the_mass_cache_without_filling_it(self, backend):
-        # S_k over C(12, k) index sets, each its own mask: none is kept.
-        # A cached mass is read as it is.
+    def test_symmetric_sums_match_the_outcome_space(self, backend):
+        # S_k over C(12, k) index sets, each its own mask.
         probs = [backend.one * Fraction(i + 3, 20) for i in range(12)]
         sys_ = bernoulli_product(probs, [[i] for i in range(12)], backend=backend)
         explicit = product_outcomes(sys_)
-        sys_._mass_cache[0b11] = backend.one * 7
-        cache = dict(sys_._mass_cache)
         for k in range(1, 13):
             want = sum(intersection_prob(explicit, s) for s in combinations(range(12), k))
             got = sys_._symmetric_sum(k)
-            if k == 2:
-                got -= 7 - probs[0] * probs[1]
             assert got == want if backend is RATIONAL else abs(got - want) <= 1e-12
-            assert sys_._mass_cache == cache
 
-    def test_shared_probability_symmetric_sums_use_the_count_cache(self):
+    def test_shared_probability_symmetric_sums_are_powers_of_p(self):
         sys_ = bernoulli_product([P] * 6, [[i, i + 1] for i in range(5)], backend=POLYNOMIAL)
         # 4 adjacent pairs need 3 coordinates, the other 6 pairs need 4.
         assert sys_._symmetric_sum(2) == 4 * P**3 + 6 * P**4
-        assert set(sys_._mass_cache) == {3, 4}
+
+    def test_every_symmetric_sum_in_small_memory(self):
+        # 16 events, one coordinate each: 65 535 index sets over all S_k,
+        # and S_k is the k-th elementary symmetric sum of the probabilities.
+        rng = random.Random(27)
+        probs = [rng.random() for _ in range(16)]
+        sys_ = bernoulli_product(probs, [[c] for c in range(16)])
+        tracemalloc.start()
+        try:
+            sums = [sys_._symmetric_sum(k) for k in range(17)]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        want = [Fraction(1)] + [Fraction(0)] * 16
+        for p in map(Fraction, probs):
+            want = [want[0]] + [want[k] + want[k - 1] * p for k in range(1, 17)]
+        for got, exact in zip(sums, want):
+            assert abs(got - exact) <= 1e-12 * exact
+
+    def test_real_masses_are_the_product_in_coordinate_order(self):
+        rng = random.Random(28)
+        for trial in range(200):
+            m = rng.randint(1, 24)
+            p = rng.random()
+            probs = [rng.choice((p, 0.0, 1.0, rng.random())) for _ in range(m)]
+            if trial % 4 == 0:
+                probs = [p] * m
+            sys_ = bernoulli_product(probs, [[0]])
+            for _ in range(20):
+                mask = rng.getrandbits(m)
+                want = 1.0
+                for c in range(m):
+                    if mask >> c & 1:
+                        want *= probs[c]
+                assert sys_.mass(mask) == want
+
+    @pytest.mark.parametrize("backend, p", [(RATIONAL, Fraction(2, 5)), (POLYNOMIAL, (1 + P) / 3)])
+    def test_shared_exact_masses_are_powers(self, backend, p):
+        rng = random.Random(29)
+        m = 24
+        sys_ = bernoulli_product([p] * m, [[0]], backend=backend)
+        sizes = list(range(m + 1))
+        rng.shuffle(sizes)
+        for k in sizes:
+            mask = sum(1 << c for c in rng.sample(range(m), k))
+            assert sys_.mass(mask) == p**k
 
     @pytest.mark.parametrize("budget, fails", [(15, False), (14, True)])
     def test_signature_budget_boundary(self, monkeypatch, budget, fails):
