@@ -25,10 +25,17 @@ lower bounds have none.  The bracket takes one of two forms:
   sum_c W_c * C(c, k), where W_c is the weight of the outcomes lying in
   exactly c events; a product system enumerates the C(n, k) index sets.
 
-All formulas are generic over the value backend; division by the integer
-denominator happens last.  The checks the bounds share live with the data
-they check: the truncation depth in `graphs._size_cap`, the pairing of
-events with graph vertices in `events._require_one_vertex_per_event`.
+All formulas are generic over the value backend.  A bracket is summed in
+the event system's unit (`_numerator`): on a RATIONAL explicit space an
+integer numerator over the weights' one common denominator D, elsewhere
+the value itself.  A moment bracket's coefficients are integer pairs
+(a_k, b_k); exact systems scale them to one common denominator L, float
+systems multiply S_k by the float a_k / b_k.  Division by L and by the
+integer denominator happens last, in one step (`_value`), so a RATIONAL
+explicit bound builds one Fraction.  The checks the bounds share live
+with the data they check: the truncation depth in `graphs._size_cap`,
+the pairing of events with graph vertices in
+`events._require_one_vertex_per_event`.
 
 `KINDS` is the one place that maps kind names to these functions and to
 the inputs each reads; `bound` evaluates a kind by name, and the command
@@ -38,11 +45,10 @@ line and the reliability report name kinds only through it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from fractions import Fraction
-from math import comb
+from math import comb, lcm
 
 from .errors import DomainError, _require_int
-from .events import EventSystem, _require_one_vertex_per_event, alpha_prime, intersection_prob
+from .events import EventSystem, _require_one_vertex_per_event, alpha_prime
 from .graphs import (
     Graph,
     _clique_cap,
@@ -91,11 +97,14 @@ class BoundReport:
 
 def _report(kind, sys, bracket, denominator=None, truncation=None, graph=None) -> BoundReport:
     """Report of the bound `kind` (which names its direction): the bracket
-    divided by the denominator, or the bracket itself if there is none."""
+    divided by the denominator, or the bracket itself if there is none.
+    The bracket is a pair (total, scale): a sum in the system's unit over
+    a positive integer scale, turned into one value by `_value`."""
+    total, scale = bracket
     return BoundReport(
         kind=kind,
         direction="upper" if "-upper" in kind else "lower",
-        value=bracket if denominator is None else bracket / denominator,
+        value=sys._value(total, scale if denominator is None else scale * denominator),
         truncation=truncation,
         n=sys.event_count,
         edge_count=None if graph is None else graph.edge_count,
@@ -127,40 +136,53 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     enumerates the subsets S.  Any other graph has its cliques listed, one
     intersection query per clique.
     """
+    return sys._value(*_clique_bracket(sys, g, size_cap))
+
+
+def _clique_bracket(sys: EventSystem, g: Graph, size_cap: int | None):
+    """`clique_sieve_sum` as a bracket (total, 1), the total in the
+    system's unit."""
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
     order = g._elimination_order
     if order is not None:
         return _elimination_sieve(sys, g, order, size_cap)
-    total = sys.backend.zero
+    total = sys._zero
     for clique in clique_complex(g, max_size=size_cap):
-        p = intersection_prob(sys, clique)
+        p = sys._numerator(sys._combined_mask(clique))
         total = total + p if len(clique) % 2 == 1 else total - p
-    return total
+    return total, 1
 
 
 def _elimination_sieve(sys: EventSystem, g: Graph, order, size_cap: int | None):
-    """`clique_sieve_sum` along `order`, a perfect elimination order of
+    """`_clique_bracket` along `order`, a perfect elimination order of
     g: one `_cone_sum` per vertex, over its later neighbours, or over none
     at size_cap 1, where the cliques are the vertices."""
     cap = _clique_cap(g, size_cap)
     later = _later_neighbours(g, order) if cap > 1 else [0] * g.vertex_count
-    total = sys.backend.zero
+    total = sys._zero
     for v, mask in enumerate(later):
         total = total + sys._cone_sum(v, mask, cap)
-    return total
+    return total, 1
 
 
 def _moment_bracket(sys: EventSystem, coefficients):
-    """Sum of c_k * S_k over the signed coefficients c_1, c_2, ... given.
+    """Sum of c_k * S_k over the signed coefficients c_k = a_k / b_k, given
+    as integer pairs (a_k, b_k), as a bracket (total, scale).
 
-    Adding S_k times a negative coefficient gives the same float as
-    subtracting S_k times its magnitude, since a Fraction converts to a
-    float symmetrically and multiplying by 1 is exact.
+    An exact system scales them to one common denominator L, the scale,
+    and adds S_k * (a_k * L / b_k): integers on a RATIONAL explicit space.
+    A float system adds S_k * (a_k / b_k) with scale 1; int / int is
+    correctly rounded, so it is the float of the Fraction a_k / b_k.
     """
-    total = sys.backend.zero
-    for k, c in enumerate(coefficients, 1):
+    if sys.backend.exact:
+        scale = lcm(*(b for _, b in coefficients))
+        multipliers = [a * (scale // b) for a, b in coefficients]
+    else:
+        scale, multipliers = 1, [a / b for a, b in coefficients]
+    total = sys._zero
+    for k, c in enumerate(multipliers, 1):
         total = total + sys._symmetric_sum(k) * c
-    return total
+    return total, scale
 
 
 def classical_bonferroni(sys: EventSystem, r: int = 1, direction: str = "upper") -> BoundReport:
@@ -174,7 +196,7 @@ def classical_bonferroni(sys: EventSystem, r: int = 1, direction: str = "upper")
     if direction not in ("upper", "lower"):
         raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
     cap = min(_size_cap(r, direction), sys.event_count)
-    signs = [(-1) ** (k - 1) for k in range(1, cap + 1)]
+    signs = [((-1) ** (k - 1), 1) for k in range(1, cap + 1)]
     return _report(f"bonferroni-{direction}", sys, _moment_bracket(sys, signs), truncation=r)
 
 
@@ -188,7 +210,7 @@ def chordal_upper(
     """
     cap = None if r is None else _size_cap(r, "upper")
     _require_chordal(g, unchecked)
-    bracket = clique_sieve_sum(sys, g, size_cap=cap)
+    bracket = _clique_bracket(sys, g, cap)
     return _report("chordal-upper", sys, bracket, truncation=r, graph=g)
 
 
@@ -203,7 +225,7 @@ def chordal_lower(
     divided by the independence number (or the sharpened denominator)."""
     cap = None if r is None else _size_cap(r, "lower")
     _require_chordal(g, unchecked)
-    bracket = clique_sieve_sum(sys, g, size_cap=cap)
+    bracket = _clique_bracket(sys, g, cap)
     denominator = alpha_prime(sys, g) if sharpened else independence_number(g)
     kind = "chordal-lower-sharpened" if sharpened else "chordal-lower"
     return _report(kind, sys, bracket, denominator, truncation=r, graph=g)
@@ -239,7 +261,7 @@ def path_lower(sys: EventSystem, order=None) -> BoundReport:
 def _kwerel_bracket(sys: EventSystem):
     """S_1 - (2/n) S_2, or S_1 alone for a single event."""
     n = sys.event_count
-    return _moment_bracket(sys, [1, Fraction(-2, n)][:n])
+    return _moment_bracket(sys, [(1, 1), (-2, n)][:n])
 
 
 def kwerel_upper(sys: EventSystem) -> BoundReport:
@@ -308,11 +330,10 @@ def generalized_lower(sys: EventSystem, m: int = 0) -> BoundReport:
     if not 0 <= m <= n - 1:
         raise DomainError(f"order m must satisfy 0 <= m <= {n - 1}, got {m}")
     coefficients = [
-        (-1) ** (k - 1)
-        * Fraction(comb(m, k) * (n * k - (m + 1) * (k - 1)), comb(n, k) * (m - k + 1))
+        ((-1) ** (k - 1) * comb(m, k) * (n * k - (m + 1) * (k - 1)), comb(n, k) * (m - k + 1))
         for k in range(1, m + 1)
     ]
-    coefficients.append((-1) ** m * Fraction(m + 1, comb(n, m)))
+    coefficients.append(((-1) ** m * (m + 1), comb(n, m)))
     return _report("generalized-lower", sys, _moment_bracket(sys, coefficients), n - m)
 
 

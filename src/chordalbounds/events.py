@@ -16,9 +16,9 @@ each through its own private methods (`mass`, `_union`, `_atom`,
   polynomial weights are summed as they are: floats in C by `math.fsum`,
   polynomials with `+`.  The total weight for the sum-to-one check is
   summed once, straight from the weights.  The symmetric sums are
-  binomial moments of the number of events that occur, from one mass
-  query per count, and `alpha_prime` splits the supported outcomes by
-  event instead of testing each outcome.  An atom is one mass query, and
+  binomial moments of the number of events that occur, from one
+  numerator query per count, and `alpha_prime` splits the supported
+  outcomes by event instead of testing each outcome.  An atom is one mass query, and
   so is an untruncated cone; a truncated one is one per count of later
   events.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
@@ -34,9 +34,11 @@ each through its own private methods (`mass`, `_union`, `_atom`,
   enumerates its subsets.
 
 Both stay exact for rational and polynomial values; an explicit system's
-float masses are correctly rounded.  Both check index sets with
-`_event_indices`, and `_require_one_vertex_per_event` pairs the events
-with the vertices of a graph for every caller.
+float masses are correctly rounded.  The symmetric and cone sums come in
+the system's unit (`_numerator`, `_value`): integers over the one common
+denominator on a RATIONAL explicit system, values elsewhere.  Both check
+index sets with `_event_indices`, and `_require_one_vertex_per_event`
+pairs the events with the vertices of a graph for every caller.
 """
 
 from __future__ import annotations
@@ -79,24 +81,27 @@ class EventSystem:
 
     Every probability is `mass(mask)`, the total weight of the outcomes a
     mask selects.  RATIONAL weights are kept as one column of integer
-    numerators over one common denominator.  A column whose numerators
-    span at most one bit per 16 outcomes (`_OUTCOMES_PER_PLANE`) is also
-    kept as bit planes, built on the first query, and a query sums
-    popcounts per plane; a wider one is summed outcome by outcome in C.  A
-    RATIONAL weight may be an int, a Fraction or a rational string such as
-    "7/873"; the column is read straight into numerators over one
-    denominator (`values._read_rational_column`), and `weights` keeps the
-    values as given.  REAL and POLYNOMIAL weights are summed as selected,
-    REAL through `math.fsum`, so each mass is correctly rounded.
+    numerators over one common denominator D, and a mask's weight is first
+    an integer numerator over D (`_numerator`); the symmetric and cone
+    sums stay in those integers, and `_value` makes one Fraction of a sum.
+    A column whose numerators span at most one bit per 16 outcomes
+    (`_OUTCOMES_PER_PLANE`) is also kept as bit planes, built on the first
+    query, and a query sums popcounts per plane; a wider one is summed
+    outcome by outcome in C.  A RATIONAL weight may be an int, a Fraction
+    or a rational string such as "7/873"; the column is read straight into
+    numerators over one denominator (`values._read_rational_column`), and
+    `weights` keeps the values as given.  REAL and POLYNOMIAL weights are
+    summed as selected, REAL through `math.fsum`, so each mass is
+    correctly rounded, and their numerators are the masses themselves.
 
-    Instances are immutable once built; `mass` memoizes mask sums, seeded
-    with the total weight, and `_symmetric_sum` computes every symmetric
-    sum once, so that repeated bound evaluations over the same system stay
-    cheap.
+    Instances are immutable once built; `_numerator` memoizes mask sums,
+    seeded with the total weight, and `_symmetric_sum` computes every
+    symmetric sum once, so that repeated bound evaluations over the same
+    system stay cheap.
     """
 
     __slots__ = (
-        "backend", "weights", "events", "_column", "_planes", "_mass_cache", "_moments",
+        "backend", "weights", "events", "_column", "_zero", "_planes", "_mass_cache", "_moments",
     )
 
     def __init__(self, backend: Backend, weights, events):
@@ -110,27 +115,29 @@ class EventSystem:
         for mask in events:
             if mask & ~full:
                 raise DomainError("event refers to outcomes outside the space")
-        if not backend.exact:
-            for w in weights:
-                if not math.isfinite(w):
-                    raise DomainError(f"non-finite outcome weight {w}")
+        if not backend.exact and not all(map(math.isfinite, weights)):
+            bad = next(w for w in weights if not math.isfinite(w))
+            raise DomainError(f"non-finite outcome weight {bad}")
         self.backend = backend
         self.weights = weights
         self.events = events
         self._column: tuple[list[int], int] | None = None
         if backend is RATIONAL:
             numerators, denominator = self._column = _read_rational_column(weights)
-            total = Fraction(sum(numerators), denominator)
+            self._zero = 0
+            full_numerator = sum(numerators)
+            total = Fraction(full_numerator, denominator)
             lowest = Fraction(min(numerators), denominator)
         else:
-            total = _sum(backend, weights)
+            self._zero = backend.zero
+            full_numerator = total = self._sum(weights)
             lowest = min(weights) if backend.ordered else None
         # The column's (low, planes), or () for a column too wide for them;
         # None until the first query.
         self._planes: tuple | None = None
         # Seeded with the full mass, so that a system that is only checked,
         # or only asked for its support, never builds bit planes.
-        self._mass_cache: dict[int, object] = {full: total}
+        self._mass_cache: dict[int, object] = {full: full_numerator}
         self._moments: tuple | None = None
         if not backend.sum_is_one(total):
             raise DomainError(f"outcome weights must sum to one, got {_exact_str(total)}")
@@ -146,7 +153,16 @@ class EventSystem:
         return (1 << len(self.weights)) - 1
 
     def mass(self, mask: int):
-        """Total weight of the outcomes selected by `mask`.
+        """Total weight of the outcomes selected by `mask`: `_numerator`
+        over the column's denominator, one Fraction, for RATIONAL weights,
+        and `_numerator` itself for REAL and POLYNOMIAL weights."""
+        return self._value(self._numerator(mask))
+
+    def _numerator(self, mask: int):
+        """Mass of `mask` as a numerator over the system's unit: the
+        integer sum of the column's numerators for RATIONAL weights, whose
+        unit is 1/D for the column's one denominator D, and the mass itself
+        for REAL and POLYNOMIAL weights, whose unit is 1.  Memoized by mask.
 
         REAL and POLYNOMIAL weights: the mask becomes one 0/1 byte per
         outcome (lowest bit first), `itertools.compress` picks the summands
@@ -160,21 +176,33 @@ class EventSystem:
         if cached is not None:
             return cached
         if self._column is None:
-            total = _sum(self.backend, compress(self.weights, _selector(mask)))
+            total = self._sum(compress(self.weights, _selector(mask)))
         else:
-            numerators, denominator = self._column
+            numerators = self._column[0]
             if self._planes is None:
                 self._planes = _bit_planes(numerators)
             if self._planes:
                 low, planes = self._planes
-                numerator = low * mask.bit_count()
+                total = low * mask.bit_count()
                 for j, plane in enumerate(planes):
-                    numerator += (mask & plane).bit_count() << j
+                    total += (mask & plane).bit_count() << j
             else:
-                numerator = sum(compress(numerators, _selector(mask)))
-            total = Fraction(numerator, denominator)
+                total = sum(compress(numerators, _selector(mask)))
         self._mass_cache[mask] = total
         return total
+
+    def _value(self, total, divisor: int = 1):
+        """The value of `total`, a sum of numerators in the system's unit
+        (see `_numerator`), divided by the positive integer `divisor`: one
+        Fraction over D * divisor for RATIONAL weights."""
+        if self._column is not None:
+            return Fraction(total, self._column[1] * divisor)
+        return total if divisor == 1 else total / divisor
+
+    def _sum(self, values):
+        """Sum of numerators in the system's unit; floats through
+        `math.fsum`, correctly rounded."""
+        return sum(values, self._zero) if self.backend.exact else math.fsum(values)
 
     def _support(self) -> int:
         """Mask of the outcomes with non-zero weight (exact zero test)."""
@@ -225,7 +253,8 @@ class EventSystem:
 
     def _cone_sum(self, v: int, later: int, cap: int):
         """Sum of (-1)**|S| * P(A_v and every A_u, u in S) over the sets S
-        of the events in the mask `later` with |S| < cap.
+        of the events in the mask `later` with |S| < cap, in the system's
+        unit (see `_numerator`).
 
         An outcome of A_v in exactly c of those events adds its weight
         times sum_{s < cap} (-1)**s * C(c, s), which is 1 for c = 0 and
@@ -237,30 +266,31 @@ class EventSystem:
         event = self.events[v]
         others = [self.events[u] for u in _bits(later)]
         if len(others) < cap:
-            return self.mass(event & ~reduce(operator.or_, others, 0))
+            return self._numerator(event & ~reduce(operator.or_, others, 0))
         by_count = _count_masks(others, event)
         sign = 1 if cap % 2 else -1
-        terms = [self.mass(by_count[0])]
+        terms = [self._numerator(by_count[0])]
         terms += [
-            self.mass(by_count[c]) * (sign * math.comb(c - 1, cap - 1))
+            self._numerator(by_count[c]) * (sign * math.comb(c - 1, cap - 1))
             for c in range(cap, len(by_count))
         ]
-        return _sum(self.backend, terms)
+        return self._sum(terms)
 
     def _symmetric_sum(self, k: int):
         """S_k = sum of P(every event in I occurs) over all |I| = k, for
-        0 <= k <= n.
+        0 <= k <= n, in the system's unit (see `_numerator`).
 
         With W_c the weight of the outcomes that lie in exactly c events,
-        S_k is the binomial moment sum_c W_c * C(c, k).  `_count_masks`
-        selects the outcomes of each count in O(n**2) big-integer operations,
-        each W_c is one mass query, and the moments are cached.
+        S_k is the binomial moment sum_c W_c * C(c, k); for RATIONAL
+        weights W_c and S_k are integers.  `_count_masks` selects the
+        outcomes of each count in O(n**2) big-integer operations, each W_c
+        is one `_numerator` query, and the moments are cached.
         """
         if self._moments is None:
             n = self.event_count
-            by_count = [self.mass(mask) for mask in _count_masks(self.events, self.full_mask)]
+            by_count = [self._numerator(m) for m in _count_masks(self.events, self.full_mask)]
             terms = [[by_count[c] * math.comb(c, k) for c in range(k, n + 1)] for k in range(n + 1)]
-            self._moments = tuple(_sum(self.backend, t) for t in terms)
+            self._moments = tuple(map(self._sum, terms))
         return self._moments[k]
 
 
@@ -278,7 +308,7 @@ class ProductSystem:
     probabilities being equal.
     """
 
-    __slots__ = ("backend", "probs", "requires", "_offs", "_powers", "_sums")
+    __slots__ = ("backend", "probs", "requires", "_zero", "_offs", "_powers", "_sums")
 
     def __init__(self, backend: Backend, probs, requires):
         probs = tuple(probs)
@@ -298,6 +328,7 @@ class ProductSystem:
         self.backend = backend
         self.probs = probs
         self.requires = requires
+        self._zero = backend.zero
         self._offs = tuple(backend.one - p for p in probs)
         # p**0, p**1, ... while every coordinate has the same exact p, grown
         # on demand; None otherwise.
@@ -324,6 +355,13 @@ class ProductSystem:
             total = total * self.probs[low.bit_length() - 1]
             mask ^= low
         return total
+
+    # A product system's unit is 1: its numerators are its masses.
+    _numerator = mass
+
+    def _value(self, total, divisor: int = 1):
+        """`total` divided by the positive integer `divisor`."""
+        return total if divisor == 1 else total / divisor
 
     def _combined_mask(self, index_set) -> int:
         """Coordinates required by some event in `index_set`."""
@@ -455,12 +493,6 @@ _OUTCOMES_PER_PLANE = 16
 def _selector(mask: int) -> bytes:
     """One 0/1 byte per outcome, lowest bit first, for `compress`."""
     return format(mask, "b")[::-1].encode("ascii").translate(_BIT_BYTES)
-
-
-def _sum(backend: Backend, values):
-    """Sum of backend values; floats through `math.fsum`, correctly
-    rounded."""
-    return sum(values, backend.zero) if backend.exact else math.fsum(values)
 
 
 def _bit_planes(numerators) -> tuple[int, tuple[int, ...]] | tuple[()]:

@@ -180,6 +180,38 @@ def brute_force_symmetric_sums(sys_: EventSystem, m: int) -> list[Fraction]:
     return sums
 
 
+def moment_coefficients(kind: str, n: int, r: int = 1, m: int = 0):
+    """(coefficients, denominator) of a moment kind for n events, as the
+    bound formulas state them: the Fraction c_k of S_k for k = 1, 2, ...,
+    and the integer the bracket is divided by (None for none)."""
+    if kind.startswith("bonferroni-"):
+        cap = min(2 * r - 1 if kind == "bonferroni-upper" else 2 * r, n)
+        return [Fraction((-1) ** (k - 1)) for k in range(1, cap + 1)], None
+    if kind.startswith("kwerel-"):
+        coefficients = [Fraction(1), Fraction(-2, n)][:n]
+        return coefficients, None if kind == "kwerel-upper" else (n + 1) // 2
+    if kind == "kwerel2-lower":
+        m = 2
+    elif kind != "generalized-lower":
+        raise ValueError(f"not a moment kind: {kind}")
+    coefficients = [
+        (-1) ** (k - 1) * Fraction(comb(m, k) * (n * k - (m + 1) * (k - 1)), comb(n, k) * (m - k + 1))
+        for k in range(1, m + 1)
+    ]
+    coefficients.append((-1) ** m * Fraction(m + 1, comb(n, m)))
+    return coefficients, n - m
+
+
+def float_moment_bound(sys_, coefficients, denominator=None) -> float:
+    """A moment bound of a REAL system in the float operations of Fraction
+    coefficients: 0.0 plus S_k * float(c_k) for k = 1, 2, ... left to
+    right, then divided by the denominator if there is one."""
+    total = 0.0
+    for k, c in enumerate(coefficients, 1):
+        total = total + sys_._symmetric_sum(k) * float(Fraction(c))
+    return total if denominator is None else total / denominator
+
+
 @lru_cache(maxsize=None)
 def _basis_inverse(basis: tuple[int, ...]) -> tuple[tuple[Fraction, ...], ...]:
     """Inverse of the square matrix with entry C(c, k) in row k and the

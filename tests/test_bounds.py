@@ -47,9 +47,13 @@ from chordalbounds.values import POLYNOMIAL, RATIONAL, REAL
 
 from helpers import (
     BRIDGE_PATH_ORDER,
+    brute_force_alpha,
+    brute_force_alpha_prime,
     brute_force_clique_sum,
     brute_force_clique_terms,
     brute_force_symmetric_sums,
+    float_moment_bound,
+    moment_coefficients,
     moment_lp,
     product_outcomes,
     random_chordal_graph,
@@ -117,7 +121,8 @@ class TestSymmetricSums:
         for _ in range(30):
             sys_ = random_rational_system(rng, rng.randint(1, 7))
             for k in range(1, sys_.event_count + 1):
-                assert sys_._symmetric_sum(k) == brute_symmetric_sum(sys_, k)
+                # S_k in integer numerators over the column's denominator
+                assert sys_._value(sys_._symmetric_sum(k)) == brute_symmetric_sum(sys_, k)
 
     def test_real_explicit_matches_brute_force(self):
         rng = random.Random(137)
@@ -139,7 +144,7 @@ class TestSymmetricSums:
             sys_ = bernoulli_product(probs, event_defs, backend=RATIONAL)
             explicit = product_outcomes(sys_)
             for k in range(1, sys_.event_count + 1):
-                assert sys_._symmetric_sum(k) == explicit._symmetric_sum(k)
+                assert sys_._symmetric_sum(k) == explicit._value(explicit._symmetric_sum(k))
 
     def test_bonferroni_is_alternating_subset_sum(self):
         rng = random.Random(149)
@@ -867,3 +872,146 @@ class TestValidityOracle:
         g = counterexample_graph()
         report = chordal_lower(indicator_system(8, set(range(8))), g, unchecked=True)
         assert report.value == Fraction(4, 3) > 1
+
+
+MOMENT_KINDS = [
+    kind for kind in bounds.KINDS if kind.startswith(("bonferroni", "kwerel", "generalized"))
+]
+# The (j, k) pairs of the golden `bounds compute` cases.
+SENETA_PAIRS = [(0, 1), (2, 2), (9, 3)]
+
+
+def _moment_cases(kind, n):
+    """Inputs of `bound`, and of `moment_coefficients`, for a moment kind:
+    r = 1..3 for the Bonferroni kinds, every m for generalized-lower."""
+    if kind.startswith("bonferroni"):
+        return [{"r": r} for r in (1, 2, 3)]
+    if kind == "generalized-lower":
+        return [{"m": m} for m in range(n)]
+    return [{}] if kind != "kwerel2-lower" or n >= 3 else []
+
+
+def _differential_system(rng, n, wide):
+    """A seeded RATIONAL explicit system of n events, weights with zeros.
+    Narrow: counts 0..6 over their total on 48-160 outcomes, so the
+    column (3 bits) is bit-sliced.  Wide: prime denominators on 8-40
+    outcomes, numerators of 20-35 bits, past the width rule."""
+    if wide:
+        m = rng.randint(8, 40)
+        primes = (97, 101, 103, 107, 109)
+        raw = [Fraction(rng.randint(0, 9) * (rng.random() < 0.8), rng.choice(primes)) for _ in range(m)]
+    else:
+        m = rng.randint(48, 160)
+        raw = [Fraction(rng.randint(0, 6)) for _ in range(m)]
+    raw[rng.randrange(m)] += 1
+    total = sum(raw)
+    weights = [x / total for x in raw]
+    return EventSystem(RATIONAL, weights, [rng.getrandbits(m) for _ in range(n)])
+
+
+def _differential_systems():
+    """Two systems, one narrow and one wide, per event count 3..7, and one
+    narrow and one wide of 10 events for the pair (9, 3)."""
+    rng = random.Random(2800)
+    return [_differential_system(rng, n, wide) for n in (3, 4, 5, 6, 7, 10) for wide in (False, True)]
+
+
+def _clique_bound(sys_, g, cap=None, denominator=1):
+    return brute_force_clique_sum(brute_force_clique_terms(sys_, g), cap) / denominator
+
+
+def _clique_cases(kind, sys_, rng):
+    """(inputs of `bound`, Fraction-only value) of a kind that sums over a
+    graph's cliques."""
+    n = sys_.event_count
+    if kind.startswith("chordal"):
+        g = random_chordal_graph(rng, n)
+        for r in (None, 1, 2, 3):
+            if kind == "chordal-upper":
+                yield {"g": g, "r": r}, _clique_bound(sys_, g, None if r is None else 2 * r - 1)
+                continue
+            if kind == "chordal-lower":
+                denominator = brute_force_alpha(g)
+            else:
+                denominator = brute_force_alpha_prime(sys_.weights, sys_.events, g)
+            yield {"g": g, "r": r}, _clique_bound(sys_, g, None if r is None else 2 * r, denominator)
+    elif kind.startswith("hunter"):
+        tree = build_graph(n, [(rng.randrange(v), v) for v in range(1, n)])
+        denominator = 1 if kind == "hunter-upper" else brute_force_alpha(tree)
+        yield {"g": tree}, _clique_bound(sys_, tree, None, denominator)
+    elif kind == "path-lower":
+        for order in (list(range(n)), rng.sample(range(n), n)):
+            path = build_graph(n, zip(order, order[1:]))
+            yield {"order": order}, _clique_bound(sys_, path, None, brute_force_alpha(path))
+    else:
+        for j, k in SENETA_PAIRS:
+            if max(j, k) < n:
+                g = join_pair_graph(n, j, k)
+                denominator = 1 if kind == "seneta-upper" else brute_force_alpha(g)
+                yield {"j": j, "k": k}, _clique_bound(sys_, g, None, denominator)
+
+
+class TestIntegerBracketsAgainstFractions:
+    """Every kind on RATIONAL explicit systems, bit-sliced and too wide for
+    bit planes, equals its Fraction-only evaluation from the brute-force
+    oracles: clique sums and symmetric sums added one outcome at a time,
+    independence numbers and sharpened denominators by enumeration."""
+
+    def test_systems_take_both_sides_of_the_width_rule(self):
+        systems = _differential_systems()
+        for sys_ in systems:
+            kwerel_upper(sys_)
+        assert [bool(sys_._planes) for sys_ in systems] == [True, False] * 6
+        assert all(0 in sys_.weights for sys_ in systems)
+
+    @pytest.mark.parametrize("kind", MOMENT_KINDS)
+    def test_moment_kinds(self, kind):
+        checked = 0
+        for sys_ in _differential_systems():
+            n = sys_.event_count
+            sums = None
+            for inputs in _moment_cases(kind, n):
+                coefficients, denominator = moment_coefficients(kind, n, **inputs)
+                if sums is None:
+                    sums = brute_force_symmetric_sums(sys_, n)
+                want = sum(c * s for c, s in zip(coefficients, sums)) / (denominator or 1)
+                value = bounds.bound(kind, sys_, **inputs).value
+                assert isinstance(value, Fraction) and value == want, (kind, n, inputs)
+                checked += 1
+        assert checked
+
+    @pytest.mark.parametrize("kind", [kind for kind in bounds.KINDS if kind not in MOMENT_KINDS])
+    def test_clique_kinds(self, kind):
+        rng = random.Random(2801)
+        checked = 0
+        for sys_ in _differential_systems():
+            for inputs, want in _clique_cases(kind, sys_, rng):
+                value = bounds.bound(kind, sys_, **inputs).value
+                assert isinstance(value, Fraction) and value == want, (kind, sys_.event_count, inputs)
+                checked += 1
+        assert checked
+
+
+class TestFloatMomentOrder:
+    """A REAL moment bound keeps the float operations of Fraction
+    coefficients: S_k times float(c_k), added left to right from 0.0, then
+    divided by the denominator, compared with ==."""
+
+    def assert_same_floats(self, sys_, kinds):
+        n = sys_.event_count
+        for kind in kinds:
+            for inputs in _moment_cases(kind, n):
+                want = float_moment_bound(sys_, *moment_coefficients(kind, n, **inputs))
+                value = bounds.bound(kind, sys_, **inputs).value
+                assert type(value) is float and value == want, (kind, n, inputs)
+
+    def test_explicit_systems(self):
+        rng = random.Random(2802)
+        for trial in range(200):
+            self.assert_same_floats(random_real_system(rng, 3 + trial % 10), MOMENT_KINDS)
+
+    def test_product_systems(self):
+        rng = random.Random(2803)
+        for trial in range(60):
+            sys_ = _product_system(rng, 1 + trial % 8, REAL)
+            self.assert_same_floats(sys_, ["kwerel-lower"] if trial % 2 else MOMENT_KINDS)

@@ -553,6 +553,21 @@ class TestBoundsAll:
             assert out == (DATA / f"golden_{graph}.out").read_text(), events
             assert len(mcs_runs) == 1
 
+    @pytest.mark.parametrize("graph", ["chordal", "tree"])
+    def test_golden_real_output(self, capsys, graph):
+        # Written before the exact brackets moved to integer numerators:
+        # the float brackets must keep their order of operations.
+        code, out, _ = run(
+            capsys,
+            "bounds",
+            "all",
+            str(DATA / "golden_events_real.json"),
+            "--graph",
+            str(DATA / f"golden_{graph}.json"),
+        )
+        assert code == 0
+        assert out == (DATA / f"golden_{graph}_real.out").read_text()
+
     def test_golden_equal_probability_coords(self, capsys):
         # Every coordinate has probability 2/5, in several spellings, so
         # every intersection is (2/5)**k for k required coordinates.
