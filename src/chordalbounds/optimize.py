@@ -9,13 +9,14 @@ decode removes leaves bottom-up, so matching each removed leaf with its
 neighbour when both are free gives a maximum matching, and by König's
 theorem a tree's independence number is n minus that matching's size.
 `best_tree` and `best_path` take the weights of `pairwise_weights`, which
-needs a system on the real (float) backend.
+needs a system on the real (float) backend; `best_path` needs the rows
+symmetric, as `pairwise_weights` gives them.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, product
+from itertools import chain, islice, product
 
 from .errors import DomainError, ResourceLimitError
 from .events import EventSystem, intersection_prob
@@ -95,41 +96,109 @@ def _normalize_direction(order: tuple[int, ...]) -> tuple[int, ...]:
 
 def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
     n = len(w)
+    inf = math.inf
+    # Ties are resolved lexicographically; the slack absorbs float noise
+    # from differing addition orders between equal-weight paths.
+    slack = 1e-12
     # cost[mask][v]: minimum weight of a path visiting exactly `mask`,
-    # starting at v (v must be in mask).  The loops walk member tuples, not
-    # bits: a mask's members, ascending, are low[mask & low_bits] +
-    # high[mask >> half], from two tables of at most 2**ceil(n/2) tuples.  For
-    # each member v, u runs over the same tuple; rows[v] is w[v] with +inf
-    # on the diagonal, so u == v adds inf + 0.0 and never wins over the
-    # candidate u != v that every state of two or more members has.
+    # starting at v (v must be in mask); a row never filled reads +inf.
+    # The loops walk member tuples, not bits: a mask's members, ascending,
+    # are low[mask & low_bits] + high[mask >> half], from two tables of at
+    # most 2**ceil(n/2) tuples.  rows[v] is w[v] with +inf on the diagonal,
+    # so u == v adds +inf and never wins over the candidate u != v that
+    # every state of two or more members has.
     rows = []
     for v in range(n):
         row = list(w[v])
-        row[v] = math.inf
+        row[v] = inf
         rows.append(row)
     half = n // 2
     low_bits = (1 << half) - 1
     low = [tuple(_bits(m)) for m in range(1 << half)]
     high = [tuple(v + half for v in _bits(m)) for m in range(1 << (n - half))]
     size = 1 << n
-    cost = [[0.0] * n for _ in range(size)]
-    for mask in range(1, size):
-        if mask & (mask - 1) == 0:
-            continue
-        members = low[mask & low_bits] + high[mask >> half]
-        cost_mask = cost[mask]
-        for v in members:
-            row, rest_cost = rows[v], cost[mask ^ (1 << v)]
-            best = math.inf
-            for u in members:
-                candidate = row[u] + rest_cost[u]
-                if candidate < best:
-                    best = candidate
-            cost_mask[v] = best
     full = size - 1
-    # Ties are resolved lexicographically; the slack absorbs float noise
-    # from differing addition orders between equal-weight paths.
-    slack = 1e-12
+    levels = [[] for _ in range(n + 1)]
+    for mask in range(size):
+        levels[mask.bit_count()].append(mask)
+    cost = [(inf,) * n] * size
+    for mask in levels[1]:
+        cost[mask] = (0.0,) * n
+
+    def fill(masks, kept=None):
+        # The state (mask, v) takes the least row[u] + rest_cost[u] over its
+        # sources u: every member of mask, or the kept heads of mask - v.
+        for mask in masks:
+            members = low[mask & low_bits] + high[mask >> half]
+            cost[mask] = cost_mask = [inf] * n
+            for v in members:
+                rest = mask ^ (1 << v)
+                row, rest_cost = rows[v], cost[rest]
+                best = inf
+                for u in members if kept is None else kept.get(rest, ()):
+                    candidate = row[u] + rest_cost[u]
+                    if candidate < best:
+                        best = candidate
+                cost_mask[v] = best
+
+    # Every state the walk below reads as near-optimal, joined to its
+    # cheapest completion, weighs at most n slacks plus the rounding of a
+    # few sums of n weights above the optimum; n * scale * 1e-12 exceeds
+    # that rounding many times over at n <= 15.
+    scale = max(map(abs, chain.from_iterable(w)))
+    margin = n * (slack + scale * 1e-12)
+
+    def joins(masks, top):
+        # Yield (weight, mask, v) for each state of masks whose cost plus
+        # its cheapest completion, the path from v through the events
+        # outside mask read backwards, weighs at most top; top falls to
+        # margin above the least weight yielded.
+        for mask in masks:
+            members = low[mask & low_bits] + high[mask >> half]
+            cost_mask, other = cost[mask], full ^ mask
+            for v in members:
+                weight = cost_mask[v] + cost[other | 1 << v][v]
+                if weight <= top:
+                    yield weight, mask, v
+                    if weight + margin < top:
+                        top = weight + margin
+
+    def heads(found, top):
+        # kept[mask]: the heads v of the found states (mask, v) that weigh
+        # at most top.
+        kept = {}
+        for weight, mask, v in found:
+            if weight <= top:
+                kept[mask] = kept.get(mask, ()) + (v,)
+        return kept
+
+    # Every path splits at its h-th event into two paths of at most h
+    # events, so rows of at most h members give each larger state its
+    # exact cheapest completion and the level-h joins the optimum.  Larger
+    # rows are filled from the kept states only: those within margin of
+    # the optimum, whose own least sources are kept too, so each keeps
+    # the float of the full table.  When an eighth of the level-h states
+    # are kept, as ties such as equal weights make them, pruning costs more
+    # than it saves and the rest of the table is filled from every member.
+    h = (n + 2) // 2
+    fill(chain.from_iterable(levels[2 : h + 1]))
+    if h < n:
+        limit = h * len(levels[h]) // 8
+        found = list(islice(joins(levels[h], inf), limit))
+        if len(found) == limit:
+            fill(chain.from_iterable(levels[h + 1 :]))
+        else:
+            top = min(found)[0] + margin
+            kept = heads(found, top)
+            for _ in range(h, n):
+                # Each kept state is a source of a state one event larger.
+                targets = {
+                    mask | 1 << v
+                    for mask in kept
+                    for v in low[(full ^ mask) & low_bits] + high[(full ^ mask) >> half]
+                }
+                fill(targets, kept)
+                kept = heads(joins(targets, top), top)
     optimum = min(cost[full][v] for v in range(n))
     start = min(v for v in range(n) if cost[full][v] <= optimum + slack)
     order = [start]
@@ -180,8 +249,15 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     returns the lexicographically least optimal order.  Its inner loops
     walk each subset's members as a tuple, joined from two tables of
     half-width member tuples, instead of extracting bits one at a time.
-    Heuristic mode runs nearest neighbor from every start plus 2-opt and
-    carries no optimality guarantee.  Every weight must be finite.
+    It fills every subset of at most ceil((n + 1) / 2) events; each larger
+    state then has its exact cheapest completion, a small path read
+    backwards, and is filled only when it lies on a path within a small
+    margin of the optimum, unless an eighth of the states at the split
+    level are.  Heuristic mode runs nearest neighbor from every start
+    plus 2-opt and carries no optimality guarantee.  Every weight must be
+    finite and the rows symmetric, w[u][v] == w[v][u], as
+    `pairwise_weights` gives them: both modes read paths in either
+    direction.
     """
     if mode not in ("exact", "heuristic"):
         raise DomainError(f"unknown mode {mode!r}")
@@ -190,6 +266,8 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
         raise DomainError("weight matrix is empty")
     if not all(map(math.isfinite, chain.from_iterable(w))):
         raise DomainError("path weights must be finite")
+    if list(map(tuple, w)) != list(zip(*w)):
+        raise DomainError("path weights must be symmetric")
     if mode == "exact":
         if n > HELD_KARP_MAX_VERTICES:
             raise ResourceLimitError(

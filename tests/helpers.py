@@ -6,16 +6,17 @@ by full subset enumeration, masses by adding one weight at a time in exact
 arithmetic, product spaces are listed as their 2**m explicit outcomes,
 random chordal graphs are built directly by simplicial-vertex addition,
 polynomials keep one Fraction per coefficient, the best tree comes from
-every connected edge subset, the best path from every visiting order, and
-the sharpest bounds from the symmetric sums alone come from an exact
-linear program solved by enumerating its bases, and the probability of
-a success run from a Markov chain on the run length.  `BRIDGE_PATH_ORDER`
-fixes the bridge network's path events in the order the paper's bridge
-example numbers them.
+every connected edge subset, the best path from every visiting order or
+from a Held-Karp table of all 2**n rows, the sharpest bounds from the
+symmetric sums alone come from an exact linear program solved by
+enumerating its bases, and the probability of a success run from a Markov
+chain on the run length.  `BRIDGE_PATH_ORDER` fixes the bridge network's
+path events in the order the paper's bridge example numbers them.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
@@ -328,13 +329,75 @@ def brute_force_tree_oracle(sys_: EventSystem, criterion: str) -> Graph:
 
 
 def brute_force_best_path(w) -> tuple[float, tuple[int, ...]]:
-    """The least (total weight, order) over all n! visiting orders of the
-    rows w.  On dyadic weights every sum is exact, so its order is the
-    lexicographically least optimal one."""
+    """The least (total weight, order) over the n! visiting orders of the
+    symmetric rows w.  On dyadic weights every sum is exact, so its order
+    is the lexicographically least optimal one; that order's reverse is
+    optimal too, so it starts below where it ends and the orders that do
+    not are skipped."""
     return min(
         (sum(w[a][b] for a, b in zip(order, order[1:])), order)
         for order in permutations(range(len(w)))
+        if order[0] <= order[-1]
     )
+
+
+def _lesser_direction(order: tuple[int, ...]) -> tuple[int, ...]:
+    reverse = order[::-1]
+    return order if order <= reverse else reverse
+
+
+def full_table_path(w) -> tuple[int, ...]:
+    """The Held-Karp search that fills every one of the 2**n rows, kept as
+    the reference order for the pruned table: the same member tuples,
+    sums, lexicographic start, slack and direction rule."""
+    n = len(w)
+    # cost[mask][v]: minimum weight of a path visiting exactly `mask`,
+    # starting at v (v must be in mask).  The loops walk member tuples, not
+    # bits: a mask's members, ascending, are low[mask & low_bits] +
+    # high[mask >> half], from two tables of at most 2**ceil(n/2) tuples.  For
+    # each member v, u runs over the same tuple; rows[v] is w[v] with +inf
+    # on the diagonal, so u == v adds inf + 0.0 and never wins over the
+    # candidate u != v that every state of two or more members has.
+    rows = []
+    for v in range(n):
+        row = list(w[v])
+        row[v] = math.inf
+        rows.append(row)
+    half = n // 2
+    low_bits = (1 << half) - 1
+    low = [tuple(bits(m)) for m in range(1 << half)]
+    high = [tuple(v + half for v in bits(m)) for m in range(1 << (n - half))]
+    size = 1 << n
+    cost = [[0.0] * n for _ in range(size)]
+    for mask in range(1, size):
+        if mask & (mask - 1) == 0:
+            continue
+        members = low[mask & low_bits] + high[mask >> half]
+        cost_mask = cost[mask]
+        for v in members:
+            row, rest_cost = rows[v], cost[mask ^ (1 << v)]
+            best = math.inf
+            for u in members:
+                candidate = row[u] + rest_cost[u]
+                if candidate < best:
+                    best = candidate
+            cost_mask[v] = best
+    full = size - 1
+    # Ties are resolved lexicographically; the slack absorbs float noise
+    # from differing addition orders between equal-weight paths.
+    slack = 1e-12
+    optimum = min(cost[full][v] for v in range(n))
+    start = min(v for v in range(n) if cost[full][v] <= optimum + slack)
+    order = [start]
+    mask = full
+    current = start
+    while mask != (1 << current):
+        others = mask ^ (1 << current)
+        target = cost[mask][current] + slack
+        current = next(u for u in bits(others) if w[current][u] + cost[others][u] <= target)
+        order.append(current)
+        mask = others
+    return _lesser_direction(tuple(order))
 
 
 def random_graph(rng, n: int, density: float = 0.5) -> Graph:

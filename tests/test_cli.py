@@ -827,6 +827,13 @@ class TestOptimize:
         assert heuristic["optimal"] is False
         assert heuristic["objective_value"] >= exact["objective_value"] - 1e-12
 
+    def test_golden_exact_path_at_the_cap(self, capsys):
+        # 15 coords events: the exact search prunes the rows past the
+        # split and must still print the order of the full table.
+        code, out, err = run(capsys, "optimize", "path", str(DATA / "golden_path15.json"), "--exact")
+        assert code == 0 and not err
+        assert out == (DATA / "golden_path15.out").read_text()
+
     def test_exact_cap_exit_3(self, capsys, tmp_path):
         n = 16
         path = tmp_path / "wide.json"

@@ -3,12 +3,13 @@
 import json
 import math
 import random
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from pathlib import Path
 
 import pytest
 
 from chordalbounds import (
+    HELD_KARP_MAX_VERTICES,
     DomainError,
     ResourceLimitError,
     bernoulli_product,
@@ -31,7 +32,13 @@ from chordalbounds.graphs import is_tree
 from chordalbounds.optimize import _labeled_trees
 from chordalbounds.values import RATIONAL
 
-from helpers import BRIDGE_PATH_ORDER, brute_force_best_path, brute_force_tree_oracle, random_real_system
+from helpers import (
+    BRIDGE_PATH_ORDER,
+    brute_force_best_path,
+    brute_force_tree_oracle,
+    full_table_path,
+    random_real_system,
+)
 
 DATA = Path(__file__).parent / "data"
 
@@ -42,6 +49,23 @@ BRIDGE_ARC_SETS = [set(s) for s in BRIDGE_PATH_ORDER]
 
 def bridge_system(p):
     return path_event_system(bridge_network(reliability=p), paths=BRIDGE_PATH_ORDER)
+
+
+def symmetric_rows(n, draw):
+    """Rows with 0.0 on the diagonal and draw() on each unordered pair."""
+    rows = [[0.0] * n for _ in range(n)]
+    for u, v in combinations(range(n), 2):
+        rows[u][v] = rows[v][u] = draw()
+    return tuple(map(tuple, rows))
+
+
+def coords_weights(rng, n, coords, per_event):
+    """Pairwise weights of n events that each need per_event of coords
+    independent coordinates: few coordinates give equal events and so
+    exact ties."""
+    probs = [round(rng.uniform(0.5, 0.95), 2) for _ in range(coords)]
+    events = [sorted(rng.sample(range(coords), per_event)) for _ in range(n)]
+    return pairwise_weights(bernoulli_product(probs, events))
 
 
 def all_spanning_trees(n):
@@ -178,13 +202,43 @@ class TestBestPath:
         # included.
         rng = random.Random(167)
         for trial in range(300):
-            n = rng.randint(1, 7)
+            n = rng.randint(1, 8)
             values = (0.0, 0.25, 0.5, 0.75, 1.0) if trial % 2 else (0.0, 1.0, 2.0)
-            rows = [[0.0] * n for _ in range(n)]
-            for u, v in combinations(range(n), 2):
-                rows[u][v] = rows[v][u] = rng.choice(values)
-            wm = tuple(map(tuple, rows))
+            wm = symmetric_rows(n, lambda: rng.choice(values))
             assert best_path(wm, "exact") == brute_force_best_path(wm)[1]
+
+    def test_matches_full_table(self):
+        # The exact search fills only the rows of at most ceil((n + 1) / 2)
+        # events and the larger states near the optimum; its order must be
+        # the one the table of all 2**n rows gives, ties included.
+        rng = random.Random(173)
+        families = [
+            lambda n: coords_weights(rng, n, rng.randint(3, 8), rng.randint(1, 2)),
+            lambda n: symmetric_rows(n, lambda values=(rng.random(), rng.random()): rng.choice(values)),
+            lambda n: symmetric_rows(n, lambda value=rng.choice((0.0, 0.25, 0.3, -0.7)): value),
+            lambda n: symmetric_rows(n, lambda: rng.uniform(-1.0, 1.0)),
+            lambda n: symmetric_rows(n, lambda: rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-6.0, 6.0)),
+        ]
+        cases = [family(n) for n in range(1, 13) for _ in range(5) for family in families]
+        cases += [coords_weights(rng, n, 8, 2) for n in (13, 14, 15)]
+        assert len(cases) == 303
+        for wm in cases:
+            assert best_path(wm, "exact") == full_table_path(wm)
+
+    def test_small_tables_are_the_full_table(self):
+        # At n <= 2 the rows of at most ceil((n + 1) / 2) events are the
+        # whole table, and at n = 3 the split level has six states, too few
+        # to prune.  Every pattern of three dyadic values, ties included.
+        for n in (1, 2, 3):
+            for values in product((0.0, 0.5, 1.0), repeat=n * (n - 1) // 2):
+                wm = symmetric_rows(n, iter(values).__next__)
+                assert best_path(wm, "exact") == full_table_path(wm) == brute_force_best_path(wm)[1]
+
+    def test_all_zero_weights_at_the_cap(self):
+        # Every state ties, so every level-h state is kept and the search
+        # finishes the full table; the least order is the identity.
+        n = HELD_KARP_MAX_VERTICES
+        assert best_path(symmetric_rows(n, lambda: 0.0), "exact") == tuple(range(n))
 
     def test_golden_exact_orders(self):
         # Coords systems of 10-15 events with two of 6, 8 or 12 coordinates
@@ -202,6 +256,18 @@ class TestBestPath:
         for mode in ("exact", "heuristic"):
             with pytest.raises(DomainError, match="finite"):
                 best_path(wm, mode)
+
+    def test_asymmetric_rows_rejected(self):
+        # Rows equal to columns also means n rows of n weights each.
+        asymmetric = ((0.0, 0.5, 0.25), (0.5, 0.0, 0.75), (0.25, 0.5, 0.0))
+        ragged = ((0.0, 1.0), (1.0,))
+        for wm in (asymmetric, ragged):
+            for mode in ("exact", "heuristic"):
+                with pytest.raises(DomainError, match="path weights must be symmetric"):
+                    best_path(wm, mode)
+        # Finiteness is checked first.
+        with pytest.raises(DomainError, match="finite"):
+            best_path(((0.0, math.nan), (0.5, 0.0)), "exact")
 
     def test_heuristic_never_beats_exact(self):
         rng = random.Random(137)
