@@ -12,11 +12,11 @@ lower bounds have none.  The bracket takes one of two forms:
   Seneta bounds the graph joining two chosen indices to every other
   index.  Lower bounds divide it by the graph's independence number (or
   by the sharpened support-aware denominator).  A chordal graph is
-  summed along a perfect elimination order, one cone sum per vertex, and
-  no clique is listed (see `clique_sieve_sum`); the path and Seneta
-  graphs come with their orders, every other graph keeps the one its
-  maximum cardinality search gave.  Only a non-chordal graph passed
-  unchecked has its cliques listed, one intersection query each.
+  summed along a perfect elimination order, one cone sum per vertex over
+  its later neighbours (see `clique_sieve_sum`): the path and Seneta sums
+  write those masks from their orders, building no graph, and every other
+  graph keeps its maximum cardinality search order.  Only a non-chordal
+  graph passed unchecked has its cliques listed, one query each.
 * the moment bracket: sum_k c_k * S_k over the symmetric sums S_k, the
   sums of P(every event in I occurs) over all index sets I of size k,
   with signed rational coefficients c_k.  The classical, Kwerel and
@@ -54,7 +54,6 @@ from .graphs import (
     _clique_cap,
     _later_neighbours,
     _size_cap,
-    build_graph,
     clique_complex,
     independence_number,
     is_chordal,
@@ -95,7 +94,7 @@ class BoundReport:
     alpha_used: int | None = None
 
 
-def _report(kind, sys, bracket, denominator=None, truncation=None, graph=None) -> BoundReport:
+def _report(kind, sys, bracket, denominator=None, truncation=None, edge_count=None) -> BoundReport:
     """Report of the bound `kind` (which names its direction): the bracket
     divided by the denominator, or the bracket itself if there is none.
     The bracket is a pair (total, scale): a sum in the system's unit over
@@ -107,7 +106,7 @@ def _report(kind, sys, bracket, denominator=None, truncation=None, graph=None) -
         value=sys._value(total, scale if denominator is None else scale * denominator),
         truncation=truncation,
         n=sys.event_count,
-        edge_count=None if graph is None else graph.edge_count,
+        edge_count=edge_count,
         alpha_used=denominator,
     )
 
@@ -145,7 +144,9 @@ def _clique_bracket(sys: EventSystem, g: Graph, size_cap: int | None):
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
     order = g._elimination_order
     if order is not None:
-        return _elimination_sieve(sys, g, order, size_cap)
+        cap = _clique_cap(g, size_cap)
+        later = _later_neighbours(g, order) if cap > 1 else [0] * g.vertex_count
+        return _cone_bracket(sys, later, cap)
     total = sys._zero
     for clique in clique_complex(g, max_size=size_cap):
         p = sys._numerator(sys._combined_mask(clique))
@@ -153,12 +154,10 @@ def _clique_bracket(sys: EventSystem, g: Graph, size_cap: int | None):
     return total, 1
 
 
-def _elimination_sieve(sys: EventSystem, g: Graph, order, size_cap: int | None):
-    """`_clique_bracket` along `order`, a perfect elimination order of
-    g: one `_cone_sum` per vertex, over its later neighbours, or over none
-    at size_cap 1, where the cliques are the vertices."""
-    cap = _clique_cap(g, size_cap)
-    later = _later_neighbours(g, order) if cap > 1 else [0] * g.vertex_count
+def _cone_bracket(sys: EventSystem, later, cap: int):
+    """`_clique_bracket` of a graph along a perfect elimination order that
+    gives each vertex v the later neighbours `later[v]`, a mask (zeros at
+    cap 1): one `_cone_sum` per vertex."""
     total = sys._zero
     for v, mask in enumerate(later):
         total = total + sys._cone_sum(v, mask, cap)
@@ -211,7 +210,7 @@ def chordal_upper(
     cap = None if r is None else _size_cap(r, "upper")
     _require_chordal(g, unchecked)
     bracket = _clique_bracket(sys, g, cap)
-    return _report("chordal-upper", sys, bracket, truncation=r, graph=g)
+    return _report("chordal-upper", sys, bracket, truncation=r, edge_count=g.edge_count)
 
 
 def chordal_lower(
@@ -228,7 +227,7 @@ def chordal_lower(
     bracket = _clique_bracket(sys, g, cap)
     denominator = alpha_prime(sys, g) if sharpened else independence_number(g)
     kind = "chordal-lower-sharpened" if sharpened else "chordal-lower"
-    return _report(kind, sys, bracket, denominator, truncation=r, graph=g)
+    return _report(kind, sys, bracket, denominator, truncation=r, edge_count=g.edge_count)
 
 
 def hunter_upper_tree(sys: EventSystem, g: Graph) -> BoundReport:
@@ -253,26 +252,24 @@ def path_lower(sys: EventSystem, order=None) -> BoundReport:
         _require_int(i, "order item")
     if sorted(order) != list(range(n)):
         raise DomainError("order is not a permutation of the event indices")
-    path = build_graph(n, zip(order, order[1:]))
-    bracket = _elimination_sieve(sys, path, order, None)
-    return _report("path-lower", sys, bracket, (n + 1) // 2, graph=path)
-
-
-def _kwerel_bracket(sys: EventSystem):
-    """S_1 - (2/n) S_2, or S_1 alone for a single event."""
-    n = sys.event_count
-    return _moment_bracket(sys, [(1, 1), (-2, n)][:n])
+    later = [0] * n
+    for v, u in zip(order, order[1:]):
+        later[v] = 1 << u
+    bracket = _cone_bracket(sys, later, n)
+    return _report("path-lower", sys, bracket, (n + 1) // 2, edge_count=n - 1)
 
 
 def kwerel_upper(sys: EventSystem) -> BoundReport:
     """Degree-two upper bound using only the average pairwise weight."""
-    return _report("kwerel-upper", sys, _kwerel_bracket(sys))
+    bracket = _moment_bracket(sys, _averaged_coefficients(sys.event_count, 1))
+    return _report("kwerel-upper", sys, bracket)
 
 
 def kwerel_lower(sys: EventSystem) -> BoundReport:
     """Closed form of the average of `path_lower` over all paths; uses the
     singleton sum and the mean pairwise intersection only."""
-    return _report("kwerel-lower", sys, _kwerel_bracket(sys), (sys.event_count + 1) // 2)
+    bracket = _moment_bracket(sys, _averaged_coefficients(sys.event_count, 1))
+    return _report("kwerel-lower", sys, bracket, (sys.event_count + 1) // 2)
 
 
 def _seneta_bracket(sys: EventSystem, j: int, k: int):
@@ -286,9 +283,10 @@ def _seneta_bracket(sys: EventSystem, j: int, k: int):
         raise DomainError("distinguished indices out of range")
     if n <= distinguished:
         raise DomainError(f"need more than {distinguished} events, got {n}")
-    edges = {(min(i, c), max(i, c)) for c in (j, k) for i in range(n) if i != c}
-    order = [i for i in range(n) if i not in (j, k)] + list(dict.fromkeys((j, k)))
-    return _elimination_sieve(sys, build_graph(n, edges), order, None)
+    later = [1 << j | 1 << k] * n
+    later[j] = 1 << k
+    later[k] = 0
+    return _cone_bracket(sys, later, n)
 
 
 def seneta_upper(sys: EventSystem, j: int = 0, k: int = 1) -> BoundReport:
@@ -329,12 +327,20 @@ def generalized_lower(sys: EventSystem, m: int = 0) -> BoundReport:
     n = sys.event_count
     if not 0 <= m <= n - 1:
         raise DomainError(f"order m must satisfy 0 <= m <= {n - 1}, got {m}")
+    bracket = _moment_bracket(sys, _averaged_coefficients(n, m))
+    return _report("generalized-lower", sys, bracket, n - m)
+
+
+def _averaged_coefficients(n: int, m: int):
+    """Coefficients (a_k, b_k) of S_1 .. S_(m+1) in the averaged bracket of
+    order m, capped at n - 1: order 1 is Kwerel's S_1 - (2/n) S_2."""
+    m = min(m, n - 1)
     coefficients = [
         ((-1) ** (k - 1) * comb(m, k) * (n * k - (m + 1) * (k - 1)), comb(n, k) * (m - k + 1))
         for k in range(1, m + 1)
     ]
     coefficients.append(((-1) ** m * (m + 1), comb(n, m)))
-    return _report("generalized-lower", sys, _moment_bracket(sys, coefficients), n - m)
+    return coefficients
 
 
 # Each kind's function by name, the inputs it reads after the event system

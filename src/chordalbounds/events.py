@@ -8,19 +8,19 @@ each through its own private methods (`mass`, `_union`, `_atom`,
 
 * EventSystem -- explicit outcome weights plus a bitmask of outcomes per
   event; every probability is one `mass` query, the sum of the outcome
-  weights under a mask.  Rational weights are read into one column of
-  integer numerators on a common denominator, without a Fraction per
-  outcome; a narrow column is also kept bit-sliced, so that a query costs
-  a few big-integer operations per numerator bit instead of a step per
-  outcome, and a column too wide for that is summed in C.  Float and
-  polynomial weights are summed as they are: floats in C by `math.fsum`,
-  polynomials with `+`.  The total weight for the sum-to-one check is
-  summed once, straight from the weights.  The symmetric sums are
-  binomial moments of the number of events that occur, from one
+  weights under a mask.  It keeps one summand column: rational weights
+  are read into integer numerators on a common denominator, without a
+  Fraction per outcome, and float and polynomial weights are the column
+  as they are.  A narrow rational column is also kept bit-sliced, so that
+  a query costs a few big-integer operations per numerator bit instead of
+  a step per outcome; every other column is summed in C, floats by
+  `math.fsum`, integers and polynomials with `+`.  The sum-to-one and
+  negativity checks and the support read the same column.  The symmetric
+  sums are binomial moments of the number of events that occur, from one
   numerator query per count, and `alpha_prime` splits the supported
-  outcomes by event instead of testing each outcome.  An atom is one mass query, and
-  so is an untruncated cone; a truncated one is one per count of later
-  events.
+  outcomes by event instead of testing each outcome.  An atom is one mass
+  query, and so is an untruncated cone; a truncated one is one per count
+  of later events.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
   required coordinates per event (built by `bernoulli_product`).  An
   intersection is a product of coordinate probabilities (p**k, memoized
@@ -80,19 +80,18 @@ class EventSystem:
     """Outcome weights plus per-event outcome masks over one backend.
 
     Every probability is `mass(mask)`, the total weight of the outcomes a
-    mask selects.  RATIONAL weights are kept as one column of integer
-    numerators over one common denominator D, and a mask's weight is first
-    an integer numerator over D (`_numerator`); the symmetric and cone
-    sums stay in those integers, and `_value` makes one Fraction of a sum.
-    A column whose numerators span at most one bit per 16 outcomes
+    mask selects, summed over one summand column.  RATIONAL weights (an
+    int, a Fraction or a string such as "7/873") are read straight into
+    integer numerators over one common denominator D
+    (`values._read_rational_column`), and a mask's weight is first an
+    integer numerator over D (`_numerator`); the symmetric and cone sums
+    stay in those integers, and `_value` makes one Fraction of a sum.  A
+    column whose numerators span at most one bit per 16 outcomes
     (`_OUTCOMES_PER_PLANE`) is also kept as bit planes, built on the first
-    query, and a query sums popcounts per plane; a wider one is summed
-    outcome by outcome in C.  A RATIONAL weight may be an int, a Fraction
-    or a rational string such as "7/873"; the column is read straight into
-    numerators over one denominator (`values._read_rational_column`), and
-    `weights` keeps the values as given.  REAL and POLYNOMIAL weights are
-    summed as selected, REAL through `math.fsum`, so each mass is
-    correctly rounded, and their numerators are the masses themselves.
+    query, and a query sums popcounts per plane.  REAL and POLYNOMIAL
+    weights are their own column, with no D, and REAL sums go through
+    `math.fsum`, so each mass is correctly rounded.  Every other column is
+    summed outcome by outcome in C; `weights` keeps the values as given.
 
     Instances are immutable once built; `_numerator` memoizes mask sums,
     seeded with the total weight, and `_symmetric_sum` computes every
@@ -101,7 +100,8 @@ class EventSystem:
     """
 
     __slots__ = (
-        "backend", "weights", "events", "_column", "_zero", "_planes", "_mass_cache", "_moments",
+        "backend", "weights", "events", "_summands", "_denominator", "_zero", "_planes",
+        "_mass_cache", "_moments",
     )
 
     def __init__(self, backend: Backend, weights, events):
@@ -121,27 +121,24 @@ class EventSystem:
         self.backend = backend
         self.weights = weights
         self.events = events
-        self._column: tuple[list[int], int] | None = None
+        # The summand column in the system's unit; only RATIONAL has a D.
         if backend is RATIONAL:
-            numerators, denominator = self._column = _read_rational_column(weights)
+            self._summands, self._denominator = _read_rational_column(weights)
             self._zero = 0
-            full_numerator = sum(numerators)
-            total = Fraction(full_numerator, denominator)
-            lowest = Fraction(min(numerators), denominator)
         else:
-            self._zero = backend.zero
-            full_numerator = total = self._sum(weights)
-            lowest = min(weights) if backend.ordered else None
-        # The column's (low, planes), or () for a column too wide for them;
-        # None until the first query.
-        self._planes: tuple | None = None
+            self._summands, self._denominator, self._zero = weights, None, backend.zero
+        # (low, planes), or () with no planes: None until a RATIONAL query.
+        self._planes: tuple | None = None if backend is RATIONAL else ()
+        full_numerator = self._sum(self._summands)
         # Seeded with the full mass, so that a system that is only checked,
         # or only asked for its support, never builds bit planes.
         self._mass_cache: dict[int, object] = {full: full_numerator}
         self._moments: tuple | None = None
+        total = self._value(full_numerator)
         if not backend.sum_is_one(total):
             raise DomainError(f"outcome weights must sum to one, got {_exact_str(total)}")
-        if backend.ordered and lowest < 0:
+        if backend.ordered and min(self._summands) < 0:
+            lowest = self._value(min(self._summands))
             raise DomainError(f"negative outcome weight {_exact_str(lowest)}")
 
     @property
@@ -164,30 +161,24 @@ class EventSystem:
         unit is 1/D for the column's one denominator D, and the mass itself
         for REAL and POLYNOMIAL weights, whose unit is 1.  Memoized by mask.
 
-        REAL and POLYNOMIAL weights: the mask becomes one 0/1 byte per
-        outcome (lowest bit first), `itertools.compress` picks the summands
-        in C, and `math.fsum` or `sum` adds them.  RATIONAL weights: a
-        bit-sliced column (see `_bit_planes`, built on the first query) sums
-        to low * popcount(mask) + sum_j popcount(mask & planes[j]) << j, and
-        a column too wide for planes is summed like the floats, over its
-        integer numerators.
+        A RATIONAL column narrow enough for bit planes (see `_bit_planes`,
+        built on the first query) sums to low * popcount(mask) + sum_j
+        popcount(mask & planes[j]) << j.  Any other column has the mask made
+        one 0/1 byte per outcome (lowest bit first): `itertools.compress`
+        picks the summands in C, and `math.fsum` or `sum` adds them.
         """
         cached = self._mass_cache.get(mask)
         if cached is not None:
             return cached
-        if self._column is None:
-            total = self._sum(compress(self.weights, _selector(mask)))
+        if self._planes is None:
+            self._planes = _bit_planes(self._summands)
+        if self._planes:
+            low, planes = self._planes
+            total = low * mask.bit_count()
+            for j, plane in enumerate(planes):
+                total += (mask & plane).bit_count() << j
         else:
-            numerators = self._column[0]
-            if self._planes is None:
-                self._planes = _bit_planes(numerators)
-            if self._planes:
-                low, planes = self._planes
-                total = low * mask.bit_count()
-                for j, plane in enumerate(planes):
-                    total += (mask & plane).bit_count() << j
-            else:
-                total = sum(compress(numerators, _selector(mask)))
+            total = self._sum(compress(self._summands, _selector(mask)))
         self._mass_cache[mask] = total
         return total
 
@@ -195,8 +186,8 @@ class EventSystem:
         """The value of `total`, a sum of numerators in the system's unit
         (see `_numerator`), divided by the positive integer `divisor`: one
         Fraction over D * divisor for RATIONAL weights."""
-        if self._column is not None:
-            return Fraction(total, self._column[1] * divisor)
+        if self._denominator is not None:
+            return Fraction(total, self._denominator * divisor)
         return total if divisor == 1 else total / divisor
 
     def _sum(self, values):
@@ -206,7 +197,7 @@ class EventSystem:
 
     def _support(self) -> int:
         """Mask of the outcomes with non-zero weight (exact zero test)."""
-        flags = bytes(map(bool, self.weights if self._column is None else self._column[0]))
+        flags = bytes(map(bool, self._summands))
         return int(flags[::-1].translate(_BYTE_DIGITS), 2)
 
     def _combined_mask(self, index_set) -> int:

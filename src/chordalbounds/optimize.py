@@ -80,13 +80,22 @@ def best_tree(w: tuple[tuple[float, ...], ...], objective: str = "minimize-weigh
     return build_graph(n, chosen)
 
 
+def _weight(w: tuple[tuple[float, ...], ...], pairs) -> float:
+    """Sum of w[u][v] over the pairs, added left to right from 0 as `sum`
+    adds floats before Python 3.12: the same float on every Python."""
+    total = 0
+    for u, v in pairs:
+        total += w[u][v]
+    return total
+
+
 def tree_weight(w: tuple[tuple[float, ...], ...], tree: Graph) -> float:
-    return sum(w[u][v] for u, v in tree.edges)
+    return _weight(w, tree.edges)
 
 
 def path_weight(w: tuple[tuple[float, ...], ...], order) -> float:
     order = tuple(order)
-    return sum(w[a][b] for a, b in zip(order, order[1:]))
+    return _weight(w, zip(order, order[1:]))
 
 
 def _normalize_direction(order: tuple[int, ...]) -> tuple[int, ...]:
@@ -338,11 +347,13 @@ def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
             f"exhaustive tree search caps at {EXHAUSTIVE_TREE_MAX_VERTICES} vertices, got {n}"
         )
     w = pairwise_weights(sys)
-    singles = sum(intersection_prob(sys, (v,)) for v in range(n))
+    singles = 0  # added left to right, as `_weight` adds
+    for v in range(n):
+        singles += intersection_prob(sys, (v,))
     best_key = None
     best_edges = None
     for edges, pairs in _labeled_trees(n):
-        bracket = singles - sum(w[u][v] for u, v in edges)
+        bracket = singles - _weight(w, edges)
         if criterion == "max-lower-bound":
             key = (-(bracket / (n - pairs)), edges)
         else:

@@ -1015,3 +1015,44 @@ class TestFloatMomentOrder:
         for trial in range(60):
             sys_ = _product_system(rng, 1 + trial % 8, REAL)
             self.assert_same_floats(sys_, ["kwerel-lower"] if trial % 2 else MOMENT_KINDS)
+
+
+class TestWrittenConeMasks:
+    """The path and Seneta brackets write their later-neighbour masks from
+    their orders: they equal `_later_neighbours` of the path and join graphs
+    along the same orders, at the graphs' own clique cap."""
+
+    @pytest.fixture
+    def written(self, monkeypatch):
+        calls = []
+        original = bounds._cone_bracket
+
+        def recording(sys_, later, cap):
+            calls.append((list(later), cap))
+            return original(sys_, later, cap)
+
+        monkeypatch.setattr(bounds, "_cone_bracket", recording)
+        return calls
+
+    def test_path_masks(self, written):
+        for n in range(1, 7):
+            sys_ = from_outcomes([1.0], [[0]] * n)
+            for order in permutations(range(n)):
+                path = build_graph(n, zip(order, order[1:]))
+                written.clear()
+                report = path_lower(sys_, order)
+                assert written == [(graphs._later_neighbours(path, order), n)]
+                assert report.edge_count == path.edge_count
+
+    def test_seneta_masks(self, written):
+        for n in range(2, 9):
+            sys_ = from_outcomes([1.0], [[0]] * n)
+            for j in range(n):
+                for k in range(n):
+                    if n <= len({j, k}):
+                        continue
+                    order = [i for i in range(n) if i not in (j, k)] + list(dict.fromkeys((j, k)))
+                    written.clear()
+                    seneta_upper(sys_, j, k)
+                    want = graphs._later_neighbours(join_pair_graph(n, j, k), order)
+                    assert written == [(want, n)], (n, j, k)

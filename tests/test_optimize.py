@@ -360,3 +360,17 @@ class TestDeterminism:
         assert best_tree(wm, "minimize-weight") == best_tree(wm, "minimize-weight")
         assert best_path(wm, "exact") == best_path(wm, "exact")
         assert best_path(wm, "heuristic") == best_path(wm, "heuristic")
+
+    def test_weights_add_left_to_right(self):
+        # 1e16 + 1.0 rounds back to 1e16, so the sum along 0-1-2-3 is 0.0
+        # when added left to right; a compensated sum would give 1.0.
+        rows = [[0.0] * 4 for _ in range(4)]
+        for (u, v), x in zip([(0, 1), (1, 2), (2, 3)], [1e16, 1.0, -1e16]):
+            rows[u][v] = rows[v][u] = x
+        w = tuple(map(tuple, rows))
+        assert path_weight(w, (0, 1, 2, 3)) == 0.0
+        assert tree_weight(w, build_graph(4, [(0, 1), (1, 2), (2, 3)])) == 0.0
+
+    def test_empty_weight_is_the_int_zero(self):
+        w = ((0.0,),)
+        assert repr(path_weight(w, (0,))) == repr(tree_weight(w, build_graph(1, []))) == "0"

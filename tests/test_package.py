@@ -1,6 +1,7 @@
 """The package namespace: each library module's `__all__`, and only that."""
 
 import importlib
+import importlib.util
 import os
 import pkgutil
 import subprocess
@@ -12,6 +13,7 @@ import chordalbounds
 
 LIBRARY = ("bounds", "errors", "events", "graphs", "optimize", "poly", "reliability", "values")
 SRC = Path(__file__).parent.parent / "src"
+LAYERS = Path(__file__).parent.parent / "perfbench" / "layers.py"
 
 
 def _modules():
@@ -54,3 +56,21 @@ def test_import_leaves_the_command_line_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[]\n", "")
+
+
+def test_every_traced_name_resolves():
+    # The benchmark's tracer wraps these (module, attribute path) pairs by
+    # name; a public function renamed or removed would leave its layer
+    # unwrapped, or stop the traced run.
+    spec = importlib.util.spec_from_file_location("perfbench_layers", LAYERS)
+    layers = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(layers)
+    missing = []
+    for module_name, path, _ in layers.TARGETS:
+        owner = importlib.import_module(f"chordalbounds.{module_name}")
+        for attr in path.split("."):
+            owner = getattr(owner, attr, None)
+        if not callable(owner):
+            missing.append(f"{module_name}.{path}")
+    assert layers.TARGETS
+    assert missing == []
