@@ -11,12 +11,14 @@ lower bounds have none.  The bracket takes one of two forms:
   the untruncated ones of a tree, renamed), the path bound a path, and the
   Seneta bounds the graph joining two chosen indices to every other
   index.  Lower bounds divide it by the graph's independence number (or
-  by the sharpened support-aware denominator).  A chordal graph is
-  summed along a perfect elimination order, one cone sum per vertex over
-  its later neighbours (see `clique_sieve_sum`): the path and Seneta sums
-  write those masks from their orders, building no graph, and every other
-  graph keeps its maximum cardinality search order.  Only a non-chordal
-  graph passed unchecked has its cliques listed, one query each.
+  by the sharpened support-aware denominator).  Every graph is summed
+  over its cones (`graphs._cones`), one cone sum each, in one loop
+  (`_cone_bracket`; see `clique_sieve_sum`).  A chordal graph has one
+  cone per vertex, over its later neighbours along a perfect elimination
+  order: the path and Seneta sums write those cones from their orders,
+  building no graph, and every other chordal graph keeps its maximum
+  cardinality search order.  A non-chordal graph passed unchecked has its
+  cones walked along that order, and no clique is listed.
 * the moment bracket: sum_k c_k * S_k over the symmetric sums S_k, the
   sums of P(every event in I occurs) over all index sets I of size k,
   with signed rational coefficients c_k.  The classical, Kwerel and
@@ -52,9 +54,8 @@ from .events import EventSystem, _require_one_vertex_per_event, alpha_prime
 from .graphs import (
     Graph,
     _clique_cap,
-    _later_neighbours,
+    _cones,
     _size_cap,
-    clique_complex,
     independence_number,
     is_chordal,
     require_tree,
@@ -132,35 +133,31 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     cone weighs the outcomes of A_v in exactly c of the A_u by
     (-1)**(t - 1) * C(c - 1, t - 1), and those in none by 1, one mass
     query per count.  At t = 1 the sum is sum_v P(A_v).  A product space
-    enumerates the subsets S.  Any other graph has its cliques listed, one
-    intersection query per clique.
+    enumerates the subsets S.  Any other graph is summed over the cones
+    its search order walks: a cone with base B adds (-1)**(|B| - 1) times
+    the same cone sum with A_v replaced by the intersection of the events
+    of B, truncated at t - |B| + 1, so its cliques are never listed.
     """
     return sys._value(*_clique_bracket(sys, g, size_cap))
 
 
 def _clique_bracket(sys: EventSystem, g: Graph, size_cap: int | None):
     """`clique_sieve_sum` as a bracket (total, 1), the total in the
-    system's unit."""
+    system's unit: `_cone_bracket` over the cones of g."""
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
-    order = g._elimination_order
-    if order is not None:
-        cap = _clique_cap(g, size_cap)
-        later = _later_neighbours(g, order) if cap > 1 else [0] * g.vertex_count
-        return _cone_bracket(sys, later, cap)
-    total = sys._zero
-    for clique in clique_complex(g, max_size=size_cap):
-        p = sys._numerator(sys._combined_mask(clique))
-        total = total + p if len(clique) % 2 == 1 else total - p
-    return total, 1
+    cap = _clique_cap(g, size_cap)
+    return _cone_bracket(sys, _cones(g, cap), cap)
 
 
-def _cone_bracket(sys: EventSystem, later, cap: int):
-    """`_clique_bracket` of a graph along a perfect elimination order that
-    gives each vertex v the later neighbours `later[v]`, a mask (zeros at
-    cap 1): one `_cone_sum` per vertex."""
+def _cone_bracket(sys: EventSystem, cones, cap: int):
+    """The clique sieve over the cones (base, rest), the cliques base + S
+    of at most cap vertices for the subsets S of the mask `rest` (see
+    `graphs._cones`), as a bracket (total, 1): one `_cone_sum` per cone,
+    signed by the parity of its base."""
     total = sys._zero
-    for v, mask in enumerate(later):
-        total = total + sys._cone_sum(v, mask, cap)
+    for base, rest in cones:
+        term = sys._cone_sum(base, rest, cap - len(base) + 1)
+        total = total + term if len(base) % 2 else total - term
     return total, 1
 
 
@@ -255,7 +252,8 @@ def path_lower(sys: EventSystem, order=None) -> BoundReport:
     later = [0] * n
     for v, u in zip(order, order[1:]):
         later[v] = 1 << u
-    bracket = _cone_bracket(sys, later, n)
+    # The cones ((v,), later[v]); zip(range(n)) makes the one-vertex bases.
+    bracket = _cone_bracket(sys, zip(zip(range(n)), later), n)
     return _report("path-lower", sys, bracket, (n + 1) // 2, edge_count=n - 1)
 
 
@@ -286,7 +284,7 @@ def _seneta_bracket(sys: EventSystem, j: int, k: int):
     later = [1 << j | 1 << k] * n
     later[j] = 1 << k
     later[k] = 0
-    return _cone_bracket(sys, later, n)
+    return _cone_bracket(sys, zip(zip(range(n)), later), n)
 
 
 def seneta_upper(sys: EventSystem, j: int = 0, k: int = 1) -> BoundReport:

@@ -33,6 +33,11 @@ each through its own private methods (`mass`, `_union`, `_atom`,
   each part as its least on-set, so no outcome is ever built.  A cone sum
   enumerates its subsets.
 
+A cone sum takes the base of a cone (see `graphs._cones`), a tuple of
+events whose intersection stands where one event would: a chordal graph's
+cones have one event each, so their sums read that event and nothing
+more, and only a non-chordal graph's walk makes longer bases.
+
 Both stay exact for rational and polynomial values; an explicit system's
 float masses are correctly rounded.  The symmetric and cone sums come in
 the system's unit (`_numerator`, `_value`): integers over the one common
@@ -242,20 +247,22 @@ class EventSystem:
             parts = split
         return parts
 
-    def _cone_sum(self, v: int, later: int, cap: int):
-        """Sum of (-1)**|S| * P(A_v and every A_u, u in S) over the sets S
-        of the events in the mask `later` with |S| < cap, in the system's
+    def _cone_sum(self, base, later: int, cap: int):
+        """Sum of (-1)**|S| * P(A_B and every A_u, u in S) over the sets S
+        of the events in the mask `later` with |S| < cap, where A_B is the
+        intersection of the events of the tuple `base`, in the system's
         unit (see `_numerator`).
 
-        An outcome of A_v in exactly c of those events adds its weight
+        An outcome of A_B in exactly c of those events adds its weight
         times sum_{s < cap} (-1)**s * C(c, s), which is 1 for c = 0 and
         (-1)**(cap - 1) * C(c - 1, cap - 1) otherwise, 0 for 0 < c < cap.
         So with fewer than cap later events the sum is one mass query,
-        P(A_v less their union), and otherwise one per count c = 0 and
-        c >= cap, the outcomes of A_v split by count with `_count_masks`.
+        P(A_B less their union), and otherwise one per count c = 0 and
+        c >= cap, the outcomes of A_B split by count with `_count_masks`.
+        At cap 1 the sum is P(A_B), whatever `later` holds.
         """
-        event = self.events[v]
-        others = [self.events[u] for u in _bits(later)]
+        event = self.events[base[0]] if len(base) == 1 else self._combined_mask(base)
+        others = [self.events[u] for u in _bits(later)] if cap > 1 else []
         if len(others) < cap:
             return self._numerator(event & ~reduce(operator.or_, others, 0))
         by_count = _count_masks(others, event)
@@ -435,12 +442,12 @@ class ProductSystem:
             if required & ~on:
                 stack.append((i + 1, sig, on, (*masks, required)))
 
-    def _cone_sum(self, v: int, later: int, cap: int):
-        """Sum of (-1)**|S| * P(A_v and every A_u, u in S) over the sets S
-        of the events in the mask `later` with |S| < cap: one mass query
-        per set, smallest sets first.
+    def _cone_sum(self, base, later: int, cap: int):
+        """Sum of (-1)**|S| * P(every A_u, u in the tuple `base` or in S)
+        over the sets S of the events in the mask `later` with |S| < cap:
+        one mass query per set, smallest sets first.
         """
-        required = self.requires[v]
+        required = self.requires[base[0]] if len(base) == 1 else self._combined_mask(base)
         others = [self.requires[u] for u in _bits(later)]
         total = self.mass(required)
         for size in range(1, min(len(others), cap - 1) + 1):

@@ -4,13 +4,20 @@ Vertices are dense integers 0..n-1 and neighborhoods are bitmasks, so the
 subset-heavy routines (clique enumeration, independent sets, component
 counts inside a vertex subset) stay cheap at desk scale.
 
-Each graph computes its elimination order once, on first use, with one
-maximum cardinality search, and keeps it: the reversed search order if it
-is a perfect elimination order, else None.  `is_chordal`,
-`independence_number`, `_clique_counts` and so `truncated_euler_sum`, and
-the clique brackets of `bounds`, all read that one order, however many
-bounds ask; `_later_neighbours` gives each vertex's later neighbours along
-it, the cliques through that vertex.
+Each graph runs one maximum cardinality search, on first use, and keeps
+the reversed search order with each vertex's later neighbours along it,
+as the cones ((v,), L(v)) (`Graph._search`); its elimination order is that order if it eliminates
+perfectly, else None.  `is_chordal`, `independence_number` and `_cones`
+all read that one search, however many bounds ask.
+
+`_cones` is the one place that tells a chordal graph from any other when
+cliques are summed, counted or listed.  Along the search order the clique
+complex is a union of cones, each a base joined to every subset of a
+clique of later neighbours: a chordal graph is one cone per vertex, and
+any other graph has its cones walked, under the MAX_LISTED_CLIQUES
+budget.  The clique brackets of `bounds` sum over the cones,
+`_clique_counts` (and so `truncated_euler_sum`) counts their shapes, and
+`clique_complex` expands them.
 
 `_size_cap` is the one truncation-depth check: it turns a depth r into
 the largest clique a truncated sum keeps, for `truncated_euler_sum` here
@@ -63,8 +70,9 @@ class Graph:
     """Immutable simple graph on vertices 0..vertex_count-1.
 
     `edges` is canonically sorted with each pair as (min, max); `adj` holds
-    one neighbor bitmask per vertex and `_elimination_order` the graph's
-    elimination order.  Both are derived, never compared, hashed or shown
+    one neighbor bitmask per vertex, `_search` the graph's search order and
+    the cones of its later neighbours, and `_elimination_order` its
+    elimination order.  All are derived, never compared, hashed or shown
     in the repr.
     """
 
@@ -84,12 +92,20 @@ class Graph:
         return len(self.edges)
 
     @cached_property
+    def _search(self) -> tuple[tuple[int, ...], tuple[tuple[tuple[int], int], ...]]:
+        """(order, cones): the reversed order of the graph's one maximum
+        cardinality search, and for each vertex v the cone ((v,), L(v)) of
+        its later neighbours along it (`_later_neighbours`).  Computed on
+        first use and kept, so that a chordal graph's cones are built once."""
+        order = mcs_order(self)[::-1]
+        return order, tuple(((v,), later) for v, later in enumerate(_later_neighbours(self, order)))
+
+    @cached_property
     def _elimination_order(self) -> tuple[int, ...] | None:
         """The reversed MCS order if it is a perfect elimination order, else
-        None; it is one exactly when the graph is chordal.  Computed on
-        first use and kept."""
-        order = mcs_order(self)[::-1]
-        return order if is_perfect_elimination_order(self, order) else None
+        None; it is one exactly when the graph is chordal."""
+        order, cones = self._search
+        return order if all(_is_clique(self.adj, later) for _, later in cones) else None
 
 
 def build_graph(vertex_count: int, edges) -> Graph:
@@ -196,10 +212,10 @@ def counterexample_family(k: int) -> Graph:
     Past MAX_LISTED_CLIQUES cliques it raises ResourceLimitError before
     it builds the joins, which take time cubic in k (5 s at k = 151).
     """
+    _require_int(k, "family parameter")
     if k < 3 or k % 2 == 0:
         raise DomainError(f"family parameter must be odd and >= 3, got {k}")
-    if k > MAX_LISTED_CLIQUES.bit_length() or 4**k - 1 > MAX_LISTED_CLIQUES:  # no 4**k of a huge k
-        raise ResourceLimitError(f"graph has more than {MAX_LISTED_CLIQUES} cliques")
+    _require_clique_budget(4 ** min(k, MAX_LISTED_CLIQUES.bit_length()) - 1)  # no 4**k of a huge k
     return reduce(join_graphs, [edgeless_graph(3)] * k)
 
 
@@ -244,10 +260,14 @@ def is_perfect_elimination_order(g: Graph, order) -> bool:
     order = tuple(order)
     if sorted(order) != list(range(g.vertex_count)):
         raise DomainError("order is not a permutation of the vertices")
-    for later in _later_neighbours(g, order):
-        for u in _bits(later):
-            if (g.adj[u] & later) != later ^ (1 << u):
-                return False
+    return all(_is_clique(g.adj, later) for later in _later_neighbours(g, order))
+
+
+def _is_clique(adj: tuple[int, ...], mask: int) -> bool:
+    """True iff the vertices of `mask` are pairwise adjacent."""
+    for u in _bits(mask):
+        if adj[u] & mask != mask ^ (1 << u):
+            return False
     return True
 
 
@@ -358,90 +378,104 @@ def independence_number(g: Graph) -> int:
     return count
 
 
-# Most cliques a walk lists (`clique_complex`) or counts (`_clique_counts`)
-# before it stops with ResourceLimitError.  The cocktail-party graph on 2k
-# vertices has 3^k - 1 cliques: at k = 12 listing took 0.5 s at an 88 MB
-# peak and counting 0.2 s; listing stopped here for k = 14 after 0.7 s at
-# 142 MB (Python 3.11, one Xeon core).
+# Most cliques the cone walk of a non-chordal graph counts (`_cones`), or
+# `clique_complex` lists, before it stops with ResourceLimitError; a
+# chordal graph's cones are counted only for a listing.  No clique is
+# listed for a sum or a count.  The cocktail-party graph on 2k vertices has
+# 3^k - 1 cliques: at k = 12 counting them took 0.05 s and listing them
+# 1.1 s at an 81 MB peak; at k = 14 the walk stops here after 0.02 s,
+# before any clique is listed (Python 3.11, one Xeon core).
 MAX_LISTED_CLIQUES = 1_000_000
 
 
-def _clique_groups(g: Graph, cap: int):
-    """Walk the cliques of g of cardinality <= cap depth-first, one group
-    at a time.
+def _require_clique_budget(count: int) -> None:
+    """Raise ResourceLimitError if `count` cliques pass MAX_LISTED_CLIQUES."""
+    if count > MAX_LISTED_CLIQUES:
+        raise ResourceLimitError(f"graph has more than {MAX_LISTED_CLIQUES} cliques")
 
-    A group is a pair (base, extensions): the cliques base + (v,) for v in
-    the bitmask `extensions`, whose vertices all lie above base's largest
-    one, so every clique is in exactly one group.  Groups come in
-    lexicographic order of their bases, so the cliques of each size come
-    in lexicographic order too.  Only the groups beside the current path
-    are held.  The walk stops with ResourceLimitError once it has seen
-    more than MAX_LISTED_CLIQUES cliques, read when the walk starts.
+
+def _cones(g: Graph, cap: int):
+    """The cliques of g of cardinality <= cap, as cones (base, rest).  The
+    base is a clique, as a vertex tuple, and `rest` a mask of vertices
+    adjacent to all of it; the cone holds the cliques base + S for the
+    subsets S of rest with len(base) + |S| <= cap.  Every clique lies in
+    exactly one cone.
+
+    Along g's reversed MCS order every clique is its first vertex v plus a
+    clique of L(v), the later neighbours of v.  A chordal graph, whose
+    every L(v) is a clique, is the cones ((v,), L(v)) in vertex order, the
+    tuple the graph keeps (`Graph._search`), and nothing is walked or
+    counted.  Any other graph is walked from the nodes ((v,), L(v)): a
+    node (base, rest) holds the cliques base + S for the cliques S in
+    rest.  It is one cone when rest is a clique, or when the cap leaves
+    room for at most one vertex of rest; otherwise it is the cone
+    (base, 0) plus one node (base + (x,), rest & L(x)) for each x in rest,
+    the cliques S whose first vertex is x.  The walk counts the cliques
+    its cones hold and stops with ResourceLimitError once they pass
+    MAX_LISTED_CLIQUES, read as it goes.
     """
-    limit = MAX_LISTED_CLIQUES
-    # up[v]: the neighbours of v above v
-    up = [mask >> (v + 1) << (v + 1) for v, mask in enumerate(g.adj)]
-    seen = 0
-    stack = [((), (1 << g.vertex_count) - 1)]
+    if g._elimination_order is not None:
+        return g._search[1]
+    return _cone_walk(g.adj, g._search[1], cap)
+
+
+def _cone_walk(adj: tuple[int, ...], vertex_cones, cap: int):
+    """The walk of `_cones` for a graph with no perfect elimination order,
+    from its cones ((v,), L(v))."""
+    held = 0
+    stack = list(vertex_cones[::-1])
     while stack:
-        base, extensions = stack.pop()
-        seen += extensions.bit_count()
-        if seen > limit:
-            raise ResourceLimitError(f"graph has more than {limit} cliques")
-        yield base, extensions
-        if len(base) + 1 < cap:
-            # Highest vertex first, so the stack hands back the lowest first.
-            rest = extensions
-            while rest:
-                v = rest.bit_length() - 1
-                rest ^= 1 << v
-                above = extensions & up[v]
-                if above:
-                    stack.append((base + (v,), above))
+        base, rest = stack.pop()
+        room = cap - len(base)
+        if room > 1 and not _is_clique(adj, rest):
+            stack += [(base + (x,), rest & vertex_cones[x][1]) for x in _bits(rest)]
+            rest = 0
+        k = rest.bit_count()
+        held += 1 << k if k <= room else sum(comb(k, s) for s in range(room + 1))
+        _require_clique_budget(held)
+        yield base, rest
 
 
 def _clique_cap(g: Graph, max_size: int | None) -> int:
-    if max_size is not None and max_size < 1:
+    if max_size is None:
+        return g.vertex_count
+    _require_int(max_size, "max_size")
+    if max_size < 1:
         raise DomainError(f"max_size must be >= 1, got {max_size}")
-    return g.vertex_count if max_size is None else min(max_size, g.vertex_count)
+    return min(max_size, g.vertex_count)
 
 
 def clique_complex(g: Graph, max_size: int | None = None) -> tuple[tuple[int, ...], ...]:
     """The cliques of cardinality <= max_size (all sizes if None), as sorted
     vertex tuples ordered by size and then lexicographically.
 
-    Depth-first search over neighbor bitmasks: each clique grows only by
-    common neighbors above its largest vertex, so it is found exactly once.
-    Past MAX_LISTED_CLIQUES cliques it stops with ResourceLimitError.
+    The cliques are counted first (`_clique_counts`), and past
+    MAX_LISTED_CLIQUES of them the listing stops with ResourceLimitError
+    before it lists any.  Then each cone of `_cones` is expanded, size by
+    size, and each size is sorted.
     """
-    groups = _clique_groups(g, _clique_cap(g, max_size))
-    cliques = [base + (v,) for base, extensions in groups for v in _bits(extensions)]
-    # Each size is already in lexicographic order; the sort is stable.
-    return tuple(sorted(cliques, key=len))
+    cap = _clique_cap(g, max_size)
+    _require_clique_budget(sum(_clique_counts(g, max_size).values()))
+    by_size = [[] for _ in range(cap + 1)]
+    for base, rest in _cones(g, cap):
+        others = tuple(_bits(rest))
+        for size in range(min(len(others), cap - len(base)) + 1):
+            by_size[len(base) + size] += [tuple(sorted(base + subset)) for subset in combinations(others, size)]
+    return tuple(chain.from_iterable(map(sorted, by_size)))
 
 
 def _clique_counts(g: Graph, max_size: int | None = None) -> dict[int, int]:
     """Number of cliques of g of each size <= max_size (all sizes if None).
 
-    Along g's elimination order every clique is its first vertex v plus a
-    subset of L(v), the neighbours of v later in the order, so the counts
-    are the coefficients of the sum over v of x(1 + x)^|L(v)| and no
-    clique is listed.  A graph without one has its cliques walked group by
-    group and counted, none kept; past MAX_LISTED_CLIQUES of them the walk
-    stops with ResourceLimitError.
+    Counted from the shapes of the cones of `_cones`, none listed: a cone
+    (base, rest) holds C(|rest|, s) cliques of size len(base) + s.
     """
     cap = _clique_cap(g, max_size)
-    order = g._elimination_order
-    if order is None:
-        counts = [0] * (cap + 1)
-        for base, extensions in _clique_groups(g, cap):
-            counts[len(base) + 1] += extensions.bit_count()
-    else:
-        later_sizes = Counter(mask.bit_count() for mask in _later_neighbours(g, order))
-        counts = [0] * (max(later_sizes, default=-1) + 2)
-        for size, vertices in later_sizes.items():
-            for k in range(min(size, cap - 1) + 1):
-                counts[k + 1] += vertices * comb(size, k)
+    shapes = Counter((len(base), rest.bit_count()) for base, rest in _cones(g, cap))
+    counts = [0] * (cap + 1)
+    for (size, k), cones in shapes.items():
+        for s in range(min(k, cap - size) + 1):
+            counts[size + s] += cones * comb(k, s)
     return {size: count for size, count in enumerate(counts) if count}
 
 
@@ -459,9 +493,10 @@ def truncated_euler_sum(g: Graph, r: int | None = None) -> int:
 
     With r=None the whole complex is summed.  For a chordal graph the value
     is at most the number of connected components, with equality once
-    2r >= vertex_count; its cliques are counted along its elimination
-    order, not listed.  Any other graph has its cliques walked, and past
-    MAX_LISTED_CLIQUES of them the sum stops with ResourceLimitError.
+    2r >= vertex_count.  The cliques are counted from the shapes of the
+    graph's cones, not listed; a graph that is not chordal has its cones
+    walked, and past MAX_LISTED_CLIQUES cliques the sum stops with
+    ResourceLimitError.
     """
     cap = None if r is None else _size_cap(r, "lower")
     return _alternating_count(_clique_counts(g, cap))

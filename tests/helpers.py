@@ -135,7 +135,8 @@ def brute_force_clique_terms(sys_, g: Graph) -> dict:
     Explicit systems add `exact_mass` of the intersection, product systems
     the product of the probabilities of the coordinates it requires, read
     exactly (floats as the binary fractions they are); so each sum is a
-    Fraction, or a Polynomial for polynomial weights, with no rounding.
+    Fraction, or a Polynomial for polynomial weights or probabilities, with
+    no rounding.
     """
     terms = {}
     for subset in _subset_cliques(g):
@@ -145,7 +146,8 @@ def brute_force_clique_terms(sys_, g: Graph) -> dict:
                 required |= sys_.requires[v]
             term = Fraction(1)
             for c in bits(required):
-                term = term * Fraction(sys_.probs[c])
+                p = sys_.probs[c]
+                term = term * (Fraction(p) if isinstance(p, float) else p)
         else:
             mask = sys_.full_mask
             for v in bits(subset):

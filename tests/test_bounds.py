@@ -57,6 +57,7 @@ from helpers import (
     moment_lp,
     product_outcomes,
     random_chordal_graph,
+    random_graph,
     random_rational_system,
     random_real_system,
 )
@@ -190,6 +191,15 @@ def _product_system(rng, n_events: int, backend):
     return bernoulli_product(probs, events, backend=backend)
 
 
+def _polynomial_product_system(rng, n_events: int):
+    """A random symbolic product system over at most 6 coordinates, each
+    on with probability p, 1 - p, (1 + p) / 2 or p**2."""
+    m = rng.randint(1, 6)
+    probs = [rng.choice((P, 1 - P, (1 + P) / 2, P**2)) for _ in range(m)]
+    events = [rng.sample(range(m), rng.randint(1, min(m, 3))) for _ in range(n_events)]
+    return bernoulli_product(probs, events, backend=POLYNOMIAL)
+
+
 def _polynomial_system(rng, n_events: int) -> EventSystem:
     """Explicit outcomes weighing p * x + (1 - p) * y for two random
     distributions x and y."""
@@ -231,10 +241,38 @@ class TestCliqueSieveSum:
                         assert got == want, (g, cap, sys_.backend.name)
         assert disconnected >= 50
 
+    def test_non_chordal_graphs_match_the_clique_definition(self):
+        # Graphs with no perfect elimination order are summed over the
+        # cones their search order walks: each system kind against the sum
+        # over every clique, at every cap.
+        rng = random.Random(1803)
+        cocktail = build_graph(8, [(u, v) for u in range(8) for v in range(u + 1, 8) if v != u + 4])
+        cases = [cycle_graph(n) for n in range(4, 10)] + [counterexample_graph(), cocktail]
+        cases += [random_graph(rng, rng.randint(4, 9), rng.uniform(0.3, 0.7)) for _ in range(120)]
+        assert sum(not graphs.is_chordal(g) for g in cases) >= 60
+        for g in cases:
+            n = g.vertex_count
+            systems = [
+                random_rational_system(rng, n),
+                random_real_system(rng, n, max_outcomes=16),
+                _product_system(rng, n, RATIONAL),
+                _product_system(rng, n, REAL),
+                _polynomial_product_system(rng, n),
+            ]
+            for sys_ in systems:
+                terms = brute_force_clique_terms(sys_, g)
+                for cap in (None, *range(1, n + 1)):
+                    got = clique_sieve_sum(sys_, g, size_cap=cap)
+                    want = brute_force_clique_sum(terms, cap)
+                    if sys_.backend is REAL:
+                        assert abs(got - float(want)) <= 1e-12 * max(1.0, abs(got)), (g, cap)
+                    else:
+                        assert got == want, (g, cap, sys_.backend.name)
+
     @pytest.mark.parametrize("cap", CAPS)
     def test_chordal_graphs_walk_no_clique(self, monkeypatch, cap):
-        # K12 and a random chordal graph are summed with no clique walked;
-        # a cycle, which is not chordal, still walks its cliques.
+        # K12 and a random chordal graph are summed one cone per vertex,
+        # with no cone walk; a cycle, which is not chordal, is walked.
         def walk(*args, **kwargs):
             raise AssertionError("cliques walked")
 
@@ -243,7 +281,7 @@ class TestCliqueSieveSum:
         systems = [random_rational_system(rng, 12), _product_system(rng, 12, RATIONAL)]
         cases = [(sys_, g) for sys_ in systems for g in chordal]
         want = [brute_force_clique_sum(brute_force_clique_terms(sys_, g), cap) for sys_, g in cases]
-        monkeypatch.setattr(graphs, "_clique_groups", walk)
+        monkeypatch.setattr(graphs, "_cone_walk", walk)
         assert [clique_sieve_sum(sys_, g, size_cap=cap) for sys_, g in cases] == want
         for sys_ in systems:
             path_lower(sys_, range(12))
@@ -1018,18 +1056,19 @@ class TestFloatMomentOrder:
 
 
 class TestWrittenConeMasks:
-    """The path and Seneta brackets write their later-neighbour masks from
-    their orders: they equal `_later_neighbours` of the path and join graphs
-    along the same orders, at the graphs' own clique cap."""
+    """The path and Seneta brackets write their cones from their orders:
+    each is ((v,), later[v]) for `_later_neighbours` of the path and join
+    graphs along the same orders, at the graphs' own clique cap."""
 
     @pytest.fixture
     def written(self, monkeypatch):
         calls = []
         original = bounds._cone_bracket
 
-        def recording(sys_, later, cap):
-            calls.append((list(later), cap))
-            return original(sys_, later, cap)
+        def recording(sys_, cones, cap):
+            cones = list(cones)
+            calls.append((cones, cap))
+            return original(sys_, cones, cap)
 
         monkeypatch.setattr(bounds, "_cone_bracket", recording)
         return calls
@@ -1041,7 +1080,8 @@ class TestWrittenConeMasks:
                 path = build_graph(n, zip(order, order[1:]))
                 written.clear()
                 report = path_lower(sys_, order)
-                assert written == [(graphs._later_neighbours(path, order), n)]
+                want = graphs._later_neighbours(path, order)
+                assert written == [([((v,), mask) for v, mask in enumerate(want)], n)]
                 assert report.edge_count == path.edge_count
 
     def test_seneta_masks(self, written):
@@ -1055,4 +1095,4 @@ class TestWrittenConeMasks:
                     written.clear()
                     seneta_upper(sys_, j, k)
                     want = graphs._later_neighbours(join_pair_graph(n, j, k), order)
-                    assert written == [(want, n)], (n, j, k)
+                    assert written == [([((v,), mask) for v, mask in enumerate(want)], n)], (n, j, k)

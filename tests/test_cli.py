@@ -568,6 +568,23 @@ class TestBoundsAll:
         assert code == 0
         assert out == (DATA / f"golden_{graph}_real.out").read_text()
 
+    def test_golden_unchecked_output(self, capsys, mcs_runs):
+        # The paper's non-chordal counterexample graph, passed unchecked:
+        # the table was written when its cliques were listed, one
+        # intersection query each, and its cones are walked now.
+        code, out, _ = run(
+            capsys,
+            "bounds",
+            "all",
+            str(DATA / "golden_unchecked.json"),
+            "--graph",
+            str(DATA / "golden_unchecked_graph.json"),
+            "--unchecked",
+        )
+        assert code == 0
+        assert out == (DATA / "golden_unchecked.out").read_text()
+        assert len(mcs_runs) == 1
+
     def test_golden_equal_probability_coords(self, capsys):
         # Every coordinate has probability 2/5, in several spellings, so
         # every intersection is (2/5)**k for k required coordinates.
@@ -1149,17 +1166,15 @@ class TestDemo:
 
     @pytest.mark.parametrize("k", [3, 5])
     def test_bound_is_the_all_certain_chordal_lower(self, capsys, monkeypatch, k):
-        # One clique walk per graph shown, no clique list kept, and its
+        # One cone walk per graph shown, no clique list kept, and its
         # alternating count over the independence number is the chordal
         # lower bound itself.
         def clique_complex(*args, **kwargs):
             raise AssertionError("cliques listed")
 
         walked = []
-        original = graphs._clique_groups
-        monkeypatch.setattr(
-            graphs, "_clique_groups", lambda g, *a: walked.append(g.vertex_count) or original(g, *a)
-        )
+        original = graphs._cones
+        monkeypatch.setattr(graphs, "_cones", lambda g, *a: walked.append(g.vertex_count) or original(g, *a))
         monkeypatch.setattr(graphs, "clique_complex", clique_complex)
         code, out, _ = run(capsys, "demo", "counterexample", "--k", str(k))
         assert code == 0

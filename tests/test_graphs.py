@@ -14,12 +14,14 @@ from chordalbounds import (
     Graph,
     build_graph,
     clique_complex,
+    clique_sieve_sum,
     complete_graph,
     connected_components,
     counterexample_family,
     counterexample_graph,
     cycle_graph,
     edgeless_graph,
+    from_outcomes,
     independence_number,
     is_chordal,
     is_perfect_elimination_order,
@@ -335,6 +337,20 @@ class TestCliqueComplex:
         for g in (complete_graph(3), cycle_graph(4)):
             with pytest.raises(DomainError, match="max_size must be >= 1"):
                 _clique_counts(g, 0)
+
+    def test_sizes_must_be_integers(self):
+        # A float or bool size was once read as a number: 2.5 listed the
+        # cliques up to size 3, True the singletons, 2.0 failed in
+        # math.comb, and a float family parameter in list * float.
+        g = complete_graph(4)
+        for size in (2.5, True):
+            with pytest.raises(DomainError, match=f"max_size must be an integer, got {size}"):
+                clique_complex(g, size)
+        certain = from_outcomes([1.0], [[0]] * 4)
+        with pytest.raises(DomainError, match="max_size must be an integer, got 2.0"):
+            clique_sieve_sum(certain, g, 2.0)
+        with pytest.raises(DomainError, match="family parameter must be an integer, got 3.0"):
+            counterexample_family(3.0)
 
     def test_canonical_order(self):
         cc = clique_complex(complete_graph(3))
