@@ -145,7 +145,7 @@ def _clique_bracket(sys: EventSystem, g: Graph, size_cap: int | None):
     """`clique_sieve_sum` as a bracket (total, 1), the total in the
     system's unit: `_cone_bracket` over the cones of g."""
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
-    cap = _clique_cap(g, size_cap)
+    cap = _clique_cap(g, size_cap, "size_cap")
     return _cone_bracket(sys, _cones(g, cap), cap)
 
 

@@ -23,6 +23,14 @@ def _require_int(value, what: str) -> None:
         raise DomainError(f"{what} must be an integer, got {value!r}")
 
 
+def _require_positive_int(value, what: str) -> None:
+    """`_require_int`, and DomainError unless `value` >= 1; `what` names
+    the caller's parameter in both messages."""
+    _require_int(value, what)
+    if value < 1:
+        raise DomainError(f"{what} must be >= 1, got {value}")
+
+
 def _to_float(value, what: str) -> float:
     """`float(value)`; an int too large for a float is a DomainError naming
     it, as a non-finite float is."""

@@ -16,8 +16,9 @@ complex is a union of cones, each a base joined to every subset of a
 clique of later neighbours: a chordal graph is one cone per vertex, and
 any other graph has its cones walked, under the MAX_LISTED_CLIQUES
 budget.  The clique brackets of `bounds` sum over the cones,
-`_clique_counts` (and so `truncated_euler_sum`) counts their shapes, and
-`clique_complex` expands them.
+`_shape_counts` counts the cliques they hold for `_clique_counts` (and so
+`truncated_euler_sum`) and for `clique_complex`, which takes the cones
+once and expands them only after that count.
 
 `_size_cap` is the one truncation-depth check: it turns a depth r into
 the largest clique a truncated sum keeps, for `truncated_euler_sum` here
@@ -33,7 +34,7 @@ from functools import cached_property, reduce
 from itertools import chain, combinations
 from math import comb
 
-from .errors import DomainError, ResourceLimitError, _require_int
+from .errors import DomainError, ResourceLimitError, _require_int, _require_positive_int
 
 __all__ = [
     "Graph",
@@ -414,9 +415,8 @@ def _cones(g: Graph, cap: int):
     its cones hold and stops with ResourceLimitError once they pass
     MAX_LISTED_CLIQUES, read as it goes.
     """
-    if g._elimination_order is not None:
-        return g._search[1]
-    return _cone_walk(g.adj, g._search[1], cap)
+    vertex_cones = g._search[1]
+    return vertex_cones if g._elimination_order is not None else _cone_walk(g.adj, vertex_cones, cap)
 
 
 def _cone_walk(adj: tuple[int, ...], vertex_cones, cap: int):
@@ -436,28 +436,41 @@ def _cone_walk(adj: tuple[int, ...], vertex_cones, cap: int):
         yield base, rest
 
 
-def _clique_cap(g: Graph, max_size: int | None) -> int:
-    if max_size is None:
+def _clique_cap(g: Graph, size: int | None, name: str) -> int:
+    """The largest clique kept: `size`, checked as the caller's parameter
+    `name`, or every size if it is None."""
+    if size is None:
         return g.vertex_count
-    _require_int(max_size, "max_size")
-    if max_size < 1:
-        raise DomainError(f"max_size must be >= 1, got {max_size}")
-    return min(max_size, g.vertex_count)
+    _require_positive_int(size, name)
+    return min(size, g.vertex_count)
+
+
+def _shape_counts(cones, cap: int) -> dict[int, int]:
+    """Number of cliques of each size <= cap that the cones (base, rest)
+    hold, counted from their shapes, none listed: a cone holds
+    C(|rest|, s) cliques of size len(base) + s."""
+    counts = [0] * (cap + 1)
+    for (size, k), alike in Counter((len(base), rest.bit_count()) for base, rest in cones).items():
+        for s in range(min(k, cap - size) + 1):
+            counts[size + s] += alike * comb(k, s)
+    return {size: count for size, count in enumerate(counts) if count}
 
 
 def clique_complex(g: Graph, max_size: int | None = None) -> tuple[tuple[int, ...], ...]:
     """The cliques of cardinality <= max_size (all sizes if None), as sorted
     vertex tuples ordered by size and then lexicographically.
 
-    The cliques are counted first (`_clique_counts`), and past
-    MAX_LISTED_CLIQUES of them the listing stops with ResourceLimitError
-    before it lists any.  Then each cone of `_cones` is expanded, size by
-    size, and each size is sorted.
+    The cones of `_cones` are taken once, and counted (`_shape_counts`)
+    before any clique is listed: a walk stops with ResourceLimitError past
+    MAX_LISTED_CLIQUES as it is taken, and a chordal graph's cones are
+    checked against it by their count.  Then each cone is expanded, size
+    by size, and each size is sorted.
     """
-    cap = _clique_cap(g, max_size)
-    _require_clique_budget(sum(_clique_counts(g, max_size).values()))
+    cap = _clique_cap(g, max_size, "max_size")
+    cones = tuple(_cones(g, cap))
+    _require_clique_budget(sum(_shape_counts(cones, cap).values()))
     by_size = [[] for _ in range(cap + 1)]
-    for base, rest in _cones(g, cap):
+    for base, rest in cones:
         others = tuple(_bits(rest))
         for size in range(min(len(others), cap - len(base)) + 1):
             by_size[len(base) + size] += [tuple(sorted(base + subset)) for subset in combinations(others, size)]
@@ -465,26 +478,16 @@ def clique_complex(g: Graph, max_size: int | None = None) -> tuple[tuple[int, ..
 
 
 def _clique_counts(g: Graph, max_size: int | None = None) -> dict[int, int]:
-    """Number of cliques of g of each size <= max_size (all sizes if None).
-
-    Counted from the shapes of the cones of `_cones`, none listed: a cone
-    (base, rest) holds C(|rest|, s) cliques of size len(base) + s.
-    """
-    cap = _clique_cap(g, max_size)
-    shapes = Counter((len(base), rest.bit_count()) for base, rest in _cones(g, cap))
-    counts = [0] * (cap + 1)
-    for (size, k), cones in shapes.items():
-        for s in range(min(k, cap - size) + 1):
-            counts[size + s] += cones * comb(k, s)
-    return {size: count for size, count in enumerate(counts) if count}
+    """Number of cliques of g of each size <= max_size (all sizes if None),
+    from the shapes of the cones of `_cones`."""
+    cap = _clique_cap(g, max_size, "max_size")
+    return _shape_counts(_cones(g, cap), cap)
 
 
 def _size_cap(r: int | None, direction: str) -> int:
     """Largest clique or index set a sum of depth r keeps: 2r - 1 for an
     upper bound, 2r for a lower one."""
-    _require_int(r, "truncation depth")
-    if r < 1:
-        raise DomainError(f"truncation depth must be >= 1, got {r}")
+    _require_positive_int(r, "truncation depth")
     return 2 * r - 1 if direction == "upper" else 2 * r
 
 

@@ -127,24 +127,26 @@ def bridge_network(reliability=SYMBOLIC) -> Network:
 
 def enumerate_st_paths(net: Network) -> tuple[frozenset[int], ...]:
     """All simple directed source-to-terminal paths as arc-id sets,
-    canonically ordered by length, then lexicographic arc ids."""
+    canonically ordered by length, then lexicographic arc ids.
+
+    The walk keeps its partial paths (node, visited nodes, arcs used) on
+    an explicit stack, so a path of any length is followed without
+    recursion; the order it finds them in is dropped by the sort."""
     # Keyed by tail node, so that nodes no arc leaves cost nothing.
     outgoing: dict[int, list[int]] = {}
     for arc_id, (tail, _head) in enumerate(net.arcs):
         outgoing.setdefault(tail, []).append(arc_id)
     found: list[frozenset[int]] = []
-
-    def walk(node: int, visited: int, used: tuple[int, ...]):
+    stack = [(net.source, 1 << net.source, ())]
+    while stack:
+        node, visited, used = stack.pop()
         if node == net.terminal:
             found.append(frozenset(used))
-            return
+            continue
         for arc_id in outgoing.get(node, ()):
             head = net.arcs[arc_id][1]
-            if (visited >> head) & 1:
-                continue
-            walk(head, visited | (1 << head), used + (arc_id,))
-
-    walk(net.source, 1 << net.source, ())
+            if not (visited >> head) & 1:
+                stack.append((head, visited | (1 << head), used + (arc_id,)))
     found.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(found)
 

@@ -23,7 +23,7 @@ from functools import lru_cache
 from itertools import combinations, permutations
 from math import comb
 
-from chordalbounds import EventSystem, Graph, ProductSystem, build_graph, intersection_prob
+from chordalbounds import EventSystem, Graph, ProductSystem, build_graph, intersection_prob, mcs_order
 from chordalbounds.values import RATIONAL, REAL
 
 # Path-event order of the bridge example, passed to `path_event_system`:
@@ -288,6 +288,49 @@ def product_outcomes(sys_: ProductSystem) -> EventSystem:
                 indicator |= indicator << (1 << i)
         masks.append(indicator)
     return EventSystem(sys_.backend, weights, masks)
+
+
+def float_product_symmetric_sum(sys_: ProductSystem, k: int) -> float:
+    """S_k of a REAL product system in its float order: 0.0 plus the mass
+    of each index set of size k, in `combinations` order."""
+    total = 0.0
+    for index_set in combinations(sys_.requires, k):
+        mask = 0
+        for required in index_set:
+            mask |= required
+        total = total + sys_.mass(mask)
+    return total
+
+
+def float_product_cone_sum(sys_: ProductSystem, required: int, others, cap: int) -> float:
+    """A REAL product cone sum in its float order: the base's mass
+    `required`, then the mass of each subset of the masks `others` of
+    fewer than cap members, smallest subsets first, in `combinations`
+    order, subtracted at odd sizes and added at even ones."""
+    total = sys_.mass(required)
+    for size in range(1, min(len(others), cap - 1) + 1):
+        for subset in combinations(others, size):
+            mask = required
+            for other in subset:
+                mask |= other
+            p = sys_.mass(mask)
+            total = total - p if size % 2 else total + p
+    return total
+
+
+def float_product_chordal_sieve(sys_: ProductSystem, g: Graph, size_cap: int | None = None) -> float:
+    """The clique sieve sum of a REAL product system over a chordal graph
+    in its float order: 0.0 plus one cone sum per vertex v, in vertex
+    order, over the events of the neighbours of v later than v along the
+    reversed MCS order, in vertex order."""
+    order = mcs_order(g)[::-1]
+    position = {v: i for i, v in enumerate(order)}
+    cap = g.vertex_count if size_cap is None else min(size_cap, g.vertex_count)
+    total = 0.0
+    for v in range(g.vertex_count):
+        later = [sys_.requires[u] for u in bits(g.adj[v]) if position[u] > position[v]]
+        total = total + float_product_cone_sum(sys_, sys_.requires[v], later, cap)
+    return total
 
 
 def runs_union(n: int, k: int, p) -> Fraction:

@@ -53,6 +53,8 @@ from helpers import (
     brute_force_clique_terms,
     brute_force_symmetric_sums,
     float_moment_bound,
+    float_product_chordal_sieve,
+    float_product_symmetric_sum,
     moment_coefficients,
     moment_lp,
     product_outcomes,
@@ -1053,6 +1055,24 @@ class TestFloatMomentOrder:
         for trial in range(60):
             sys_ = _product_system(rng, 1 + trial % 8, REAL)
             self.assert_same_floats(sys_, ["kwerel-lower"] if trial % 2 else MOMENT_KINDS)
+
+
+class TestFloatProductSums:
+    """The float order of REAL product-form sums, which the moment and
+    clique brackets build on: S_k and the chordal cone sums against
+    copies of their loops in `helpers`, compared with ==."""
+
+    def test_symmetric_sums_and_chordal_sieves(self):
+        rng = random.Random(3201)
+        for trial in range(60):
+            sys_ = _product_system(rng, 1 + trial % 10, REAL)
+            n = sys_.event_count
+            for k in range(1, n + 1):
+                assert sys_._symmetric_sum(k) == float_product_symmetric_sum(sys_, k), (trial, k)
+            g = random_chordal_graph(rng, n)
+            for cap in [None, *range(1, n + 1)]:
+                got = clique_sieve_sum(sys_, g, size_cap=cap)
+                assert type(got) is float and got == float_product_chordal_sieve(sys_, g, cap), (trial, cap)
 
 
 class TestWrittenConeMasks:

@@ -347,8 +347,10 @@ class TestCliqueComplex:
             with pytest.raises(DomainError, match=f"max_size must be an integer, got {size}"):
                 clique_complex(g, size)
         certain = from_outcomes([1.0], [[0]] * 4)
-        with pytest.raises(DomainError, match="max_size must be an integer, got 2.0"):
-            clique_sieve_sum(certain, g, 2.0)
+        # A sieve sum names its own parameter, size_cap.
+        for size, message in ((2.0, "an integer, got 2.0"), (True, "an integer, got True"), (0, ">= 1, got 0")):
+            with pytest.raises(DomainError, match=f"^size_cap must be {message}$"):
+                clique_sieve_sum(certain, g, size_cap=size)
         with pytest.raises(DomainError, match="family parameter must be an integer, got 3.0"):
             counterexample_family(3.0)
 
@@ -422,6 +424,43 @@ class TestCliqueComplex:
         with pytest.raises(ResourceLimitError, match="more than 27 cliques"):
             clique_complex(g, max_size=2)
 
+    def test_one_cone_walk_per_listing(self, monkeypatch):
+        # A listing takes its cones once and counts them with the same
+        # shape rule as the clique counts; a chordal graph is not walked.
+        walks, shape_counts = [], []
+        walk, counted = graphs._cone_walk, graphs._shape_counts
+        monkeypatch.setattr(graphs, "_cone_walk", lambda *a: walks.append(a) or walk(*a))
+        monkeypatch.setattr(graphs, "_shape_counts", lambda *a: shape_counts.append(a) or counted(*a))
+        for g in (counterexample_graph(), cycle_graph(5), counterexample_family(3)):
+            for cap in (None, 1, 2):
+                walks.clear()
+                shape_counts.clear()
+                listed = clique_complex(g, cap)
+                assert (len(walks), len(shape_counts)) == (1, 1)
+                assert _clique_counts(g, cap) == Counter(map(len, listed))
+                assert (len(walks), len(shape_counts)) == (2, 2)
+        walks.clear()
+        clique_complex(complete_graph(6))
+        _clique_counts(complete_graph(6))
+        assert walks == []
+
+    def test_budget_stops_before_any_clique_is_expanded(self, monkeypatch):
+        # The cocktail-party graph on 28 vertices (3**14 - 1 cliques) stops
+        # in its walk, K21 (2**21 - 1) by its count, with no clique tuple
+        # built.
+        def combinations(*args):
+            raise AssertionError("clique expanded")
+
+        cocktail = build_graph(28, [(u, v) for u in range(28) for v in range(u + 1, 28) if v != u + 14])
+        k21, k6 = complete_graph(21), complete_graph(6)
+        monkeypatch.setattr(graphs, "combinations", combinations)
+        for g in (cocktail, k21):
+            with pytest.raises(ResourceLimitError, match=f"^graph has more than {graphs.MAX_LISTED_CLIQUES} cliques$"):
+                clique_complex(g)
+        monkeypatch.setattr(graphs, "MAX_LISTED_CLIQUES", 62)
+        with pytest.raises(ResourceLimitError, match="more than 62 cliques"):
+            clique_complex(k6)
+
     def test_non_chordal_counts_keep_no_list(self):
         # The K = 7 family has 16,383 cliques; listing them to count them
         # peaked above 2 MB.
@@ -471,7 +510,7 @@ class TestEulerSums:
                     assert value == c
 
     def test_invalid_r(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="^truncation depth must be >= 1, got 0$"):
             truncated_euler_sum(path_graph(3), r=0)
 
     def test_clique_budget(self, monkeypatch):

@@ -1,5 +1,7 @@
-"""The package namespace: each library module's `__all__`, and only that."""
+"""The package namespace: each library module's `__all__`, and only that;
+and a source that imports only the standard library."""
 
+import ast
 import importlib
 import importlib.util
 import os
@@ -74,3 +76,18 @@ def test_every_traced_name_resolves():
             missing.append(f"{module_name}.{path}")
     assert layers.TARGETS
     assert missing == []
+
+
+def test_source_imports_only_the_standard_library():
+    # The package is pure standard-library Python: every absolute import
+    # in its source names a standard-library module; relative imports stay
+    # inside the package.
+    imported = set()
+    for path in sorted((SRC / "chordalbounds").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, ast.Import):
+                imported |= {(path.name, alias.name) for alias in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add((path.name, node.module))
+    outside = sorted((name, module) for name, module in imported if module.split(".")[0] not in sys.stdlib_module_names)
+    assert imported and outside == []

@@ -133,6 +133,17 @@ class TestPathEnumeration:
         net = build_network(3, [(0, 1)], 0, 2)
         assert enumerate_st_paths(net) == ()
 
+    def test_long_paths_need_no_recursion(self):
+        # A line of 1 200 nodes is one path of 1 199 arcs; a walk that
+        # recursed once per arc raised RecursionError on it.  Two disjoint
+        # routes of 701 and 601 arcs come out shorter one first.
+        line = build_network(1200, [(i, i + 1) for i in range(1199)], 0, 1199)
+        assert enumerate_st_paths(line) == (frozenset(range(1199)),)
+        long_route = [(0, 2)] + [(i, i + 1) for i in range(2, 701)] + [(701, 1)]
+        short_route = [(0, 702)] + [(i, i + 1) for i in range(702, 1301)] + [(1301, 1)]
+        routes = build_network(1302, long_route + short_route, 0, 1)
+        assert enumerate_st_paths(routes) == (frozenset(range(701, 1302)), frozenset(range(701)))
+
 
 class TestPathEventSystem:
     def test_symbolic_pair_probability(self):
