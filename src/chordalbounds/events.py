@@ -17,10 +17,11 @@ each through its own private methods (`mass`, `_union`, `_atom`,
   `math.fsum`, integers and polynomials with `+`.  The sum-to-one and
   negativity checks and the support read the same column.  The symmetric
   sums are binomial moments of the number of events that occur, from one
-  numerator query per count, and `alpha_prime` splits the supported
-  outcomes by event instead of testing each outcome.  An atom is one mass
-  query, and so is an untruncated cone; a truncated one is one per count
-  of later events.
+  numerator query per count.  On a chordal graph `alpha_prime` counts,
+  per outcome, the events that end a component of g[J], over one cone
+  mask per vertex; on any other graph it splits the supported outcomes
+  by each event in turn.  An atom is one mass query, and so is an
+  untruncated cone; a truncated one is one per count of later events.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
   required coordinates per event (built by `bernoulli_product`).  An
   intersection is a product of coordinate probabilities (p**k, memoized
@@ -233,7 +234,8 @@ class EventSystem:
         outcomes with non-zero weight, with the mask of those outcomes.
 
         The supported outcomes are split by each event in turn; each part
-        left is the non-empty set of outcomes of one signature.
+        left is the non-empty set of outcomes of one signature.  Only
+        `alpha_prime` on a graph with no perfect elimination order reads it.
         """
         parts = [(0, self._support())]
         for i, event in enumerate(self.events):
@@ -641,12 +643,29 @@ def alpha_prime(sys, g: Graph) -> int:
     over all non-empty J whose atom has non-empty support.  Support means
     outcomes with exactly non-zero weight, so the backend must allow a
     decidable zero test on an ordered domain.
+
+    On an explicit system with a chordal g no signature is listed.  Along
+    g's perfect elimination order, with L(v) the later neighbours of v,
+    each component of g[J] has exactly one vertex with no later neighbour
+    in J, its last: the components of g[J] number #{v in J : L(v) and J
+    are disjoint}.  So an outcome's count is the number of cone masks, A_v
+    less the union of the A_u for u in L(v), that hold it; one
+    `_count_masks` over those masks splits the support by count, and the
+    highest count present is the denominator.  Product systems and any
+    other graph walk the signatures (`_signatures`), one component count
+    each.
     """
     if not sys.backend.ordered:
         raise DomainError(
             "sharpened denominator needs a backend with decidable support emptiness"
         )
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
+    if isinstance(sys, EventSystem) and g._elimination_order is not None:
+        events = sys.events
+        lasts = [events[v] & ~reduce(operator.or_, [events[u] for u in _bits(later)], 0)
+                 for (v,), later in g._search[1]]
+        by_count = _count_masks(lasts, sys._support())
+        return max(1, max(c for c, mask in enumerate(by_count) if mask))
     best = 1
     for sig, _ in sys._signatures():
         # g[J] has at most |J| components

@@ -24,6 +24,7 @@ from itertools import combinations, permutations
 from math import comb
 
 from chordalbounds import EventSystem, Graph, ProductSystem, build_graph, intersection_prob, mcs_order
+from chordalbounds.graphs import _component_count
 from chordalbounds.values import RATIONAL, REAL
 
 # Path-event order of the bridge example, passed to `path_event_system`:
@@ -261,12 +262,23 @@ def moment_lp(n: int, sums) -> tuple[Fraction, Fraction]:
 def brute_force_alpha_prime(weights, events, g: Graph) -> int:
     """The sharpened denominator by its definition: the most components of
     g[J] over the event signatures J of the outcomes with non-zero weight
-    (at least 1)."""
+    (at least 1).  Weights are read as `Fraction` reads them, so that a
+    string such as "0/73" has weight zero."""
     best = 1
     for o, w in enumerate(weights):
         signature = [i for i, event in enumerate(events) if (event >> o) & 1]
-        if w != 0 and signature:
+        if Fraction(w) != 0 and signature:
             best = max(best, brute_force_components(g, signature))
+    return best
+
+
+def signature_walk_alpha_prime(sys_, g: Graph) -> int:
+    """The sharpened denominator by the walk `alpha_prime` keeps for
+    product systems and non-chordal graphs: the most components of g[J]
+    over the supported signatures J of `sys_._signatures` (at least 1)."""
+    best = 1
+    for sig, _ in sys_._signatures():
+        best = max(best, _component_count(g, sig))
     return best
 
 

@@ -615,6 +615,22 @@ class TestBoundsAll:
         assert out == (DATA / "golden_coords_certain.out").read_text()
 
     @pytest.mark.parametrize(
+        "args, golden",
+        [(["all"], "golden_sharpened.out"),
+         (["compute", "--kind", "chordal-lower-sharpened"], "golden_sharpened_compute.out")],
+        ids=["all", "compute"],
+    )
+    def test_golden_sharpened_below_alpha(self, capsys, args, golden):
+        # Zero-weight outcomes leave α′ = 2 on a chordal graph with α = 4
+        # (3 with every weight positive), so chordal-lower-sharpened is
+        # twice chordal-lower.  Written by the signature walk, before α′
+        # was counted from the cone masks.
+        events, graph = str(DATA / "golden_sharpened.json"), str(DATA / "golden_sharpened_graph.json")
+        code, out, _ = run(capsys, "bounds", args[0], events, *args[1:], "--graph", graph)
+        assert code == 0
+        assert out == (DATA / golden).read_text()
+
+    @pytest.mark.parametrize(
         "command",
         [["all"], ["compute", "--kind", "chordal-upper"]],
         ids=["all", "compute-chordal"],

@@ -21,6 +21,7 @@ from chordalbounds import (
     bridge_network,
     build_network,
     complete_graph,
+    cycle_graph,
     edgeless_graph,
     enumerate_st_paths,
     from_outcomes,
@@ -56,6 +57,7 @@ from helpers import (
     random_real_system,
     read_long,
     runs_union,
+    signature_walk_alpha_prime,
 )
 
 
@@ -823,6 +825,24 @@ class TestAlphaPrime:
         g = edgeless_graph(2)
         assert alpha_prime(sys_, g) == 1
 
+    @pytest.mark.parametrize("g", [path_graph(2), cycle_graph(4)], ids=["chordal", "cycle"])
+    def test_backend_is_checked_before_the_vertex_count(self, g):
+        # Both checks run before the chordal cone count and the walk: a
+        # POLYNOMIAL system is refused whatever the graph's size.
+        for n in (g.vertex_count, g.vertex_count + 1):
+            sys_ = from_outcomes([1], [[0]] * n, backend=POLYNOMIAL)
+            with pytest.raises(DomainError) as raised:
+                alpha_prime(sys_, g)
+            assert str(raised.value) == "sharpened denominator needs a backend with decidable support emptiness"
+
+    @pytest.mark.parametrize("g", [complete_graph(3), cycle_graph(4)], ids=["chordal", "cycle"])
+    @pytest.mark.parametrize("backend", [REAL, RATIONAL])
+    def test_vertex_count_mismatch_text(self, g, backend):
+        sys_ = from_outcomes([1], [[0]] * 2, backend=backend)
+        with pytest.raises(DomainError) as raised:
+            alpha_prime(sys_, g)
+        assert str(raised.value) == f"system has 2 events but graph has {g.vertex_count} vertices"
+
 
 class TestCountMasks:
     """Each mask of `_count_masks` against per-outcome counts.  A wrong
@@ -910,6 +930,65 @@ def count_string_weights(rng, m):
     counts[rng.randrange(m)] += 1
     total = sum(counts)
     return [f"{c}/{total}" for c in counts]
+
+
+def wide_rational_weights(rng, m):
+    # numerators up to 2**80 over their total, about one in ten zero
+    counts = [0 if rng.random() < 0.1 else rng.randint(1, 2**80) for _ in range(m)]
+    counts[rng.randrange(m)] += 1
+    total = sum(counts)
+    return [Fraction(c, total) for c in counts]
+
+
+class TestAlphaPrimeCones:
+    """On an explicit system with a chordal graph, `alpha_prime` counts per
+    outcome the events that end a component of g[J] along the perfect
+    elimination order; it must agree with the definition and with the
+    signature walk that product systems and other graphs keep."""
+
+    def test_matches_the_definition_and_the_walk(self):
+        # n = 1..14 on edgeless, path, complete and random chordal graphs,
+        # float, 7-bit and 80-bit rational columns with zero weights, and
+        # every eleventh space a single outcome
+        graphs = (edgeless_graph, path_graph, complete_graph)
+        columns = ((REAL, real_weights), (RATIONAL, count_string_weights), (RATIONAL, wide_rational_weights))
+        for trial in range(336):
+            rng = random.Random(trial)
+            n = 1 + trial % 14
+            kind = trial // 14 % 4
+            g = graphs[kind](n) if kind < 3 else random_chordal_graph(rng, n)
+            backend, make = columns[trial % 3]
+            m = 1 if trial % 11 == 0 else rng.randint(2, 400)
+            weights = make(rng, m)
+            density = rng.choice((0.1, 0.3, 0.6))
+            events = [sum(1 << o for o in range(m) if rng.random() < density) for _ in range(n)]
+            if m > 1:
+                # one outcome in no event, with whatever weight it drew
+                loner = rng.randrange(m)
+                events = [e & ~(1 << loner) for e in events]
+            sys_ = EventSystem(backend, weights, events)
+            got = alpha_prime(sys_, g)
+            assert got == brute_force_alpha_prime(weights, events, g), trial
+            assert got == signature_walk_alpha_prime(sys_, g), trial
+
+    def test_signature_walk_runs_only_off_the_chordal_path(self, monkeypatch):
+        calls = []
+        for cls in (EventSystem, ProductSystem):
+            def counted(self, walk=cls._signatures):
+                calls.append(type(self).__name__)
+                return walk(self)
+
+            monkeypatch.setattr(cls, "_signatures", counted)
+        # outcome 0 lies in events 0 and 2, which only the complete graph joins
+        defs = [[0], [1], [0, 2], [3]]
+        explicit = from_outcomes([0.25] * 4, defs)
+        assert alpha_prime(explicit, path_graph(4)) == 2
+        assert alpha_prime(explicit, complete_graph(4)) == 1
+        assert calls == []
+        assert alpha_prime(explicit, cycle_graph(4)) == 2
+        assert calls == ["EventSystem"]
+        assert alpha_prime(bernoulli_product([0.5] * 4, defs), path_graph(4)) == 2
+        assert calls == ["EventSystem", "ProductSystem"]
 
 
 class TestMassAgainstBruteForce:
