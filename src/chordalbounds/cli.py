@@ -13,7 +13,6 @@ import json
 import math
 import sys
 from fractions import Fraction
-from itertools import repeat
 
 from . import bounds as bnd
 from .errors import DomainError, ParseError, ResourceLimitError, _require_int, _to_float
@@ -105,8 +104,6 @@ def _json_list(data: dict, key: str, kind: str, shape: str, rule: str, types=(in
     value = _key(data, key, kind)
     if not isinstance(value, list):
         raise _UsageError(f"{key!r} must be {shape}, got {json.dumps(value)}")
-    if size is None and all(map(isinstance, value, repeat(types))):
-        return value  # checked in C: a list of weights may be long
     for number, item in enumerate(value):
         if not isinstance(item, types) or (size is not None and len(item) != size):
             raise _UsageError(f"{rule}, got {key}[{number}]: {json.dumps(item)}")
@@ -163,15 +160,21 @@ def _parse_values(data: dict, key: str):
     """Return (backend, values) of the probabilities `data[key]`.  Strings
     select the exact rational backend, and the values are left as written
     for `_read_rational`, a float as its JSON text; otherwise every value
-    is read as a float."""
+    is read as a float.  One pass over the value types serves every check,
+    and JSON floats are returned as they are."""
     rule = "a probability value is a number or a string"
-    raw_values = _json_list(data, key, "events", "a list of probability values", rule)
-    kinds = set(map(type, raw_values))
+    raw_values = _key(data, key, "events")
+    kinds = set(map(type, raw_values)) if isinstance(raw_values, list) else {None}
+    if not kinds <= {int, float, str, bool}:  # `_json_list` names the bad list or value
+        _json_list(data, key, "events", "a list of probability values", rule)
     if bool in kinds:
         flag = next(v for v in raw_values if isinstance(v, bool))
         raise DomainError(f"probability values must be numbers or strings, got {json.dumps(flag)}")
     if str not in kinds:
-        return REAL, [_to_float(v, "probability value") for v in raw_values]
+        try:
+            return REAL, raw_values if int not in kinds else list(map(float, raw_values))
+        except OverflowError:  # an int past the float range, named
+            return REAL, [_to_float(v, "probability value") for v in raw_values]
     if float in kinds:
         return RATIONAL, [str(v) if isinstance(v, float) else v for v in raw_values]
     return RATIONAL, raw_values

@@ -13,9 +13,9 @@ each through its own private methods (`mass`, `_union`, `_atom`,
   Fraction per outcome, and float and polynomial weights are the column
   as they are.  A narrow rational column is also kept bit-sliced, so that
   a query costs a few big-integer operations per numerator bit instead of
-  a step per outcome; every other column is summed in C, floats by
-  `math.fsum`, integers and polynomials with `+`.  The sum-to-one and
-  negativity checks and the support read the same column.  The symmetric
+  a step per outcome, and the total, the least weight and the support are
+  read from its planes; every other column is summed in C, floats by
+  `math.fsum`, integers and polynomials with `+`.  The symmetric
   sums are binomial moments of the number of events that occur, from one
   numerator query per count.  On a chordal graph `alpha_prime` counts,
   per outcome, the events that end a component of g[J], over one cone
@@ -93,8 +93,8 @@ class EventSystem:
     integer numerator over D (`_numerator`); the symmetric and cone sums
     stay in those integers, and `_value` makes one Fraction of a sum.  A
     column whose numerators span at most one bit per 16 outcomes
-    (`_OUTCOMES_PER_PLANE`) is also kept as bit planes, built on the first
-    query, and a query sums popcounts per plane.  REAL and POLYNOMIAL
+    (`_OUTCOMES_PER_PLANE`) is also kept as bit planes, built with the
+    system, and a query sums popcounts per plane.  REAL and POLYNOMIAL
     weights are their own column, with no D, and REAL sums go through
     `math.fsum`, so each mass is correctly rounded.  Every other column is
     summed outcome by outcome in C; `weights` keeps the values as given.
@@ -121,31 +121,29 @@ class EventSystem:
         for mask in events:
             if mask & ~full:
                 raise DomainError("event refers to outcomes outside the space")
-        if not backend.exact and not all(map(math.isfinite, weights)):
-            bad = next(w for w in weights if not math.isfinite(w))
-            raise DomainError(f"non-finite outcome weight {bad}")
         self.backend = backend
         self.weights = weights
         self.events = events
-        # The summand column in the system's unit; only RATIONAL has a D.
+        # The summand column in the system's unit; only RATIONAL has a D,
+        # and only a narrow RATIONAL column has bit planes (low, planes).
         if backend is RATIONAL:
             self._summands, self._denominator = _read_rational_column(weights)
-            self._zero = 0
+            self._zero, self._planes = 0, _bit_planes(self._summands)
         else:
-            self._summands, self._denominator, self._zero = weights, None, backend.zero
-        # (low, planes), or () with no planes: None until a RATIONAL query.
-        self._planes: tuple | None = None if backend is RATIONAL else ()
-        full_numerator = self._sum(self._summands)
-        # Seeded with the full mass, so that a system that is only checked,
-        # or only asked for its support, never builds bit planes.
-        self._mass_cache: dict[int, object] = {full: full_numerator}
+            self._summands, self._denominator, self._zero, self._planes = weights, None, backend.zero, ()
+        # Seeded with the full mass, which the planes sum as any other mask.
+        self._mass_cache: dict[int, object] = {}
+        if not self._planes:
+            self._mass_cache[full] = self._sum(self._summands) if backend.exact else _real_total(weights)
+        full_numerator = self._numerator(full)
         self._moments: tuple | None = None
         total = self._value(full_numerator)
         if not backend.sum_is_one(total):
             raise DomainError(f"outcome weights must sum to one, got {_exact_str(total)}")
-        if backend.ordered and min(self._summands) < 0:
-            lowest = self._value(min(self._summands))
-            raise DomainError(f"negative outcome weight {_exact_str(lowest)}")
+        if backend.ordered:
+            lowest = self._planes[0] if self._planes else min(self._summands)
+            if lowest < 0:
+                raise DomainError(f"negative outcome weight {_exact_str(self._value(lowest))}")
 
     @property
     def event_count(self) -> int:
@@ -167,17 +165,15 @@ class EventSystem:
         unit is 1/D for the column's one denominator D, and the mass itself
         for REAL and POLYNOMIAL weights, whose unit is 1.  Memoized by mask.
 
-        A RATIONAL column narrow enough for bit planes (see `_bit_planes`,
-        built on the first query) sums to low * popcount(mask) + sum_j
-        popcount(mask & planes[j]) << j.  Any other column has the mask made
-        one 0/1 byte per outcome (lowest bit first): `itertools.compress`
-        picks the summands in C, and `math.fsum` or `sum` adds them.
+        A RATIONAL column narrow enough for bit planes (see `_bit_planes`)
+        sums to low * popcount(mask) + sum_j popcount(mask & planes[j]) << j.
+        Any other column has the mask made one 0/1 byte per outcome (lowest
+        bit first): `itertools.compress` picks the summands in C, and
+        `math.fsum` or `sum` adds them.
         """
         cached = self._mass_cache.get(mask)
         if cached is not None:
             return cached
-        if self._planes is None:
-            self._planes = _bit_planes(self._summands)
         if self._planes:
             low, planes = self._planes
             total = low * mask.bit_count()
@@ -202,7 +198,12 @@ class EventSystem:
         return sum(values, self._zero) if self.backend.exact else math.fsum(values)
 
     def _support(self) -> int:
-        """Mask of the outcomes with non-zero weight (exact zero test)."""
+        """Mask of the outcomes with non-zero weight (exact zero test); with
+        bit planes (no numerator negative), every outcome if the least
+        numerator is positive, else the union of the planes."""
+        if self._planes:
+            low, planes = self._planes
+            return self.full_mask if low else reduce(operator.or_, planes, 0)
         flags = bytes(map(bool, self._summands))
         return int(flags[::-1].translate(_BYTE_DIGITS), 2)
 
@@ -505,36 +506,58 @@ def _bit_planes(numerators) -> tuple[int, tuple[int, ...]] | tuple[()]:
     outcomes, which is summed outcome by outcome instead.
 
     The transpose is C-level: the numerators less low, last outcome
-    first, become one fixed-width little-endian byte string, and plane j
-    is every size-th byte from byte j // 8 on, translated to its bit
-    j % 8 as '0'/'1' characters and read as a base-2 integer.
+    first, become one fixed-width little-endian byte string (one `bytes`
+    call up to 8 bits), and plane j is every size-th byte from byte j // 8
+    on, translated to its bit j % 8 as '0'/'1' characters and read as a
+    base-2 integer.
     """
     low = min(numerators)
     width = (max(numerators) - low).bit_length()
     if width * _OUTCOMES_PER_PLANE > len(numerators):
         return ()
     size = (width + 7) // 8
-    offsets = map(operator.sub, reversed(numerators), repeat(low))
-    data = b"".join(map(int.to_bytes, offsets, repeat(size), repeat("little")))
+    offsets = reversed(numerators) if low == 0 else map(operator.sub, reversed(numerators), repeat(low))
+    data = bytes(offsets) if size == 1 else b"".join(map(int.to_bytes, offsets, repeat(size), repeat("little")))
     planes = tuple(int(data[j // 8::size].translate(_BIT_DIGITS[j % 8]), 2) for j in range(width))
     return low, planes
 
 
 def _id_mask(ids, count: int, name: str) -> int:
     """Mask with bit i set for each id i, where every id must be an int in
-    0..count - 1.  The type and range checks are C-level passes over the
-    ids, and the mask is built from one byte per bit."""
+    0..count - 1.  The ids are read once into one byte per bit; then one
+    type pass and one check for negatives (a bytearray takes -count..-1
+    from its end) run in C, and name any id the scatter refused."""
     ids = tuple(ids)
+    flags = bytearray(count)
+    try:
+        for i in ids:
+            flags[i] = 1
+    except (IndexError, TypeError):
+        flags = None  # an id out of range or not an index, named below
     for kind in set(map(type, ids)):
         if kind is bool or not issubclass(kind, int):
             _require_int(next(i for i in ids if type(i) is kind), f"{name} id")
-    if ids and not (0 <= min(ids) and max(ids) < count):
+    if flags is None or (ids and min(ids) < 0):
         raise DomainError(f"{name} id {next(i for i in ids if not 0 <= i < count)} out of range")
-    flags = bytearray(count)
-    for i in ids:
-        flags[i] = 1
     # The leading 0 keeps the digit string non-empty when count is 0.
     return int(b"0" + flags[::-1].translate(_BYTE_DIGITS), 2)
+
+
+def _real_total(weights) -> float:
+    """`math.fsum` of a REAL column; DomainError names its first non-finite
+    weight.  A column whose running sum leaves the float range is added
+    exactly and rounded once, to +-inf only if the total is past it."""
+    try:
+        total = math.fsum(weights)
+    except (OverflowError, ValueError, TypeError):  # a bad weight, named below, or that running sum
+        total = math.nan
+    if not math.isfinite(total):
+        bad = next((w for w in weights if not math.isfinite(w)), None)
+        if bad is not None:
+            raise DomainError(f"non-finite outcome weight {bad}")
+        scale = 2 ** len(weights).bit_length()  # the quotient fits a float
+        total = float(sum(map(Fraction, weights)) / scale) * scale
+    return total
 
 
 def _event_indices(index_set, event_count: int) -> set:

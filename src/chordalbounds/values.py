@@ -15,7 +15,8 @@ may be an int, a Fraction or a string, and a plain string of decimal
 digits "a" or "a/b" is split into integers without building a Fraction.
 `_read_rational_column` reads a whole RATIONAL column into integer
 numerators over one common denominator: one of plain "a/b" strings in a
-few C-level passes, any other value by value through `_read_rational`.
+few C-level passes (one `int` per value when every value has the same
+denominator text), any other value by value through `_read_rational`.
 Malformed rational text raises `errors.ParseError`, a ValueError.
 `_exact_str` writes an exact value as text at any length.
 """
@@ -128,8 +129,11 @@ def _read_rational_column(values) -> tuple[list[int], int]:
     A column made only of plain "a/b" strings (ASCII digits on both sides
     of exactly one slash, no zero denominator) is read by C-level passes
     over the column joined into one byte string, and each distinct
-    denominator is converted once.  Any other column, or an over-long
-    integer, is read value by value, with `_read_rational`'s errors.
+    denominator is converted once.  When every value ends in the same
+    "/B", the numerators are that string split at the endings, one `int`
+    each, over B; no value is split at its slash or scaled.  Any other
+    column, or an over-long integer, is read value by value, with
+    `_read_rational`'s errors.
     """
     values = tuple(values)
     try:
@@ -140,6 +144,15 @@ def _read_rational_column(values) -> tuple[list[int], int]:
     # each value holds one slash and only digits besides: a value without
     # a slash next to one with two fails here, as a total count would not.
     if data.translate(None, b"0123456789") == b"/," * (len(values) - 1) + b"/":
+        # Each value holds one slash, so split at the last value's "/B,"
+        # makes one part per value exactly when B is the one denominator.
+        ending = data[data.rindex(b"/") :]
+        tops = data[: -len(ending)].split(ending + b",")
+        if len(tops) == len(values) and ending.strip(b"/0"):  # and B is not zero
+            try:
+                return list(map(int, tops)), int(ending[1:])
+            except ValueError:
+                pass  # an empty or over-long integer, named value by value below
         parts = data.replace(b",", b"/").split(b"/")
         if all(parts):
             tops, bottoms = parts[0::2], parts[1::2]

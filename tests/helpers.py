@@ -5,7 +5,9 @@ chordality is decided by scanning for induced cycles, independence numbers
 by full subset enumeration, masses by adding one weight at a time in exact
 arithmetic, product spaces are listed as their 2**m explicit outcomes,
 random chordal graphs are built directly by simplicial-vertex addition,
-polynomials keep one Fraction per coefficient, the best tree comes from
+polynomials keep one Fraction per coefficient, the explicit-system
+loader (id masks, rational columns, bit planes, support) is read one value
+at a time or one pass per check, the best tree comes from
 every connected edge subset, the best path from every visiting order or
 from a Held-Karp table of all 2**n rows, the sharpest bounds from the
 symmetric sums alone come from an exact linear program solved by
@@ -17,15 +19,18 @@ path events in the order the paper's bridge example numbers them.
 from __future__ import annotations
 
 import math
+import operator
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, permutations, repeat
 from math import comb
 
 from chordalbounds import EventSystem, Graph, ProductSystem, build_graph, intersection_prob, mcs_order
+from chordalbounds.errors import DomainError, _require_int
+from chordalbounds.events import _OUTCOMES_PER_PLANE
 from chordalbounds.graphs import _component_count
-from chordalbounds.values import RATIONAL, REAL
+from chordalbounds.values import RATIONAL, REAL, _read_rational
 
 # Path-event order of the bridge example, passed to `path_event_system`:
 # arcs {1,5}, {1,3,6}, {2,4,5}, {2,6} in 1-based arc labels.
@@ -580,3 +585,65 @@ class FractionPolynomial:
             else:
                 terms.append(f"-{body}" if c < 0 else body)
         return " ".join(terms) or "0"
+
+
+# Reference loaders of an explicit system: the same results, error types
+# and messages as `events._id_mask`, `values._read_rational_column`,
+# `events._bit_planes` and `EventSystem._support`, with one pass per check
+# and every value converted on its own.
+_BYTE_DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BIT_DIGITS = tuple(bytes(b"01"[x >> k & 1] for x in range(256)) for k in range(8))
+
+
+def reference_id_mask(ids, count: int, name: str) -> int:
+    ids = tuple(ids)
+    for kind in set(map(type, ids)):
+        if kind is bool or not issubclass(kind, int):
+            _require_int(next(i for i in ids if type(i) is kind), f"{name} id")
+    if ids and not (0 <= min(ids) and max(ids) < count):
+        raise DomainError(f"{name} id {next(i for i in ids if not 0 <= i < count)} out of range")
+    flags = bytearray(count)
+    for i in ids:
+        flags[i] = 1
+    return int(b"0" + flags[::-1].translate(_BYTE_DIGITS), 2)
+
+
+def reference_read_rational_column(values) -> tuple[list[int], int]:
+    values = tuple(values)
+    try:
+        data = ",".join(values).encode("ascii")
+    except (TypeError, UnicodeEncodeError):
+        data = b""
+    if data.translate(None, b"0123456789") == b"/," * (len(values) - 1) + b"/":
+        parts = data.replace(b",", b"/").split(b"/")
+        if all(parts):
+            tops, bottoms = parts[0::2], parts[1::2]
+            try:
+                denominators = {text: int(text) for text in set(bottoms)}
+                if all(denominators.values()):
+                    denominator = math.lcm(*denominators.values())
+                    scale = {text: denominator // d for text, d in denominators.items()}
+                    scaled = map(operator.mul, map(int, tops), map(scale.__getitem__, bottoms))
+                    return list(scaled), denominator
+            except ValueError:
+                pass
+    pairs = list(map(_read_rational, values))
+    denominator = math.lcm(*{d for _, d in pairs})
+    return [n * (denominator // d) for n, d in pairs], denominator
+
+
+def reference_bit_planes(numerators):
+    low = min(numerators)
+    width = (max(numerators) - low).bit_length()
+    if width * _OUTCOMES_PER_PLANE > len(numerators):
+        return ()
+    size = (width + 7) // 8
+    offsets = map(operator.sub, reversed(numerators), repeat(low))
+    data = b"".join(map(int.to_bytes, offsets, repeat(size), repeat("little")))
+    planes = tuple(int(data[j // 8::size].translate(_BIT_DIGITS[j % 8]), 2) for j in range(width))
+    return low, planes
+
+
+def reference_support(summands) -> int:
+    flags = bytes(map(bool, summands))
+    return int(flags[::-1].translate(_BYTE_DIGITS), 2)

@@ -709,6 +709,24 @@ class TestBoundsAll:
         code, out, err = run(capsys, "bounds", "all", str(path), "--graph", graph_text)
         assert code == 2 and not out and "non-finite" in err
 
+    @pytest.mark.parametrize(
+        "weights, message",
+        [
+            ([1e308, 1e308, 0.5, 0.5], "error: outcome weights must sum to one, got inf\n"),
+            ([1e308, 1e308, -1e308, -1e308, 1.0], "error: negative outcome weight -1e+308\n"),
+        ],
+        ids=["sum-past-the-float-range", "sum-one-with-negative-weights"],
+    )
+    @pytest.mark.parametrize("command", [["all", "--graph"], ["compute", "--kind", "kwerel-lower", "--graph"]])
+    def test_running_sum_past_the_float_range_exit_2(self, capsys, tmp_path, weights, message, command):
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps({"weights": weights, "events": [[0], [1]]}))
+        graph = tmp_path / "edgeless.json"
+        graph.write_text(json.dumps({"vertices": 2, "edges": []}))
+        action, *options = command
+        code, out, err = run(capsys, "bounds", action, str(path), *options, str(graph))
+        assert (code, out, err) == (2, "", message)
+
     def test_boolean_weights_exit_2(self, capsys, tmp_path, graph_text):
         path = tmp_path / "boolean.json"
         path.write_text(json.dumps({"weights": [True, False], "events": [[0], [1], [0], [1]]}))

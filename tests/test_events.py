@@ -56,6 +56,10 @@ from helpers import (
     random_rational_system,
     random_real_system,
     read_long,
+    reference_bit_planes,
+    reference_id_mask,
+    reference_read_rational_column,
+    reference_support,
     runs_union,
     signature_walk_alpha_prime,
 )
@@ -97,6 +101,22 @@ class TestFromOutcomes:
         inf = float("inf")
         for weights in ([inf, -inf, 1.0], [float("nan"), 1.0], [inf]):
             with pytest.raises(DomainError, match="non-finite"):
+                from_outcomes(weights, [[0]])
+
+    def test_running_sum_past_the_float_range(self):
+        # Finite weights whose running sum leaves the float range are added
+        # exactly: the sum is checked, then the lowest weight.
+        with pytest.raises(DomainError, match="^outcome weights must sum to one, got inf$"):
+            from_outcomes([1e308, 1e308, 0.5, 0.5], [[0], [1]])
+        with pytest.raises(DomainError, match="^outcome weights must sum to one, got -inf$"):
+            from_outcomes([-1e308, -1e308, 0.5, 0.5], [[0], [1]])
+        with pytest.raises(DomainError, match=r"^negative outcome weight -1e\+308$"):
+            from_outcomes([1e308, 1e308, -1e308, -1e308, 1.0], [[0], [1]])
+        with pytest.raises(DomainError, match="^outcome weights must sum to one, got 3.0$"):
+            from_outcomes([1e308, 1e308, -1e308, -1e308, 3.0], [[0], [1]])
+        # a non-finite weight is still named first, before or after the overflow
+        for weights in ([1e308, 1e308, float("nan")], [float("inf"), 1e308, 1e308], [1e308, -math.inf, 1e308]):
+            with pytest.raises(DomainError, match="^non-finite outcome weight "):
                 from_outcomes(weights, [[0]])
 
     def test_long_exact_values_in_messages(self):
@@ -1042,6 +1062,115 @@ class TestMassAgainstBruteForce:
             events = [rng.getrandbits(m) for _ in range(n)]
             sys_ = EventSystem(backend, weights, events)
             assert alpha_prime(sys_, g) == brute_force_alpha_prime(weights, events, g)
+
+
+def outcome_of(read, *args):
+    """What `read(*args)` returns, or the type and text of what it raises."""
+    try:
+        return read(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def long_values_column():
+    """The weights x/AB, y/AC, 1/BC, 1/BC (A = 3**4190, B = 5**2861,
+    C = 7**2366), which sum to one with denominators of thousands of
+    digits: CI's long-values events file."""
+    a, b, c = 3**4190, 5**2861, 7**2366
+    x = -2 * a * pow(c, -1, b) % b
+    y = (a * (b * c - 2) - x * c) // b
+    return [f"{x}/{a * b}", f"{y}/{a * c}", f"1/{b * c}", f"1/{b * c}"]
+
+
+class TestLoaderAgainstReference:
+    """The C-level passes that build an explicit system give the results,
+    error types and messages of the reference loaders in `helpers`, which
+    check and convert one value at a time."""
+
+    def test_id_masks(self):
+        rng = random.Random(34)
+        cases = [
+            ([], 0), ([], 5), ([0], 0), ([3, 1, 3, 0, 1], 4), ([4], 4), ([-1], 4), ([-4], 4), ([-5], 4),
+            ([0, -2], 3), ([True], 3), ([1, False], 3), ([1.0], 3), ([0, "1"], 3), ([None], 3),
+            ([0, [1]], 3), ([10**30], 3), ([-(10**30)], 3), ([2, 10**30, True], 3), ([1, 1.0, True], 4),
+        ]
+        for _ in range(300):
+            count = rng.randint(0, 300)
+            ids = [rng.randrange(-count - 2, count + 2) for _ in range(rng.randint(0, 40))]
+            if rng.random() < 0.6:
+                ids = [i % count for i in ids] if count else []
+            cases.append((ids, count))
+        for ids, count in cases:
+            want = outcome_of(reference_id_mask, ids, count, "outcome")
+            assert outcome_of(events._id_mask, ids, count, "outcome") == want, (ids, count)
+            assert outcome_of(events._id_mask, iter(ids), count, "outcome") == want, (ids, count)
+            got = outcome_of(events._id_mask, (i for i in ids), count, "coordinate")
+            assert got == outcome_of(reference_id_mask, (i for i in ids), count, "coordinate"), (ids, count)
+
+    def test_negative_ids_are_out_of_range(self):
+        # a bytearray takes -count..-1 as indices from its end
+        for i in range(-5, 0):
+            with pytest.raises(DomainError, match=f"^outcome id {i} out of range$"):
+                from_outcomes([0.2] * 5, [[0, i]])
+
+    def test_rational_columns(self):
+        rng = random.Random(35)
+        long_top = "7" * 4301
+        columns = [
+            ["1/4", "3/4"], ["007/0100", "93/0100"], ["007/0100", "93/100"], ["1/0"], ["1/0", "1/0"],
+            ["0/0", "1/1"], ["1/4", "3/"], ["/4", "3/4"], ["1/4", "3/4/4"], ["1/44", "3/4"], ["1/4", "3/44"],
+            [f"{long_top}/3", "1/3"], [f"1/{long_top}", f"2/{long_top}"], [f"{long_top}/3", "1/5"],
+            ["1/3", "1/3", "1/3"], ["0/7"], ["٣/٤"], ["1/2", 1, Fraction(1, 2)], [],
+            long_values_column(), [f"{c}/873" for c in range(200)],
+        ]
+        for _ in range(200):
+            m = rng.randint(1, 60)
+            denominators = [str(rng.randint(0, 10 ** rng.randint(1, 25))) for _ in range(rng.randint(1, 3))]
+            columns.append([f"{rng.randint(0, 10**6)}/{rng.choice(denominators)}" for _ in range(m)])
+            columns.append(count_string_weights(rng, rng.randint(1, 2000)))
+        for column in columns:
+            want = outcome_of(reference_read_rational_column, column)
+            assert outcome_of(_read_rational_column, column) == want, column[:4]
+            assert outcome_of(_read_rational_column, iter(column)) == want, column[:4]
+
+    @pytest.mark.parametrize("width", [0, 1, 8, 9, 16])
+    def test_bit_planes(self, width):
+        rng = random.Random(width)
+        for low in (0, 1, -3, 10**20):
+            # one outcome, and either side of the width rule
+            for m in sorted({1, 16 * width - 1, 16 * width, 16 * width + 5} - {-1, 0}):
+                offsets = [rng.randrange(1 << width) if width else 0 for _ in range(m)]
+                offsets[rng.randrange(m)] = (1 << width) - 1 if width else 0
+                offsets[rng.randrange(m)] = 0
+                numerators = [low + d for d in offsets]
+                assert events._bit_planes(numerators) == reference_bit_planes(numerators), (low, m)
+
+    @pytest.mark.parametrize(
+        "backend, make",
+        [(REAL, real_weights), (RATIONAL, rational_weights), (RATIONAL, count_string_weights),
+         (RATIONAL, wide_rational_weights), (RATIONAL, equal_weights)],
+        ids=["real", "rational", "rational-strings", "rational-wide", "rational-equal"],
+    )
+    def test_support(self, backend, make):
+        rng = random.Random(36)
+        for m in (*OUTCOME_COUNTS, 2000):
+            weights = make(rng, m)
+            sys_ = EventSystem(backend, weights, [1])
+            assert sys_._support() == reference_support(sys_._summands)
+            # the same column with every zero weight raised to the least
+            # positive one, in the same spelling
+            exact = list(map(Fraction, weights))
+            exact = [w or min(filter(None, exact)) for w in exact]
+            total = sum(exact)
+            exact = [w / total for w in exact]
+            if backend is REAL:
+                weights = list(map(float, exact))
+            elif isinstance(weights[0], str):
+                weights = [f"{w.numerator}/{w.denominator}" for w in exact]
+            else:
+                weights = exact
+            sys_ = EventSystem(backend, weights, [1])
+            assert sys_._support() == sys_.full_mask == reference_support(sys_._summands)
 
 
 def reference(value):
