@@ -1,6 +1,8 @@
 """Exception types shared across the package, and the integer and float
 checks every loader applies to ids, counts and probabilities."""
 
+from decimal import Decimal
+
 __all__ = ["DomainError", "ResourceLimitError"]
 
 
@@ -33,8 +35,10 @@ def _require_positive_int(value, what: str) -> None:
 
 def _to_float(value, what: str) -> float:
     """`float(value)`; an int too large for a float is a DomainError naming
-    it, as a non-finite float is."""
+    it, as a non-finite float is.  `Decimal` writes the int, at any length
+    past the 4 300 digits `str` writes."""
     try:
         return float(value)
     except OverflowError:
-        raise DomainError(f"{what} {value} is too large for a float") from None
+        shown = Decimal(value) if isinstance(value, int) else value
+        raise DomainError(f"{what} {shown} is too large for a float") from None

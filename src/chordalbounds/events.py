@@ -55,7 +55,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress, repeat
 
-from .errors import DomainError, ResourceLimitError, _require_int
+from .errors import DomainError, ResourceLimitError, _require_int, _to_float
 from .graphs import Graph, _bits, _component_count
 from .values import RATIONAL, REAL, Backend, _exact_str, _read_rational, _read_rational_column
 
@@ -545,16 +545,17 @@ def _id_mask(ids, count: int, name: str) -> int:
 
 def _real_total(weights) -> float:
     """`math.fsum` of a REAL column; DomainError names its first non-finite
-    weight.  A column whose running sum leaves the float range is added
-    exactly and rounded once, to +-inf only if the total is past it."""
+    weight, or int past the float range.  A column whose running sum leaves
+    the float range is added exactly and rounded once, to +-inf only if
+    the total is past it."""
     try:
         total = math.fsum(weights)
     except (OverflowError, ValueError, TypeError):  # a bad weight, named below, or that running sum
         total = math.nan
     if not math.isfinite(total):
-        bad = next((w for w in weights if not math.isfinite(w)), None)
-        if bad is not None:
-            raise DomainError(f"non-finite outcome weight {bad}")
+        for w in weights:
+            if not math.isfinite(_to_float(w, "outcome weight") if isinstance(w, int) else w):
+                raise DomainError(f"non-finite outcome weight {w}")
         scale = 2 ** len(weights).bit_length()  # the quotient fits a float
         total = float(sum(map(Fraction, weights)) / scale) * scale
     return total

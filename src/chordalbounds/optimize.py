@@ -3,11 +3,13 @@
 A minimum spanning tree of the pairwise-intersection weights maximizes the
 tree lower bound with the fixed (n - 1) denominator, and a minimum-length
 Hamiltonian path maximizes the path bound.  The exhaustive tree oracle
-explores the true tree objective, including each candidate tree's own
-independence number, at tiny n.  It decodes every Prüfer code once; the
-decode removes leaves bottom-up, so matching each removed leaf with its
-neighbour when both are free gives a maximum matching, and by König's
-theorem a tree's independence number is n minus that matching's size.
+finds the best tree for the true tree objective, including each tree's
+own independence number, at tiny n, by branch and bound (Land and Doig):
+a depth-first walk over the lexicographically sorted edges of K_n takes
+each edge, then skips it, and cuts every branch whose best completion
+cannot beat the best tree found so far.  By König's theorem a tree's
+independence number is n minus its maximum matching size, which a greedy
+leaf matching finds, only for a tree that could still win.
 `best_tree` and `best_path` take the weights of `pairwise_weights`, which
 needs a system on the real (float) backend; `best_path` needs the rows
 symmetric, as `pairwise_weights` gives them.
@@ -16,7 +18,7 @@ symmetric, as `pairwise_weights` gives them.
 from __future__ import annotations
 
 import math
-from itertools import chain, islice, product
+from itertools import chain, islice
 
 from .errors import DomainError, ResourceLimitError
 from .events import EventSystem, intersection_prob
@@ -157,13 +159,16 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
     scale = max(map(abs, chain.from_iterable(w)))
     margin = n * (slack + scale * 1e-12)
 
-    def joins(masks, top):
+    def joins(masks, top, paired=False):
         # Yield (weight, mask, v) for each state of masks whose cost plus
         # its cheapest completion, the path from v through the events
         # outside mask read backwards, weighs at most top; top falls to
-        # margin above the least weight yielded.
+        # margin above the least weight yielded.  Paired masks all hold
+        # event 0, and skip v = 0 unless they hold event 1 too.
         for mask in masks:
             members = low[mask & low_bits] + high[mask >> half]
+            if paired and not mask & 2:
+                members = members[1:]
             cost_mask, other = cost[mask], full ^ mask
             for v in members:
                 weight = cost_mask[v] + cost[other | 1 << v][v]
@@ -172,13 +177,16 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
                     if weight + margin < top:
                         top = weight + margin
 
-    def heads(found, top):
+    def heads(found, top, paired=False):
         # kept[mask]: the heads v of the found states (mask, v) that weigh
-        # at most top.
+        # at most top, and of their twins when the states are paired.
         kept = {}
         for weight, mask, v in found:
             if weight <= top:
                 kept[mask] = kept.get(mask, ()) + (v,)
+                if paired:
+                    twin = full ^ mask | 1 << v
+                    kept[twin] = kept.get(twin, ()) + (v,)
         return kept
 
     # Every path splits at its h-th event into two paths of at most h
@@ -189,16 +197,23 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
     # the float of the full table.  When an eighth of the level-h states
     # are kept, as ties such as equal weights make them, pruning costs more
     # than it saves and the rest of the table is filled from every member.
+    # At odd n the state (mask, v) and its twin (full ^ mask | 1 << v, v)
+    # both lie at level h and join the same two costs, so each pair is
+    # read once, from the twin that holds the least event other than v,
+    # and counts as two states.
     h = (n + 2) // 2
     fill(chain.from_iterable(levels[2 : h + 1]))
     if h < n:
         limit = h * len(levels[h]) // 8
-        found = list(islice(joins(levels[h], inf), limit))
-        if len(found) == limit:
+        paired = n % 2 == 1
+        share = 2 if paired else 1
+        masks = [mask for mask in levels[h] if mask & 1] if paired else levels[h]
+        found = list(islice(joins(masks, inf, paired), -(-limit // share)))
+        if len(found) * share >= limit:
             fill(chain.from_iterable(levels[h + 1 :]))
         else:
             top = min(found)[0] + margin
-            kept = heads(found, top)
+            kept = heads(found, top, paired)
             for _ in range(h, n):
                 # Each kept state is a source of a state one event larger.
                 targets = {
@@ -292,52 +307,48 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     return best[1]
 
 
-def _labeled_trees(n: int):
-    """Yield (sorted edges, maximum matching size) for every labeled tree
-    on n vertices, one Prüfer decode each.
-
-    Each step removes the smallest leaf, whose only neighbour left is the
-    next code entry, so the leaves go bottom-up; matching a removed leaf
-    with its neighbour when both are still free is the greedy that gives a
-    tree a maximum matching.
-    """
-    if n == 1:
-        yield (), 0
-        return
-    for seq in product(range(n), repeat=n - 2):
-        degree = [1] * n
-        for v in seq:
-            degree[v] += 1
-        edges = []
-        matched = 0
-        pairs = 0
-        for v in seq:
-            leaf = degree.index(1)
-            edges.append((leaf, v) if leaf < v else (v, leaf))
-            degree[leaf] = 0
-            degree[v] -= 1
-            pair = (1 << leaf) | (1 << v)
-            if not matched & pair:
-                matched |= pair
-                pairs += 1
-        u = degree.index(1)
-        v = degree.index(1, u + 1)
-        edges.append((u, v))
-        if not matched >> u & 1 and not matched >> v & 1:
+def _matching_size(n: int, edges) -> int:
+    """Size of a maximum matching of the tree on n vertices with the given
+    edges: remove the least leaf left, again and again, and match it with
+    its neighbour when both are still free, the greedy that gives a tree a
+    maximum matching."""
+    adj = [0] * n
+    for u, v in edges:
+        adj[u] |= 1 << v
+        adj[v] |= 1 << u
+    alive = (1 << n) - 1
+    matched = 0
+    pairs = 0
+    for _ in range(n - 1):
+        leaf = next(x for x in _bits(alive) if (adj[x] & alive).bit_count() == 1)
+        pair = adj[leaf] & alive | 1 << leaf
+        if not matched & pair:
+            matched |= pair
             pairs += 1
-        edges.sort()
-        yield tuple(edges), pairs
+        alive ^= 1 << leaf
+    return pairs
 
 
 def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
-    """Search every labeled tree for the best bound (n <= 7).
+    """The best labeled tree for the bound (n <= 7), by branch and bound.
 
     "max-lower-bound" maximizes the tree lower bound including each tree's
     own independence number; "min-upper-bound" minimizes the tree bracket.
-    A tree is bipartite, so by König's theorem its independence number is
-    n minus its maximum matching size, which the Prüfer decode finds by a
-    leaf matching: no graph is built or searched per tree.  Ties break on
-    lexicographic edge order.
+    A depth-first walk over the edges of K_n in lexicographic order takes
+    each edge that joins two components, then skips it, so it reaches the
+    trees in lexicographic order of their sorted edges; a tree replaces
+    the best one only when its key is strictly better, so ties break on
+    lexicographic edge order.  Each tree's weight is added along its
+    sorted edges from 0, as `tree_weight` adds it.  A branch is cut when
+    its bracket with the largest (upper) or smallest (lower) of the weights
+    still to come, under the most favourable denominator a tree can have,
+    misses the best key by more than a margin far above float rounding;
+    and once the edge (u, n - 1) is passed with no vertex above u in u's
+    component, as no later edge reaches u.  A tree is bipartite, so by
+    König's theorem its independence number is n minus its maximum
+    matching size, which a leaf matching gives; it is computed only for a
+    tree whose key could beat the best with the largest matching a tree
+    can have.  No graph is built or searched per tree.
     """
     if criterion not in ("max-lower-bound", "min-upper-bound"):
         raise DomainError(f"unknown criterion {criterion!r}")
@@ -350,15 +361,73 @@ def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
     singles = 0  # added left to right, as `_weight` adds
     for v in range(n):
         singles += intersection_prob(sys, (v,))
-    best_key = None
+    if n == 1:
+        return build_graph(1, ())
+    upper = criterion == "min-upper-bound"
+    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    weights = [w[u][v] for u, v in edges]
+    m = len(edges)
+    # reach[j][k]: the sum of the k weights at positions j or later that
+    # bring the bracket closest to winning, the largest for the upper
+    # bound and the smallest for the lower one.
+    reach = []
+    for j in range(m + 1):
+        sums = [0]
+        for x in sorted(weights[j:], reverse=upper)[: n - 1]:
+            sums.append(sums[-1] + x)
+        reach.append(sums)
+    # A tree's independence number n - (matching size) lies in [lo, hi].
+    lo, hi = n - n // 2, n - 1
+    margin = 1e-9
+    # best: the least bracket (upper) or the greatest bound (lower) so far.
+    best = math.inf if upper else -math.inf
     best_edges = None
-    for edges, pairs in _labeled_trees(n):
-        bracket = singles - _weight(w, edges)
-        if criterion == "max-lower-bound":
-            key = (-(bracket / (n - pairs)), edges)
-        else:
-            key = (bracket, edges)
-        if best_key is None or key < best_key:
-            best_key = key
-            best_edges = edges
+    # component[v]: bitmask of the vertices joined to v by the chosen edges
+    component = [1 << v for v in range(n)]
+    members = [tuple(_bits(mask)) for mask in range(1 << n)]
+    chosen = []
+
+    def walk(start, need, acc):
+        # Choose `need` more edges at positions start or later; acc is the
+        # weight of the chosen ones.
+        nonlocal best, best_edges
+        for j in range(start, m - need + 1):
+            bound = singles - (acc + reach[j][need])
+            if upper:
+                if bound > best + margin:
+                    break
+            elif bound / (lo if bound >= 0 else hi) < best - margin:
+                break
+            u, v = edges[j]
+            cu = component[u]
+            if not cu >> v & 1:
+                total = acc + weights[j]
+                if need == 1:
+                    bracket = singles - total
+                    if upper:
+                        if bracket < best:
+                            best = bracket
+                            best_edges = (*chosen, (u, v))
+                    elif bracket / (lo if bracket >= 0 else hi) > best:
+                        tree = (*chosen, (u, v))
+                        value = bracket / (n - _matching_size(n, tree))
+                        if value > best:
+                            best = value
+                            best_edges = tree
+                else:
+                    cv = component[v]
+                    merged = cu | cv
+                    for x in members[merged]:
+                        component[x] = merged
+                    chosen.append((u, v))
+                    walk(j + 1, need - 1, total)
+                    chosen.pop()
+                    for x in members[cu]:
+                        component[x] = cu
+                    for x in members[cv]:
+                        component[x] = cv
+            if v == n - 1 and not component[u] >> (u + 1):
+                break
+
+    walk(0, n - 1, 0)
     return build_graph(n, best_edges)

@@ -8,12 +8,13 @@ random chordal graphs are built directly by simplicial-vertex addition,
 polynomials keep one Fraction per coefficient, the explicit-system
 loader (id masks, rational columns, bit planes, support) is read one value
 at a time or one pass per check, the best tree comes from
-every connected edge subset, the best path from every visiting order or
-from a Held-Karp table of all 2**n rows, the sharpest bounds from the
-symmetric sums alone come from an exact linear program solved by
-enumerating its bases, and the probability of a success run from a Markov
-chain on the run length.  `BRIDGE_PATH_ORDER` fixes the bridge network's
-path events in the order the paper's bridge example numbers them.
+every connected edge subset or from every Prüfer code, the best path
+from every visiting order or from a Held-Karp table of all 2**n rows,
+the sharpest bounds from the symmetric sums alone come from an exact
+linear program solved by enumerating its bases, and the probability of a
+success run from a Markov chain on the run length.  `BRIDGE_PATH_ORDER`
+fixes the bridge network's path events in the order the paper's bridge
+example numbers them.
 """
 
 from __future__ import annotations
@@ -23,10 +24,18 @@ import operator
 from decimal import Decimal
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, permutations, repeat
+from itertools import combinations, permutations, product, repeat
 from math import comb
 
-from chordalbounds import EventSystem, Graph, ProductSystem, build_graph, intersection_prob, mcs_order
+from chordalbounds import (
+    EventSystem,
+    Graph,
+    ProductSystem,
+    build_graph,
+    intersection_prob,
+    mcs_order,
+    pairwise_weights,
+)
 from chordalbounds.errors import DomainError, _require_int
 from chordalbounds.events import _OUTCOMES_PER_PLANE
 from chordalbounds.graphs import _component_count
@@ -388,6 +397,70 @@ def brute_force_tree_oracle(sys_: EventSystem, criterion: str) -> Graph:
         if best is None or key < best[0]:
             best = (key, tree)
     return best[1]
+
+
+def _labeled_trees(n: int):
+    """Yield (sorted edges, maximum matching size) for every labeled tree
+    on n vertices, one Prüfer decode each.
+
+    Each step removes the smallest leaf, whose only neighbour left is the
+    next code entry, so the leaves go bottom-up; matching a removed leaf
+    with its neighbour when both are still free is the greedy that gives a
+    tree a maximum matching.
+    """
+    if n == 1:
+        yield (), 0
+        return
+    for seq in product(range(n), repeat=n - 2):
+        degree = [1] * n
+        for v in seq:
+            degree[v] += 1
+        edges = []
+        matched = 0
+        pairs = 0
+        for v in seq:
+            leaf = degree.index(1)
+            edges.append((leaf, v) if leaf < v else (v, leaf))
+            degree[leaf] = 0
+            degree[v] -= 1
+            pair = (1 << leaf) | (1 << v)
+            if not matched & pair:
+                matched |= pair
+                pairs += 1
+        u = degree.index(1)
+        v = degree.index(1, u + 1)
+        edges.append((u, v))
+        if not matched >> u & 1 and not matched >> v & 1:
+            pairs += 1
+        edges.sort()
+        yield tuple(edges), pairs
+
+
+def reference_tree_oracle(sys_: EventSystem, criterion: str) -> Graph:
+    """The tree oracle that scores all n**(n - 2) labeled trees, one Prüfer
+    decode each, kept as the reference for the pruned walk: the same float
+    sums (singles, then each tree's weights in sorted edge order, added
+    from int 0), the same matching and the same (key, edges) tie-break."""
+    n = sys_.event_count
+    w = pairwise_weights(sys_)
+    singles = 0
+    for v in range(n):
+        singles += intersection_prob(sys_, (v,))
+    best_key = None
+    best_edges = None
+    for edges, pairs in _labeled_trees(n):
+        total = 0
+        for u, v in edges:
+            total += w[u][v]
+        bracket = singles - total
+        if criterion == "max-lower-bound":
+            key = (-(bracket / (n - pairs)), edges)
+        else:
+            key = (bracket, edges)
+        if best_key is None or key < best_key:
+            best_key = key
+            best_edges = edges
+    return build_graph(n, best_edges)
 
 
 def brute_force_best_path(w) -> tuple[float, tuple[int, ...]]:

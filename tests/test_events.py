@@ -5,6 +5,7 @@ import random
 import re
 import time
 import tracemalloc
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -118,6 +119,15 @@ class TestFromOutcomes:
         for weights in ([1e308, 1e308, float("nan")], [float("inf"), 1e308, 1e308], [1e308, -math.inf, 1e308]):
             with pytest.raises(DomainError, match="^non-finite outcome weight "):
                 from_outcomes(weights, [[0]])
+
+    def test_int_weight_past_the_float_range(self):
+        # A REAL int weight that no float holds is named, at any length,
+        # wherever it stands in the column.
+        for big in (10**400, -(10**400), 10**5000):
+            for weights in ([big, 1], [0.5, big, 0.5], [1e308, 1e308, big]):
+                with pytest.raises(DomainError, match="^outcome weight -?1000+ is too large for a float$") as info:
+                    from_outcomes(weights, [[0]])
+                assert str(info.value).split()[2] == str(Decimal(big))
 
     def test_long_exact_values_in_messages(self):
         # The sum of 1/A and 1/B over coprime A and B of 4 001 and 4 000

@@ -29,7 +29,7 @@ from chordalbounds import (
 )
 from chordalbounds import graphs, optimize
 from chordalbounds.graphs import is_tree
-from chordalbounds.optimize import _labeled_trees
+from chordalbounds.optimize import _matching_size
 from chordalbounds.values import RATIONAL
 
 from helpers import (
@@ -38,6 +38,7 @@ from helpers import (
     brute_force_tree_oracle,
     full_table_path,
     random_real_system,
+    reference_tree_oracle,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -225,6 +226,24 @@ class TestBestPath:
         for wm in cases:
             assert best_path(wm, "exact") == full_table_path(wm)
 
+    def test_odd_sizes_match_full_table(self):
+        # At odd n each split-level state and its twin, the same path read
+        # from the other end, are joined once for both; the order must
+        # still be the full table's, ties included, whether the search
+        # prunes or falls back to the full table.
+        rng = random.Random(191)
+        families = [
+            lambda n: coords_weights(rng, n, 8, 2),
+            lambda n: symmetric_rows(n, lambda: rng.choice((0.0, 0.25, 0.5, 0.75))),
+            lambda n: symmetric_rows(n, lambda: rng.choice((0.5, 1.0))),
+            lambda n: symmetric_rows(n, lambda: 0.0),
+        ]
+        for n in (9, 11, 13, 15):
+            for _ in range(1 if n == 15 else 3):
+                for family in families:
+                    wm = family(n)
+                    assert best_path(wm, "exact") == full_table_path(wm)
+
     def test_small_tables_are_the_full_table(self):
         # At n <= 2 the rows of at most ceil((n + 1) / 2) events are the
         # whole table, and at n = 3 the split level has six states, too few
@@ -317,21 +336,49 @@ class TestExhaustiveTreeOracle:
         for sys_ in systems:
             assert exhaustive_tree_oracle(sys_, criterion) == brute_force_tree_oracle(sys_, criterion)
 
-    def test_leaf_matching_gives_independence_number(self):
-        # Trees are bipartite, so alpha = n - (maximum matching size) by
-        # Konig's theorem; the decode yields each of Cayley's n**(n - 2)
-        # labeled trees once.
-        for n in range(1, 7):
-            trees = list(_labeled_trees(n))
-            assert len({edges for edges, _ in trees}) == len(trees) == (n ** (n - 2) if n > 1 else 1)
-            for edges, pairs in trees:
+    @pytest.mark.parametrize("criterion", ["max-lower-bound", "min-upper-bound"])
+    def test_matches_prufer_reference(self, criterion):
+        # The pruned walk returns the tree that scoring every Prüfer code
+        # gives, float for float and tie for tie: coords systems on 2-12
+        # coordinates, some of them certain or impossible, explicit REAL
+        # spaces with zero-weight outcomes, dyadic weights, and systems
+        # where every pair ties or is disjoint, on which nothing is cut.
+        rng = random.Random(181)
+        systems = []
+        for n in range(1, 8):
+            for _ in range(2):
+                m = rng.randint(2, 12)
+                probs = [rng.choice((0.0, 1.0, rng.random(), rng.random())) for _ in range(m)]
+                events = [sorted(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
+                systems.append(bernoulli_product(probs, events))
+            systems.append(random_real_system(rng, n, max_outcomes=32))
+            dyadic = [sorted(rng.sample(range(4), rng.randint(1, 3))) for _ in range(n)]
+            systems.append(from_outcomes([0.25, 0.25, 0.5, 0.0], dyadic))
+            systems.append(from_outcomes([0.3, 0.7], [[0]] * n))
+            systems.append(from_outcomes([1 / n] * n, [[i] for i in range(n)]))
+        for sys_ in systems:
+            assert exhaustive_tree_oracle(sys_, criterion) == reference_tree_oracle(sys_, criterion)
+
+    def test_leaf_matching_gives_independence_number(self, monkeypatch):
+        # With every pair of equal weight and a matching of size 0 reported
+        # for every tree, each tree ties below what any branch could still
+        # reach, so nothing is cut and every tree asks for its matching:
+        # Cayley's n**(n - 2) labeled trees, once each, in lexicographic
+        # order.  Trees are bipartite, so alpha = n - (maximum matching
+        # size) by Konig's theorem.
+        for n in range(2, 7):
+            trees = []
+            monkeypatch.setattr(optimize, "_matching_size", lambda size, edges: trees.append(edges) or 0)
+            exhaustive_tree_oracle(from_outcomes([0.3, 0.7], [[0]] * n), "max-lower-bound")
+            assert trees == sorted(set(trees)) and len(trees) == n ** (n - 2)
+            for edges in trees:
                 tree = build_graph(n, edges)
                 assert tree.edges == edges and is_tree(tree)
-                assert n - pairs == independence_number(tree)
+                assert n - _matching_size(n, edges) == independence_number(tree)
 
     def test_no_search_per_tree(self, monkeypatch):
-        # All 16,807 trees at n = 7 are scored without one maximum
-        # cardinality search.
+        # The trees at n = 7 are scored without one maximum cardinality
+        # search.
         runs = []
         original = graphs.mcs_order
         monkeypatch.setattr(graphs, "mcs_order", lambda g: runs.append(g) or original(g))
