@@ -15,7 +15,7 @@ import sys
 from fractions import Fraction
 
 from . import bounds as bnd
-from .errors import DomainError, ParseError, ResourceLimitError, _require_int, _to_float
+from .errors import DomainError, ParseError, ResourceLimitError, _exact_str, _require_int, _to_float
 from .events import (
     _require_one_vertex_per_event,
     bernoulli_product,
@@ -42,7 +42,7 @@ from .reliability import (
     bound_values,
     build_network,
 )
-from .values import RATIONAL, REAL, _exact_str, _read_rational
+from .values import RATIONAL, REAL, _read_rational
 
 __all__ = ["main"]
 
@@ -447,7 +447,7 @@ def _build_parser() -> _Parser:
     tree_p.set_defaults(handler=_cmd_optimize)
     path_p = optimize_sub.add_parser("path", help="minimum-weight visiting order")
     path_p.add_argument("events")
-    # --exact is the default mode, kept as a flag for scripts that pass it.
+    # --exact is the default mode; perfbench's path jobs and CI's golden path step pass it.
     mode = path_p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")

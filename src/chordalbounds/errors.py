@@ -1,7 +1,9 @@
-"""Exception types shared across the package, and the integer and float
-checks every loader applies to ids, counts and probabilities."""
+"""Exception types shared across the package, the integer and float
+checks every loader applies to ids, counts and probabilities, and
+`_exact_str`, which writes an exact value in a message at any length."""
 
 from decimal import Decimal
+from fractions import Fraction
 
 __all__ = ["DomainError", "ResourceLimitError"]
 
@@ -33,12 +35,20 @@ def _require_positive_int(value, what: str) -> None:
         raise DomainError(f"{what} must be >= 1, got {value}")
 
 
+def _exact_str(value) -> str:
+    """`str(value)`, except that an int or a Fraction prints at any length:
+    CPython's `str` refuses an int of more than 4 300 digits, while
+    `Decimal` converts and prints one exactly, whatever that limit."""
+    if not isinstance(value, (int, Fraction)):
+        return str(value)
+    text = str(Decimal(value.numerator))
+    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
 def _to_float(value, what: str) -> float:
-    """`float(value)`; an int too large for a float is a DomainError naming
-    it, as a non-finite float is.  `Decimal` writes the int, at any length
-    past the 4 300 digits `str` writes."""
+    """`float(value)`; an int or a Fraction too large for a float is a
+    DomainError naming it, at any length, as a non-finite float is."""
     try:
         return float(value)
     except OverflowError:
-        shown = Decimal(value) if isinstance(value, int) else value
-        raise DomainError(f"{what} {shown} is too large for a float") from None
+        raise DomainError(f"{what} {_exact_str(value)} is too large for a float") from None

@@ -55,9 +55,9 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress, repeat
 
-from .errors import DomainError, ResourceLimitError, _require_int, _to_float
+from .errors import DomainError, ResourceLimitError, _exact_str, _require_int, _to_float
 from .graphs import Graph, _bits, _component_count
-from .values import RATIONAL, REAL, Backend, _exact_str, _read_rational, _read_rational_column
+from .values import RATIONAL, REAL, Backend, _read_rational, _read_rational_column
 
 __all__ = [
     "EventSystem",
@@ -320,7 +320,7 @@ class ProductSystem:
         if backend.ordered:
             for p in probs:
                 if not backend.zero <= p <= backend.one:
-                    raise DomainError(f"coordinate probability {p} outside [0, 1]")
+                    raise DomainError(f"coordinate probability {_exact_str(p)} outside [0, 1]")
         if not requires:
             raise DomainError("an event system needs at least one event")
         for mask in requires:
@@ -545,16 +545,16 @@ def _id_mask(ids, count: int, name: str) -> int:
 
 def _real_total(weights) -> float:
     """`math.fsum` of a REAL column; DomainError names its first non-finite
-    weight, or int past the float range.  A column whose running sum leaves
-    the float range is added exactly and rounded once, to +-inf only if
-    the total is past it."""
+    weight, or int or Fraction past the float range.  A column whose
+    running sum leaves the float range is added exactly and rounded once,
+    to +-inf only if the total is past it."""
     try:
         total = math.fsum(weights)
     except (OverflowError, ValueError, TypeError):  # a bad weight, named below, or that running sum
         total = math.nan
     if not math.isfinite(total):
         for w in weights:
-            if not math.isfinite(_to_float(w, "outcome weight") if isinstance(w, int) else w):
+            if not math.isfinite(_to_float(w, "outcome weight") if isinstance(w, (int, Fraction)) else w):
                 raise DomainError(f"non-finite outcome weight {w}")
         scale = 2 ** len(weights).bit_length()  # the quotient fits a float
         total = float(sum(map(Fraction, weights)) / scale) * scale

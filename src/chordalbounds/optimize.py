@@ -3,7 +3,7 @@
 A minimum spanning tree of the pairwise-intersection weights maximizes the
 tree lower bound with the fixed (n - 1) denominator, and a minimum-length
 Hamiltonian path maximizes the path bound.  The exhaustive tree oracle
-finds the best tree for the true tree objective, including each tree's
+finds the best tree for the true tree lower bound, including each tree's
 own independence number, at tiny n, by branch and bound (Land and Doig):
 a depth-first walk over the lexicographically sorted edges of K_n takes
 each edge, then skips it, and cuts every branch whose best completion
@@ -330,28 +330,35 @@ def _matching_size(n: int, edges) -> int:
 
 
 def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
-    """The best labeled tree for the bound (n <= 7), by branch and bound.
+    """The best labeled tree for the tree bound named by `criterion`.
 
-    "max-lower-bound" maximizes the tree lower bound including each tree's
-    own independence number; "min-upper-bound" minimizes the tree bracket.
-    A depth-first walk over the edges of K_n in lexicographic order takes
-    each edge that joins two components, then skips it, so it reaches the
-    trees in lexicographic order of their sorted edges; a tree replaces
-    the best one only when its key is strictly better, so ties break on
-    lexicographic edge order.  Each tree's weight is added along its
-    sorted edges from 0, as `tree_weight` adds it.  A branch is cut when
-    its bracket with the largest (upper) or smallest (lower) of the weights
-    still to come, under the most favourable denominator a tree can have,
-    misses the best key by more than a margin far above float rounding;
-    and once the edge (u, n - 1) is passed with no vertex above u in u's
-    component, as no later edge reaches u.  A tree is bipartite, so by
-    König's theorem its independence number is n minus its maximum
-    matching size, which a leaf matching gives; it is computed only for a
-    tree whose key could beat the best with the largest matching a tree
-    can have.  No graph is built or searched per tree.
+    "min-upper-bound" minimizes the tree bracket, which has no
+    denominator: a maximum-weight spanning tree (Hunter 1976; Worsley
+    1982), so this is `best_tree(pairwise_weights(sys), "maximize-weight")`
+    at any n, its ties broken on float weight, then lexicographic edge
+    order.  "max-lower-bound" maximizes the tree lower bound including
+    each tree's own independence number, which depends on the tree's
+    shape, by branch and bound (n <= 7).  A depth-first walk over the
+    edges of K_n in lexicographic order takes each edge that joins two
+    components, then skips it, so it reaches the trees in lexicographic
+    order of their sorted edges; a tree replaces the best one only when
+    its bound is strictly greater, so ties break on lexicographic edge
+    order.  Each tree's weight is added along its sorted edges from 0, as
+    `tree_weight` adds it.  A branch is cut when its bracket with the
+    smallest of the weights still to come, under the most favourable
+    denominator a tree can have, misses the best bound by more than a
+    margin far above float rounding; and once the edge (u, n - 1) is
+    passed with no vertex above u in u's component, as no later edge
+    reaches u.  A tree is bipartite, so by König's theorem its
+    independence number is n minus its maximum matching size, which a
+    leaf matching gives; it is computed only for a tree whose bound could
+    beat the best with the largest matching a tree can have.  No graph is
+    built or searched per tree.
     """
     if criterion not in ("max-lower-bound", "min-upper-bound"):
         raise DomainError(f"unknown criterion {criterion!r}")
+    if criterion == "min-upper-bound":
+        return best_tree(pairwise_weights(sys), "maximize-weight")
     n = sys.event_count
     if n > EXHAUSTIVE_TREE_MAX_VERTICES:
         raise ResourceLimitError(
@@ -363,24 +370,21 @@ def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
         singles += intersection_prob(sys, (v,))
     if n == 1:
         return build_graph(1, ())
-    upper = criterion == "min-upper-bound"
     edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
     weights = [w[u][v] for u, v in edges]
     m = len(edges)
-    # reach[j][k]: the sum of the k weights at positions j or later that
-    # bring the bracket closest to winning, the largest for the upper
-    # bound and the smallest for the lower one.
+    # reach[j][k]: the sum of the k smallest weights at positions j or
+    # later, which bring the bound closest to winning.
     reach = []
     for j in range(m + 1):
         sums = [0]
-        for x in sorted(weights[j:], reverse=upper)[: n - 1]:
+        for x in sorted(weights[j:])[: n - 1]:
             sums.append(sums[-1] + x)
         reach.append(sums)
     # A tree's independence number n - (matching size) lies in [lo, hi].
     lo, hi = n - n // 2, n - 1
     margin = 1e-9
-    # best: the least bracket (upper) or the greatest bound (lower) so far.
-    best = math.inf if upper else -math.inf
+    best = -math.inf
     best_edges = None
     # component[v]: bitmask of the vertices joined to v by the chosen edges
     component = [1 << v for v in range(n)]
@@ -393,10 +397,7 @@ def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
         nonlocal best, best_edges
         for j in range(start, m - need + 1):
             bound = singles - (acc + reach[j][need])
-            if upper:
-                if bound > best + margin:
-                    break
-            elif bound / (lo if bound >= 0 else hi) < best - margin:
+            if bound / (lo if bound >= 0 else hi) < best - margin:
                 break
             u, v = edges[j]
             cu = component[u]
@@ -404,11 +405,7 @@ def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
                 total = acc + weights[j]
                 if need == 1:
                     bracket = singles - total
-                    if upper:
-                        if bracket < best:
-                            best = bracket
-                            best_edges = (*chosen, (u, v))
-                    elif bracket / (lo if bracket >= 0 else hi) > best:
+                    if bracket / (lo if bracket >= 0 else hi) > best:
                         tree = (*chosen, (u, v))
                         value = bracket / (n - _matching_size(n, tree))
                         if value > best:

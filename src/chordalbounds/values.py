@@ -18,7 +18,6 @@ numerators over one common denominator: one of plain "a/b" strings in a
 few C-level passes (one `int` per value when every value has the same
 denominator text), any other value by value through `_read_rational`.
 Malformed rational text raises `errors.ParseError`, a ValueError.
-`_exact_str` writes an exact value as text at any length.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
 
 from .errors import ParseError, ResourceLimitError
@@ -168,16 +166,6 @@ def _read_rational_column(values) -> tuple[list[int], int]:
     pairs = list(map(_read_rational, values))
     denominator = math.lcm(*{d for _, d in pairs})
     return [n * (denominator // d) for n, d in pairs], denominator
-
-
-def _exact_str(value) -> str:
-    """`str(value)`, except that an int or a Fraction prints at any length:
-    CPython's `str` refuses an int of more than 4 300 digits, while
-    `Decimal` converts and prints one exactly, whatever that limit."""
-    if not isinstance(value, (int, Fraction)):
-        return str(value)
-    text = str(Decimal(value.numerator))
-    return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
 
 
 REAL = Backend("real", 0.0, 1.0, exact=False, ordered=True)

@@ -33,14 +33,13 @@ from chordalbounds import (
     union_prob_exact,
 )
 from chordalbounds import events, values
-from chordalbounds.errors import ParseError
+from chordalbounds.errors import ParseError, _exact_str
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.values import (
     MAX_DECIMAL_EXPONENT,
     POLYNOMIAL,
     RATIONAL,
     REAL,
-    _exact_str,
     _read_rational,
     _read_rational_column,
 )
@@ -128,6 +127,13 @@ class TestFromOutcomes:
                 with pytest.raises(DomainError, match="^outcome weight -?1000+ is too large for a float$") as info:
                     from_outcomes(weights, [[0]])
                 assert str(info.value).split()[2] == str(Decimal(big))
+
+    def test_fraction_weight_past_the_float_range(self):
+        # A REAL Fraction weight that no float holds is named as an int is.
+        for big in (10**400, -(10**400), 10**5000):
+            with pytest.raises(DomainError, match="^outcome weight -?1000+ is too large for a float$") as info:
+                from_outcomes([Fraction(big), 1], [[0]])
+            assert read_long(str(info.value).split()[2]) == big
 
     def test_long_exact_values_in_messages(self):
         # The sum of 1/A and 1/B over coprime A and B of 4 001 and 4 000
@@ -356,6 +362,13 @@ class TestBernoulliProduct:
         for p in (1.2, -0.1, float("nan")):
             with pytest.raises(DomainError):
                 bernoulli_product([p], [[0]])
+
+    def test_probability_out_of_range_at_any_length(self):
+        # A probability past the 4 300 digits `str` writes is named in full.
+        big = 10**5000
+        with pytest.raises(DomainError, match="^coordinate probability 1000+ outside \\[0, 1\\]$") as info:
+            bernoulli_product([Fraction(big)], [[0]])
+        assert read_long(str(info.value).split()[2]) == big
 
     def test_empty_event_list(self):
         with pytest.raises(DomainError, match="at least one event"):

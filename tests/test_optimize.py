@@ -301,14 +301,18 @@ class TestBestPath:
 
 class TestExhaustiveTreeOracle:
     def test_min_upper_matches_max_weight_mst(self):
+        # The upper criterion is Kruskal's maximum-weight tree, edge for
+        # edge, past the search's cap of 7: coords systems on 2-12
+        # coordinates and explicit REAL spaces.
         rng = random.Random(139)
-        for _ in range(10):
-            n = rng.randint(2, 6)
-            sys_ = random_real_system(rng, n, max_outcomes=32)
-            wm = pairwise_weights(sys_)
-            oracle = exhaustive_tree_oracle(sys_, "min-upper-bound")
-            mst = best_tree(wm, "maximize-weight")
-            assert tree_weight(wm, oracle) == pytest.approx(tree_weight(wm, mst), abs=1e-12)
+        for n in range(1, 13):
+            m = rng.randint(2, 12)
+            probs = [rng.random() for _ in range(m)]
+            events = [sorted(rng.sample(range(m), rng.randint(1, m))) for _ in range(n)]
+            for sys_ in (bernoulli_product(probs, events), random_real_system(rng, n, max_outcomes=32)):
+                tree = exhaustive_tree_oracle(sys_, "min-upper-bound")
+                assert tree.edges == best_tree(pairwise_weights(sys_), "maximize-weight").edges
+                assert is_tree(tree) and tree.vertex_count == n
 
     def test_lower_bound_oracle_at_least_mst_proxy(self):
         rng = random.Random(149)
@@ -391,9 +395,12 @@ class TestExhaustiveTreeOracle:
         assert exhaustive_tree_oracle(sys_, "max-lower-bound").edges == ((0, 1),)
 
     def test_caps_and_criteria(self):
+        # Only the lower criterion searches, so only it has the cap.
         sys_ = random_real_system(random.Random(1), 8, max_outcomes=16)
         with pytest.raises(ResourceLimitError):
             exhaustive_tree_oracle(sys_, "max-lower-bound")
+        upper = exhaustive_tree_oracle(sys_, "min-upper-bound")
+        assert is_tree(upper) and upper.vertex_count == 8
         small = random_real_system(random.Random(2), 3, max_outcomes=16)
         with pytest.raises(DomainError):
             exhaustive_tree_oracle(small, "best")
