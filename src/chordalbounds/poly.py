@@ -94,10 +94,13 @@ class Polynomial:
         return Polynomial._make([-n for n in self.numerators], self.denominator)
 
     def __add__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        elif not isinstance(other, Polynomial):
-            return NotImplemented
+        # The exact type first: most operands are polynomials, and an
+        # isinstance check against the numeric ABCs is slow.
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                other = Polynomial((other,))
+            elif not isinstance(other, Polynomial):
+                return NotImplemented
         a, b = self.numerators, other.numerators
         da, db = self.denominator, other.denominator
         if da != db:
@@ -115,21 +118,25 @@ class Polynomial:
     __radd__ = __add__
 
     def __sub__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial((other,))
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                other = Polynomial((other,))
+            elif not isinstance(other, Polynomial):
+                return NotImplemented
         return self + (-other)
 
     def __rsub__(self, other) -> "Polynomial":
+        if not isinstance(other, (int, Fraction, Polynomial)):
+            return NotImplemented
         return (-self) + other
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, Fraction)):
-            a, b = other.numerator, other.denominator
-            return Polynomial._make([n * a for n in self.numerators], self.denominator * b)
-        if not isinstance(other, Polynomial):
-            return NotImplemented
+        if type(other) is not Polynomial:
+            if isinstance(other, (int, Fraction)):
+                a, b = other.numerator, other.denominator
+                return Polynomial._make([n * a for n in self.numerators], self.denominator * b)
+            if not isinstance(other, Polynomial):
+                return NotImplemented
         a, b = self.numerators, other.numerators
         if not a or not b:
             return Polynomial()

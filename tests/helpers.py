@@ -10,6 +10,8 @@ loader (id masks, rational columns, bit planes, support) is read one value
 at a time or one pass per check, the best tree comes from
 every connected edge subset or from every Prüfer code, the best path
 from every visiting order or from a Held-Karp table of all 2**n rows,
+a product system's masses one coordinate at a time and its union from a
+Shannon expansion that re-minimises every on-branch family,
 the sharpest bounds from the symmetric sums alone come from an exact
 linear program solved by enumerating its bases, and the probability of a
 success run from a Markov chain on the run length.  `BRIDGE_PATH_ORDER`
@@ -314,6 +316,59 @@ def product_outcomes(sys_: ProductSystem) -> EventSystem:
                 indicator |= indicator << (1 << i)
         masks.append(indicator)
     return EventSystem(sys_.backend, weights, masks)
+
+
+def reference_product_mass(sys_: ProductSystem, mask: int):
+    """A product system's mass without the shared-p powers: one times
+    the probability of each coordinate of `mask` in turn, lowest first,
+    one bit at a time."""
+    total = sys_.backend.one
+    while mask:
+        low = mask & -mask
+        total = total * sys_.probs[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _reference_minimal(masks) -> tuple[int, ...]:
+    """Sorted masks of the family that contain no other mask of it."""
+    kept: list[int] = []
+    for m in sorted(set(masks), key=int.bit_count):
+        if all(k & m != k for k in kept):
+            kept.append(m)
+    return tuple(sorted(kept))
+
+
+def reference_product_union(sys_: ProductSystem, requires=None):
+    """A product system's Shannon union with every on-branch family
+    re-minimised from scratch: p_c U(F with c on) + (1 - p_c) U(F with c
+    off), branching on the lowest coordinate of the first smallest mask,
+    with the memo and the operation order of `ProductSystem._union`, so
+    REAL values compare with `==`.  A single mask's mass is
+    `reference_product_mass`."""
+    one = sys_.backend.one
+    offs = [one - p for p in sys_.probs]
+    memo: dict[tuple[int, ...], object] = {}
+
+    def union(family):
+        if len(family) == 1:
+            return reference_product_mass(sys_, family[0])
+        value = memo.get(family)
+        if value is not None:
+            return value
+        m = min(family, key=int.bit_count)
+        bit = m & -m
+        c = bit.bit_length() - 1
+        on = _reference_minimal([m & ~bit for m in family])
+        value = sys_.probs[c] * (one if on[0] == 0 else union(on))
+        off = tuple(m for m in family if not m & bit)
+        if off:
+            value = value + offs[c] * union(off)
+        memo[family] = value
+        return value
+
+    family = _reference_minimal(sys_.requires if requires is None else requires)
+    return one if family[0] == 0 else union(family)
 
 
 def float_product_symmetric_sum(sys_: ProductSystem, k: int) -> float:

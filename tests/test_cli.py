@@ -62,6 +62,14 @@ GOLDEN_RELIABILITY_CASES = {
     "kwerel-sevenths": ["--bounds", "kwerel-lower", "--sweep", "0:1:1/7"],
     "subset-plain": ["--bounds", "bonferroni-lower,hunter-lower"],
 }
+# (network, case) pairs pinned in golden_reliability.json.  The numeric
+# network num20 skips the sweep cases, which exit 2 on it.
+GOLDEN_RELIABILITY_RUNS = [
+    (network, case)
+    for network in ("bridge", "ladder3", "num20")
+    for case, args in GOLDEN_RELIABILITY_CASES.items()
+    if network != "num20" or "--sweep" not in args
+]
 
 
 def run(capsys, *argv):
@@ -924,8 +932,7 @@ class TestReliability:
         assert "kwerel-lower: p^2 + p^3 - (5/4)p^4 - (1/4)p^6" in out
         assert "bonferroni-lower: 2p^2 + 2p^3 - 5p^4 - p^6" in out
 
-    @pytest.mark.parametrize("case", GOLDEN_RELIABILITY_CASES)
-    @pytest.mark.parametrize("network", ["bridge", "ladder3"])
+    @pytest.mark.parametrize("network, case", GOLDEN_RELIABILITY_RUNS, ids=map("-".join, GOLDEN_RELIABILITY_RUNS))
     def test_golden_output(self, capsys, network, case):
         path = str(DATA / f"network_{network}.json")
         code, out, _ = run(capsys, "reliability", path, *GOLDEN_RELIABILITY_CASES[case])

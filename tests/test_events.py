@@ -7,7 +7,7 @@ import time
 import tracemalloc
 from decimal import Decimal
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 
@@ -58,6 +58,8 @@ from helpers import (
     read_long,
     reference_bit_planes,
     reference_id_mask,
+    reference_product_mass,
+    reference_product_union,
     reference_read_rational_column,
     reference_support,
     runs_union,
@@ -676,23 +678,23 @@ class TestShannonExpansion:
         assert union_prob_exact(runs_system(n, 4, p)) == runs_union(n, 4, p)
 
     def test_expansion_steps_grow_linearly_on_runs(self, monkeypatch):
-        """Counts the calls of `events._minimal`: one for the events' own
-        masks, and one per expansion node that is neither a single mask
-        nor a memo hit.  For runs of length k it grows by k per trial."""
+        """Counts the calls of `events._branch_bit`: one per expansion
+        node that is neither a single mask nor a memo hit.  For runs of
+        length k it grows by k per trial."""
         calls = []
 
-        def counted(masks):
+        def counted(family):
             calls.append(None)
-            return minimal(masks)
+            return branch_bit(family)
 
-        minimal = events._minimal
-        monkeypatch.setattr(events, "_minimal", counted)
+        branch_bit = events._branch_bit
+        monkeypatch.setattr(events, "_branch_bit", counted)
         for k in range(1, 7):
             for n in range(k, 25):
                 calls.clear()
                 union_prob_exact(runs_system(n, k, Fraction(3, 10)))
                 assert len(calls) <= k * n, (n, k)
-        for k, count in ((2, 44), (4, 75)):
+        for k, count in ((2, 43), (4, 74)):
             calls.clear()
             union_prob_exact(runs_system(24, k, Fraction(3, 10)))
             assert len(calls) == count
@@ -739,6 +741,103 @@ class TestShannonExpansion:
             twin = ProductSystem(RATIONAL, map(Fraction, sys_.probs), sys_.requires)
             exact = union_prob_exact(twin)
             assert abs(Fraction(union_prob_exact(sys_)) - exact) <= exact / 10**12
+
+
+def random_coords_system(rng, m, backend=REAL):
+    """m coordinates, some of probability 0 or 1, and 1 to 12 random
+    events of 1 to 5 coordinates each, which may repeat or nest."""
+    if backend is REAL:
+        probs = [rng.choice((0.0, 1.0, rng.random(), rng.random(), rng.random())) for _ in range(m)]
+    elif backend is RATIONAL:
+        probs = [rng.choice((0, 1, Fraction(1, 2), Fraction(1, 3), Fraction(2, 7))) for _ in range(m)]
+    else:
+        probs = [rng.choice((POLYNOMIAL.zero, POLYNOMIAL.one, P, 1 - P, P**2, (1 + P) / 3)) for _ in range(m)]
+    defs = [rng.sample(range(m), rng.randint(1, min(m, 5))) for _ in range(rng.randint(1, 12))]
+    return bernoulli_product(probs, defs, backend=backend)
+
+
+def residual_families(sys_):
+    """For each event, the other events' masks less its own: the
+    families `_atom` expands."""
+    requires = sys_.requires
+    return [[r & ~mine for j, r in enumerate(requires) if j != i] for i, mine in enumerate(requires)]
+
+
+class TestProductKernels:
+    """`ProductSystem._union` builds each on-branch family from the masks
+    that hold the branch bit and the off-branch masks that contain none
+    of them, and `ProductSystem.mass` starts from a list of products over
+    the lowest 8 coordinates.  Both against copies in `helpers` of the
+    expansion that re-minimises every on-branch family and of the
+    bit-by-bit fold: REAL values with ==, exact ones against the outcome
+    space."""
+
+    def test_real_runs_and_ladders(self):
+        rng = random.Random(3701)
+        systems = [runs_system(n, k, rng.random(), REAL) for k in range(1, 7) for n in range(k, 25)]
+        systems += [ladder_system(rng, k, lambda m: [rng.random() for _ in range(m)], REAL)
+                    for k in range(1, 5) for _ in range(3)]
+        for sys_ in systems:
+            assert union_prob_exact(sys_) == reference_product_union(sys_)
+
+    def test_real_coords_systems(self):
+        rng = random.Random(3702)
+        for m in range(1, 25):
+            for _ in range(6):
+                sys_ = random_coords_system(rng, m)
+                assert union_prob_exact(sys_) == reference_product_union(sys_), m
+                for family in residual_families(sys_):
+                    if family:
+                        assert sys_._union(family) == reference_product_union(sys_, family), m
+                for mask in [*sys_.requires, *(rng.getrandbits(m) for _ in range(20))]:
+                    assert sys_.mass(mask) == reference_product_mass(sys_, mask), (m, mask)
+
+    def test_fewer_than_eight_coordinates(self):
+        rng = random.Random(3703)
+        for m in range(1, 8):
+            for _ in range(4):
+                sys_ = random_coords_system(rng, m)
+                for mask in range(1 << m):
+                    assert sys_.mass(mask) == reference_product_mass(sys_, mask), (m, mask)
+                assert union_prob_exact(sys_) == reference_product_union(sys_)
+
+    def test_masks_with_no_low_byte_coordinate(self):
+        rng = random.Random(3704)
+        for m in range(9, 25):
+            sys_ = random_coords_system(rng, m)
+            masks = [rng.getrandbits(m) & ~0xFF for _ in range(30)]
+            for mask in [0, *masks]:
+                assert sys_.mass(mask) == reference_product_mass(sys_, mask), (m, mask)
+            family = [mask for mask in masks if mask]
+            if family:
+                assert sys_._union(family) == reference_product_union(sys_, family)
+
+    def test_every_expanded_family_is_a_sorted_antichain(self, monkeypatch):
+        seen = []
+
+        def recording(family):
+            seen.append(family)
+            return branch_bit(family)
+
+        branch_bit = events._branch_bit
+        monkeypatch.setattr(events, "_branch_bit", recording)
+        rng = random.Random(3705)
+        systems = [random_coords_system(rng, m) for m in range(1, 25) for _ in range(4)]
+        systems += [ladder_system(rng, k, lambda m: [0.5] * m, REAL) for k in (2, 3)]
+        for sys_ in systems:
+            union_prob_exact(sys_)
+        assert seen
+        for family in seen:
+            assert type(family) is tuple and list(family) == sorted(set(family)) and family[0]
+            assert not any(a & b == a for a, b in permutations(family, 2)), family
+
+    @pytest.mark.parametrize("backend", [RATIONAL, POLYNOMIAL])
+    def test_exact_unions_match_the_outcome_space(self, backend):
+        rng = random.Random(3706)
+        for m in range(1, 13):
+            for _ in range(2):
+                sys_ = random_coords_system(rng, m, backend)
+                assert union_prob_exact(sys_) == union_prob_exact(product_outcomes(sys_)), m
 
 
 class TestIntersectionAndUnion:

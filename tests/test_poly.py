@@ -40,6 +40,20 @@ def test_arithmetic():
             apply()
 
 
+@pytest.mark.parametrize("other", [1.5, "a"], ids=["float", "str"])
+def test_reflected_subtraction_names_its_operator(other):
+    name = type(other).__name__
+    with pytest.raises(TypeError, match=rf"unsupported operand type\(s\) for -: '{name}' and 'Polynomial'"):
+        other - P
+
+
+def test_reflected_subtraction_of_exact_scalars():
+    assert True - P == Polynomial((1, -1))
+    assert str(True - P) == "1 - p"
+    assert Fraction(1, 2) - P == Polynomial((Fraction(1, 2), -1))
+    assert str(Fraction(1, 2) - P) == "1/2 - p"
+
+
 def test_powers():
     assert P**0 == 1
     assert P**3 == Polynomial((0, 0, 0, 1))
