@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb, lcm
 
-from .errors import DomainError, _require_int
+from .errors import DomainError, _exact_str, _require_int
 from .events import EventSystem, _require_one_vertex_per_event, alpha_prime
 from .graphs import (
     Graph,
@@ -324,7 +324,7 @@ def generalized_lower(sys: EventSystem, m: int = 0) -> BoundReport:
     _require_int(m, "order m")
     n = sys.event_count
     if not 0 <= m <= n - 1:
-        raise DomainError(f"order m must satisfy 0 <= m <= {n - 1}, got {m}")
+        raise DomainError(f"order m must satisfy 0 <= m <= {n - 1}, got {_exact_str(m)}")
     bracket = _moment_bracket(sys, _averaged_coefficients(n, m))
     return _report("generalized-lower", sys, bracket, n - m)
 

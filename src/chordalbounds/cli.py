@@ -35,6 +35,7 @@ from .graphs import (
     is_tree,
 )
 from .optimize import best_path, best_tree, pairwise_weights, path_weight, tree_weight
+from .poly import P
 from .reliability import (
     DEFAULT_BOUND_KINDS,
     _grid_values,
@@ -349,10 +350,11 @@ def _cmd_reliability(args) -> int:
     if args.sweep:
         tops, denominator = _parse_sweep(args.sweep)
         polys = bound_polynomials(net)
+        # P(p) = p, so the p column's numerators are the points a over the
+        # grid's denominator, checked with the others before any is written.
         # int / int is correctly rounded, as float(Fraction(n, d)) is.
-        cells = [[format(a / denominator, ".12g") for a in tops]]
-        for values, d in _grid_values([polys[kind] for kind in columns], tops, denominator):
-            cells.append([format(n / d, ".12g") for n in values])
+        grid = _grid_values([P, *(polys[kind] for kind in columns)], tops, denominator)
+        cells = [[format(n / d, ".12g") for n in values] for values, d in grid]
         print("\n".join([",".join(("p", *columns)), *map(",".join, zip(*cells))]))
         return 0
     values = bound_values(net)

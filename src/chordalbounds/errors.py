@@ -32,14 +32,15 @@ def _require_positive_int(value, what: str) -> None:
     the caller's parameter in both messages."""
     _require_int(value, what)
     if value < 1:
-        raise DomainError(f"{what} must be >= 1, got {value}")
+        raise DomainError(f"{what} must be >= 1, got {_exact_str(value)}")
 
 
 def _exact_str(value) -> str:
-    """`str(value)`, except that an int or a Fraction prints at any length:
-    CPython's `str` refuses an int of more than 4 300 digits, while
-    `Decimal` converts and prints one exactly, whatever that limit."""
-    if not isinstance(value, (int, Fraction)):
+    """`str(value)`, except that an int (not a bool) or a Fraction prints
+    at any length: CPython's `str` refuses an int of more than 4 300
+    digits, while `Decimal` converts and prints one exactly, whatever that
+    limit."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
         return str(value)
     text = str(Decimal(value.numerator))
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"

@@ -78,7 +78,7 @@ __all__ = [
 MAX_PRODUCT_COORDS = 24
 
 # Most nodes (parts) of a product system's signature walk; `bounds all`
-# stops at it after 1.6 to 2.0 s (README "Caps"; Python 3.11, one Xeon core).
+# stops at it after 0.7 to 0.8 s (README "Caps"; Python 3.11, one Xeon core).
 MAX_SIGNATURE_NODES = 500_000
 
 
@@ -568,7 +568,7 @@ def _id_mask(ids, count: int, name: str) -> int:
         if kind is bool or not issubclass(kind, int):
             _require_int(next(i for i in ids if type(i) is kind), f"{name} id")
     if flags is None or (ids and min(ids) < 0):
-        raise DomainError(f"{name} id {next(i for i in ids if not 0 <= i < count)} out of range")
+        raise DomainError(f"{name} id {_exact_str(next(i for i in ids if not 0 <= i < count))} out of range")
     # The leading 0 keeps the digit string non-empty when count is 0.
     return int(b"0" + flags[::-1].translate(_BYTE_DIGITS), 2)
 
@@ -599,7 +599,7 @@ def _event_indices(index_set, event_count: int) -> set:
         raise DomainError("index set must be non-empty")
     for i in indices:
         if not 0 <= i < event_count:
-            raise DomainError(f"event index {i} out of range")
+            raise DomainError(f"event index {_exact_str(i)} out of range")
     return indices
 
 

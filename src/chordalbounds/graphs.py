@@ -34,7 +34,7 @@ from functools import cached_property, reduce
 from itertools import chain, combinations
 from math import comb
 
-from .errors import DomainError, ResourceLimitError, _require_int, _require_positive_int
+from .errors import DomainError, ResourceLimitError, _exact_str, _require_int, _require_positive_int
 
 __all__ = [
     "Graph",
@@ -121,15 +121,17 @@ def build_graph(vertex_count: int, edges) -> Graph:
     for endpoint in chain.from_iterable(edges):
         _require_int(endpoint, "edge endpoint")
     if vertex_count < 0:
-        raise DomainError(f"vertex count must be non-negative, got {vertex_count}")
+        raise DomainError(f"vertex count must be non-negative, got {_exact_str(vertex_count)}")
     if vertex_count > sys.maxsize:
-        raise ResourceLimitError(f"vertex count {vertex_count} exceeds the largest list size, {sys.maxsize}")
+        raise ResourceLimitError(
+            f"vertex count {_exact_str(vertex_count)} exceeds the largest list size, {sys.maxsize}"
+        )
     seen = set()
     normalized = []
     for u, v in edges:
         if not (0 <= u < vertex_count and 0 <= v < vertex_count):
             raise DomainError(
-                f"edge ({u}, {v}) has an endpoint outside 0..{vertex_count - 1}"
+                f"edge ({_exact_str(u)}, {_exact_str(v)}) has an endpoint outside 0..{vertex_count - 1}"
             )
         if u == v:
             raise DomainError(f"self-loop ({u}, {v}) is not allowed")
@@ -215,7 +217,7 @@ def counterexample_family(k: int) -> Graph:
     """
     _require_int(k, "family parameter")
     if k < 3 or k % 2 == 0:
-        raise DomainError(f"family parameter must be odd and >= 3, got {k}")
+        raise DomainError(f"family parameter must be odd and >= 3, got {_exact_str(k)}")
     _require_clique_budget(4 ** min(k, MAX_LISTED_CLIQUES.bit_length()) - 1)  # no 4**k of a huge k
     return reduce(join_graphs, [edgeless_graph(3)] * k)
 

@@ -17,7 +17,7 @@ from fractions import Fraction
 from numbers import Real
 
 from .bounds import bound
-from .errors import DomainError, _require_int, _to_float
+from .errors import DomainError, _exact_str, _require_int, _to_float
 from .events import ProductSystem, _require_coordinate_cap, bernoulli_product, union_prob_exact
 from .graphs import path_graph
 from .poly import P, Polynomial
@@ -86,7 +86,7 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
     seen = set()
     for tail, head in arcs:
         if not (0 <= tail < node_count and 0 <= head < node_count):
-            raise DomainError(f"arc ({tail}, {head}) has an endpoint out of range")
+            raise DomainError(f"arc ({_exact_str(tail)}, {_exact_str(head)}) has an endpoint out of range")
         if tail == head:
             raise DomainError(f"arc ({tail}, {head}) is a self-loop")
         if (tail, head) in seen:
@@ -237,7 +237,7 @@ def _grid_values(columns, tops, b: int) -> list[tuple[list[int], int]]:
     [0, 1] raises DomainError before anything is evaluated."""
     for a in tops:
         if not 0 <= a <= b:
-            raise DomainError(f"p value {Fraction(a, b)} outside [0, 1]")
+            raise DomainError(f"p value {_exact_str(Fraction(a, b))} outside [0, 1]")
     return [q._horner(tops, b) for q in columns]
 
 

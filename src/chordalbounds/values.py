@@ -14,16 +14,15 @@ differs between floating point and the exact domains:
 may be an int, a Fraction or a string, and a plain string of decimal
 digits "a" or "a/b" is split into integers without building a Fraction.
 `_read_rational_column` reads a whole RATIONAL column into integer
-numerators over one common denominator: one of plain "a/b" strings in a
-few C-level passes (one `int` per value when every value has the same
-denominator text), any other value by value through `_read_rational`.
+numerators over one common denominator: plain "a/b" strings that all
+end in the same "/B" by one C-level split (one `int` per value), any
+other column value by value through `_read_rational`.
 Malformed rational text raises `errors.ParseError`, a ValueError.
 """
 
 from __future__ import annotations
 
 import math
-import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -125,13 +124,12 @@ def _read_rational_column(values) -> tuple[list[int], int]:
     pairs, so no Fraction is built per value.
 
     A column made only of plain "a/b" strings (ASCII digits on both sides
-    of exactly one slash, no zero denominator) is read by C-level passes
-    over the column joined into one byte string, and each distinct
-    denominator is converted once.  When every value ends in the same
-    "/B", the numerators are that string split at the endings, one `int`
-    each, over B; no value is split at its slash or scaled.  Any other
-    column, or an over-long integer, is read value by value, with
-    `_read_rational`'s errors.
+    of exactly one slash) that all end in the same nonzero "/B" is read by
+    C-level passes over the column joined into one byte string: the
+    numerators are that string split at the endings, one `int` each, over
+    B; no value is split at its slash or scaled.  Any other column, or an
+    over-long integer, is read value by value, which gives the same
+    numerators over the same denominator, with `_read_rational`'s errors.
     """
     values = tuple(values)
     try:
@@ -151,18 +149,6 @@ def _read_rational_column(values) -> tuple[list[int], int]:
                 return list(map(int, tops)), int(ending[1:])
             except ValueError:
                 pass  # an empty or over-long integer, named value by value below
-        parts = data.replace(b",", b"/").split(b"/")
-        if all(parts):
-            tops, bottoms = parts[0::2], parts[1::2]
-            try:
-                denominators = {text: int(text) for text in set(bottoms)}
-                if all(denominators.values()):
-                    denominator = math.lcm(*denominators.values())
-                    scale = {text: denominator // d for text, d in denominators.items()}
-                    scaled = map(operator.mul, map(int, tops), map(scale.__getitem__, bottoms))
-                    return list(scaled), denominator
-            except ValueError:
-                pass  # an integer past the digits `int` reads, named value by value below
     pairs = list(map(_read_rational, values))
     denominator = math.lcm(*{d for _, d in pairs})
     return [n * (denominator // d) for n, d in pairs], denominator

@@ -546,8 +546,9 @@ class TestBoundsAll:
         # intersection queries that the binomial moments replaced.  Every
         # bound reads the graph's one elimination order.  The plain file
         # spells the same weights as "a/873" only, which the column reader
-        # splits without reading each value on its own.
-        for events in ("golden_events.json", "golden_events_plain.json"):
+        # splits without reading each value on its own; the reduced file
+        # spells them as reduced "a/b" over four denominators.
+        for events in ("golden_events.json", "golden_events_plain.json", "golden_events_reduced.json"):
             mcs_runs.clear()
             code, out, _ = run(
                 capsys,
@@ -1140,8 +1141,15 @@ class TestReliability:
             (["--sweep", "0:1:1/100001"], 3, "sweep grid exceeds the cap of 100000 points"),
             (["--bounds", "nosuch", "--sweep", "0:1:0.5"], 1, "unknown bound kinds: nosuch"),
             (["--bounds", "exact", "--sweep", "0:1:0.5"], 1, "unknown bound kinds: exact"),
+            # points past the float range, and past the digits `str` writes
+            (["--sweep", "1e309:1e309:1"], 2, f"p value 1{'0' * 309} outside [0, 1]"),
+            (["--sweep", "0:1e309:1e308"], 2, f"p value 1{'0' * 308} outside [0, 1]"),
+            (["--sweep", "1e4300:1e4300:1"], 2, f"p value 1{'0' * 4300} outside [0, 1]"),
         ],
-        ids=["above-one", "below-zero", "zero-step", "cap", "unknown-kind", "exact-kind"],
+        ids=[
+            "above-one", "below-zero", "zero-step", "cap", "unknown-kind", "exact-kind",
+            "past-float", "stop-past-float", "past-str-digits",
+        ],
     )
     def test_sweep_error_messages(self, capsys, network_json, args, code, message):
         assert run(capsys, "reliability", network_json, *args) == (code, "", f"error: {message}\n")

@@ -3,6 +3,7 @@
 import math
 import random
 import re
+import sys
 import time
 import tracemalloc
 from decimal import Decimal
@@ -20,12 +21,18 @@ from chordalbounds import (
     atom_prob,
     bernoulli_product,
     bridge_network,
+    build_graph,
     build_network,
+    chordal_upper,
+    classical_bonferroni,
+    clique_complex,
     complete_graph,
+    counterexample_family,
     cycle_graph,
     edgeless_graph,
     enumerate_st_paths,
     from_outcomes,
+    generalized_lower,
     independence_number,
     intersection_prob,
     path_event_system,
@@ -263,8 +270,8 @@ class TestReadRational:
 
     def test_plain_column_is_read_whole(self, monkeypatch):
         rng = random.Random(12)
-        column = ["007/0100", "0/1", "5/5"]
-        column += [f"{rng.randrange(10 ** rng.randint(1, 30))}/{rng.randint(1, 10 ** 30)}" for _ in range(500)]
+        column = ["007/0100", "0/0100", "5/0100"]
+        column += [f"{rng.randrange(10 ** rng.randint(1, 30))}/0100" for _ in range(500)]
         want = self._value_by_value(column)
         monkeypatch.setattr(values, "_read_rational", None)
         assert _read_rational_column(column) == want
@@ -326,6 +333,14 @@ class TestReadRational:
         assert union_prob_exact(from_text) == union_prob_exact(from_fractions)
 
 
+# An int of 5 001 digits, and a system of two events to query with it.
+BIG = 10**5000
+
+
+def two_events():
+    return from_outcomes([0.5, 0.5], [[0], [1]])
+
+
 class TestExactStr:
     def test_str_below_the_limit(self):
         rng = random.Random(43)
@@ -334,13 +349,62 @@ class TestExactStr:
             bottom = rng.randrange(1, 10 ** rng.randint(1, 80))
             for value in (top, Fraction(top, bottom), Fraction(top)):
                 assert _exact_str(value) == str(value)
-        for value in (0.1, -2.5e300, P**2 - 1, "1/3"):
+        for value in (0.1, -2.5e300, P**2 - 1, "1/3", True, False):
             assert _exact_str(value) == str(value)
 
     def test_any_length(self):
         for value in (-(7**9000), Fraction(3**9000, 5**8000 * 2)):
             text = _exact_str(value)
             assert len(text) > 4300 and read_long(text) == value
+
+    @pytest.mark.parametrize(
+        "call, error, message, value",
+        [
+            (lambda: from_outcomes([1.0], [[BIG]]), DomainError, "outcome id {} out of range", BIG),
+            (lambda: bernoulli_product([0.5], [[BIG]]), DomainError, "coordinate id {} out of range", BIG),
+            (lambda: intersection_prob(two_events(), [BIG]), DomainError, "event index {} out of range", BIG),
+            (lambda: build_graph(2, [(0, BIG)]), DomainError, "edge (0, {}) has an endpoint outside 0..1", BIG),
+            (lambda: build_graph(-BIG, []), DomainError, "vertex count must be non-negative, got {}", -BIG),
+            (
+                lambda: build_graph(BIG, []),
+                ResourceLimitError,
+                f"vertex count {{}} exceeds the largest list size, {sys.maxsize}",
+                BIG,
+            ),
+            (lambda: build_network(3, [(0, BIG)], 0, 2), DomainError, "arc (0, {}) has an endpoint out of range", BIG),
+            (
+                lambda: generalized_lower(two_events(), BIG),
+                DomainError,
+                "order m must satisfy 0 <= m <= 1, got {}",
+                BIG,
+            ),
+            (
+                lambda: chordal_upper(two_events(), path_graph(2), -BIG),
+                DomainError,
+                "truncation depth must be >= 1, got {}",
+                -BIG,
+            ),
+            (
+                lambda: classical_bonferroni(two_events(), -BIG),
+                DomainError,
+                "truncation depth must be >= 1, got {}",
+                -BIG,
+            ),
+            (lambda: clique_complex(path_graph(2), -BIG), DomainError, "max_size must be >= 1, got {}", -BIG),
+            (lambda: counterexample_family(BIG), DomainError, "family parameter must be odd and >= 3, got {}", BIG),
+        ],
+        ids=[
+            "outcome-id", "coordinate-id", "event-index", "graph-endpoint", "graph-negative-count",
+            "graph-count-past-maxsize", "network-endpoint", "generalized-order", "chordal-depth",
+            "bonferroni-depth", "clique-size", "family-parameter",
+        ],
+    )
+    def test_caller_ints_in_messages(self, call, error, message, value):
+        # A caller's int past the 4 300 digits `str` writes is named in full.
+        with pytest.raises(error) as info:
+            call()
+        assert type(info.value) is error
+        assert str(info.value) == message.format(str(Decimal(value)))
 
 
 class TestBernoulliProduct:
@@ -672,7 +736,7 @@ class TestShannonExpansion:
 
     @pytest.mark.parametrize("n", [100, 200])
     def test_success_runs_past_the_coordinate_cap(self, monkeypatch, n):
-        # Runs of length 4 in 200 trials take about 0.5 s (Python 3.11).
+        # Runs of length 4 in 200 trials take about 20 ms (Python 3.11).
         monkeypatch.setattr(events, "MAX_PRODUCT_COORDS", n)
         p = Fraction(3, 10)
         assert union_prob_exact(runs_system(n, 4, p)) == runs_union(n, 4, p)
@@ -1245,6 +1309,10 @@ class TestLoaderAgainstReference:
             ["1/3", "1/3", "1/3"], ["0/7"], ["٣/٤"], ["1/2", 1, Fraction(1, 2)], [],
             long_values_column(), [f"{c}/873" for c in range(200)],
         ]
+        # 503 plain values over mixed denominators of up to 31 digits
+        wide = random.Random(12)
+        columns.append(["007/0100", "0/1", "5/5"])
+        columns[-1] += [f"{wide.randrange(10 ** wide.randint(1, 30))}/{wide.randint(1, 10 ** 30)}" for _ in range(500)]
         for _ in range(200):
             m = rng.randint(1, 60)
             denominators = [str(rng.randint(0, 10 ** rng.randint(1, 25))) for _ in range(rng.randint(1, 3))]
