@@ -49,7 +49,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from math import comb, lcm
 
-from .errors import DomainError, _exact_str, _require_int
+from .errors import DomainError, _exact_str, _repr, _require_int
 from .events import EventSystem, _require_one_vertex_per_event, alpha_prime
 from .graphs import (
     Graph,
@@ -190,7 +190,7 @@ def classical_bonferroni(sys: EventSystem, r: int = 1, direction: str = "upper")
     bound S_1.
     """
     if direction not in ("upper", "lower"):
-        raise DomainError(f"direction must be 'upper' or 'lower', got {direction!r}")
+        raise DomainError(f"direction must be 'upper' or 'lower', got {_repr(direction)}")
     cap = min(_size_cap(r, direction), sys.event_count)
     signs = [((-1) ** (k - 1), 1) for k in range(1, cap + 1)]
     return _report(f"bonferroni-{direction}", sys, _moment_bracket(sys, signs), truncation=r)
@@ -366,7 +366,7 @@ def bound(kind: str, sys: EventSystem, **inputs) -> BoundReport:
     """The bound `kind` of `sys`, given the `inputs` it reads (see KINDS);
     one left out or None keeps the function's default, but g is required."""
     if kind not in KINDS:
-        raise DomainError(f"unknown bound kind {kind!r}")
+        raise DomainError(f"unknown bound kind {_repr(kind)}")
     name, reads, fixed = KINDS[kind]
     if "g" in reads and inputs.get("g") is None:
         raise DomainError(f"bound kind {kind!r} needs a graph g")

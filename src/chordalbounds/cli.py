@@ -354,8 +354,9 @@ def _cmd_reliability(args) -> int:
         # grid's denominator, checked with the others before any is written.
         # int / int is correctly rounded, as float(Fraction(n, d)) is.
         grid = _grid_values([P, *(polys[kind] for kind in columns)], tops, denominator)
-        cells = [[format(n / d, ".12g") for n in values] for values, d in grid]
-        print("\n".join([",".join(("p", *columns)), *map(",".join, zip(*cells))]))
+        floats = [[n / d for n in values] for values, d in grid]
+        row = ",".join(["%.12g"] * len(floats))
+        print("\n".join([",".join(("p", *columns)), *map(row.__mod__, zip(*floats))]))
         return 0
     values = bound_values(net)
     for kind in columns:

@@ -1,6 +1,7 @@
 """Exception types shared across the package, the integer and float
 checks every loader applies to ids, counts and probabilities, and
-`_exact_str`, which writes an exact value in a message at any length."""
+`_exact_str` and `_repr`, which write a value in a message at any
+length."""
 
 from decimal import Decimal
 from fractions import Fraction
@@ -24,7 +25,7 @@ def _require_int(value, what: str) -> None:
     """Raise DomainError unless `value` is an int.  A bool is rejected too:
     Python counts it as an int, but JSON `true` is no id or count."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise DomainError(f"{what} must be an integer, got {value!r}")
+        raise DomainError(f"{what} must be an integer, got {_repr(value)}")
 
 
 def _require_positive_int(value, what: str) -> None:
@@ -44,6 +45,20 @@ def _exact_str(value) -> str:
         return str(value)
     text = str(Decimal(value.numerator))
     return text if value.denominator == 1 else f"{text}/{Decimal(value.denominator)}"
+
+
+def _repr(value) -> str:
+    """`repr(value)`, except for a value whose repr would hold an int past
+    CPython's 4 300-digit limit, which `repr` refuses: such an int or
+    Fraction is written by `_exact_str`, and any other value (a list
+    holding such an int, say) by its type and length."""
+    try:
+        return repr(value)
+    except ValueError:
+        if isinstance(value, (int, Fraction)):
+            return _exact_str(value)
+        size = f" of length {len(value)}" if hasattr(value, "__len__") else ""
+        return f"a {type(value).__name__}{size}"
 
 
 def _to_float(value, what: str) -> float:

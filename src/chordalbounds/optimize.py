@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from itertools import chain, islice
 
-from .errors import DomainError, ResourceLimitError
+from .errors import DomainError, ResourceLimitError, _repr
 from .events import EventSystem, intersection_prob
 from .graphs import Graph, _bits, build_graph
 
@@ -61,7 +61,7 @@ def best_tree(w: tuple[tuple[float, ...], ...], objective: str = "minimize-weigh
     lexicographic edge order, so the result is deterministic.
     """
     if objective not in ("minimize-weight", "maximize-weight"):
-        raise DomainError(f"unknown objective {objective!r}")
+        raise DomainError(f"unknown objective {_repr(objective)}")
     n = len(w)
     sign = 1.0 if objective == "minimize-weight" else -1.0
     edges = sorted(
@@ -284,7 +284,7 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     direction.
     """
     if mode not in ("exact", "heuristic"):
-        raise DomainError(f"unknown mode {mode!r}")
+        raise DomainError(f"unknown mode {_repr(mode)}")
     n = len(w)
     if n == 0:
         raise DomainError("weight matrix is empty")
@@ -356,7 +356,7 @@ def exhaustive_tree_oracle(sys: EventSystem, criterion: str) -> Graph:
     built or searched per tree.
     """
     if criterion not in ("max-lower-bound", "min-upper-bound"):
-        raise DomainError(f"unknown criterion {criterion!r}")
+        raise DomainError(f"unknown criterion {_repr(criterion)}")
     if criterion == "min-upper-bound":
         return best_tree(pairwise_weights(sys), "maximize-weight")
     n = sys.event_count

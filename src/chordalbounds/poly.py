@@ -14,14 +14,17 @@ evaluation at a rational a/b is homogeneous integer Horner,
 sum_i n_i * a**i * b**(d - i), over the unreduced denominator
 denominator * b**d (`_horner`, which takes a whole grid over one b); a
 call wraps that pair in one Fraction, a CLI sweep divides it straight
-to a float.  The `Fraction` coefficients (`coeffs`) are built only on
-request.
+to a float.  `str` and `coefficient_string` print each coefficient from
+its numerator and the denominator, with one gcd and no Fraction, spelled
+as `str(Fraction)` spells it; the `Fraction` coefficients (`coeffs`) are
+built only on request.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import repeat
 
 __all__ = ["Polynomial", "P"]
 
@@ -33,6 +36,15 @@ def _pair(c) -> tuple[int, int]:
     raise TypeError(
         f"polynomial coefficients must be int or Fraction, got {type(c).__name__}"
     )
+
+
+def _ratio_str(n: int, d: int) -> str:
+    """n/d in lowest terms as `str(Fraction(n, d))` writes it, for d > 0,
+    with one gcd and no Fraction."""
+    if d == 1:
+        return str(n)
+    g = math.gcd(n, d)
+    return str(n // g) if g == d else f"{n // g}/{d // g}"
 
 
 class Polynomial:
@@ -220,30 +232,29 @@ class Polynomial:
         """Space-separated coefficients by ascending degree, e.g. "0 0 2 2 -5 2"."""
         if not self.numerators:
             return "0"
-        return " ".join(str(c) for c in self.coeffs)
+        return " ".join(map(_ratio_str, self.numerators, repeat(self.denominator)))
 
     def __str__(self) -> str:
         if not self.numerators:
             return "0"
+        d = self.denominator
         parts = []
-        for exp, c in enumerate(self.coeffs):
-            if c == 0:
+        for exp, n in enumerate(self.numerators):
+            if not n:
                 continue
-            mag = abs(c)
-            if exp == 0:
-                body = str(mag)
-            else:
+            body = _ratio_str(abs(n), d)
+            if exp:
                 var = "p" if exp == 1 else f"p^{exp}"
-                if mag == 1:
+                if body == "1":
                     body = var
-                elif mag.denominator == 1:
-                    body = f"{mag}{var}"
+                elif "/" in body:
+                    body = f"({body}){var}"
                 else:
-                    body = f"({mag}){var}"
+                    body = f"{body}{var}"
             if not parts:
-                parts.append(body if c > 0 else f"-{body}")
+                parts.append(body if n > 0 else f"-{body}")
             else:
-                parts.append(f"+ {body}" if c > 0 else f"- {body}")
+                parts.append(f"+ {body}" if n > 0 else f"- {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:

@@ -17,7 +17,7 @@ from fractions import Fraction
 from numbers import Real
 
 from .bounds import bound
-from .errors import DomainError, _exact_str, _require_int, _to_float
+from .errors import DomainError, _exact_str, _repr, _require_int, _to_float
 from .events import ProductSystem, _require_coordinate_cap, bernoulli_product, union_prob_exact
 from .graphs import path_graph
 from .poly import P, Polynomial
@@ -71,7 +71,7 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
     """
     sequences = (list, tuple)
     if not isinstance(arcs, sequences) or not all(isinstance(a, sequences) and len(a) == 2 for a in arcs):
-        raise DomainError(f"arcs must be a list of (tail, head) pairs, got {arcs!r}")
+        raise DomainError(f"arcs must be a list of (tail, head) pairs, got {_repr(arcs)}")
     arcs = tuple(map(tuple, arcs))
     _require_int(node_count, "node count")
     _require_int(source, "source")
@@ -98,7 +98,7 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
         for p in values:
             # bool is an int, so a Real too
             if isinstance(p, bool) or not isinstance(p, Real):
-                raise DomainError(f"arc reliability must be {SYMBOLIC!r} or numeric, got {p!r}")
+                raise DomainError(f"arc reliability must be {SYMBOLIC!r} or numeric, got {_repr(p)}")
         values = tuple(_to_float(p, "arc reliability") for p in values)
         reliability = values * len(arcs) if scalar else values
         if len(reliability) != len(arcs):
@@ -254,7 +254,7 @@ def sweep(net: Network, p_values, kinds=None):
     polys = bound_polynomials(net)
     for kind in header[2:]:
         if kind not in DEFAULT_BOUND_KINDS:
-            raise DomainError(f"unknown bound kind {kind!r}")
+            raise DomainError(f"unknown bound kind {_repr(kind)}")
     columns = [polys[kind] for kind in header[1:]]
     rows = []
     for p in p_values:

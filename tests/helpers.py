@@ -399,6 +399,34 @@ def float_product_cone_sum(sys_: ProductSystem, required: int, others, cap: int)
     return total
 
 
+def product_symmetric_sum(sys_: ProductSystem, k: int):
+    """S_k of a product system in its backend's arithmetic: zero plus the
+    mass of each index set of size k, in `combinations` order."""
+    total = sys_.backend.zero
+    for index_set in combinations(sys_.requires, k):
+        mask = 0
+        for required in index_set:
+            mask |= required
+        total = total + sys_.mass(mask)
+    return total
+
+
+def product_cone_sum(sys_: ProductSystem, required: int, others, cap: int):
+    """A product cone sum in its backend's arithmetic: the base's mass
+    `required`, then the mass of each subset of the masks `others` of
+    fewer than cap members, smallest subsets first, subtracted at odd
+    sizes and added at even ones."""
+    total = sys_.mass(required)
+    for size in range(1, min(len(others), cap - 1) + 1):
+        for subset in combinations(others, size):
+            mask = required
+            for other in subset:
+                mask |= other
+            p = sys_.mass(mask)
+            total = total - p if size % 2 else total + p
+    return total
+
+
 def float_product_chordal_sieve(sys_: ProductSystem, g: Graph, size_cap: int | None = None) -> float:
     """The clique sieve sum of a REAL product system over a chordal graph
     in its float order: 0.0 plus one cone sum per vertex v, in vertex

@@ -39,7 +39,7 @@ from chordalbounds import (
     path_graph,
     union_prob_exact,
 )
-from chordalbounds import events, values
+from chordalbounds import best_path, best_tree, bound, events, exhaustive_tree_oracle, values
 from chordalbounds.errors import ParseError, _exact_str
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.values import (
@@ -57,7 +57,9 @@ from helpers import (
     bits,
     brute_force_alpha_prime,
     exact_mass,
+    product_cone_sum,
     product_outcomes,
+    product_symmetric_sum,
     random_chordal_graph,
     random_graph,
     random_rational_system,
@@ -406,6 +408,58 @@ class TestExactStr:
         assert type(info.value) is error
         assert str(info.value) == message.format(str(Decimal(value)))
 
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: build_graph(Fraction(BIG), []), "vertex count must be an integer, got {}"),
+            (lambda: build_graph(2, [(0, [BIG])]), "edge endpoint must be an integer, got a list of length 1"),
+            (
+                lambda: build_network(3, [(0, 1, BIG)], 0, 2),
+                "arcs must be a list of (tail, head) pairs, got a list of length 1",
+            ),
+            (lambda: generalized_lower(two_events(), Fraction(BIG)), "order m must be an integer, got {}"),
+            (
+                lambda: build_network(3, [(0, 1)], 0, 2, [[BIG]]),
+                "arc reliability must be 'symbolic' or numeric, got a list of length 1",
+            ),
+            (lambda: classical_bonferroni(two_events(), 1, BIG), "direction must be 'upper' or 'lower', got {}"),
+            (lambda: bound(BIG, two_events()), "unknown bound kind {}"),
+            (lambda: best_tree(((0.0,),), BIG), "unknown objective {}"),
+            (lambda: best_path(((0.0,),), BIG), "unknown mode {}"),
+            (lambda: exhaustive_tree_oracle(two_events(), BIG), "unknown criterion {}"),
+        ],
+        ids=[
+            "graph-count-fraction", "graph-endpoint-list", "network-arcs", "generalized-order-fraction",
+            "network-reliability-list", "bonferroni-direction", "bound-kind", "tree-objective", "path-mode",
+            "oracle-criterion",
+        ],
+    )
+    def test_caller_values_in_messages(self, call, message):
+        # A value that is no int is named without `repr`, which refuses an
+        # int past 4 300 digits: a Fraction by `_exact_str`, a container by
+        # its type and length.
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message.format(str(Decimal(BIG)))
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: build_graph("3", []), "vertex count must be an integer, got '3'"),
+            (lambda: build_graph(1.5, []), "vertex count must be an integer, got 1.5"),
+            (lambda: build_graph(True, []), "vertex count must be an integer, got True"),
+            (lambda: build_graph(Fraction(3, 2), []), "vertex count must be an integer, got Fraction(3, 2)"),
+            (
+                lambda: build_network(3, [(0, 1, 2)], 0, 2),
+                "arcs must be a list of (tail, head) pairs, got [(0, 1, 2)]",
+            ),
+        ],
+    )
+    def test_ordinary_values_keep_their_repr(self, call, message):
+        with pytest.raises(DomainError) as info:
+            call()
+        assert str(info.value) == message
 
 class TestBernoulliProduct:
     def test_single_coordinate(self):
@@ -902,6 +956,114 @@ class TestProductKernels:
             for _ in range(2):
                 sys_ = random_coords_system(rng, m, backend)
                 assert union_prob_exact(sys_) == union_prob_exact(product_outcomes(sys_)), m
+
+
+# Backends and the exact p that every coordinate shares.
+SHARED_P = [
+    (POLYNOMIAL, P), (POLYNOMIAL, (1 + P) / 3), (POLYNOMIAL, Fraction(1, 2)),
+    (RATIONAL, 0), (RATIONAL, Fraction(1, 10)), (RATIONAL, Fraction(1, 2)), (RATIONAL, 1),
+]
+SHARED_P_IDS = ["P", "(1+P)/3", "poly-1/2", "0", "1/10", "1/2", "1"]
+
+
+def reference_product_atom(sys_, signature):
+    """`ProductSystem._atom` from the reference mass and union."""
+    inside = 0
+    for i in signature:
+        inside |= sys_.requires[i]
+    residuals = [r & ~inside for i, r in enumerate(sys_.requires) if i not in signature]
+    value = reference_product_mass(sys_, inside)
+    if residuals:
+        value = value * (sys_.backend.one - reference_product_union(sys_, residuals))
+    return value
+
+
+class TestSharedPowerKernels:
+    """While every coordinate shares one exact p, `ProductSystem._union`
+    expands over packed integer coefficients of p, and `_symmetric_sum`
+    and `_cone_sum` count index sets by the coordinates they require.
+    Against the expansion, the sums and the atoms in backend arithmetic,
+    with ==, and the value's type."""
+
+    @staticmethod
+    def systems(rng, backend, p):
+        def shared(m):
+            return [p] * m
+
+        systems = [nested_product_system(rng, shared, backend) for _ in range(12)]
+        systems += [ladder_system(rng, k, shared, backend) for k in (1, 2)]
+        systems += [runs_system(n, k, p, backend) for n, k in ((9, 3), (12, 4))]
+        # A certain event (no coordinate), a duplicate and a nested one.
+        systems.append(bernoulli_product([p] * 4, [[], [0, 1], [0, 1], [1], [1, 2, 3]], backend))
+        return systems
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want and type(got) is type(want)
+
+    @pytest.mark.parametrize("backend, p", SHARED_P, ids=SHARED_P_IDS)
+    def test_union_and_atoms(self, backend, p):
+        rng = random.Random(3901)
+        for sys_ in self.systems(rng, backend, p):
+            self.assert_same(union_prob_exact(sys_), reference_product_union(sys_))
+            for family in residual_families(sys_):
+                if family:
+                    self.assert_same(sys_._union(family), reference_product_union(sys_, family))
+            n = sys_.event_count
+            if n <= 8:
+                for size in range(1, n + 1):
+                    for signature in combinations(range(n), size):
+                        self.assert_same(atom_prob(sys_, signature), reference_product_atom(sys_, signature))
+
+    @pytest.mark.parametrize("backend, p", SHARED_P, ids=SHARED_P_IDS)
+    def test_symmetric_and_cone_sums(self, backend, p):
+        rng = random.Random(3902)
+        for sys_ in self.systems(rng, backend, p):
+            n = sys_.event_count
+            for k in range(n + 1):
+                self.assert_same(sys_._symmetric_sum(k), product_symmetric_sum(sys_, k))
+            for v in range(n):
+                rest = [u for u in range(n) if u != v]
+                for _ in range(6):
+                    later = sum(1 << u for u in rest if rng.random() < 0.5)
+                    base = (v,) if rng.random() < 0.7 or not rest else (v, rng.choice(rest))
+                    required = sys_._combined_mask(base)
+                    others = [sys_.requires[u] for u in bits(later)]
+                    for cap in range(1, len(others) + 3):
+                        got = sys_._cone_sum(base, later, cap)
+                        self.assert_same(got, product_cone_sum(sys_, required, others, cap))
+
+    @pytest.mark.parametrize("m", [24, 60])
+    def test_lanes_past_a_machine_word(self, monkeypatch, m):
+        # m disjoint one-coordinate events: the union is 1 - (1 - p)**m,
+        # whose coefficients are +-C(m, j), up to C(60, 30) > 2**56, in
+        # lanes of 41 and 97 bits.
+        monkeypatch.setattr(events, "MAX_PRODUCT_COORDS", m)
+        sys_ = bernoulli_product([P] * m, [[c] for c in range(m)], POLYNOMIAL)
+        union = union_prob_exact(sys_)
+        assert union == 1 - (1 - P) ** m
+        assert union.numerators == (0, *((-1) ** (j + 1) * math.comb(m, j) for j in range(1, m + 1)))
+        twin = bernoulli_product([Fraction(1, 3)] * m, [[c] for c in range(m)], RATIONAL)
+        assert union_prob_exact(twin) == 1 - Fraction(2, 3) ** m
+        assert sys_._symmetric_sum(2) == math.comb(m, 2) * P**2
+
+    @pytest.mark.parametrize("backend, p", [(POLYNOMIAL, P), (RATIONAL, Fraction(1, 2))], ids=["P", "1/2"])
+    def test_counts_past_lane_widths(self, backend, p):
+        # 400 copies of one two-coordinate event: S_2 counts C(400, 2)
+        # pairs, far past what 3 coordinates' lanes would hold.
+        sys_ = bernoulli_product([p] * 3, [[0, 1]] * 400, backend)
+        assert sys_._symmetric_sum(1) == 400 * p**2
+        assert sys_._symmetric_sum(2) == math.comb(400, 2) * p**2
+        cone = sys_._cone_sum((0,), (1 << 400) - 2, 3)
+        assert cone == (1 - 399 + math.comb(399, 2)) * p**2
+
+    def test_unpack_reads_signed_lanes(self):
+        rng = random.Random(3903)
+        for _ in range(300):
+            lane = rng.randint(2, 100)
+            coefficients = [rng.randrange(-(1 << lane - 1), 1 << lane - 1) for _ in range(rng.randint(1, 30))]
+            packed = sum(c << lane * j for j, c in enumerate(coefficients))
+            assert events._unpack(packed, lane, len(coefficients)) == coefficients
 
 
 class TestIntersectionAndUnion:

@@ -167,6 +167,23 @@ class TestAgainstFractionReference:
             if scalar:
                 assert_same(pa / scalar, ra / scalar)
 
+    def test_printing_from_numerators(self):
+        # Integer and common-denominator polynomials as the reliability
+        # report prints them: multi-digit and negative coefficients, runs
+        # of zero coefficients, and fractions that reduce to 1 or to ints.
+        rng = random.Random(20100419)
+        for _ in range(300):
+            denominator = rng.choice((1, 1, 2, 6, 9, 1000, 10**20 + 39))
+            coeffs = []
+            for _ in range(rng.randint(1, 16)):
+                if rng.random() < 0.3:
+                    coeffs += [0] * rng.randint(1, 4)
+                top = rng.choice((1, -1, denominator, -denominator, rng.randint(-10**12, 10**12)))
+                coeffs.append(Fraction(top, denominator))
+            got, want = Polynomial(coeffs), FractionPolynomial(coeffs)
+            assert str(got) == str(want)
+            assert got.coefficient_string() == want.coefficient_string()
+
     def test_equality_and_hash_across_spellings(self):
         rng = random.Random(20100417)
         for _ in range(200):
