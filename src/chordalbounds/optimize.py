@@ -11,17 +11,21 @@ cannot beat the best tree found so far.  By König's theorem a tree's
 independence number is n minus its maximum matching size, which a greedy
 leaf matching finds, only for a tree that could still win.
 `best_tree` and `best_path` take the weights of `pairwise_weights`, which
-needs a system on the real (float) backend; `best_path` needs the rows
-symmetric, as `pairwise_weights` gives them.
+needs a system on the real (float) backend and makes one mass query per
+unordered pair straight from the system's event masks; both need the rows
+finite, square and symmetric, as `pairwise_weights` gives them.  Kruskal's
+tree comes from one stable sort of the edges, listed in lexicographic
+order, by weight alone.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import chain, islice
+import operator
+from itertools import chain, combinations, islice, starmap
 
 from .errors import DomainError, ResourceLimitError, _repr
-from .events import EventSystem, intersection_prob
+from .events import EventSystem, ProductSystem, intersection_prob
 from .graphs import Graph, _bits, build_graph
 
 __all__ = [
@@ -41,45 +45,75 @@ EXHAUSTIVE_TREE_MAX_VERTICES = 7
 
 def pairwise_weights(sys: EventSystem) -> tuple[tuple[float, ...], ...]:
     """Rows w of two-event intersection probabilities, w[u][v] = P(A_u and
-    A_v), with 0.0 on the diagonal (real backend only)."""
+    A_v), with 0.0 on the diagonal (real backend only).
+
+    The event masks are read once, and each unordered pair makes one
+    `mass` query, for the mask `intersection_prob` gives it: outcome masks
+    met with & on an explicit system, required-coordinate masks joined
+    with | on a product system.
+    """
     if sys.backend.name != "real":
         raise DomainError("pairwise weights require the real backend")
-    n = sys.event_count
-    rows = [[0.0] * n for _ in range(n)]
+    if isinstance(sys, ProductSystem):
+        masks, combine = sys.requires, operator.or_
+    else:
+        masks, combine = sys.events, operator.and_
+    n = len(masks)
+    # One query per unordered pair (u, v), u < v, in lexicographic order.
+    weights = list(map(sys.mass, starmap(combine, combinations(masks, 2))))
+    flat = [0.0] * (n * n)
+    start = 0
     for u in range(n):
-        for v in range(u + 1, n):
-            # One query per unordered pair: (u, v) and (v, u) name one mask.
-            rows[u][v] = rows[v][u] = intersection_prob(sys, (u, v))
-    return tuple(map(tuple, rows))
+        stop = start + n - 1 - u
+        # Row u right of the diagonal, and column u below it.
+        flat[u * n + u + 1 : (u + 1) * n] = flat[(u + 1) * n + u :: n] = weights[start:stop]
+        start = stop
+    return tuple(zip(*[iter(flat)] * n))
+
+
+def _check_rows(w: tuple[tuple[float, ...], ...], name: str) -> None:
+    """Reject weights that are not finite, or rows that are not square and
+    symmetric: rows equal to columns also means n rows of n weights."""
+    if not all(map(math.isfinite, chain.from_iterable(w))):
+        raise DomainError(f"{name} weights must be finite")
+    if list(map(tuple, w)) != list(zip(*w)):
+        raise DomainError(f"{name} weights must be symmetric")
 
 
 def best_tree(w: tuple[tuple[float, ...], ...], objective: str = "minimize-weight") -> Graph:
-    """Kruskal spanning tree of the complete graph weighted by the rows w.
+    """Kruskal spanning tree of the complete graph weighted by the rows w,
+    which must be finite, square and symmetric.
 
     "minimize-weight" maximizes the fixed-denominator tree lower bound;
-    "maximize-weight" minimizes the tree upper bound.  Ties break on
-    lexicographic edge order, so the result is deterministic.
+    "maximize-weight" minimizes the tree upper bound.  The edges are
+    listed in lexicographic order and sorted by weight alone, descending
+    for "maximize-weight"; the sort is stable, so ties break on
+    lexicographic edge order and the result is deterministic.  Components
+    merge through a list of component ids, and the chosen edges form the
+    tree as they are, with no second validation.
     """
     if objective not in ("minimize-weight", "maximize-weight"):
         raise DomainError(f"unknown objective {_repr(objective)}")
+    _check_rows(w, "tree")
     n = len(w)
-    sign = 1.0 if objective == "minimize-weight" else -1.0
-    edges = sorted(
-        ((u, v) for u in range(n) for v in range(u + 1, n)),
-        key=lambda e: (sign * w[e[0]][e[1]], e),
-    )
-    # component[v]: bitmask of the vertices joined to v so far
-    component = [1 << v for v in range(n)]
+    edges = list(combinations(range(n), 2))
+    weights = [w[u][v] for u, v in edges]
+    order = sorted(range(len(edges)), key=weights.__getitem__, reverse=objective == "maximize-weight")
+    # component[v]: the id of v's component; members[c]: its vertices
+    component = list(range(n))
+    members = [[v] for v in range(n)]
     chosen = []
-    for u, v in edges:
-        if not (component[u] >> v) & 1:
-            merged = component[u] | component[v]
-            for x in _bits(merged):
-                component[x] = merged
-            chosen.append((u, v))
+    for i in order:
+        u, v = edges[i]
+        cu, cv = component[u], component[v]
+        if cu != cv:
+            for x in members[cv]:
+                component[x] = cu
+            members[cu] += members[cv]
+            chosen.append(edges[i])
             if len(chosen) == n - 1:
                 break
-    return build_graph(n, chosen)
+    return Graph(n, tuple(sorted(chosen)))
 
 
 def _weight(w: tuple[tuple[float, ...], ...], pairs) -> float:
@@ -288,10 +322,7 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     n = len(w)
     if n == 0:
         raise DomainError("weight matrix is empty")
-    if not all(map(math.isfinite, chain.from_iterable(w))):
-        raise DomainError("path weights must be finite")
-    if list(map(tuple, w)) != list(zip(*w)):
-        raise DomainError("path weights must be symmetric")
+    _check_rows(w, "path")
     if mode == "exact":
         if n > HELD_KARP_MAX_VERTICES:
             raise ResourceLimitError(

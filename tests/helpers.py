@@ -8,7 +8,8 @@ random chordal graphs are built directly by simplicial-vertex addition,
 polynomials keep one Fraction per coefficient, the explicit-system
 loader (id masks, rational columns, bit planes, support) is read one value
 at a time or one pass per check, the best tree comes from
-every connected edge subset or from every Prüfer code, the best path
+every connected edge subset or from every Prüfer code, Kruskal's tree
+from one (weight, edge) sort key per edge, the best path
 from every visiting order or from a Held-Karp table of all 2**n rows,
 a product system's masses one coordinate at a time and its union from a
 Shannon expansion that re-minimises every on-branch family,
@@ -544,6 +545,33 @@ def reference_tree_oracle(sys_: EventSystem, criterion: str) -> Graph:
             best_key = key
             best_edges = edges
     return build_graph(n, best_edges)
+
+
+def reference_best_tree(w, objective: str = "minimize-weight") -> Graph:
+    """Kruskal's tree as `best_tree` built it before its direct pass, kept
+    as the reference: edges sorted by the key (sign * weight, edge),
+    components merged as bitmasks, and the chosen edges validated again by
+    `build_graph`."""
+    if objective not in ("minimize-weight", "maximize-weight"):
+        raise DomainError(f"unknown objective {objective!r}")
+    n = len(w)
+    sign = 1.0 if objective == "minimize-weight" else -1.0
+    edges = sorted(
+        ((u, v) for u in range(n) for v in range(u + 1, n)),
+        key=lambda e: (sign * w[e[0]][e[1]], e),
+    )
+    # component[v]: bitmask of the vertices joined to v so far
+    component = [1 << v for v in range(n)]
+    chosen = []
+    for u, v in edges:
+        if not (component[u] >> v) & 1:
+            merged = component[u] | component[v]
+            for x in bits(merged):
+                component[x] = merged
+            chosen.append((u, v))
+            if len(chosen) == n - 1:
+                break
+    return build_graph(n, chosen)
 
 
 def brute_force_best_path(w) -> tuple[float, tuple[int, ...]]:

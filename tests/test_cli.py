@@ -894,6 +894,17 @@ class TestOptimize:
         assert code == 0 and not err
         assert out == (DATA / "golden_path15.out").read_text()
 
+    @pytest.mark.parametrize("events", ["events_real", "path15"])
+    @pytest.mark.parametrize("objective", ["min", "max"])
+    def test_golden_tree(self, capsys, events, objective):
+        # An explicit REAL space and 15 coords events with two duplicated
+        # event pairs, whose equal weights tie.
+        argv = ["optimize", "tree", str(DATA / f"golden_{events}.json"), "--objective", f"{objective}imize-weight"]
+        code, out, err = run(capsys, *argv)
+        assert code == 0 and not err
+        name = events.removeprefix("events_")
+        assert out == (DATA / f"golden_optimize_tree_{name}_{objective}.out").read_text()
+
     def test_exact_cap_exit_3(self, capsys, tmp_path):
         n = 16
         path = tmp_path / "wide.json"

@@ -11,6 +11,7 @@ import pytest
 from chordalbounds import (
     HELD_KARP_MAX_VERTICES,
     DomainError,
+    EventSystem,
     ResourceLimitError,
     bernoulli_product,
     best_path,
@@ -30,7 +31,7 @@ from chordalbounds import (
 from chordalbounds import graphs, optimize
 from chordalbounds.graphs import is_tree
 from chordalbounds.optimize import _matching_size
-from chordalbounds.values import RATIONAL
+from chordalbounds.values import RATIONAL, REAL
 
 from helpers import (
     BRIDGE_PATH_ORDER,
@@ -38,6 +39,7 @@ from helpers import (
     brute_force_tree_oracle,
     full_table_path,
     random_real_system,
+    reference_best_tree,
     reference_tree_oracle,
 )
 
@@ -67,6 +69,29 @@ def coords_weights(rng, n, coords, per_event):
     probs = [round(rng.uniform(0.5, 0.95), 2) for _ in range(coords)]
     events = [sorted(rng.sample(range(coords), per_event)) for _ in range(n)]
     return pairwise_weights(bernoulli_product(probs, events))
+
+
+def weight_systems(seed):
+    """REAL systems of 1-16 events for the weight and tree tests: coords
+    systems over 2-12 coordinates, some of probability 0.0 or 1.0, with
+    duplicated events, whose pairs tie, and explicit spaces with zero-weight
+    outcomes, with and without duplicated events."""
+    rng = random.Random(seed)
+    systems = []
+    for n in range(1, 17):
+        m = rng.randint(2, 12)
+        probs = [rng.choice((0.0, 1.0, rng.random(), round(rng.uniform(0.5, 0.95), 2))) for _ in range(m)]
+        events = [sorted(rng.sample(range(m), rng.randint(1, min(3, m)))) for _ in range(n)]
+        for i in range(1, n, 3):
+            events[i] = events[rng.randrange(i)]
+        systems.append(bernoulli_product(probs, events))
+        explicit = random_real_system(rng, n, max_outcomes=32)
+        masks = list(explicit.events)
+        for i in range(1, n, 4):
+            masks[i] = masks[rng.randrange(i)]
+        systems.append(explicit)
+        systems.append(EventSystem(REAL, explicit.weights, masks))
+    return systems
 
 
 def all_spanning_trees(n):
@@ -103,16 +128,31 @@ class TestPairwiseWeights:
         )
 
     def test_one_query_per_unordered_pair(self, monkeypatch):
-        queries = []
-        monkeypatch.setattr(
-            optimize, "intersection_prob", lambda sys_, pair: queries.append(pair) or intersection_prob(sys_, pair)
-        )
+        # One mass query per unordered pair, for the mask that
+        # `intersection_prob` would query: (u, v) and (v, u) name one mask.
         sys_ = random_real_system(random.Random(173), 7, max_outcomes=32)
+        pair_masks = [sys_._combined_mask(pair) for pair in combinations(range(7), 2)]
+        queries = []
+        original = EventSystem.mass
+        monkeypatch.setattr(EventSystem, "mass", lambda self, mask: queries.append(mask) or original(self, mask))
         wm = pairwise_weights(sys_)
-        assert sorted(queries) == list(combinations(range(7), 2))
+        monkeypatch.undo()
+        assert len(queries) == 21 and sorted(queries) == sorted(pair_masks)
         for u, v in permutations(range(7), 2):
             assert wm[u][v] == intersection_prob(sys_, (u, v))
         assert all(wm[v][v] == 0.0 for v in range(7))
+
+    def test_matches_intersection_prob(self):
+        # Outcome masks met with & on explicit systems, required
+        # coordinates joined with | on product systems: every ordered pair
+        # reads the float of its own intersection query.
+        for sys_ in weight_systems(211):
+            n = sys_.event_count
+            wm = pairwise_weights(sys_)
+            assert len(wm) == n and all(len(row) == n for row in wm)
+            for u, v in permutations(range(n), 2):
+                assert wm[u][v] == intersection_prob(sys_, (u, v))
+            assert all(repr(wm[v][v]) == "0.0" for v in range(n))
 
     def test_requires_real_backend(self):
         from fractions import Fraction
@@ -156,6 +196,62 @@ class TestBestTree:
         wm = tuple(tuple(0.5 if u != v else 0.0 for v in range(4)) for u in range(4))
         tree = best_tree(wm, "minimize-weight")
         assert tree.edges == ((0, 1), (0, 2), (0, 3))
+
+    def test_equal_weights_lexicographic_tie_break_maximize(self):
+        # A descending sort keeps equal weights in lexicographic order too.
+        wm = tuple(tuple(0.5 if u != v else 0.0 for v in range(4)) for u in range(4))
+        tree = best_tree(wm, "maximize-weight")
+        assert tree.edges == ((0, 1), (0, 2), (0, 3))
+
+    @pytest.mark.parametrize("objective", ["minimize-weight", "maximize-weight"])
+    def test_matches_reference_on_systems(self, objective):
+        for sys_ in weight_systems(223):
+            wm = pairwise_weights(sys_)
+            tree, reference = best_tree(wm, objective), reference_best_tree(wm, objective)
+            assert tree == reference and tree.edges == reference.edges
+            assert repr(tree_weight(wm, tree)) == repr(tree_weight(wm, reference))
+
+    @pytest.mark.parametrize("objective", ["minimize-weight", "maximize-weight"])
+    def test_matches_reference_on_ties_and_signed_zeros(self, objective):
+        # Two-valued and all-equal weights tie often, and 0.0 == -0.0 in
+        # both orders: ties keep lexicographic edge order.
+        rng = random.Random(227)
+        for n in range(1, 13):
+            for _ in range(4):
+                values = (rng.random(), rng.random())
+                cases = [
+                    symmetric_rows(n, lambda: rng.choice(values)),
+                    symmetric_rows(n, lambda value=rng.choice((0.0, -0.0, 0.5)): value),
+                    symmetric_rows(n, lambda: rng.choice((0.0, -0.0))),
+                    symmetric_rows(n, lambda: rng.choice((0.0, -0.0, 0.25, -0.25))),
+                ]
+                for wm in cases:
+                    tree, reference = best_tree(wm, objective), reference_best_tree(wm, objective)
+                    assert tree.edges == reference.edges
+                    assert repr(tree_weight(wm, tree)) == repr(tree_weight(wm, reference))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("objective", ["minimize-weight", "maximize-weight"])
+    def test_non_finite_weight_rejected(self, bad, objective):
+        wm = ((0.0, bad, 1.0), (bad, 0.0, 2.0), (1.0, 2.0, 0.0))
+        with pytest.raises(DomainError, match="^tree weights must be finite$"):
+            best_tree(wm, objective)
+
+    @pytest.mark.parametrize("objective", ["minimize-weight", "maximize-weight"])
+    def test_ragged_or_asymmetric_rows_rejected(self, objective):
+        cases = [
+            ((0.0, 1.0, 2.0), (1.0, 0.0)),
+            ((0.0, 1.0), (1.0, 0.0), (2.0, 3.0)),
+            ((0.0, 1.0, 2.0), (1.0, 0.0, 3.0), (2.0, 4.0, 0.0)),
+            ((0.0, 1.0), (-1.0, 0.0)),
+        ]
+        for wm in cases:
+            with pytest.raises(DomainError, match="^tree weights must be symmetric$"):
+                best_tree(wm, objective)
+
+    def test_objective_checked_before_rows(self):
+        with pytest.raises(DomainError, match="unknown objective"):
+            best_tree(((0.0, math.nan), (math.nan, 0.0)), "smallest")
 
     def test_maximize_objective(self):
         wm = pairwise_weights(bridge_system(0.9))
