@@ -28,13 +28,16 @@ lower bounds have none.  The bracket takes one of two forms:
   exactly c events; a product system enumerates the C(n, k) index sets.
 
 All formulas are generic over the value backend.  A bracket is summed in
-the event system's unit (`_numerator`): on a RATIONAL explicit space an
-integer numerator over the weights' one common denominator D, elsewhere
-the value itself.  A moment bracket's coefficients are integer pairs
-(a_k, b_k); exact systems scale them to one common denominator L, float
-systems multiply S_k by the float a_k / b_k.  Division by L and by the
-integer denominator happens last, in one step (`_value`), so a RATIONAL
-explicit bound builds one Fraction.  The checks the bounds share live
+the event system's unit (`_numerator`): on a RATIONAL space an integer
+numerator over one common denominator (the weights' D, or D**m for m
+coordinates of probabilities a_c / D), on a product space whose
+coordinates share one polynomial p the packed integer coefficients of
+p, elsewhere the value itself.  A moment bracket's coefficients are
+integer pairs (a_k, b_k); exact systems scale them to one common
+denominator L, float systems multiply S_k by the float a_k / b_k.
+Division by L and by the integer denominator happens last, in one step
+(`_value`), so a RATIONAL bound builds one Fraction and a symbolic one
+one Polynomial.  The checks the bounds share live
 with the data they check: the truncation depth in `graphs._size_cap`,
 the pairing of events with graph vertices in
 `events._require_one_vertex_per_event`.
@@ -143,10 +146,17 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
 
 def _clique_bracket(sys: EventSystem, g: Graph, size_cap: int | None):
     """`clique_sieve_sum` as a bracket (total, 1), the total in the
-    system's unit: `_cone_bracket` over the cones of g."""
+    system's unit: `_cone_bracket` over the cones of g.  The system keeps
+    each bracket by g's adjacency masks, which fix its cones, and cap, so
+    the upper and the two lower chordal bounds of one graph sum it, and
+    walk a non-chordal graph's cones, once."""
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
     cap = _clique_cap(g, size_cap, "size_cap")
-    return _cone_bracket(sys, _cones(g, cap), cap)
+    key = (g.adj, cap)
+    bracket = sys._clique_brackets.get(key)
+    if bracket is None:
+        bracket = sys._clique_brackets[key] = _cone_bracket(sys, _cones(g, cap), cap)
+    return bracket
 
 
 def _cone_bracket(sys: EventSystem, cones, cap: int):
@@ -166,7 +176,8 @@ def _moment_bracket(sys: EventSystem, coefficients):
     as integer pairs (a_k, b_k), as a bracket (total, scale).
 
     An exact system scales them to one common denominator L, the scale,
-    and adds S_k * (a_k * L / b_k): integers on a RATIONAL explicit space.
+    and adds S_k * (a_k * L / b_k): integers on a RATIONAL space and on a
+    shared polynomial p.
     A float system adds S_k * (a_k / b_k) with scale 1; int / int is
     correctly rounded, so it is the float of the Fraction a_k / b_k.
     """

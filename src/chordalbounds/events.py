@@ -24,19 +24,20 @@ each through its own private methods (`mass`, `_union`, `_atom`,
   untruncated cone; a truncated one is one per count of later events.
 * ProductSystem -- independent on/off coordinates plus a bitmask of
   required coordinates per event (built by `bernoulli_product`).  An
-  intersection is a product of coordinate probabilities (p**k, memoized
-  by k, when every coordinate has the same exact probability p) and the
-  union a Shannon expansion over coordinates that branches on the lowest
+  intersection is a product of coordinate probabilities and the union a
+  Shannon expansion over coordinates that branches on the lowest
   coordinate of the smallest residual mask (success runs in 100 trials:
-  5 ms).  An atom is the mass of the coordinates its events require
-  times one minus the Shannon union of the other events' residual masks,
-  and `alpha_prime` splits the coordinate assignments by event, keeping
-  each part as its least on-set, so no outcome is ever built.  The
-  symmetric and cone sums enumerate their index sets.  When every
-  coordinate shares one exact p, each of these values is an integer
-  polynomial in p: the expansion runs over packed integer coefficients,
-  the sums count index sets by the coordinates they require, and each
-  result becomes one backend value (`_from_coefficients`).
+  5 ms); when every coordinate has the same exact p it runs over packed
+  integer coefficients of p.  An atom is the mass of the coordinates its
+  events require times one minus the Shannon union of the other events'
+  residual masks, and `alpha_prime` splits the coordinate assignments by
+  event, keeping each part as its least on-set, so no outcome is ever
+  built.  The symmetric and cone sums enumerate their index sets.  On an
+  exact system they add integer numerators: over D**m for RATIONAL
+  probabilities a_c / D, each distinct union of required coordinates
+  taken once per chunk of index sets, and packed coefficients of p,
+  looked up by coordinate count, when every coordinate shares one
+  polynomial p.
 
 A cone sum takes the base of a cone (see `graphs._cones`), a tuple of
 events whose intersection stands where one event would: a chordal graph's
@@ -45,8 +46,10 @@ more, and only a non-chordal graph's walk makes longer bases.
 
 Both stay exact for rational and polynomial values; an explicit system's
 float masses are correctly rounded.  The symmetric and cone sums come in
-the system's unit (`_numerator`, `_value`): integers over the one common
-denominator on a RATIONAL explicit system, values elsewhere.  Both check
+the system's unit (`_numerator`, `_value`): integers over one common
+denominator on a RATIONAL system, packed integer coefficients of a
+shared polynomial p on a product system, values elsewhere, so that a
+bound sums its bracket in that unit and makes one value of it.  Both check
 index sets with `_event_indices`, and `_require_one_vertex_per_event`
 pairs the events with the vertices of a graph for every caller.
 """
@@ -55,9 +58,10 @@ from __future__ import annotations
 
 import math
 import operator
+from collections import Counter
 from fractions import Fraction
 from functools import reduce
-from itertools import combinations, compress, repeat
+from itertools import combinations, compress, islice, repeat
 
 from .errors import DomainError, ResourceLimitError, _exact_str, _require_int, _to_float
 from .graphs import Graph, _bits, _component_count
@@ -82,6 +86,11 @@ __all__ = [
 # trials take 20 ms, and other unions may still expand exponentially in m.
 MAX_PRODUCT_COORDS = 24
 
+# Masks a product system's exact sum counts at once (`_add_masses`): a
+# `Counter` of that many distinct masks takes about 6 MB, and 2**21 index
+# sets over 24 coordinates take 32 chunks, whose numerators cost little.
+_MASK_CHUNK = 1 << 16
+
 # Most nodes (parts) of a product system's signature walk; `bounds all`
 # stops at it after 0.7 to 0.8 s (README "Caps"; Python 3.11, one Xeon core).
 MAX_SIGNATURE_NODES = 500_000
@@ -105,14 +114,15 @@ class EventSystem:
     summed outcome by outcome in C; `weights` keeps the values as given.
 
     Instances are immutable once built; `_numerator` memoizes mask sums,
-    seeded with the total weight, and `_symmetric_sum` computes every
-    symmetric sum once, so that repeated bound evaluations over the same
-    system stay cheap.
+    seeded with the total weight, `_symmetric_sum` computes every
+    symmetric sum once, and `_clique_brackets` keeps the clique brackets
+    of `bounds`, so that repeated bound evaluations over the same system
+    stay cheap.
     """
 
     __slots__ = (
         "backend", "weights", "events", "_summands", "_denominator", "_zero", "_planes",
-        "_mass_cache", "_moments",
+        "_mass_cache", "_moments", "_clique_brackets",
     )
 
     def __init__(self, backend: Backend, weights, events):
@@ -142,6 +152,7 @@ class EventSystem:
             self._mass_cache[full] = self._sum(self._summands) if backend.exact else _real_total(weights)
         full_numerator = self._numerator(full)
         self._moments: tuple | None = None
+        self._clique_brackets: dict = {}
         total = self._value(full_numerator)
         if not backend.sum_is_one(total):
             raise DomainError(f"outcome weights must sum to one, got {_exact_str(total)}")
@@ -305,17 +316,36 @@ class ProductSystem:
     masks over one backend.
 
     `probs[c]` is the probability that coordinate c is on; event j occurs
-    when every coordinate in the mask `requires[j]` is on.  `mass`
-    computes each product as it is asked for, and `_symmetric_sum`
-    memoizes its sums.  On an exact backend whose coordinates all share
-    one probability p (every symbolic network), the mass of a mask is
-    p**k for its k coordinates, the powers kept by k, and the union and
-    the symmetric and cone sums are computed in the integer coefficients
-    of p; floats keep the product over the mask, so that their rounding
-    does not depend on the probabilities being equal.
+    when every coordinate in the mask `requires[j]` is on.  The symmetric
+    and cone sums come in the system's unit, as on an explicit system:
+    `_numerator` gives a mask's probability as a numerator, the sums add
+    numerators, and `_value` makes one backend value of a bracket, or of
+    one numerator for `mass`.  The unit depends on the backend:
+
+    * RATIONAL: with D the least common denominator of the probabilities
+      a_c / D, a mask's numerator is prod_{c in mask} a_c * D**(m - |mask|),
+      an integer over D**m, read from one table over the low half of the
+      coordinates and one over the high half, or by its number of
+      coordinates when they share one p; `_value` makes one Fraction.
+    * POLYNOMIAL with one p shared by every coordinate (every symbolic
+      network): a mask of k coordinates is p**k, and its numerator the
+      integer 1 << lane*k, the coefficients of p**k packed one per lane of
+      `_bracket_lane` bits; `_value` unpacks them once and
+      `_from_coefficients` makes the value.
+    * any other system: the unit is 1 and a numerator is the mass, the
+      product over the mask in backend arithmetic, so floats keep that
+      product and the order of every sum, and their rounding does not
+      depend on the probabilities being equal.
+
+    `_symmetric_sum` memoizes its sums, and `_clique_brackets` keeps the
+    clique brackets of `bounds`, so that repeated bound evaluations over
+    the same system stay cheap.
     """
 
-    __slots__ = ("backend", "probs", "requires", "_zero", "_offs", "_powers", "_low_products", "_sums")
+    __slots__ = (
+        "backend", "probs", "requires", "_zero", "_shared", "_denominator", "_lane", "_by_count",
+        "_halves", "_offs", "_low_products", "_sums", "_clique_brackets",
+    )
 
     def __init__(self, backend: Backend, probs, requires):
         probs = tuple(probs)
@@ -335,34 +365,53 @@ class ProductSystem:
         self.backend = backend
         self.probs = probs
         self.requires = requires
-        self._zero = backend.zero
-        self._offs = tuple(backend.one - p for p in probs)
-        # p**0, p**1, ... while every coordinate has the same exact p, grown
-        # on demand; None otherwise, which keeps every query in backend
-        # arithmetic.
-        self._powers = [backend.one] if backend.exact and len(set(probs)) == 1 else None
-        # The products over each subset of the lowest 8 coordinates, by
-        # mask; filled on the first `mass` without the powers.
+        # Every coordinate has the same exact p: the union expands over
+        # integer coefficients of p.  `count` finds a repeated object by
+        # identity, with no hash or comparison.
+        self._shared = backend.exact and bool(probs) and probs.count(probs[0]) == len(probs)
+        # The unit: 1 / D**m for RATIONAL, packed coefficients of p for a
+        # shared polynomial p, else 1 (all None); with a shared p, the
+        # numerator of a mask by its number of coordinates.
+        self._denominator = self._lane = self._by_count = None
+        self._zero = 0
+        m = len(probs)
+        if backend is RATIONAL:
+            unit = math.lcm(*(p.denominator for p in probs))
+            self._denominator = unit**m
+            if self._shared:
+                a = probs[0].numerator * (unit // probs[0].denominator)
+                self._by_count = [a**k * unit ** (m - k) for k in range(m + 1)]
+        elif self._shared:
+            self._lane = _bracket_lane(len(requires))
+            self._by_count = [1 << self._lane * k for k in range(m + 1)]
+        else:
+            self._zero = backend.zero
+        # Built on first use: the RATIONAL numerator tables (`_numerator`),
+        # 1 - probs for the union in backend values, and the products over
+        # each subset of the lowest 8 coordinates (`mass`).
+        self._halves: tuple | None = None
+        self._offs: tuple | None = None
         self._low_products: list | None = None
         self._sums: dict[int, object] = {}
+        self._clique_brackets: dict = {}
 
     @property
     def event_count(self) -> int:
         return len(self.requires)
 
     def mass(self, mask: int):
-        """Probability that every coordinate in `mask` is on: p**k for
-        its k coordinates when they all share the exact p, else the
-        product of their probabilities, lowest coordinate first.  That
+        """Probability that every coordinate in `mask` is on: on a
+        RATIONAL system the mask's `_numerator` over D**m, on a shared
+        polynomial p the value of p**k for its k coordinates
+        (`_from_coefficients`), elsewhere the product of their
+        probabilities in backend arithmetic, lowest coordinate first.  That
         product starts from the low byte's entry of `_low_products`, the
         same left fold over the lowest 8 coordinates, listed for every
         subset of them on first use."""
-        powers = self._powers
-        if powers is not None:
-            k = mask.bit_count()
-            while len(powers) <= k:
-                powers.append(powers[-1] * self.probs[0])
-            return powers[k]
+        if self._denominator is not None:
+            return Fraction(self._numerator(mask), self._denominator)
+        if self._lane is not None:
+            return self._from_coefficients([0] * mask.bit_count() + [1])
         low_products = self._low_products
         if low_products is None:
             low_products = [self.backend.one]
@@ -377,11 +426,47 @@ class ProductSystem:
             mask ^= low
         return total
 
-    # A product system's unit is 1: its numerators are its masses.
-    _numerator = mass
+    def _numerator(self, mask: int):
+        """`mass(mask)` as a numerator in the system's unit.  With one
+        exact p on every coordinate it is the entry of `_by_count` for the
+        mask's k coordinates: a**k * D**(m - k) for a RATIONAL p = a/D, the
+        packed p**k, 1 << lane*k, for a polynomial p.  Any other RATIONAL
+        system takes prod_{c in mask} a_c * D**(m - |mask|) as the product
+        of one entry of each of `_halves`' tables; elsewhere it is the mass
+        itself."""
+        if self._by_count is not None:
+            return self._by_count[mask.bit_count()]
+        if self._denominator is None:
+            return self.mass(mask)
+        low, high, split = self._halves or self._numerator_tables()
+        return low[mask & (1 << split) - 1] * high[mask >> split]
+
+    def _numerator_tables(self):
+        """(low, high, split): low[i] is the numerator product over the
+        coordinates below `split`, a_c for those on in the mask i and D for
+        the others, and high[i] the same over the coordinates from `split`
+        on; built once, with 2**split + 2**(m - split) entries."""
+        unit = math.lcm(*(p.denominator for p in self.probs))
+        weights = [p.numerator * (unit // p.denominator) for p in self.probs]
+        split = len(weights) // 2
+        tables = []
+        for part in (weights[:split], weights[split:]):
+            table = [1]
+            for a in part:
+                table = [t * unit for t in table] + [t * a for t in table]
+            tables.append(table)
+        self._halves = (*tables, split)
+        return self._halves
 
     def _value(self, total, divisor: int = 1):
-        """`total` divided by the positive integer `divisor`."""
+        """The value of `total`, a sum of numerators in the system's unit
+        (see `_numerator`), divided by the positive integer `divisor`: one
+        Fraction over D**m * divisor on a RATIONAL system, one unpacking on
+        a shared polynomial p."""
+        if self._denominator is not None:
+            return Fraction(total, self._denominator * divisor)
+        if self._lane is not None:
+            return self._from_coefficients(_unpack(total, self._lane, len(self.probs) + 1), divisor)
         return total if divisor == 1 else total / divisor
 
     def _combined_mask(self, index_set) -> int:
@@ -404,7 +489,7 @@ class ProductSystem:
         The ring is chosen once, by the values the recursion reads: `one`,
         the coordinate probabilities `probs` and `offs` = 1 - probs, and
         the `leaf`, the mass of a single mask.  While every coordinate
-        shares one exact p (`_powers`), U is an integer polynomial in p,
+        shares one exact p (`_shared`), U is an integer polynomial in p,
         and the expansion runs over packed ints: coefficient j sits in
         lane j of L = bit_length(3**m) + 2 bits, for the m coordinates,
         so p is 1 << L, 1 - p is 1 - (1 << L) and a mask of k coordinates
@@ -416,21 +501,25 @@ class ProductSystem:
         value is itself the union of a family over the same coordinates,
         so it obeys the same bound.  `_from_coefficients` makes one value
         of the coefficients.
-        Any other system runs the same recursion over its backend values.
-        Runs of length 4 at RATIONAL p = 3/10 take 0.36 ms in 24 trials
-        and 5 ms in 100 (1.0 and 10 ms in Fractions; Python 3.11)."""
+        Any other system runs the same recursion over its backend values,
+        with `offs` built on its first union.  Runs of length 4 at
+        RATIONAL p = 3/10 take 0.36 ms in 24 trials and 5 ms in 100 (1.0
+        and 10 ms in Fractions; Python 3.11)."""
         family = _minimal(self.requires if requires is None else requires)
         if family[0] == 0:
             return self.backend.one
-        if self._powers is None:
-            one, probs, offs, leaf = self.backend.one, self.probs, self._offs, self.mass
-        else:
+        if self._shared:
             coords = len(self.probs)
             lane = (3**coords).bit_length() + 2
             one, probs, offs = 1, (1 << lane,) * coords, (1 - (1 << lane),) * coords
 
             def leaf(mask):
                 return 1 << lane * mask.bit_count()
+
+        else:
+            if self._offs is None:
+                self._offs = tuple(self.backend.one - p for p in self.probs)
+            one, probs, offs, leaf = self.backend.one, self.probs, self._offs, self.mass
 
         memo: dict[tuple[int, ...], object] = {}
 
@@ -466,17 +555,17 @@ class ProductSystem:
             return value
 
         value = union(family)
-        return value if self._powers is None else self._from_coefficients(_unpack(value, lane, coords + 1))
+        return self._from_coefficients(_unpack(value, lane, coords + 1)) if self._shared else value
 
-    def _from_coefficients(self, coefficients: list[int]):
-        """sum_j coefficients[j] * p**j for the exact p that every
+    def _from_coefficients(self, coefficients: list[int], divisor: int = 1):
+        """sum_j coefficients[j] * p**j / divisor for the exact p that every
         coordinate shares, as one backend value: the Polynomial with those
-        integer coefficients when p is the indeterminate P, else that
-        polynomial evaluated exactly at p (homogeneous integer Horner at
-        a rational p).  Consumes the list."""
-        value = Polynomial._make(coefficients, 1)
+        integer coefficients over `divisor` when p is the indeterminate P,
+        else that polynomial evaluated exactly at p (homogeneous integer
+        Horner at a rational p).  Consumes the list."""
+        value = Polynomial._make(coefficients, divisor)
         p = self.probs[0]
-        if type(p) is Polynomial and p == P:
+        if p is P or type(p) is Polynomial and p == P:
             return value
         return self.backend.one * value(p)
 
@@ -523,39 +612,45 @@ class ProductSystem:
             if required & ~on:
                 stack.append((i + 1, sig, on, (*masks, required)))
 
+    def _add_masses(self, total, masks, sign: int):
+        """`total` plus `sign` (+1 or -1) times the numerators of `masks`,
+        in the system's unit.  With a shared p the numerators are looked
+        up by coordinate count in C; other exact ones are taken once per
+        distinct mask in each chunk of `_MASK_CHUNK` masks (`Counter`).
+        Both are added in any order; floats are added one by one, in the
+        order of `masks`, so that the rounding is that order's."""
+        if self._by_count is not None:
+            part = sum(map(self._by_count.__getitem__, map(int.bit_count, masks)))
+            return total + part if sign > 0 else total - part
+        if self.backend.exact:
+            part, masks = self._zero, iter(masks)
+            while counts := Counter(islice(masks, _MASK_CHUNK)):
+                part = sum(map(operator.mul, map(self._numerator, counts), counts.values()), part)
+            return total + part if sign > 0 else total - part
+        for mass in map(self.mass, masks):
+            total = total + mass if sign > 0 else total - mass
+        return total
+
     def _cone_sum(self, base, later: int, cap: int):
         """Sum of (-1)**|S| * P(every A_u, u in the tuple `base` or in S)
-        over the sets S of the events in the mask `later` with |S| < cap:
-        one mass query per set, smallest sets first.  While every
-        coordinate shares one exact p, each set adds +-1 to the count of
-        the coordinates its events require (`_tally`), and the counts make
-        one value (`_from_coefficients`).
-        """
+        over the sets S of the events in the mask `later` with |S| < cap,
+        in the system's unit (see `_numerator`): the base's numerator, then
+        the sets S of each size in turn, smallest first."""
         required = self.requires[base[0]] if len(base) == 1 else self._combined_mask(base)
         others = [self.requires[u] for u in _bits(later)]
-        sizes = range(1, min(len(others), cap - 1) + 1)
-        if self._powers is not None:
-            counts = [0] * (len(self.probs) + 1)
-            counts[required.bit_count()] = 1
-            for size in sizes:
-                _tally(combinations(others, size), required, counts, -1 if size % 2 else 1)
-            return self._from_coefficients(counts)
-        total = self.mass(required)
-        for size in sizes:
-            for subset in combinations(others, size):
-                p = self.mass(reduce(operator.or_, subset, required))
-                total = total - p if size % 2 else total + p
+        total = self._numerator(required)
+        for size in range(1, min(len(others), cap - 1) + 1):
+            unions = map(reduce, repeat(operator.or_), combinations(others, size), repeat(required))
+            total = self._add_masses(total, unions, -1 if size % 2 else 1)
         return total
 
     def _symmetric_sum(self, k: int):
-        """S_k = sum of P(every event in I occurs) over all |I| = k, by
-        enumerating the C(n, k) index sets.  While every coordinate shares
-        one exact p, the sets are counted by the number of coordinates
-        their events require (`_tally`), so S_k is one integer polynomial
-        in p (`_from_coefficients`): `bounds all` on 21 success-run
-        windows over 24 RATIONAL coordinates lists all 2**21 sets, and
-        takes 0.84 s instead of 3.7 s.  Any other system adds one mass per
-        set, so distinct exact probabilities still sum in Fractions.  A
+        """S_k = sum of P(every event in I occurs) over all |I| = k, in the
+        system's unit (see `_numerator`), by enumerating the C(n, k) index
+        sets.  Exact sums add integer numerators (`_add_masses`): `bounds
+        all` on 21 success-run windows over 24 RATIONAL coordinates lists
+        all 2**21 sets, and takes about the same time whether the windows
+        share one probability or not.  A
         Shannon expansion over the coordinates carrying E[(1 + y)**N], N
         the number of events that occur, would give every S_k without
         listing the sets; the enumeration stays because reliability asks
@@ -563,18 +658,8 @@ class ProductSystem:
         symbolic ladders."""
         value = self._sums.get(k)
         if value is None:
-            if self._powers is not None:
-                counts = [0] * (len(self.probs) + 1)
-                _tally(combinations(self.requires, k), 0, counts, 1)
-                value = self._from_coefficients(counts)
-            else:
-                value = self.backend.zero
-                for index_set in combinations(self.requires, k):
-                    mask = 0
-                    for required in index_set:
-                        mask |= required
-                    value = value + self.mass(mask)
-            self._sums[k] = value
+            unions = map(reduce, repeat(operator.or_), combinations(self.requires, k), repeat(0))
+            value = self._sums[k] = self._add_masses(self._zero, unions, 1)
         return value
 
 
@@ -724,12 +809,21 @@ def _unpack(packed: int, lane: int, count: int) -> list[int]:
     return coefficients
 
 
-def _tally(subsets, base: int, counts: list[int], sign: int) -> None:
-    """Add `sign` to counts[j] for each tuple of masks in `subsets` whose
-    union with the mask `base` has j bits; the unions and their bit
-    counts are taken in C."""
-    for j in map(int.bit_count, map(reduce, repeat(operator.or_), subsets, repeat(base))):
-        counts[j] += sign
+def _bracket_lane(events: int) -> int:
+    """Lane width, in bits, of the packed numerators of a shared-p system
+    with n = `events` events: wide enough that `_unpack` reads back every
+    bracket of `bounds` over them.
+
+    A bracket adds the numerators 1 << lane*j of its index sets with
+    integer weights, so its coefficient j is at most the sum W of their
+    absolute values, and reads back while W < 2**(lane - 1).  A clique
+    bracket weighs each clique +-1 and a classical one each index set, so
+    W <= 2**n.  An averaged bracket of order m' weighs S_k by
+    a_k * L / b_k, for the scale L = lcm(b_k) (`bounds._moment_bracket`),
+    and S_k holds C(n, k) sets; so W <= L * n**2 * 2**n, where L divides
+    lcm(1..n + 1) * lcm(1..n) < 3**(2n + 1) (Hanson 1972: lcm(1..N) <
+    3**N).  So W < 3 * 18**n * n**2, which the lane holds."""
+    return (3 * 18**events * events * events).bit_length() + 1
 
 
 def _branch_bit(family) -> int:

@@ -12,8 +12,9 @@ storage.  Sums and products are integer list operations (a product is an
 integer convolution over the product of the denominators), and
 evaluation at a rational a/b is homogeneous integer Horner,
 sum_i n_i * a**i * b**(d - i), over the unreduced denominator
-denominator * b**d (`_horner`, which takes a whole grid over one b); a
-call wraps that pair in one Fraction, a CLI sweep divides it straight
+denominator * b**d (`_horner`, which takes a whole grid over one b, and
+past its first d + 1 points sums a range grid by forward differences);
+a call wraps that pair in one Fraction, a CLI sweep divides it straight
 to a float.  `str` and `coefficient_string` print each coefficient from
 its numerator and the denominator, with one gcd and no Fraction, spelled
 as `str(Fraction)` spells it; the `Fraction` coefficients (`coeffs`) are
@@ -23,8 +24,9 @@ built only on request.
 from __future__ import annotations
 
 import math
+import operator
 from fractions import Fraction
-from itertools import repeat
+from itertools import accumulate, repeat
 
 __all__ = ["Polynomial", "P"]
 
@@ -193,7 +195,14 @@ class Polynomial:
         value at a/b is N_a / D with N_a = sum_i n_i a**i b**(d - i),
         summed by homogeneous integer Horner, and D = denominator * b**d.
         The terms n_i b**(d - i) are scaled once for all the points, so a
-        point costs one multiply and one add per degree."""
+        point costs one multiply and one add per degree.
+
+        On a `range` of more than d + 1 points, a = start + t * step makes
+        N_a an integer polynomial of degree d in t, whose d-th forward
+        difference is constant: Horner gives the first d + 1 values, their
+        differences give the first value of each order, and d passes of
+        `itertools.accumulate` (in C) rebuild every later value from the
+        constant one, exactly."""
         numerators = self.numerators
         if not numerators:
             return [0] * len(tops), 1
@@ -201,12 +210,24 @@ class Polynomial:
         for n in reversed(numerators):
             scaled.append(n * scale)
             scale *= b
+        d = len(numerators) - 1
+        by_differences = isinstance(tops, range) and len(tops) > d + 1
         values = []
-        for a in tops:
+        for a in tops[: d + 1] if by_differences else tops:
             total = 0
             for c in scaled:
                 total = total * a + c
             values.append(total)
+        if by_differences:
+            firsts = []
+            for _ in range(d):
+                firsts.append(values[0])
+                values = list(map(operator.sub, values[1:], values[:-1]))
+            # values holds the one d-th difference, the same for every t.
+            values *= len(tops) - d
+            for first in reversed(firsts):
+                values = accumulate(values, initial=first)
+            values = list(values)
         return values, self.denominator * (scale // b)
 
     def __call__(self, x):

@@ -147,7 +147,7 @@ class TestSymmetricSums:
             sys_ = bernoulli_product(probs, event_defs, backend=RATIONAL)
             explicit = product_outcomes(sys_)
             for k in range(1, sys_.event_count + 1):
-                assert sys_._symmetric_sum(k) == explicit._value(explicit._symmetric_sum(k))
+                assert sys_._value(sys_._symmetric_sum(k)) == explicit._value(explicit._symmetric_sum(k))
 
     def test_bonferroni_is_alternating_subset_sum(self):
         rng = random.Random(149)

@@ -594,6 +594,44 @@ class TestBoundsAll:
         assert out == (DATA / "golden_unchecked.out").read_text()
         assert len(mcs_runs) == 1
 
+    def test_unchecked_cones_walked_once_per_cap(self, capsys, tmp_path, monkeypatch):
+        # chordal-upper, chordal-lower and chordal-lower-sharpened share the
+        # untruncated bracket of the 22-vertex cocktail-party graph, which
+        # is not chordal: its cones are walked and summed once, and the
+        # r = 1 rows walk them at their own caps.
+        caps = []
+        original = bounds._cones
+
+        def recording(g, cap):
+            caps.append(cap)
+            return original(g, cap)
+
+        monkeypatch.setattr(bounds, "_cones", recording)
+        graph = TestGraphCheck._cocktail_party(tmp_path, 11)
+        events = tmp_path / "events.json"
+        events.write_text(json.dumps({"weights": [1.0], "events": [[0]] * 22}))
+        code, out, _ = run(capsys, "bounds", "all", str(events), "--graph", graph, "--unchecked")
+        assert code == 0 and "chordal-lower-sharpened" in out
+        assert caps == [22, 1, 2]
+
+    def test_golden_distinct_probability_runs(self, capsys):
+        # 21 success-run windows over 24 RATIONAL coordinates at distinct
+        # probabilities 30/100 .. 53/100: the generalized-lower rows need
+        # all 2**21 symmetric sums.  The table was written when each index
+        # set added one Fraction, which took 34 s on one Xeon core.
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            "bounds",
+            "all",
+            str(DATA / "golden_runs_distinct.json"),
+            "--graph",
+            str(DATA / "golden_runs_graph.json"),
+        )
+        assert time.perf_counter() - start < 10
+        assert code == 0
+        assert out == (DATA / "golden_runs_distinct.out").read_text()
+
     def test_golden_equal_probability_coords(self, capsys):
         # Every coordinate has probability 2/5, in several spellings, so
         # every intersection is (2/5)**k for k required coordinates.

@@ -39,7 +39,8 @@ from chordalbounds import (
     path_graph,
     union_prob_exact,
 )
-from chordalbounds import best_path, best_tree, bound, events, exhaustive_tree_oracle, values
+from chordalbounds import best_path, best_tree, bound, bounds, events, exhaustive_tree_oracle, values
+from chordalbounds.bounds import clique_sieve_sum
 from chordalbounds.errors import ParseError, _exact_str
 from chordalbounds.poly import P, Polynomial
 from chordalbounds.values import (
@@ -56,7 +57,10 @@ from helpers import (
     FractionPolynomial,
     bits,
     brute_force_alpha_prime,
+    brute_force_clique_sum,
+    brute_force_clique_terms,
     exact_mass,
+    moment_coefficients,
     product_cone_sum,
     product_outcomes,
     product_symmetric_sum,
@@ -658,13 +662,13 @@ class TestProductForm:
         explicit = product_outcomes(sys_)
         for k in range(1, 13):
             want = sum(intersection_prob(explicit, s) for s in combinations(range(12), k))
-            got = sys_._symmetric_sum(k)
+            got = sys_._value(sys_._symmetric_sum(k))
             assert got == want if backend is RATIONAL else abs(got - want) <= 1e-12
 
     def test_shared_probability_symmetric_sums_are_powers_of_p(self):
         sys_ = bernoulli_product([P] * 6, [[i, i + 1] for i in range(5)], backend=POLYNOMIAL)
         # 4 adjacent pairs need 3 coordinates, the other 6 pairs need 4.
-        assert sys_._symmetric_sum(2) == 4 * P**3 + 6 * P**4
+        assert sys_._value(sys_._symmetric_sum(2)) == 4 * P**3 + 6 * P**4
 
     def test_every_symmetric_sum_in_small_memory(self):
         # 16 events, one coordinate each: 65 535 index sets over all S_k,
@@ -981,7 +985,7 @@ def reference_product_atom(sys_, signature):
 class TestSharedPowerKernels:
     """While every coordinate shares one exact p, `ProductSystem._union`
     expands over packed integer coefficients of p, and `_symmetric_sum`
-    and `_cone_sum` count index sets by the coordinates they require.
+    and `_cone_sum` give integer numerators, read back by `_value`.
     Against the expansion, the sums and the atoms in backend arithmetic,
     with ==, and the value's type."""
 
@@ -1021,7 +1025,7 @@ class TestSharedPowerKernels:
         for sys_ in self.systems(rng, backend, p):
             n = sys_.event_count
             for k in range(n + 1):
-                self.assert_same(sys_._symmetric_sum(k), product_symmetric_sum(sys_, k))
+                self.assert_same(sys_._value(sys_._symmetric_sum(k)), product_symmetric_sum(sys_, k))
             for v in range(n):
                 rest = [u for u in range(n) if u != v]
                 for _ in range(6):
@@ -1030,7 +1034,7 @@ class TestSharedPowerKernels:
                     required = sys_._combined_mask(base)
                     others = [sys_.requires[u] for u in bits(later)]
                     for cap in range(1, len(others) + 3):
-                        got = sys_._cone_sum(base, later, cap)
+                        got = sys_._value(sys_._cone_sum(base, later, cap))
                         self.assert_same(got, product_cone_sum(sys_, required, others, cap))
 
     @pytest.mark.parametrize("m", [24, 60])
@@ -1045,16 +1049,16 @@ class TestSharedPowerKernels:
         assert union.numerators == (0, *((-1) ** (j + 1) * math.comb(m, j) for j in range(1, m + 1)))
         twin = bernoulli_product([Fraction(1, 3)] * m, [[c] for c in range(m)], RATIONAL)
         assert union_prob_exact(twin) == 1 - Fraction(2, 3) ** m
-        assert sys_._symmetric_sum(2) == math.comb(m, 2) * P**2
+        assert sys_._value(sys_._symmetric_sum(2)) == math.comb(m, 2) * P**2
 
     @pytest.mark.parametrize("backend, p", [(POLYNOMIAL, P), (RATIONAL, Fraction(1, 2))], ids=["P", "1/2"])
     def test_counts_past_lane_widths(self, backend, p):
         # 400 copies of one two-coordinate event: S_2 counts C(400, 2)
         # pairs, far past what 3 coordinates' lanes would hold.
         sys_ = bernoulli_product([p] * 3, [[0, 1]] * 400, backend)
-        assert sys_._symmetric_sum(1) == 400 * p**2
-        assert sys_._symmetric_sum(2) == math.comb(400, 2) * p**2
-        cone = sys_._cone_sum((0,), (1 << 400) - 2, 3)
+        assert sys_._value(sys_._symmetric_sum(1)) == 400 * p**2
+        assert sys_._value(sys_._symmetric_sum(2)) == math.comb(400, 2) * p**2
+        cone = sys_._value(sys_._cone_sum((0,), (1 << 400) - 2, 3))
         assert cone == (1 - 399 + math.comb(399, 2)) * p**2
 
     def test_unpack_reads_signed_lanes(self):
@@ -1064,6 +1068,152 @@ class TestSharedPowerKernels:
             coefficients = [rng.randrange(-(1 << lane - 1), 1 << lane - 1) for _ in range(rng.randint(1, 30))]
             packed = sum(c << lane * j for j, c in enumerate(coefficients))
             assert events._unpack(packed, lane, len(coefficients)) == coefficients
+
+
+# Coordinate probabilities by case: (backend, probs(rng, m)).
+EXACT_PROBS = {
+    "integers": (RATIONAL, lambda rng, m: [rng.choice((0, 1)) for _ in range(m)]),
+    "shared-3/10": (RATIONAL, lambda rng, m: [Fraction(3, 10)] * m),
+    "sevenths": (RATIONAL, lambda rng, m: [Fraction(rng.randint(0, 7), 7) for _ in range(m)]),
+    "mixed": (RATIONAL, lambda rng, m: [rng.choice((0, 1, "1/2", "2/9", "0.35", Fraction(3, 4))) for _ in range(m)]),
+    "P": (POLYNOMIAL, lambda rng, m: [P] * m),
+    "(1+P)/3": (POLYNOMIAL, lambda rng, m: [(1 + P) / 3] * m),
+    "distinct-polynomials": (POLYNOMIAL, lambda rng, m: [rng.choice((P, 1 - P, (1 + P) / 2)) for _ in range(m)]),
+}
+
+
+class TestExactNumerators:
+    """Every exact product system sums in its unit: integers over D**m on
+    RATIONAL probabilities a_c / D, packed coefficients of a shared
+    polynomial p, backend values otherwise.  Read back by `_value`, its
+    masses, symmetric sums, cone sums and brackets equal the same sums in
+    backend arithmetic (`helpers`), with == and the value's type."""
+
+    @staticmethod
+    def assert_same(got, want):
+        assert got == want and type(got) is type(want)
+
+    @staticmethod
+    def systems(rng, case):
+        backend, probs = EXACT_PROBS[case]
+        systems = [nested_product_system(rng, lambda m: probs(rng, m), backend) for _ in range(10)]
+        systems += [ladder_system(rng, k, lambda m: probs(rng, m), backend) for k in (1, 2)]
+        return systems
+
+    @pytest.mark.parametrize("case", EXACT_PROBS)
+    def test_masses_and_sums(self, case):
+        rng = random.Random(4101)
+        for sys_ in self.systems(rng, case):
+            m, n = len(sys_.probs), sys_.event_count
+            for mask in [0, (1 << m) - 1, *(rng.getrandbits(m) for _ in range(8))]:
+                self.assert_same(sys_._value(sys_._numerator(mask)), sys_.mass(mask))
+                self.assert_same(sys_.mass(mask), reference_product_mass(sys_, mask))
+            for k in range(min(n, 4) + 1):
+                self.assert_same(sys_._value(sys_._symmetric_sum(k)), product_symmetric_sum(sys_, k))
+            for v in range(n):
+                later = sum(1 << u for u in range(n) if u != v and rng.random() < 0.5)
+                others = [sys_.requires[u] for u in bits(later)]
+                for cap in range(1, len(others) + 3):
+                    got = sys_._value(sys_._cone_sum((v,), later, cap))
+                    self.assert_same(got, product_cone_sum(sys_, sys_.requires[v], others, cap))
+
+    @pytest.mark.parametrize("case", EXACT_PROBS)
+    def test_brackets(self, case):
+        rng = random.Random(4102)
+        for sys_ in self.systems(rng, case):
+            n = sys_.event_count
+            g = random_chordal_graph(rng, n)
+            terms = brute_force_clique_terms(sys_, g)
+            for cap in (None, 1, 2, 3):
+                # one * makes a constant reference sum a value of the backend
+                want = sys_.backend.one * brute_force_clique_sum(terms, cap)
+                self.assert_same(clique_sieve_sum(sys_, g, size_cap=cap), want)
+            sums = [product_symmetric_sum(sys_, k) for k in range(n + 1)]
+            kinds = [("bonferroni-upper", {"r": 2}), ("bonferroni-lower", {"r": 1}), ("kwerel-upper", {})]
+            kinds += [("generalized-lower", {"m": m}) for m in range(n)]
+            for kind, inputs in kinds:
+                coefficients, denominator = moment_coefficients(kind, n, **inputs)
+                want = sum((c * s for c, s in zip(coefficients, sums[1:])), sys_.backend.zero)
+                want = want if denominator is None else want / denominator
+                self.assert_same(bound(kind, sys_, **inputs).value, want)
+
+    @pytest.mark.parametrize("p", [P, (1 + P) / 3], ids=["P", "(1+P)/3"])
+    def test_symbolic_ladders(self, p):
+        # Up to 64 path events over 22 arcs: S_1, S_2, the path graph's
+        # cones and the reliability brackets against backend arithmetic.
+        rng = random.Random(4103)
+        for k in range(1, 6):
+            sys_ = ladder_system(rng, k, lambda m: [p] * m, POLYNOMIAL)
+            n = sys_.event_count
+            for size in (1, 2):
+                self.assert_same(sys_._value(sys_._symmetric_sum(size)), product_symmetric_sum(sys_, size))
+            cones = [product_cone_sum(sys_, sys_.requires[v], sys_.requires[v + 1:v + 2], n) for v in range(n)]
+            for v in range(n):
+                later = 1 << v + 1 if v + 1 < n else 0
+                self.assert_same(sys_._value(sys_._cone_sum((v,), later, n)), cones[v])
+            g = path_graph(n)
+            self.assert_same(bound("hunter-lower", sys_, g=g).value, sum(cones, POLYNOMIAL.zero) / ((n + 1) // 2))
+            s1, s2 = (product_symmetric_sum(sys_, size) for size in (1, 2))
+            self.assert_same(bound("bonferroni-lower", sys_).value, s1 - s2)
+            self.assert_same(bound("kwerel-lower", sys_).value, (s1 - s2 * Fraction(2, n)) / ((n + 1) // 2))
+
+    @pytest.mark.parametrize("chunk", [1, 7, 1 << 16])
+    def test_sums_counted_in_chunks(self, monkeypatch, chunk):
+        # 12 one-coordinate events at distinct probabilities: S_k is the
+        # k-th elementary symmetric sum, whatever chunks its masks are
+        # counted in.
+        monkeypatch.setattr(events, "_MASK_CHUNK", chunk)
+        probs = [Fraction(i + 3, 20 + i) for i in range(12)]
+        sys_ = bernoulli_product(probs, [[c] for c in range(12)], RATIONAL)
+        want = [Fraction(1)] + [Fraction(0)] * 12
+        for p in probs:
+            want = [want[0]] + [want[k] + want[k - 1] * p for k in range(1, 13)]
+        assert [sys_._value(sys_._symmetric_sum(k)) for k in range(13)] == want
+
+    def test_one_value_per_bound(self, monkeypatch):
+        calls = []
+        original = ProductSystem._value
+
+        def counting(self, total, divisor=1):
+            calls.append(divisor)
+            return original(self, total, divisor)
+
+        monkeypatch.setattr(ProductSystem, "_value", counting)
+        rng = random.Random(4104)
+        for case in ("mixed", "shared-3/10", "P"):
+            backend, probs = EXACT_PROBS[case]
+            sys_ = bernoulli_product(probs(rng, 8), [[c, c + 1] for c in range(7)], backend)
+            tree = path_graph(sys_.event_count)
+            for kind in bounds.KINDS:
+                if kind == "chordal-lower-sharpened" and not backend.ordered:
+                    continue
+                calls.clear()
+                bound(kind, sys_, g=tree)
+                assert len(calls) == 1, (case, kind)
+
+    def test_lazy_complements(self):
+        # 1 - p is built by the first union in backend values, and never on
+        # a shared p, whose union expands over packed integers.
+        shared = bernoulli_product([P] * 4, [[0, 1], [1, 2], [2, 3]], POLYNOMIAL)
+        distinct = bernoulli_product(["1/3", "1/4", "1/5", "1/6"], [[0, 1], [1, 2], [2, 3]], RATIONAL)
+        for sys_ in (shared, distinct):
+            assert sys_._offs is None
+            union_prob_exact(sys_)
+            bound("hunter-lower", sys_, g=path_graph(3))
+        assert shared._offs is None
+        assert distinct._offs == (Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(5, 6))
+
+    def test_bracket_lane_holds_every_bracket(self):
+        # The largest sum of absolute weights of a clique, classical or
+        # averaged bracket over n events stays below half a lane.
+        for n in range(1, 41):
+            widest = 1 << n
+            for m in range(n):
+                coefficients = bounds._averaged_coefficients(n, m)
+                scale = math.lcm(*(b for _, b in coefficients))
+                weights = [abs(a) * (scale // b) * math.comb(n, k) for k, (a, b) in enumerate(coefficients, 1)]
+                widest = max(widest, sum(weights))
+            assert widest < 1 << events._bracket_lane(n) - 1, n
 
 
 class TestIntersectionAndUnion:

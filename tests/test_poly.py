@@ -200,6 +200,9 @@ class TestAgainstFractionReference:
 
 
 class TestGridHorner:
+    """`Polynomial._horner` at the points a/b for a whole grid of tops a:
+    lists point by point, ranges by forward differences."""
+
     def test_grid_values_against_fraction_reference(self):
         # Points a/b over one denominator b; the numerators share the
         # unreduced denominator, and their quotient rounds as a Fraction's.
@@ -215,6 +218,25 @@ class TestGridHorner:
                 x = Fraction(a, b)
                 assert Fraction(value, denominator) == reference(x) == q(x)
                 assert (value / denominator).hex() == float(reference(x)).hex()
+
+    @pytest.mark.parametrize("b", [1, 100, 10**20 + 39])
+    def test_range_grids_by_forward_differences(self, b):
+        # A range of more than d + 1 points is summed by forward
+        # differences; every value equals Horner at that point alone, on
+        # grids of every length up to 2d + 3, rising and falling.
+        rng = random.Random(4105)
+        for _ in range(60):
+            q = Polynomial(_random_coeffs(rng))
+            d = max(q.degree, 0)
+            for length in range(2 * d + 4):
+                step = rng.choice((-b, -3, -1, 1, 7, b))
+                start = rng.randint(-2 * b, 2 * b)
+                tops = range(start, start + length * step, step)
+                assert len(tops) == length
+                values, denominator = q._horner(tops, b)
+                points = [q._horner((a,), b) for a in tops]
+                assert values == [value for (value,), _ in points]
+                assert all(each == denominator for _, each in points)
 
     def test_zero_polynomial(self):
         assert Polynomial()._horner(range(3), 7) == ([0, 0, 0], 1)

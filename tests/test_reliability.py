@@ -9,6 +9,7 @@ import pytest
 from chordalbounds import (
     DomainError,
     bound_polynomials,
+    bound_values,
     bridge_network,
     build_network,
     enumerate_st_paths,
@@ -29,6 +30,18 @@ EQ_EXACT = Polynomial((0, 0, 2, 2, -5, 2))
 EQ_TREE = Polynomial((0, 0, 1, 1, -1, 0, Fraction(-1, 2)))
 EQ_PATH_AVG = Polynomial((0, 0, 1, 1, Fraction(-5, 4), 0, Fraction(-1, 4)))
 EQ_DEPTH1 = Polynomial((0, 0, 2, 2, -5, 0, -1))
+
+
+def _ladder_arcs(k):
+    """Arcs of the ladder network with k rungs from node 0 to node 1: 4k + 2
+    arcs and 2**(k + 1) paths."""
+    arcs = [(0, 2), (0, 3)]
+    for i in range(k):
+        u, l = 2 * i + 2, 2 * i + 3
+        arcs += [(u, l), (l, u)]
+        if i + 1 < k:
+            arcs += [(u, u + 2), (l, l + 2)]
+    return arcs + [(2 * k, 1), (2 * k + 1, 1)]
 
 
 def assert_is_directed_path(net, arc_set):
@@ -210,6 +223,27 @@ class TestBoundPolynomials:
     def test_requires_symbolic_network(self):
         with pytest.raises(DomainError):
             bound_polynomials(bridge_network(reliability=0.9))
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_no_polynomial_arithmetic_on_symbolic_ladders(self, monkeypatch, k):
+        # The brackets add packed integers and each value is built once
+        # from its coefficients: no Polynomial is added or multiplied.
+        calls = []
+
+        def refuse(name):
+            def wrapped(*args):
+                calls.append(name)
+                return original[name](*args)
+
+            return wrapped
+
+        original = {name: getattr(Polynomial, name) for name in ("__add__", "__radd__", "__mul__", "__rmul__")}
+        for name in original:
+            monkeypatch.setattr(Polynomial, name, refuse(name))
+        net = build_network(2 * k + 2, _ladder_arcs(k), 0, 1)
+        values = bound_values(net)
+        assert calls == []
+        assert all(type(value) is Polynomial for value in values.values())
 
 
 class TestSweep:
