@@ -139,7 +139,7 @@ def _normalize_direction(order: tuple[int, ...]) -> tuple[int, ...]:
     return order if order <= reverse else reverse
 
 
-def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
+def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int, ...]:
     n = len(w)
     inf = math.inf
     # Ties are resolved lexicographically; the slack absorbs float noise
@@ -186,23 +186,35 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
                         best = candidate
                 cost_mask[v] = best
 
+    def least(row, rest_cost, sources):
+        # The cost fill gives one state from the given sources.
+        best = inf
+        for u in sources:
+            candidate = row[u] + rest_cost[u]
+            if candidate < best:
+                best = candidate
+        return best
+
     # Every state the walk below reads as near-optimal, joined to its
     # cheapest completion, weighs at most n slacks plus the rounding of a
     # few sums of n weights above the optimum; n * scale * 1e-12 exceeds
-    # that rounding many times over at n <= 15.
-    scale = max(map(abs, chain.from_iterable(w)))
+    # that rounding many times over at n <= 15; scale is the largest
+    # |weight|.
     margin = n * (slack + scale * 1e-12)
 
-    def joins(masks, top, paired=False):
+    def joins(masks, top, paired=False, halved=False):
         # Yield (weight, mask, v) for each state of masks whose cost plus
         # its cheapest completion, the path from v through the events
         # outside mask read backwards, weighs at most top; top falls to
         # margin above the least weight yielded.  Paired masks all hold
-        # event 0, and skip v = 0 unless they hold event 1 too.
+        # event 0, and skip v = 0 unless they hold event 1 too; a halved
+        # mask that holds event 0 joins from v = 0 alone.
         for mask in masks:
             members = low[mask & low_bits] + high[mask >> half]
             if paired and not mask & 2:
                 members = members[1:]
+            elif halved and mask & 1:
+                members = members[:1]
             cost_mask, other = cost[mask], full ^ mask
             for v in members:
                 weight = cost_mask[v] + cost[other | 1 << v][v]
@@ -211,9 +223,15 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
                     if weight + margin < top:
                         top = weight + margin
 
-    def heads(found, top, paired=False):
+    def heads(found, top, paired=False, halved=False):
         # kept[mask]: the heads v of the found states (mask, v) that weigh
-        # at most top, and of their twins when the states are paired.
+        # at most top, and of their twins when the states are paired.  A
+        # halved state (mask, v) joins the paths through mask from v to
+        # those through far = full ^ mask | 1 << v, which holds event 0.
+        # Read from the far end, the same paths split at (far | 1 << u, u)
+        # for the u after v, a state the halved level left out; for each u
+        # of near = mask - v that state is filled here from level h - 1,
+        # joined with (near, u) and kept when the join weighs at most top.
         kept = {}
         for weight, mask, v in found:
             if weight <= top:
@@ -221,6 +239,17 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
                 if paired:
                     twin = full ^ mask | 1 << v
                     kept[twin] = kept.get(twin, ()) + (v,)
+                elif halved:
+                    near = mask ^ 1 << v
+                    far = full ^ near
+                    far_cost = cost[far]
+                    sources = low[far & low_bits] + high[far >> half]
+                    for u in low[near & low_bits] + high[near >> half]:
+                        state = far | 1 << u
+                        if u not in kept.get(state, ()):
+                            cost[state][u] = best = least(rows[u], far_cost, sources)
+                            if best + cost[near][u] <= top:
+                                kept[state] = kept.get(state, ()) + (u,)
         return kept
 
     # Every path splits at its h-th event into two paths of at most h
@@ -234,20 +263,38 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...]) -> tuple[int, ...]:
     # At odd n the state (mask, v) and its twin (full ^ mask | 1 << v, v)
     # both lie at level h and join the same two costs, so each pair is
     # read once, from the twin that holds the least event other than v,
-    # and counts as two states.
+    # and counts as two states.  No level-h state can go unfilled there:
+    # both halves of a join lie at level h, and every level-h state is in
+    # one join.  At even n the far half, of h - 1 events, lies one level
+    # down, and every path, read from one of its ends, puts event 0 among
+    # its first h - 1 events.  So level h is filled (halved) only for the
+    # states with event 0 outside mask - v: every start of the masks
+    # without event 0, and v = 0 on those that hold it, half the states.
+    # Each found state counts as two, itself and the state `heads` fills
+    # for the same paths read from the far end; the fallback first fills
+    # the other half, the rows of the masks that hold event 0.
     h = (n + 2) // 2
-    fill(chain.from_iterable(levels[2 : h + 1]))
+    halved = n % 2 == 0 and h < n
+    fill(chain.from_iterable(levels[2 : h if halved else h + 1]))
+    if halved:
+        fill(mask for mask in levels[h] if not mask & 1)
+        for mask in levels[h]:
+            if mask & 1:
+                rest = mask ^ 1
+                cost[mask] = cost_mask = [inf] * n
+                cost_mask[0] = least(rows[0], cost[rest], low[rest & low_bits] + high[rest >> half])
     if h < n:
         limit = h * len(levels[h]) // 8
         paired = n % 2 == 1
-        share = 2 if paired else 1
         masks = [mask for mask in levels[h] if mask & 1] if paired else levels[h]
-        found = list(islice(joins(masks, inf, paired), -(-limit // share)))
-        if len(found) * share >= limit:
+        found = list(islice(joins(masks, inf, paired, halved), -(-limit // 2)))
+        if len(found) * 2 >= limit:
+            if halved:
+                fill(mask for mask in levels[h] if mask & 1)
             fill(chain.from_iterable(levels[h + 1 :]))
         else:
             top = min(found)[0] + margin
-            kept = heads(found, top, paired)
+            kept = heads(found, top, paired, halved)
             for _ in range(h, n):
                 # Each kept state is a source of a state one event larger.
                 targets = {
@@ -307,15 +354,20 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     returns the lexicographically least optimal order.  Its inner loops
     walk each subset's members as a tuple, joined from two tables of
     half-width member tuples, instead of extracting bits one at a time.
-    It fills every subset of at most ceil((n + 1) / 2) events; each larger
-    state then has its exact cheapest completion, a small path read
-    backwards, and is filled only when it lies on a path within a small
-    margin of the optimum, unless an eighth of the states at the split
-    level are.  Heuristic mode runs nearest neighbor from every start
-    plus 2-opt and carries no optimality guarantee.  Every weight must be
-    finite and the rows symmetric, w[u][v] == w[v][u], as
+    It fills every subset of at most ceil((n + 1) / 2) events, except
+    that at even n the split level, of n / 2 + 1 events, gets only the
+    half of its states that reading each path from one of its ends needs:
+    those with event 0 among the other n / 2 events of the path.  (At odd
+    n both halves of a split lie at that level, so no state can be left
+    out.)  Each larger state then has its exact cheapest completion, a
+    small path read backwards, and is filled only when it lies on a path
+    within a small margin of the optimum, unless an eighth of the states
+    at the split level are.  Heuristic mode runs nearest neighbor from
+    every start plus 2-opt and carries no optimality guarantee.  Every
+    weight must be finite and the rows symmetric, w[u][v] == w[v][u], as
     `pairwise_weights` gives them: both modes read paths in either
-    direction.
+    direction.  A path adds n - 1 weights, and (n - 1) * max |w| must be
+    finite too: past the float range every sum reads inf.
     """
     if mode not in ("exact", "heuristic"):
         raise DomainError(f"unknown mode {_repr(mode)}")
@@ -323,12 +375,17 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     if n == 0:
         raise DomainError("weight matrix is empty")
     _check_rows(w, "path")
+    # Past the float range every path sum reads inf, and no order can be
+    # told from another.
+    scale = max(map(abs, chain.from_iterable(w)))
+    if not math.isfinite((n - 1) * scale):
+        raise DomainError(f"path weights must add to a finite sum, but {n - 1} of {scale!r} overflow")
     if mode == "exact":
         if n > HELD_KARP_MAX_VERTICES:
             raise ResourceLimitError(
                 f"exact path search caps at {HELD_KARP_MAX_VERTICES} vertices, got {n}"
             )
-        return _held_karp_path(w)
+        return _held_karp_path(w, scale)
     best = None
     for start in range(n):
         candidate = _normalize_direction(_two_opt(w, _nearest_neighbor(w, start)))

@@ -932,6 +932,15 @@ class TestOptimize:
         assert code == 0 and not err
         assert out == (DATA / "golden_path15.out").read_text()
 
+    def test_golden_exact_path_at_an_even_split(self, capsys):
+        # 14 coords events: the split level is filled for half its states,
+        # and the order printed puts event 0 among its last seven events,
+        # so the walk reads the split state filled from the far end.
+        code, out, err = run(capsys, "optimize", "path", str(DATA / "golden_path14.json"), "--exact")
+        assert code == 0 and not err
+        assert out == (DATA / "golden_path14.out").read_text()
+        assert json.loads(out)["path_order"].index(0) >= 7
+
     @pytest.mark.parametrize("events", ["events_real", "path15"])
     @pytest.mark.parametrize("objective", ["min", "max"])
     def test_golden_tree(self, capsys, events, objective):

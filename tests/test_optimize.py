@@ -340,6 +340,48 @@ class TestBestPath:
                     wm = family(n)
                     assert best_path(wm, "exact") == full_table_path(wm)
 
+    def test_even_sizes_match_full_table(self):
+        # At even n the split level is filled only for the states with event
+        # 0 outside mask - v, and the states of the same paths read from
+        # the far end are filled from the kept ones; the order must still
+        # be the full table's, ties included, whether the search prunes or
+        # falls back to the full table.
+        rng = random.Random(193)
+        families = [
+            lambda n: coords_weights(rng, n, 8, 2),
+            lambda n: symmetric_rows(n, lambda: rng.choice((0.0, 0.25, 0.5, 0.75))),
+            lambda n: symmetric_rows(n, lambda: rng.choice((0.5, 1.0))),
+            lambda n: symmetric_rows(n, lambda: 0.0),
+        ]
+        for n in (8, 10, 12, 14):
+            for _ in range(1 if n == 14 else 3):
+                for family in families:
+                    wm = family(n)
+                    assert best_path(wm, "exact") == full_table_path(wm)
+
+    @pytest.mark.parametrize("n", [8, 14])
+    def test_even_split_tie_read_from_the_far_end(self, n):
+        # A cycle of 1.0 weights with two heavy 2.0 edges, every other pair
+        # 4.0: the two optimal paths are the cycle less either heavy edge.
+        # Read from its least start 1, the first puts event 0 among its
+        # last n / 2 events, so the walk reads its split state from the far
+        # end; the second, from its least start n / 2 + 1, puts event 0
+        # second.
+        k = n // 2
+        first = (*range(1, k + 1), 0, *range(k + 1, n))
+        second = (k + 1, 0, *range(k, 0, -1), *range(n - 1, k + 1, -1))
+        rows = [[4.0] * n for _ in range(n)]
+        for v in range(n):
+            rows[v][v] = 0.0
+        for u, v in zip(first, first[1:] + first[:1]):
+            rows[u][v] = rows[v][u] = 1.0
+        for u, v in ((n - 1, 1), (k + 1, k + 2)):
+            rows[u][v] = rows[v][u] = 2.0
+        wm = tuple(map(tuple, rows))
+        assert first.index(0) >= k and second.index(0) < k
+        assert path_weight(wm, first) == path_weight(wm, second) == n
+        assert best_path(wm, "exact") == full_table_path(wm) == first
+
     def test_small_tables_are_the_full_table(self):
         # At n <= 2 the rows of at most ceil((n + 1) / 2) events are the
         # whole table, and at n = 3 the split level has six states, too few
@@ -371,6 +413,18 @@ class TestBestPath:
         for mode in ("exact", "heuristic"):
             with pytest.raises(DomainError, match="finite"):
                 best_path(wm, mode)
+
+    def test_overflowing_path_sums_rejected(self):
+        # Every path sum here is inf, so no order can be told from another:
+        # (0, 1, 2) weighs 2.7e308 and (0, 2, 1) 2e308 in exact arithmetic.
+        wm = ((0.0, 1.7e308, 1e308), (1.7e308, 0.0, 1e308), (1e308, 1e308, 0.0))
+        for mode in ("exact", "heuristic"):
+            with pytest.raises(DomainError, match="finite"):
+                best_path(wm, mode)
+        # (n - 1) * max |w| within the float range is accepted.
+        wm = ((0.0, 8e307, 5e307), (8e307, 0.0, 5e307), (5e307, 5e307, 0.0))
+        for mode in ("exact", "heuristic"):
+            assert best_path(wm, mode) == (0, 2, 1)
 
     def test_asymmetric_rows_rejected(self):
         # Rows equal to columns also means n rows of n weights each.
