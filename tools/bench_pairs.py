@@ -5,17 +5,18 @@
 
 Run from a git checkout.  Both revisions are checked out with `git worktree
 add --detach` in a temporary directory, and for each seed the pairs run
-`perfbench/run.py --workload W --seed S --seconds 25 --trace 0` once in each
-tree; the first pair starts with the base, and each later pair swaps which
-side goes first.  Both sides see the same environment, PYTHONDONTWRITEBYTECODE
-included: when bytecode is written, each tree's `src/` and `perfbench/` are
-compiled before the first run, so no run pays for compiling them and none
-reads another's cache; when it is not, every run compiles.  The output holds
-both revisions, the Python version, the processor count, the seeds, every
-run's metrics and, per seed and over all pairs, each end-to-end metric's
-median, quartile distance and win count (a pair is won by the side whose value
-is better in the direction BENCHMARK.json gives; ties count for neither).  The
-worktrees are removed on the way out, and every run has ended by then.
+`perfbench/run.py --workload W --seed S --seconds T --trace 0` once in each
+tree, T being the run length BENCHMARK.json sets (25 s); the first pair
+starts with the base, and each later pair swaps which side goes first.
+Both sides see the same environment, PYTHONDONTWRITEBYTECODE included: when
+bytecode is written, each tree's `src/` and `perfbench/` are compiled before
+the first run, so no run pays for compiling them; when it is not, every run
+compiles.  The output holds both revisions, the Python version, the
+processor count, the seeds, every run's metrics and, per seed and over all
+pairs, each end-to-end metric's median, quartile distance and win count (a
+pair is won by the side whose value is better in the direction
+BENCHMARK.json gives; ties count for neither).  The worktrees are removed
+on the way out, and every run has ended by then.
 Standard library only.
 """
 
@@ -94,12 +95,13 @@ def main() -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", required=True, help="comma-separated benchmark seeds")
     parser.add_argument("--pairs", type=int, required=True, help="pairs per seed")
-    parser.add_argument("--seconds", type=float, default=25)
     parser.add_argument("--out", required=True, help="JSON file to write")
     args = parser.parse_args()
     seeds = [int(seed) for seed in args.seeds.split(",")]
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
-        better = {metric["name"]: metric["better"] for metric in json.load(handle)["end_to_end"]}
+        benchmark = json.load(handle)
+    better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    seconds = benchmark["run_seconds"]
     revs = {"base": _git("rev-parse", args.base), "head": _git("rev-parse", args.head)}
     env = dict(os.environ)
     no_bytecode = bool(env.get("PYTHONDONTWRITEBYTECODE"))
@@ -118,7 +120,7 @@ def main() -> int:
                 order = SIDES if count % 2 == 0 else SIDES[::-1]
                 count += 1
                 for position, side in enumerate(order, 1):
-                    result = _run(trees[side], args.workload, seed, args.seconds, env)
+                    result = _run(trees[side], args.workload, seed, seconds, env)
                     runs.append({"seed": seed, "pair": pair, "side": side, "position": position, "result": result})
                     metrics = {name: round(m["value"], 4) for name, m in result["metrics"].items()}
                     print(f"seed {seed} pair {pair} {side}: {metrics}", file=sys.stderr)
@@ -136,7 +138,7 @@ def main() -> int:
         "nproc": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count(),
         "seeds": seeds,
         "pairs_per_seed": args.pairs,
-        "seconds": args.seconds,
+        "seconds": seconds,
         "pythondontwritebytecode": no_bytecode,
         "all_correct": all(run["result"]["correct"] for run in runs),
         "failed": sum(run["result"]["failed"] for run in runs),
