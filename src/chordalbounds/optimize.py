@@ -187,7 +187,7 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
                 cost_mask[v] = best
 
     def least(row, rest_cost, sources):
-        # The cost fill gives one state from the given sources.
+        # One state as fill takes it: the least row[u] + rest_cost[u] over u.
         best = inf
         for u in sources:
             candidate = row[u] + rest_cost[u]
