@@ -27,17 +27,16 @@ each through its own private methods (`mass`, `_union`, `_atom`,
   intersection is a product of coordinate probabilities and the union a
   Shannon expansion over coordinates that branches on the lowest
   coordinate of the smallest residual mask (success runs in 100 trials:
-  5 ms); when every coordinate has the same exact p it runs over packed
-  integer coefficients of p.  An atom is the mass of the coordinates its
-  events require times one minus the Shannon union of the other events'
-  residual masks, and `alpha_prime` splits the coordinate assignments by
-  event, keeping each part as its least on-set, so no outcome is ever
-  built.  The symmetric and cone sums enumerate their index sets.  On an
-  exact system they add integer numerators: over D**m for RATIONAL
-  probabilities a_c / D, each distinct union of required coordinates
-  taken once per chunk of index sets, and packed coefficients of p,
-  looked up by coordinate count, when every coordinate shares one
-  polynomial p.
+  5 ms).  An atom is the mass of the coordinates its events require
+  times one minus the Shannon union of the other events' residual masks,
+  and `alpha_prime` splits the coordinate assignments by event, keeping
+  each part as its least on-set, so no outcome is ever built.  The
+  symmetric and cone sums enumerate their index sets.  On an exact
+  system the union and the sums add integer numerators: over D**m for
+  RATIONAL probabilities a_c / D, the sums taking each distinct union of
+  required coordinates once per chunk of index sets, and packed
+  coefficients of p, looked up by coordinate count, in one lane wide
+  enough for both, when every coordinate shares one polynomial p.
 
 A cone sum takes the base of a cone (see `graphs._cones`), a tuple of
 events whose intersection stands where one event would: a chordal graph's
@@ -45,11 +44,12 @@ cones have one event each, so their sums read that event and nothing
 more, and only a non-chordal graph's walk makes longer bases.
 
 Both stay exact for rational and polynomial values; an explicit system's
-float masses are correctly rounded.  The symmetric and cone sums come in
-the system's unit (`_numerator`, `_value`): integers over one common
-denominator on a RATIONAL system, packed integer coefficients of a
-shared polynomial p on a product system, values elsewhere, so that a
-bound sums its bracket in that unit and makes one value of it.  Both check
+float masses are correctly rounded.  The symmetric and cone sums, and a
+product system's union, come in the system's unit (`_numerator`,
+`_value`): integers over one common denominator on a RATIONAL system,
+packed integer coefficients of a shared polynomial p on a product
+system, values elsewhere, so that a bound or a union adds in that unit
+and makes one value of its sum.  Both check
 index sets with `_event_indices`, and `_require_one_vertex_per_event`
 pairs the events with the vertices of a graph for every caller.
 """
@@ -316,26 +316,29 @@ class ProductSystem:
     masks over one backend.
 
     `probs[c]` is the probability that coordinate c is on; event j occurs
-    when every coordinate in the mask `requires[j]` is on.  The symmetric
-    and cone sums come in the system's unit, as on an explicit system:
-    `_numerator` gives a mask's probability as a numerator, the sums add
-    numerators, and `_value` makes one backend value of a bracket, or of
-    one numerator for `mass`.  The unit depends on the backend:
+    when every coordinate in the mask `requires[j]` is on.  The union and
+    the symmetric and cone sums come in the system's unit, as on an
+    explicit system: `_numerator` gives a mask's probability as a
+    numerator, the sums add numerators, the union also scales them by
+    coordinate factors (`_factors`), and `_value` makes one backend value
+    of a union or a bracket, or of one numerator for `mass`.  The unit
+    depends on the backend:
 
     * RATIONAL: with D the least common denominator of the probabilities
       a_c / D, a mask's numerator is prod_{c in mask} a_c * D**(m - |mask|),
       an integer over D**m, read from one table over the low half of the
       coordinates and one over the high half, or by its number of
-      coordinates when they share one p; `_value` makes one Fraction.
+      coordinates when they share one p; a coordinate's factors are a_c
+      and D - a_c, over the divisor D, and `_value` makes one Fraction.
     * POLYNOMIAL with one p shared by every coordinate (every symbolic
       network): a mask of k coordinates is p**k, and its numerator the
       integer 1 << lane*k, the coefficients of p**k packed one per lane of
-      `_bracket_lane` bits; `_value` unpacks them once and
-      `_from_coefficients` makes the value.
+      `_packed_lane` bits; its factors are 1 << lane and 1 - (1 << lane),
+      `_value` unpacks a sum once and `_from_coefficients` makes the value.
     * any other system: the unit is 1 and a numerator is the mass, the
-      product over the mask in backend arithmetic, so floats keep that
-      product and the order of every sum, and their rounding does not
-      depend on the probabilities being equal.
+      product over the mask in backend arithmetic, and the factors p_c and
+      1 - p_c, so floats keep that product and the order of every sum, and
+      their rounding does not depend on the probabilities being equal.
 
     `_symmetric_sum` memoizes its sums, and `_clique_brackets` keeps the
     clique brackets of `bounds`, so that repeated bound evaluations over
@@ -343,8 +346,8 @@ class ProductSystem:
     """
 
     __slots__ = (
-        "backend", "probs", "requires", "_zero", "_shared", "_denominator", "_lane", "_by_count",
-        "_halves", "_offs", "_low_products", "_sums", "_clique_brackets",
+        "backend", "probs", "requires", "_zero", "_denominator", "_lane", "_by_count", "_factors",
+        "_halves", "_low_products", "_sums", "_clique_brackets",
     )
 
     def __init__(self, backend: Backend, probs, requires):
@@ -365,32 +368,35 @@ class ProductSystem:
         self.backend = backend
         self.probs = probs
         self.requires = requires
-        # Every coordinate has the same exact p: the union expands over
-        # integer coefficients of p.  `count` finds a repeated object by
-        # identity, with no hash or comparison.
-        self._shared = backend.exact and bool(probs) and probs.count(probs[0]) == len(probs)
+        # Every coordinate has the same exact p; `count` finds a repeated
+        # object by identity, with no hash or comparison.
+        m = len(probs)
+        shared = backend.exact and bool(probs) and probs.count(probs[0]) == m
         # The unit: 1 / D**m for RATIONAL, packed coefficients of p for a
         # shared polynomial p, else 1 (all None); with a shared p, the
-        # numerator of a mask by its number of coordinates.
+        # numerator of a mask by its number of coordinates.  `_factors`:
+        # each coordinate's on and off factors, and the divisor that takes
+        # a product with one of them back to the unit.
         self._denominator = self._lane = self._by_count = None
         self._zero = 0
-        m = len(probs)
         if backend is RATIONAL:
             unit = math.lcm(*(p.denominator for p in probs))
+            ons = tuple(p.numerator * (unit // p.denominator) for p in probs)
+            self._factors = ons, tuple(unit - a for a in ons), unit
             self._denominator = unit**m
-            if self._shared:
-                a = probs[0].numerator * (unit // probs[0].denominator)
-                self._by_count = [a**k * unit ** (m - k) for k in range(m + 1)]
-        elif self._shared:
-            self._lane = _bracket_lane(len(requires))
+            if shared:
+                self._by_count = [ons[0] ** k * unit ** (m - k) for k in range(m + 1)]
+        elif shared:
+            self._lane = _packed_lane(len(requires), m)
             self._by_count = [1 << self._lane * k for k in range(m + 1)]
+            self._factors = (1 << self._lane,) * m, (1 - (1 << self._lane),) * m, 1
         else:
             self._zero = backend.zero
-        # Built on first use: the RATIONAL numerator tables (`_numerator`),
-        # 1 - probs for the union in backend values, and the products over
-        # each subset of the lowest 8 coordinates (`mass`).
+            self._factors = probs, tuple(backend.one - p for p in probs), 1
+        # Built on first use: the RATIONAL numerator tables (`_numerator`)
+        # and the products over each subset of the lowest 8 coordinates
+        # (`mass`).
         self._halves: tuple | None = None
-        self._offs: tuple | None = None
         self._low_products: list | None = None
         self._sums: dict[int, object] = {}
         self._clique_brackets: dict = {}
@@ -446,8 +452,7 @@ class ProductSystem:
         coordinates below `split`, a_c for those on in the mask i and D for
         the others, and high[i] the same over the coordinates from `split`
         on; built once, with 2**split + 2**(m - split) entries."""
-        unit = math.lcm(*(p.denominator for p in self.probs))
-        weights = [p.numerator * (unit // p.denominator) for p in self.probs]
+        weights, _, unit = self._factors
         split = len(weights) // 2
         tables = []
         for part in (weights[:split], weights[split:]):
@@ -486,47 +491,28 @@ class ProductSystem:
         from the masks that hold c, less c, and the masks without c that
         contain none of those.
 
-        The ring is chosen once, by the values the recursion reads: `one`,
-        the coordinate probabilities `probs` and `offs` = 1 - probs, and
-        the `leaf`, the mass of a single mask.  While every coordinate
-        shares one exact p (`_shared`), U is an integer polynomial in p,
-        and the expansion runs over packed ints: coefficient j sits in
-        lane j of L = bit_length(3**m) + 2 bits, for the m coordinates,
-        so p is 1 << L, 1 - p is 1 - (1 << L) and a mask of k coordinates
-        is 1 << L*k.  `_unpack` reads each lane back as a signed
-        coefficient, exactly while |c_j| < 2**(L - 1), and this holds with
-        room to spare: a union over m coordinates is the sum of
-        p**|S| (1 - p)**(m - |S|) over the on-sets S in it, so
-        |[p**j] U| <= C(m, j) * 2**j <= 3**m < 2**(L - 2), and every memo
-        value is itself the union of a family over the same coordinates,
-        so it obeys the same bound.  `_from_coefficients` makes one value
-        of the coefficients.
-        Any other system runs the same recursion over its backend values,
-        with `offs` built on its first union.  Runs of length 4 at
-        RATIONAL p = 3/10 take 0.36 ms in 24 trials and 5 ms in 100 (1.0
-        and 10 ms in Fractions; Python 3.11)."""
+        The expansion runs in the system's unit: a leaf, a single mask, is
+        its `_numerator`, one is `_numerator(0)`, and p_c and 1 - p_c are
+        the coordinate's factors (`_factors`), so `_value` makes one value
+        of the result.  On a RATIONAL system they are a_c and D - a_c, and
+        each node divides its sum by D exactly: no mask of either branch
+        holds c, so every numerator there carries D for c.  With a shared
+        polynomial p they are the packed p and 1 - p, and U is an integer
+        polynomial in p whose coefficients the lane holds (`_packed_lane`).
+        Elsewhere they are p_c and 1 - p_c themselves, multiplied and added
+        as they read, so floats keep one rounding.  Runs of length 4 at
+        RATIONAL p = 3/10 take 0.33 ms in 24 trials (Python 3.11)."""
         family = _minimal(self.requires if requires is None else requires)
-        if family[0] == 0:
-            return self.backend.one
-        if self._shared:
-            coords = len(self.probs)
-            lane = (3**coords).bit_length() + 2
-            one, probs, offs = 1, (1 << lane,) * coords, (1 - (1 << lane),) * coords
-
-            def leaf(mask):
-                return 1 << lane * mask.bit_count()
-
-        else:
-            if self._offs is None:
-                self._offs = tuple(self.backend.one - p for p in self.probs)
-            one, probs, offs, leaf = self.backend.one, self.probs, self._offs, self.mass
-
+        numerator = self._numerator
+        ons, offs, divisor = self._factors
+        one = numerator(0)
         memo: dict[tuple[int, ...], object] = {}
 
         def union(family):
-            # `family`: sorted, non-empty, pairwise incomparable, no empty mask.
+            # `family`: sorted, non-empty, pairwise incomparable; only a
+            # family of one mask may hold the empty mask, a certain event.
             if len(family) == 1:
-                return leaf(family[0])
+                return numerator(family[0])
             value = memo.get(family)
             if value is not None:
                 return value
@@ -536,7 +522,7 @@ class ProductSystem:
             held = [m ^ bit for m in family if m & bit]
             off = tuple(m for m in family if not m & bit)
             if held[0] == 0:
-                value = probs[c] * one
+                value = ons[c] * one
             else:
                 # The masks of `held` are pairwise incomparable and contain
                 # no mask of `off`, so the minimal masks of the on-branch
@@ -548,21 +534,21 @@ class ProductSystem:
                             break
                     else:
                         kept.append(m)
-                value = probs[c] * union(tuple(sorted(held + kept)))
+                value = ons[c] * union(tuple(sorted(held + kept)))
             if off:
                 value = value + offs[c] * union(off)
+            if divisor != 1:
+                value //= divisor
             memo[family] = value
             return value
 
-        value = union(family)
-        return self._from_coefficients(_unpack(value, lane, coords + 1)) if self._shared else value
+        return self._value(union(family))
 
     def _from_coefficients(self, coefficients: list[int], divisor: int = 1):
-        """sum_j coefficients[j] * p**j / divisor for the exact p that every
-        coordinate shares, as one backend value: the Polynomial with those
+        """sum_j coefficients[j] * p**j / divisor for the polynomial p that
+        every coordinate shares, as one Polynomial: the one with those
         integer coefficients over `divisor` when p is the indeterminate P,
-        else that polynomial evaluated exactly at p (homogeneous integer
-        Horner at a rational p).  Consumes the list."""
+        else that one taken at p.  Consumes the list."""
         value = Polynomial._make(coefficients, divisor)
         p = self.probs[0]
         if p is P or type(p) is Polynomial and p == P:
@@ -809,21 +795,27 @@ def _unpack(packed: int, lane: int, count: int) -> list[int]:
     return coefficients
 
 
-def _bracket_lane(events: int) -> int:
+def _packed_lane(events: int, coords: int) -> int:
     """Lane width, in bits, of the packed numerators of a shared-p system
-    with n = `events` events: wide enough that `_unpack` reads back every
-    bracket of `bounds` over them.
+    with n = `events` events over m = `coords` coordinates: wide enough
+    that `_unpack` reads back its union and every bracket of `bounds`.
+    A sum of numerators 1 << lane*j reads back while each coefficient c_j
+    has |c_j| < 2**(lane - 1).
 
-    A bracket adds the numerators 1 << lane*j of its index sets with
-    integer weights, so its coefficient j is at most the sum W of their
-    absolute values, and reads back while W < 2**(lane - 1).  A clique
+    A union over m coordinates is the sum of p**|S| (1 - p)**(m - |S|)
+    over the on-sets S in it, so |c_j| <= C(m, j) * 2**j <= 3**m, and
+    every memo value of the expansion is the union of a family over the
+    same coordinates, bound alike: 3**m < 2**(lane - 2).
+
+    A bracket adds the numerators of its index sets with integer weights,
+    so |c_j| is at most the sum W of their absolute values.  A clique
     bracket weighs each clique +-1 and a classical one each index set, so
     W <= 2**n.  An averaged bracket of order m' weighs S_k by
     a_k * L / b_k, for the scale L = lcm(b_k) (`bounds._moment_bracket`),
     and S_k holds C(n, k) sets; so W <= L * n**2 * 2**n, where L divides
     lcm(1..n + 1) * lcm(1..n) < 3**(2n + 1) (Hanson 1972: lcm(1..N) <
-    3**N).  So W < 3 * 18**n * n**2, which the lane holds."""
-    return (3 * 18**events * events * events).bit_length() + 1
+    3**N).  So W < 3 * 18**n * n**2 < 2**(lane - 1)."""
+    return max((3 * 18**events * events * events).bit_length() + 1, (3**coords).bit_length() + 2)
 
 
 def _branch_bit(family) -> int:

@@ -143,8 +143,9 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
     n = len(w)
     inf = math.inf
     # Ties are resolved lexicographically; the slack absorbs float noise
-    # from differing addition orders between equal-weight paths.
-    slack = 1e-12
+    # from differing addition orders between equal-weight paths, relative
+    # to the largest |weight|, so that scaling every weight scales it too.
+    slack = 1e-12 * scale
     # cost[mask][v]: minimum weight of a path visiting exactly `mask`,
     # starting at v (v must be in mask); a row never filled reads +inf.
     # The loops walk member tuples, not bits: a mask's members, ascending,
@@ -197,10 +198,9 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
 
     # Every state the walk below reads as near-optimal, joined to its
     # cheapest completion, weighs at most n slacks plus the rounding of a
-    # few sums of n weights above the optimum; n * scale * 1e-12 exceeds
-    # that rounding many times over at n <= 15; scale is the largest
-    # |weight|.
-    margin = n * (slack + scale * 1e-12)
+    # few sums of n weights above the optimum; n more slacks exceed that
+    # rounding many times over at n <= 15.
+    margin = 2 * n * slack
 
     def joins(masks, top, paired=False, halved=False):
         # Yield (weight, mask, v) for each state of masks whose cost plus
@@ -328,8 +328,9 @@ def _nearest_neighbor(w: tuple[tuple[float, ...], ...], start: int) -> tuple[int
     return tuple(order)
 
 
-def _two_opt(w: tuple[tuple[float, ...], ...], order: tuple[int, ...]) -> tuple[int, ...]:
+def _two_opt(w: tuple[tuple[float, ...], ...], order: tuple[int, ...], scale: float) -> tuple[int, ...]:
     n = len(order)
+    threshold = -1e-12 * scale
     path = list(order)
     improved = True
     while improved:
@@ -341,7 +342,7 @@ def _two_opt(w: tuple[tuple[float, ...], ...], order: tuple[int, ...]) -> tuple[
                     delta += w[path[i - 1]][path[j]] - w[path[i - 1]][path[i]]
                 if j < n - 1:
                     delta += w[path[i]][path[j + 1]] - w[path[j]][path[j + 1]]
-                if delta < -1e-12:
+                if delta < threshold:
                     path[i : j + 1] = reversed(path[i : j + 1])
                     improved = True
     return tuple(path)
@@ -351,7 +352,8 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     """Minimum-total-weight visiting order of all events under the rows w.
 
     Exact mode runs Held-Karp subset dynamic programming (n <= 15) and
-    returns the lexicographically least optimal order.  Its inner loops
+    returns the lexicographically least optimal order, taking path weights
+    within 1e-12 * max |w| of each other as tied.  Its inner loops
     walk each subset's members as a tuple, joined from two tables of
     half-width member tuples, instead of extracting bits one at a time.
     It fills every subset of at most ceil((n + 1) / 2) events, except
@@ -363,7 +365,9 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     small path read backwards, and is filled only when it lies on a path
     within a small margin of the optimum, unless an eighth of the states
     at the split level are.  Heuristic mode runs nearest neighbor from
-    every start plus 2-opt and carries no optimality guarantee.  Every
+    every start plus 2-opt, whose moves must gain more than that relative
+    tolerance, and carries no optimality guarantee.  So scaling every
+    weight by a power of two keeps the order in both modes.  Every
     weight must be finite and the rows symmetric, w[u][v] == w[v][u], as
     `pairwise_weights` gives them: both modes read paths in either
     direction.  A path adds n - 1 weights, and (n - 1) * max |w| must be
@@ -388,7 +392,7 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
         return _held_karp_path(w, scale)
     best = None
     for start in range(n):
-        candidate = _normalize_direction(_two_opt(w, _nearest_neighbor(w, start)))
+        candidate = _normalize_direction(_two_opt(w, _nearest_neighbor(w, start), scale))
         key = (path_weight(w, candidate), candidate)
         if best is None or key < best:
             best = key

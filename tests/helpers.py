@@ -630,8 +630,9 @@ def full_table_path(w) -> tuple[int, ...]:
             cost_mask[v] = best
     full = size - 1
     # Ties are resolved lexicographically; the slack absorbs float noise
-    # from differing addition orders between equal-weight paths.
-    slack = 1e-12
+    # from differing addition orders between equal-weight paths, relative
+    # to the largest |weight|.
+    slack = 1e-12 * max(map(abs, (x for row in w for x in row)))
     optimum = min(cost[full][v] for v in range(n))
     start = min(v for v in range(n) if cost[full][v] <= optimum + slack)
     order = [start]

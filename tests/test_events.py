@@ -983,9 +983,10 @@ def reference_product_atom(sys_, signature):
 
 
 class TestSharedPowerKernels:
-    """While every coordinate shares one exact p, `ProductSystem._union`
-    expands over packed integer coefficients of p, and `_symmetric_sum`
-    and `_cone_sum` give integer numerators, read back by `_value`.
+    """While every coordinate shares one exact p, `ProductSystem._union`,
+    `_symmetric_sum` and `_cone_sum` add integer numerators, counted by
+    coordinates: over D**m for a RATIONAL p = a/D, packed coefficients of
+    a polynomial p, read back by `_value`.
     Against the expansion, the sums and the atoms in backend arithmetic,
     with ==, and the value's type."""
 
@@ -1041,7 +1042,7 @@ class TestSharedPowerKernels:
     def test_lanes_past_a_machine_word(self, monkeypatch, m):
         # m disjoint one-coordinate events: the union is 1 - (1 - p)**m,
         # whose coefficients are +-C(m, j), up to C(60, 30) > 2**56, in
-        # lanes of 41 and 97 bits.
+        # lanes of 112 and 265 bits, which the brackets over m events set.
         monkeypatch.setattr(events, "MAX_PRODUCT_COORDS", m)
         sys_ = bernoulli_product([P] * m, [[c] for c in range(m)], POLYNOMIAL)
         union = union_prob_exact(sys_)
@@ -1191,21 +1192,50 @@ class TestExactNumerators:
                 bound(kind, sys_, g=tree)
                 assert len(calls) == 1, (case, kind)
 
-    def test_lazy_complements(self):
-        # 1 - p is built by the first union in backend values, and never on
-        # a shared p, whose union expands over packed integers.
-        shared = bernoulli_product([P] * 4, [[0, 1], [1, 2], [2, 3]], POLYNOMIAL)
-        distinct = bernoulli_product(["1/3", "1/4", "1/5", "1/6"], [[0, 1], [1, 2], [2, 3]], RATIONAL)
-        for sys_ in (shared, distinct):
-            assert sys_._offs is None
+    @pytest.mark.parametrize("case", EXACT_PROBS)
+    def test_unions_and_atoms(self, case):
+        # The Shannon expansion in the system's unit against the same
+        # expansion in backend arithmetic, on every residual family and,
+        # up to 8 events, on every atom.
+        rng = random.Random(4105)
+        for sys_ in self.systems(rng, case):
+            self.assert_same(union_prob_exact(sys_), reference_product_union(sys_))
+            for family in residual_families(sys_):
+                if family:
+                    self.assert_same(sys_._union(family), reference_product_union(sys_, family))
+            n = sys_.event_count
+            if n <= 8:
+                for size in range(1, n + 1):
+                    for signature in combinations(range(n), size):
+                        self.assert_same(atom_prob(sys_, signature), reference_product_atom(sys_, signature))
+
+    def test_one_value_per_union(self, monkeypatch):
+        # The expansion stays in the unit and makes one value, whatever the
+        # backend and whether the probabilities are shared.
+        calls = []
+        original = ProductSystem._value
+
+        def counting(self, total, divisor=1):
+            calls.append(divisor)
+            return original(self, total, divisor)
+
+        monkeypatch.setattr(ProductSystem, "_value", counting)
+        requires = [[0, 1], [1, 2], [2, 3], [0, 3]]
+        cases = [
+            (["1/3", "1/4", "1/5", "1/6"], RATIONAL), (["3/10"] * 4, RATIONAL), ([P] * 4, POLYNOMIAL),
+            ([P, 1 - P, P, (1 + P) / 2], POLYNOMIAL), ([0.3, 0.4, 0.5, 0.6], REAL),
+        ]
+        for probs, backend in cases:
+            sys_ = bernoulli_product(probs, requires, backend)
+            calls.clear()
             union_prob_exact(sys_)
-            bound("hunter-lower", sys_, g=path_graph(3))
-        assert shared._offs is None
-        assert distinct._offs == (Fraction(2, 3), Fraction(3, 4), Fraction(4, 5), Fraction(5, 6))
+            assert calls == [1], (probs, backend)
 
     def test_bracket_lane_holds_every_bracket(self):
         # The largest sum of absolute weights of a clique, classical or
-        # averaged bracket over n events stays below half a lane.
+        # averaged bracket over n events stays below half a lane, and the
+        # largest coefficient of a union over m coordinates, at most 3**m,
+        # below a quarter of one.
         for n in range(1, 41):
             widest = 1 << n
             for m in range(n):
@@ -1213,7 +1243,9 @@ class TestExactNumerators:
                 scale = math.lcm(*(b for _, b in coefficients))
                 weights = [abs(a) * (scale // b) * math.comb(n, k) for k, (a, b) in enumerate(coefficients, 1)]
                 widest = max(widest, sum(weights))
-            assert widest < 1 << events._bracket_lane(n) - 1, n
+            for coords in range(events.MAX_PRODUCT_COORDS + 1):
+                lane = events._packed_lane(n, coords)
+                assert widest < 1 << lane - 1 and 3**coords < 1 << lane - 2, (n, coords)
 
 
 class TestIntersectionAndUnion:

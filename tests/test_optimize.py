@@ -448,6 +448,28 @@ class TestBestPath:
             heuristic_total = path_weight(wm, best_path(wm, "heuristic"))
             assert heuristic_total >= exact_total - 1e-12
 
+    def test_tiny_weights_are_not_all_tied(self):
+        # Every path here weighs under 1e-12, which an absolute slack took
+        # as one tie, returning the least order; the relative slack keeps
+        # the exact order optimal to within its tolerance.
+        rng = random.Random(4301)
+        for _ in range(50):
+            wm = symmetric_rows(rng.randint(5, 7), lambda: rng.uniform(0.0, 1e-13))
+            order = best_path(wm, "exact")
+            assert order == full_table_path(wm)
+            best_total = brute_force_best_path(wm)[0]
+            assert path_weight(wm, order) <= best_total + 1e-12 * max(map(max, wm))
+
+    @pytest.mark.parametrize("mode", ["exact", "heuristic"])
+    def test_orders_survive_power_of_two_scaling(self, mode):
+        # Scaling by 2**-43 is exact in floats, so every sum and comparison
+        # scales with it, and so must the tolerances.
+        rng = random.Random(4302)
+        for _ in range(120):
+            wm = symmetric_rows(rng.randint(4, 10), rng.random)
+            scaled = tuple(tuple(math.ldexp(x, -43) for x in row) for row in wm)
+            assert best_path(scaled, mode) == best_path(wm, mode)
+
 
 class TestExhaustiveTreeOracle:
     def test_min_upper_matches_max_weight_mst(self):
