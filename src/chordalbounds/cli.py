@@ -291,13 +291,29 @@ def _cmd_bounds_all(args) -> int:
     return 0
 
 
+def _report_json(result: dict) -> str:
+    """An optimize report as `json.dumps(result, indent=2)` writes it.  The
+    first value, the one list (`tree_edges` pairs or `path_order` events),
+    is written from a template with %d items, and every other value by
+    `json.dumps` alone, whose C encoder `indent` would bypass."""
+    (key, items), *rest = result.items()
+    if not items:
+        text = "[]"
+    elif key == "tree_edges":
+        text = "[\n" + ",\n".join(["    [\n      %d,\n      %d\n    ]" % (u, v) for u, v in items]) + "\n  ]"
+    else:
+        text = "[\n" + ",\n".join(["    %d" % v for v in items]) + "\n  ]"
+    fields = [f'"{key}": {text}'] + [f'"{name}": {json.dumps(value)}' for name, value in rest]
+    return "{\n  " + ",\n  ".join(fields) + "\n}"
+
+
 def _cmd_optimize(args) -> int:
     sys_ = _load_events(args.events)
     w = pairwise_weights(sys_)
     if args.structure == "tree":
         tree = best_tree(w, args.objective)
         result = {
-            "tree_edges": [list(e) for e in tree.edges],
+            "tree_edges": tree.edges,
             "objective_value": tree_weight(w, tree),
             "mode": "exact",
             "optimal": True,
@@ -306,12 +322,12 @@ def _cmd_optimize(args) -> int:
         mode = "heuristic" if args.heuristic else "exact"
         order = best_path(w, mode)
         result = {
-            "path_order": list(order),
+            "path_order": order,
             "objective_value": path_weight(w, order),
             "mode": mode,
             "optimal": mode == "exact",
         }
-    print(json.dumps(result, indent=2))
+    print(_report_json(result))
     return 0
 
 

@@ -147,17 +147,10 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
     # to the largest |weight|, so that scaling every weight scales it too.
     slack = 1e-12 * scale
     # cost[mask][v]: minimum weight of a path visiting exactly `mask`,
-    # starting at v (v must be in mask); a row never filled reads +inf.
+    # starting at v (v must be in mask); a state never filled reads +inf.
     # The loops walk member tuples, not bits: a mask's members, ascending,
     # are low[mask & low_bits] + high[mask >> half], from two tables of at
-    # most 2**ceil(n/2) tuples.  rows[v] is w[v] with +inf on the diagonal,
-    # so u == v adds +inf and never wins over the candidate u != v that
-    # every state of two or more members has.
-    rows = []
-    for v in range(n):
-        row = list(w[v])
-        row[v] = inf
-        rows.append(row)
+    # most 2**ceil(n/2) tuples.
     half = n // 2
     low_bits = (1 << half) - 1
     low = [tuple(_bits(m)) for m in range(1 << half)]
@@ -170,25 +163,34 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
     cost = [(inf,) * n] * size
     for mask in levels[1]:
         cost[mask] = (0.0,) * n
+    bit = [1 << v for v in range(n)]
 
-    def fill(masks, kept=None):
-        # The state (mask, v) takes the least row[u] + rest_cost[u] over its
-        # sources u: every member of mask, or the kept heads of mask - v.
+    def blank(masks):
+        # A fresh row of +inf for each mask, for `push` and `heads` to fill.
         for mask in masks:
-            members = low[mask & low_bits] + high[mask >> half]
-            cost[mask] = cost_mask = [inf] * n
-            for v in members:
-                rest = mask ^ (1 << v)
-                row, rest_cost = rows[v], cost[rest]
+            cost[mask] = [inf] * n
+
+    def push(rests, kept=None):
+        # Each rest R gives every event v outside it the state (R | 1 << v,
+        # v): the least w[v][u] + cost[R][u] over the sources u, every
+        # member of R or its kept heads, in that order.  The sources never
+        # hold v, so w is read as it is.  Each state has one rest, so each
+        # is written once, into a row `blank` made.
+        for rest in rests:
+            rest_cost = cost[rest]
+            sources = low[rest & low_bits] + high[rest >> half] if kept is None else kept[rest]
+            other = full ^ rest
+            for v in low[other & low_bits] + high[other >> half]:
+                row = w[v]
                 best = inf
-                for u in members if kept is None else kept.get(rest, ()):
+                for u in sources:
                     candidate = row[u] + rest_cost[u]
                     if candidate < best:
                         best = candidate
-                cost_mask[v] = best
+                cost[rest | bit[v]][v] = best
 
     def least(row, rest_cost, sources):
-        # One state as fill takes it: the least row[u] + rest_cost[u] over u.
+        # One state as push takes it: the least row[u] + rest_cost[u] over u.
         best = inf
         for u in sources:
             candidate = row[u] + rest_cost[u]
@@ -247,7 +249,7 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
                     for u in low[near & low_bits] + high[near >> half]:
                         state = far | 1 << u
                         if u not in kept.get(state, ()):
-                            cost[state][u] = best = least(rows[u], far_cost, sources)
+                            cost[state][u] = best = least(w[u], far_cost, sources)
                             if best + cost[near][u] <= top:
                                 kept[state] = kept.get(state, ()) + (u,)
         return kept
@@ -268,30 +270,28 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
     # one join.  At even n the far half, of h - 1 events, lies one level
     # down, and every path, read from one of its ends, puts event 0 among
     # its first h - 1 events.  So level h is filled (halved) only for the
-    # states with event 0 outside mask - v: every start of the masks
-    # without event 0, and v = 0 on those that hold it, half the states.
-    # Each found state counts as two, itself and the state `heads` fills
-    # for the same paths read from the far end; the fallback first fills
-    # the other half, the rows of the masks that hold event 0.
+    # states with event 0 outside mask - v, the states the level-(h - 1)
+    # rests without event 0 push to: every start of the masks without
+    # event 0, and v = 0 on those that hold it, half the states.  Each
+    # found state counts as two, itself and the state `heads` fills for
+    # the same paths read from the far end; the fallback first pushes from
+    # the rests that hold event 0, which fill the other half.
     h = (n + 2) // 2
     halved = n % 2 == 0 and h < n
-    fill(chain.from_iterable(levels[2 : h if halved else h + 1]))
+    blank(chain.from_iterable(levels[2 : h + 1]))
+    push(chain.from_iterable(levels[1 : h - 1 if halved else h]))
     if halved:
-        fill(mask for mask in levels[h] if not mask & 1)
-        for mask in levels[h]:
-            if mask & 1:
-                rest = mask ^ 1
-                cost[mask] = cost_mask = [inf] * n
-                cost_mask[0] = least(rows[0], cost[rest], low[rest & low_bits] + high[rest >> half])
+        push(mask for mask in levels[h - 1] if not mask & 1)
     if h < n:
         limit = h * len(levels[h]) // 8
         paired = n % 2 == 1
         masks = [mask for mask in levels[h] if mask & 1] if paired else levels[h]
         found = list(islice(joins(masks, inf, paired, halved), -(-limit // 2)))
         if len(found) * 2 >= limit:
+            blank(chain.from_iterable(levels[h + 1 :]))
             if halved:
-                fill(mask for mask in levels[h] if mask & 1)
-            fill(chain.from_iterable(levels[h + 1 :]))
+                push(mask for mask in levels[h - 1] if mask & 1)
+            push(chain.from_iterable(levels[h:n]))
         else:
             top = min(found)[0] + margin
             kept = heads(found, top, paired, halved)
@@ -302,7 +302,8 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
                     for mask in kept
                     for v in low[(full ^ mask) & low_bits] + high[(full ^ mask) >> half]
                 }
-                fill(targets, kept)
+                blank(targets)
+                push(kept, kept)
                 kept = heads(joins(targets, top), top)
     optimum = min(cost[full][v] for v in range(n))
     start = min(v for v in range(n) if cost[full][v] <= optimum + slack)
@@ -353,8 +354,11 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
 
     Exact mode runs Held-Karp subset dynamic programming (n <= 15) and
     returns the lexicographically least optimal order, taking path weights
-    within 1e-12 * max |w| of each other as tied.  Its inner loops
-    walk each subset's members as a tuple, joined from two tables of
+    within 1e-12 * max |w| of each other as tied.  The table is filled
+    by pushing: each subset R gives every event v outside it the state of
+    R plus v that starts at v, the least w[v][u] plus R's cost from u over
+    R's members u, so no candidate u = v is ever priced.  The loops walk
+    each subset's members as a tuple, joined from two tables of
     half-width member tuples, instead of extracting bits one at a time.
     It fills every subset of at most ceil((n + 1) / 2) events, except
     that at even n the split level, of n / 2 + 1 events, gets only the

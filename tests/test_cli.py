@@ -954,6 +954,36 @@ class TestOptimize:
         name = events.removeprefix("events_")
         assert out == (DATA / f"golden_optimize_tree_{name}_{objective}.out").read_text()
 
+    @pytest.mark.parametrize("events", ["one", "two"])
+    @pytest.mark.parametrize("structure", ["tree", "path"])
+    def test_golden_one_and_two_events(self, capsys, events, structure):
+        # One event has no tree edge and a one-event path, and both weigh
+        # the int 0 that an empty sum starts from; two events have one
+        # edge.  The outputs were written by `json.dumps(..., indent=2)`.
+        argv = ["optimize", structure, str(DATA / f"golden_optimize_{events}.json")]
+        code, out, err = run(capsys, *argv, *(["--exact"] if structure == "path" else []))
+        assert code == 0 and not err
+        assert out == (DATA / f"golden_optimize_{structure}_{events}.out").read_text()
+
+    def test_report_json_matches_indented_dumps(self):
+        # The template writer must give `json.dumps(result, indent=2)` byte
+        # for byte: lists of 0..15 items, as tuples or lists, and objective
+        # values of every float spelling the reports can hold.
+        rng = random.Random(4402)
+        values = (0, 0.0, -0.0, float("inf"), 1e-300, 0.1 + 0.2, 0.2741986121982336)
+        for k in range(16):
+            edges = tuple((rng.randrange(16), rng.randrange(16)) for _ in range(k))
+            order = tuple(rng.sample(range(16), k))
+            for value in values:
+                reports = [
+                    {"tree_edges": edges, "objective_value": value, "mode": "exact", "optimal": True},
+                    {"tree_edges": [list(e) for e in edges], "objective_value": value, "mode": "exact", "optimal": True},
+                    {"path_order": order, "objective_value": value, "mode": "exact", "optimal": True},
+                    {"path_order": list(order), "objective_value": value, "mode": "heuristic", "optimal": False},
+                ]
+                for report in reports:
+                    assert cli._report_json(report) == json.dumps(report, indent=2)
+
     def test_exact_cap_exit_3(self, capsys, tmp_path):
         n = 16
         path = tmp_path / "wide.json"

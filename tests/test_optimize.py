@@ -391,6 +391,33 @@ class TestBestPath:
                 wm = symmetric_rows(n, iter(values).__next__)
                 assert best_path(wm, "exact") == full_table_path(wm) == brute_force_best_path(wm)[1]
 
+    def test_every_size_matches_full_table(self):
+        # Each subset pushes its costs one event up, with no +inf diagonal;
+        # at every n from 1 to 10, odd and even (whose split level is
+        # halved), the order must be the full table's, ties included.
+        # Signed zeros and negative weights probe the float comparisons;
+        # small-integer ties and all-equal rows keep an eighth of the split
+        # level, so the search falls back to the full table; rows at the
+        # 1e-13 scale probe the relative slack.
+        rng = random.Random(4401)
+        families = [
+            lambda: rng.choice((0.0, -0.0)),
+            lambda: rng.choice((-0.0, 0.0, 0.5, -0.5)),
+            lambda: rng.uniform(-1.0, 1.0),
+            lambda: float(rng.randint(-2, 2)),
+            lambda: float(rng.randint(0, 2)),
+            lambda: rng.uniform(0.0, 1e-13),
+            rng.random,
+        ]
+        for n in range(1, 11):
+            for family in families:
+                for _ in range(10 if n < 10 else 4):
+                    wm = symmetric_rows(n, family)
+                    assert best_path(wm, "exact") == full_table_path(wm)
+            for value in (0.0, -0.0, 0.3, -1.0):
+                wm = symmetric_rows(n, lambda: value)
+                assert best_path(wm, "exact") == full_table_path(wm) == tuple(range(n))
+
     def test_all_zero_weights_at_the_cap(self):
         # Every state ties, so every level-h state is kept and the search
         # finishes the full table; the least order is the identity.
