@@ -292,19 +292,21 @@ def _cmd_bounds_all(args) -> int:
 
 
 def _report_json(result: dict) -> str:
-    """An optimize report as `json.dumps(result, indent=2)` writes it.  The
-    first value, the one list (`tree_edges` pairs or `path_order` events),
-    is written from a template with %d items, and every other value by
-    `json.dumps` alone, whose C encoder `indent` would bypass."""
-    (key, items), *rest = result.items()
+    """An optimize report as `json.dumps(result, indent=2)` writes it, from
+    one template: the one list (`tree_edges` pairs or `path_order` events)
+    with %d items, and `mode` and `optimal` as they read.  Only the
+    objective value goes through plain `json.dumps` (its C encoder, which
+    `indent` would bypass), for its spellings 0, -0.0 and Infinity."""
+    (key, items), (_, value), (_, mode), (_, optimal) = result.items()
     if not items:
         text = "[]"
     elif key == "tree_edges":
         text = "[\n" + ",\n".join(["    [\n      %d,\n      %d\n    ]" % (u, v) for u, v in items]) + "\n  ]"
     else:
         text = "[\n" + ",\n".join(["    %d" % v for v in items]) + "\n  ]"
-    fields = [f'"{key}": {text}'] + [f'"{name}": {json.dumps(value)}' for name, value in rest]
-    return "{\n  " + ",\n  ".join(fields) + "\n}"
+    return '{\n  "%s": %s,\n  "objective_value": %s,\n  "mode": "%s",\n  "optimal": %s\n}' % (
+        key, text, json.dumps(value), mode, "true" if optimal else "false"
+    )
 
 
 def _cmd_optimize(args) -> int:
@@ -463,14 +465,14 @@ def _build_parser() -> _Parser:
         choices=("minimize-weight", "maximize-weight"),
         default="minimize-weight",
     )
-    tree_p.set_defaults(handler=_cmd_optimize)
+    tree_p.set_defaults(handler=_cmd_optimize, structure="tree")
     path_p = optimize_sub.add_parser("path", help="minimum-weight visiting order")
     path_p.add_argument("events")
     # --exact is the default mode; perfbench's path jobs and CI's golden path step pass it.
     mode = path_p.add_mutually_exclusive_group()
     mode.add_argument("--exact", action="store_true")
     mode.add_argument("--heuristic", action="store_true")
-    path_p.set_defaults(handler=_cmd_optimize)
+    path_p.set_defaults(handler=_cmd_optimize, structure="path")
 
     reliability_p = sub.add_parser("reliability", help="network reliability report")
     reliability_p.add_argument("network")
@@ -486,6 +488,16 @@ def _build_parser() -> _Parser:
     counter.add_argument("--k", type=int, default=None, help="family parameter (odd, >= 3)")
     counter.set_defaults(handler=_cmd_demo)
 
+    # The leaf parser of each command, by its command words (see `main`).
+    parser.leaves = {
+        ("graph", "check"): check,
+        ("bounds", "compute"): compute,
+        ("bounds", "all"): all_p,
+        ("optimize", "tree"): tree_p,
+        ("optimize", "path"): path_p,
+        ("reliability",): reliability_p,
+        ("demo", "counterexample"): counter,
+    }
     return parser
 
 
@@ -496,9 +508,23 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
+    """Run the command line `argv` (by default `sys.argv[1:]`) and return
+    its exit code.  An argv that starts with a command's words, such as
+    `optimize tree` or `reliability`, is parsed after them by that
+    command's own parser, with the same result, messages and help as
+    through the whole tree, but without a parse at each level above it.
+    Every other argv takes the full parser: no arguments, an option
+    before the command (`-h`, `--help`), a command without its action
+    (`optimize`, `bounds -h`) and an unknown command or action."""
     parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    words = tuple(argv[:2])
+    leaf = parser.leaves.get(words)
+    if leaf is None:
+        words = words[:1]
+        leaf = parser.leaves.get(words)
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv) if leaf is None else leaf.parse_args(argv[len(words):])
         return args.handler(args)
     except SystemExit as exc:  # argparse --help
         return 0 if (exc.code or 0) == 0 else 1

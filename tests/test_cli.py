@@ -148,6 +148,33 @@ def network_json(tmp_path):
     return str(path)
 
 
+def _plumbing_argvs(tmp_path, events_json, graph_text, graph_json, network_json):
+    """Argvs of every command: the first 12 exit 0, then 1, 1, 2, 3, 0, 0."""
+    huge = tmp_path / "huge.json"
+    huge.write_text(json.dumps({"vertices": 10**9, "edges": []}))
+    return [
+        ["graph", "check", graph_text],
+        ["bounds", "compute", events_json, "--kind", "bonferroni-upper", "-r", "2"],
+        ["bounds", "compute", events_json, "--kind", "bonferroni-upper"],
+        ["bounds", "compute", events_json, "--kind", "chordal-lower", "--graph", graph_json,
+         "--unchecked"],
+        ["bounds", "all", events_json, "--graph", graph_text],
+        ["optimize", "path", events_json, "--heuristic"],
+        ["optimize", "path", events_json],
+        ["optimize", "tree", events_json, "--objective", "maximize-weight"],
+        ["reliability", network_json, "--sweep", "0:1:0.25"],
+        ["reliability", network_json],
+        ["demo", "counterexample", "--k", "5"],
+        ["demo", "counterexample"],
+        ["bounds", "compute", events_json],
+        ["optimize", "path", events_json, "--exact", "--heuristic"],
+        ["bounds", "compute", events_json, "--kind", "chordal-lower", "--graph", graph_json],
+        ["graph", "check", str(huge)],
+        ["--help"],
+        ["bounds", "compute", "--help"],
+    ]
+
+
 class TestGraphCheck:
     def test_text_format(self, capsys, graph_text):
         code, out, err = run(capsys, "graph", "check", graph_text)
@@ -1645,35 +1672,67 @@ class TestPlumbing:
     ):
         # Every argv gives the same result whichever argvs ran before it on
         # the one parser; option defaults come back after a call set them.
-        huge = tmp_path / "huge.json"
-        huge.write_text(json.dumps({"vertices": 10**9, "edges": []}))
-        argvs = [
-            ["graph", "check", graph_text],
-            ["bounds", "compute", events_json, "--kind", "bonferroni-upper", "-r", "2"],
-            ["bounds", "compute", events_json, "--kind", "bonferroni-upper"],
-            ["bounds", "compute", events_json, "--kind", "chordal-lower", "--graph", graph_json,
-             "--unchecked"],
-            ["bounds", "all", events_json, "--graph", graph_text],
-            ["optimize", "path", events_json, "--heuristic"],
-            ["optimize", "path", events_json],
-            ["optimize", "tree", events_json, "--objective", "maximize-weight"],
-            ["reliability", network_json, "--sweep", "0:1:0.25"],
-            ["reliability", network_json],
-            ["demo", "counterexample", "--k", "5"],
-            ["demo", "counterexample"],
-            ["bounds", "compute", events_json],
-            ["optimize", "path", events_json, "--exact", "--heuristic"],
-            ["bounds", "compute", events_json, "--kind", "chordal-lower", "--graph", graph_json],
-            ["graph", "check", str(huge)],
-            ["--help"],
-            ["bounds", "compute", "--help"],
-        ]
+        argvs = _plumbing_argvs(tmp_path, events_json, graph_text, graph_json, network_json)
         forward = [run(capsys, *argv) for argv in argvs]
         backward = [run(capsys, *argv) for argv in reversed(argvs)][::-1]
         assert forward == backward
         codes = [code for code, _, _ in forward]
         assert codes == [0] * 12 + [1, 1, 2, 3, 0, 0]
         assert forward[1] != forward[2] and forward[6] != forward[7]
+
+    def test_leaf_parsers_match_the_full_parser(
+        self, capsys, monkeypatch, tmp_path, events_json, graph_text, graph_json, network_json
+    ):
+        # An argv that starts with a command's words is parsed by that
+        # command's own parser; (exit code, stdout, stderr) must be what the
+        # whole tree gives, help text and argparse's messages included.
+        argvs = _plumbing_argvs(tmp_path, events_json, graph_text, graph_json, network_json) + [
+            [], ["-h"], ["--help"], ["--help", "optimize"], ["--he"],
+            ["optimize"], ["optimize", "-h"], ["bounds", "--help"], ["demo", "-h"], ["graph"],
+            ["optimize", "tree", "-h"], ["optimize", "tree", "--help"], ["optimize", "path", "-h"],
+            ["bounds", "all", "--help"], ["graph", "check", "-h"], ["reliability", "--help"],
+            ["demo", "counterexample", "-h"], ["optimize", "tree", events_json, "--help", "--bogus"],
+            ["optimize", "tree", events_json, "--obj", "maximize-weight"],
+            ["optimize", "tree", events_json, "--objective=maximize-weight"],
+            ["optimize", "tree", events_json, "--he"], ["optimize", "path", events_json, "--he"],
+            ["optimize", "path", events_json, "--heur"], ["bounds", "compute", events_json, "--ki", "kwerel-lower"],
+            ["bounds", "all", events_json, f"--graph={graph_text}"], ["bounds", "all", events_json, "--gr", graph_text],
+            ["optimize", "tree", "--", events_json], ["reliability", "--", network_json],
+            ["optimize", "tree", events_json, "--", "--objective"], ["demo", "counterexample", "--", "5"],
+            ["optimize", "tree", events_json, "--bogus"], ["reliability", network_json, "--nope", "1"],
+            ["graph", "check", graph_text, "-x"], ["bounds", "compute", events_json, "--kind", "kwerel-lower", "extra"],
+            ["optimize", "tree"], ["graph", "check"], ["reliability"], ["bounds", "all", "--graph", graph_text],
+            ["bounds", "all", events_json], ["optimize", "tree", events_json, "--objective", "bogus"],
+            ["optimize", "tree", events_json, "--objective"], ["demo", "counterexample", "--k", "x"],
+            ["bounds", "compute", events_json, "--kind", "bonferroni-upper", "-r", "-1"],
+            ["reliability", network_json, "--bounds", "kwerel-lower,hunter-lower"],
+            ["reliability", network_json, "--bounds", "bogus"], ["reliability", network_json, "--sweep"],
+            ["reliability", network_json, "--bounds", "kwerel-lower", "--sweep", "0:1:0.5"],
+            ["optimize", "nope"], ["nope", "tree"], ["reliability", "check"], ["graph", "tree"],
+        ]
+        parser = cli._build_parser()
+        full_parses = []
+        whole = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: full_parses.append(argv) or whole(argv))
+
+        def outcomes():
+            results = [run(capsys, *argv) for argv in argvs]
+            for argv in (["optimize", "tree", events_json], ["optimize", "path"], ["--help"]):
+                with monkeypatch.context() as patch:
+                    patch.setattr(sys, "argv", ["chordalbounds", *argv])
+                    code = main(None)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        routed = outcomes()
+        # Only the argvs that name no leaf went through the whole tree.
+        assert len(full_parses) == 15
+        with monkeypatch.context() as patch:
+            patch.setattr(parser, "leaves", {})
+            assert outcomes() == routed
+        code, out, _ = run(capsys, "optimize", "tree", "--help")
+        assert code == 0 and out.startswith("usage: chordalbounds optimize tree ")
 
     def test_byte_identical_reruns(self, capsys, network_json, events_json, graph_text):
         for argv in (

@@ -1624,6 +1624,13 @@ class TestLoaderAgainstReference:
             ([0, -2], 3), ([True], 3), ([1, False], 3), ([1.0], 3), ([0, "1"], 3), ([None], 3),
             ([0, [1]], 3), ([10**30], 3), ([-(10**30)], 3), ([2, 10**30, True], 3), ([1, 1.0, True], 4),
         ]
+        # Either side of the shift-or limit: `_SHORT_IDS` ids and 5 more,
+        # each with a valid, bool, float, str, negative, out-of-range and
+        # huge id first or last.
+        for base in (list(range(events._SHORT_IDS - 1)), list(range(events._SHORT_IDS + 4))):
+            count = len(base) + 3
+            for extra in (count - 1, True, 1.0, "1", -1, count, 10**30):
+                cases += [(base + [extra], count), ([extra] + base[::-1], count)]
         for _ in range(300):
             count = rng.randint(0, 300)
             ids = [rng.randrange(-count - 2, count + 2) for _ in range(rng.randint(0, 40))]
