@@ -83,11 +83,14 @@ def _read_text(path: str) -> str:
 
 
 def _load_json(text: str) -> dict:
-    """The JSON object in `text`, or {} for any other value; bad JSON is a usage error."""
+    """The JSON object in `text`, or {} for any other value; bad JSON, or
+    JSON nested past the interpreter's recursion limit, is a usage error."""
     try:
         data = json.loads(text)
     except ValueError as exc:
         raise _UsageError(str(exc)) from None
+    except RecursionError:
+        raise _UsageError("JSON nests too deeply") from None
     return data if isinstance(data, dict) else {}
 
 
@@ -291,13 +294,14 @@ def _cmd_bounds_all(args) -> int:
     return 0
 
 
-def _report_json(result: dict) -> str:
-    """An optimize report as `json.dumps(result, indent=2)` writes it, from
-    one template: the one list (`tree_edges` pairs or `path_order` events)
-    with %d items, and `mode` and `optimal` as they read.  Only the
-    objective value goes through plain `json.dumps` (its C encoder, which
-    `indent` would bypass), for its spellings 0, -0.0 and Infinity."""
-    (key, items), (_, value), (_, mode), (_, optimal) = result.items()
+def _report_json(key: str, items, value, mode: str, optimal: bool) -> str:
+    """An optimize report as `json.dumps` with `indent=2` writes the dict
+    {key: items, "objective_value": value, "mode": mode, "optimal":
+    optimal}, from one template: the one list (`tree_edges` pairs or
+    `path_order` events) with %d items, and `mode` and `optimal` as they
+    read.  Only the objective value goes through plain `json.dumps` (its C
+    encoder, which `indent` would bypass), for its spellings 0, -0.0 and
+    Infinity."""
     if not items:
         text = "[]"
     elif key == "tree_edges":
@@ -314,22 +318,12 @@ def _cmd_optimize(args) -> int:
     w = pairwise_weights(sys_)
     if args.structure == "tree":
         tree = best_tree(w, args.objective)
-        result = {
-            "tree_edges": tree.edges,
-            "objective_value": tree_weight(w, tree),
-            "mode": "exact",
-            "optimal": True,
-        }
+        report = _report_json("tree_edges", tree.edges, tree_weight(w, tree), "exact", True)
     else:
         mode = "heuristic" if args.heuristic else "exact"
         order = best_path(w, mode)
-        result = {
-            "path_order": order,
-            "objective_value": path_weight(w, order),
-            "mode": mode,
-            "optimal": mode == "exact",
-        }
-    print(_report_json(result))
+        report = _report_json("path_order", order, path_weight(w, order), mode, mode == "exact")
+    print(report)
     return 0
 
 

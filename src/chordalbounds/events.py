@@ -44,12 +44,13 @@ cones have one event each, so their sums read that event and nothing
 more, and only a non-chordal graph's walk makes longer bases.
 
 Both stay exact for rational and polynomial values; an explicit system's
-float masses are correctly rounded.  The symmetric and cone sums, and a
-product system's union, come in the system's unit (`_numerator`,
-`_value`): integers over one common denominator on a RATIONAL system,
-packed integer coefficients of a shared polynomial p on a product
-system, values elsewhere, so that a bound or a union adds in that unit
-and makes one value of its sum.  Both check
+float masses are correctly rounded.  Every query on both systems is
+`_value` of a `_numerator` or of a sum of them: a numerator is a mask's
+probability in the system's unit, an integer over one common denominator
+on a RATIONAL system, a packed integer coefficient list of a shared
+polynomial p on a product system and the probability itself elsewhere,
+so that a mass, a union or a bound adds in that unit and makes one value
+of its sum.  Both check
 index sets with `_event_indices`, and `_require_one_vertex_per_event`
 pairs the events with the vertices of a graph for every caller.
 """
@@ -66,7 +67,7 @@ from itertools import combinations, compress, islice, repeat
 from .errors import DomainError, ResourceLimitError, _exact_str, _require_int, _to_float
 from .graphs import Graph, _bits, _component_count
 from .poly import P, Polynomial
-from .values import RATIONAL, REAL, Backend, _read_rational, _read_rational_column
+from .values import RATIONAL, REAL, Backend, _read_rational_column
 
 __all__ = [
     "EventSystem",
@@ -316,25 +317,25 @@ class ProductSystem:
     masks over one backend.
 
     `probs[c]` is the probability that coordinate c is on; event j occurs
-    when every coordinate in the mask `requires[j]` is on.  The union and
-    the symmetric and cone sums come in the system's unit, as on an
-    explicit system: `_numerator` gives a mask's probability as a
-    numerator, the sums add numerators, the union also scales them by
-    coordinate factors (`_factors`), and `_value` makes one backend value
-    of a union or a bracket, or of one numerator for `mass`.  The unit
+    when every coordinate in the mask `requires[j]` is on.  As on an
+    explicit system, every query is `_value` of a `_numerator` or of a
+    sum of them: `_numerator` gives a mask's probability in the system's
+    unit, `mass` is the value of one, the sums add numerators, and the
+    union also scales them by coordinate factors (`_factors`).  The unit
     depends on the backend:
 
-    * RATIONAL: with D the least common denominator of the probabilities
-      a_c / D, a mask's numerator is prod_{c in mask} a_c * D**(m - |mask|),
-      an integer over D**m, read from one table over the low half of the
-      coordinates and one over the high half, or by its number of
-      coordinates when they share one p; a coordinate's factors are a_c
-      and D - a_c, over the divisor D, and `_value` makes one Fraction.
+    * RATIONAL: with D the common denominator of the probabilities a_c / D
+      that `values._read_rational_column` gives, a mask's numerator is
+      prod_{c in mask} a_c * D**(m - |mask|), an integer over D**m, read
+      from one table over the low half of the coordinates and one over the
+      high half, or by its number of coordinates when they share one p; a
+      coordinate's factors are a_c and D - a_c, over the divisor D, and
+      `_value` makes one Fraction.
     * POLYNOMIAL with one p shared by every coordinate (every symbolic
       network): a mask of k coordinates is p**k, and its numerator the
       integer 1 << lane*k, the coefficients of p**k packed one per lane of
       `_packed_lane` bits; its factors are 1 << lane and 1 - (1 << lane),
-      `_value` unpacks a sum once and `_from_coefficients` makes the value.
+      and `_value` unpacks a sum once into one Polynomial.
     * any other system: the unit is 1 and a numerator is the mass, the
       product over the mask in backend arithmetic, and the factors p_c and
       1 - p_c, so floats keep that product and the order of every sum, and
@@ -355,7 +356,8 @@ class ProductSystem:
         requires = tuple(requires)
         _require_coordinate_cap(len(probs))
         if backend is RATIONAL:
-            probs = tuple(Fraction(*_read_rational(p)) for p in probs)
+            ons, unit = _read_rational_column(probs)
+            probs = tuple(map(Fraction, ons, repeat(unit)))
         if backend.ordered:
             for p in probs:
                 if not backend.zero <= p <= backend.one:
@@ -380,9 +382,7 @@ class ProductSystem:
         self._denominator = self._lane = self._by_count = None
         self._zero = 0
         if backend is RATIONAL:
-            unit = math.lcm(*(p.denominator for p in probs))
-            ons = tuple(p.numerator * (unit // p.denominator) for p in probs)
-            self._factors = ons, tuple(unit - a for a in ons), unit
+            self._factors = tuple(ons), tuple(unit - a for a in ons), unit
             self._denominator = unit**m
             if shared:
                 self._by_count = [ons[0] ** k * unit ** (m - k) for k in range(m + 1)]
@@ -393,9 +393,9 @@ class ProductSystem:
         else:
             self._zero = backend.zero
             self._factors = probs, tuple(backend.one - p for p in probs), 1
-        # Built on first use: the RATIONAL numerator tables (`_numerator`)
-        # and the products over each subset of the lowest 8 coordinates
-        # (`mass`).
+        # Built on first use (`_numerator`): the RATIONAL numerator tables,
+        # and in the unit 1 the products over each subset of the lowest 8
+        # coordinates.
         self._halves: tuple | None = None
         self._low_products: list | None = None
         self._sums: dict[int, object] = {}
@@ -406,18 +406,26 @@ class ProductSystem:
         return len(self.requires)
 
     def mass(self, mask: int):
-        """Probability that every coordinate in `mask` is on: on a
-        RATIONAL system the mask's `_numerator` over D**m, on a shared
-        polynomial p the value of p**k for its k coordinates
-        (`_from_coefficients`), elsewhere the product of their
-        probabilities in backend arithmetic, lowest coordinate first.  That
-        product starts from the low byte's entry of `_low_products`, the
+        """Probability that every coordinate in `mask` is on: the value of
+        the mask's `_numerator`, as on an explicit system."""
+        return self._value(self._numerator(mask))
+
+    def _numerator(self, mask: int):
+        """`mass(mask)` as a numerator in the system's unit.  With one
+        exact p on every coordinate it is the entry of `_by_count` for the
+        mask's k coordinates: a**k * D**(m - k) for a RATIONAL p = a/D, the
+        packed p**k, 1 << lane*k, for a polynomial p.  Any other RATIONAL
+        system takes prod_{c in mask} a_c * D**(m - |mask|) as the product
+        of one entry of each of `_halves`' tables.  In the unit 1 it is the
+        product of the mask's probabilities in backend arithmetic, lowest
+        coordinate first, from the low byte's entry of `_low_products`, the
         same left fold over the lowest 8 coordinates, listed for every
         subset of them on first use."""
+        if self._by_count is not None:
+            return self._by_count[mask.bit_count()]
         if self._denominator is not None:
-            return Fraction(self._numerator(mask), self._denominator)
-        if self._lane is not None:
-            return self._from_coefficients([0] * mask.bit_count() + [1])
+            low, high, split = self._halves or self._numerator_tables()
+            return low[mask & (1 << split) - 1] * high[mask >> split]
         low_products = self._low_products
         if low_products is None:
             low_products = [self.backend.one]
@@ -431,21 +439,6 @@ class ProductSystem:
             total = total * self.probs[low.bit_length() - 1]
             mask ^= low
         return total
-
-    def _numerator(self, mask: int):
-        """`mass(mask)` as a numerator in the system's unit.  With one
-        exact p on every coordinate it is the entry of `_by_count` for the
-        mask's k coordinates: a**k * D**(m - k) for a RATIONAL p = a/D, the
-        packed p**k, 1 << lane*k, for a polynomial p.  Any other RATIONAL
-        system takes prod_{c in mask} a_c * D**(m - |mask|) as the product
-        of one entry of each of `_halves`' tables; elsewhere it is the mass
-        itself."""
-        if self._by_count is not None:
-            return self._by_count[mask.bit_count()]
-        if self._denominator is None:
-            return self.mass(mask)
-        low, high, split = self._halves or self._numerator_tables()
-        return low[mask & (1 << split) - 1] * high[mask >> split]
 
     def _numerator_tables(self):
         """(low, high, split): low[i] is the numerator product over the
@@ -466,12 +459,16 @@ class ProductSystem:
     def _value(self, total, divisor: int = 1):
         """The value of `total`, a sum of numerators in the system's unit
         (see `_numerator`), divided by the positive integer `divisor`: one
-        Fraction over D**m * divisor on a RATIONAL system, one unpacking on
-        a shared polynomial p."""
+        Fraction over D**m * divisor on a RATIONAL system.  On a shared
+        polynomial p, `total` unpacks to the integer coefficients of a
+        polynomial in p, and the value is that polynomial over `divisor`
+        when p is the indeterminate P, else that one taken at p."""
         if self._denominator is not None:
             return Fraction(total, self._denominator * divisor)
         if self._lane is not None:
-            return self._from_coefficients(_unpack(total, self._lane, len(self.probs) + 1), divisor)
+            value = Polynomial._make(_unpack(total, self._lane, len(self.probs) + 1), divisor)
+            p = self.probs[0]
+            return value if p is P or type(p) is Polynomial and p == P else self.backend.one * value(p)
         return total if divisor == 1 else total / divisor
 
     def _combined_mask(self, index_set) -> int:
@@ -503,8 +500,7 @@ class ProductSystem:
         as they read, so floats keep one rounding.  Runs of length 4 at
         RATIONAL p = 3/10 take 0.33 ms in 24 trials (Python 3.11)."""
         family = _minimal(self.requires if requires is None else requires)
-        # In the unit 1 a numerator is the mass itself, read with no forwarding call.
-        numerator = self.mass if self._denominator is None and self._lane is None else self._numerator
+        numerator = self._numerator
         ons, offs, divisor = self._factors
         one = numerator(0)
         memo: dict[tuple[int, ...], object] = {}
@@ -544,17 +540,6 @@ class ProductSystem:
             return value
 
         return self._value(union(family))
-
-    def _from_coefficients(self, coefficients: list[int], divisor: int = 1):
-        """sum_j coefficients[j] * p**j / divisor for the polynomial p that
-        every coordinate shares, as one Polynomial: the one with those
-        integer coefficients over `divisor` when p is the indeterminate P,
-        else that one taken at p.  Consumes the list."""
-        value = Polynomial._make(coefficients, divisor)
-        p = self.probs[0]
-        if p is P or type(p) is Polynomial and p == P:
-            return value
-        return self.backend.one * value(p)
 
     def _atom(self, signature):
         """P(every coordinate of U on) * (1 - P(some residual is all on)):
@@ -614,8 +599,8 @@ class ProductSystem:
             while counts := Counter(islice(masks, _MASK_CHUNK)):
                 part = sum(map(operator.mul, map(self._numerator, counts), counts.values()), part)
             return total + part if sign > 0 else total - part
-        for mass in map(self.mass, masks):
-            total = total + mass if sign > 0 else total - mass
+        for numerator in map(self._numerator, masks):
+            total = total + numerator if sign > 0 else total - numerator
         return total
 
     def _cone_sum(self, base, later: int, cap: int):

@@ -48,9 +48,10 @@ def pairwise_weights(sys: EventSystem) -> tuple[tuple[float, ...], ...]:
     A_v), with 0.0 on the diagonal (real backend only).
 
     The event masks are read once, and each unordered pair makes one
-    `mass` query, for the mask `intersection_prob` gives it: outcome masks
-    met with & on an explicit system, required-coordinate masks joined
-    with | on a product system.
+    `_numerator` query, which on the real backend is the mass, for the
+    mask `intersection_prob` gives it: outcome masks met with & on an
+    explicit system, required-coordinate masks joined with | on a product
+    system.
     """
     if sys.backend.name != "real":
         raise DomainError("pairwise weights require the real backend")
@@ -60,7 +61,7 @@ def pairwise_weights(sys: EventSystem) -> tuple[tuple[float, ...], ...]:
         masks, combine = sys.events, operator.and_
     n = len(masks)
     # One query per unordered pair (u, v), u < v, in lexicographic order.
-    weights = list(map(sys.mass, starmap(combine, combinations(masks, 2))))
+    weights = list(map(sys._numerator, starmap(combine, combinations(masks, 2))))
     flat = [0.0] * (n * n)
     start = 0
     for u in range(n):

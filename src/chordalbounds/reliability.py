@@ -131,22 +131,27 @@ def enumerate_st_paths(net: Network) -> tuple[frozenset[int], ...]:
 
     The walk keeps its partial paths (node, visited nodes, arcs used) on
     an explicit stack, so a path of any length is followed without
-    recursion; the order it finds them in is dropped by the sort."""
-    # Keyed by tail node, so that nodes no arc leaves cost nothing.
-    outgoing: dict[int, list[int]] = {}
-    for arc_id, (tail, _head) in enumerate(net.arcs):
-        outgoing.setdefault(tail, []).append(arc_id)
+    recursion; the order it finds them in is dropped by the sort.  A
+    visited node is marked by the bit of its dense index, its place among
+    the source and the arc heads, so a mask grows with the network and
+    not with the node ids."""
+    # (arc id, head, head's bit) by tail node, so that nodes no arc leaves
+    # cost nothing; the source has bit 1, each other head the next bit.
+    bits = {net.source: 1}
+    outgoing: dict[int, list[tuple[int, int, int]]] = {}
+    for arc_id, (tail, head) in enumerate(net.arcs):
+        bit = bits.setdefault(head, 1 << len(bits))
+        outgoing.setdefault(tail, []).append((arc_id, head, bit))
     found: list[frozenset[int]] = []
-    stack = [(net.source, 1 << net.source, ())]
+    stack = [(net.source, 1, ())]
     while stack:
         node, visited, used = stack.pop()
         if node == net.terminal:
             found.append(frozenset(used))
             continue
-        for arc_id in outgoing.get(node, ()):
-            head = net.arcs[arc_id][1]
-            if not (visited >> head) & 1:
-                stack.append((head, visited | (1 << head), used + (arc_id,)))
+        for arc_id, head, bit in outgoing.get(node, ()):
+            if not visited & bit:
+                stack.append((head, visited | bit, used + (arc_id,)))
     found.sort(key=lambda s: (len(s), sorted(s)))
     return tuple(found)
 

@@ -1009,7 +1009,7 @@ class TestOptimize:
                     {"path_order": list(order), "objective_value": value, "mode": "heuristic", "optimal": False},
                 ]
                 for report in reports:
-                    assert cli._report_json(report) == json.dumps(report, indent=2)
+                    assert cli._report_json(next(iter(report)), *report.values()) == json.dumps(report, indent=2)
 
     def test_exact_cap_exit_3(self, capsys, tmp_path):
         n = 16
@@ -1057,6 +1057,20 @@ class TestReliability:
         assert code == 0
         golden = json.loads((DATA / "golden_reliability.json").read_text())
         assert out == golden[network][case]
+
+    @pytest.mark.parametrize("p", ["symbolic", 0.9])
+    def test_large_node_ids_report_as_dense_twin(self, capsys, tmp_path, p):
+        # The bridge with node ids of 18 digits reports as the bridge on
+        # 0..3: visited nodes are marked by dense index, not by id.
+        arcs = [[0, 1], [0, 2], [1, 2], [2, 1], [1, 3], [2, 3]]
+        ids = [10**17, 3 * 10**17, 2 * 10**17, 10**18 - 1]
+        reports = []
+        for nodes, label in ((4, list(range(4))), (10**18, ids)):
+            path = tmp_path / "network.json"
+            net = {"nodes": nodes, "arcs": [[label[u], label[v]] for u, v in arcs], "s": label[0], "t": label[3]}
+            path.write_text(json.dumps({**net, "p": p}))
+            reports.append(run(capsys, "reliability", str(path)))
+        assert reports[0][0] == 0 and reports[1] == reports[0]
 
     def test_sweep_csv(self, capsys, network_json):
         code, out, _ = run(capsys, "reliability", network_json, "--sweep", "0:1:0.01")
@@ -1499,6 +1513,23 @@ class TestPlumbing:
         path.write_text(json.dumps({"events": [[0], [1]]}))
         code, out, err = run(capsys, "bounds", "compute", str(path), "--kind", "kwerel-lower")
         assert (code, out, err) == (1, "", "error: events file needs either 'weights' or 'coords'\n")
+
+    @pytest.mark.parametrize(
+        "text, argv",
+        [
+            ("[" * 100_000, ["bounds", "compute", "{}", "--kind", "kwerel-lower"]),
+            ('{"vertices": 2, "edges": ' + "[" * 100_000, ["graph", "check", "{}"]),
+            ('{"nodes": ' + "[" * 100_000, ["reliability", "{}"]),
+        ],
+        ids=["events", "graph", "network"],
+    )
+    def test_deeply_nested_json_exit_1(self, capsys, tmp_path, text, argv):
+        # Past the recursion limit `json.loads` raises RecursionError, which
+        # each loader reports as bad JSON.
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, *(str(path) if arg == "{}" else arg for arg in argv))
+        assert (code, out, err) == (1, "", "error: JSON nests too deeply\n")
 
     def test_malformed_values_never_escape(self, capsys, tmp_path):
         # Every JSON scalar of a valid input, one at a time, is swapped for

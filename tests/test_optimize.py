@@ -133,8 +133,8 @@ class TestPairwiseWeights:
         sys_ = random_real_system(random.Random(173), 7, max_outcomes=32)
         pair_masks = [sys_._combined_mask(pair) for pair in combinations(range(7), 2)]
         queries = []
-        original = EventSystem.mass
-        monkeypatch.setattr(EventSystem, "mass", lambda self, mask: queries.append(mask) or original(self, mask))
+        original = EventSystem._numerator
+        monkeypatch.setattr(EventSystem, "_numerator", lambda self, mask: queries.append(mask) or original(self, mask))
         wm = pairwise_weights(sys_)
         monkeypatch.undo()
         assert len(queries) == 21 and sorted(queries) == sorted(pair_masks)

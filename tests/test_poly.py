@@ -16,6 +16,14 @@ def test_trailing_zeros_are_trimmed():
     assert not Polynomial((0,))
 
 
+def test_equality_with_other_types_is_not_implemented():
+    # A float or a string is no Polynomial value, so `==` falls back to
+    # identity and `!=` to its negation.
+    assert P.__eq__(0.5) is NotImplemented
+    assert (P == 0.5) is False
+    assert (P != "p") is True
+
+
 def test_float_coefficients_rejected():
     with pytest.raises(TypeError):
         Polynomial((0.5,))
