@@ -1,16 +1,19 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage or parse error, 2 domain violation,
-3 resource cap exceeded.  Data goes to stdout, errors to stderr, and the
-output for a given input is byte-stable.
+3 resource cap exceeded, 141 stdout closed by its reader.  Data goes to
+stdout, errors to stderr, and the output for a given input is
+byte-stable.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
+import os
 import sys
 from fractions import Fraction
 
@@ -77,9 +80,32 @@ def _report_dict(report: bnd.BoundReport) -> dict:
 # input loaders
 
 
+# Bytes asked of each `os.read` in `_read_text`.
+_READ_CHUNK = 1 << 16
+
+
 def _read_text(path: str) -> str:
-    with open(path, "r", encoding="utf-8") as handle:
-        return handle.read()
+    """The text of the file `path`, the one file reader of every loader.
+    It is what `open(path, encoding="utf-8").read()` returns: strict UTF-8
+    (a BOM kept as U+FEFF), with `\r\n` and a lone `\r` read as `\n`, and
+    the same exception and message for a missing path, a directory or
+    undecodable bytes.  The file is read by raw descriptor reads of 64 KiB
+    and decoded once, with no file object: after a `gc.collect()`, about
+    30 µs for a 189-byte file against 60 µs in text mode (see README,
+    "Cost")."""
+    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except IsADirectoryError:  # `os.open` takes a directory, and `os.read` names no file
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path) from None
+    finally:
+        os.close(fd)
+    text = b"".join(chunks).decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 def _load_json(text: str) -> dict:
@@ -509,7 +535,9 @@ def main(argv=None) -> int:
     through the whole tree, but without a parse at each level above it.
     Every other argv takes the full parser: no arguments, an option
     before the command (`-h`, `--help`), a command without its action
-    (`optimize`, `bounds -h`) and an unknown command or action."""
+    (`optimize`, `bounds -h`) and an unknown command or action.  When
+    the reader of stdout closes it before the output is written, nothing
+    more is printed and the exit code is 141, a SIGPIPE's 128 + 13."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
     words = tuple(argv[:2])
@@ -518,10 +546,20 @@ def main(argv=None) -> int:
         words = words[:1]
         leaf = parser.leaves.get(words)
     try:
-        args = parser.parse_args(argv) if leaf is None else leaf.parse_args(argv[len(words):])
-        return args.handler(args)
-    except SystemExit as exc:  # argparse --help
-        return 0 if (exc.code or 0) == 0 else 1
+        try:
+            args = parser.parse_args(argv) if leaf is None else leaf.parse_args(argv[len(words):])
+            code = args.handler(args)
+        except SystemExit as exc:  # argparse --help
+            code = 0 if (exc.code or 0) == 0 else 1
+        sys.stdout.flush()  # a pipe closed before the last write fails here
+        return code
+    except BrokenPipeError:
+        # Point fd 1 at the null device, so the interpreter's flush at exit
+        # writes what is still buffered there and reports nothing.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

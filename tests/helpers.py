@@ -15,7 +15,8 @@ a product system's masses one coordinate at a time and its union from a
 Shannon expansion that re-minimises every on-branch family,
 the sharpest bounds from the symmetric sums alone come from an exact
 linear program solved by enumerating its bases, and the probability of a
-success run from a Markov chain on the run length.  `BRIDGE_PATH_ORDER`
+success run from a Markov chain on the run length, and a file's text
+through a text-mode file object.  `BRIDGE_PATH_ORDER`
 fixes the bridge network's path events in the order the paper's bridge
 example numbers them.
 """
@@ -832,3 +833,10 @@ def reference_bit_planes(numerators):
 def reference_support(summands) -> int:
     flags = bytes(map(bool, summands))
     return int(flags[::-1].translate(_BYTE_DIGITS), 2)
+
+
+def reference_read_text(path) -> str:
+    """The text of the file `path` through a text-mode file object: the
+    string, exception type and message `cli._read_text` must give."""
+    with open(path, "r", encoding="utf-8") as handle:
+        return handle.read()

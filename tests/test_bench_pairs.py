@@ -75,3 +75,28 @@ def test_wins_follow_the_better_direction_and_ties_count_for_neither():
 def test_metrics_missing_from_a_run_are_left_out():
     summary = bench_pairs.summarize(runs(), {**BETTER, "setup_s": "lower"})
     assert "setup_s" not in summary["all"]
+
+
+def prefixed(run, workload):
+    """`run` as `run.py --workload all` reports it, each metric under `workload.`."""
+    metrics = {f"{workload}.{name}": m for name, m in run["result"]["metrics"].items()}
+    return {**run, "result": {**run["result"], "metrics": metrics}}
+
+
+def test_prefixed_names_are_kept_and_take_the_direction_of_their_bare_name():
+    combined = [prefixed(run, "optimize") for run in runs()]
+    for run, extra in zip(combined, runs()):
+        run["result"]["metrics"].update(prefixed(extra, "bounds")["result"]["metrics"])
+    summary = bench_pairs.summarize(combined, BETTER)
+    plain = bench_pairs.summarize(runs(), BETTER)
+    assert set(summary["all"]) == {f"{w}.{name}" for w in ("bounds", "optimize") for name in BETTER}
+    for group in ("131", "7", "all"):
+        for name in BETTER:
+            for workload in ("bounds", "optimize"):
+                assert summary[group][f"{workload}.{name}"] == plain[group][name]
+
+
+def test_metrics_without_a_direction_are_left_out():
+    summary = bench_pairs.summarize([prefixed(run, "optimize") for run in runs()], {"jobs_per_s": "higher"})
+    assert set(summary["all"]) == {"optimize.jobs_per_s"}
+    assert summary["all"]["optimize.jobs_per_s"]["better"] == "higher"

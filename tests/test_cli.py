@@ -20,7 +20,7 @@ from chordalbounds.events import MAX_SIGNATURE_NODES
 from chordalbounds.poly import Polynomial
 from chordalbounds.values import RATIONAL
 
-from helpers import read_long
+from helpers import read_long, reference_read_text
 
 
 DATA = Path(__file__).parent / "data"
@@ -1774,3 +1774,87 @@ class TestPlumbing:
             _, first, _ = run(capsys, *argv)
             _, second, _ = run(capsys, *argv)
             assert first == second
+
+
+def _outcome(read, path):
+    """What `read(path)` gives: ("text", the string), or (the exception type, its message)."""
+    try:
+        return "text", read(path)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+_CHUNK = cli._READ_CHUNK
+# File contents by case, for `cli._read_text` against the text-mode read.
+READ_CASES = {
+    "empty": b"",
+    "lf": b'{"weights": [1], "events": [[0]]}\n',
+    "crlf": b'{"weights": [1],\r\n "events": [[0]]}\r\n',
+    "lone-cr": b'{"weights": [1],\r "events": [[0]]}\r',
+    "mixed-newlines": b"a\r\r\nb\n\rc\r\n\r",
+    "crlf-across-chunks": b" " * (_CHUNK - 1) + b"\r\n{}",
+    "cr-at-chunk-end": b" " * (_CHUNK - 1) + b"\r{}",
+    "two-byte-across-chunks": b" " * (_CHUNK - 1) + "\u00e9".encode() + b"{}",
+    "three-byte-across-chunks": b" " * (_CHUNK - 2) + "\u20ac".encode() + b"{}",
+    "bom": b"\xef\xbb\xbf{}",
+    "200kb": ('{"weights": [' + ", ".join(["0.005"] * 200) + "], " + '"events": ' + "[[0, 1, 2]], \r\n" * 14000 + "}")
+    .encode(),
+    "invalid-utf8": b'{"weights": [1]}\xff',
+    "invalid-after-chunk": b" " * (_CHUNK + 5) + b"\xc3(",
+    "truncated-utf8": b"{}\xe2\x82",
+}
+
+
+class TestReadText:
+    """`cli._read_text`, by raw descriptor reads, against `open(path, encoding="utf-8").read()`."""
+
+    @pytest.mark.parametrize("case", READ_CASES)
+    def test_same_text_or_error_as_text_mode(self, tmp_path, case):
+        path = tmp_path / "input.json"
+        path.write_bytes(READ_CASES[case])
+        want = _outcome(reference_read_text, str(path))
+        assert _outcome(cli._read_text, str(path)) == want
+        assert want[0] == "text" or case.startswith(("invalid", "truncated"))
+
+    def test_directory_and_missing_path(self, tmp_path):
+        for path in (str(tmp_path), str(tmp_path / "missing.json"), "tests"):
+            want = _outcome(reference_read_text, path)
+            assert want[0] in (IsADirectoryError, FileNotFoundError)
+            assert _outcome(cli._read_text, path) == want
+
+    @pytest.mark.parametrize("body", [b'{"weights": [1],\r\n "events": [[0]\r\n', b'{"weights":\r\n\r [1], x}\r\n'])
+    def test_crlf_syntax_error_through_main(self, capsys, monkeypatch, tmp_path, body):
+        # JSON positions count a CRLF as one character, as in text mode.
+        path = tmp_path / "crlf.json"
+        path.write_bytes(body)
+        argv = ("optimize", "tree", str(path))
+        got = run(capsys, *argv)
+        monkeypatch.setattr(cli, "_read_text", reference_read_text)
+        assert got == run(capsys, *argv)
+        assert got[:2] == (1, "") and got[2].startswith("error: ")
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_reads_close_their_descriptor(self, tmp_path):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b"{}\xff")
+        before = len(os.listdir("/proc/self/fd"))
+        for path in (str(tmp_path), str(bad)) * 3:
+            with pytest.raises((IsADirectoryError, UnicodeDecodeError)):
+                cli._read_text(path)
+        assert len(os.listdir("/proc/self/fd")) == before
+
+
+def test_closed_stdout_exits_141_and_prints_nothing():
+    # The 10 001-row sweep is larger than a pipe holds, so the CLI is still
+    # writing when its reader closes the pipe after the first line.
+    src = str(Path(__file__).parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = [sys.executable, "-m", "chordalbounds", "reliability", str(DATA / "network_ladder3.json"),
+            "--sweep", "0:1:0.0001"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"p,exact,hunter-lower,kwerel-lower,bonferroni-lower\n"
+    assert (code, err) == (141, b"")

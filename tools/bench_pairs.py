@@ -15,7 +15,9 @@ compiles.  The output holds both revisions, the Python version, the
 processor count, the seeds, every run's metrics and, per seed and over all
 pairs, each end-to-end metric's median, quartile distance and win count (a
 pair is won by the side whose value is better in the direction
-BENCHMARK.json gives; ties count for neither).  The worktrees are removed
+BENCHMARK.json gives; ties count for neither).  With `--workload all` the
+metrics keep run.py's workload prefix (`optimize.job_p50_ms`), and each
+takes the direction of its bare name.  The worktrees are removed
 on the way out, and every run has ended by then.
 Standard library only.
 """
@@ -49,11 +51,13 @@ def _stats(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], better: dict[str, str]) -> dict:
-    """Per seed and over "all" pairs, each metric of `better` ("lower" or
-    "higher" is better) that both sides report: each side's median and
-    quartile distance, the pairs the head wins, the ties and the pairs.
-    A run is a dict with "seed", "pair", "side" ("base" or "head") and
-    "result", the JSON object of the last line run.py prints."""
+    """Per seed and over "all" pairs, each metric that every run of the
+    group reports, by its full name, whose bare name (the part after the
+    last dot, which `run.py --workload all` prefixes with the workload) is
+    a key of `better` ("lower" or "higher" is better): each side's median
+    and quartile distance, the pairs the head wins, the ties and the
+    pairs.  A run is a dict with "seed", "pair", "side" ("base" or "head")
+    and "result", the JSON object of the last line run.py prints."""
     pairs = {}
     for run in runs:
         pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = run["result"]["metrics"]
@@ -65,8 +69,10 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
     summary = {}
     for group, members in groups.items():
         summary[group] = {}
-        for name, direction in better.items():
-            if not all(name in sides[side] for sides in members for side in SIDES):
+        names = set.intersection(*(set(sides[side]) for sides in members for side in SIDES))
+        for name in sorted(names):
+            direction = better.get(name.rsplit(".", 1)[-1])
+            if direction is None:
                 continue
             values = {side: [sides[side][name]["value"] for sides in members] for side in SIDES}
             sign = 1 if direction == "higher" else -1
