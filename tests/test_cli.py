@@ -1797,8 +1797,7 @@ READ_CASES = {
     "two-byte-across-chunks": b" " * (_CHUNK - 1) + "\u00e9".encode() + b"{}",
     "three-byte-across-chunks": b" " * (_CHUNK - 2) + "\u20ac".encode() + b"{}",
     "bom": b"\xef\xbb\xbf{}",
-    "200kb": ('{"weights": [' + ", ".join(["0.005"] * 200) + "], " + '"events": ' + "[[0, 1, 2]], \r\n" * 14000 + "}")
-    .encode(),
+    "200kb": b'{"events": [' + b"[0, 1, 2],\r\n" * 17000 + b"[0]]}",
     "invalid-utf8": b'{"weights": [1]}\xff',
     "invalid-after-chunk": b" " * (_CHUNK + 5) + b"\xc3(",
     "truncated-utf8": b"{}\xe2\x82",
@@ -1844,17 +1843,28 @@ class TestReadText:
         assert len(os.listdir("/proc/self/fd")) == before
 
 
-def test_closed_stdout_exits_141_and_prints_nothing():
-    # The 10 001-row sweep is larger than a pipe holds, so the CLI is still
-    # writing when its reader closes the pipe after the first line.
+@pytest.mark.parametrize(
+    "argv, first",
+    [
+        (["reliability", str(DATA / "network_ladder3.json"), "--sweep", "0:1:0.0001"],
+         [b"p,exact,hunter-lower,kwerel-lower,bonferroni-lower\n"]),
+        (["demo", "counterexample"], []),
+    ],
+    ids=["sweep-after-one-line", "short-report-unread"],
+)
+def test_closed_stdout_exits_141_and_prints_nothing(argv, first):
+    # The 10 001-row sweep is larger than a pipe holds, so a write fails
+    # after the reader has taken one line.  The short report fits in the
+    # stdout buffer, so with the pipe closed unread only the flush fails
+    # (stdout is block-buffered on a pipe unless PYTHONUNBUFFERED is set).
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    argv = [sys.executable, "-m", "chordalbounds", "reliability", str(DATA / "network_ladder3.json"),
-            "--sweep", "0:1:0.0001"]
-    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        first = proc.stdout.readline()
+    env.pop("PYTHONUNBUFFERED", None)
+    command = [sys.executable, "-m", "chordalbounds", *argv]
+    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        read = [proc.stdout.readline() for _ in first]
         proc.stdout.close()
         err = proc.stderr.read()
         code = proc.wait(timeout=60)
-    assert first == b"p,exact,hunter-lower,kwerel-lower,bonferroni-lower\n"
+    assert read == first
     assert (code, err) == (141, b"")
