@@ -9,7 +9,6 @@ byte-stable.
 from __future__ import annotations
 
 import argparse
-import errno
 import functools
 import json
 import math
@@ -80,29 +79,17 @@ def _report_dict(report: bnd.BoundReport) -> dict:
 # input loaders
 
 
-# Bytes asked of each `os.read` in `_read_text`.
-_READ_CHUNK = 1 << 16
-
-
 def _read_text(path: str) -> str:
     """The text of the file `path`, the one file reader of every loader.
     It is what `open(path, encoding="utf-8").read()` returns: strict UTF-8
     (a BOM kept as U+FEFF), with `\r\n` and a lone `\r` read as `\n`, and
     the same exception and message for a missing path, a directory or
-    undecodable bytes.  The file is read by raw descriptor reads of 64 KiB
-    and decoded once, with no file object: after a `gc.collect()`, about
-    30 µs for a 189-byte file against 60 µs in text mode (see README,
+    undecodable bytes.  The file is read through an unbuffered binary file
+    object and decoded once, with no text layer: after a `gc.collect()`,
+    about 30 µs for a 189-byte file against 60 µs in text mode (see README,
     "Cost")."""
-    fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
-    try:
-        chunks = []
-        while chunk := os.read(fd, _READ_CHUNK):
-            chunks.append(chunk)
-    except IsADirectoryError:  # `os.open` takes a directory, and `os.read` names no file
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path) from None
-    finally:
-        os.close(fd)
-    text = b"".join(chunks).decode("utf-8")
+    with open(path, "rb", buffering=0) as handle:
+        text = handle.read().decode("utf-8")
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
     return text

@@ -1784,7 +1784,6 @@ def _outcome(read, path):
         return type(exc), str(exc)
 
 
-_CHUNK = cli._READ_CHUNK
 # File contents by case, for `cli._read_text` against the text-mode read.
 READ_CASES = {
     "empty": b"",
@@ -1792,20 +1791,16 @@ READ_CASES = {
     "crlf": b'{"weights": [1],\r\n "events": [[0]]}\r\n',
     "lone-cr": b'{"weights": [1],\r "events": [[0]]}\r',
     "mixed-newlines": b"a\r\r\nb\n\rc\r\n\r",
-    "crlf-across-chunks": b" " * (_CHUNK - 1) + b"\r\n{}",
-    "cr-at-chunk-end": b" " * (_CHUNK - 1) + b"\r{}",
-    "two-byte-across-chunks": b" " * (_CHUNK - 1) + "\u00e9".encode() + b"{}",
-    "three-byte-across-chunks": b" " * (_CHUNK - 2) + "\u20ac".encode() + b"{}",
+    "multi-byte": "\u00e9\u20ac\U0001f600".encode(),
     "bom": b"\xef\xbb\xbf{}",
     "200kb": b'{"events": [' + b"[0, 1, 2],\r\n" * 17000 + b"[0]]}",
     "invalid-utf8": b'{"weights": [1]}\xff',
-    "invalid-after-chunk": b" " * (_CHUNK + 5) + b"\xc3(",
     "truncated-utf8": b"{}\xe2\x82",
 }
 
 
 class TestReadText:
-    """`cli._read_text`, by raw descriptor reads, against `open(path, encoding="utf-8").read()`."""
+    """`cli._read_text`, by an unbuffered binary read, against `open(path, encoding="utf-8").read()`."""
 
     @pytest.mark.parametrize("case", READ_CASES)
     def test_same_text_or_error_as_text_mode(self, tmp_path, case):
@@ -1855,16 +1850,25 @@ class TestReadText:
 def test_closed_stdout_exits_141_and_prints_nothing(argv, first):
     # The 10 001-row sweep is larger than a pipe holds, so a write fails
     # after the reader has taken one line.  The short report fits in the
-    # stdout buffer, so with the pipe closed unread only the flush fails
-    # (stdout is block-buffered on a pipe unless PYTHONUNBUFFERED is set).
+    # stdout buffer, so its pipe is closed before the child starts and only
+    # the flush fails (stdout is block-buffered on a pipe unless
+    # PYTHONUNBUFFERED is set).
     src = str(Path(__file__).parent.parent / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     env.pop("PYTHONUNBUFFERED", None)
     command = [sys.executable, "-m", "chordalbounds", *argv]
-    with subprocess.Popen(command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
-        read = [proc.stdout.readline() for _ in first]
-        proc.stdout.close()
-        err = proc.stderr.read()
-        code = proc.wait(timeout=60)
+    read_end, write_end = os.pipe()
+    with open(read_end, "rb") as reader:
+        if not first:
+            reader.close()
+        try:
+            proc = subprocess.Popen(command, stdout=write_end, stderr=subprocess.PIPE, env=env)
+        finally:
+            os.close(write_end)
+        with proc:
+            read = [reader.readline() for _ in first]
+            reader.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
     assert read == first
     assert (code, err) == (141, b"")
