@@ -86,8 +86,8 @@ def _read_text(path: str) -> str:
     the same exception and message for a missing path, a directory or
     undecodable bytes.  The file is read through an unbuffered binary file
     object and decoded once, with no text layer: after a `gc.collect()`,
-    about 30 µs for a 189-byte file against 60 µs in text mode (see README,
-    "Cost")."""
+    about 35 µs for a 189-byte file against 60–80 µs in text mode (see
+    README, "Cost")."""
     with open(path, "rb", buffering=0) as handle:
         text = handle.read().decode("utf-8")
     if "\r" in text:
