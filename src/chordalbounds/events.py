@@ -462,11 +462,14 @@ class ProductSystem:
         Fraction over D**m * divisor on a RATIONAL system.  On a shared
         polynomial p, `total` unpacks to the integer coefficients of a
         polynomial in p, and the value is that polynomial over `divisor`
-        when p is the indeterminate P, else that one taken at p."""
+        when p is the indeterminate P, else that one taken at p.  Only the
+        lanes `total` occupies are read, at most m + 1: the mass p**k of k
+        coordinates reads k + 1."""
         if self._denominator is not None:
             return Fraction(total, self._denominator * divisor)
-        if self._lane is not None:
-            value = Polynomial._make(_unpack(total, self._lane, len(self.probs) + 1), divisor)
+        if (lane := self._lane) is not None:
+            count = min(abs(total).bit_length() // lane + 1, len(self.probs) + 1)
+            value = Polynomial._make(_unpack(total, lane, count), divisor)
             p = self.probs[0]
             return value if p is P or type(p) is Polynomial and p == P else self.backend.one * value(p)
         return total if divisor == 1 else total / divisor

@@ -8,18 +8,20 @@ independent arc states; all probability work is delegated to the
 event-system machinery, so the same code runs with numeric arc
 reliabilities and with a shared symbolic parameter p.  The reports take
 the canonical path order; `path_event_system(net, paths)` fixes any other.
+Their Hunter column is the tree bound on the path graph over that order,
+which `bounds.path_lower` sums along the path itself: no graph is built,
+searched or checked per report.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from numbers import Real
+from numbers import Rational, Real
 
 from .bounds import bound
 from .errors import DomainError, _exact_str, _repr, _require_int, _to_float
 from .events import ProductSystem, _require_coordinate_cap, bernoulli_product, union_prob_exact
-from .graphs import path_graph
 from .poly import P, Polynomial
 from .values import POLYNOMIAL, REAL, _read_rational
 
@@ -212,19 +214,26 @@ def exact_reliability(net: Network):
 def bound_values(net: Network) -> dict:
     """Exact reliability and the lower bounds, from one path event system.
 
-    Keys: "exact", then DEFAULT_BOUND_KINDS by `bounds.bound`, with the
-    path graph over the event order: "hunter-lower", "kwerel-lower" and
-    "bonferroni-lower" (depth 1).  Values are Polynomials in p for a
-    symbolic network and floats otherwise.  A symbolic network with no
-    path gets zero polynomials; a numeric one raises DomainError.
+    Keys: "exact", then DEFAULT_BOUND_KINDS by `bounds.bound`:
+    "hunter-lower", "kwerel-lower" and "bonferroni-lower" (depth 1).
+    Hunter's bound is taken on the path graph over the event order, as
+    "path-lower" along the order n - 1, ..., 0: that is the path graph's
+    perfect elimination order, so its cones ((v,), {v - 1}), cap and
+    denominator ceil(n / 2) are the tree bound's, summed in the same
+    order, and the value is the one `hunter-lower` gives on
+    `path_graph(n)`, bit for bit on floats too.  Values are Polynomials in
+    p for a symbolic network and floats otherwise.  A symbolic network
+    with no path gets zero polynomials; a numeric one raises DomainError.
     """
     paths = _st_paths(net)
     if not paths and net.symbolic:
         return dict.fromkeys(("exact", *DEFAULT_BOUND_KINDS), POLYNOMIAL.zero)
     sys = path_event_system(net, paths)
-    g = path_graph(len(paths))
+    order = range(len(paths) - 1, -1, -1)
     values = {"exact": union_prob_exact(sys)}
-    values.update((kind, bound(kind, sys, g=g).value) for kind in DEFAULT_BOUND_KINDS)
+    for kind in DEFAULT_BOUND_KINDS:
+        report = bound("path-lower", sys, order=order) if kind == "hunter-lower" else bound(kind, sys)
+        values[kind] = report.value
     return values
 
 
@@ -253,7 +262,8 @@ def sweep(net: Network, p_values, kinds=None):
     the `bound_polynomials` columns at the given p.  p values may be
     Fractions, ints, or strings and floats (as their shortest decimal
     literal) read by `_read_rational`, with its ParseError and exponent
-    cap.  A kind outside DEFAULT_BOUND_KINDS raises DomainError.
+    cap.  A bool, None or any other value raises DomainError, as does a
+    kind outside DEFAULT_BOUND_KINDS.
     """
     header = ["p", "exact", *(DEFAULT_BOUND_KINDS if kinds is None else kinds)]
     polys = bound_polynomials(net)
@@ -263,7 +273,12 @@ def sweep(net: Network, p_values, kinds=None):
     columns = [polys[kind] for kind in header[1:]]
     rows = []
     for p in p_values:
-        p = Fraction(*_read_rational(str(p))) if isinstance(p, (float, str)) else Fraction(p)
+        if isinstance(p, (float, str)):
+            p = Fraction(*_read_rational(str(p)))
+        elif isinstance(p, Rational) and not isinstance(p, bool):
+            p = Fraction(p)
+        else:
+            raise DomainError(f"p value must be a number or a rational string, got {_repr(p)}")
         values = _grid_values(columns, (p.numerator,), p.denominator)
         rows.append((p, *(Fraction(value, d) for (value,), d in values)))
     return header, rows

@@ -100,3 +100,55 @@ def test_metrics_without_a_direction_are_left_out():
     summary = bench_pairs.summarize([prefixed(run, "optimize") for run in runs()], {"jobs_per_s": "higher"})
     assert set(summary["all"]) == {"optimize.jobs_per_s"}
     assert summary["all"]["optimize.jobs_per_s"]["better"] == "higher"
+
+
+# verdict(base, head, direction, bound): pairs are the i-th base and head runs
+def test_verdict_gain_needs_nine_of_ten_wins_and_a_gap_past_the_base_quartiles():
+    base = [1.00, 1.02, 1.04, 1.06, 1.08, 1.01, 1.03, 1.05, 1.07, 1.09]
+    head = [b - 0.1 for b in base]
+    assert bench_pairs.verdict(base, head, "lower", 0.25) == "gain"
+    # a tie counts for neither side: 9 wins of 10 pairs is still a gain
+    assert bench_pairs.verdict(base, head[:9] + [base[9]], "lower", 0.25) == "gain"
+    # 8 wins of 10 is not
+    assert bench_pairs.verdict(base, head[:8] + base[8:], "lower", 0.25) == "within bound"
+    # every pair won, but the medians differ by less than the base quartile distance (0.045)
+    assert bench_pairs.verdict(base, [b - 0.01 for b in base], "lower", 0.25) == "within bound"
+    # higher is better
+    assert bench_pairs.verdict(head, base, "higher", 0.25) == "gain"
+    assert bench_pairs.verdict(base, head, "higher", 0.25) == "within bound"
+
+
+def test_verdict_regression_is_a_median_worse_by_more_than_the_bound():
+    base = [100.0, 101.0, 99.0, 100.0]
+    assert bench_pairs.verdict(base, [74.0, 75.0, 76.0, 73.0], "higher", 0.25) == "regression"
+    assert bench_pairs.verdict(base, [76.0, 77.0, 78.0, 75.0], "higher", 0.25) == "within bound"
+    assert bench_pairs.verdict(base, [126.0, 127.0, 124.0, 126.0], "lower", 0.25) == "regression"
+    assert bench_pairs.verdict([1.0] * 4, [0.99] * 4, "higher", 0.005) == "regression"
+    assert bench_pairs.verdict([1.0] * 4, [0.996] * 4, "higher", 0.005) == "within bound"
+
+
+def test_verdict_unresolved_when_the_runs_spread_past_the_bound():
+    # the base spreads 0.5 of its median, past a bound of 0.25
+    base = [1.0, 2.0, 3.0, 4.0, 5.0]
+    head = [2.9, 3.0, 3.1, 3.0, 3.0]
+    assert bench_pairs.verdict(base, head, "lower", 0.25) == "unresolved"
+    # the head's spread counts too
+    assert bench_pairs.verdict(head, base, "lower", 0.25) == "unresolved"
+    # unless every head run beats every base run: here by less than the
+    # base quartile distance (0.6), so no gain either
+    base = [1.0, 1.1, 1.4, 1.7, 1.8]
+    assert bench_pairs.verdict(base, [0.95, 0.96, 0.97, 0.98, 0.99], "lower", 0.25) == "within bound"
+    assert bench_pairs.verdict(base, [0.95, 0.96, 0.97, 0.98, 1.05], "lower", 0.25) == "unresolved"
+
+
+def test_summary_carries_the_verdict_of_each_metric_with_a_bound():
+    bounds = {"jobs_per_s": 0.25, "job_p90_ms": 0.25}
+    summary = bench_pairs.summarize(runs(), BETTER, bounds)
+    # 3 of 4 pairs won: no gain; within the bound and not spread
+    assert summary["all"]["job_p90_ms"]["verdict"] == "within bound"
+    assert summary["all"]["jobs_per_s"]["verdict"] == "within bound"
+    assert "verdict" not in summary["all"]["peak_rss_mb"]
+    # one pair, won: 1 of 1 pairs and a median gap past a zero quartile distance
+    assert summary["7"]["job_p90_ms"]["verdict"] == "gain"
+    combined = bench_pairs.summarize([prefixed(run, "optimize") for run in runs()], BETTER, bounds)
+    assert combined["all"]["optimize.job_p90_ms"] == summary["all"]["job_p90_ms"]

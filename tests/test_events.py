@@ -1070,6 +1070,19 @@ class TestSharedPowerKernels:
             packed = sum(c << lane * j for j, c in enumerate(coefficients))
             assert events._unpack(packed, lane, len(coefficients)) == coefficients
 
+    def test_value_reads_the_lanes_a_total_occupies(self):
+        # `_value` reads lanes up to the highest one its total occupies:
+        # up to m + 1 signed coefficients, the extreme ones included.
+        rng = random.Random(3904)
+        sys_ = bernoulli_product([P] * 6, [[0, 1], [2, 3, 4], [5]], POLYNOMIAL)
+        lane = sys_._lane
+        least, most = -(1 << lane - 1), (1 << lane - 1) - 1
+        cases = [[], [0], [least], [most], [0] * 6 + [least], [most] * 7, [1, 0, 0, -1]]
+        cases += [[rng.randint(least, most) for _ in range(rng.randint(1, 7))] for _ in range(300)]
+        for coefficients in cases:
+            packed = sum(c << lane * j for j, c in enumerate(coefficients))
+            assert sys_._value(packed, 3) == Polynomial([Fraction(c, 3) for c in coefficients])
+
 
 # Coordinate probabilities by case: (backend, probs(rng, m)).
 EXACT_PROBS = {

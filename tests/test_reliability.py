@@ -1,8 +1,11 @@
 """Network reliability: path enumeration, exact polynomials, bound sweeps."""
 
+import json
+import random
 import re
 from fractions import Fraction
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -20,11 +23,15 @@ from chordalbounds import (
     sweep,
     union_prob_exact,
 )
+from chordalbounds import graphs
 from chordalbounds.bounds import bound
 from chordalbounds.errors import ParseError, ResourceLimitError
 from chordalbounds.poly import Polynomial
 
 from helpers import BRIDGE_PATH_ORDER
+
+DATA = Path(__file__).parent / "data"
+NETWORK_FILES = sorted(path.name for path in DATA.glob("network_*.json"))
 
 EQ_EXACT = Polynomial((0, 0, 2, 2, -5, 2))
 EQ_TREE = Polynomial((0, 0, 1, 1, -1, 0, Fraction(-1, 2)))
@@ -246,6 +253,70 @@ class TestBoundPolynomials:
         assert all(type(value) is Polynomial for value in values.values())
 
 
+def _random_network(rng):
+    """A seeded network of 4-7 nodes and at most 12 arcs, source 0 and
+    terminal the last node, with at least one source-to-terminal path."""
+    while True:
+        nodes = rng.randint(4, 7)
+        pairs = [(u, v) for u in range(nodes) for v in range(nodes) if u != v]
+        net = build_network(nodes, rng.sample(pairs, rng.randint(nodes - 1, 12)), 0, nodes - 1)
+        if enumerate_st_paths(net):
+            return net
+
+
+def _with_reliability(net, reliability):
+    return build_network(net.node_count, net.arcs, net.source, net.terminal, reliability)
+
+
+def _seeded_reliabilities(net, seed):
+    rng = random.Random(seed)
+    return [rng.random() for _ in net.arcs]
+
+
+class TestHunterColumn:
+    """The report's "hunter-lower" is summed along the path order, with no
+    graph; it is the tree bound on the path graph over the event order."""
+
+    @staticmethod
+    def assert_tree_bound(net):
+        sys_ = path_event_system(net)
+        want = bound("hunter-lower", sys_, g=path_graph(sys_.event_count)).value
+        got = bound_values(net)["hunter-lower"]
+        assert type(got) is type(want)
+        if isinstance(want, float):
+            assert got.hex() == want.hex()
+        else:
+            assert got == want
+
+    @pytest.mark.parametrize("name", NETWORK_FILES)
+    def test_network_files(self, name):
+        data = json.loads((DATA / name).read_text())
+        net = build_network(data["nodes"], data["arcs"], data["s"], data["t"])
+        self.assert_tree_bound(net)
+        for seed in range(3):
+            self.assert_tree_bound(_with_reliability(net, _seeded_reliabilities(net, seed)))
+        if data.get("p", "symbolic") != "symbolic":
+            self.assert_tree_bound(_with_reliability(net, data["p"]))
+
+    def test_random_networks(self):
+        rng = random.Random(4801)
+        for seed in range(24):
+            net = _random_network(rng)
+            self.assert_tree_bound(net)
+            self.assert_tree_bound(_with_reliability(net, _seeded_reliabilities(net, seed)))
+
+    def test_no_graph_is_built_or_searched(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the report built or searched a graph")
+
+        monkeypatch.setattr(graphs, "mcs_order", refuse)
+        monkeypatch.setattr(graphs, "build_graph", refuse)
+        net = build_network(6, _ladder_arcs(2), 0, 1)
+        assert set(bound_values(net)) == {"exact", "hunter-lower", "kwerel-lower", "bonferroni-lower"}
+        assert bound_polynomials(net) == bound_values(net)
+        assert all(type(value) is float for value in bound_values(_with_reliability(net, 0.9)).values())
+
+
 class TestSweep:
     def test_row_at_one(self):
         header, rows = sweep(bridge_network(), [1])
@@ -304,6 +375,17 @@ class TestSweep:
             sweep(bridge_network(), [Fraction(1, 2), "x", Fraction(3, 2)])
         with pytest.raises(DomainError, match="p value -1/4 outside"):
             sweep(bridge_network(), [-0.25])
+
+    @pytest.mark.parametrize("point", [True, False])
+    def test_bool_point_rejected(self, point):
+        # build_network refuses a bool reliability, and a sweep point alike
+        with pytest.raises(DomainError, match=f"got {point}$"):
+            sweep(bridge_network(), [Fraction(1, 2), point])
+
+    @pytest.mark.parametrize("point, named", [(None, "None"), ([1, 2], "[1, 2]"), (1j, "1j")])
+    def test_other_points_named(self, point, named):
+        with pytest.raises(DomainError, match=re.escape(f"got {named}")):
+            sweep(bridge_network(), [point])
 
     def test_string_points_read_as_rational_text(self):
         # Strings go through the one rational reader, with its errors and

@@ -15,10 +15,11 @@ compiles.  The output holds both revisions, the Python version, the
 processor count, the seeds, every run's metrics and, per seed and over all
 pairs, each end-to-end metric's median, quartile distance and win count (a
 pair is won by the side whose value is better in the direction
-BENCHMARK.json gives; ties count for neither).  With `--workload all` the
-metrics keep run.py's workload prefix (`optimize.job_p50_ms`), and each
-takes the direction of its bare name.  The worktrees are removed
-on the way out, and every run has ended by then.
+BENCHMARK.json gives; ties count for neither) and verdict (`verdict`).
+With `--workload all` the metrics keep run.py's workload prefix
+(`optimize.job_p50_ms`), and each takes the direction and the bound of its
+bare name.  The worktrees are removed on the way out, and every run has
+ended by then.
 Standard library only.
 """
 
@@ -50,14 +51,50 @@ def _stats(values: list[float]) -> dict:
     return {"median": statistics.median(values), "iqr": q3 - q1}
 
 
-def summarize(runs: list[dict], better: dict[str, str]) -> dict:
+def _spread(values: list[float]) -> float:
+    """Quartile distance over the median, as perfbench/README.md defines a
+    spread; +inf when the median is 0 and the quartiles differ."""
+    stats = _stats(values)
+    if stats["median"]:
+        return stats["iqr"] / abs(stats["median"])
+    return 0.0 if stats["iqr"] == 0 else float("inf")
+
+
+def verdict(base: list[float], head: list[float], direction: str, bound: float) -> str:
+    """The verdict on one metric, from its paired runs (the i-th base and
+    head values form a pair), its better direction and its bound, a
+    fraction of the base median as BENCHMARK.json gives it:
+
+    * "gain": the head wins at least 9 of 10 pairs (ties count for
+      neither), and its median is better than the base median by more
+      than the base quartile distance;
+    * "regression": the head median is worse than the base median by
+      more than the bound;
+    * "unresolved": either side spreads wider than the bound, unless every
+      head run is better than every base run;
+    * "within bound" otherwise."""
+    sign = 1 if direction == "higher" else -1
+    wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
+    base_stats, head_median = _stats(base), statistics.median(head)
+    gain = sign * (head_median - base_stats["median"])
+    if 10 * wins >= 9 * len(base) and gain > base_stats["iqr"]:
+        return "gain"
+    if -gain > bound * abs(base_stats["median"]):
+        return "regression"
+    if max(_spread(base), _spread(head)) > bound and min(sign * h for h in head) <= max(sign * b for b in base):
+        return "unresolved"
+    return "within bound"
+
+
+def summarize(runs: list[dict], better: dict[str, str], bounds: dict[str, float] | None = None) -> dict:
     """Per seed and over "all" pairs, each metric that every run of the
     group reports, by its full name, whose bare name (the part after the
     last dot, which `run.py --workload all` prefixes with the workload) is
     a key of `better` ("lower" or "higher" is better): each side's median
     and quartile distance, the pairs the head wins, the ties and the
-    pairs.  A run is a dict with "seed", "pair", "side" ("base" or "head")
-    and "result", the JSON object of the last line run.py prints."""
+    pairs, and the `verdict` when `bounds` gives the bare name's bound.
+    A run is a dict with "seed", "pair", "side" ("base" or "head") and
+    "result", the JSON object of the last line run.py prints."""
     pairs = {}
     for run in runs:
         pairs.setdefault((run["seed"], run["pair"]), {})[run["side"]] = run["result"]["metrics"]
@@ -71,7 +108,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
         summary[group] = {}
         names = set.intersection(*(set(sides[side]) for sides in members for side in SIDES))
         for name in sorted(names):
-            direction = better.get(name.rsplit(".", 1)[-1])
+            bare = name.rsplit(".", 1)[-1]
+            direction = better.get(bare)
             if direction is None:
                 continue
             values = {side: [sides[side][name]["value"] for sides in members] for side in SIDES}
@@ -84,6 +122,8 @@ def summarize(runs: list[dict], better: dict[str, str]) -> dict:
                 "ties": gaps.count(0),
                 "pairs": len(gaps),
             }
+            if bounds and bare in bounds:
+                summary[group][name]["verdict"] = verdict(values["base"], values["head"], direction, bounds[bare])
     return summary
 
 
@@ -107,6 +147,7 @@ def main() -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         benchmark = json.load(handle)
     better = {metric["name"]: metric["better"] for metric in benchmark["end_to_end"]}
+    bounds = {metric["name"]: metric["bound"] for metric in benchmark["end_to_end"]}
     seconds = benchmark["run_seconds"]
     revs = {"base": _git("rev-parse", args.base), "head": _git("rev-parse", args.head)}
     env = dict(os.environ)
@@ -149,7 +190,7 @@ def main() -> int:
         "all_correct": all(run["result"]["correct"] for run in runs),
         "failed": sum(run["result"]["failed"] for run in runs),
         "runs": runs,
-        "summary": summarize(runs, better),
+        "summary": summarize(runs, better, bounds),
     }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(report, handle, indent=1)
