@@ -16,6 +16,7 @@ searched or checked per report.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Rational, Real
 
@@ -260,10 +261,10 @@ def sweep(net: Network, p_values, kinds=None):
 
     Returns (header, rows); each row holds exact Fractions, evaluated from
     the `bound_polynomials` columns at the given p.  p values may be
-    Fractions, ints, or strings and floats (as their shortest decimal
-    literal) read by `_read_rational`, with its ParseError and exponent
-    cap.  A bool, None or any other value raises DomainError, as does a
-    kind outside DEFAULT_BOUND_KINDS.
+    Fractions, ints, or strings, floats (as their shortest decimal
+    literal) and Decimals read by `_read_rational`, with its ParseError
+    and exponent cap.  A bool, None or any other value raises
+    DomainError, as does a kind outside DEFAULT_BOUND_KINDS.
     """
     header = ["p", "exact", *(DEFAULT_BOUND_KINDS if kinds is None else kinds)]
     polys = bound_polynomials(net)
@@ -273,7 +274,7 @@ def sweep(net: Network, p_values, kinds=None):
     columns = [polys[kind] for kind in header[1:]]
     rows = []
     for p in p_values:
-        if isinstance(p, (float, str)):
+        if isinstance(p, (float, str, Decimal)):
             p = Fraction(*_read_rational(str(p)))
         elif isinstance(p, Rational) and not isinstance(p, bool):
             p = Fraction(p)

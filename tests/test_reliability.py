@@ -3,6 +3,7 @@
 import json
 import random
 import re
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -345,7 +346,7 @@ class TestSweep:
             exact = row[1]
             assert all(value <= exact for value in row[2:])
 
-    @pytest.mark.parametrize("spelling", [int, float, Fraction])
+    @pytest.mark.parametrize("spelling", [int, float, Fraction, Decimal])
     def test_rows_match_per_point_fractions(self, spelling):
         # Each point keeps its own denominator; every cell equals the
         # polynomial evaluated at that point as a Fraction.
@@ -356,6 +357,8 @@ class TestSweep:
             points = [0, 1, 1, 0]
         elif spelling is float:
             points = [0.0, 0.01, 0.37, 1 / 3, 0.125, 1.0]
+        elif spelling is Decimal:
+            points = [Decimal("0.25"), Decimal("1E-7"), Decimal("0.1000000000000000055511151231257827"), Decimal(1)]
         else:
             points = [Fraction(1, 7), Fraction(3, 10**20 + 39), Fraction(2, 4), Fraction(99, 100)]
         header, rows = sweep(net, points, kinds)

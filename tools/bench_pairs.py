@@ -15,7 +15,7 @@ compiles.  The output holds both revisions, the Python version, the
 processor count, the seeds, every run's metrics and, per seed and over all
 pairs, each end-to-end metric's median, quartile distance and win count (a
 pair is won by the side whose value is better in the direction
-BENCHMARK.json gives; ties count for neither) and verdict (`verdict`).
+BENCHMARK.json gives; ties count for neither) and its `verdict`.
 With `--workload all` the metrics keep run.py's workload prefix
 (`optimize.job_p50_ms`), and each takes the direction and the bound of its
 bare name.  The worktrees are removed on the way out, and every run has
