@@ -35,8 +35,9 @@ each through its own private methods (`mass`, `_union`, `_atom`,
   system the union and the sums add integer numerators: over D**m for
   RATIONAL probabilities a_c / D, the sums taking each distinct union of
   required coordinates once per chunk of index sets, and packed
-  coefficients of p, looked up by coordinate count, in one lane wide
-  enough for both, when every coordinate shares one polynomial p.
+  coefficients of p, in one lane wide enough for both, when every
+  coordinate shares one polynomial p.  A mask's numerator is looked up by
+  coordinate count under a shared exact p, else folded over its on-factors.
 
 A cone sum takes the base of a cone (see `graphs._cones`), a tuple of
 events whose intersection stands where one event would: a chordal graph's
@@ -50,9 +51,9 @@ probability in the system's unit, an integer over one common denominator
 on a RATIONAL system, a packed integer coefficient list of a shared
 polynomial p on a product system and the probability itself elsewhere,
 so that a mass, a union or a bound adds in that unit and makes one value
-of its sum.  Both check
-index sets with `_event_indices`, and `_require_one_vertex_per_event`
-pairs the events with the vertices of a graph for every caller.
+of its sum.  Both check index sets with `_event_indices`, and
+`_require_one_vertex_per_event` pairs the events with the vertices of a
+graph for every caller.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ from fractions import Fraction
 from functools import reduce
 from itertools import combinations, compress, islice, repeat
 
-from .errors import DomainError, ResourceLimitError, _exact_str, _require_int, _to_float
+from .errors import DomainError, ResourceLimitError, _exact_str, _repr, _require_int, _to_float
 from .graphs import Graph, _bits, _component_count
 from .poly import P, Polynomial
 from .values import RATIONAL, REAL, Backend, _read_rational_column
@@ -320,15 +321,14 @@ class ProductSystem:
     when every coordinate in the mask `requires[j]` is on.  As on an
     explicit system, every query is `_value` of a `_numerator` or of a
     sum of them: `_numerator` gives a mask's probability in the system's
-    unit, `mass` is the value of one, the sums add numerators, and the
-    union also scales them by coordinate factors (`_factors`).  The unit
-    depends on the backend:
+    unit, by its coordinate count under a shared exact p and else by one
+    left fold of on-factors, `mass` is the value of one, the sums add
+    numerators, and the union also scales them by coordinate factors
+    (`_factors`).  The unit depends on the backend:
 
     * RATIONAL: with D the common denominator of the probabilities a_c / D
       that `values._read_rational_column` gives, a mask's numerator is
-      prod_{c in mask} a_c * D**(m - |mask|), an integer over D**m, read
-      from one table over the low half of the coordinates and one over the
-      high half, or by its number of coordinates when they share one p; a
+      prod_{c in mask} a_c * D**(m - |mask|), an integer over D**m; a
       coordinate's factors are a_c and D - a_c, over the divisor D, and
       `_value` makes one Fraction.
     * POLYNOMIAL with one p shared by every coordinate (every symbolic
@@ -347,14 +347,17 @@ class ProductSystem:
     """
 
     __slots__ = (
-        "backend", "probs", "requires", "_zero", "_denominator", "_lane", "_by_count", "_factors",
-        "_halves", "_low_products", "_sums", "_clique_brackets",
+        "backend", "probs", "requires", "_zero", "_denominator", "_lane", "_by_count", "_scales",
+        "_factors", "_low_products", "_sums", "_clique_brackets",
     )
 
     def __init__(self, backend: Backend, probs, requires):
         probs = tuple(probs)
         requires = tuple(requires)
         _require_coordinate_cap(len(probs))
+        for p in probs:  # a bool would read as 0 or 1
+            if isinstance(p, bool):
+                raise DomainError(f"coordinate probability must be a number, got {_repr(p)}")
         if backend is RATIONAL:
             ons, unit = _read_rational_column(probs)
             probs = tuple(map(Fraction, ons, repeat(unit)))
@@ -375,17 +378,17 @@ class ProductSystem:
         m = len(probs)
         shared = backend.exact and bool(probs) and probs.count(probs[0]) == m
         # The unit: 1 / D**m for RATIONAL, packed coefficients of p for a
-        # shared polynomial p, else 1 (all None); with a shared p, the
-        # numerator of a mask by its number of coordinates.  `_factors`:
-        # each coordinate's on and off factors, and the divisor that takes
-        # a product with one of them back to the unit.
-        self._denominator = self._lane = self._by_count = None
+        # shared polynomial p, else 1 (all None); by coordinate count k, a
+        # shared p's numerators and D**(m - k).  `_factors`: each
+        # coordinate's on and off factors, and the divisor back to the unit.
+        self._denominator = self._lane = self._by_count = self._scales = None
         self._zero = 0
         if backend is RATIONAL:
             self._factors = tuple(ons), tuple(unit - a for a in ons), unit
             self._denominator = unit**m
+            self._scales = [unit ** (m - k) for k in range(m + 1)]
             if shared:
-                self._by_count = [ons[0] ** k * unit ** (m - k) for k in range(m + 1)]
+                self._by_count = [ons[0] ** k * scale for k, scale in enumerate(self._scales)]
         elif shared:
             self._lane = _packed_lane(len(requires), m)
             self._by_count = [1 << self._lane * k for k in range(m + 1)]
@@ -393,11 +396,7 @@ class ProductSystem:
         else:
             self._zero = backend.zero
             self._factors = probs, tuple(backend.one - p for p in probs), 1
-        # Built on first use (`_numerator`): the RATIONAL numerator tables,
-        # and in the unit 1 the products over each subset of the lowest 8
-        # coordinates.
-        self._halves: tuple | None = None
-        self._low_products: list | None = None
+        self._low_products: list | None = None  # built on first use (`_numerator`)
         self._sums: dict[int, object] = {}
         self._clique_brackets: dict = {}
 
@@ -414,47 +413,27 @@ class ProductSystem:
         """`mass(mask)` as a numerator in the system's unit.  With one
         exact p on every coordinate it is the entry of `_by_count` for the
         mask's k coordinates: a**k * D**(m - k) for a RATIONAL p = a/D, the
-        packed p**k, 1 << lane*k, for a polynomial p.  Any other RATIONAL
-        system takes prod_{c in mask} a_c * D**(m - |mask|) as the product
-        of one entry of each of `_halves`' tables.  In the unit 1 it is the
-        product of the mask's probabilities in backend arithmetic, lowest
-        coordinate first, from the low byte's entry of `_low_products`, the
-        same left fold over the lowest 8 coordinates, listed for every
-        subset of them on first use."""
+        packed p**k, 1 << lane*k, for a polynomial p.  Any other system
+        folds the mask's on-factors (p_c, or a_c on RATIONAL), lowest
+        first: the low byte's entry of `_low_products`, built on first use
+        for every subset of the lowest 8 coordinates, then each higher one;
+        a RATIONAL product is then scaled by D**(m - k) (`_scales`)."""
         if self._by_count is not None:
             return self._by_count[mask.bit_count()]
-        if self._denominator is not None:
-            low, high, split = self._halves or self._numerator_tables()
-            return low[mask & (1 << split) - 1] * high[mask >> split]
+        ons = self._factors[0]
         low_products = self._low_products
         if low_products is None:
-            low_products = [self.backend.one]
-            for p in self.probs[:8]:
+            low_products = [self.backend.one if self._scales is None else 1]
+            for p in ons[:8]:
                 low_products += [total * p for total in low_products]
             self._low_products = low_products
         total = low_products[mask & 0xFF]
-        mask &= ~0xFF
-        while mask:
-            low = mask & -mask
-            total = total * self.probs[low.bit_length() - 1]
-            mask ^= low
-        return total
-
-    def _numerator_tables(self):
-        """(low, high, split): low[i] is the numerator product over the
-        coordinates below `split`, a_c for those on in the mask i and D for
-        the others, and high[i] the same over the coordinates from `split`
-        on; built once, with 2**split + 2**(m - split) entries."""
-        weights, _, unit = self._factors
-        split = len(weights) // 2
-        tables = []
-        for part in (weights[:split], weights[split:]):
-            table = [1]
-            for a in part:
-                table = [t * unit for t in table] + [t * a for t in table]
-            tables.append(table)
-        self._halves = (*tables, split)
-        return self._halves
+        high = mask & ~0xFF
+        while high:
+            low = high & -high
+            total = total * ons[low.bit_length() - 1]
+            high ^= low
+        return total if self._scales is None else total * self._scales[mask.bit_count()]
 
     def _value(self, total, divisor: int = 1):
         """The value of `total`, a sum of numerators in the system's unit
@@ -830,7 +809,7 @@ def _branch_bit(family) -> int:
 def from_outcomes(weights, events, backend: Backend = REAL) -> EventSystem:
     """Build a system from explicit outcome weights and events given as
     iterables of outcome ids.  RATIONAL weights may be ints, Fractions or
-    rational strings ("7/873", "0.5", ...)."""
+    rational strings ("7/873", "0.5", ...), and a bool is a DomainError."""
     weights = tuple(weights)
     masks = [_id_mask(event, len(weights), "outcome") for event in events]
     return EventSystem(backend, weights, masks)
@@ -845,7 +824,8 @@ def bernoulli_product(probs, event_defs, backend: Backend = REAL) -> ProductSyst
     atoms expand over coordinates, and `alpha_prime` splits coordinate
     assignments by event.  m is capped at MAX_PRODUCT_COORDS.  RATIONAL
     probabilities are read as `from_outcomes` reads weights: ints,
-    Fractions or rational strings.
+    Fractions or rational strings.  A bool probability is a DomainError on
+    every backend.
     """
     probs = tuple(probs)
     requires = [_id_mask(required, len(probs), "coordinate") for required in event_defs]

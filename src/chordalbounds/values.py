@@ -27,7 +27,7 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import ParseError, ResourceLimitError
+from .errors import DomainError, ParseError, ResourceLimitError, _repr
 from .poly import Polynomial
 
 __all__ = ["Backend", "REAL", "RATIONAL", "POLYNOMIAL"]
@@ -95,7 +95,7 @@ def _read_rational(value) -> tuple[int, int]:
     the slash is malformed on every Python version (3.12's `Fraction`
     reads "3 /4") and an exponent past MAX_DECIMAL_EXPONENT raises
     ResourceLimitError before `Fraction` expands it.  Malformed text or a
-    zero denominator raises ParseError.
+    zero denominator raises ParseError, and a bool DomainError.
     """
     if isinstance(value, str):
         top, slash, bottom = value.partition("/")
@@ -113,6 +113,8 @@ def _read_rational(value) -> tuple[int, int]:
             raise ParseError(f"zero denominator in {value!r}") from None
         except ValueError as exc:
             raise ParseError(str(exc)) from None
+    elif isinstance(value, bool):
+        raise DomainError(f"rational values must be numbers or strings, got {_repr(value)}")
     elif not isinstance(value, (int, Fraction)):
         raise TypeError(f"rational values must be int, Fraction or str, got {type(value).__name__}")
     return value.numerator, value.denominator

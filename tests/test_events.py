@@ -36,6 +36,7 @@ from chordalbounds import (
     independence_number,
     intersection_prob,
     path_event_system,
+    pairwise_weights,
     path_graph,
     union_prob_exact,
 )
@@ -177,6 +178,13 @@ class TestFromOutcomes:
         assert intersection_prob(sys_, {0, 1}) == Polynomial()
         assert union_prob_exact(from_outcomes([1], [[0]], backend=POLYNOMIAL)) == Polynomial((1,))
 
+    @pytest.mark.parametrize("weights", [[True, False], ["1/2", "1/2", False], [Fraction(1, 2), True]])
+    def test_bool_rational_weight(self, weights):
+        # A bool is an int to Python, but no weight: True would read as 1.
+        flag = next(w for w in weights if isinstance(w, bool))
+        with pytest.raises(DomainError, match=f"^rational values must be numbers or strings, got {flag}$"):
+            from_outcomes(weights, [[0]], backend=RATIONAL)
+
     @pytest.mark.parametrize("bad", [0.5, "1/2", None], ids=["float", "str", "none"])
     def test_polynomial_system_rejects_other_weight_types(self, bad):
         for weights in ([bad, Fraction(1, 2)], [Fraction(1, 2), bad]):
@@ -255,6 +263,11 @@ class TestReadRational:
         assert _read_rational(Fraction(-2, 4)) == (-1, 2)
         with pytest.raises(TypeError, match="float"):
             _read_rational(0.5)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_is_a_domain_error(self, flag):
+        with pytest.raises(DomainError, match=f"^rational values must be numbers or strings, got {flag}$"):
+            _read_rational(flag)
 
     @staticmethod
     def _value_by_value(column):
@@ -497,6 +510,17 @@ class TestBernoulliProduct:
     def test_empty_event_list(self):
         with pytest.raises(DomainError, match="at least one event"):
             bernoulli_product([0.5], [])
+
+    @pytest.mark.parametrize(
+        "backend, probs",
+        [(REAL, [True, 0.5]), (REAL, [0.5, False]), (RATIONAL, ["1/2", True]), (POLYNOMIAL, [P, True])],
+        ids=["real-true", "real-false", "rational", "polynomial"],
+    )
+    def test_bool_probability(self, backend, probs):
+        # A bool would read as p = 0 or 1; it is refused before any reading.
+        flag = next(p for p in probs if isinstance(p, bool))
+        with pytest.raises(DomainError, match=f"^coordinate probability must be a number, got {flag}$"):
+            bernoulli_product(probs, [[0], [1]], backend=backend)
 
     def test_rational_probabilities_read_like_weights(self):
         sys_ = bernoulli_product(["1/2", "2/6", 1, Fraction(1, 4)], [[0], [1, 2], [3]], backend=RATIONAL)
@@ -1259,6 +1283,64 @@ class TestExactNumerators:
             for coords in range(events.MAX_PRODUCT_COORDS + 1):
                 lane = events._packed_lane(n, coords)
                 assert widest < 1 << lane - 1 and 3**coords < 1 << lane - 2, (n, coords)
+
+    @staticmethod
+    def wide_rational_system(rng, m):
+        """Distinct RATIONAL probabilities over m coordinates (hundredths,
+        thirteenths and certain ones, D = 1300 when both occur) and 3 to 7
+        events of 1 to 6 coordinates, the last of them on coordinates past
+        the low byte."""
+        probs = [rng.choice((f"{rng.randint(0, 100)}/100", Fraction(rng.randint(0, 13), 13), 1)) for _ in range(m)]
+        defs = [rng.sample(range(m), rng.randint(1, 6)) for _ in range(rng.randint(2, 6))]
+        return bernoulli_product(probs, [*defs, rng.sample(range(8, m), rng.randint(1, 6))], RATIONAL)
+
+    @pytest.mark.parametrize("m", range(17, 25))
+    def test_distinct_rational_past_two_bytes(self, m):
+        # The fold reads the low byte's products, folds each higher
+        # coordinate in turn and scales by D**(m - k): masses on seeded
+        # masks against the bit-by-bit reference, and the union, every S_k,
+        # cone sums and brackets against backend arithmetic.
+        rng = random.Random(4106 + m)
+        for _ in range(3):
+            sys_ = self.wide_rational_system(rng, m)
+            assert sys_._by_count is None
+            n = sys_.event_count
+            masks = [0, (1 << m) - 1, (1 << m) - 256, *(rng.getrandbits(m) >> rng.randint(0, 8) for _ in range(12))]
+            for mask in [*masks, *(rng.getrandbits(m) & ~0xFF for _ in range(4))]:
+                self.assert_same(sys_.mass(mask), reference_product_mass(sys_, mask))
+            self.assert_same(union_prob_exact(sys_), reference_product_union(sys_))
+            sums = [product_symmetric_sum(sys_, k) for k in range(n + 1)]
+            for k in range(n + 1):
+                self.assert_same(sys_._value(sys_._symmetric_sum(k)), sums[k])
+            for v in range(n):
+                later = sum(1 << u for u in range(n) if u != v and rng.random() < 0.5)
+                others = [sys_.requires[u] for u in bits(later)]
+                for cap in range(1, len(others) + 3):
+                    got = sys_._value(sys_._cone_sum((v,), later, cap))
+                    self.assert_same(got, product_cone_sum(sys_, sys_.requires[v], others, cap))
+            g = random_chordal_graph(rng, n)
+            terms = brute_force_clique_terms(sys_, g)
+            for cap in (None, 1, 2, 3):
+                self.assert_same(clique_sieve_sum(sys_, g, size_cap=cap), RATIONAL.one * brute_force_clique_sum(terms, cap))
+            for kind, inputs in [("bonferroni-lower", {"r": 1}), *(("generalized-lower", {"m": j}) for j in range(n))]:
+                coefficients, denominator = moment_coefficients(kind, n, **inputs)
+                want = sum((c * s for c, s in zip(coefficients, sums[1:])), RATIONAL.zero)
+                self.assert_same(bound(kind, sys_, **inputs).value, want if denominator is None else want / denominator)
+
+    def test_real_numerators_keep_their_floats(self):
+        # Systems shaped as the optimize benchmark's: 8 or 12 coordinates at
+        # p in [0.5, 0.95] to two places, 10 to 15 two-coordinate events.
+        # Every pair's numerator, and so each pairwise weight, is the left
+        # fold of its probabilities, bit for bit.
+        rng = random.Random(4107)
+        for coords in (8, 12) * 24:
+            probs = [round(rng.uniform(0.5, 0.95), 2) for _ in range(coords)]
+            defs = [rng.sample(range(coords), 2) for _ in range(rng.randint(10, 15))]
+            sys_ = bernoulli_product(probs, defs)
+            w = pairwise_weights(sys_)
+            for (u, a), (v, b) in combinations(enumerate(sys_.requires), 2):
+                want = reference_product_mass(sys_, a | b).hex()
+                assert sys_._numerator(a | b).hex() == w[u][v].hex() == want, (probs, a, b)
 
 
 class TestIntersectionAndUnion:
