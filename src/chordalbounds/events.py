@@ -51,9 +51,9 @@ probability in the system's unit, an integer over one common denominator
 on a RATIONAL system, a packed integer coefficient list of a shared
 polynomial p on a product system and the probability itself elsewhere,
 so that a mass, a union or a bound adds in that unit and makes one value
-of its sum.  Both check index sets with `_event_indices`, and
-`_require_one_vertex_per_event` pairs the events with the vertices of a
-graph for every caller.
+of its sum.  Both check
+index sets with `_event_indices`, and `_require_one_vertex_per_event`
+pairs the events with the vertices of a graph for every caller.
 """
 
 from __future__ import annotations
