@@ -7,49 +7,43 @@ lower bounds have none.  The bracket takes one of two forms:
 
 * the clique bracket, `clique_sieve_sum`: the signed sum over the clique
   complex of a graph on the event indices, optionally truncated at a
-  clique size t.  The chordal bounds use the given graph (Hunter's are
-  the untruncated ones of a tree, renamed), the path bound a path, and the
-  Seneta bounds the graph joining two chosen indices to every other
-  index.  Lower bounds divide it by the graph's independence number (or
-  by the sharpened support-aware denominator).  Every graph is summed
-  over its cones (`graphs._cones`), one cone sum each, in one loop
-  (`_cone_bracket`; see `clique_sieve_sum`).  A chordal graph has one
-  cone per vertex, over its later neighbours along a perfect elimination
-  order: the path and Seneta sums write those cones from their orders,
-  building no graph, and every other chordal graph keeps its maximum
-  cardinality search order.  A non-chordal graph passed unchecked has its
-  cones walked along that order, and no clique is listed.
+  clique size t.  The chordal bounds use the given graph (Hunter's a
+  tree), the path bound a path, and the Seneta bounds the graph joining
+  two chosen indices to every other index; lower bounds divide it by the
+  graph's independence number α(g), or by the sharpened, support-aware
+  α′.  Every graph is summed over its cones (`graphs._cones`) in one loop,
+  `_cone_bracket`.  A chordal graph has one cone per vertex, its later
+  neighbours along a perfect elimination order, which the path and Seneta
+  sums write from their orders, building no graph.  A non-chordal graph
+  passed unchecked has its cones walked, and no clique is listed.
 * the moment bracket: sum_k c_k * S_k over the symmetric sums S_k, the
   sums of P(every event in I occurs) over all index sets I of size k,
-  with signed rational coefficients c_k.  The classical, Kwerel and
-  averaged bounds use nothing else.  An explicit system computes every S_k
-  in one pass over its outcomes, as the binomial moment
-  sum_c W_c * C(c, k), where W_c is the weight of the outcomes lying in
-  exactly c events; a product system enumerates the C(n, k) index sets.
+  with signed rational coefficients c_k (`_moment_bracket`).  The
+  classical, Kwerel and averaged bounds use nothing else.
 
 All formulas are generic over the value backend.  A bracket is summed in
 the event system's unit (`_numerator`): on a RATIONAL space an integer
-numerator over one common denominator (the weights' D, or D**m for m
-coordinates of probabilities a_c / D), on a product space whose
+numerator over one common denominator, on a product space whose
 coordinates share one polynomial p the packed integer coefficients of
-p, elsewhere the value itself.  A moment bracket's coefficients are
-integer pairs (a_k, b_k); exact systems scale them to one common
-denominator L, float systems multiply S_k by the float a_k / b_k.
-Division by L and by the integer denominator happens last, in one step
-(`_value`), so a RATIONAL bound builds one Fraction and a symbolic one
-one Polynomial.  The checks the bounds share live
-with the data they check: the truncation depth in `graphs._size_cap`,
-the pairing of events with graph vertices in
-`events._require_one_vertex_per_event`.
+p, elsewhere the value itself.  Division by a moment bracket's scale and
+by the denominator happens last, in one step (`_value`), so a RATIONAL
+bound builds one Fraction and a symbolic one one Polynomial.
 
-`KINDS` is the one place that maps kind names to these functions and to
-the inputs each reads; `bound` evaluates a kind by name, and the command
-line and the reliability report name kinds only through it.
+Each kind is one row of `KINDS`, (bracket, reads, denominator).  The
+bracket function checks the inputs the row reads and returns the bracket,
+truncation, edge count and the argument of the denominator rule: none,
+α(g), α′, ceil(n / 2) or n - m.  One evaluator, `_evaluate`, takes
+(kind, inputs) rows in order: `bound` and each per-kind function run it
+on one row, `bounds all` on its table.  The system's memo (`_kept`) keeps
+each clique and moment bracket by its description, and α(g) and α′ by
+graph, so a bracket shared by kinds, such as the order-1 averaged one,
+is summed once.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from functools import partial
 from math import comb, lcm
 
 from .errors import DomainError, _exact_str, _repr, _require_int
@@ -98,28 +92,12 @@ class BoundReport:
     alpha_used: int | None = None
 
 
-def _report(kind, sys, bracket, denominator=None, truncation=None, edge_count=None) -> BoundReport:
-    """Report of the bound `kind` (which names its direction): the bracket
-    divided by the denominator, or the bracket itself if there is none.
-    The bracket is a pair (total, scale): a sum in the system's unit over
-    a positive integer scale, turned into one value by `_value`."""
-    total, scale = bracket
-    return BoundReport(
-        kind=kind,
-        direction="upper" if "-upper" in kind else "lower",
-        value=sys._value(total, scale if denominator is None else scale * denominator),
-        truncation=truncation,
-        n=sys.event_count,
-        edge_count=edge_count,
-        alpha_used=denominator,
-    )
-
-
-def _require_chordal(g: Graph, unchecked: bool) -> None:
-    if not unchecked and not is_chordal(g):
-        raise DomainError(
-            "graph is not chordal; pass unchecked=True only for demonstrations"
-        )
+def _kept(sys: EventSystem, key: tuple, compute):
+    """`compute()`, kept in the system's memo under the description `key`."""
+    value = sys._memo.get(key)
+    if value is None:
+        value = sys._memo[key] = compute()
+    return value
 
 
 def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
@@ -127,36 +105,22 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
     restricted to cliques of size <= size_cap (all cliques if None).
 
     This is the raw sum, before any division by a denominator; it makes no
-    chordality assumption.  Along a perfect elimination order every clique
-    is its first vertex v plus a subset S of L(v), the neighbours of v
-    later in the order, so a chordal graph's sum is, over its vertices v,
-    the cone sum of (-1)**|S| * P(A_v and every A_u, u in S) over the S
-    with |S| < t = size_cap.  A cone with |L(v)| < t is P(A_v less the
-    union of the A_u), one mass query on an explicit space.  A truncated
-    cone weighs the outcomes of A_v in exactly c of the A_u by
-    (-1)**(t - 1) * C(c - 1, t - 1), and those in none by 1, one mass
-    query per count.  At t = 1 the sum is sum_v P(A_v).  A product space
-    enumerates the subsets S.  Any other graph is summed over the cones
-    its search order walks: a cone with base B adds (-1)**(|B| - 1) times
-    the same cone sum with A_v replaced by the intersection of the events
-    of B, truncated at t - |B| + 1, so its cliques are never listed.
+    chordality assumption.  It is one `_cone_sum` per cone of g
+    (`graphs._cones`): along a perfect elimination order every clique is
+    its first vertex v plus a subset of L(v), the later neighbours of v,
+    and any other graph's cones are walked, so no clique is listed.
     """
     return sys._value(*_clique_bracket(sys, g, size_cap))
 
 
 def _clique_bracket(sys: EventSystem, g: Graph, size_cap: int | None):
     """`clique_sieve_sum` as a bracket (total, 1), the total in the
-    system's unit: `_cone_bracket` over the cones of g.  The system keeps
-    each bracket by g's adjacency masks, which fix its cones, and cap, so
-    the upper and the two lower chordal bounds of one graph sum it, and
-    walk a non-chordal graph's cones, once."""
+    system's unit: `_cone_bracket` over the cones of g, kept by g's
+    adjacency masks, which fix its cones, and cap.  So the chordal bounds
+    of one graph sum it, and walk a non-chordal graph's cones, once."""
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
     cap = _clique_cap(g, size_cap, "size_cap")
-    key = (g.adj, cap)
-    bracket = sys._clique_brackets.get(key)
-    if bracket is None:
-        bracket = sys._clique_brackets[key] = _cone_bracket(sys, _cones(g, cap), cap)
-    return bracket
+    return _kept(sys, ("clique", g.adj, cap), lambda: _cone_bracket(sys, _cones(g, cap), cap))
 
 
 def _cone_bracket(sys: EventSystem, cones, cap: int):
@@ -169,6 +133,16 @@ def _cone_bracket(sys: EventSystem, cones, cap: int):
         term = sys._cone_sum(base, rest, cap - len(base) + 1)
         total = total + term if len(base) % 2 else total - term
     return total, 1
+
+
+def _moment(sys: EventSystem, coefficients):
+    """`_moment_bracket`, kept by its coefficients: `_kept` written out,
+    since every moment kind, the reliability columns too, takes it."""
+    key = ("moment", *coefficients)
+    bracket = sys._memo.get(key)
+    if bracket is None:
+        bracket = sys._memo[key] = _moment_bracket(sys, coefficients)
+    return bracket
 
 
 def _moment_bracket(sys: EventSystem, coefficients):
@@ -192,68 +166,39 @@ def _moment_bracket(sys: EventSystem, coefficients):
     return total, scale
 
 
-def classical_bonferroni(sys: EventSystem, r: int = 1, direction: str = "upper") -> BoundReport:
-    """Alternating subset bound of depth r over all non-empty index sets.
+def _averaged_coefficients(n: int, m: int):
+    """Coefficients (a_k, b_k) of S_1 .. S_(m+1) in the averaged bracket of
+    order m, capped at n - 1: order 1 is Kwerel's S_1 - (2/n) S_2."""
+    m = min(m, n - 1)
+    coefficients = [
+        ((-1) ** (k - 1) * comb(m, k) * (n * k - (m + 1) * (k - 1)), comb(n, k) * (m - k + 1))
+        for k in range(1, m + 1)
+    ]
+    coefficients.append(((-1) ** m * (m + 1), comb(n, m)))
+    return coefficients
 
-    The upper bound keeps sets of size <= 2r - 1, the lower bound sets of
-    size <= 2r; the value is the alternating sum of the symmetric sums
-    S_1 - S_2 + S_3 - ... up to that size.  The defaults give the union
-    bound S_1.
-    """
-    if direction not in ("upper", "lower"):
-        raise DomainError(f"direction must be 'upper' or 'lower', got {_repr(direction)}")
+
+# The brackets: each checks the inputs its kinds read, with their defaults,
+# and returns (bracket, truncation, edge count, denominator argument).
+
+
+def _bonferroni(sys: EventSystem, r: int = 1, *, direction: str):
     cap = min(_size_cap(r, direction), sys.event_count)
-    signs = [((-1) ** (k - 1), 1) for k in range(1, cap + 1)]
-    return _report(f"bonferroni-{direction}", sys, _moment_bracket(sys, signs), truncation=r)
+    return _moment(sys, [((-1) ** (k - 1), 1) for k in range(1, cap + 1)]), r, None, None
 
 
-def chordal_upper(
-    sys: EventSystem, g: Graph, r: int | None = None, unchecked: bool = False
-) -> BoundReport:
-    """Upper bound: signed clique-complex sum, truncated at size 2r - 1.
-
-    Valid for chordal g; interpolates between the union bound (edgeless g)
-    and the full sieve formula (complete g).
-    """
-    cap = None if r is None else _size_cap(r, "upper")
-    _require_chordal(g, unchecked)
-    bracket = _clique_bracket(sys, g, cap)
-    return _report("chordal-upper", sys, bracket, truncation=r, edge_count=g.edge_count)
+def _chordal(sys: EventSystem, g: Graph, r: int | None = None, unchecked: bool = False, *, direction: str):
+    cap = None if r is None else _size_cap(r, direction)
+    if not unchecked and not is_chordal(g):
+        raise DomainError("graph is not chordal; pass unchecked=True only for demonstrations")
+    return _clique_bracket(sys, g, cap), r, g.edge_count, g
 
 
-def chordal_lower(
-    sys: EventSystem,
-    g: Graph,
-    r: int | None = None,
-    sharpened: bool = False,
-    unchecked: bool = False,
-) -> BoundReport:
-    """Lower bound: signed clique-complex sum truncated at size 2r,
-    divided by the independence number (or the sharpened denominator)."""
-    cap = None if r is None else _size_cap(r, "lower")
-    _require_chordal(g, unchecked)
-    bracket = _clique_bracket(sys, g, cap)
-    denominator = alpha_prime(sys, g) if sharpened else independence_number(g)
-    kind = "chordal-lower-sharpened" if sharpened else "chordal-lower"
-    return _report(kind, sys, bracket, denominator, truncation=r, edge_count=g.edge_count)
+def _hunter(sys: EventSystem, g: Graph):
+    return _clique_bracket(sys, require_tree(g), None), None, g.edge_count, g
 
 
-def hunter_upper_tree(sys: EventSystem, g: Graph) -> BoundReport:
-    """Hunter's tree upper bound: singleton sum minus the sum over the
-    edges of the tree g, which is `chordal_upper` on the tree."""
-    return replace(chordal_upper(sys, require_tree(g)), kind="hunter-upper")
-
-
-def hunter_lower_tree(sys: EventSystem, g: Graph) -> BoundReport:
-    """Hunter's tree lower bound, `chordal_lower` on the tree g: its
-    clique-complex sum divided by its independence number."""
-    return replace(chordal_lower(sys, require_tree(g)), kind="hunter-lower")
-
-
-def path_lower(sys: EventSystem, order=None) -> BoundReport:
-    """Lower bound along a path visiting the events in `order` (index
-    order by default): the clique-complex sum of that path divided by
-    ceil(n / 2), the independence number of a path."""
+def _path(sys: EventSystem, order=None):
     n = sys.event_count
     order = tuple(range(n) if order is None else order)
     for i in order:
@@ -264,24 +209,10 @@ def path_lower(sys: EventSystem, order=None) -> BoundReport:
     for v, u in zip(order, order[1:]):
         later[v] = 1 << u
     # The cones ((v,), later[v]); zip(range(n)) makes the one-vertex bases.
-    bracket = _cone_bracket(sys, zip(zip(range(n)), later), n)
-    return _report("path-lower", sys, bracket, (n + 1) // 2, edge_count=n - 1)
+    return _cone_bracket(sys, zip(zip(range(n)), later), n), None, n - 1, None
 
 
-def kwerel_upper(sys: EventSystem) -> BoundReport:
-    """Degree-two upper bound using only the average pairwise weight."""
-    bracket = _moment_bracket(sys, _averaged_coefficients(sys.event_count, 1))
-    return _report("kwerel-upper", sys, bracket)
-
-
-def kwerel_lower(sys: EventSystem) -> BoundReport:
-    """Closed form of the average of `path_lower` over all paths; uses the
-    singleton sum and the mean pairwise intersection only."""
-    bracket = _moment_bracket(sys, _averaged_coefficients(sys.event_count, 1))
-    return _report("kwerel-lower", sys, bracket, (sys.event_count + 1) // 2)
-
-
-def _seneta_bracket(sys: EventSystem, j: int, k: int):
+def _seneta(sys: EventSystem, j: int = 0, k: int = 1):
     """The clique sieve on the graph joining j and k to every other index,
     along the perfect elimination order that ends with j, then k."""
     _require_int(j, "distinguished index j")
@@ -295,91 +226,171 @@ def _seneta_bracket(sys: EventSystem, j: int, k: int):
     later = [1 << j | 1 << k] * n
     later[j] = 1 << k
     later[k] = 0
-    return _cone_bracket(sys, zip(zip(range(n)), later), n)
+    return _cone_bracket(sys, zip(zip(range(n)), later), n), None, None, distinguished
+
+
+def _kwerel(sys: EventSystem):
+    return _moment(sys, _averaged_coefficients(sys.event_count, 1)), None, None, None
+
+
+def _kwerel2(sys: EventSystem):
+    n = sys.event_count
+    if n < 3:
+        raise DomainError(f"need at least 3 events, got {n}")
+    return _generalized(sys, 2)
+
+
+def _generalized(sys: EventSystem, m: int = 0):
+    _require_int(m, "order m")
+    n = sys.event_count
+    if not 0 <= m <= n - 1:
+        raise DomainError(f"order m must satisfy 0 <= m <= {n - 1}, got {_exact_str(m)}")
+    return _moment(sys, _averaged_coefficients(n, m)), None, None, m
+
+
+def _alpha(sys: EventSystem, g: Graph) -> int:
+    return _kept(sys, ("alpha", g.adj), lambda: independence_number(g))
+
+
+def _alpha_prime(sys: EventSystem, g: Graph) -> int:
+    return _kept(sys, ("alpha-prime", g.adj), lambda: alpha_prime(sys, g))
+
+
+def _half(sys: EventSystem, _) -> int:
+    return (sys.event_count + 1) // 2
+
+
+def _less(sys: EventSystem, m: int) -> int:
+    return sys.event_count - m
+
+
+# Each kind: its bracket, the inputs it reads after the event system (g,
+# the graph; r; unchecked; order; j and k; m) and its denominator rule, a
+# function of the system and the argument the bracket returns.
+KINDS = {
+    "bonferroni-upper": (partial(_bonferroni, direction="upper"), ("r",), None),
+    "bonferroni-lower": (partial(_bonferroni, direction="lower"), ("r",), None),
+    "chordal-upper": (partial(_chordal, direction="upper"), ("g", "r", "unchecked"), None),
+    "chordal-lower": (partial(_chordal, direction="lower"), ("g", "r", "unchecked"), _alpha),
+    "chordal-lower-sharpened": (partial(_chordal, direction="lower"), ("g", "r", "unchecked"), _alpha_prime),
+    "hunter-upper": (_hunter, ("g",), None),
+    "hunter-lower": (_hunter, ("g",), _alpha),
+    "path-lower": (_path, ("order",), _half),
+    "kwerel-upper": (_kwerel, (), None),
+    "kwerel-lower": (_kwerel, (), _half),
+    "seneta-upper": (_seneta, ("j", "k"), None),
+    "seneta-lower": (_seneta, ("j", "k"), _less),
+    "kwerel2-lower": (_kwerel2, (), _less),
+    "generalized-lower": (_generalized, ("m",), _less),
+}
+
+
+def _evaluate(sys: EventSystem, kind: str, inputs: dict) -> tuple:
+    """The `BoundReport` fields of the row (kind, inputs), the inputs being
+    its bracket's keywords: the bracket (total, scale) over the row's
+    denominator, if any, made one value by `_value`."""
+    bracket, _, rule = KINDS[kind]
+    (total, scale), truncation, edge_count, argument = bracket(sys, **inputs)
+    denominator = None if rule is None else rule(sys, argument)
+    value = sys._value(total, scale if denominator is None else scale * denominator)
+    direction = "upper" if "-upper" in kind else "lower"
+    return kind, direction, value, truncation, sys.event_count, edge_count, denominator
+
+
+def _report(kind: str, sys: EventSystem, **inputs) -> BoundReport:
+    return BoundReport(*_evaluate(sys, kind, inputs))
+
+
+def bound(kind: str, sys: EventSystem, **inputs) -> BoundReport:
+    """The bound `kind` of `sys`, given the `inputs` it reads (see KINDS);
+    one left out or None keeps its default, but g is required."""
+    if kind not in KINDS:
+        raise DomainError(f"unknown bound kind {_repr(kind)}")
+    reads = KINDS[kind][1]
+    if "g" in reads and inputs.get("g") is None:
+        raise DomainError(f"bound kind {kind!r} needs a graph g")
+    given = {key: inputs[key] for key in reads if inputs.get(key) is not None}
+    return BoundReport(*_evaluate(sys, kind, given))
+
+
+def classical_bonferroni(sys: EventSystem, r: int = 1, direction: str = "upper") -> BoundReport:
+    """Alternating subset bound of depth r over all non-empty index sets:
+    the alternating sum S_1 - S_2 + S_3 - ... of the symmetric sums up to
+    size 2r - 1 (upper) or 2r (lower).  The defaults give the union bound."""
+    if direction not in ("upper", "lower"):
+        raise DomainError(f"direction must be 'upper' or 'lower', got {_repr(direction)}")
+    return _report(f"bonferroni-{direction}", sys, r=r)
+
+
+def chordal_upper(sys: EventSystem, g: Graph, r: int | None = None, unchecked: bool = False) -> BoundReport:
+    """Upper bound: signed clique-complex sum, truncated at size 2r - 1.
+    Valid for chordal g; interpolates between the union bound (edgeless g)
+    and the full sieve formula (complete g)."""
+    return _report("chordal-upper", sys, g=g, r=r, unchecked=unchecked)
+
+
+def chordal_lower(
+    sys: EventSystem, g: Graph, r: int | None = None, sharpened: bool = False, unchecked: bool = False
+) -> BoundReport:
+    """Lower bound: signed clique-complex sum truncated at size 2r,
+    divided by the independence number (or the sharpened denominator)."""
+    kind = "chordal-lower-sharpened" if sharpened else "chordal-lower"
+    return _report(kind, sys, g=g, r=r, unchecked=unchecked)
+
+
+def hunter_upper_tree(sys: EventSystem, g: Graph) -> BoundReport:
+    """Hunter's tree upper bound: singleton sum minus the sum over the
+    edges of the tree g, which is `chordal_upper` on the tree."""
+    return _report("hunter-upper", sys, g=g)
+
+
+def hunter_lower_tree(sys: EventSystem, g: Graph) -> BoundReport:
+    """Hunter's tree lower bound, `chordal_lower` on the tree g: its
+    clique-complex sum divided by its independence number."""
+    return _report("hunter-lower", sys, g=g)
+
+
+def path_lower(sys: EventSystem, order=None) -> BoundReport:
+    """Lower bound along a path visiting the events in `order` (index
+    order by default): the clique-complex sum of that path divided by
+    ceil(n / 2), the independence number of a path."""
+    return _report("path-lower", sys, order=order)
+
+
+def kwerel_upper(sys: EventSystem) -> BoundReport:
+    """Degree-two upper bound using only the average pairwise weight."""
+    return _report("kwerel-upper", sys)
+
+
+def kwerel_lower(sys: EventSystem) -> BoundReport:
+    """Closed form of the average of `path_lower` over all paths; uses the
+    singleton sum and the mean pairwise intersection only."""
+    return _report("kwerel-lower", sys)
 
 
 def seneta_upper(sys: EventSystem, j: int = 0, k: int = 1) -> BoundReport:
     """Upper bound built from two distinguished indices j and k: the
     clique-complex sum on the graph joining j and k to every other index."""
-    return _report("seneta-upper", sys, _seneta_bracket(sys, j, k))
+    return _report("seneta-upper", sys, j=j, k=k)
 
 
 def seneta_lower(sys: EventSystem, j: int = 0, k: int = 1) -> BoundReport:
-    """Lower bound from two distinguished indices j and k.
-
-    Equals the clique-complex lower bound on the join of a complete graph
-    on {j, k} with isolated vertices elsewhere; the denominator is that
-    join graph's independence number n - 2 + delta(j, k).
-    """
-    bracket = _seneta_bracket(sys, j, k)
-    return _report("seneta-lower", sys, bracket, sys.event_count - len({j, k}))
+    """Lower bound from two distinguished indices j and k: the
+    clique-complex lower bound on the join of a complete graph on {j, k}
+    with isolated vertices elsewhere, whose independence number
+    n - 2 + delta(j, k) is the denominator."""
+    return _report("seneta-lower", sys, j=j, k=k)
 
 
 def kwerel2_lower(sys: EventSystem) -> BoundReport:
     """Closed form of the average of `seneta_lower` over all ordered pairs
     of distinct distinguished indices; needs n >= 3."""
-    n = sys.event_count
-    if n < 3:
-        raise DomainError(f"need at least 3 events, got {n}")
-    return replace(generalized_lower(sys, 2), kind="kwerel2-lower")
+    return _report("kwerel2-lower", sys)
 
 
 def generalized_lower(sys: EventSystem, m: int = 0) -> BoundReport:
-    """Averaged lower bound of order m, for 0 <= m <= n - 1.
-
-    Closed form of the mean of the clique-complex lower bound over every
-    graph joining a complete graph on an m-set with isolated vertices on
-    its complement.  m = 0 gives the singleton average; m = 2 coincides
-    with `kwerel2_lower`.
-    """
-    _require_int(m, "order m")
-    n = sys.event_count
-    if not 0 <= m <= n - 1:
-        raise DomainError(f"order m must satisfy 0 <= m <= {n - 1}, got {_exact_str(m)}")
-    bracket = _moment_bracket(sys, _averaged_coefficients(n, m))
-    return _report("generalized-lower", sys, bracket, n - m)
-
-
-def _averaged_coefficients(n: int, m: int):
-    """Coefficients (a_k, b_k) of S_1 .. S_(m+1) in the averaged bracket of
-    order m, capped at n - 1: order 1 is Kwerel's S_1 - (2/n) S_2."""
-    m = min(m, n - 1)
-    coefficients = [
-        ((-1) ** (k - 1) * comb(m, k) * (n * k - (m + 1) * (k - 1)), comb(n, k) * (m - k + 1))
-        for k in range(1, m + 1)
-    ]
-    coefficients.append(((-1) ** m * (m + 1), comb(n, m)))
-    return coefficients
-
-
-# Each kind's function by name, the inputs it reads after the event system
-# (g, the graph; r; unchecked; order; j and k; m) and its fixed arguments.
-# `bound` looks the name up per call, so a wrapper set on the module sees it.
-KINDS = {
-    "bonferroni-upper": ("classical_bonferroni", ("r",), {"direction": "upper"}),
-    "bonferroni-lower": ("classical_bonferroni", ("r",), {"direction": "lower"}),
-    "chordal-upper": ("chordal_upper", ("g", "r", "unchecked"), {}),
-    "chordal-lower": ("chordal_lower", ("g", "r", "unchecked"), {}),
-    "chordal-lower-sharpened": ("chordal_lower", ("g", "r", "unchecked"), {"sharpened": True}),
-    "hunter-upper": ("hunter_upper_tree", ("g",), {}),
-    "hunter-lower": ("hunter_lower_tree", ("g",), {}),
-    "path-lower": ("path_lower", ("order",), {}),
-    "kwerel-upper": ("kwerel_upper", (), {}),
-    "kwerel-lower": ("kwerel_lower", (), {}),
-    "seneta-upper": ("seneta_upper", ("j", "k"), {}),
-    "seneta-lower": ("seneta_lower", ("j", "k"), {}),
-    "kwerel2-lower": ("kwerel2_lower", (), {}),
-    "generalized-lower": ("generalized_lower", ("m",), {}),
-}
-
-
-def bound(kind: str, sys: EventSystem, **inputs) -> BoundReport:
-    """The bound `kind` of `sys`, given the `inputs` it reads (see KINDS);
-    one left out or None keeps the function's default, but g is required."""
-    if kind not in KINDS:
-        raise DomainError(f"unknown bound kind {_repr(kind)}")
-    name, reads, fixed = KINDS[kind]
-    if "g" in reads and inputs.get("g") is None:
-        raise DomainError(f"bound kind {kind!r} needs a graph g")
-    given = {key: inputs[key] for key in reads if inputs.get(key) is not None}
-    return globals()[name](sys, **given, **fixed)
+    """Averaged lower bound of order m, for 0 <= m <= n - 1: closed form
+    of the mean of the clique-complex lower bound over every graph joining
+    a complete graph on an m-set with isolated vertices on its complement.
+    m = 0 gives the singleton average; m = 2 coincides with `kwerel2_lower`."""
+    return _report("generalized-lower", sys, m=m)

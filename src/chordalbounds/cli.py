@@ -285,25 +285,25 @@ def _cmd_bounds_all(args) -> int:
     sys_ = _load_events(args.events)
     n = sys_.event_count
     g = _load_graph(args.graph, n)
+    chordal = {"g": g, "unchecked": args.unchecked}
     rows = [("bonferroni-upper", {}), ("bonferroni-lower", {})]
     for kind in ("chordal-upper", "chordal-lower"):
-        rows += [(kind, {}), (kind, {"r": 1})]
-    rows.append(("chordal-lower-sharpened", {}))
+        rows += [(kind, chordal), (kind, {**chordal, "r": 1})]
+    rows.append(("chordal-lower-sharpened", chordal))
     if is_tree(g):
-        rows += [("hunter-upper", {}), ("hunter-lower", {})]
+        rows += [("hunter-upper", {"g": g}), ("hunter-lower", {"g": g})]
     rows += [("path-lower", {}), ("kwerel-upper", {}), ("kwerel-lower", {})]
     if n >= 3:
         rows.append(("kwerel2-lower", {}))
     rows += [("generalized-lower", {"m": m}) for m in range(n)]
     # Every bound is computed before any output, so an error prints nothing.
-    shared = {"g": g, "unchecked": args.unchecked}
-    reports = [bnd.bound(kind, sys_, **shared, **inputs) for kind, inputs in rows]
+    reports = [bnd._evaluate(sys_, kind, inputs) for kind, inputs in rows]
     print(f"{'kind':<26} {'dir':<5} {'r':>3}  value")
     print(f"{'exact-union':<26} {'-':<5} {'-':>3}  {_fmt(union_prob_exact(sys_))}")
-    for (kind, inputs), report in zip(rows, reports):
+    for (kind, inputs), (_, direction, value, truncation, *_) in zip(rows, reports):
         label = f"{kind} m={inputs['m']}" if "m" in inputs else kind
-        r_str = "-" if report.truncation is None else str(report.truncation)
-        print(f"{label:<26} {report.direction:<5} {r_str:>3}  {_fmt(report.value)}")
+        r_str = "-" if truncation is None else str(truncation)
+        print(f"{label:<26} {direction:<5} {r_str:>3}  {_fmt(value)}")
     return 0
 
 

@@ -117,14 +117,14 @@ class EventSystem:
 
     Instances are immutable once built; `_numerator` memoizes mask sums,
     seeded with the total weight, `_symmetric_sum` computes every
-    symmetric sum once, and `_clique_brackets` keeps the clique brackets
-    of `bounds`, so that repeated bound evaluations over the same system
-    stay cheap.
+    symmetric sum once, and `_memo` keeps the brackets and graph
+    denominators of `bounds`, so that repeated bound evaluations over the
+    same system stay cheap.
     """
 
     __slots__ = (
         "backend", "weights", "events", "_summands", "_denominator", "_zero", "_planes",
-        "_mass_cache", "_moments", "_clique_brackets",
+        "_mass_cache", "_moments", "_memo",
     )
 
     def __init__(self, backend: Backend, weights, events):
@@ -154,7 +154,7 @@ class EventSystem:
             self._mass_cache[full] = self._sum(self._summands) if backend.exact else _real_total(weights)
         full_numerator = self._numerator(full)
         self._moments: tuple | None = None
-        self._clique_brackets: dict = {}
+        self._memo: dict = {}
         total = self._value(full_numerator)
         if not backend.sum_is_one(total):
             raise DomainError(f"outcome weights must sum to one, got {_exact_str(total)}")
@@ -303,13 +303,16 @@ class EventSystem:
         S_k is the binomial moment sum_c W_c * C(c, k); for RATIONAL
         weights W_c and S_k are integers.  `_count_masks` selects the
         outcomes of each count in O(n**2) big-integer operations, each W_c
-        is one `_numerator` query, and the moments are cached.
+        is one `_numerator` query, and the moments are cached.  Only S_0,
+        the total weight, which no bracket reads, queries W_0.
         """
+        if k == 0:
+            return self._sum([self._numerator(m) for m in _count_masks(self.events, self.full_mask)])
         if self._moments is None:
             n = self.event_count
-            by_count = [self._numerator(m) for m in _count_masks(self.events, self.full_mask)]
-            terms = [[by_count[c] * math.comb(c, k) for c in range(k, n + 1)] for k in range(n + 1)]
-            self._moments = tuple(map(self._sum, terms))
+            by_count = [None, *map(self._numerator, _count_masks(self.events, self.full_mask)[1:])]
+            terms = [[by_count[c] * math.comb(c, k) for c in range(k, n + 1)] for k in range(1, n + 1)]
+            self._moments = (None, *map(self._sum, terms))
         return self._moments[k]
 
 
@@ -341,14 +344,14 @@ class ProductSystem:
       1 - p_c, so floats keep that product and the order of every sum, and
       their rounding does not depend on the probabilities being equal.
 
-    `_symmetric_sum` memoizes its sums, and `_clique_brackets` keeps the
-    clique brackets of `bounds`, so that repeated bound evaluations over
-    the same system stay cheap.
+    `_symmetric_sum` memoizes its sums, and `_memo` keeps the brackets and
+    graph denominators of `bounds`, so that repeated bound evaluations
+    over the same system stay cheap.
     """
 
     __slots__ = (
         "backend", "probs", "requires", "_zero", "_denominator", "_lane", "_by_count", "_scales",
-        "_factors", "_low_products", "_sums", "_clique_brackets",
+        "_factors", "_low_products", "_sums", "_memo",
     )
 
     def __init__(self, backend: Backend, probs, requires):
@@ -398,7 +401,7 @@ class ProductSystem:
             self._factors = probs, tuple(backend.one - p for p in probs), 1
         self._low_products: list | None = None  # built on first use (`_numerator`)
         self._sums: dict[int, object] = {}
-        self._clique_brackets: dict = {}
+        self._memo: dict = {}
 
     @property
     def event_count(self) -> int:
@@ -667,11 +670,11 @@ def _bit_planes(numerators) -> tuple[int, tuple[int, ...]] | tuple[()]:
 
 def _id_mask(ids, count: int, name: str) -> int:
     """Mask with bit i set for each id i, where every id must be an int in
-    0..count - 1.  The ids are read once.  A list of at most `_SHORT_IDS`
-    ids, each a plain int in range, is or-ed together bit by bit.  Any
-    other list is scattered into one byte per bit; then one type pass and
-    one check for negatives (a bytearray takes -count..-1 from its end) run
-    in C, and name any id the scatter refused."""
+    0..count - 1.  At most `_SHORT_IDS` plain ints in range are or-ed
+    together, more are scattered into one byte each in one pass that
+    checks each is a non-negative plain int.  Any other list is scattered
+    again; then one type pass and one check for negatives (a bytearray
+    takes -count..-1 from its end) run in C, and name any refused id."""
     ids = tuple(ids)
     if len(ids) <= _SHORT_IDS:
         mask = 0
@@ -683,6 +686,12 @@ def _id_mask(ids, count: int, name: str) -> int:
             return mask
     flags = bytearray(count)
     try:
+        for i in ids:
+            if type(i) is not int or i < 0:
+                break  # scattered again below, where the checks name it
+            flags[i] = 1
+        else:
+            return int(b"0" + flags[::-1].translate(_BYTE_DIGITS), 2)
         for i in ids:
             flags[i] = 1
     except (IndexError, TypeError):

@@ -13,6 +13,7 @@ import pytest
 from chordalbounds import (
     DomainError,
     EventSystem,
+    ProductSystem,
     bernoulli_product,
     build_graph,
     chordal_lower,
@@ -725,8 +726,51 @@ class TestKindTable:
         elif kind.startswith("chordal"):
             assert report.truncation == r
 
-    def test_rows_name_public_functions(self):
-        assert {name for name, _, _ in bounds.KINDS.values()} <= set(bounds.__all__)
+    def test_rows_match_public_functions_and_oracles(self):
+        # Each kind through `bound`, on one system whose memo every kind
+        # shares, equals its public function on a fresh system, bit for bit
+        # on floats, and its brute-force oracle: exactly on RATIONAL
+        # systems, in the same float order on REAL moment kinds, and within
+        # 1e-9 of the exact value of the float inputs otherwise.
+        assert set(PUBLIC) == set(bounds.KINDS)
+        assert {function.__name__ for function, _ in PUBLIC.values()} <= set(bounds.__all__)
+        families = {
+            "real": random_real_system,
+            "rational": random_rational_system,
+            "real-product": lambda rng, n: _product_system(rng, n, REAL),
+            "rational-product": lambda rng, n: _product_system(rng, n, RATIONAL),
+        }
+        checked = 0
+        for family, make in families.items():
+            for seed in range(3, 9):
+                shared = make(random.Random(seed), seed)
+                explicit = product_outcomes(shared) if isinstance(shared, ProductSystem) else shared
+                sums = brute_force_symmetric_sums(explicit, seed)
+                rng = random.Random(seed)
+                for kind in bounds.KINDS:
+                    if kind in MOMENT_KINDS:
+                        cases = []
+                        for inputs in _moment_cases(kind, seed):
+                            coefficients, denominator = moment_coefficients(kind, seed, **inputs)
+                            want = sum(c * s for c, s in zip(coefficients, sums)) / (denominator or 1)
+                            cases.append((inputs, want))
+                    else:
+                        cases = list(_clique_cases(kind, explicit, rng))
+                    for inputs, want in cases:
+                        report = bounds.bound(kind, shared, **inputs)
+                        function, fixed = PUBLIC[kind]
+                        alone = function(make(random.Random(seed), seed), **inputs, **fixed)
+                        label = (family, seed, kind, inputs)
+                        assert report == alone and repr(report.value) == repr(alone.value), label
+                        if shared.backend is RATIONAL:
+                            assert report.value == want, label
+                        else:
+                            assert abs(report.value - want) <= 1e-9, label
+                        if shared.backend is REAL and kind in MOMENT_KINDS:
+                            coefficients = moment_coefficients(kind, seed, **inputs)
+                            assert report.value == float_moment_bound(shared, *coefficients), label
+                        checked += 1
+        assert checked > 800
 
     def test_reliability_kinds_are_kinds(self):
         assert set(DEFAULT_BOUND_KINDS) <= set(bounds.KINDS)
@@ -917,6 +961,23 @@ class TestValidityOracle:
 MOMENT_KINDS = [
     kind for kind in bounds.KINDS if kind.startswith(("bonferroni", "kwerel", "generalized"))
 ]
+# The public function of each kind, with the arguments it fixes.
+PUBLIC = {
+    "bonferroni-upper": (classical_bonferroni, {"direction": "upper"}),
+    "bonferroni-lower": (classical_bonferroni, {"direction": "lower"}),
+    "chordal-upper": (chordal_upper, {}),
+    "chordal-lower": (chordal_lower, {}),
+    "chordal-lower-sharpened": (chordal_lower, {"sharpened": True}),
+    "hunter-upper": (hunter_upper_tree, {}),
+    "hunter-lower": (hunter_lower_tree, {}),
+    "path-lower": (path_lower, {}),
+    "kwerel-upper": (kwerel_upper, {}),
+    "kwerel-lower": (kwerel_lower, {}),
+    "seneta-upper": (seneta_upper, {}),
+    "seneta-lower": (seneta_lower, {}),
+    "kwerel2-lower": (kwerel2_lower, {}),
+    "generalized-lower": (generalized_lower, {}),
+}
 # The (j, k) pairs of the golden `bounds compute` cases.
 SENETA_PAIRS = [(0, 1), (2, 2), (9, 3)]
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from chordalbounds import bounds, cli, from_outcomes, graphs, reliability, values
+from chordalbounds import EventSystem, bounds, cli, from_outcomes, graphs, reliability, values
 from chordalbounds.cli import _load_events, main
 from chordalbounds.events import MAX_SIGNATURE_NODES
 from chordalbounds.poly import Polynomial
@@ -622,6 +622,56 @@ class TestBoundsAll:
         assert code == 0
         assert out == (DATA / "golden_unchecked.out").read_text()
         assert len(mcs_runs) == 1
+
+    def test_one_job_sums_each_bracket_once(self, capsys, tmp_path, monkeypatch):
+        # One evaluator runs the table: bonferroni-upper and generalized-lower
+        # m=0 share a moment bracket, as do kwerel-upper, kwerel-lower and
+        # m=1, and kwerel2-lower and m=2; hunter-* share the chordal rows'
+        # untruncated clique bracket on the tree.  Each distinct bracket is
+        # summed once, alpha and alpha' are computed once, and no query
+        # reads the outcomes in no event, which only S_0 weighs.
+        rng = random.Random(50)
+        n, outcomes = 6, 40
+        counts = [rng.randint(1, 9) for _ in range(outcomes)]
+        weights = [f"{c}/{sum(counts)}" for c in counts]
+        event_ids = [sorted(rng.sample(range(outcomes - 5), rng.randint(3, 12))) for _ in range(n)]
+        events, graph = tmp_path / "events.json", tmp_path / "path.json"
+        events.write_text(json.dumps({"weights": weights, "events": event_ids}))
+        graph.write_text(json.dumps({"vertices": n, "edges": [[v, v + 1] for v in range(n - 1)]}))
+        code, want, _ = run(capsys, "bounds", "all", str(events), "--graph", str(graph))
+        calls = {"cones": [], "moments": [], "alpha": [], "alpha_prime": [], "masks": []}
+
+        def spy(owner, name, record):
+            original = getattr(owner, name)
+
+            def recording(*args):
+                args = record(*args) or args
+                return original(*args)
+
+            monkeypatch.setattr(owner, name, recording)
+
+        def list_cones(sys_, cones, cap):
+            cones = list(cones)  # the walk, read once and passed on
+            calls["cones"].append((tuple(cones), cap))
+            return sys_, cones, cap
+
+        spy(bounds, "_cone_bracket", list_cones)
+        spy(bounds, "_moment_bracket", lambda sys_, coefficients: calls["moments"].append(tuple(coefficients)))
+        spy(bounds, "independence_number", lambda g: calls["alpha"].append(g))
+        spy(bounds, "alpha_prime", lambda sys_, g: calls["alpha_prime"].append(g))
+        spy(EventSystem, "_numerator", lambda sys_, mask: calls["masks"].append(mask))
+        assert run(capsys, "bounds", "all", str(events), "--graph", str(graph)) == (code, want, "")
+        assert code == 0 and "hunter-lower" in want
+        # The clique brackets at caps 6, 1 and 2, and the path's written cones.
+        assert len(calls["cones"]) == len(set(calls["cones"])) == 4
+        # Bonferroni-lower at depth 1, and the averaged brackets of m = 0..5.
+        assert len(calls["moments"]) == len(set(calls["moments"])) == n + 1
+        assert len(calls["alpha"]) == len(calls["alpha_prime"]) == 1
+        in_some_event = 0
+        for ids in event_ids:
+            in_some_event |= sum(1 << o for o in ids)
+        no_event = (1 << outcomes) - 1 & ~in_some_event
+        assert no_event and calls["masks"] and no_event not in calls["masks"]
 
     def test_unchecked_cones_walked_once_per_cap(self, capsys, tmp_path, monkeypatch):
         # chordal-upper, chordal-lower and chordal-lower-sharpened share the
@@ -1605,11 +1655,11 @@ class TestPlumbing:
                             assert code in (1, 2, 3) and not out and err.startswith("error: "), label
 
     def test_internal_error_is_not_a_usage_error(self, capsys, monkeypatch, events_json):
-        def broken(sys_):
+        def broken(sys_, coefficients):
             raise ValueError("internal bug")
 
-        # `bounds.bound` looks the function up when it runs, so the CLI calls the patched one.
-        monkeypatch.setattr(bounds, "kwerel_lower", broken)
+        # The evaluator looks the bracket sum up when it runs, so the CLI calls the patched one.
+        monkeypatch.setattr(bounds, "_moment_bracket", broken)
         with pytest.raises(ValueError, match="internal bug"):
             main(["bounds", "compute", events_json, "--kind", "kwerel-lower"])
 

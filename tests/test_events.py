@@ -1739,6 +1739,29 @@ class TestLoaderAgainstReference:
             got = outcome_of(events._id_mask, (i for i in ids), count, "coordinate")
             assert got == outcome_of(reference_id_mask, (i for i in ids), count, "coordinate"), (ids, count)
 
+    def test_long_id_lists_with_one_odd_id(self):
+        # Past the shift-or limit the ids are scattered in one pass that
+        # takes only plain non-negative ints.  Any other id sends the whole
+        # list through the checked scatter again, which accepts an int
+        # subclass and names every other odd id as the reference does.
+        class Id(int):
+            pass
+
+        class Index:
+            def __index__(self):
+                return 1
+
+        for length in (17, 600):
+            count = length + 2
+            for odd in (Id(length), Index(), True, False, -1, count, 1.0):
+                for at in (0, length // 2, length - 1):
+                    ids = list(range(length - 1))
+                    ids.insert(at, odd)
+                    want = outcome_of(reference_id_mask, ids, count, "outcome")
+                    assert outcome_of(events._id_mask, ids, count, "outcome") == want, (length, odd, at)
+                    if type(odd) is Id:
+                        assert want == (1 << length - 1) - 1 | 1 << length
+
     def test_negative_ids_are_out_of_range(self):
         # a bytearray takes -count..-1 as indices from its end
         for i in range(-5, 0):

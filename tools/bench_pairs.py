@@ -60,6 +60,11 @@ def _spread(values: list[float]) -> float:
     return 0.0 if stats["iqr"] == 0 else float("inf")
 
 
+# Fewest pairs any verdict but "unresolved" rests on: three pairs of the
+# optimize benchmark read a 37 % setup_s regression that five did not.
+MIN_PAIRS = 5
+
+
 def verdict(base: list[float], head: list[float], direction: str, bound: float) -> str:
     """The verdict on one metric, from its paired runs (the i-th base and
     head values form a pair), its better direction and its bound, a
@@ -70,9 +75,12 @@ def verdict(base: list[float], head: list[float], direction: str, bound: float) 
       than the base quartile distance;
     * "regression": the head median is worse than the base median by
       more than the bound;
-    * "unresolved": either side spreads wider than the bound, unless every
-      head run is better than every base run;
+    * "unresolved": fewer than MIN_PAIRS pairs, or either side spreads
+      wider than the bound, unless every head run is better than every
+      base run;
     * "within bound" otherwise."""
+    if len(base) < MIN_PAIRS:
+        return "unresolved"
     sign = 1 if direction == "higher" else -1
     wins = sum(sign * (h - b) > 0 for b, h in zip(base, head))
     base_stats, head_median = _stats(base), statistics.median(head)
