@@ -55,8 +55,48 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """A parser whose errors raise `_UsageError`, and which keeps the
+    actions `add_argument` returned (`arguments`), what `set_defaults`
+    gave (`fixed`) and its optional exclusive groups (`exclusive`)."""
+
+    def __init__(self, *args, **kwargs):
+        self.arguments, self.fixed, self.exclusive = [], {}, []
+        super().__init__(*args, **kwargs)
+
     def error(self, message):
         raise _UsageError(message)
+
+    def add_argument(self, *args, **kwargs):
+        action = super().add_argument(*args, **kwargs)
+        self.arguments.append(action)
+        return action
+
+    def set_defaults(self, **kwargs):
+        super().set_defaults(**kwargs)
+        self.fixed.update(kwargs)
+
+    @functools.cached_property
+    def plain(self):
+        """(options by string, positionals, required actions, each
+        exclusive action's group, namespace defaults) for `_read_plain`;
+        None for actions it does not read the way argparse does."""
+        options, positionals, groups, defaults = {}, [], {}, {}
+        for action in self.arguments:
+            if not action.option_strings:
+                if action.nargs is not None or action.default is argparse.SUPPRESS:
+                    return None
+                positionals.append(action)
+            elif action.default is argparse.SUPPRESS:  # -h, --help
+                continue
+            elif action.nargs in (None, 0):
+                options.update(dict.fromkeys(action.option_strings, action))
+            if isinstance(action.default, str) and action.type is not None:
+                return None  # argparse converts it after its parse
+            defaults.setdefault(action.dest, action.default)
+        for group in self.exclusive:
+            groups.update(dict.fromkeys(group, group))
+        required = [action for action in self.arguments if action.required]
+        return options, positionals, required, groups, {**self.fixed, **defaults}
 
 
 def _fmt(value) -> str:
@@ -367,7 +407,7 @@ def _parse_sweep(raw: str) -> tuple[range, int]:
 def _cmd_reliability(args) -> int:
     net = _load_network(args.network)
     columns = ("exact", *DEFAULT_BOUND_KINDS)
-    if args.bounds:
+    if args.bounds is not None:
         columns = ("exact", *(part.strip() for part in args.bounds.split(",") if part.strip()))
         unknown = [kind for kind in columns[1:] if kind not in DEFAULT_BOUND_KINDS]
         if unknown:
@@ -477,8 +517,9 @@ def _build_parser() -> _Parser:
     path_p.add_argument("events")
     # --exact is the default mode; perfbench's path jobs and CI's golden path step pass it.
     mode = path_p.add_mutually_exclusive_group()
-    mode.add_argument("--exact", action="store_true")
-    mode.add_argument("--heuristic", action="store_true")
+    modes = (mode.add_argument("--exact", action="store_true"), mode.add_argument("--heuristic", action="store_true"))
+    path_p.arguments += modes
+    path_p.exclusive.append(modes)
     path_p.set_defaults(handler=_cmd_optimize, structure="path")
 
     reliability_p = sub.add_parser("reliability", help="network reliability report")
@@ -508,6 +549,46 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _read_plain(leaf: _Parser, argv: list[str]):
+    """`leaf.parse_args(argv)` without argparse's parse, if `argv` is
+    plain: positionals not starting with "-", and exact option strings,
+    each once, a valued one followed by a value not starting with "-"
+    that passes its `type` and `choices`; every required argument, and
+    one option at most of each exclusive group.  Each value is stored by
+    calling its action.  Any other argv gives None."""
+    plain = leaf.plain
+    if plain is None:
+        return None
+    options, positionals, required, groups, defaults = plain
+    namespace = argparse.Namespace(**defaults)
+    seen = set()
+    waiting = iter(positionals)
+    tokens = iter(argv)
+    for token in tokens:
+        if token[:1] != "-":
+            action, option, value = next(waiting, None), None, token
+            if action is None:
+                return None
+        else:
+            action, option = options.get(token), token
+            if action is None or action in seen or not seen.isdisjoint(groups.get(action, ())):
+                return None
+            value = [] if action.nargs == 0 else next(tokens, "-")
+            if value[:1] == "-":
+                return None
+        if action.nargs is None:
+            if action.type is not None:
+                try:
+                    value = action.type(value)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        action(leaf, namespace, value, option)
+        seen.add(action)
+    return namespace if seen.issuperset(required) else None
+
+
 # Exit code of each error `main` reports, tested in this order; others propagate.
 _EXIT_CODES = {
     _UsageError: 1, ResourceLimitError: 3, DomainError: 2, OSError: 1, ParseError: 1, UnicodeDecodeError: 1,
@@ -520,6 +601,9 @@ def main(argv=None) -> int:
     `optimize tree` or `reliability`, is parsed after them by that
     command's own parser, with the same result, messages and help as
     through the whole tree, but without a parse at each level above it.
+    A plain rest (`_read_plain`) is read from that parser's own actions
+    without argparse's parse; argparse parses any other rest: help,
+    every error, abbreviations, `--x=v`, `--` and repeats.
     Every other argv takes the full parser: no arguments, an option
     before the command (`-h`, `--help`), a command without its action
     (`optimize`, `bounds -h`) and an unknown command or action.  When
@@ -534,7 +618,11 @@ def main(argv=None) -> int:
         leaf = parser.leaves.get(words)
     try:
         try:
-            args = parser.parse_args(argv) if leaf is None else leaf.parse_args(argv[len(words):])
+            if leaf is None:
+                args = parser.parse_args(argv)
+            else:
+                rest = argv[len(words):]
+                args = _read_plain(leaf, rest) or leaf.parse_args(rest)
             code = args.handler(args)
         except SystemExit as exc:  # argparse --help
             code = 0 if (exc.code or 0) == 0 else 1

@@ -674,8 +674,12 @@ def _id_mask(ids, count: int, name: str) -> int:
     together, more are scattered into one byte each in one pass that
     checks each is a non-negative plain int.  Any other list is scattered
     again; then one type pass and one check for negatives (a bytearray
-    takes -count..-1 from its end) run in C, and name any refused id."""
-    ids = tuple(ids)
+    takes -count..-1 from its end) run in C, and name any refused id.
+    `ids` that is no iterable is named too."""
+    try:
+        ids = tuple(ids)
+    except TypeError:
+        raise DomainError(f"an event lists {name} ids, got {_repr(ids)}") from None
     if len(ids) <= _SHORT_IDS:
         mask = 0
         for i in ids:

@@ -22,7 +22,8 @@ from numbers import Rational, Real
 
 from .bounds import bound
 from .errors import DomainError, _exact_str, _repr, _require_int, _to_float
-from .events import ProductSystem, _require_coordinate_cap, bernoulli_product, union_prob_exact
+from .events import MAX_PRODUCT_COORDS, ProductSystem, _id_mask, _require_coordinate_cap, union_prob_exact
+from .graphs import _bits
 from .poly import P, Polynomial
 from .values import POLYNOMIAL, REAL, _read_rational
 
@@ -97,18 +98,23 @@ def build_network(node_count, arcs, source, terminal, reliability=SYMBOLIC) -> N
         seen.add((tail, head))
     if reliability != SYMBOLIC:
         scalar = not isinstance(reliability, sequences)
-        values = (reliability,) if scalar else reliability
-        for p in values:
-            # bool is an int, so a Real too
-            if isinstance(p, bool) or not isinstance(p, Real):
-                raise DomainError(f"arc reliability must be {SYMBOLIC!r} or numeric, got {_repr(p)}")
-        values = tuple(_to_float(p, "arc reliability") for p in values)
+        values = (reliability,) if scalar else tuple(reliability)
+        # Float values are screened in C, by one type pass and min, max and
+        # a sum (which a NaN makes NaN); only refused values are walked,
+        # to name the first bad one.
+        if not set(map(type, values)) <= {float}:
+            for p in values:
+                # bool is an int, so a Real too
+                if isinstance(p, bool) or not isinstance(p, Real):
+                    raise DomainError(f"arc reliability must be {SYMBOLIC!r} or numeric, got {_repr(p)}")
+            values = tuple(_to_float(p, "arc reliability") for p in values)
         reliability = values * len(arcs) if scalar else values
         if len(reliability) != len(arcs):
             raise DomainError("need one reliability value per arc")
-        for p in reliability:
-            if not 0.0 <= p <= 1.0:
-                raise DomainError(f"arc reliability {p} outside [0, 1]")
+        if reliability and not (0.0 <= min(reliability) and max(reliability) <= 1.0 and sum(reliability) >= 0.0):
+            for p in reliability:
+                if not 0.0 <= p <= 1.0:
+                    raise DomainError(f"arc reliability {p} outside [0, 1]")
     return Network(node_count, arcs, source, terminal, reliability)
 
 
@@ -130,72 +136,85 @@ def bridge_network(reliability=SYMBOLIC) -> Network:
 
 def enumerate_st_paths(net: Network) -> tuple[frozenset[int], ...]:
     """All simple directed source-to-terminal paths as arc-id sets,
-    canonically ordered by length, then lexicographic arc ids.
+    canonically ordered by length, then lexicographic arc ids: the paths
+    of `_path_masks`, each as the set of its arc ids."""
+    return tuple(frozenset(_bits(mask)) for mask in _path_masks(net))
 
-    The walk keeps its partial paths (node, visited nodes, arcs used) on
-    an explicit stack, so a path of any length is followed without
-    recursion; the order it finds them in is dropped by the sort.  A
-    visited node is marked by the bit of its dense index, its place among
-    the source and the arc heads, so a mask grows with the network and
-    not with the node ids."""
-    # (arc id, head, head's bit) by tail node, so that nodes no arc leaves
-    # cost nothing; the source has bit 1, each other head the next bit.
+
+def _path_masks(net: Network) -> list[int]:
+    """All simple directed source-to-terminal paths as arc masks (bit i
+    for arc i), canonically ordered by length, then lexicographic arc ids.
+
+    The walk keeps its partial paths (node, visited nodes, arc mask, sort
+    key) on an explicit stack, so a path of any length is followed
+    without recursion.  A visited node is marked by the bit of its dense
+    index, its place among the source and the arc heads.  Over m arcs,
+    arc i adds 2**m - 2**(m - 1 - i) to the key, so a path of k arcs has
+    k * 2**m less its mask with the m bits reversed: among paths of one
+    length, the first by sorted arc ids has the largest reversed mask."""
+    # (head, head's bit, arc's bit, arc's key) by tail node; the source
+    # has bit 1, each other head the next bit.
+    m = len(net.arcs)
     bits = {net.source: 1}
-    outgoing: dict[int, list[tuple[int, int, int]]] = {}
+    outgoing: dict[int, list[tuple[int, int, int, int]]] = {}
     for arc_id, (tail, head) in enumerate(net.arcs):
         bit = bits.setdefault(head, 1 << len(bits))
-        outgoing.setdefault(tail, []).append((arc_id, head, bit))
-    found: list[frozenset[int]] = []
-    stack = [(net.source, 1, ())]
+        outgoing.setdefault(tail, []).append((head, bit, 1 << arc_id, (1 << m) - (1 << m - 1 - arc_id)))
+    found: dict[int, int] = {}
+    terminal = net.terminal
+    stack = [(net.source, 1, 0, 0)]
     while stack:
-        node, visited, used = stack.pop()
-        if node == net.terminal:
-            found.append(frozenset(used))
+        node, visited, mask, key = stack.pop()
+        if node == terminal:
+            found[key] = mask
             continue
-        for arc_id, head, bit in outgoing.get(node, ()):
+        for head, bit, arc, rank in outgoing.get(node, ()):
             if not visited & bit:
-                stack.append((head, visited | bit, used + (arc_id,)))
-    found.sort(key=lambda s: (len(s), sorted(s)))
-    return tuple(found)
+                stack.append((head, visited | bit, mask | arc, key + rank))
+    return [found[key] for key in sorted(found)]
 
 
-def _st_paths(net: Network):
-    """No paths when the terminal is unreachable (one search over the
-    arcs), else every s-t path.  A reachable network is checked against
-    the product-space cap before the enumeration, which grows
-    exponentially with the arcs, since every arc becomes a coordinate of
-    the path events."""
-    heads: dict[int, list[int]] = {}
-    for tail, head in net.arcs:
-        heads.setdefault(tail, []).append(head)
-    reached, frontier = {net.source}, [net.source]
-    while frontier:
-        for head in heads.get(frontier.pop(), ()):
-            if head not in reached:
-                reached.add(head)
-                frontier.append(head)
-    if net.terminal not in reached:
-        return ()
-    _require_coordinate_cap(len(net.arcs))
-    return enumerate_st_paths(net)
+def _st_paths(net: Network) -> list[int]:
+    """The masks of every s-t path (`_path_masks`).  Past
+    MAX_PRODUCT_COORDS arcs, where the walk grows exponentially with the
+    arcs, one search over the arcs runs first: a network whose terminal
+    it does not reach has no path, and any other is refused by the cap,
+    since every arc becomes a coordinate of the path events.  Under the
+    cap the walk finds a network without paths by itself."""
+    if len(net.arcs) > MAX_PRODUCT_COORDS:
+        heads: dict[int, list[int]] = {}
+        for tail, head in net.arcs:
+            heads.setdefault(tail, []).append(head)
+        reached, frontier = {net.source}, [net.source]
+        while frontier:
+            for head in heads.get(frontier.pop(), ()):
+                if head not in reached:
+                    reached.add(head)
+                    frontier.append(head)
+        if net.terminal not in reached:
+            return []
+        _require_coordinate_cap(len(net.arcs))
+    return _path_masks(net)
 
 
 def path_event_system(net: Network, paths=None) -> ProductSystem:
     """Product-form system over arc states, one event per path.
 
-    Pass `paths` to fix the event order explicitly; by default the
-    canonical enumeration order is used.
+    Pass `paths`, each an iterable of arc ids, to fix the event order
+    explicitly; by default the canonical enumeration order is used.
     """
-    paths = tuple(frozenset(p) for p in (_st_paths(net) if paths is None else paths))
-    if not paths:
+    if paths is None:
+        return _path_system(net, _st_paths(net))
+    return _path_system(net, [_id_mask(path, len(net.arcs), "coordinate") for path in paths])
+
+
+def _path_system(net: Network, masks) -> ProductSystem:
+    """The path events of the arc masks `masks`."""
+    if not masks:
         raise DomainError("network has no source-to-terminal path")
     if net.symbolic:
-        probs = [P] * len(net.arcs)
-        backend = POLYNOMIAL
-    else:
-        probs = list(net.arc_reliability)
-        backend = REAL
-    return bernoulli_product(probs, paths, backend=backend)
+        return ProductSystem(POLYNOMIAL, (P,) * len(net.arcs), masks)
+    return ProductSystem(REAL, net.arc_reliability, masks)
 
 
 def exact_reliability(net: Network):
@@ -206,10 +225,10 @@ def exact_reliability(net: Network):
     Returns a Polynomial for symbolic networks, a float otherwise; a
     network with no path has reliability zero.
     """
-    paths = _st_paths(net)
-    if not paths:
+    masks = _st_paths(net)
+    if not masks:
         return POLYNOMIAL.zero if net.symbolic else 0.0
-    return union_prob_exact(path_event_system(net, paths))
+    return union_prob_exact(_path_system(net, masks))
 
 
 def bound_values(net: Network) -> dict:
@@ -226,11 +245,11 @@ def bound_values(net: Network) -> dict:
     p for a symbolic network and floats otherwise.  A symbolic network
     with no path gets zero polynomials; a numeric one raises DomainError.
     """
-    paths = _st_paths(net)
-    if not paths and net.symbolic:
+    masks = _st_paths(net)
+    if not masks and net.symbolic:
         return dict.fromkeys(("exact", *DEFAULT_BOUND_KINDS), POLYNOMIAL.zero)
-    sys = path_event_system(net, paths)
-    order = range(len(paths) - 1, -1, -1)
+    sys = _path_system(net, masks)
+    order = range(len(masks) - 1, -1, -1)
     values = {"exact": union_prob_exact(sys)}
     for kind in DEFAULT_BOUND_KINDS:
         report = bound("path-lower", sys, order=order) if kind == "hunter-lower" else bound(kind, sys)

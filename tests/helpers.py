@@ -68,6 +68,31 @@ def bits(mask: int):
         mask ^= low
 
 
+def brute_force_st_paths(net) -> tuple[frozenset[int], ...]:
+    """Every simple directed source-to-terminal path of `net` as its set of
+    arc ids, found by testing every subset of the arcs: a subset is a path
+    when no node leaves by two of its arcs, and following its arcs from
+    the source visits new nodes only, ends at the terminal and uses every
+    arc.  Sorted by length, then by the sorted arc ids."""
+    found = []
+    for subset in range(1, 1 << len(net.arcs)):
+        leaving = {}
+        for arc_id in bits(subset):
+            leaving.setdefault(net.arcs[arc_id][0], []).append(arc_id)
+        if any(len(ids) > 1 for ids in leaving.values()):
+            continue
+        node, visited, used = net.source, {net.source}, 0
+        while node != net.terminal and node in leaving:
+            node = net.arcs[leaving[node][0]][1]
+            if node in visited:
+                break
+            visited.add(node)
+            used += 1
+        if node == net.terminal and used == subset.bit_count():
+            found.append(frozenset(bits(subset)))
+    return tuple(sorted(found, key=lambda path: (len(path), sorted(path))))
+
+
 def _connected_subset(g: Graph, subset) -> bool:
     subset = list(subset)
     smask = 0

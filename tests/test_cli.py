@@ -1,5 +1,6 @@
 """Command-line interface: output formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import random
@@ -1210,6 +1211,13 @@ class TestReliability:
         code, out, err = run(capsys, "reliability", network_json, "--sweep", "0:1:0")
         assert code == 1 and not out and "sweep step must be positive" in err
 
+    @pytest.mark.parametrize("kinds", ["", ",", " , "])
+    def test_empty_bound_list_prints_exact_only(self, capsys, network_json, kinds):
+        code, out, err = run(capsys, "reliability", network_json, "--bounds", kinds)
+        assert (code, out, err) == (0, "exact: 2p^2 + 2p^3 - 5p^4 + 2p^5\nexact coeffs: 0 0 2 2 -5 2\n", "")
+        code, out, err = run(capsys, "reliability", network_json, "--bounds", kinds, "--sweep", "0:1:0.5")
+        assert (code, out, err) == (0, "p,exact\n0,0\n0.5,0.5\n1,1\n", "")
+
     def test_unknown_bound_kind_exit_1(self, capsys, network_json):
         code, out, err = run(capsys, "reliability", network_json, "--bounds", "nosuch")
         assert (code, out, err) == (1, "", "error: unknown bound kinds: nosuch\n")
@@ -1240,11 +1248,12 @@ class TestReliability:
     @pytest.mark.parametrize("p", [0.5, "symbolic"])
     def test_arc_cap_checked_before_paths_are_enumerated(self, capsys, monkeypatch, tmp_path, p):
         # The complete digraph on 11 nodes has 110 arcs and about a million
-        # s-t paths; the cap on product coordinates rejects it first.
-        def enumerate_st_paths(net):
+        # s-t paths; the cap on product coordinates rejects it before the
+        # walk the report runs.
+        def path_masks(net):
             raise AssertionError("paths enumerated")
 
-        monkeypatch.setattr(reliability, "enumerate_st_paths", enumerate_st_paths)
+        monkeypatch.setattr(reliability, "_path_masks", path_masks)
         arcs = [[u, v] for u in range(11) for v in range(11) if u != v]
         path = tmp_path / "k11.json"
         path.write_text(json.dumps({"nodes": 11, "arcs": arcs, "s": 0, "t": 10, "p": p}))
@@ -1814,6 +1823,65 @@ class TestPlumbing:
             assert outcomes() == routed
         code, out, _ = run(capsys, "optimize", "tree", "--help")
         assert code == 0 and out.startswith("usage: chordalbounds optimize tree ")
+
+    def test_plain_reader_matches_argparse(
+        self, capsys, monkeypatch, events_json, graph_text, network_json
+    ):
+        # Every leaf on a seeded grid of argv forms, built from the leaf's
+        # own actions: plain forms in any order, and each form argparse
+        # alone must handle.  The reader gives None or the Namespace
+        # `parse_args` gives, and `main` prints and exits as with argparse
+        # alone.
+        good = {
+            "file": graph_text, "events": events_json, "network": network_json, "graph": graph_text,
+            "kind": "bonferroni-upper", "order": "0,1,2,3", "sweep": "0:1:0.5", "bounds": "kwerel-lower",
+            "objective": "maximize-weight", "r": "2", "j": "1", "k": "5", "m": "1",
+        }
+        rng = random.Random(5102)
+        parser = cli._build_parser()
+        forms, plain = [], []
+        for words, leaf in parser.leaves.items():
+            actions = [action for action in leaf.arguments if action.default is not argparse.SUPPRESS]
+            for _ in range(60):
+                segments = []
+                for action in actions:
+                    if not action.option_strings:
+                        if rng.random() < 0.95:
+                            segments.append([rng.choice([good[action.dest]] * 12 + ["-1", "--", ""])])
+                        continue
+                    if rng.random() < (0.05 if action.required else 0.6):
+                        continue
+                    option = rng.choice(action.option_strings)
+                    value = [] if action.nargs == 0 else [good[action.dest]]
+                    form = rng.randrange(20)
+                    if form == 0 and len(option) > 3:
+                        option = option[:-1]  # an abbreviation
+                    elif form == 1 and value:
+                        option, value = f"{option}={value[0]}", []
+                    elif form in (2, 3) and value:
+                        value = [rng.choice(["-1", "-x", "bogus", "x", "1.5", ""])]
+                    elif form == 4:
+                        value = []  # a valued option left without its value
+                    elif form == 5:
+                        segments.append([option, *value])  # repeated
+                    segments.append([option, *value])
+                extra = rng.randrange(16)
+                if extra < 4:
+                    segments.insert(rng.randrange(len(segments) + 1), [["--", "-h", "--help", "--bogus"][extra]])
+                rng.shuffle(segments)
+                forms.append((words, leaf, [token for segment in segments for token in segment]))
+
+        for words, leaf, rest in forms:
+            namespace = cli._read_plain(leaf, rest)
+            if namespace is not None:
+                plain.append(words)
+                assert namespace == leaf.parse_args(rest), rest
+        # Each leaf reads some forms plain, and many forms go to argparse.
+        assert set(plain) == set(parser.leaves) and min(map(plain.count, parser.leaves)) > 10
+        assert len(forms) - len(plain) > 100
+        with_reader = [run(capsys, *words, *rest) for words, _, rest in forms]
+        monkeypatch.setattr(cli, "_read_plain", lambda leaf, argv: None)
+        assert [run(capsys, *words, *rest) for words, _, rest in forms] == with_reader
 
     def test_byte_identical_reruns(self, capsys, network_json, events_json, graph_text):
         for argv in (

@@ -103,6 +103,11 @@ class TestFromOutcomes:
         with pytest.raises(DomainError, match="out of range"):
             from_outcomes([1.0], [[3]])
 
+    @pytest.mark.parametrize("event, named", [(5, "5"), (None, "None"), (1.0, "1.0")])
+    def test_event_that_lists_no_ids_named(self, event, named):
+        with pytest.raises(DomainError, match=f"^an event lists outcome ids, got {re.escape(named)}$"):
+            from_outcomes([1.0], [event])
+
     def test_constructor_checks(self):
         with pytest.raises(DomainError, match="an event system needs at least one outcome"):
             EventSystem(REAL, (), (0,))
@@ -510,6 +515,11 @@ class TestBernoulliProduct:
     def test_empty_event_list(self):
         with pytest.raises(DomainError, match="at least one event"):
             bernoulli_product([0.5], [])
+
+    @pytest.mark.parametrize("event, named", [(None, "None"), (3, "3")])
+    def test_event_that_lists_no_ids_named(self, event, named):
+        with pytest.raises(DomainError, match=f"^an event lists coordinate ids, got {named}$"):
+            bernoulli_product([0.5], [[0], event])
 
     @pytest.mark.parametrize(
         "backend, probs",

@@ -29,7 +29,7 @@ from chordalbounds.bounds import bound
 from chordalbounds.errors import ParseError, ResourceLimitError
 from chordalbounds.poly import Polynomial
 
-from helpers import BRIDGE_PATH_ORDER
+from helpers import BRIDGE_PATH_ORDER, brute_force_st_paths
 
 DATA = Path(__file__).parent / "data"
 NETWORK_FILES = sorted(path.name for path in DATA.glob("network_*.json"))
@@ -124,6 +124,43 @@ class TestNetworkConstruction:
         for arcs in ([[0, 1], [1, 2]], ((0, 1), (1, 2)), [(0, 1), [1, 2]]):
             assert build_network(3, arcs, 0, 2).arcs == ((0, 1), (1, 2))
 
+    @pytest.mark.parametrize(
+        "arcs, source, terminal, reliability, message",
+        [
+            ([(0, True), (1, 2)], 0, 2, 0.5, "arc endpoint must be an integer, got True"),
+            ([(0, 1), (1, 2.0)], 0, 2, 0.5, "arc endpoint must be an integer, got 2.0"),
+            ([(0, 1), (1, 3)], 0, 2, 0.5, "arc (1, 3) has an endpoint out of range"),
+            ([(0, 1), (-1, 2)], 0, 2, 0.5, "arc (-1, 2) has an endpoint out of range"),
+            ([(0, 1), (1, 5), (1, 1)], 0, 2, 0.5, "arc (1, 5) has an endpoint out of range"),
+            ([(0, 1), (1, 1), (1, 2)], 0, 2, 0.5, "arc (1, 1) is a self-loop"),
+            ([(0, 1), (1, 2), (0, 1)], 0, 2, 0.5, "duplicate arc (0, 1)"),
+            ([(0, 1), (0, 1), (2, 2)], 0, 2, 0.5, "duplicate arc (0, 1)"),
+            ([(0, 1), (1, 2)], 0, 3, 0.5, "source or terminal out of range"),
+            ([(0, 1), (1, 2.5)], 0, 0, 0.5, "arc endpoint must be an integer, got 2.5"),
+            ([(0, 1), (1, 2)], 0, 2, [0.5, float("nan")], "arc reliability nan outside [0, 1]"),
+            ([(0, 1), (1, 2)], 0, 2, [float("nan"), 0.5], "arc reliability nan outside [0, 1]"),
+            ([(0, 1), (1, 2)], 0, 2, float("nan"), "arc reliability nan outside [0, 1]"),
+            ([(0, 1), (1, 2)], 0, 2, [0.5, float("inf")], "arc reliability inf outside [0, 1]"),
+            ([(0, 1), (1, 2)], 0, 2, -float("inf"), "arc reliability -inf outside [0, 1]"),
+            ([(0, 1), (1, 2)], 0, 2, [0.5, 1.5], "arc reliability 1.5 outside [0, 1]"),
+            ([(0, 1), (1, 2)], 0, 2, [0.5, True], "arc reliability must be 'symbolic' or numeric, got True"),
+            ([(0, 1), (1, 2)], 0, 2, [0.5, "0.5"], "arc reliability must be 'symbolic' or numeric, got '0.5'"),
+            ([(0, 1), (1, 2)], 0, 2, [0.5, 10**400], "arc reliability 1" + "0" * 400 + " is too large for a float"),
+            ([(0, 1), (1, 2)], 0, 2, [0.5], "need one reliability value per arc"),
+        ],
+        ids=[
+            "bool-endpoint", "float-endpoint", "endpoint-past-range", "negative-endpoint", "range-before-self-loop",
+            "self-loop", "duplicate", "duplicate-before-self-loop", "terminal-out-of-range", "type-before-range",
+            "nan-last", "nan-first", "nan-scalar", "inf", "minus-inf-scalar", "above-one", "bool-reliability",
+            "string-reliability", "int-past-float-range", "too-few-reliabilities",
+        ],
+    )
+    def test_messages(self, arcs, source, terminal, reliability, message):
+        # Each check passes a valid network in one screen over the whole
+        # input; a refused one is named as by a walk over the values.
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            build_network(3, arcs, source, terminal, reliability)
+
     def test_scalar_reliability_broadcasts(self):
         net = bridge_network(reliability=0.8)
         assert net.arc_reliability == (0.8,) * 6
@@ -166,6 +203,35 @@ class TestPathEnumeration:
         assert enumerate_st_paths(routes) == (frozenset(range(701, 1302)), frozenset(range(701)))
 
 
+    def test_matches_brute_force_lister(self):
+        rng = random.Random(5101)
+        ties = 0
+        for _ in range(100):
+            net = _layered_network(rng)
+            paths = enumerate_st_paths(net)
+            assert paths == brute_force_st_paths(net)
+            ties += len(paths) - len({len(path) for path in paths})
+        assert ties > 200
+
+
+def _layered_network(rng):
+    """A seeded network of at most 14 arcs with many paths of one length:
+    1 to 3 layers of 2 or 3 nodes between the source and the terminal,
+    at most 12 arcs joining consecutive layers and at most 2 more
+    anywhere, with the nodes relabeled and the arcs shuffled."""
+    sizes = [1, *(rng.randint(2, 3) for _ in range(rng.randint(1, 3))), 1]
+    bounds_ = [sum(sizes[:i]) for i in range(len(sizes) + 1)]
+    layers = [range(a, b) for a, b in zip(bounds_, bounds_[1:])]
+    forward = [(u, v) for a, b in zip(layers, layers[1:]) for u in a for v in b]
+    arcs = rng.sample(forward, min(len(forward), 12, rng.randint(len(forward) * 3 // 4, len(forward))))
+    nodes = bounds_[-1]
+    others = [(u, v) for u in range(nodes) for v in range(nodes) if u != v and (u, v) not in arcs]
+    arcs += rng.sample(others, rng.randint(0, min(2, 14 - len(arcs))))
+    rng.shuffle(arcs)
+    label = rng.sample(range(nodes), nodes)
+    return build_network(nodes, [(label[u], label[v]) for u, v in arcs], label[0], label[nodes - 1])
+
+
 class TestPathEventSystem:
     def test_symbolic_pair_probability(self):
         sys_ = path_event_system(bridge_network(), paths=BRIDGE_PATH_ORDER)
@@ -178,6 +244,19 @@ class TestPathEventSystem:
         sys_ = path_event_system(bridge_network(reliability=1.0))
         for i in range(sys_.event_count):
             assert intersection_prob(sys_, {i}) == 1.0
+
+    def test_path_spellings_give_equal_requires(self):
+        net = bridge_network(0.9)
+        for order in (BRIDGE_PATH_ORDER, enumerate_st_paths(net)):
+            systems = [path_event_system(net, [spell(path) for path in order]) for spell in (frozenset, list, tuple)]
+            systems.append(path_event_system(net, [sorted(path, reverse=True) for path in order]))
+            assert len({sys_.requires for sys_ in systems}) == 1
+        assert path_event_system(net, enumerate_st_paths(net)).requires == path_event_system(net).requires
+
+    @pytest.mark.parametrize("path, named", [(5, "5"), (None, "None"), (0.5, "0.5")])
+    def test_path_that_lists_no_ids_named(self, path, named):
+        with pytest.raises(DomainError, match=f"^an event lists coordinate ids, got {re.escape(named)}$"):
+            path_event_system(bridge_network(), [path])
 
     def test_no_path_rejected(self):
         net = build_network(3, [(0, 1)], 0, 2)
