@@ -92,11 +92,11 @@ class BoundReport:
     alpha_used: int | None = None
 
 
-def _kept(sys: EventSystem, key: tuple, compute):
-    """`compute()`, kept in the system's memo under the description `key`."""
+def _kept(sys: EventSystem, key: tuple, compute, *args):
+    """`compute(*args)`, kept in the system's memo under the description `key`."""
     value = sys._memo.get(key)
     if value is None:
-        value = sys._memo[key] = compute()
+        value = sys._memo[key] = compute(*args)
     return value
 
 
@@ -115,12 +115,17 @@ def clique_sieve_sum(sys: EventSystem, g: Graph, size_cap: int | None = None):
 
 def _clique_bracket(sys: EventSystem, g: Graph, size_cap: int | None):
     """`clique_sieve_sum` as a bracket (total, 1), the total in the
-    system's unit: `_cone_bracket` over the cones of g, kept by g's
-    adjacency masks, which fix its cones, and cap.  So the chordal bounds
-    of one graph sum it, and walk a non-chordal graph's cones, once."""
+    system's unit: `_graph_bracket`, kept by g's adjacency masks, which
+    fix its cones, and cap.  So the chordal bounds of one graph sum it,
+    and walk a non-chordal graph's cones, once."""
     _require_one_vertex_per_event(sys.event_count, g.vertex_count)
     cap = _clique_cap(g, size_cap, "size_cap")
-    return _kept(sys, ("clique", g.adj, cap), lambda: _cone_bracket(sys, _cones(g, cap), cap))
+    return _kept(sys, ("clique", g.adj, cap), _graph_bracket, sys, g, cap)
+
+
+def _graph_bracket(sys: EventSystem, g: Graph, cap: int):
+    """`_cone_bracket` over the cones of g (`graphs._cones`)."""
+    return _cone_bracket(sys, _cones(g, cap), cap)
 
 
 def _cone_bracket(sys: EventSystem, cones, cap: int):
@@ -136,13 +141,8 @@ def _cone_bracket(sys: EventSystem, cones, cap: int):
 
 
 def _moment(sys: EventSystem, coefficients):
-    """`_moment_bracket`, kept by its coefficients: `_kept` written out,
-    since every moment kind, the reliability columns too, takes it."""
-    key = ("moment", *coefficients)
-    bracket = sys._memo.get(key)
-    if bracket is None:
-        bracket = sys._memo[key] = _moment_bracket(sys, coefficients)
-    return bracket
+    """`_moment_bracket`, kept by its coefficients."""
+    return _kept(sys, ("moment", *coefficients), _moment_bracket, sys, coefficients)
 
 
 def _moment_bracket(sys: EventSystem, coefficients):
@@ -249,11 +249,11 @@ def _generalized(sys: EventSystem, m: int = 0):
 
 
 def _alpha(sys: EventSystem, g: Graph) -> int:
-    return _kept(sys, ("alpha", g.adj), lambda: independence_number(g))
+    return _kept(sys, ("alpha", g.adj), independence_number, g)
 
 
 def _alpha_prime(sys: EventSystem, g: Graph) -> int:
-    return _kept(sys, ("alpha-prime", g.adj), lambda: alpha_prime(sys, g))
+    return _kept(sys, ("alpha-prime", g.adj), alpha_prime, sys, g)
 
 
 def _half(sys: EventSystem, _) -> int:

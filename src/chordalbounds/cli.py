@@ -57,14 +57,19 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     """A parser whose errors raise `_UsageError`, and which keeps the
     actions `add_argument` returned (`arguments`), what `set_defaults`
-    gave (`fixed`) and its optional exclusive groups (`exclusive`)."""
+    gave (`fixed`), its optional exclusive groups (`exclusive`) and its
+    required subcommands (`commands`, None on a command's own parser)."""
 
     def __init__(self, *args, **kwargs):
-        self.arguments, self.fixed, self.exclusive = [], {}, []
+        self.arguments, self.fixed, self.exclusive, self.commands = [], {}, [], None
         super().__init__(*args, **kwargs)
 
     def error(self, message):
         raise _UsageError(message)
+
+    def add_subparsers(self, **kwargs):
+        self.commands = super().add_subparsers(parser_class=_Parser, required=True, **kwargs)
+        return self.commands
 
     def add_argument(self, *args, **kwargs):
         action = super().add_argument(*args, **kwargs)
@@ -412,7 +417,7 @@ def _cmd_reliability(args) -> int:
         unknown = [kind for kind in columns[1:] if kind not in DEFAULT_BOUND_KINDS]
         if unknown:
             raise _UsageError(f"unknown bound kinds: {', '.join(unknown)}")
-    if args.sweep:
+    if args.sweep is not None:
         tops, denominator = _parse_sweep(args.sweep)
         polys = bound_polynomials(net)
         # P(p) = p, so the p column's numerators are the points a over the
@@ -472,20 +477,22 @@ def _cmd_demo(args) -> int:
 def _build_parser() -> _Parser:
     """The argparse tree, built on the first call and shared by every
     later `main` call in the process; parsing it keeps no state, each
-    call gets a fresh Namespace.  The subcommand handlers are bound when
-    the parser is built; the names they use (`build_graph`, `bnd.bound`,
+    call gets a fresh Namespace.  Each parser's `commands` leads to the
+    parsers of its command words, which `_read_plain` follows down to a
+    command's own parser.  The subcommand handlers are bound when the
+    parser is built; the names they use (`build_graph`, `bnd.bound`,
     `bound_values`, ...) are still looked up when they run."""
     parser = _Parser(prog="chordalbounds", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    sub = parser.add_subparsers(dest="command")
 
     graph = sub.add_parser("graph", help="graph inspection")
-    graph_sub = graph.add_subparsers(dest="action", required=True, parser_class=_Parser)
+    graph_sub = graph.add_subparsers(dest="action")
     check = graph_sub.add_parser("check", help="chordality, components, cliques")
     check.add_argument("file")
     check.set_defaults(handler=_cmd_graph_check)
 
     bounds_p = sub.add_parser("bounds", help="evaluate bounds")
-    bounds_sub = bounds_p.add_subparsers(dest="action", required=True, parser_class=_Parser)
+    bounds_sub = bounds_p.add_subparsers(dest="action")
     compute = bounds_sub.add_parser("compute", help="one bound as JSON")
     compute.add_argument("events")
     compute.add_argument("--graph", default=None)
@@ -504,7 +511,7 @@ def _build_parser() -> _Parser:
     all_p.set_defaults(handler=_cmd_bounds_all)
 
     optimize_p = sub.add_parser("optimize", help="pick a bound-optimizing tree or path")
-    optimize_sub = optimize_p.add_subparsers(dest="structure", required=True, parser_class=_Parser)
+    optimize_sub = optimize_p.add_subparsers(dest="structure")
     tree_p = optimize_sub.add_parser("tree", help="Kruskal spanning tree")
     tree_p.add_argument("events")
     tree_p.add_argument(
@@ -512,7 +519,7 @@ def _build_parser() -> _Parser:
         choices=("minimize-weight", "maximize-weight"),
         default="minimize-weight",
     )
-    tree_p.set_defaults(handler=_cmd_optimize, structure="tree")
+    tree_p.set_defaults(handler=_cmd_optimize)
     path_p = optimize_sub.add_parser("path", help="minimum-weight visiting order")
     path_p.add_argument("events")
     # --exact is the default mode; perfbench's path jobs and CI's golden path step pass it.
@@ -520,7 +527,7 @@ def _build_parser() -> _Parser:
     modes = (mode.add_argument("--exact", action="store_true"), mode.add_argument("--heuristic", action="store_true"))
     path_p.arguments += modes
     path_p.exclusive.append(modes)
-    path_p.set_defaults(handler=_cmd_optimize, structure="path")
+    path_p.set_defaults(handler=_cmd_optimize)
 
     reliability_p = sub.add_parser("reliability", help="network reliability report")
     reliability_p.add_argument("network")
@@ -529,41 +536,41 @@ def _build_parser() -> _Parser:
     reliability_p.set_defaults(handler=_cmd_reliability)
 
     demo = sub.add_parser("demo", help="built-in demonstrations")
-    demo_sub = demo.add_subparsers(dest="action", required=True, parser_class=_Parser)
+    demo_sub = demo.add_subparsers(dest="action")
     counter = demo_sub.add_parser(
         "counterexample", help="invalid lower bounds on non-chordal graphs"
     )
     counter.add_argument("--k", type=int, default=None, help="family parameter (odd, >= 3)")
     counter.set_defaults(handler=_cmd_demo)
 
-    # The leaf parser of each command, by its command words (see `main`).
-    parser.leaves = {
-        ("graph", "check"): check,
-        ("bounds", "compute"): compute,
-        ("bounds", "all"): all_p,
-        ("optimize", "tree"): tree_p,
-        ("optimize", "path"): path_p,
-        ("reliability",): reliability_p,
-        ("demo", "counterexample"): counter,
-    }
     return parser
 
 
-def _read_plain(leaf: _Parser, argv: list[str]):
-    """`leaf.parse_args(argv)` without argparse's parse, if `argv` is
-    plain: positionals not starting with "-", and exact option strings,
+def _read_plain(parser: _Parser, argv: list[str]):
+    """`parser.parse_args(argv)` without argparse's parse, if `argv` is
+    plain: the command words, exact names that lead through `commands`
+    from `parser` to a command's own parser, each stored under its
+    level's dest (`command`, `action`, `structure`); then, read from that
+    parser, positionals not starting with "-", and exact option strings,
     each once, a valued one followed by a value not starting with "-"
     that passes its `type` and `choices`; every required argument, and
     one option at most of each exclusive group.  Each value is stored by
     calling its action.  Any other argv gives None."""
-    plain = leaf.plain
+    tokens = iter(argv)
+    words = {}
+    while parser.commands is not None:
+        word = next(tokens, None)
+        words[parser.commands.dest] = word
+        parser = parser.commands.choices.get(word)
+        if parser is None:
+            return None
+    plain = parser.plain
     if plain is None:
         return None
     options, positionals, required, groups, defaults = plain
-    namespace = argparse.Namespace(**defaults)
+    namespace = argparse.Namespace(**words, **defaults)
     seen = set()
     waiting = iter(positionals)
-    tokens = iter(argv)
     for token in tokens:
         if token[:1] != "-":
             action, option, value = next(waiting, None), None, token
@@ -584,7 +591,7 @@ def _read_plain(leaf: _Parser, argv: list[str]):
                     return None
             if action.choices is not None and value not in action.choices:
                 return None
-        action(leaf, namespace, value, option)
+        action(parser, namespace, value, option)
         seen.add(action)
     return namespace if seen.issuperset(required) else None
 
@@ -597,32 +604,20 @@ _EXIT_CODES = {
 
 def main(argv=None) -> int:
     """Run the command line `argv` (by default `sys.argv[1:]`) and return
-    its exit code.  An argv that starts with a command's words, such as
-    `optimize tree` or `reliability`, is parsed after them by that
-    command's own parser, with the same result, messages and help as
-    through the whole tree, but without a parse at each level above it.
-    A plain rest (`_read_plain`) is read from that parser's own actions
-    without argparse's parse; argparse parses any other rest: help,
-    every error, abbreviations, `--x=v`, `--` and repeats.
-    Every other argv takes the full parser: no arguments, an option
-    before the command (`-h`, `--help`), a command without its action
-    (`optimize`, `bounds -h`) and an unknown command or action.  When
-    the reader of stdout closes it before the output is written, nothing
-    more is printed and the exit code is 141, a SIGPIPE's 128 + 13."""
+    its exit code.  The argv takes one of two routes to the same
+    Namespace.  A plain argv, a command's words such as `optimize tree`
+    or `reliability` and then plain arguments, is read by `_read_plain`
+    from the parsers' own actions without argparse's parse.  Any other
+    argv goes through the whole argparse tree: no arguments, help, every
+    error, an unknown or missing command word, abbreviations, `--x=v`,
+    `--` and repeats.  When the reader of stdout closes it before the
+    output is written, nothing more is printed and the exit code is 141,
+    a SIGPIPE's 128 + 13."""
     parser = _build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
-    words = tuple(argv[:2])
-    leaf = parser.leaves.get(words)
-    if leaf is None:
-        words = words[:1]
-        leaf = parser.leaves.get(words)
     try:
         try:
-            if leaf is None:
-                args = parser.parse_args(argv)
-            else:
-                rest = argv[len(words):]
-                args = _read_plain(leaf, rest) or leaf.parse_args(rest)
+            args = _read_plain(parser, argv) or parser.parse_args(argv)
             code = args.handler(args)
         except SystemExit as exc:  # argparse --help
             code = 0 if (exc.code or 0) == 0 else 1

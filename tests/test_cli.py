@@ -1328,6 +1328,9 @@ class TestReliability:
             (["--sweep", "0:2:0.5"], 2, "p value 3/2 outside [0, 1]"),
             (["--sweep=-1/2:1:1/2"], 2, "p value -1/2 outside [0, 1]"),
             (["--sweep", "0:1:0"], 1, "sweep step must be positive"),
+            # an empty grid is malformed, not absent
+            (["--sweep", ""], 1, "--sweep expects start:stop:step"),
+            (["--sweep="], 1, "--sweep expects start:stop:step"),
             (["--sweep", "0:1:1/100001"], 3, "sweep grid exceeds the cap of 100000 points"),
             (["--bounds", "nosuch", "--sweep", "0:1:0.5"], 1, "unknown bound kinds: nosuch"),
             (["--bounds", "exact", "--sweep", "0:1:0.5"], 1, "unknown bound kinds: exact"),
@@ -1337,7 +1340,7 @@ class TestReliability:
             (["--sweep", "1e4300:1e4300:1"], 2, f"p value 1{'0' * 4300} outside [0, 1]"),
         ],
         ids=[
-            "above-one", "below-zero", "zero-step", "cap", "unknown-kind", "exact-kind",
+            "above-one", "below-zero", "zero-step", "empty", "empty-equals", "cap", "unknown-kind", "exact-kind",
             "past-float", "stop-past-float", "past-str-digits",
         ],
     )
@@ -1770,68 +1773,17 @@ class TestPlumbing:
         assert codes == [0] * 12 + [1, 1, 2, 3, 0, 0]
         assert forward[1] != forward[2] and forward[6] != forward[7]
 
-    def test_leaf_parsers_match_the_full_parser(
+    def test_plain_reader_matches_argparse(
         self, capsys, monkeypatch, tmp_path, events_json, graph_text, graph_json, network_json
     ):
-        # An argv that starts with a command's words is parsed by that
-        # command's own parser; (exit code, stdout, stderr) must be what the
-        # whole tree gives, help text and argparse's messages included.
-        argvs = _plumbing_argvs(tmp_path, events_json, graph_text, graph_json, network_json) + [
-            [], ["-h"], ["--help"], ["--help", "optimize"], ["--he"],
-            ["optimize"], ["optimize", "-h"], ["bounds", "--help"], ["demo", "-h"], ["graph"],
-            ["optimize", "tree", "-h"], ["optimize", "tree", "--help"], ["optimize", "path", "-h"],
-            ["bounds", "all", "--help"], ["graph", "check", "-h"], ["reliability", "--help"],
-            ["demo", "counterexample", "-h"], ["optimize", "tree", events_json, "--help", "--bogus"],
-            ["optimize", "tree", events_json, "--obj", "maximize-weight"],
-            ["optimize", "tree", events_json, "--objective=maximize-weight"],
-            ["optimize", "tree", events_json, "--he"], ["optimize", "path", events_json, "--he"],
-            ["optimize", "path", events_json, "--heur"], ["bounds", "compute", events_json, "--ki", "kwerel-lower"],
-            ["bounds", "all", events_json, f"--graph={graph_text}"], ["bounds", "all", events_json, "--gr", graph_text],
-            ["optimize", "tree", "--", events_json], ["reliability", "--", network_json],
-            ["optimize", "tree", events_json, "--", "--objective"], ["demo", "counterexample", "--", "5"],
-            ["optimize", "tree", events_json, "--bogus"], ["reliability", network_json, "--nope", "1"],
-            ["graph", "check", graph_text, "-x"], ["bounds", "compute", events_json, "--kind", "kwerel-lower", "extra"],
-            ["optimize", "tree"], ["graph", "check"], ["reliability"], ["bounds", "all", "--graph", graph_text],
-            ["bounds", "all", events_json], ["optimize", "tree", events_json, "--objective", "bogus"],
-            ["optimize", "tree", events_json, "--objective"], ["demo", "counterexample", "--k", "x"],
-            ["bounds", "compute", events_json, "--kind", "bonferroni-upper", "-r", "-1"],
-            ["reliability", network_json, "--bounds", "kwerel-lower,hunter-lower"],
-            ["reliability", network_json, "--bounds", "bogus"], ["reliability", network_json, "--sweep"],
-            ["reliability", network_json, "--bounds", "kwerel-lower", "--sweep", "0:1:0.5"],
-            ["optimize", "nope"], ["nope", "tree"], ["reliability", "check"], ["graph", "tree"],
-        ]
-        parser = cli._build_parser()
-        full_parses = []
-        whole = parser.parse_args
-        monkeypatch.setattr(parser, "parse_args", lambda argv: full_parses.append(argv) or whole(argv))
-
-        def outcomes():
-            results = [run(capsys, *argv) for argv in argvs]
-            for argv in (["optimize", "tree", events_json], ["optimize", "path"], ["--help"]):
-                with monkeypatch.context() as patch:
-                    patch.setattr(sys, "argv", ["chordalbounds", *argv])
-                    code = main(None)
-                captured = capsys.readouterr()
-                results.append((code, captured.out, captured.err))
-            return results
-
-        routed = outcomes()
-        # Only the argvs that name no leaf went through the whole tree.
-        assert len(full_parses) == 15
-        with monkeypatch.context() as patch:
-            patch.setattr(parser, "leaves", {})
-            assert outcomes() == routed
-        code, out, _ = run(capsys, "optimize", "tree", "--help")
-        assert code == 0 and out.startswith("usage: chordalbounds optimize tree ")
-
-    def test_plain_reader_matches_argparse(
-        self, capsys, monkeypatch, events_json, graph_text, network_json
-    ):
-        # Every leaf on a seeded grid of argv forms, built from the leaf's
-        # own actions: plain forms in any order, and each form argparse
-        # alone must handle.  The reader gives None or the Namespace
+        # Every command on a seeded grid of argv forms, built from its own
+        # parser's actions: plain forms in any order, and each form argparse
+        # alone must handle.  Then the plumbing argvs, help at every level,
+        # unknown and missing command words, argparse-only forms and
+        # errors.  On the whole argv the reader gives None or the Namespace
         # `parse_args` gives, and `main` prints and exits as with argparse
-        # alone.
+        # alone, help text and messages included; so does `main(None)`,
+        # which reads `sys.argv`.
         good = {
             "file": graph_text, "events": events_json, "network": network_json, "graph": graph_text,
             "kind": "bonferroni-upper", "order": "0,1,2,3", "sweep": "0:1:0.5", "bounds": "kwerel-lower",
@@ -1839,8 +1791,17 @@ class TestPlumbing:
         }
         rng = random.Random(5102)
         parser = cli._build_parser()
-        forms, plain = [], []
-        for words, leaf in parser.leaves.items():
+
+        def commands(node, words=()):
+            # (command words, that command's own parser), in the order added.
+            if node.commands is None:
+                return [(words, node)]
+            return [leaf for word, child in node.commands.choices.items() for leaf in commands(child, (*words, word))]
+
+        leaves = dict(commands(parser))
+        assert len(leaves) == 7
+        forms = []
+        for words, leaf in leaves.items():
             actions = [action for action in leaf.arguments if action.default is not argparse.SUPPRESS]
             for _ in range(60):
                 segments = []
@@ -1869,19 +1830,72 @@ class TestPlumbing:
                 if extra < 4:
                     segments.insert(rng.randrange(len(segments) + 1), [["--", "-h", "--help", "--bogus"][extra]])
                 rng.shuffle(segments)
-                forms.append((words, leaf, [token for segment in segments for token in segment]))
+                forms.append((words, [*words, *(token for segment in segments for token in segment)]))
+        seeded = len(forms)
+        plumbing = _plumbing_argvs(tmp_path, events_json, graph_text, graph_json, network_json)
+        forms += [(None, argv) for argv in plumbing + [
+            [], ["-h"], ["--help"], ["--help", "optimize"], ["--he"],
+            ["optimize"], ["optimize", "-h"], ["bounds", "--help"], ["demo", "-h"], ["graph"],
+            ["optimize", "tree", "-h"], ["optimize", "tree", "--help"], ["optimize", "path", "-h"],
+            ["bounds", "all", "--help"], ["graph", "check", "-h"], ["reliability", "--help"],
+            ["demo", "counterexample", "-h"], ["optimize", "tree", events_json, "--help", "--bogus"],
+            ["optimize", "tree", events_json, "--obj", "maximize-weight"],
+            ["optimize", "tree", events_json, "--objective=maximize-weight"],
+            ["optimize", "tree", events_json, "--he"], ["optimize", "path", events_json, "--he"],
+            ["optimize", "path", events_json, "--heur"], ["bounds", "compute", events_json, "--ki", "kwerel-lower"],
+            ["bounds", "all", events_json, f"--graph={graph_text}"], ["bounds", "all", events_json, "--gr", graph_text],
+            ["optimize", "tree", "--", events_json], ["reliability", "--", network_json],
+            ["optimize", "tree", events_json, "--", "--objective"], ["demo", "counterexample", "--", "5"],
+            ["optimize", "tree", events_json, "--bogus"], ["reliability", network_json, "--nope", "1"],
+            ["graph", "check", graph_text, "-x"], ["bounds", "compute", events_json, "--kind", "kwerel-lower", "extra"],
+            ["optimize", "tree"], ["graph", "check"], ["reliability"], ["bounds", "all", "--graph", graph_text],
+            ["bounds", "all", events_json], ["optimize", "tree", events_json, "--objective", "bogus"],
+            ["optimize", "tree", events_json, "--objective"], ["demo", "counterexample", "--k", "x"],
+            ["bounds", "compute", events_json, "--kind", "bonferroni-upper", "-r", "-1"],
+            ["reliability", network_json, "--bounds", "kwerel-lower,hunter-lower"],
+            ["reliability", network_json, "--bounds", "bogus"], ["reliability", network_json, "--sweep"],
+            ["reliability", network_json, "--bounds", "kwerel-lower", "--sweep", "0:1:0.5"],
+            ["reliability", network_json, "--sweep", ""], ["reliability", network_json, "--sweep="],
+            ["optimize", "nope"], ["nope", "tree"], ["reliability", "check"], ["graph", "tree"],
+            ["tree", "optimize", events_json], ["check", "graph", graph_text],
+            ["optim", "tree", events_json], ["optimize", "tr", events_json], ["reliab", network_json],
+        ]]
 
-        for words, leaf, rest in forms:
-            namespace = cli._read_plain(leaf, rest)
+        read = []
+        for _, argv in forms:
+            namespace = cli._read_plain(parser, argv)
+            read.append(namespace is not None)
             if namespace is not None:
-                plain.append(words)
-                assert namespace == leaf.parse_args(rest), rest
-        # Each leaf reads some forms plain, and many forms go to argparse.
-        assert set(plain) == set(parser.leaves) and min(map(plain.count, parser.leaves)) > 10
-        assert len(forms) - len(plain) > 100
-        with_reader = [run(capsys, *words, *rest) for words, _, rest in forms]
-        monkeypatch.setattr(cli, "_read_plain", lambda leaf, argv: None)
-        assert [run(capsys, *words, *rest) for words, _, rest in forms] == with_reader
+                assert namespace == parser.parse_args(argv), argv
+        # Each command reads some seeded forms plain, and many go to
+        # argparse; the plumbing argvs are plain but for help and errors.
+        plain = [words for (words, _), ok in zip(forms[:seeded], read) if ok]
+        assert set(plain) == set(leaves) and min(map(plain.count, leaves)) > 10
+        assert seeded - len(plain) > 100
+        assert read[seeded:seeded + len(plumbing)] == [True] * 12 + [False, False, True, True, False, False]
+
+        argvs = [argv for _, argv in forms]
+        parsed = []
+        whole = parser.parse_args
+        monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(argv) or whole(argv))
+
+        def outcomes():
+            results = [run(capsys, *argv) for argv in argvs]
+            for argv in (["optimize", "tree", events_json], ["optimize", "path"], ["--help"]):
+                with monkeypatch.context() as patch:
+                    patch.setattr(sys, "argv", ["chordalbounds", *argv])
+                    code = main(None)
+                captured = capsys.readouterr()
+                results.append((code, captured.out, captured.err))
+            return results
+
+        with_reader = outcomes()
+        # `main` parses with argparse exactly the argvs the reader does not read.
+        assert parsed == [argv for argv, ok in zip(argvs, read) if not ok] + [["optimize", "path"], ["--help"]]
+        monkeypatch.setattr(cli, "_read_plain", lambda parser, argv: None)
+        assert outcomes() == with_reader
+        code, out, _ = run(capsys, "optimize", "tree", "--help")
+        assert code == 0 and out.startswith("usage: chordalbounds optimize tree ")
 
     def test_byte_identical_reruns(self, capsys, network_json, events_json, graph_text):
         for argv in (
