@@ -176,6 +176,51 @@ def _plumbing_argvs(tmp_path, events_json, graph_text, graph_json, network_json)
     ]
 
 
+def _leaf_parsers(node, words=()):
+    """(command words, that command's own parser) for every command under
+    the parser `node`, in the order added."""
+    if node.commands is None:
+        return [(words, node)]
+    return [leaf for word, child in node.commands.choices.items() for leaf in _leaf_parsers(child, (*words, word))]
+
+
+def _routes_agree(capsys, monkeypatch, parser, argvs, sys_argvs=()):
+    """Check both routes of `main` on each argv, and on each of `sys_argvs`
+    given as `sys.argv` to `main(None)`: the plain reader gives None or
+    the Namespace `parser.parse_args` gives on the whole argv, `main`
+    calls `parse_args` on exactly the argvs the reader does not read, and
+    `main` prints and exits as with argparse alone, help text and
+    messages included.  Returns whether the reader read each argv."""
+    read = []
+    for argv in argvs:
+        namespace = cli._read_plain(parser, argv)
+        read.append(namespace is not None)
+        if namespace is not None:
+            assert namespace == parser.parse_args(argv), argv
+    parsed = []
+    whole = parser.parse_args
+
+    def outcomes():
+        results = [run(capsys, *argv) for argv in argvs]
+        for argv in sys_argvs:
+            with monkeypatch.context() as patch:
+                patch.setattr(sys, "argv", ["chordalbounds", *argv])
+                code = main(None)
+            captured = capsys.readouterr()
+            results.append((code, captured.out, captured.err))
+        return results
+
+    with monkeypatch.context() as patch:
+        patch.setattr(parser, "parse_args", lambda argv: parsed.append(argv) or whole(argv))
+        with_reader = outcomes()
+    unread = [argv for argv in [*argvs, *sys_argvs] if cli._read_plain(parser, argv) is None]
+    assert parsed == unread
+    with monkeypatch.context() as patch:
+        patch.setattr(cli, "_read_plain", lambda parser, argv: None)
+        assert outcomes() == with_reader
+    return read
+
+
 class TestGraphCheck:
     def test_text_format(self, capsys, graph_text):
         code, out, err = run(capsys, "graph", "check", graph_text)
@@ -1773,17 +1818,60 @@ class TestPlumbing:
         assert codes == [0] * 12 + [1, 1, 2, 3, 0, 0]
         assert forward[1] != forward[2] and forward[6] != forward[7]
 
-    def test_plain_reader_matches_argparse(
+    def test_leaf_parsers_match_the_full_parser(
         self, capsys, monkeypatch, tmp_path, events_json, graph_text, graph_json, network_json
     ):
+        # The plain reader reads an argv from the actions of the command
+        # its words name; (exit code, stdout, stderr) must be what the whole
+        # tree gives, on the plumbing argvs, help at every level, unknown,
+        # swapped and abbreviated command words, argparse-only forms and
+        # errors, and on `main(None)`, which reads `sys.argv`.
+        parser = cli._build_parser()
+        plumbing = _plumbing_argvs(tmp_path, events_json, graph_text, graph_json, network_json)
+        argvs = plumbing + [
+            [], ["-h"], ["--help"], ["--help", "optimize"], ["--he"],
+            ["optimize"], ["optimize", "-h"], ["bounds", "--help"], ["demo", "-h"], ["graph"],
+            ["optimize", "tree", "-h"], ["optimize", "tree", "--help"], ["optimize", "path", "-h"],
+            ["bounds", "all", "--help"], ["graph", "check", "-h"], ["reliability", "--help"],
+            ["demo", "counterexample", "-h"], ["optimize", "tree", events_json, "--help", "--bogus"],
+            ["optimize", "tree", events_json, "--obj", "maximize-weight"],
+            ["optimize", "tree", events_json, "--objective=maximize-weight"],
+            ["optimize", "tree", events_json, "--he"], ["optimize", "path", events_json, "--he"],
+            ["optimize", "path", events_json, "--heur"], ["bounds", "compute", events_json, "--ki", "kwerel-lower"],
+            ["bounds", "all", events_json, f"--graph={graph_text}"], ["bounds", "all", events_json, "--gr", graph_text],
+            ["optimize", "tree", "--", events_json], ["reliability", "--", network_json],
+            ["optimize", "tree", events_json, "--", "--objective"], ["demo", "counterexample", "--", "5"],
+            ["optimize", "tree", events_json, "--bogus"], ["reliability", network_json, "--nope", "1"],
+            ["graph", "check", graph_text, "-x"], ["bounds", "compute", events_json, "--kind", "kwerel-lower", "extra"],
+            ["optimize", "tree"], ["graph", "check"], ["reliability"], ["bounds", "all", "--graph", graph_text],
+            ["bounds", "all", events_json], ["optimize", "tree", events_json, "--objective", "bogus"],
+            ["optimize", "tree", events_json, "--objective"], ["demo", "counterexample", "--k", "x"],
+            ["bounds", "compute", events_json, "--kind", "bonferroni-upper", "-r", "-1"],
+            ["reliability", network_json, "--bounds", "kwerel-lower,hunter-lower"],
+            ["reliability", network_json, "--bounds", "bogus"], ["reliability", network_json, "--sweep"],
+            ["reliability", network_json, "--bounds", "kwerel-lower", "--sweep", "0:1:0.5"],
+            ["reliability", network_json, "--sweep", ""], ["reliability", network_json, "--sweep="],
+            ["optimize", "nope"], ["nope", "tree"], ["reliability", "check"], ["graph", "tree"],
+            ["tree", "optimize", events_json], ["check", "graph", graph_text],
+            ["optim", "tree", events_json], ["optimize", "tr", events_json], ["reliab", network_json],
+        ]
+        sys_argvs = (["optimize", "tree", events_json], ["optimize", "path"], ["--help"])
+        read = _routes_agree(capsys, monkeypatch, parser, argvs, sys_argvs)
+        # The plumbing argvs are read plain but for help and errors.
+        assert read[:len(plumbing)] == [True] * 12 + [False, False, True, True, False, False]
+        # Each command's help is its own parser's, under its own words.
+        for words, leaf in _leaf_parsers(parser):
+            assert leaf.prog == " ".join(["chordalbounds", *words])
+            assert run(capsys, *words, "--help") == (0, leaf.format_help(), ""), words
+        code, out, _ = run(capsys, "optimize", "tree", "--help")
+        assert code == 0 and out.startswith("usage: chordalbounds optimize tree ")
+
+    def test_plain_reader_matches_argparse(self, capsys, monkeypatch, events_json, graph_text, network_json):
         # Every command on a seeded grid of argv forms, built from its own
         # parser's actions: plain forms in any order, and each form argparse
-        # alone must handle.  Then the plumbing argvs, help at every level,
-        # unknown and missing command words, argparse-only forms and
-        # errors.  On the whole argv the reader gives None or the Namespace
+        # alone must handle.  The reader gives None or the Namespace
         # `parse_args` gives, and `main` prints and exits as with argparse
-        # alone, help text and messages included; so does `main(None)`,
-        # which reads `sys.argv`.
+        # alone.
         good = {
             "file": graph_text, "events": events_json, "network": network_json, "graph": graph_text,
             "kind": "bonferroni-upper", "order": "0,1,2,3", "sweep": "0:1:0.5", "bounds": "kwerel-lower",
@@ -1791,14 +1879,7 @@ class TestPlumbing:
         }
         rng = random.Random(5102)
         parser = cli._build_parser()
-
-        def commands(node, words=()):
-            # (command words, that command's own parser), in the order added.
-            if node.commands is None:
-                return [(words, node)]
-            return [leaf for word, child in node.commands.choices.items() for leaf in commands(child, (*words, word))]
-
-        leaves = dict(commands(parser))
+        leaves = dict(_leaf_parsers(parser))
         assert len(leaves) == 7
         forms = []
         for words, leaf in leaves.items():
@@ -1831,71 +1912,11 @@ class TestPlumbing:
                     segments.insert(rng.randrange(len(segments) + 1), [["--", "-h", "--help", "--bogus"][extra]])
                 rng.shuffle(segments)
                 forms.append((words, [*words, *(token for segment in segments for token in segment)]))
-        seeded = len(forms)
-        plumbing = _plumbing_argvs(tmp_path, events_json, graph_text, graph_json, network_json)
-        forms += [(None, argv) for argv in plumbing + [
-            [], ["-h"], ["--help"], ["--help", "optimize"], ["--he"],
-            ["optimize"], ["optimize", "-h"], ["bounds", "--help"], ["demo", "-h"], ["graph"],
-            ["optimize", "tree", "-h"], ["optimize", "tree", "--help"], ["optimize", "path", "-h"],
-            ["bounds", "all", "--help"], ["graph", "check", "-h"], ["reliability", "--help"],
-            ["demo", "counterexample", "-h"], ["optimize", "tree", events_json, "--help", "--bogus"],
-            ["optimize", "tree", events_json, "--obj", "maximize-weight"],
-            ["optimize", "tree", events_json, "--objective=maximize-weight"],
-            ["optimize", "tree", events_json, "--he"], ["optimize", "path", events_json, "--he"],
-            ["optimize", "path", events_json, "--heur"], ["bounds", "compute", events_json, "--ki", "kwerel-lower"],
-            ["bounds", "all", events_json, f"--graph={graph_text}"], ["bounds", "all", events_json, "--gr", graph_text],
-            ["optimize", "tree", "--", events_json], ["reliability", "--", network_json],
-            ["optimize", "tree", events_json, "--", "--objective"], ["demo", "counterexample", "--", "5"],
-            ["optimize", "tree", events_json, "--bogus"], ["reliability", network_json, "--nope", "1"],
-            ["graph", "check", graph_text, "-x"], ["bounds", "compute", events_json, "--kind", "kwerel-lower", "extra"],
-            ["optimize", "tree"], ["graph", "check"], ["reliability"], ["bounds", "all", "--graph", graph_text],
-            ["bounds", "all", events_json], ["optimize", "tree", events_json, "--objective", "bogus"],
-            ["optimize", "tree", events_json, "--objective"], ["demo", "counterexample", "--k", "x"],
-            ["bounds", "compute", events_json, "--kind", "bonferroni-upper", "-r", "-1"],
-            ["reliability", network_json, "--bounds", "kwerel-lower,hunter-lower"],
-            ["reliability", network_json, "--bounds", "bogus"], ["reliability", network_json, "--sweep"],
-            ["reliability", network_json, "--bounds", "kwerel-lower", "--sweep", "0:1:0.5"],
-            ["reliability", network_json, "--sweep", ""], ["reliability", network_json, "--sweep="],
-            ["optimize", "nope"], ["nope", "tree"], ["reliability", "check"], ["graph", "tree"],
-            ["tree", "optimize", events_json], ["check", "graph", graph_text],
-            ["optim", "tree", events_json], ["optimize", "tr", events_json], ["reliab", network_json],
-        ]]
-
-        read = []
-        for _, argv in forms:
-            namespace = cli._read_plain(parser, argv)
-            read.append(namespace is not None)
-            if namespace is not None:
-                assert namespace == parser.parse_args(argv), argv
-        # Each command reads some seeded forms plain, and many go to
-        # argparse; the plumbing argvs are plain but for help and errors.
-        plain = [words for (words, _), ok in zip(forms[:seeded], read) if ok]
+        read = _routes_agree(capsys, monkeypatch, parser, [argv for _, argv in forms])
+        # Each command reads some forms plain, and many go to argparse.
+        plain = [words for (words, _), ok in zip(forms, read) if ok]
         assert set(plain) == set(leaves) and min(map(plain.count, leaves)) > 10
-        assert seeded - len(plain) > 100
-        assert read[seeded:seeded + len(plumbing)] == [True] * 12 + [False, False, True, True, False, False]
-
-        argvs = [argv for _, argv in forms]
-        parsed = []
-        whole = parser.parse_args
-        monkeypatch.setattr(parser, "parse_args", lambda argv: parsed.append(argv) or whole(argv))
-
-        def outcomes():
-            results = [run(capsys, *argv) for argv in argvs]
-            for argv in (["optimize", "tree", events_json], ["optimize", "path"], ["--help"]):
-                with monkeypatch.context() as patch:
-                    patch.setattr(sys, "argv", ["chordalbounds", *argv])
-                    code = main(None)
-                captured = capsys.readouterr()
-                results.append((code, captured.out, captured.err))
-            return results
-
-        with_reader = outcomes()
-        # `main` parses with argparse exactly the argvs the reader does not read.
-        assert parsed == [argv for argv, ok in zip(argvs, read) if not ok] + [["optimize", "path"], ["--help"]]
-        monkeypatch.setattr(cli, "_read_plain", lambda parser, argv: None)
-        assert outcomes() == with_reader
-        code, out, _ = run(capsys, "optimize", "tree", "--help")
-        assert code == 0 and out.startswith("usage: chordalbounds optimize tree ")
+        assert len(forms) - len(plain) > 100
 
     def test_byte_identical_reruns(self, capsys, network_json, events_json, graph_text):
         for argv in (
