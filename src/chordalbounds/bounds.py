@@ -303,7 +303,12 @@ def _report(kind: str, sys: EventSystem, **inputs) -> BoundReport:
 
 def bound(kind: str, sys: EventSystem, **inputs) -> BoundReport:
     """The bound `kind` of `sys`, given the `inputs` it reads (see KINDS);
-    one left out or None keeps its default, but g is required."""
+    one left out or None keeps its default, but g is required.  An input
+    some other kind reads is accepted and ignored; a name no kind reads
+    is a TypeError, as for any unexpected keyword."""
+    unknown = set(inputs).difference(*(row[1] for row in KINDS.values()))
+    if unknown:
+        raise TypeError(f"bound() got unexpected keyword arguments: {', '.join(sorted(unknown))}")
     if kind not in KINDS:
         raise DomainError(f"unknown bound kind {_repr(kind)}")
     reads = KINDS[kind][1]

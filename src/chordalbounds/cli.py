@@ -282,9 +282,10 @@ def _clique_sizes(counts: dict[int, int]) -> str:
 
 
 # Most vertices `graph check` reads.  Its maximum cardinality search is
-# quadratic in the vertex count: checking an edgeless graph took 0.22 s at
-# 1000 vertices, 0.85 s at 2000 and 4.6 s at 4000 (Python 3.11, one Xeon
-# core).
+# quadratic in the vertex count, each step one arg-max in C: checking an
+# edgeless graph took 0.16 s at 1000 vertices, 0.15-0.22 s at 2000 and
+# 0.31 s at 4000 (whole command, 3 runs each, Python 3.11.7, shared 2-core
+# Xeon host).
 MAX_CHECK_VERTICES = 2000
 
 def _cmd_graph_check(args) -> int:

@@ -37,7 +37,8 @@ each through its own private methods (`mass`, `_union`, `_atom`,
   required coordinates once per chunk of index sets, and packed
   coefficients of p, in one lane wide enough for both, when every
   coordinate shares one polynomial p.  A mask's numerator is looked up by
-  coordinate count under a shared exact p, else folded over its on-factors.
+  coordinate count under a shared polynomial p, else folded over its
+  on-factors.
 
 A cone sum takes the base of a cone (see `graphs._cones`), a tuple of
 events whose intersection stands where one event would: a chordal graph's
@@ -324,14 +325,15 @@ class ProductSystem:
     when every coordinate in the mask `requires[j]` is on.  As on an
     explicit system, every query is `_value` of a `_numerator` or of a
     sum of them: `_numerator` gives a mask's probability in the system's
-    unit, by its coordinate count under a shared exact p and else by one
-    left fold of on-factors, `mass` is the value of one, the sums add
+    unit, by its coordinate count under a shared polynomial p and else by
+    one left fold of on-factors, `mass` is the value of one, the sums add
     numerators, and the union also scales them by coordinate factors
     (`_factors`).  The unit depends on the backend:
 
     * RATIONAL: with D the common denominator of the probabilities a_c / D
       that `values._read_rational_column` gives, a mask's numerator is
-      prod_{c in mask} a_c * D**(m - |mask|), an integer over D**m; a
+      prod_{c in mask} a_c * D**(m - |mask|), an integer over D**m, folded
+      the same way whether or not the coordinates share one p; a
       coordinate's factors are a_c and D - a_c, over the divisor D, and
       `_value` makes one Fraction.
     * POLYNOMIAL with one p shared by every coordinate (every symbolic
@@ -376,23 +378,20 @@ class ProductSystem:
         self.backend = backend
         self.probs = probs
         self.requires = requires
-        # Every coordinate has the same exact p; `count` finds a repeated
-        # object by identity, with no hash or comparison.
         m = len(probs)
-        shared = backend.exact and bool(probs) and probs.count(probs[0]) == m
         # The unit: 1 / D**m for RATIONAL, packed coefficients of p for a
-        # shared polynomial p, else 1 (all None); by coordinate count k, a
-        # shared p's numerators and D**(m - k).  `_factors`: each
-        # coordinate's on and off factors, and the divisor back to the unit.
+        # polynomial p shared by every coordinate, else 1 (all None); by
+        # coordinate count k, D**(m - k) and the packed p**k.  `_factors`:
+        # each coordinate's on and off factors, and the divisor back to the
+        # unit.  `count` finds a repeated p by identity, with no hash or
+        # comparison.
         self._denominator = self._lane = self._by_count = self._scales = None
         self._zero = 0
         if backend is RATIONAL:
             self._factors = tuple(ons), tuple(unit - a for a in ons), unit
             self._denominator = unit**m
             self._scales = [unit ** (m - k) for k in range(m + 1)]
-            if shared:
-                self._by_count = [ons[0] ** k * scale for k, scale in enumerate(self._scales)]
-        elif shared:
+        elif backend.exact and probs and probs.count(probs[0]) == m:
             self._lane = _packed_lane(len(requires), m)
             self._by_count = [1 << self._lane * k for k in range(m + 1)]
             self._factors = (1 << self._lane,) * m, (1 - (1 << self._lane),) * m, 1
@@ -414,13 +413,13 @@ class ProductSystem:
 
     def _numerator(self, mask: int):
         """`mass(mask)` as a numerator in the system's unit.  With one
-        exact p on every coordinate it is the entry of `_by_count` for the
-        mask's k coordinates: a**k * D**(m - k) for a RATIONAL p = a/D, the
-        packed p**k, 1 << lane*k, for a polynomial p.  Any other system
-        folds the mask's on-factors (p_c, or a_c on RATIONAL), lowest
-        first: the low byte's entry of `_low_products`, built on first use
-        for every subset of the lowest 8 coordinates, then each higher one;
-        a RATIONAL product is then scaled by D**(m - k) (`_scales`)."""
+        polynomial p on every coordinate it is the entry of `_by_count` for
+        the mask's k coordinates, the packed p**k, 1 << lane*k.  Any other
+        system folds the mask's on-factors (p_c, or a_c on RATIONAL, shared
+        or not), lowest first: the low byte's entry of `_low_products`,
+        built on first use for every subset of the lowest 8 coordinates,
+        then each higher one; a RATIONAL product is then scaled by
+        D**(m - k) (`_scales`)."""
         if self._by_count is not None:
             return self._by_count[mask.bit_count()]
         ons = self._factors[0]
@@ -571,9 +570,10 @@ class ProductSystem:
 
     def _add_masses(self, total, masks, sign: int):
         """`total` plus `sign` (+1 or -1) times the numerators of `masks`,
-        in the system's unit.  With a shared p the numerators are looked
-        up by coordinate count in C; other exact ones are taken once per
-        distinct mask in each chunk of `_MASK_CHUNK` masks (`Counter`).
+        in the system's unit.  With a shared polynomial p the numerators
+        are looked up by coordinate count in C; other exact ones, RATIONAL
+        included, are taken once per distinct mask in each chunk of
+        `_MASK_CHUNK` masks (`Counter`).
         Both are added in any order; floats are added one by one, in the
         order of `masks`, so that the rounding is that order's."""
         if self._by_count is not None:

@@ -231,16 +231,15 @@ def mcs_order(g: Graph) -> tuple[int, ...]:
     """
     n = g.vertex_count
     weights = [0] * n
-    visited = 0
+    # Ascending, so `max` takes the smallest of tied vertices; a visited
+    # vertex's weight is never read again, so every neighbour counts.
+    unvisited = list(range(n))
     order = []
     for _ in range(n):
-        best = -1
-        for v in range(n):
-            if not (visited >> v) & 1 and (best < 0 or weights[v] > weights[best]):
-                best = v
+        best = max(unvisited, key=weights.__getitem__)
+        unvisited.remove(best)
         order.append(best)
-        visited |= 1 << best
-        for w in _bits(g.adj[best] & ~visited):
+        for w in _bits(g.adj[best]):
             weights[w] += 1
     return tuple(order)
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
-from itertools import chain, combinations, islice, starmap
+from itertools import chain, combinations, starmap
 
 from .errors import DomainError, ResourceLimitError, _repr
 from .events import EventSystem, ProductSystem, intersection_prob
@@ -173,7 +173,7 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
 
     def push(rests, kept=None):
         # Each rest R gives every event v outside it the state (R | 1 << v,
-        # v): the least w[v][u] + cost[R][u] over the sources u, every
+        # v): the smallest w[v][u] + cost[R][u] over the sources u, every
         # member of R or its kept heads, in that order.  The sources never
         # hold v, so w is read as it is.  Each state has one rest, so each
         # is written once, into a row `blank` made.
@@ -190,15 +190,6 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
                         best = candidate
                 cost[rest | bit[v]][v] = best
 
-    def least(row, rest_cost, sources):
-        # One state as push takes it: the least row[u] + rest_cost[u] over u.
-        best = inf
-        for u in sources:
-            candidate = row[u] + rest_cost[u]
-            if candidate < best:
-                best = candidate
-        return best
-
     # Every state the walk below reads as near-optimal, joined to its
     # cheapest completion, weighs at most n slacks plus the rounding of a
     # few sums of n weights above the optimum; n more slacks exceed that
@@ -209,7 +200,7 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
         # Yield (weight, mask, v) for each state of masks whose cost plus
         # its cheapest completion, the path from v through the events
         # outside mask read backwards, weighs at most top; top falls to
-        # margin above the least weight yielded.  Paired masks all hold
+        # margin above the lowest weight yielded.  Paired masks all hold
         # event 0, and skip v = 0 unless they hold event 1 too; a halved
         # mask that holds event 0 joins from v = 0 alone.
         for mask in masks:
@@ -228,55 +219,52 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
 
     def heads(found, top, paired=False, halved=False):
         # kept[mask]: the heads v of the found states (mask, v) that weigh
-        # at most top, and of their twins when the states are paired.  A
-        # halved state (mask, v) joins the paths through mask from v to
-        # those through far = full ^ mask | 1 << v, which holds event 0.
-        # Read from the far end, the same paths split at (far | 1 << u, u)
-        # for the u after v, a state the halved level left out; for each u
-        # of near = mask - v that state is filled here from level h - 1,
-        # joined with (near, u) and kept when the join weighs at most top.
+        # at most top, and of their twins when the states are paired.  The
+        # twin of (mask, v), and the far end of its paths when halved, is
+        # far = full ^ mask | 1 << v, which holds event 0.  Read from the
+        # far end, a halved state's paths split at (far | 1 << u, u) for
+        # the u after v, a state the halved level left out.  One push from
+        # each far fills that state for every u of near = mask - v, as the
+        # level-(h - 1) push fills any other, and each is joined with
+        # (near, u) and kept when the join weighs at most top.
+        found = [(mask, v) for weight, mask, v in found if weight <= top]
+        if halved:
+            push({full ^ mask | 1 << v for mask, v in found})
         kept = {}
-        for weight, mask, v in found:
-            if weight <= top:
-                kept[mask] = kept.get(mask, ()) + (v,)
-                if paired:
-                    twin = full ^ mask | 1 << v
-                    kept[twin] = kept.get(twin, ()) + (v,)
-                elif halved:
-                    near = mask ^ 1 << v
-                    far = full ^ near
-                    far_cost = cost[far]
-                    sources = low[far & low_bits] + high[far >> half]
-                    for u in low[near & low_bits] + high[near >> half]:
-                        state = far | 1 << u
-                        if u not in kept.get(state, ()):
-                            cost[state][u] = best = least(w[u], far_cost, sources)
-                            if best + cost[near][u] <= top:
-                                kept[state] = kept.get(state, ()) + (u,)
+        for mask, v in found:
+            far = full ^ mask | 1 << v
+            kept[mask] = kept.get(mask, ()) + (v,)
+            if paired:
+                kept[far] = kept.get(far, ()) + (v,)
+            elif halved:
+                near = mask ^ 1 << v
+                for u in low[near & low_bits] + high[near >> half]:
+                    state = far | 1 << u
+                    if u not in kept.get(state, ()) and cost[state][u] + cost[near][u] <= top:
+                        kept[state] = kept.get(state, ()) + (u,)
         return kept
 
     # Every path splits at its h-th event into two paths of at most h
     # events, so rows of at most h members give each larger state its
     # exact cheapest completion and the level-h joins the optimum.  Larger
     # rows are filled from the kept states only: those within margin of
-    # the optimum, whose own least sources are kept too, so each keeps
-    # the float of the full table.  When an eighth of the level-h states
-    # are kept, as ties such as equal weights make them, pruning costs more
-    # than it saves and the rest of the table is filled from every member.
-    # At odd n the state (mask, v) and its twin (full ^ mask | 1 << v, v)
-    # both lie at level h and join the same two costs, so each pair is
-    # read once, from the twin that holds the least event other than v,
-    # and counts as two states.  No level-h state can go unfilled there:
-    # both halves of a join lie at level h, and every level-h state is in
-    # one join.  At even n the far half, of h - 1 events, lies one level
-    # down, and every path, read from one of its ends, puts event 0 among
-    # its first h - 1 events.  So level h is filled (halved) only for the
-    # states with event 0 outside mask - v, the states the level-(h - 1)
-    # rests without event 0 push to: every start of the masks without
-    # event 0, and v = 0 on those that hold it, half the states.  Each
-    # found state counts as two, itself and the state `heads` fills for
-    # the same paths read from the far end; the fallback first pushes from
-    # the rests that hold event 0, which fill the other half.
+    # the optimum, whose own smallest sources are kept too, so each keeps
+    # the float of the full table.  Ties keep more states: with every
+    # weight equal all of them are kept, and the same loop fills the
+    # whole table, its sources read from `kept`.  At odd n the state
+    # (mask, v) and its twin (full ^ mask | 1 << v, v) both lie at level h
+    # and join the same two costs, so each pair is read once, from the
+    # twin that holds the smallest event other than v, and counts as two
+    # states.  No level-h state can go unfilled there: both halves of a
+    # join lie at level h, and every level-h state is in one join.  At
+    # even n the far half, of h - 1 events, lies one level down, and every
+    # path, read from one of its ends, puts event 0 among its first h - 1
+    # events.  So level h is filled (halved) only for the states with
+    # event 0 outside mask - v, the states the level-(h - 1) rests without
+    # event 0 push to: every start of the masks without event 0, and v = 0
+    # on those that hold it, half the states.  Each found state counts as
+    # two, itself and the state `heads` fills for the same paths read from
+    # the far end.
     h = (n + 2) // 2
     halved = n % 2 == 0 and h < n
     blank(chain.from_iterable(levels[2 : h + 1]))
@@ -284,28 +272,21 @@ def _held_karp_path(w: tuple[tuple[float, ...], ...], scale: float) -> tuple[int
     if halved:
         push(mask for mask in levels[h - 1] if not mask & 1)
     if h < n:
-        limit = h * len(levels[h]) // 8
         paired = n % 2 == 1
         masks = [mask for mask in levels[h] if mask & 1] if paired else levels[h]
-        found = list(islice(joins(masks, inf, paired, halved), -(-limit // 2)))
-        if len(found) * 2 >= limit:
-            blank(chain.from_iterable(levels[h + 1 :]))
-            if halved:
-                push(mask for mask in levels[h - 1] if mask & 1)
-            push(chain.from_iterable(levels[h:n]))
-        else:
-            top = min(found)[0] + margin
-            kept = heads(found, top, paired, halved)
-            for _ in range(h, n):
-                # Each kept state is a source of a state one event larger.
-                targets = {
-                    mask | 1 << v
-                    for mask in kept
-                    for v in low[(full ^ mask) & low_bits] + high[(full ^ mask) >> half]
-                }
-                blank(targets)
-                push(kept, kept)
-                kept = heads(joins(targets, top), top)
+        found = list(joins(masks, inf, paired, halved))
+        top = min(found)[0] + margin
+        kept = heads(found, top, paired, halved)
+        for _ in range(h, n):
+            # Each kept state is a source of a state one event larger.
+            targets = {
+                mask | 1 << v
+                for mask in kept
+                for v in low[(full ^ mask) & low_bits] + high[(full ^ mask) >> half]
+            }
+            blank(targets)
+            push(kept, kept)
+            kept = heads(joins(targets, top), top)
     optimum = min(cost[full][v] for v in range(n))
     start = min(v for v in range(n) if cost[full][v] <= optimum + slack)
     order = [start]
@@ -354,11 +335,11 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     """Minimum-total-weight visiting order of all events under the rows w.
 
     Exact mode runs Held-Karp subset dynamic programming (n <= 15) and
-    returns the lexicographically least optimal order, taking path weights
+    returns the lexicographically first optimal order, taking path weights
     within 1e-12 * max |w| of each other as tied.  The table is filled
     by pushing: each subset R gives every event v outside it the state of
-    R plus v that starts at v, the least w[v][u] plus R's cost from u over
-    R's members u, so no candidate u = v is ever priced.  The loops walk
+    R plus v that starts at v, the smallest w[v][u] plus R's cost from u
+    over R's members u, so no candidate u = v is ever priced.  The loops walk
     each subset's members as a tuple, joined from two tables of
     half-width member tuples, instead of extracting bits one at a time.
     It fills every subset of at most ceil((n + 1) / 2) events, except
@@ -368,8 +349,9 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
     n both halves of a split lie at that level, so no state can be left
     out.)  Each larger state then has its exact cheapest completion, a
     small path read backwards, and is filled only when it lies on a path
-    within a small margin of the optimum, unless an eighth of the states
-    at the split level are.  Heuristic mode runs nearest neighbor from
+    within a small margin of the optimum, from the kept states of one
+    event fewer; there is no second search for ties, which keep more
+    states (all of them when every weight is equal).  Heuristic mode runs nearest neighbor from
     every start plus 2-opt, whose moves must gain more than that relative
     tolerance, and carries no optimality guarantee.  So scaling every
     weight by a power of two keeps the order in both modes.  Every
@@ -406,7 +388,7 @@ def best_path(w: tuple[tuple[float, ...], ...], mode: str = "exact") -> tuple[in
 
 def _matching_size(n: int, edges) -> int:
     """Size of a maximum matching of the tree on n vertices with the given
-    edges: remove the least leaf left, again and again, and match it with
+    edges: remove the lowest leaf left, again and again, and match it with
     its neighbour when both are still free, the greedy that gives a tree a
     maximum matching."""
     adj = [0] * n

@@ -109,6 +109,27 @@ def _connected_subset(g: Graph, subset) -> bool:
     return seen == smask
 
 
+def reference_mcs_order(g: Graph) -> tuple[int, ...]:
+    """Maximum cardinality search by the scan `graphs.mcs_order` replaced:
+    each step walks every vertex in index order and takes the first
+    unvisited one of strictly greater weight, so ties go to the smallest
+    index; only the unvisited neighbours of the vertex taken gain."""
+    n = g.vertex_count
+    weights = [0] * n
+    visited = 0
+    order = []
+    for _ in range(n):
+        best = -1
+        for v in range(n):
+            if not (visited >> v) & 1 and (best < 0 or weights[v] > weights[best]):
+                best = v
+        order.append(best)
+        visited |= 1 << best
+        for w in bits(g.adj[best] & ~visited):
+            weights[w] += 1
+    return tuple(order)
+
+
 def brute_force_is_chordal(g: Graph) -> bool:
     """Search every vertex subset for an induced cycle of length >= 4."""
     n = g.vertex_count

@@ -839,6 +839,20 @@ class TestKindTable:
         with pytest.raises(DomainError, match="unknown bound kind 'chordal-foo'"):
             bounds.bound("chordal-foo", identical_events_system(2))
 
+    def test_unknown_input_name_is_a_type_error(self):
+        # A misspelt name must not be dropped: `M=2` would give the m = 0
+        # bound, 0.5, where m = 2 gives 1.0.
+        sys_ = from_outcomes([0.25] * 4, [[0, 1], [1, 2], [2, 3]])
+        assert bounds.bound("generalized-lower", sys_, m=2).value == 1.0
+        for kind in bounds.KINDS:
+            with pytest.raises(TypeError, match="unexpected keyword arguments: M$"):
+                bounds.bound(kind, sys_, M=2)
+        with pytest.raises(TypeError, match="unexpected keyword arguments: depth, graph$"):
+            bounds.bound("generalized-lower", sys_, m=2, graph=None, depth=1)
+        # A name only other kinds read stays accepted, as the command line
+        # passes r, unchecked, j, k and m to every kind.
+        assert bounds.bound("generalized-lower", sys_, r=3, unchecked=True, j=1, k=2, m=2).value == 1.0
+
 
 class TestIntegerArguments:
     """Depths, orders and indices are ints, as the command line parses

@@ -40,6 +40,7 @@ from helpers import (
     brute_force_is_chordal,
     random_chordal_graph,
     random_graph,
+    reference_mcs_order,
 )
 
 
@@ -180,6 +181,16 @@ class TestMcsAndChordality:
         for g in (complete_graph(3), path_graph(4), edgeless_graph(5)):
             order = mcs_order(g)
             assert sorted(order) == list(range(g.vertex_count))
+
+    def test_mcs_matches_the_index_scan(self):
+        # The arg-max over the ascending unvisited list keeps the order of
+        # the scan it replaced, ties to the smallest index included.
+        rng = random.Random(5301)
+        cases = [random_graph(rng, rng.randint(0, 19), rng.random()) for _ in range(300)]
+        cases += [random_chordal_graph(rng, rng.randint(1, 19)) for _ in range(100)]
+        cases += [edgeless_graph(40), complete_graph(9), path_graph(12), cycle_graph(11)]
+        for g in cases:
+            assert mcs_order(g) == reference_mcs_order(g), g.edges
 
     def test_complete_any_order_eliminates(self):
         g = complete_graph(3)

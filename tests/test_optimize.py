@@ -325,8 +325,8 @@ class TestBestPath:
     def test_odd_sizes_match_full_table(self):
         # At odd n each split-level state and its twin, the same path read
         # from the other end, are joined once for both; the order must
-        # still be the full table's, ties included, whether the search
-        # prunes or falls back to the full table.
+        # still be the full table's, ties included, however many states
+        # the ties keep.
         rng = random.Random(191)
         families = [
             lambda n: coords_weights(rng, n, 8, 2),
@@ -344,8 +344,8 @@ class TestBestPath:
         # At even n the split level is filled only for the states with event
         # 0 outside mask - v, and the states of the same paths read from
         # the far end are filled from the kept ones; the order must still
-        # be the full table's, ties included, whether the search prunes or
-        # falls back to the full table.
+        # be the full table's, ties included, however many states the ties
+        # keep.
         rng = random.Random(193)
         families = [
             lambda n: coords_weights(rng, n, 8, 2),
@@ -396,9 +396,9 @@ class TestBestPath:
         # at every n from 1 to 10, odd and even (whose split level is
         # halved), the order must be the full table's, ties included.
         # Signed zeros and negative weights probe the float comparisons;
-        # small-integer ties and all-equal rows keep an eighth of the split
-        # level, so the search falls back to the full table; rows at the
-        # 1e-13 scale probe the relative slack.
+        # small-integer ties and all-equal rows keep many states, up to
+        # every one, which the pruned search fills from its kept heads;
+        # rows at the 1e-13 scale probe the relative slack.
         rng = random.Random(4401)
         families = [
             lambda: rng.choice((0.0, -0.0)),
@@ -418,9 +418,23 @@ class TestBestPath:
                 wm = symmetric_rows(n, lambda: value)
                 assert best_path(wm, "exact") == full_table_path(wm) == tuple(range(n))
 
+    @pytest.mark.parametrize("n", [11, 12, 13])
+    def test_tie_heavy_rows_match_full_table(self, n):
+        # All-equal rows keep every state past the split, and rows of two
+        # integer weights many of them; the pruned search, at odd n paired
+        # and at even n halved, fills all it keeps from its kept heads, and
+        # its order must be the full table's, ties included.
+        rng = random.Random(5300 + n)
+        for value in (0.0, -0.0, 1.0, -2.0):
+            wm = symmetric_rows(n, lambda: value)
+            assert best_path(wm, "exact") == full_table_path(wm) == tuple(range(n))
+        for low, high in ((1, 2), (0, 1), (-1, 3)):
+            wm = symmetric_rows(n, lambda: float(rng.choice((low, high))))
+            assert best_path(wm, "exact") == full_table_path(wm)
+
     def test_all_zero_weights_at_the_cap(self):
-        # Every state ties, so every level-h state is kept and the search
-        # finishes the full table; the least order is the identity.
+        # Every state ties, so every state is kept and the pruned search
+        # fills the whole table; the least order is the identity.
         n = HELD_KARP_MAX_VERTICES
         assert best_path(symmetric_rows(n, lambda: 0.0), "exact") == tuple(range(n))
 
