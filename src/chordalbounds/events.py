@@ -573,9 +573,9 @@ class ProductSystem:
         in the system's unit.  With a shared polynomial p the numerators
         are looked up by coordinate count in C; other exact ones, RATIONAL
         included, are taken once per distinct mask in each chunk of
-        `_MASK_CHUNK` masks (`Counter`).
-        Both are added in any order; floats are added one by one, in the
-        order of `masks`, so that the rounding is that order's."""
+        `_MASK_CHUNK` masks (`Counter`).  Both are added in any order;
+        floats are added one by one, in the order of `masks`, so that the
+        rounding is that order's."""
         if self._by_count is not None:
             part = sum(map(self._by_count.__getitem__, map(int.bit_count, masks)))
             return total + part if sign > 0 else total - part
